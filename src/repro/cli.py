@@ -143,8 +143,7 @@ def _cmd_prepare(args) -> int:
         pp = rep.extra.get("procpipe")
         if pp:
             print(f"  pipeline mode {pp['mode']} "
-                  f"({pp['processes']} processes, {pp['num_tiles']} tiles, "
-                  f"{pp['max_inflight']} in flight)")
+                  f"({pp['processes']} processes, {pp['num_tiles']} tiles)")
         arch = rep.extra.get("archival")
         if arch:
             print(f"  pipelined archival completion {arch['completion']:.3f}s "

@@ -182,8 +182,10 @@ class ProactiveOperator:
             payloads.append(staged)
         if not payloads:
             return None, 0
-        data = rapids._reconstruct(rec, payloads)
-        return data, len(payloads)
+        return rapids._reconstruct_tiles(
+            rec, list(range(len(payloads))), [[p] for p in payloads],
+            processes=1, degrade=False, failures=[],
+        )
 
     # -- cleanup ---------------------------------------------------------------
 

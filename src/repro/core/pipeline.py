@@ -16,7 +16,7 @@ import struct
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,15 +26,17 @@ from ..chaos.degraded import DegradedRestore, LevelFailure
 from ..chaos.injector import InjectedFault
 from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig, ErasureCodec
+from ..ec.codec import encoded_fragment_len
 from ..formats import crc32, write_fragment_file
 from ..healing.ledger import DurabilityLedger, LedgerEntry
 from ..metadata import FragmentRecord, MetadataCatalog, ObjectRecord
 from ..metadata.kvstore import CorruptionError
+from ..parallel import procpipe
 from ..parallel.threads import default_workers, thread_map
 from ..refactor import Refactorer
 from ..storage import StorageCluster
-from ..storage.system import CorruptFragmentError, UnavailableError
-from ..transfer import phase_latency, refactored_distribution
+from ..storage.system import CorruptFragmentError, StoredFragment, UnavailableError
+from ..transfer import phase_latency, pipelined_archival, refactored_distribution
 from .availability import expected_relative_error, refactored_storage_overhead
 from .ft_optimizer import FTProblem, FTSolution, heuristic
 from .gathering import (
@@ -86,8 +88,8 @@ class PrepareReport:
     distribution_latency: float
     network_bytes: float
     timings: dict[str, float] = field(default_factory=dict)
-    #: Engine-specific diagnostics (e.g. the process pipeline's arena
-    #: stats and pipelined-archival schedule); empty for the thread path.
+    #: Multi-tile diagnostics (``"procpipe"``: pool, arena and spool
+    #: stats; ``"archival"``: the pipelined schedule); empty for one tile.
     extra: dict = field(default_factory=dict)
 
     @property
@@ -115,6 +117,49 @@ class RestoreReport:
     @property
     def total_time(self) -> float:
         return sum(self.timings.values())
+
+
+class _FragmentList:
+    """In-memory fragment sink of a one-tile prepare.
+
+    The read side of :class:`repro.parallel.procpipe._FragmentSpool`
+    without the disk: a one-tile level is one chunk per fragment, so the
+    commit stage serialises each fragment straight from the encoder's
+    arrays, one at a time.
+    """
+
+    def __init__(self) -> None:
+        self._levels: dict[int, list[np.ndarray]] = {}
+
+    def append(self, level: int, fragments: list[np.ndarray]) -> None:
+        self._levels[level] = fragments
+
+    def read_fragment(self, level: int, index: int) -> tuple[bytes, int]:
+        blob = np.ascontiguousarray(self._levels[level][index]).tobytes()
+        return blob, crc32(blob)
+
+
+def _tile_table(rec: ObjectRecord) -> tuple[list[tuple[int, int]], list, list]:
+    """An object's axis-0 tile table ``(tiles, plans, chunks)``.
+
+    ``tiles[t]`` are tile ``t``'s plane bounds, ``plans[t]`` its level
+    plans, and ``chunks[j][t]`` the byte length of its independently
+    encoded chunk inside every fragment of level ``j`` (fragment ``i`` of
+    a level is the concatenation over tiles of those chunks).  Multi-tile
+    prepares store the table under ``extra["procpipe"]``; a record
+    without one *is* the one-tile table — the whole extent,
+    ``extra["plans"]``, one chunk per fragment — derived here and nowhere
+    else, so every reader below sees a single layout.
+    """
+    pp = rec.extra.get("procpipe")
+    if pp is not None:
+        tiles = [(int(lo), int(hi)) for lo, hi in pp["tiles"]]
+        return tiles, pp["plans"], pp["chunks"]
+    chunks = [
+        [encoded_fragment_len(rec.n_systems - m, size)]
+        for m, size in zip(rec.ft_config, rec.level_sizes)
+    ]
+    return [(0, int(rec.shape[0]))], [rec.extra["plans"]], chunks
 
 
 class RAPIDS:
@@ -218,13 +263,18 @@ class RAPIDS:
         parallelism: str | None = None,
         processes: int | None = None,
         tile_planes: int | None = None,
-        max_inflight: int | None = None,
     ) -> PrepareReport:
         """Run the full data-preparation phase for one data object.
 
-        ``data`` is the array itself or the path of a ``.npy`` file (the
-        process engine streams file sources tile-by-tile, never holding
-        the whole object resident).
+        One stage sequence for every object, as a list of one or more
+        axis-0 tiles: refactor tile 0 in the parent -> FT solve on its
+        exact serialised sizes x the tile count -> per-(level, tile) EC
+        encode into one fragment sink -> commit (object record, fragment
+        placement + records, ledger entry) -> distribution model.
+
+        ``data`` is the array itself or the path of a ``.npy`` file
+        (multi-tile prepares stream file sources tile-by-tile, never
+        holding the whole object resident).
 
         ``fragment_dir`` additionally writes every fragment to a
         self-describing file (the HDF5/ADIOS step of §4.1); fragments are
@@ -236,61 +286,262 @@ class RAPIDS:
         model; failed tasks are retried until delivered and the service's
         clock advance is reported as the distribution latency.
 
-        ``measure_errors=False`` reports the closed-form error bounds
-        instead of measured per-prefix errors and switches to the
-        *pipelined* preparation path: the fault-tolerance solver runs on
-        the exact serialised sizes before any payload bytes exist, and
-        component ``j``'s erasure encode overlaps component ``j + 1``'s
-        serialisation.  Timing keys are unchanged; serialisation time is
-        accounted under ``ec_encode`` (the window it overlaps).
+        ``measure_errors`` is honoured only for one-tile objects.
+        ``False`` reports the closed-form error bounds instead of
+        measured per-prefix errors and lets component ``j``'s erasure
+        encode overlap component ``j + 1``'s serialisation (accounted
+        under ``ec_encode``, the window it overlaps).  Multi-tile objects
+        always report bound-derived ``level_errors``.
 
-        ``parallelism`` selects the execution engine: ``"process"`` runs
-        the streaming tile pipeline of :mod:`repro.parallel.procpipe`
-        (shared-memory transport, bounded peak RSS, bound-derived level
-        errors), ``"thread"`` the in-process path above, ``"none"`` the
-        thread path with every worker pool forced serial.  ``None``
-        (the default) picks ``"process"`` for objects of at least
-        ``AUTO_PROCESS_THRESHOLD`` bytes, else ``"thread"``; a
-        ``transfer_service`` always uses the thread path (the service
-        owns distribution).  ``processes``, ``tile_planes`` and
-        ``max_inflight`` tune the process engine and are ignored by the
-        other modes.
+        ``parallelism`` only decides the tile bounds and where tiles 1..
+        are refactored.  ``"process"`` cuts ``tile_planes`` planes per
+        tile (~8 MiB by default) and runs them on ``processes`` pool
+        workers with shared-memory transport and bounded peak RSS —
+        inline when ``processes=1`` or a chaos injector is attached;
+        ``"thread"`` keeps the object one tile with thread fan-out;
+        ``"none"`` is ``"thread"`` with every worker pool forced serial.
+        ``None`` (the default) means ``"process"`` from
+        ``AUTO_PROCESS_THRESHOLD`` bytes up, else ``"thread"``; a
+        ``transfer_service`` always means ``"thread"``.  An object that
+        cannot be cut (fewer than 2 planes, or ``tile_planes`` covering
+        it) is one tile in every mode, stored byte-identically by all.
         """
-        from ..parallel import procpipe
+        timings: dict[str, float] = {}
+        if self.injector is not None:
+            self.injector.check("pipeline.prepare", name=name)
+        mode, source, tiles = self._cut_tiles(
+            data, parallelism, tile_planes, transfer_service
+        )
+        num_tiles = len(tiles)
+        processes = self._tile_processes(processes)
 
+        with ExitStack() as stack:
+            if mode == "none":
+                stack.enter_context(self._serial_workers())
+            t0 = time.perf_counter()
+            if num_tiles == 1:
+                tile0 = np.ascontiguousarray(source)
+                shape, dtype, nbytes = tile0.shape, tile0.dtype, tile0.nbytes
+            else:
+                src = stack.enter_context(procpipe.TileSource(source))
+                arena = stack.enter_context(procpipe.SharedArena())
+                shape, dtype, nbytes = src.shape, src.dtype, src.nbytes
+                tile0 = src.read_tile(*tiles[0])
+            timings["read"] = time.perf_counter() - t0
+
+            # Tile 0 is refactored in the parent in every mode.  Only a
+            # sole tile can have its per-prefix errors measured; otherwise
+            # its payloads serialise lazily, while the encoder consumes.
+            t0 = time.perf_counter()
+            if num_tiles == 1 and measure_errors:
+                obj = self.refactorer.refactor(tile0)
+                sizes, payloads = obj.sizes, obj.payloads
+            else:
+                stream = self.refactorer.refactor_stream(tile0)
+                obj, sizes = stream.obj, stream.sizes
+                payloads = (payload for _, payload in stream)
+            del tile0
+            timings["refactor"] = time.perf_counter() - t0
+
+            t0 = time.perf_counter()
+            sol = self._optimize_ft(
+                [s * num_tiles for s in sizes], obj.errors, nbytes
+            )
+            timings["ft_optimize"] = time.perf_counter() - t0
+            ms = sol.ms
+            levels = len(sizes)
+
+            # One fragment sink: a one-tile level is one chunk per
+            # fragment and stays in memory; many tiles append chunks to
+            # the CRC'd disk spool so nothing object-sized is resident.
+            if num_tiles == 1:
+                sink = _FragmentList()
+            else:
+                sink = stack.enter_context(
+                    procpipe._FragmentSpool(levels, self.cluster.n)
+                )
+            level_sizes = [0] * levels
+            chunk_lens: list[list[int]] = [[] for _ in range(levels)]
+            tile_plans: list[list[list[list[int]]]] = []
+            tile_errors: list[tuple[list[float], float]] = []
+            chunk_events: list[tuple[float, float]] = []
+            ec_time = 0.0
+            ec_pool = stack.enter_context(
+                ThreadPoolExecutor(max_workers=max(1, min(self.ec_workers, levels)))
+            )
+            pipeline_start = time.perf_counter()
+
+            def consume(payloads, errors, tile_max, plans) -> None:
+                """EC-encode one tile's levels into the sink.
+
+                The GIL-releasing EC kernels encode level ``j`` on the
+                pool while this thread is still drawing level ``j + 1``
+                from ``payloads`` (the §4.1 preparation pipeline).
+                """
+                nonlocal ec_time
+                t_ec = time.perf_counter()
+                futures = [
+                    ec_pool.submit(
+                        self.codec.encode_level, payload, ms[j], level_index=j
+                    )
+                    for j, payload in enumerate(payloads)
+                ]
+                for j, fut in enumerate(futures):
+                    enc = fut.result()
+                    sink.append(j, enc.fragments)
+                    chunk_lens[j].append(enc.fragment_nbytes)
+                    level_sizes[j] += enc.payload_size
+                    chunk_events.append(
+                        (time.perf_counter() - pipeline_start,
+                         float(enc.fragment_nbytes))
+                    )
+                tile_plans.append(plans)
+                tile_errors.append((errors, tile_max))
+                ec_time += time.perf_counter() - t_ec
+
+            t_loop = time.perf_counter()
+            consume(
+                payloads, obj.errors, obj.data_max,
+                procpipe.plans_as_lists(obj.plans),
+            )
+            if num_tiles > 1:
+                procpipe.refactor_tiles(
+                    src, tiles[1:], procpipe.refactorer_config(self.refactorer),
+                    processes, arena, consume,
+                )
+                arena_leaked = arena.live_names
+                sink.finish_writes()
+            loop_wall = time.perf_counter() - t_loop
+            # Pool-side refactoring of tiles 1.. shows up as the part of
+            # the loop this thread did not spend encoding.
+            timings["refactor"] += max(0.0, loop_wall - ec_time)
+            timings["ec_encode"] = ec_time
+
+            # Each tile's bound is relative to its own max; the global
+            # relative error is the worst absolute error over tiles,
+            # renormalised by the global max (exact for L-infinity, and
+            # the identity for a sole tile).
+            data_max = max(tile_max for _, tile_max in tile_errors)
+            level_errors = [
+                max(
+                    errs[j] * (tile_max / data_max if data_max > 0 else 1.0)
+                    for errs, tile_max in tile_errors
+                )
+                for j in range(levels)
+            ]
+            # A one-tile record carries no table: readers derive it
+            # (see _tile_table), so the stored layout is the one every
+            # earlier workspace already has.
+            if num_tiles == 1:
+                layout = {"plans": tile_plans[0]}
+            else:
+                layout = {"procpipe": {
+                    "tiles": [[lo, hi] for lo, hi in tiles],
+                    "plans": tile_plans,
+                    "chunks": chunk_lens,
+                }}
+            record = ObjectRecord(
+                name=name,
+                shape=list(shape),
+                dtype=str(dtype),
+                level_sizes=level_sizes,
+                level_errors=level_errors,
+                ft_config=ms,
+                n_systems=self.cluster.n,
+                data_max=data_max,
+                correction=obj.correction,
+                extra={**layout, "expected_error": sol.expected_error},
+            )
+            t0 = time.perf_counter()
+            timings["write"] = self._commit(record, sink, fragment_dir, distribute)
+            timings["metadata"] = time.perf_counter() - t0 - timings["write"]
+
+        dist_latency = 0.0
+        network_bytes = 0.0
+        if distribute:
+            reqs = refactored_distribution(
+                [float(s) for s in level_sizes], ms, self.cluster.n,
+                self.cluster.bandwidths,
+            )
+            if transfer_service is not None:
+                dist_latency, network_bytes = self._distribute_via_service(
+                    name, reqs, transfer_service
+                )
+            else:
+                res = phase_latency(reqs, self.cluster.bandwidths)
+                dist_latency = res.makespan
+                network_bytes = res.total_bytes
+
+        extra: dict = {}
+        if num_tiles > 1:
+            extra["procpipe"] = {
+                "mode": "process" if processes > 1 else "inline",
+                "processes": processes,
+                "num_tiles": num_tiles,
+                "arena_segments": arena.created,
+                "arena_peak_bytes": arena.peak_bytes,
+                "arena_leaked": arena_leaked,
+                "spooled_bytes": sink.spooled_bytes,
+            }
+            if distribute:
+                # EC encode of chunk (tile t, level j) overlaps the
+                # simulated WAN shipping of earlier chunks: completion
+                # approaches max(compute, transfer) instead of their sum.
+                extra["archival"] = pipelined_archival(
+                    chunk_events, self.cluster.bandwidths
+                ).as_dict()
+        return PrepareReport(
+            name=name,
+            ft_config=ms,
+            level_sizes=level_sizes,
+            level_errors=level_errors,
+            storage_overhead=refactored_storage_overhead(
+                [float(s) for s in level_sizes], ms, self.cluster.n, nbytes
+            ),
+            expected_error=sol.expected_error,
+            distribution_latency=dist_latency,
+            network_bytes=network_bytes,
+            timings=timings,
+            extra=extra,
+        )
+
+    def _cut_tiles(self, data, parallelism, tile_planes, transfer_service):
+        """Resolve ``parallelism`` and cut the object: ``(mode, source, tiles)``.
+
+        Only ``"process"`` cuts more than one tile; an object it cannot
+        cut (fewer than 2 planes, or ``tile_planes`` covering it) and
+        every other mode get the whole extent as tile 0, with ``source``
+        loaded if it was a path — one tile is resident in the parent.
+        """
         is_path = isinstance(data, (str, Path))
         nbytes = os.path.getsize(data) if is_path else int(data.nbytes)
         mode = procpipe.resolve_mode(parallelism, nbytes)
         if mode == "process" and transfer_service is not None:
-            mode = "thread"
-        if mode == "process" and not is_path:
-            data = np.asarray(data)
-            if data.ndim < 1 or data.shape[0] < 2:
-                mode = "thread"  # too small/degenerate to tile
+            mode = "thread"  # the service owns distribution
         if mode == "process":
-            return procpipe.prepare_tiled(
-                self, name, data,
-                processes=processes,
-                tile_planes=tile_planes,
-                max_inflight=max_inflight,
-                distribute=distribute,
-                fragment_dir=fragment_dir,
-            )
-        if is_path:
-            data = np.load(data)
-        if mode == "none":
-            with self._serial_workers():
-                return self._prepare_threaded(
-                    name, data,
-                    fragment_dir=fragment_dir, distribute=distribute,
-                    transfer_service=transfer_service,
-                    measure_errors=measure_errors,
+            # mmap: a file source only gives up its header here
+            probe = np.load(data, mmap_mode="r") if is_path else np.asarray(data)
+            if probe.ndim and probe.shape[0] >= 2:
+                tiles = procpipe.resolve_tiles(
+                    probe.shape, probe.dtype.itemsize, tile_planes
                 )
-        return self._prepare_threaded(
-            name, data,
-            fragment_dir=fragment_dir, distribute=distribute,
-            transfer_service=transfer_service, measure_errors=measure_errors,
-        )
+                if len(tiles) > 1:
+                    return mode, data, tiles
+        data = np.load(data) if is_path else np.asarray(data)
+        return mode, data, [(0, data.shape[0] if data.ndim else 0)]
+
+    def _tile_processes(self, processes: int | None) -> int:
+        """Pool width for the tiles of a multi-tile object.
+
+        Under an injector tiles run inline (width 1): fault-plan
+        occurrence windows see one deterministic operation order and the
+        injector is never consulted from worker processes.
+        """
+        if processes is None:
+            processes = default_workers()
+        if processes < 1:
+            raise ValueError("processes must be >= 1")
+        return 1 if self.injector is not None else processes
 
     @contextmanager
     def _serial_workers(self):
@@ -304,70 +555,55 @@ class RAPIDS:
         finally:
             self.ec_workers, self.refactor_workers, self.refactorer.workers = saved
 
-    def _prepare_threaded(
+    def _commit(
         self,
-        name: str,
-        data: np.ndarray,
-        *,
-        fragment_dir: str | Path | None = None,
-        distribute: bool = True,
-        transfer_service=None,
-        measure_errors: bool = True,
-    ) -> PrepareReport:
-        """The in-process preparation engine (thread-level overlap only)."""
-        timings: dict[str, float] = {}
-        if self.injector is not None:
-            self.injector.check("pipeline.prepare", name=name)
+        record: ObjectRecord,
+        sink,
+        fragment_dir: str | Path | None,
+        distribute: bool,
+    ) -> float:
+        """Publish one prepared object; returns the fragment-file time.
 
-        t0 = time.perf_counter()
-        data = np.ascontiguousarray(data)
-        timings["read"] = time.perf_counter() - t0
-
-        if measure_errors:
-            t0 = time.perf_counter()
-            obj = self.refactorer.refactor(data)
-            timings["refactor"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            sol = self._optimize_ft(obj.sizes, obj.errors, data.nbytes)
-            timings["ft_optimize"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            encoded = self._encode_levels(obj.payloads, sol.ms)
-            timings["ec_encode"] = time.perf_counter() - t0
-        else:
-            t0 = time.perf_counter()
-            stream = self.refactorer.refactor_stream(data)
-            obj = stream.obj
-            timings["refactor"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            sol = self._optimize_ft(stream.sizes, obj.errors, data.nbytes)
-            timings["ft_optimize"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            encoded = self._encode_levels_streamed(stream, sol.ms)
-            timings["ec_encode"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        if fragment_dir is not None:
-            self._write_fragment_files(name, encoded, Path(fragment_dir))
-        timings["write"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        self._register(name, obj, sol)
-        for j, enc in enumerate(encoded):
-            # Serialise each fragment exactly once; placement, checksum,
-            # ledger, and (above) fragment files all share the same blobs.
-            blobs = enc.fragment_blobs()
-            checksums = [crc32(blob) for blob in blobs]
-            if distribute:
-                self.cluster.place_level(name, j, blobs, checksums=checksums)
-            for idx, blob in enumerate(blobs):
+        Object record first, then per level: every fragment read back
+        from the sink one at a time (O(fragment) memory however large
+        the object) and placed, its fragment records, and the ledger
+        entry.
+        """
+        name, ms, n = record.name, record.ft_config, self.cluster.n
+        self.catalog.put_object(record)
+        outdir = Path(fragment_dir) if fragment_dir is not None else None
+        if outdir is not None:
+            outdir.mkdir(parents=True, exist_ok=True)
+        safe = name.replace("/", "_").replace(":", "_")
+        t_write = 0.0
+        for j, m in enumerate(ms):
+            checksums: list[int] = []
+            frag_sizes: list[int] = []
+            for i in range(n):
+                blob, crc = sink.read_fragment(j, i)
+                checksums.append(crc)
+                frag_sizes.append(len(blob))
+                if outdir is not None:
+                    t0 = time.perf_counter()
+                    write_fragment_file(
+                        outdir / f"{safe}.l{j}.f{i}.rdc",
+                        blob,
+                        object_name=name,
+                        level=j,
+                        index=i,
+                        k=n - m,
+                        m=m,
+                    )
+                    t_write += time.perf_counter() - t0
+                if distribute:
+                    # Fragment i lives on system i (the default placement).
+                    self.cluster[i].put(
+                        StoredFragment(name, j, i, len(blob), blob, checksum=crc)
+                    )
+            for i in range(n):
                 self.catalog.put_fragment(
                     FragmentRecord(
-                        name, j, idx, idx, len(blob),
-                        checksum=checksums[idx],
+                        name, j, i, i, frag_sizes[i], checksum=checksums[i]
                     )
                 )
             if distribute:
@@ -378,79 +614,15 @@ class RAPIDS:
                     LedgerEntry(
                         object_name=name,
                         level=j,
-                        n=enc.config.n,
-                        m=enc.config.m,
+                        n=n,
+                        m=m,
                         checksums=checksums,
-                        nbytes=[len(blob) for blob in blobs],
-                        placement=list(range(len(blobs))),
-                        headroom=enc.config.m,
+                        nbytes=frag_sizes,
+                        placement=list(range(n)),
+                        headroom=m,
                     )
                 )
-        timings["metadata"] = time.perf_counter() - t0
-
-        dist_latency = 0.0
-        network_bytes = 0.0
-        if distribute:
-            reqs = refactored_distribution(
-                [float(s) for s in obj.sizes], sol.ms, self.cluster.n,
-                self.cluster.bandwidths,
-            )
-            if transfer_service is not None:
-                dist_latency, network_bytes = self._distribute_via_service(
-                    name, reqs, transfer_service
-                )
-            else:
-                res = phase_latency(reqs, self.cluster.bandwidths)
-                dist_latency = res.makespan
-                network_bytes = res.total_bytes
-
-        return PrepareReport(
-            name=name,
-            ft_config=sol.ms,
-            level_sizes=obj.sizes,
-            level_errors=obj.errors,
-            storage_overhead=refactored_storage_overhead(
-                [float(s) for s in obj.sizes], sol.ms, self.cluster.n,
-                data.nbytes,
-            ),
-            expected_error=sol.expected_error,
-            distribution_latency=dist_latency,
-            network_bytes=network_bytes,
-            timings=timings,
-        )
-
-    def _encode_levels(self, payloads, ms) -> list:
-        """Erasure-code every level, fanning levels out over threads.
-
-        The planned GF(256) kernels release the GIL in their gather/XOR
-        inner loops, so a thread pool overlaps the per-level encodes
-        without pickling fragment buffers; ``ec_workers=1`` runs inline.
-        """
-        jobs = list(enumerate(zip(payloads, ms)))
-
-        def _encode(job):
-            j, (payload, m) = job
-            return self.codec.encode_level(payload, m, level_index=j)
-
-        return thread_map(_encode, jobs, workers=min(self.ec_workers, len(jobs)))
-
-    def _encode_levels_streamed(self, stream, ms) -> list:
-        """Erasure-code levels as the refactor stream serialises them.
-
-        The main thread drives the stream — serialising component ``j``
-        appends its payload to ``stream.obj.payloads`` — and immediately
-        submits the payload to a worker pool, so the GIL-releasing EC
-        kernels encode level ``j`` while the main thread is still
-        assembling level ``j + 1``'s bytes (the §4.1 preparation
-        pipeline).  Results come back in level order.
-        """
-        workers = max(1, min(self.ec_workers, len(ms)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self.codec.encode_level, payload, ms[j], level_index=j)
-                for j, payload in stream
-            ]
-            return [f.result() for f in futures]
+        return t_write
 
     def _distribute_via_service(self, name, reqs, service) -> tuple[float, float]:
         """Push one bundled task per destination through a GlobusService,
@@ -489,43 +661,6 @@ class RAPIDS:
         )
         return heuristic(problem)
 
-    def _write_fragment_files(self, name, encoded, outdir: Path) -> None:
-        outdir.mkdir(parents=True, exist_ok=True)
-        safe = name.replace("/", "_").replace(":", "_")
-        for j, enc in enumerate(encoded):
-            for idx, blob in enumerate(enc.fragment_blobs()):
-                write_fragment_file(
-                    outdir / f"{safe}.l{j}.f{idx}.rdc",
-                    blob,
-                    object_name=name,
-                    level=j,
-                    index=idx,
-                    k=enc.config.k,
-                    m=enc.config.m,
-                )
-
-    def _register(self, name, obj, sol: FTSolution) -> None:
-        self.catalog.put_object(
-            ObjectRecord(
-                name=name,
-                shape=list(obj.shape),
-                dtype=obj.dtype,
-                level_sizes=obj.sizes,
-                level_errors=obj.errors,
-                ft_config=sol.ms,
-                n_systems=self.cluster.n,
-                data_max=obj.data_max,
-                correction=obj.correction,
-                extra={
-                    "plans": [
-                        [list(p.fine_shape), list(p.coarse_shape), list(p.coarsened_axes)]
-                        for p in obj.plans
-                    ],
-                    "expected_error": sol.expected_error,
-                },
-            )
-        )
-
     # -- restoration phase ---------------------------------------------------
 
     def restore(
@@ -541,7 +676,6 @@ class RAPIDS:
         avoid_systems=(),
         parallelism: str | None = None,
         processes: int | None = None,
-        max_inflight: int | None = None,
         record_access: bool = False,
     ) -> RestoreReport:
         """Run the restoration phase against the cluster's current failures.
@@ -571,12 +705,12 @@ class RAPIDS:
         object always raises :class:`KeyError` — that is a caller error,
         not a fault.
 
-        Objects prepared by the process engine carry per-tile chunk
-        metadata and restore through :mod:`repro.parallel.procpipe`
-        (per-(level, tile) EC decode, pooled tile reconstruction into a
-        shared output).  ``parallelism`` / ``processes`` /
-        ``max_inflight`` tune that path the same way as in
-        :meth:`prepare`; they are ignored for untiled objects.
+        Every object restores through one sequence over its tile table
+        (:func:`_tile_table`): gather -> per-(level, tile) EC decode ->
+        per-tile prefix reconstruction.  ``parallelism`` / ``processes``
+        decide, as in :meth:`prepare`, whether the tiles of a multi-tile
+        object reconstruct on a process pool into a shared output or
+        inline; a one-tile object is reconstructed in place either way.
         """
         timings: dict[str, float] = {}
         failures: list[LevelFailure] = []
@@ -678,49 +812,23 @@ class RAPIDS:
 
         t0 = time.perf_counter()
         good_ids = sorted(gathered)
-        if "procpipe" in rec.extra:
-            from ..parallel import procpipe
+        payload_rows = self._decode_levels(
+            rec, good_ids, gathered, degrade, failures
+        )
+        timings["ec_decode"] = time.perf_counter() - t0
 
-            payload_rows = procpipe.decode_tiled(
-                self, rec, good_ids, gathered, degrade, failures
-            )
-            timings["ec_decode"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        nbytes = int(
+            np.prod(rec.shape, dtype=np.int64) * np.dtype(rec.dtype).itemsize
+        )
+        mode = procpipe.resolve_mode(parallelism, nbytes)
+        data, used = self._reconstruct_tiles(
+            rec, good_ids, payload_rows,
+            processes=processes if mode == "process" else 1,
+            degrade=degrade, failures=failures,
+        )
+        timings["reconstruct"] = time.perf_counter() - t0
 
-            t0 = time.perf_counter()
-            nbytes = int(
-                np.prod(rec.shape, dtype=np.int64)
-                * np.dtype(rec.dtype).itemsize
-            )
-            mode = procpipe.resolve_mode(parallelism, nbytes)
-            data, used = procpipe.reconstruct_tiled(
-                self, rec, good_ids, payload_rows,
-                processes=processes if mode == "process" else 1,
-                max_inflight=max_inflight,
-                degrade=degrade, failures=failures,
-            )
-            timings["reconstruct"] = time.perf_counter() - t0
-        else:
-            payloads = self._decode_prefix(
-                good_ids, gathered, rec, degrade, failures
-            )
-            timings["ec_decode"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            data = None
-            while payloads:
-                try:
-                    data = self._reconstruct(rec, payloads)
-                    break
-                except _DEGRADABLE as exc:
-                    if not degrade:
-                        raise
-                    failures.append(
-                        LevelFailure(good_ids[len(payloads) - 1], "pipeline", repr(exc))
-                    )
-                    payloads = payloads[:-1]
-            timings["reconstruct"] = time.perf_counter() - t0
-
-            used = len(payloads) if data is not None else 0
         achieved = rec.level_errors[used - 1] if used else 1.0
         degraded = None
         if failures:
@@ -786,46 +894,103 @@ class RAPIDS:
                 counts[k] = counts.get(k, 0) + 1
         return counts
 
-    def _decode_prefix(
-        self, level_ids, gathered, rec, degrade: bool, failures: list[LevelFailure]
-    ) -> list[bytes]:
-        """Decode the gathered levels, truncating at the first failure.
+    def _decode_levels(
+        self, rec: ObjectRecord, level_ids, gathered, degrade: bool,
+        failures: list[LevelFailure],
+    ) -> list[list[bytes]]:
+        """EC-decode gathered levels into per-(level, tile) payloads.
 
-        Without an injector the levels decode on the thread pool as
-        before; with one attached (or after a threaded failure, to find
-        the surviving prefix) decoding runs serially in level order, so
-        the plan's occurrence windows see a deterministic sequence and
-        the injector is never consulted from worker threads.
+        Each (level, tile) chunk decodes from the matching slice of any
+        k fragments.  Returns one payload row per surviving level,
+        truncated at the first failed level — deeper ones are useless
+        without it.  Without an injector the chunks decode on the thread
+        pool; with one attached (or after a threaded failure, to find
+        the surviving prefix) decoding runs serially in (level, tile)
+        order, so the plan's occurrence windows see a deterministic
+        sequence and the injector is never consulted from worker threads.
         """
         if not level_ids:
             return []
-        n = self.cluster.n
+        chunks = _tile_table(rec)[2]
+        jobs: list[tuple[int, int, int]] = []
+        for j in level_ids:
+            offset = 0
+            for size in chunks[j]:
+                jobs.append((j, offset, size))
+                offset += size
+        num_tiles = len(jobs) // len(level_ids)
 
-        def _decode(j: int) -> bytes:
-            cfg = ECConfig(n, rec.ft_config[j])
+        def _decode(job: tuple[int, int, int]) -> bytes:
+            j, offset, size = job
             return self.codec.decode_level(
-                config=cfg, fragments=gathered[j], level_index=j
+                config=ECConfig(self.cluster.n, rec.ft_config[j]),
+                fragments={
+                    i: arr[offset : offset + size]
+                    for i, arr in gathered[j].items()
+                },
+                level_index=j,
             )
 
         if self.injector is None:
             try:
-                return thread_map(
-                    _decode, level_ids,
-                    workers=min(self.ec_workers, len(level_ids)),
+                flat = thread_map(
+                    _decode, jobs, workers=min(self.ec_workers, len(jobs))
                 )
+                return [
+                    flat[a : a + num_tiles]
+                    for a in range(0, len(flat), num_tiles)
+                ]
             except _DEGRADABLE:
                 if not degrade:
                     raise
-        payloads: list[bytes] = []
-        for j in level_ids:
+        rows: list[list[bytes]] = []
+        for a, j in enumerate(level_ids):
             try:
-                payloads.append(_decode(j))
+                rows.append([
+                    _decode(job)
+                    for job in jobs[a * num_tiles : (a + 1) * num_tiles]
+                ])
             except _DEGRADABLE as exc:
                 if not degrade:
                     raise
                 failures.append(LevelFailure(j, "decode", repr(exc)))
                 break
-        return payloads
+        return rows
+
+    def _reconstruct_tiles(
+        self, rec: ObjectRecord, level_ids, payload_rows: list[list[bytes]],
+        *, processes: int | None, degrade: bool,
+        failures: list[LevelFailure],
+    ) -> tuple[np.ndarray | None, int]:
+        """Per-tile prefix reconstruction; returns ``(data, levels_used)``.
+
+        ``payload_rows[a][t]`` is tile ``t``'s payload of level
+        ``level_ids[a]``.  A degradable failure at prefix length ``u``
+        retries every tile at ``u - 1`` — all tiles must agree on the
+        prefix for the delivered error bound to mean anything.
+        """
+        tiles, plans, _ = _tile_table(rec)
+        processes = self._tile_processes(processes)
+        config = procpipe.refactorer_config(self.refactorer)
+        upto = len(payload_rows)
+        while upto >= 1:
+            jobs = [
+                (lo, hi, plans[t], [row[t] for row in payload_rows[:upto]])
+                for t, (lo, hi) in enumerate(tiles)
+            ]
+            try:
+                return procpipe.reconstruct_tiles(
+                    rec.shape, rec.dtype, jobs, rec.data_max, rec.correction,
+                    config, processes,
+                ), upto
+            except _DEGRADABLE as exc:
+                if not degrade:
+                    raise
+                failures.append(
+                    LevelFailure(level_ids[upto - 1], "pipeline", repr(exc))
+                )
+                upto -= 1
+        return None, 0
 
     def restore_progressive(
         self,
@@ -983,23 +1148,3 @@ class RAPIDS:
                 f"{len(frags)}/{needed} clean after spares — cannot decode"
             )
         return frags
-
-    def _reconstruct(self, rec: ObjectRecord, payloads: list[bytes]) -> np.ndarray:
-        from ..refactor.grid import LevelPlan
-        from ..refactor.refactorer import RefactoredObject
-
-        plans = [
-            LevelPlan(tuple(f), tuple(c), tuple(a))
-            for f, c, a in rec.extra["plans"]
-        ]
-        obj = RefactoredObject(
-            shape=tuple(rec.shape),
-            dtype=rec.dtype,
-            plans=plans,
-            payloads=payloads,
-            errors=rec.level_errors[: len(payloads)],
-            bounds=[],
-            data_max=rec.data_max,
-            correction=rec.correction,
-        )
-        return self.refactorer.reconstruct(obj)

@@ -24,6 +24,7 @@ names must not contain it.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -108,6 +109,11 @@ class MetadataCatalog:
     def __init__(self, path: "str | Path | KVStore") -> None:
         self._own_store = not hasattr(path, "get")
         self.store = KVStore(path) if self._own_store else path
+        #: Serialises the read-modify-write counters below
+        #: (``record_access`` / ``record_throughput``): the store makes
+        #: each get and put atomic, not the pair, so concurrent restores
+        #: would otherwise lose history entries.
+        self._rmw_lock = threading.Lock()
 
     def attach_injector(self, injector) -> None:
         """Forward a chaos injector to the underlying KV store (no-op
@@ -179,9 +185,10 @@ class MetadataCatalog:
         if count < 1:
             raise ValueError("count must be >= 1")
         key = f"acc/{name}".encode()
-        raw = self.store.get(key)
-        total = (int(json.loads(raw)) if raw else 0) + int(count)
-        self.store.put(key, json.dumps(total).encode())
+        with self._rmw_lock:
+            raw = self.store.get(key)
+            total = (int(json.loads(raw)) if raw else 0) + int(count)
+            self.store.put(key, json.dumps(total).encode())
         return total
 
     def access_count(self, name: str) -> int:
@@ -202,10 +209,11 @@ class MetadataCatalog:
         if bytes_per_sec <= 0:
             raise ValueError("throughput must be positive")
         key = f"bw/{system_id:04d}".encode()
-        raw = self.store.get(key)
-        hist = json.loads(raw) if raw else []
-        hist.append(float(bytes_per_sec))
-        self.store.put(key, json.dumps(hist[-keep:]).encode())
+        with self._rmw_lock:
+            raw = self.store.get(key)
+            hist = json.loads(raw) if raw else []
+            hist.append(float(bytes_per_sec))
+            self.store.put(key, json.dumps(hist[-keep:]).encode())
 
     def bandwidth_estimate(self, system_id: int, *, alpha: float = 0.3) -> float | None:
         """EWMA bandwidth estimate from the recorded history (newest-weighted)."""

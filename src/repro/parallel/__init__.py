@@ -8,8 +8,6 @@ from .procpipe import (
     AUTO_PROCESS_THRESHOLD,
     SharedArena,
     TileSource,
-    prepare_tiled,
-    reconstruct_tiled,
     resolve_mode,
 )
 from .streaming import (
@@ -61,7 +59,5 @@ __all__ = [
     "SharedArena",
     "TileSource",
     "axis0_bounds",
-    "prepare_tiled",
-    "reconstruct_tiled",
     "resolve_mode",
 ]

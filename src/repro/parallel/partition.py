@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tiles import axis0_bounds
+
 __all__ = ["split_blocks", "join_blocks", "block_shape_for"]
 
 
@@ -18,18 +20,15 @@ def split_blocks(data: np.ndarray, num_blocks: int) -> list[np.ndarray]:
     """Split along axis 0 into ``num_blocks`` near-equal contiguous blocks.
 
     Every block gets at least 2 planes so it remains refactorable;
-    ``num_blocks`` is clamped accordingly.
+    ``num_blocks`` is clamped accordingly.  The cut points are
+    :func:`repro.parallel.tiles.axis0_bounds`, the one decomposition
+    blocks, tiles and the pipeline share.
     """
     if data.ndim < 1:
         raise ValueError("cannot split a scalar")
-    if num_blocks < 1:
-        raise ValueError("num_blocks must be >= 1")
-    max_blocks = max(1, data.shape[0] // 2)
-    num_blocks = min(num_blocks, max_blocks)
-    bounds = np.linspace(0, data.shape[0], num_blocks + 1).astype(int)
     return [
-        np.ascontiguousarray(data[bounds[i] : bounds[i + 1]])
-        for i in range(num_blocks)
+        np.ascontiguousarray(data[lo:hi])
+        for lo, hi in axis0_bounds(data.shape[0], num_blocks)
     ]
 
 
@@ -42,7 +41,5 @@ def join_blocks(blocks: list[np.ndarray]) -> np.ndarray:
 
 def block_shape_for(shape: tuple[int, ...], num_blocks: int) -> tuple[int, ...]:
     """Shape of the largest block produced by :func:`split_blocks`."""
-    max_blocks = max(1, shape[0] // 2)
-    num_blocks = min(num_blocks, max_blocks)
-    first = -(-shape[0] // num_blocks)
-    return (first,) + tuple(shape[1:])
+    largest = max(hi - lo for lo, hi in axis0_bounds(shape[0], num_blocks))
+    return (largest,) + tuple(shape[1:])

@@ -1,23 +1,27 @@
-"""Process-parallel streaming prepare/restore with shared-memory transport.
+"""Tile transport and the two tile-map executors of the RAPIDS pipeline.
 
-The thread-mode pipeline overlaps only the GIL-releasing segments; the
-pure-Python glue of refactor -> bitplane encode -> EC serialises on the
-GIL.  This engine decomposes ``RAPIDS.prepare`` and ``RAPIDS.restore``
-into overlapping stages scheduled per (level, tile) work item across a
-``ProcessPoolExecutor``:
+``RAPIDS.prepare`` / ``RAPIDS.restore`` run one stage sequence for every
+object — a list of one or more axis-0 tiles.  The sole tile of a
+one-tile object is handled in the parent and never comes near this
+module; for multi-tile objects this module moves tiles 1.. through the
+stages that are worth running off the parent's GIL:
 
-prepare::
+prepare (:func:`refactor_tiles`)::
 
     tile read -> [pool] multilevel transform/quantise + bitplane encode
-              -> [parent] per-level EC encode -> fragment spool
-              -> placement + (simulated) WAN distribution
+              -> caller's ``consume`` (per-level EC encode -> spool)
 
-restore::
+restore (:func:`reconstruct_tiles`)::
 
-    gather -> [parent] per-(level, tile) EC decode
-           -> [pool] prefix reconstruct -> shared output array
+    caller's per-(level, tile) payloads
+              -> [pool] prefix reconstruct -> shared output array
 
-Three properties the engine maintains:
+Both run the same schedule inline when ``processes <= 1`` — same bytes,
+no pools — which is also what the pipeline asks for under a chaos
+injector, so fault-plan occurrence windows see one deterministic
+operation order and the injector is never consulted from workers.
+
+Three properties the transport maintains:
 
 * **No pickling of bulk data on the hot path.**  Tile inputs, encoded
   component payloads, and reconstructed tile outputs travel through
@@ -26,56 +30,37 @@ Three properties the engine maintains:
   unlinks every segment; workers only attach).  Only scalar metadata
   (sizes, bounds, level plans) crosses the pool as pickles, with a rare
   fallback when a tile's payloads exceed their pre-sized segment.
-* **Bounded peak RSS.**  A sliding window of at most ``max_inflight``
-  tiles is outstanding at any moment — the bounded inter-stage queue
-  that provides backpressure — so peak memory is
-  O(``max_inflight`` x tile), not O(dataset).  Inputs can stream from a
-  ``.npy`` file via :class:`TileSource` (seek + ``readinto``, no mmap of
-  the whole object), and encoded fragments spool to disk per
-  (level, fragment) with a running CRC so placement reads back one
-  fragment at a time.
+* **Bounded peak RSS.**  A sliding window of at most
+  ``max(2, 2 * processes)`` tiles is outstanding at any moment
+  (:func:`_windowed`) — the bounded inter-stage queue that provides
+  backpressure — so peak memory is O(window x tile), not O(dataset).
+  Inputs can stream from a ``.npy`` file via :class:`TileSource` (seek +
+  ``readinto``, no mmap of the whole object), and encoded fragments
+  spool to disk per (level, fragment) with a running CRC
+  (:class:`_FragmentSpool`) so the commit stage reads back one fragment
+  at a time.
 * **Bit-identical output.**  Tiling is deterministic
-  (:func:`repro.parallel.tiles.axis0_bounds`), the fault-tolerance
-  configuration is solved from the *profile tile* (tile 0's exact
-  serialised sizes scaled by the tile count — available before any other
-  tile exists, identical in every mode), and the refactor kernels are
-  worker-count invariant — so ``processes=N``, ``processes=1`` and the
-  inline path store the same bytes.
-
-Archival completion: EC encode of chunk (tile t, level j) overlaps the
-*simulated* WAN shipping of previously encoded chunks.  The engine
-records a (ready time, chunk size) event per encoded chunk and
-:func:`repro.transfer.pipelined.pipelined_archival` folds them into a
-per-destination FIFO schedule, so completion approaches
-max(compute, transfer) instead of their sum.
-
-With a chaos injector attached the engine runs inline (no pools), the
-same policy as ``RAPIDS._decode_prefix``: fault-plan occurrence windows
-see one deterministic operation order and the injector is never
-consulted from worker processes.
+  (:func:`repro.parallel.tiles.axis0_bounds`) and the refactor kernels
+  are worker-count invariant — so ``processes=N``, ``processes=1`` and
+  the inline path produce the same bytes.
 """
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
-import time
 import zlib
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
 from pathlib import Path
 
 import numpy as np
 
-from ..ec import ECConfig
-from ..formats import crc32, write_fragment_file
-from ..metadata import FragmentRecord, ObjectRecord
+from ..formats import crc32
 from ..refactor import Refactorer
 from ..refactor.grid import LevelPlan
-from ..refactor.refactorer import refactor_block, reconstruct_block
-from ..storage.system import StoredFragment
-from .threads import default_workers, thread_map
+from ..refactor.refactorer import RefactoredObject, reconstruct_block, refactor_block
 from .tiles import axis0_bounds
 
 __all__ = [
@@ -84,9 +69,10 @@ __all__ = [
     "SharedArena",
     "TileSource",
     "payload_capacity",
-    "prepare_tiled",
-    "decode_tiled",
-    "reconstruct_tiled",
+    "plans_as_lists",
+    "reconstruct_tiles",
+    "refactor_tiles",
+    "refactorer_config",
     "resolve_mode",
     "resolve_tiles",
 ]
@@ -327,12 +313,12 @@ def resolve_tiles(
 # -- picklable stage workers ---------------------------------------------
 
 
-def _refactorer_config(refactorer: Refactorer, *, workers: int) -> dict:
+def refactorer_config(refactorer: Refactorer) -> dict:
     """Constructor kwargs reproducing ``refactorer`` in a worker.
 
     ``workers`` only affects scheduling, never bytes (the kernels are
-    worker-count invariant), so pool workers run single-threaded while
-    the inline path keeps the caller's thread fan-out.
+    worker-count invariant), so the executors below override it to 1
+    for pool workers while the inline path keeps the caller's fan-out.
     """
     return dict(
         num_components=refactorer.num_components,
@@ -341,27 +327,70 @@ def _refactorer_config(refactorer: Refactorer, *, workers: int) -> dict:
         correction=refactorer.correction,
         policy=refactorer.policy,
         size_ratio=refactorer.size_ratio,
-        workers=workers,
+        workers=refactorer.workers,
     )
 
 
-def _plans_as_lists(plans) -> list[list[list[int]]]:
+def plans_as_lists(plans) -> list[list[list[int]]]:
+    """Level plans in the JSON shape object records store them in."""
     return [
         [list(p.fine_shape), list(p.coarse_shape), list(p.coarsened_axes)]
         for p in plans
     ]
 
 
-def _plans_from_lists(rows) -> list[LevelPlan]:
-    return [LevelPlan(tuple(f), tuple(c), tuple(a)) for f, c, a in rows]
+def _refactor_tile(tile: np.ndarray, config: dict) -> dict:
+    """Refactor one tile; the keyword arguments of a ``consume`` call."""
+    obj = refactor_block(tile, config, measure_errors=False)
+    return {
+        "payloads": list(obj.payloads),
+        "errors": [float(b) for b in obj.bounds],
+        "tile_max": float(obj.data_max),
+        "plans": plans_as_lists(obj.plans),
+    }
+
+
+def _reconstruct_tile(
+    payloads, tile_shape, dtype_str, plans_rows, data_max, correction, config
+) -> np.ndarray:
+    """Reconstruct one tile from its component payload prefix."""
+    obj = RefactoredObject(
+        shape=tuple(tile_shape),
+        dtype=dtype_str,
+        plans=[LevelPlan(tuple(f), tuple(c), tuple(a)) for f, c, a in plans_rows],
+        payloads=payloads,
+        errors=[],
+        bounds=[],
+        data_max=data_max,
+        correction=correction,
+    )
+    return reconstruct_block(obj, config)
+
+
+def _pack(buf, payloads) -> None:
+    """Lay ``payloads`` end to end at the start of a segment buffer."""
+    off = 0
+    for payload in payloads:
+        buf[off : off + len(payload)] = payload
+        off += len(payload)
+
+
+def _unpack(buf, sizes) -> list[bytes]:
+    """Inverse of :func:`_pack`: copy the payloads back out."""
+    payloads, off = [], 0
+    for sz in sizes:
+        payloads.append(bytes(buf[off : off + sz]))
+        off += sz
+    return payloads
 
 
 def _prepare_tile_worker(args: tuple) -> dict:
     """Refactor one tile from shared memory; payloads go back via shm.
 
     Module-level (picklable under any pool start method).  Returns only
-    scalar metadata plus, when the pre-sized output segment is too
-    small, the payload bytes themselves as a fallback.
+    scalar metadata (``payloads`` is ``None``, their ``sizes`` say where
+    they sit in the output segment) unless the pre-sized segment is too
+    small, when the payload bytes themselves are pickled as a fallback.
     """
     in_name, tile_shape, dtype_str, out_name, config = args
     in_shm = _attach(in_name)
@@ -371,60 +400,30 @@ def _prepare_tile_worker(args: tuple) -> dict:
         tile = np.frombuffer(in_shm.buf, dtype=dtype_str, count=count).reshape(
             tile_shape
         )
-        obj = refactor_block(tile, config, measure_errors=False)
+        result = _refactor_tile(tile, config)
     finally:
         tile = None  # drop the buffer view before closing the segment
         in_shm.close()
-    result = {
-        "sizes": [len(p) for p in obj.payloads],
-        "bounds": [float(b) for b in obj.bounds],
-        "data_max": float(obj.data_max),
-        "plans": _plans_as_lists(obj.plans),
-        "payloads": None,
-    }
+    result["sizes"] = [len(p) for p in result["payloads"]]
     out_shm = _attach(out_name)
     try:
-        total = sum(result["sizes"])
-        if total <= out_shm.size:
-            off = 0
-            for payload in obj.payloads:
-                out_shm.buf[off : off + len(payload)] = payload
-                off += len(payload)
-        else:
-            result["payloads"] = list(obj.payloads)
+        if sum(result["sizes"]) <= out_shm.size:
+            _pack(out_shm.buf, result["payloads"])
+            result["payloads"] = None
     finally:
         out_shm.close()
     return result
 
 
-def _restore_tile_worker(args: tuple) -> int:
+def _restore_tile_worker(args: tuple) -> None:
     """Reconstruct one tile from shm payloads into the shared output."""
-    (
-        in_name,
-        sizes,
-        plans_rows,
-        tile_shape,
-        dtype_str,
-        data_max,
-        correction,
-        upto,
-        out_name,
-        out_offset,
-        config,
-    ) = args
+    in_name, sizes, out_name, out_offset, *tile_args = args
     in_shm = _attach(in_name)
     try:
-        payloads = []
-        off = 0
-        for sz in sizes:
-            payloads.append(bytes(in_shm.buf[off : off + sz]))
-            off += sz
+        payloads = _unpack(in_shm.buf, sizes)
     finally:
         in_shm.close()
-    obj = _tile_object(
-        tile_shape, dtype_str, plans_rows, payloads, data_max, correction
-    )
-    out = reconstruct_block(obj, config, upto=upto)
+    out = _reconstruct_tile(payloads, *tile_args)
     out_shm = _attach(out_name)
     flat = None
     try:
@@ -433,61 +432,39 @@ def _restore_tile_worker(args: tuple) -> int:
     finally:
         flat = None
         out_shm.close()
-    return int(np.prod(tile_shape, dtype=np.int64))
 
 
-def _tile_object(tile_shape, dtype_str, plans_rows, payloads, data_max, correction):
-    from ..refactor.refactorer import RefactoredObject
-
-    return RefactoredObject(
-        shape=tuple(tile_shape),
-        dtype=dtype_str,
-        plans=_plans_from_lists(plans_rows),
-        payloads=payloads,
-        errors=[],
-        bounds=[],
-        data_max=data_max,
-        correction=correction,
-    )
-
-
-# -- the streaming prepare engine ----------------------------------------
+# -- fragment spool ------------------------------------------------------
 
 
 class _FragmentSpool:
     """Disk spool for fragment chunks: one file per (level, fragment).
 
-    ``append`` keeps a running CRC-32 per fragment so placement never
-    re-reads a fragment just to checksum it; ``read_fragment`` returns
-    one fragment at a time (O(fragment) memory).
+    The fragment sink of a multi-tile prepare: tile ``t``'s chunk of
+    fragment ``i`` is appended to that fragment's file as soon as it is
+    encoded.  ``append`` keeps a running CRC-32 per fragment;
+    ``read_fragment`` returns one ``(fragment, crc)`` at a time
+    (O(fragment) memory) after checking the bytes read back against it.
     """
 
-    def __init__(self, levels: int, n: int, dir_hint: str) -> None:
-        self.dir = Path(tempfile.mkdtemp(prefix=f"procpipe-{dir_hint}-"))
-        self.n = n
+    def __init__(self, levels: int, n: int) -> None:
+        self.dir = Path(tempfile.mkdtemp(prefix="procpipe-prepare-"))
         self._files = [
             # rapidslint: disable-next=RPD108 -- appended to across the whole run; closed in finish_writes/close
             [open(self.dir / f"l{j}.f{i:03d}.chunk", "wb") for i in range(n)]
             for j in range(levels)
         ]
         self.crcs = [[0] * n for _ in range(levels)]
-        self.nbytes = [[0] * n for _ in range(levels)]
         self.spooled_bytes = 0
 
     def append(self, level: int, fragments) -> None:
         for i, frag in enumerate(fragments):
             blob = np.ascontiguousarray(frag).tobytes()
             self.crcs[level][i] = zlib.crc32(blob, self.crcs[level][i])
-            self.nbytes[level][i] += len(blob)
             self._files[level][i].write(blob)
             self.spooled_bytes += len(blob)
 
-    def finish_writes(self) -> None:
-        for row in self._files:
-            for fh in row:
-                fh.close()
-
-    def read_fragment(self, level: int, index: int) -> bytes:
+    def read_fragment(self, level: int, index: int) -> tuple[bytes, int]:
         blob = (self.dir / f"l{level}.f{index:03d}.chunk").read_bytes()
         expected = self.crcs[level][index] & 0xFFFFFFFF
         if crc32(blob) != expected:
@@ -495,7 +472,13 @@ class _FragmentSpool:
                 f"fragment spool corrupted on disk: level {level} "
                 f"fragment {index} fails its running CRC"
             )
-        return blob
+        return blob, expected
+
+    def finish_writes(self) -> None:
+        """Flush and close every chunk file; must precede the read-back."""
+        for row in self._files:
+            for fh in row:
+                fh.close()
 
     def close(self) -> None:
         self.finish_writes()
@@ -508,526 +491,145 @@ class _FragmentSpool:
         self.close()
 
 
-def prepare_tiled(
-    pipeline,
-    name: str,
-    source: np.ndarray | str | Path,
-    *,
-    processes: int | None = None,
-    tile_planes: int | None = None,
-    max_inflight: int | None = None,
-    distribute: bool = True,
-    fragment_dir: str | Path | None = None,
-):
-    """Run the streaming process-parallel preparation phase.
 
-    ``pipeline`` is the :class:`repro.core.pipeline.RAPIDS` instance;
-    the engine reuses its refactorer configuration, FT optimiser, codec,
-    cluster, catalog and ledger, and returns the same
-    :class:`~repro.core.pipeline.PrepareReport` (with procpipe stats in
-    ``report.extra``).  ``processes=1`` — or an attached chaos injector
-    — runs the identical schedule inline: same bytes, no pools.
+
+# -- tile-map executors --------------------------------------------------
+
+
+def _windowed(count: int, processes: int, submit, collect):
+    """Run ``count`` pool jobs through a sliding window; yield in order.
+
+    ``submit(t)`` starts job ``t`` and returns what ``collect`` needs to
+    finish it (the future plus the segments leased for it);
+    ``collect(*job)`` waits for the result and releases those segments.
+    At most ``max(2, 2 * processes)`` jobs (and their arena segments)
+    are ever outstanding, and the window is refilled *before* a result
+    is yielded, so the pool stays busy while the caller works on it.
     """
-    timings: dict[str, float] = {}
-    if pipeline.injector is not None:
-        pipeline.injector.check("pipeline.prepare", name=name)
-    if processes is None:
-        processes = default_workers()
-    if processes < 1:
-        raise ValueError("processes must be >= 1")
-
-    t0 = time.perf_counter()
-    src = TileSource(source)
-    try:
-        return _prepare_tiled_inner(
-            pipeline, name, src, t0, processes, tile_planes, max_inflight,
-            distribute, fragment_dir, timings,
-        )
-    finally:
-        src.close()
+    window = min(max(2, 2 * processes), count)
+    pending = deque(submit(t) for t in range(window))
+    for t in range(window, window + count):
+        item = collect(*pending.popleft())
+        if t < count:
+            pending.append(submit(t))
+        yield item
 
 
-def _prepare_tiled_inner(
-    pipeline, name, src, t0, processes, tile_planes, max_inflight,
-    distribute, fragment_dir, timings,
-):
-    from ..core.pipeline import PrepareReport
-    from ..transfer import phase_latency, refactored_distribution
-    from ..transfer.pipelined import pipelined_archival
+def refactor_tiles(
+    src: TileSource,
+    bounds: list[tuple[int, int]],
+    config: dict,
+    processes: int,
+    arena: SharedArena,
+    consume,
+) -> None:
+    """Refactor the tiles ``bounds`` of ``src``, feeding ``consume`` in order.
 
-    bounds = resolve_tiles(src.shape, src.dtype.itemsize, tile_planes)
-    num_tiles = len(bounds)
-    inline = (
-        processes <= 1 or num_tiles <= 1 or pipeline.injector is not None
-    )
-    if max_inflight is None:
-        max_inflight = max(2, 2 * processes)
-    max_inflight = max(1, min(max_inflight, num_tiles))
-    config_inline = _refactorer_config(
-        pipeline.refactorer, workers=pipeline.refactor_workers
-    )
-    config_worker = _refactorer_config(pipeline.refactorer, workers=1)
-
-    # Profile tile: tile 0's exact serialised sizes, refactored in the
-    # parent in every mode.  The FT solver sees sizes[j] * num_tiles —
-    # the weak-scaling estimate available before any other tile exists —
-    # so the configuration is deterministic across modes and the EC
-    # stage can start streaming immediately.
-    tile0 = src.read_tile(*bounds[0])
-    timings["read"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    profile = refactor_block(tile0, config_inline, measure_errors=False)
-    del tile0
-    profile_refactor_time = time.perf_counter() - t0
-    levels = len(profile.payloads)
-
-    t0 = time.perf_counter()
-    sol = pipeline._optimize_ft(
-        [s * num_tiles for s in profile.sizes],
-        list(profile.bounds),
-        src.nbytes,
-    )
-    timings["ft_optimize"] = time.perf_counter() - t0
-    ms = sol.ms
-
-    level_sizes = [0] * levels
-    abs_errors = [0.0] * levels
-    chunk_lens: list[list[int]] = [[] for _ in range(levels)]
-    tile_plans: list[list[list[list[int]]]] = []
-    data_max = 0.0
-    ec_time = 0.0
-    chunk_events: list[tuple[float, float]] = []
-    arena = SharedArena()
-    pipeline_start = time.perf_counter()
-
-    def _consume(payloads, tile_bounds, tile_max, plans_rows) -> None:
-        """EC-encode one tile's levels in order and spool the chunks."""
-        nonlocal data_max, ec_time
-        t_ec = time.perf_counter()
-        data_max = max(data_max, tile_max)
-        tile_plans.append(plans_rows)
-        for j, payload in enumerate(payloads):
-            enc = pipeline.codec.encode_level(payload, ms[j], level_index=j)
-            spool.append(j, enc.fragments)
-            chunk_lens[j].append(enc.fragment_nbytes)
-            level_sizes[j] += len(payload)
-            # The bound is relative to the tile's own max; the global
-            # relative error is the worst absolute error over tiles,
-            # renormalised by the global max (exact for L-infinity).
-            abs_errors[j] = max(abs_errors[j], tile_bounds[j] * tile_max)
-            chunk_events.append(
-                (time.perf_counter() - pipeline_start, float(enc.fragment_nbytes))
-            )
-        ec_time += time.perf_counter() - t_ec
-
-    t_loop = time.perf_counter()
-    with _FragmentSpool(levels, pipeline.cluster.n, "prepare") as spool, arena:
-        _consume(
-            profile.payloads,
-            list(profile.bounds),
-            profile.data_max,
-            _plans_as_lists(profile.plans),
-        )
-        if inline:
-            for lo, hi in bounds[1:]:
-                tile = src.read_tile(lo, hi)
-                obj = refactor_block(tile, config_inline, measure_errors=False)
-                del tile
-                _consume(
-                    obj.payloads,
-                    list(obj.bounds),
-                    obj.data_max,
-                    _plans_as_lists(obj.plans),
-                )
-        else:
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                pending: dict[int, tuple] = {}
-                next_submit = 1
-
-                def _submit() -> None:
-                    nonlocal next_submit
-                    lo, hi = bounds[next_submit]
-                    nbytes = (hi - lo) * src.row_nbytes
-                    in_shm = arena.lease(nbytes)
-                    src.read_tile(lo, hi, out=in_shm.buf)
-                    out_shm = arena.lease(payload_capacity(nbytes))
-                    fut = pool.submit(
-                        _prepare_tile_worker,
-                        (
-                            in_shm.name,
-                            src.tile_shape(lo, hi),
-                            str(src.dtype),
-                            out_shm.name,
-                            config_worker,
-                        ),
-                    )
-                    pending[next_submit] = (fut, in_shm.name, out_shm.name)
-                    next_submit += 1
-
-                # Backpressure: the sliding window over ordered futures
-                # is the bounded inter-stage queue — at most
-                # ``max_inflight`` tiles (and their arena segments) are
-                # ever outstanding.
-                while next_submit < num_tiles and len(pending) < max_inflight:
-                    _submit()
-                for t in range(1, num_tiles):
-                    fut, in_name, out_name = pending.pop(t)
-                    try:
-                        res = fut.result()
-                    finally:
-                        arena.release(in_name)
-                    if res["payloads"] is not None:
-                        payloads = res["payloads"]  # oversize fallback
-                    else:
-                        buf = arena.get(out_name).buf
-                        payloads, off = [], 0
-                        for sz in res["sizes"]:
-                            payloads.append(bytes(buf[off : off + sz]))
-                            off += sz
-                    arena.release(out_name)
-                    if next_submit < num_tiles:
-                        _submit()  # refill before the parent-side EC work
-                    _consume(
-                        payloads, res["bounds"], res["data_max"], res["plans"]
-                    )
-        loop_wall = time.perf_counter() - t_loop
-        timings["refactor"] = profile_refactor_time + max(
-            0.0, loop_wall - ec_time
-        )
-        timings["ec_encode"] = ec_time
-        src.close()
-        spool.finish_writes()
-
-        # Placement reads the spool back one fragment at a time, so this
-        # phase is O(fragment) memory no matter how large the object is.
-        t_write = 0.0
-        t_meta = time.perf_counter()
-        pipeline.catalog.put_object(
-            ObjectRecord(
-                name=name,
-                shape=list(src.shape),
-                dtype=str(src.dtype),
-                level_sizes=list(level_sizes),
-                level_errors=[
-                    (e / data_max if data_max > 0 else 0.0) for e in abs_errors
-                ],
-                ft_config=ms,
-                n_systems=pipeline.cluster.n,
-                data_max=data_max,
-                correction=pipeline.refactorer.correction,
-                extra={
-                    "procpipe": {
-                        "tiles": [[lo, hi] for lo, hi in bounds],
-                        "plans": tile_plans,
-                        "chunks": chunk_lens,
-                    },
-                    "expected_error": sol.expected_error,
-                },
-            )
-        )
-        from ..healing.ledger import LedgerEntry
-
-        outdir = Path(fragment_dir) if fragment_dir is not None else None
-        if outdir is not None:
-            outdir.mkdir(parents=True, exist_ok=True)
-        safe = name.replace("/", "_").replace(":", "_")
-        for j in range(levels):
-            checksums = []
-            frag_sizes = []
-            for i in range(pipeline.cluster.n):
-                blob = spool.read_fragment(j, i)
-                crc = spool.crcs[j][i] & 0xFFFFFFFF
-                checksums.append(crc)
-                frag_sizes.append(len(blob))
-                if outdir is not None:
-                    tw = time.perf_counter()
-                    write_fragment_file(
-                        outdir / f"{safe}.l{j}.f{i}.rdc",
-                        blob,
-                        object_name=name,
-                        level=j,
-                        index=i,
-                        k=pipeline.cluster.n - ms[j],
-                        m=ms[j],
-                    )
-                    t_write += time.perf_counter() - tw
-                if distribute:
-                    pipeline.cluster[i].put(
-                        StoredFragment(name, j, i, len(blob), blob, checksum=crc)
-                    )
-                pipeline.catalog.put_fragment(
-                    FragmentRecord(name, j, i, i, len(blob), checksum=crc)
-                )
-            if distribute:
-                pipeline.ledger.record(
-                    LedgerEntry(
-                        object_name=name,
-                        level=j,
-                        n=pipeline.cluster.n,
-                        m=ms[j],
-                        checksums=checksums,
-                        nbytes=frag_sizes,
-                        placement=list(range(pipeline.cluster.n)),
-                        headroom=ms[j],
-                    )
-                )
-        timings["metadata"] = time.perf_counter() - t_meta - t_write
-        timings["write"] = t_write
-        spooled = spool.spooled_bytes
-
-    dist_latency = 0.0
-    network_bytes = 0.0
-    archival = None
-    if distribute:
-        reqs = refactored_distribution(
-            [float(s) for s in level_sizes], ms, pipeline.cluster.n,
-            pipeline.cluster.bandwidths,
-        )
-        res = phase_latency(reqs, pipeline.cluster.bandwidths)
-        dist_latency = res.makespan
-        network_bytes = res.total_bytes
-        archival = pipelined_archival(
-            chunk_events, pipeline.cluster.bandwidths
-        )
-
-    from ..core.availability import refactored_storage_overhead
-
-    errors = [(e / data_max if data_max > 0 else 0.0) for e in abs_errors]
-    return PrepareReport(
-        name=name,
-        ft_config=ms,
-        level_sizes=list(level_sizes),
-        level_errors=errors,
-        storage_overhead=refactored_storage_overhead(
-            [float(s) for s in level_sizes], ms, pipeline.cluster.n,
-            float(src.nbytes),
-        ),
-        expected_error=sol.expected_error,
-        distribution_latency=dist_latency,
-        network_bytes=network_bytes,
-        timings=timings,
-        extra={
-            "procpipe": {
-                "mode": "inline" if inline else "process",
-                "processes": 1 if inline else processes,
-                "num_tiles": num_tiles,
-                "max_inflight": max_inflight,
-                "arena_segments": arena.created,
-                "arena_peak_bytes": arena.peak_bytes,
-                "arena_leaked": arena.live_names,
-                "spooled_bytes": spooled,
-            },
-            **(
-                {"archival": archival.as_dict()} if archival is not None else {}
-            ),
-        },
-    )
-
-
-# -- the tiled restore engine --------------------------------------------
-
-
-def decode_tiled(
-    pipeline,
-    rec,
-    level_ids: list[int],
-    gathered: dict[int, dict[int, np.ndarray]],
-    degrade: bool,
-    failures: list,
-) -> list[list[bytes]]:
-    """EC-decode gathered levels into per-(level, tile) payloads.
-
-    Fragment ``i`` of level ``j`` is the concatenation over tiles of the
-    tile's independently encoded chunk, so each (level, tile) decodes
-    from the matching slice of any k fragments.  Returns one payload
-    list per surviving level (truncated, like the untiled path, at the
-    first failed level — deeper levels are useless without it).
+    ``consume(payloads=, errors=, tile_max=, plans=)`` receives each
+    tile's component payloads, closed-form error bounds, max|d| and level
+    plans.  ``processes <= 1`` refactors in the caller with ``config`` as
+    given; otherwise tiles travel to single-threaded pool workers through
+    ``arena`` and the caller only pays for ``consume``.
     """
-    from ..chaos.degraded import LevelFailure
-    from ..core.pipeline import _DEGRADABLE
+    if processes <= 1:
+        for lo, hi in bounds:
+            consume(**_refactor_tile(src.read_tile(lo, hi), config))
+        return
+    worker_config = {**config, "workers": 1}
+    with ProcessPoolExecutor(max_workers=processes) as pool:
 
-    pp = rec.extra["procpipe"]
-    chunks = pp["chunks"]
-    n = pipeline.cluster.n
-    num_tiles = len(pp["tiles"])
-
-    def _decode_one(job: tuple[int, int, int]) -> bytes:
-        j, t, offset = job
-        cfg = ECConfig(n, rec.ft_config[j])
-        size = chunks[j][t]
-        frags = {
-            i: arr[offset : offset + size] for i, arr in gathered[j].items()
-        }
-        return pipeline.codec.decode_level(
-            config=cfg, fragments=frags, level_index=j
-        )
-
-    jobs: list[tuple[int, int, int]] = []
-    for j in level_ids:
-        offset = 0
-        for t in range(num_tiles):
-            jobs.append((j, t, offset))
-            offset += chunks[j][t]
-
-    if pipeline.injector is None:
-        try:
-            flat = thread_map(
-                _decode_one, jobs,
-                workers=min(pipeline.ec_workers, len(jobs)),
+        def submit(t: int) -> tuple:
+            lo, hi = bounds[t]
+            nbytes = (hi - lo) * src.row_nbytes
+            in_shm = arena.lease(nbytes)
+            src.read_tile(lo, hi, out=in_shm.buf)
+            out_shm = arena.lease(payload_capacity(nbytes))
+            fut = pool.submit(
+                _prepare_tile_worker,
+                (
+                    in_shm.name,
+                    src.tile_shape(lo, hi),
+                    str(src.dtype),
+                    out_shm.name,
+                    worker_config,
+                ),
             )
-            return [
-                flat[a * num_tiles : (a + 1) * num_tiles]
-                for a in range(len(level_ids))
-            ]
-        except _DEGRADABLE:
-            if not degrade:
-                raise
-    # Serial fallback (and the injector path): deterministic (level,
-    # tile) order so fault-plan occurrence windows replay.
-    out: list[list[bytes]] = []
-    for a, j in enumerate(level_ids):
-        row: list[bytes] = []
-        try:
-            for t in range(num_tiles):
-                row.append(_decode_one(jobs[a * num_tiles + t]))
-        except _DEGRADABLE as exc:
-            if not degrade:
-                raise
-            failures.append(LevelFailure(j, "decode", repr(exc)))
-            break
-        out.append(row)
-    return out
+            return fut, in_shm.name, out_shm.name
+
+        def collect(fut, in_name: str, out_name: str) -> dict:
+            try:
+                res = fut.result()
+            finally:
+                arena.release(in_name)
+            sizes = res.pop("sizes")
+            if res["payloads"] is None:  # the usual case: bytes are in shm
+                res["payloads"] = _unpack(arena.get(out_name).buf, sizes)
+            arena.release(out_name)
+            return res
+
+        for res in _windowed(len(bounds), processes, submit, collect):
+            consume(**res)
 
 
-def reconstruct_tiled(
-    pipeline,
-    rec,
-    level_ids: list[int],
-    payloads_by_level: list[list[bytes]],
-    *,
-    processes: int | None = None,
-    max_inflight: int | None = None,
-    degrade: bool = True,
-    failures: list | None = None,
-) -> tuple[np.ndarray | None, int]:
-    """Per-tile prefix reconstruction; returns ``(data, levels_used)``.
+def reconstruct_tiles(
+    shape,
+    dtype_str: str,
+    jobs: list[tuple[int, int, list, list[bytes]]],
+    data_max: float,
+    correction: bool,
+    config: dict,
+    processes: int,
+) -> np.ndarray:
+    """Reconstruct an object from per-tile component payload prefixes.
 
-    Tiles reconstruct independently (pooled or inline) into one shared
-    output array.  A degradable failure at prefix length ``u`` retries
-    every tile at ``u - 1`` — all tiles must agree on the prefix for the
-    delivered error bound to mean anything.
+    ``jobs[t] = (lo, hi, plans, payloads)`` describes tile ``t``'s plane
+    bounds, level plans and payload prefix.  A one-tile object *is* its
+    tile, handed back without an object-sized copy; more tiles fill one
+    output array, in the caller when ``processes <= 1`` and through a
+    shared segment filled by pool workers otherwise.
     """
-    from ..chaos.degraded import LevelFailure
-    from ..core.pipeline import _DEGRADABLE
+    shape = tuple(shape)
+    dtype = np.dtype(dtype_str)
 
-    if failures is None:
-        failures = []
-    pp = rec.extra["procpipe"]
-    bounds = [(int(lo), int(hi)) for lo, hi in pp["tiles"]]
-    num_tiles = len(bounds)
-    if processes is None:
-        processes = default_workers()
-    inline = (
-        processes <= 1 or num_tiles <= 1 or pipeline.injector is not None
-    )
-    if max_inflight is None:
-        max_inflight = max(2, 2 * processes)
-    max_inflight = max(1, min(max_inflight, num_tiles))
-    config = _refactorer_config(
-        pipeline.refactorer,
-        workers=pipeline.refactor_workers if inline else 1,
-    )
-    dtype = np.dtype(rec.dtype)
-    shape = tuple(rec.shape)
+    def tile_args(lo: int, hi: int, plans_rows) -> tuple:
+        return ((hi - lo,) + shape[1:], dtype_str, plans_rows,
+                data_max, correction)
+
+    if len(jobs) == 1:
+        lo, hi, plans_rows, payloads = jobs[0]
+        return _reconstruct_tile(payloads, *tile_args(lo, hi, plans_rows), config)
+    if processes <= 1:
+        out = np.empty(shape, dtype=dtype)
+        for lo, hi, plans_rows, payloads in jobs:
+            out[lo:hi] = _reconstruct_tile(
+                payloads, *tile_args(lo, hi, plans_rows), config
+            )
+        return out
     row_nbytes = int(np.prod(shape[1:], dtype=np.int64)) * dtype.itemsize
-
-    upto = len(payloads_by_level)
-    while upto >= 1:
-        try:
-            if inline:
-                out = np.empty(shape, dtype=dtype)
-                for t, (lo, hi) in enumerate(bounds):
-                    obj = _tile_object(
-                        (hi - lo,) + shape[1:],
-                        rec.dtype,
-                        pp["plans"][t],
-                        [payloads_by_level[a][t] for a in range(upto)],
-                        rec.data_max,
-                        rec.correction,
-                    )
-                    out[lo:hi] = reconstruct_block(obj, config, upto=upto)
-                return out, upto
-            data = _reconstruct_pooled(
-                pipeline, rec, pp, bounds, payloads_by_level, upto,
-                processes, max_inflight, config, row_nbytes,
-            )
-            return data, upto
-        except _DEGRADABLE as exc:
-            if not degrade:
-                raise
-            failures.append(
-                LevelFailure(level_ids[upto - 1], "pipeline", repr(exc))
-            )
-            upto -= 1
-    return None, 0
-
-
-def _reconstruct_pooled(
-    pipeline, rec, pp, bounds, payloads_by_level, upto,
-    processes, max_inflight, config, row_nbytes,
-):
-    """One pooled reconstruction attempt at prefix length ``upto``."""
-    shape = tuple(rec.shape)
-    dtype = np.dtype(rec.dtype)
-    total_nbytes = row_nbytes * shape[0]
-    num_tiles = len(bounds)
+    worker_config = {**config, "workers": 1}
     with SharedArena() as arena:
-        out_shm = arena.lease(total_nbytes)
+        out_shm = arena.lease(row_nbytes * shape[0])
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            pending: dict[int, tuple] = {}
-            next_submit = 0
 
-            def _submit() -> None:
-                nonlocal next_submit
-                t = next_submit
-                lo, hi = bounds[t]
-                payloads = [payloads_by_level[a][t] for a in range(upto)]
+            def submit(t: int) -> tuple:
+                lo, hi, plans_rows, payloads = jobs[t]
                 sizes = [len(p) for p in payloads]
-                in_shm = arena.lease(max(1, sum(sizes)))
-                off = 0
-                for p in payloads:
-                    in_shm.buf[off : off + len(p)] = p
-                    off += len(p)
+                in_shm = arena.lease(sum(sizes))
+                _pack(in_shm.buf, payloads)
                 fut = pool.submit(
                     _restore_tile_worker,
-                    (
-                        in_shm.name,
-                        sizes,
-                        pp["plans"][t],
-                        (hi - lo,) + shape[1:],
-                        rec.dtype,
-                        rec.data_max,
-                        rec.correction,
-                        upto,
-                        out_shm.name,
-                        lo * row_nbytes,
-                        config,
-                    ),
+                    (in_shm.name, sizes, out_shm.name, lo * row_nbytes)
+                    + tile_args(lo, hi, plans_rows)
+                    + (worker_config,),
                 )
-                pending[t] = (fut, in_shm.name)
-                next_submit += 1
+                return fut, in_shm.name
 
-            while next_submit < num_tiles and len(pending) < max_inflight:
-                _submit()
-            for t in range(num_tiles):
-                fut, in_name = pending.pop(t)
+            def collect(fut, in_name: str) -> None:
                 try:
                     fut.result()
                 finally:
                     arena.release(in_name)
-                if next_submit < num_tiles:
-                    _submit()
-        out = np.frombuffer(out_shm.buf, dtype=dtype).reshape(shape).copy()
-        arena.release(out_shm.name)
-    return out
+
+            for _ in _windowed(len(jobs), processes, submit, collect):
+                pass
+        return np.frombuffer(out_shm.buf, dtype=dtype).reshape(shape).copy()

@@ -33,10 +33,11 @@ __all__ = [
 def axis0_bounds(extent: int, num_tiles: int) -> list[tuple[int, int]]:
     """Near-equal contiguous ``(lo, hi)`` spans covering ``range(extent)``.
 
-    The one-axis special case of :meth:`TileGrid.regular` — identical
-    clamping (every tile keeps >= 2 planes) and the same ``linspace``
-    cut points as :func:`repro.parallel.partition.split_blocks`, so the
-    process pipeline's tiles line up byte-for-byte with the block
+    The one cut-point function: every tile keeps >= 2 planes (the
+    refactorer's minimum) and the cuts are ``linspace`` floors.
+    :meth:`TileGrid.regular` applies it per axis and
+    :func:`repro.parallel.partition.split_blocks` along axis 0, so the
+    pipeline's tiles line up byte-for-byte with the block and grid
     decompositions used elsewhere.
     """
     if extent < 1:
@@ -71,13 +72,11 @@ class TileGrid:
             tiles_per_axis = (tiles_per_axis,) * len(shape)
         if len(tiles_per_axis) != len(shape):
             raise ValueError("tiles_per_axis must match dimensionality")
-        bounds = []
-        for n, t in zip(shape, tiles_per_axis):
-            if t < 1:
-                raise ValueError("need at least one tile per axis")
-            t = min(t, max(1, n // 2))
-            bounds.append(tuple(np.linspace(0, n, t + 1).astype(int).tolist()))
-        return cls(tuple(shape), tuple(bounds))
+        bounds = tuple(
+            (0,) + tuple(hi for _, hi in axis0_bounds(n, t))
+            for n, t in zip(shape, tiles_per_axis)
+        )
+        return cls(tuple(shape), bounds)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:

@@ -1,5 +1,9 @@
 """Tests for the metadata catalog schema."""
 
+import json
+import threading
+import time
+
 import pytest
 
 from repro.metadata import FragmentRecord, MetadataCatalog, ObjectRecord
@@ -106,14 +110,61 @@ class TestBandwidthHistory:
     def test_history_bounded(self, catalog):
         for i in range(200):
             catalog.record_throughput(2, 1e9 + i, keep=16)
-        import json
-
         raw = catalog.store.get(b"bw/0002")
         assert len(json.loads(raw)) == 16
 
     def test_validation(self, catalog):
         with pytest.raises(ValueError):
             catalog.record_throughput(0, 0.0)
+
+
+class _YieldingStore:
+    """Dict-backed KV stub whose ``get`` yields the CPU before returning.
+
+    Each get and put is atomic, like the real store; the pause hands the
+    interpreter to the other threads between a caller's read and its
+    write, so an unserialised read-modify-write loses updates every time
+    rather than once in a blue moon.
+    """
+
+    def __init__(self):
+        self.data = {}
+
+    def get(self, key):
+        value = self.data.get(key)
+        time.sleep(0.001)
+        return value
+
+    def put(self, key, value):
+        self.data[key] = value
+
+
+class TestConcurrentCounters:
+    THREADS, CALLS = 4, 5
+
+    def _hammer(self, fn):
+        threads = [
+            threading.Thread(
+                target=lambda: [fn() for _ in range(self.CALLS)]
+            )
+            for _ in range(self.THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_record_throughput_loses_nothing(self):
+        cat = MetadataCatalog(_YieldingStore())
+        self._hammer(lambda: cat.record_throughput(3, 1e9))
+        hist = json.loads(cat.store.data[b"bw/0003"])
+        assert len(hist) == self.THREADS * self.CALLS
+
+    def test_record_access_loses_nothing(self):
+        cat = MetadataCatalog(_YieldingStore())
+        self._hammer(lambda: cat.record_access("hot"))
+        assert cat.access_count("hot") == self.THREADS * self.CALLS
 
 
 def test_persistence(tmp_path):

@@ -205,6 +205,53 @@ class TestBitIdentity:
         np.testing.assert_array_equal(back_i, back_p)
         assert back_p.dtype == data.dtype and back_p.shape == data.shape
 
+    #: One-tile geometry (``tile_planes`` >= planes): every engine
+    #: setting must be the same prepare.
+    ONE_TILE_MODES = {
+        "none": dict(parallelism="none"),
+        "thread-bounds": dict(parallelism="thread", measure_errors=False),
+        "process-1": dict(parallelism="process", processes=1, tile_planes=32),
+        "process-2": dict(parallelism="process", processes=2, tile_planes=32),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(ONE_TILE_MODES))
+    def test_one_tile_modes_store_identical_bytes(self, tmp_path, mode):
+        data = field((20, 6, 5), np.float32, seed=3)
+        ref = make_pipeline(tmp_path, "ref")
+        r_ref = ref.prepare("obj", data, parallelism="thread")
+        p = make_pipeline(tmp_path, mode)
+        rep = p.prepare("obj", data, **self.ONE_TILE_MODES[mode])
+        assert rep.extra == {}  # one tile: no pool, arena or spool to report
+        assert rep.ft_config == r_ref.ft_config
+        assert rep.level_sizes == r_ref.level_sizes
+        levels = len(rep.level_sizes)
+        assert stored_bytes(p, "obj", levels) == stored_bytes(ref, "obj", levels)
+        assert "procpipe" not in p.catalog.get_object("obj").extra
+        back = p.restore("obj", parallelism=self.ONE_TILE_MODES[mode]["parallelism"])
+        np.testing.assert_array_equal(back.data, ref.restore("obj").data)
+
+    def test_explicit_one_tile_table_restores_like_no_table(self, tmp_path):
+        """Read-side normalisation: a record without a chunk table *is*
+        the one-tile table."""
+        data = field((18, 5, 6), np.float64, seed=5)
+        p = make_pipeline(tmp_path)
+        p.prepare("obj", data)
+        stripped = p.restore("obj").data
+        rec = p.catalog.get_object("obj")
+        assert "procpipe" not in rec.extra
+        rec.extra["procpipe"] = {
+            "tiles": [[0, data.shape[0]]],
+            "plans": [rec.extra.pop("plans")],
+            "chunks": [
+                [len(p.cluster[0].get("obj", j, 0).payload)]
+                for j in range(rec.num_levels)
+            ],
+        }
+        p.catalog.put_object(rec)
+        explicit = p.restore("obj")
+        assert explicit.levels_used == rec.num_levels
+        np.testing.assert_array_equal(explicit.data, stripped)
+
     def test_restore_error_within_recorded_bound(self, tmp_path):
         data = field((24, 6, 6), np.float64)
         p = make_pipeline(tmp_path)
@@ -413,8 +460,10 @@ class TestArenaHygiene:
         )
         data = field((16, 5, 5), np.float64)
         p = make_pipeline(tmp_path)
+        # Only multi-tile prepares spool (one tile stays in memory).
         with pytest.raises(OSError, match="running CRC"):
-            p.prepare("obj", data, parallelism="process", processes=1)
+            p.prepare("obj", data, parallelism="process", processes=1,
+                      tile_planes=4)
 
 
 class TestTiledLayout:
@@ -519,3 +568,34 @@ class TestAutoHeuristic:
         rep = p.prepare("obj", data, parallelism="process", processes=2)
         assert isinstance(rep, PrepareReport)
         assert p.restore("obj").data is not None
+
+    @pytest.mark.parametrize("planes", [1, 2])
+    def test_uncuttable_npy_behaves_like_in_memory(self, tmp_path, planes):
+        """A source too thin to tile is one tile whether it arrives as
+        an array or as a ``.npy`` path.  Two planes prepare and restore
+        identically; one plane is refused by the refactorer (no axis may
+        be shorter than 2) with the same error either way — the file
+        form used to fail earlier, inside TileSource, with a different
+        one."""
+        data = field((planes, 12, 10), np.float32, seed=9)
+        np.save(tmp_path / "thin.npy", data)
+        p_mem = make_pipeline(tmp_path, "mem")
+        p_npy = make_pipeline(tmp_path, "npy")
+        if planes < 2:
+            for p, source in ((p_mem, data), (p_npy, tmp_path / "thin.npy")):
+                with pytest.raises(ValueError, match="every axis must have"):
+                    p.prepare("obj", source, parallelism="process")
+            return
+        r_mem = p_mem.prepare("obj", data, parallelism="process")
+        r_npy = p_npy.prepare("obj", tmp_path / "thin.npy",
+                              parallelism="process")
+        assert r_npy.ft_config == r_mem.ft_config
+        assert r_npy.level_errors == r_mem.level_errors
+        assert r_npy.extra == r_mem.extra == {}
+        levels = len(r_mem.level_sizes)
+        assert stored_bytes(p_npy, "obj", levels) == stored_bytes(
+            p_mem, "obj", levels
+        )
+        np.testing.assert_array_equal(
+            p_npy.restore("obj").data, p_mem.restore("obj").data
+        )
