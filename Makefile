@@ -127,10 +127,11 @@ bench-assert:
 
 # Fast kernel regression checks at reduced sizes: seed vs current
 # implementations, byte-identical output verified, BENCH_kernels.json,
-# BENCH_refactor.json and BENCH_procpipe.json emitted.
+# BENCH_refactor.json (with the per-stage refactor/reconstruct split)
+# and BENCH_procpipe.json emitted.
 bench-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_kernels.py --smoke
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_refactor.py --smoke
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_refactor.py --smoke --stages
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_procpipe.py --smoke
 
 # Full refactoring-pipeline benchmark (64 MiB array; asserts the >= 2x

@@ -12,7 +12,11 @@ Measures the three wins of the pMGARD pipeline overhaul:
    component drops below half the seed's;
 3. end-to-end ``RAPIDS.prepare`` serial vs threaded+pipelined
    (``measure_errors=False`` streams component serialisation into the
-   erasure coder).
+   erasure coder);
+4. with ``--stages``, where the seconds of one single-threaded refactor
+   and reconstruct go, split the way MGARD reports its pipeline:
+   decompose, quantise+extract, deflate / inflate, assemble, sign
+   placement, dequantise, recompose.
 
 The seed algorithms are reproduced inline (the ``bench_kernels.py``
 ``_seed_*`` pattern) and every mode verifies the new pipeline produces
@@ -23,6 +27,7 @@ Run as a script::
 
     python benchmarks/bench_refactor.py            # full: 64 MiB array
     python benchmarks/bench_refactor.py --smoke    # CI: reduced sizes
+    python benchmarks/bench_refactor.py --stages   # + 16 MiB stage split
 
 Both modes write a ``BENCH_refactor.json`` artifact via
 :func:`harness.write_bench_artifact`.
@@ -31,6 +36,8 @@ Both modes write a ``BENCH_refactor.json`` artifact via
 import struct
 import time
 import zlib
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -38,6 +45,8 @@ from scipy.linalg import solve_banded
 from repro.datasets import nyx_temperature
 from repro.refactor import Refactorer
 from repro.refactor import components as _components
+from repro.refactor import kernels as _kernels
+from repro.refactor import transform as _transform
 from repro.refactor.bitplane import PlaneSet
 from repro.refactor.error_model import relative_linf_error, theoretical_bound
 from repro.refactor.grid import coarse_indices, detail_indices, plan_levels
@@ -449,6 +458,77 @@ def measure_prepare_pipeline(shape=(128, 128, 128), num_planes=22) -> dict:
     return out
 
 
+#: (stage, module, function) whose calls make up each measured stage.
+#: ``decoded_state`` is timed only to derive "sign placement": what is
+#: left of it after inflating and assembling (leading planes, the stable
+#: sort by leading plane, the sign scatter).
+_STAGE_CALLS = (
+    ("decompose", _transform, "decompose"),
+    ("quantise+extract", _kernels, "quantise"),
+    ("deflate", _kernels, "_plane_blob_job"),
+    ("inflate", _kernels, "_open_plane"),
+    ("assemble", _kernels, "_assemble"),
+    ("decoded_state", _kernels, "decoded_state"),
+    ("dequantise", _kernels, "prefix_values"),
+    ("recompose", _transform, "recompose"),
+)
+_REFACTOR_STAGES = ("decompose", "quantise+extract", "deflate")
+_RECONSTRUCT_STAGES = (
+    "inflate", "assemble", "sign placement", "dequantise", "recompose",
+)
+
+
+def measure_stages(shape=(128, 128, 128), num_planes=22, reps=3) -> dict:
+    """Seconds per stage of one refactor and one reconstruct.
+
+    Runs the real ``Refactorer`` single-threaded (so stage times add up
+    to wall time) with timing wrappers around the stage functions, and
+    keeps each stage's best of ``reps``.  "other" is everything between
+    the stages: index gathers/scatters, component (de)serialisation,
+    the dtype cast.
+    """
+    data = nyx_temperature(shape).astype(np.float64)
+    ref = Refactorer(4, num_planes=num_planes, workers=1)
+    seconds: dict[str, float] = {}
+    out: dict = {"shape": list(shape), "nbytes": data.nbytes,
+                 "num_planes": num_planes}
+
+    def timed(stage, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[stage] += time.perf_counter() - t0
+        return wrapper
+
+    def run(label, stages, fn):
+        seconds.update(dict.fromkeys((s for s, _, _ in _STAGE_CALLS), 0.0))
+        t0 = time.perf_counter()
+        result = fn()
+        seconds["total"] = time.perf_counter() - t0
+        seconds["sign placement"] = (
+            seconds["decoded_state"] - seconds["inflate"] - seconds["assemble"]
+        )
+        seconds["other"] = seconds["total"] - sum(seconds[k] for k in stages)
+        best = out.setdefault(label, {})
+        for key in (*stages, "other", "total"):
+            best[key] = min(best.get(key, float("inf")), seconds[key])
+        return result
+
+    with ExitStack() as patches:
+        for stage, mod, name in _STAGE_CALLS:
+            patches.enter_context(
+                mock.patch.object(mod, name, timed(stage, getattr(mod, name)))
+            )
+        for _ in range(reps):
+            obj = run("refactor", _REFACTOR_STAGES,
+                      lambda: ref.refactor(data, measure_errors=False))
+            run("reconstruct", _RECONSTRUCT_STAGES,
+                lambda: ref.reconstruct(obj))
+    return out
+
+
 def main(argv=None) -> None:
     import argparse
 
@@ -461,13 +541,21 @@ def main(argv=None) -> None:
         help="reduced sizes for CI: verifies seed/new equivalence, skips "
         "the speedup assertions (shared runners are too noisy to gate on)",
     )
+    parser.add_argument(
+        "--stages",
+        action="store_true",
+        help="also print and record per-stage seconds of one refactor and "
+        "one reconstruct of a 16 MiB array (smoke: reduced size)",
+    )
     args = parser.parse_args(argv)
 
     if args.smoke:
         cmp_shape, ov_shape, prep_shape = (49,) * 3, (40,) * 3, (40,) * 3
+        stage_shape = (49,) * 3
         reps = 1
     else:
         cmp_shape, ov_shape, prep_shape = (204,) * 3, (150,) * 3, (128,) * 3
+        stage_shape = (128,) * 3
         reps = 2
 
     result = compare_seed_vs_new(shape=cmp_shape, reps=reps)
@@ -521,6 +609,20 @@ def main(argv=None) -> None:
         f"threaded+pipelined {prep['prepare_threaded_s']:.2f}s "
         f"({prep['prepare_speedup']:.2f}x)"
     )
+
+    if args.stages:
+        stages = measure_stages(shape=stage_shape)
+        result["stages"] = stages
+        for op in ("refactor", "reconstruct"):
+            print_table(
+                f"{op} stages, {stages['nbytes'] / 2**20:.1f} MiB float64, "
+                f"{stages['num_planes']} planes, 1 worker",
+                ["stage", "seconds", "share"],
+                [
+                    [k, f"{v:.4f}", f"{v / stages[op]['total']:.0%}"]
+                    for k, v in stages[op].items()
+                ],
+            )
 
     result["mode"] = "smoke" if args.smoke else "full"
     path = write_bench_artifact("refactor", result)

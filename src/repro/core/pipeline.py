@@ -184,9 +184,10 @@ class RAPIDS:
         default; pass 1 to force the inline serial path.
     refactor_workers:
         Thread fan-out for the refactoring stages (transform tiles,
-        per-plane zlib jobs, component (de)serialisation).  Defaults
-        like ``ec_workers``; every worker count produces bit-identical
-        refactored output.  When an explicit ``refactorer`` is supplied
+        per-plane zlib jobs, component (de)serialisation).  ``None``
+        leaves the choice to the refactorer (inline for small arrays,
+        one worker per CPU otherwise); every worker count produces
+        bit-identical refactored output.  When an explicit ``refactorer`` is supplied
         its own ``workers`` setting wins unless ``refactor_workers`` is
         also given explicitly.
     """
@@ -206,12 +207,9 @@ class RAPIDS:
     ) -> None:
         self.cluster = cluster
         self.catalog = catalog
-        if refactorer is None:
-            self.refactorer = Refactorer(4, workers=refactor_workers)
-        else:
-            self.refactorer = refactorer
-            if refactor_workers is not None:
-                self.refactorer.workers = refactor_workers
+        self.refactorer = refactorer if refactorer is not None else Refactorer(4)
+        if refactor_workers is not None:
+            self.refactorer.workers = refactor_workers
         self.refactor_workers = self.refactorer.workers
         self.omega = omega
         self.p = p

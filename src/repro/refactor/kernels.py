@@ -1,38 +1,41 @@
 """Chunked, thread-parallel kernels behind the refactoring pipeline.
 
-This is the refactor-side counterpart of :mod:`repro.ec.kernels`: the
-plane-at-a-time Python loops that dominated ``encode_planes`` /
-``decode_planes`` are replaced by cache-blocked vectorised passes, and
-every independent unit of work — coefficient chunks, per-plane zlib
-jobs, per-group quantisations — can fan out over
-:func:`repro.parallel.threads.thread_map` (``zlib`` and the large NumPy
-ufuncs release the GIL).
-
-Three layers:
+The refactor-side counterpart of :mod:`repro.ec.kernels`.  Every
+independent unit of work — coefficient chunks, per-plane zlib jobs —
+can fan out over :func:`repro.parallel.threads.thread_map` (``zlib``
+and the large NumPy ufuncs release the GIL); chunks write disjoint
+slices of preallocated outputs, so results do not depend on ``workers``.
 
 * **Blob codec** (:func:`deflate` / :func:`inflate` / :func:`frame` /
-  :func:`unframe` / :func:`pack_bits` / :func:`unpack_bits`): the framed
-  zlib-with-raw-fallback plane format.  Byte-compatible with every
-  previously written plane blob.
+  :func:`unframe`): the framed zlib-with-raw-fallback plane format.
 * **Encode** (:func:`quantise`, :func:`plane_payloads`,
   :func:`encode_groups`): fixed-point quantisation and bitplane
-  extraction.  Coefficients are processed in ``COEFF_CHUNK``-sized
-  chunks; each chunk unpacks its big-endian word view into a bit
-  matrix, transposes it plane-major, and packs — so the per-plane byte
-  strings come out of contiguous rows instead of the seed path's
-  strided column gathers.  Chunks write disjoint slices of the shared
-  ``packed`` / ``lead`` outputs and may therefore run on threads.
-* **Decode** (:func:`decoded_state`, :func:`prefix_values`):
-  the inverse — inflate every kept plane (threaded), then rebuild the
-  quantised magnitudes chunk-by-chunk with one ``packbits``/word-view
-  pass instead of a per-plane shift-or loop.  :class:`DecodedGroup`
-  keeps the integer magnitudes, so any *shorter* prefix is an O(n) mask
-  (clear the low planes) rather than a fresh decode — the trick that
-  makes incremental prefix-error measurement cost one decode total.
+  extraction, ``COEFF_CHUNK`` coefficients at a time.
+* **Decode** (:func:`decoded_state`, :func:`prefix_values`): inflate
+  the kept planes, reassemble the magnitudes chunk by chunk.
+  :class:`DecodedGroup` keeps the integers, so any *shorter* prefix is
+  an O(n) mask, not a fresh decode.
 
-Every function is bit-compatible with the serial reference loops it
-replaces (property-tested in ``tests/test_refactor_kernels.py``): same
-quantised integers, same sign assignment order, same plane bytes.
+Extraction and assembly are the two directions of one transpose of the
+(planes x coefficients) bit matrix, done in 8x8 tiles of one ``uint64``
+each (:func:`_transpose8`): ``ceil(planes / 8)`` bytes of scratch per
+coefficient, never one byte per *bit*.  Conventions:
+
+* Plane ``i`` is bit ``num_planes - 1 - i`` of a magnitude.  Magnitudes
+  are shifted to the *top* of a 32/64-bit word, so byte ``g`` of the
+  big-endian word holds planes ``8g .. 8g + 7``, MSB first.
+* Plane bytes are in ``np.packbits`` order: bit 7 of byte ``b`` is
+  coefficient ``8b``.
+* A tile is 8 bytes: byte ``r`` is row ``r``, bit 7 is column 0.  A
+  plane tile (rows = 8 planes, columns = 8 coefficients) transposes to
+  byte ``g`` of eight consecutive words, and back.
+* Tiles and words are reinterpreted only through big-endian dtypes
+  (``>u8``, ``>u4``), where "byte 0 is the most significant" holds on
+  every host; arithmetic runs on native ``uint64`` copies.
+
+Quantised integers, sign order and plane bytes equal those of the
+serial per-plane loops kept as references in
+``tests/test_refactor_kernels.py``.
 """
 
 from __future__ import annotations
@@ -54,18 +57,20 @@ __all__ = [
     "encode_groups",
     "frame",
     "inflate",
-    "pack_bits",
     "plane_payloads",
     "prefix_values",
     "quantise",
     "unframe",
-    "unpack_bits",
 ]
 
-#: Coefficients per extraction chunk.  Must be a multiple of 8 so chunk
-#: boundaries land on plane-byte boundaries; 512 Ki keeps the chunk's
-#: bit matrix (chunk x 32 bytes) well inside the last-level cache.
-COEFF_CHUNK = 1 << 19
+#: Coefficients per extraction/assembly chunk.  Must be a multiple of 8
+#: so chunk boundaries land on plane-byte boundaries.  A chunk's working
+#: set is its uint64 magnitudes and float64 scratch (8 bytes per
+#: coefficient each) plus about one byte per coefficient per 8-plane
+#: group of tiles; at 128 Ki that is 1 MiB arrays and 128 KiB tile
+#: groups, which stay in a 2-4 MiB L2 while the ~60 NumPy calls a chunk
+#: makes remain a negligible share of its run time.
+COEFF_CHUNK = 1 << 17
 
 
 # -- blob codec ---------------------------------------------------------
@@ -88,15 +93,6 @@ def inflate(blob: bytes) -> bytes:
     if blob[:1] == b"\x01":
         return zlib.decompress(blob[1:])
     return blob[1:]
-
-
-def pack_bits(bits: np.ndarray) -> bytes:
-    return deflate(np.packbits(bits).tobytes())
-
-
-def unpack_bits(blob: bytes, count: int) -> np.ndarray:
-    raw = np.frombuffer(inflate(blob), dtype=np.uint8)
-    return np.unpackbits(raw, count=count).astype(bool)
 
 
 def frame(bits_blob: bytes, sign_blob: bytes) -> bytes:
@@ -133,8 +129,8 @@ class QuantisedGroup:
     # lead == i occupy sign_order[sign_offsets[i]:sign_offsets[i + 1]]
     # in array order, which is exactly the per-plane sign-bit order.
     # One radix sort replaces num_planes boolean-mask sweeps over lead.
-    sign_order: np.ndarray | None = None
-    sign_offsets: np.ndarray | None = None
+    sign_order: np.ndarray  # (count,) intp
+    sign_offsets: np.ndarray  # (num_planes + 2,) int64
 
     def decoded(self) -> "DecodedGroup":
         """View this group as a fully-decoded state.
@@ -157,6 +153,94 @@ def _word_dtype(num_planes: int) -> tuple[str, int]:
     return (">u4", 32) if num_planes <= 32 else (">u8", 64)
 
 
+_SWAPS = (
+    (np.uint64(7), np.uint64(0x00AA00AA00AA00AA)),
+    (np.uint64(14), np.uint64(0x0000CCCC0000CCCC)),
+    (np.uint64(28), np.uint64(0x00000000F0F0F0F0)),
+)
+
+
+def _transpose8(tiles: np.ndarray) -> np.ndarray:
+    """Transpose every 8x8 bit matrix of a ``(..., 8)`` uint8 array.
+
+    Each tile becomes one ``uint64`` (row 0 in the top byte); three
+    masked swaps exchange its off-diagonal 1x1, 2x2 and 4x4 blocks.
+    """
+    x = tiles.view(">u8").astype(np.uint64)
+    t = np.empty_like(x)
+    for shift, mask in _SWAPS:
+        # t = (x ^ (x >> shift)) & mask;  x ^= t ^ (t << shift)
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x.astype(">u8").view(np.uint8)
+
+
+def _extract(q: np.ndarray, num_planes: int, packed: np.ndarray) -> None:
+    """Write the packbits of plane ``i`` of ``q`` into ``packed[i]``."""
+    count, nbytes = q.size, packed.shape[1]
+    dt, width = _word_dtype(num_planes)
+    groups = (num_planes + 7) // 8
+    word_bytes = (
+        (q << np.uint64(width - num_planes))
+        .astype(dt).view(np.uint8).reshape(count, width // 8)
+    )
+    coeff_tiles = np.zeros((groups, nbytes * 8), dtype=np.uint8)
+    for g in range(groups):
+        coeff_tiles[g, :count] = word_bytes[:, g]
+    plane_tiles = _transpose8(coeff_tiles.reshape(groups, nbytes, 8))
+    for i in range(num_planes):
+        packed[i] = plane_tiles[i >> 3, :, i & 7]
+
+
+def _assemble(
+    rows: list[np.ndarray], count: int, num_planes: int
+) -> np.ndarray:
+    """Inverse of :func:`_extract`; planes past the last row read as 0."""
+    dt, width = _word_dtype(num_planes)
+    groups, nbytes = (len(rows) + 7) // 8, (count + 7) // 8
+    plane_tiles = np.zeros((groups, nbytes, 8), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        plane_tiles[i >> 3, :, i & 7] = row
+    coeff_tiles = _transpose8(plane_tiles).reshape(groups, nbytes * 8)
+    word_bytes = np.zeros((count, width // 8), dtype=np.uint8)
+    for g in range(groups):
+        word_bytes[:, g] = coeff_tiles[g, :count]
+    q = word_bytes.view(dt).reshape(count).astype(np.uint64)
+    q >>= np.uint64(width - num_planes)
+    return q
+
+
+def _leading_plane(q: np.ndarray, num_planes: int) -> np.ndarray:
+    """Index of each magnitude's leading set plane (num_planes if zero).
+
+    The bit length comes from ``frexp`` (``frexp(0) == (0, 0)`` maps
+    zeros to the sentinel for free).
+    """
+    if num_planes > 53:
+        # Wider than a float64 mantissa: clear every bit that has a
+        # set bit directly above it.  The leading bit survives, and with
+        # no two adjacent ones left the conversion cannot round up into
+        # the next power of two.
+        q = q & ~(q >> np.uint64(1))
+    bit_length = np.frexp(q.astype(np.float64))[1]
+    return (num_planes - bit_length).astype(np.int16)
+
+
+def _empty_group(count: int, exponent: int) -> QuantisedGroup:
+    """A group with no planes: every coefficient quantises to zero."""
+    lead = np.zeros(count, dtype=np.int16)
+    return QuantisedGroup(
+        count, exponent, 0,
+        np.empty((0, (count + 7) // 8), dtype=np.uint8),
+        np.zeros(count, dtype=bool), lead, np.zeros(count, dtype=np.uint64),
+        *_sign_layout(lead, 0),
+    )
+
+
 def quantise(
     coeffs: np.ndarray,
     num_planes: int,
@@ -167,24 +251,14 @@ def quantise(
 ) -> QuantisedGroup:
     """Quantise a flat coefficient array and extract its bitplanes.
 
-    Semantics (exponent selection, anchored-mode plane-count shrinking,
-    subnormal clamping, rounding and clamping of the fixed-point
-    magnitudes) are identical to the original serial encoder; the bit
-    extraction is chunked and, with ``workers > 1``, thread-parallel.
+    The work is chunked and, with ``workers > 1``, thread-parallel.
     """
     if chunk % 8:
         raise ValueError(f"chunk must be a multiple of 8, got {chunk}")
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64).reshape(-1)
     count = coeffs.size
-    empty = QuantisedGroup(
-        count, 0, 0,
-        np.empty((0, (count + 7) // 8), dtype=np.uint8),
-        np.zeros(count, dtype=bool),
-        np.zeros(count, dtype=np.int16),
-        np.zeros(count, dtype=np.uint64),
-    )
     if count == 0:
-        return empty
+        return _empty_group(count, 0)
     if not (1 <= num_planes <= 60):
         raise ValueError(f"num_planes must be in [1, 60], got {num_planes}")
     amax = float(np.max(np.abs(coeffs)))
@@ -196,10 +270,6 @@ def quantise(
         # Anchored mode: plane 0 weight stays at the group exponent, but
         # the plane count shrinks with the group's dynamic range.
         num_planes = exponent - lsb_exponent + 1
-        if num_planes < 1:
-            # Every coefficient quantises to zero under the global floor.
-            empty.exponent = exponent
-            return empty
         if num_planes > 60:
             raise ValueError(
                 f"anchored plane count {num_planes} exceeds 60; "
@@ -210,19 +280,18 @@ def quantise(
     # representable, so the plane count shrinks accordingly.
     num_planes = min(num_planes, exponent + 1022)
     if num_planes < 1:
-        empty.exponent = exponent
-        return empty
+        # Every coefficient quantises to zero under the floor.
+        return _empty_group(count, exponent)
     sign = coeffs < 0
     # Fixed-point magnitudes: LSB weight 2**(exponent - num_planes + 1).
     lsb = 2.0 ** (exponent - num_planes + 1)
     # round() can push the top value to 2**num_planes; clamp into range.
     maxq = np.uint64(2**num_planes - 1)
-    dt, width = _word_dtype(num_planes)
     q = np.empty(count, dtype=np.uint64)
     packed = np.empty((num_planes, (count + 7) // 8), dtype=np.uint8)
     lead = np.empty(count, dtype=np.int16)
 
-    def _extract(span: tuple[int, int]) -> None:
+    def _chunk(span: tuple[int, int]) -> None:
         lo, hi = span
         # Quantising inside the chunk keeps the abs/divide/round
         # scratch cache-resident instead of three full-array temps.
@@ -230,49 +299,21 @@ def quantise(
         np.minimum(qc, maxq, out=qc)
         # rapidslint: disable-next=RPD103 -- chunks write disjoint spans of q, vouched via allow_shared_writes
         q[lo:hi] = qc
-        words = qc.astype(dt)
-        bit_matrix = np.unpackbits(
-            words.view(np.uint8).reshape(hi - lo, width // 8), axis=1
-        )
-        plane_cols = bit_matrix[:, width - num_planes :]
-        # Plane-major pack: contiguous rows, one byte string per plane.
-        # Chunk extents are byte-aligned, so the per-chunk packbits
+        # Chunk extents are byte-aligned, so the per-chunk plane bytes
         # concatenate to exactly the whole-array packbits.
-        # rapidslint: disable-next=RPD103 -- chunks write disjoint column/row spans of packed/lead, vouched via allow_shared_writes
-        packed[:, lo // 8 : (hi + 7) // 8] = np.packbits(
-            np.ascontiguousarray(plane_cols.T), axis=1
-        )
+        _extract(qc, num_planes, packed[:, lo // 8 : (hi + 7) // 8])
         # rapidslint: disable-next=RPD103 -- chunks write disjoint spans of lead, vouched via allow_shared_writes
-        lead[lo:hi] = _leading_plane(qc, plane_cols, num_planes)
+        lead[lo:hi] = _leading_plane(qc, num_planes)
 
     spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
     thread_map(
-        _extract, spans, workers=workers,
+        _chunk, spans, workers=workers,
         allow_shared_writes=("packed", "lead", "q"),
     )
     order, offsets = _sign_layout(lead, num_planes)
     return QuantisedGroup(
         count, exponent, num_planes, packed, sign, lead, q, order, offsets
     )
-
-
-def _leading_plane(
-    q: np.ndarray, plane_cols: np.ndarray, num_planes: int
-) -> np.ndarray:
-    """Index of each coefficient's leading set plane (num_planes if zero).
-
-    For plane counts that fit a float64 mantissa the bit length comes
-    from one ``frexp`` pass over the magnitudes (``frexp(0) == (0, 0)``
-    maps zeros to the sentinel for free); wider words fall back to the
-    bit-matrix argmax.  Both produce identical indices.
-    """
-    if num_planes <= 53:
-        return (num_planes - np.frexp(q.astype(np.float64))[1]).astype(
-            np.int16
-        )
-    return np.where(
-        q != 0, np.argmax(plane_cols, axis=1), num_planes
-    ).astype(np.int16)
 
 
 def _sign_layout(
@@ -286,34 +327,23 @@ def _sign_layout(
     return order, offsets
 
 
-def _plane_blob(qg: QuantisedGroup, i: int) -> bytes:
-    """Frame plane ``i``: deflated magnitude bits + deflated new signs."""
-    bits_blob = deflate(qg.packed[i].tobytes())
-    if qg.sign_order is not None:
-        lo, hi = qg.sign_offsets[i], qg.sign_offsets[i + 1]
-        new_signs = qg.sign[qg.sign_order[lo:hi]]
-    else:
-        new_signs = qg.sign[qg.lead == i]
-    return frame(bits_blob, pack_bits(new_signs))
-
-
 def _plane_blob_job(job: tuple[QuantisedGroup, int]) -> bytes:
-    """Stage callable for one ``(group, plane)`` bitplane-encode item.
+    """Frame one ``(group, plane)``: deflated bits + deflated new signs.
 
     Module-level so executors of any kind — thread pools today, process
     pools in the streaming pipeline — can receive it (rapidslint RPD112
     rejects non-picklable callables at process-pool submission sites).
     """
     qg, i = job
-    return _plane_blob(qg, i)
+    lo, hi = qg.sign_offsets[i], qg.sign_offsets[i + 1]
+    new_signs = np.packbits(qg.sign[qg.sign_order[lo:hi]])
+    return frame(deflate(qg.packed[i].tobytes()), deflate(new_signs.tobytes()))
 
 
 def plane_payloads(
     qg: QuantisedGroup, *, workers: int | None = None
 ) -> list[bytes]:
     """Deflate and frame every plane of one group (threaded per plane)."""
-    if qg.num_planes == 0:
-        return []
     return thread_map(
         _plane_blob_job,
         [(qg, i) for i in range(qg.num_planes)],
@@ -401,47 +431,27 @@ def decoded_state(
     opened = thread_map(
         _open_plane, planes[:keep], workers=workers
     )
-    nbytes = (count + 7) // 8
-    bits_bytes = np.empty((keep, nbytes), dtype=np.uint8)
-    for i, (braw, _sraw) in enumerate(opened):
-        bits_bytes[i] = np.frombuffer(braw, dtype=np.uint8)
-    dt, width = _word_dtype(num_planes)
+    rows = [np.frombuffer(braw, dtype=np.uint8) for braw, _sraw in opened]
+    if any(row.size != (count + 7) // 8 for row in rows):
+        raise ValueError(f"plane blob does not hold {count} magnitude bits")
     lead = np.empty(count, dtype=np.int16)
 
-    def _assemble(span: tuple[int, int]) -> None:
+    def _chunk(span: tuple[int, int]) -> None:
         lo, hi = span
-        c = hi - lo
-        bits = np.unpackbits(
-            bits_bytes[:, lo // 8 : (hi + 7) // 8], axis=1
-        )[:, :c]
-        # Reassemble the big-endian words the encoder took apart: place
-        # the kept planes at their bit positions, pack columns to bytes,
-        # and view as integers — one pass instead of keep shift-ors.
-        full = np.zeros((width, c), dtype=np.uint8)
-        full[width - num_planes : width - num_planes + keep] = bits
-        word_bytes = np.packbits(full, axis=0)
-        qc = (
-            np.ascontiguousarray(word_bytes.T)
-            .view(dt)
-            .reshape(c)
-            .astype(np.uint64)
+        qc = _assemble(
+            [r[lo // 8 : (hi + 7) // 8] for r in rows], hi - lo, num_planes
         )
         # rapidslint: disable-next=RPD103 -- chunks write disjoint spans of q/lead, vouched via allow_shared_writes
         q[lo:hi] = qc
-        # Leading kept plane per coefficient: the magnitude's bit length
-        # locates the first set plane in one frexp pass (planes occupy
-        # the word's high bits); zeros get the sentinel ``keep``.
-        if num_planes <= 53:
-            found = num_planes - np.frexp(qc.astype(np.float64))[1]
-        else:
-            found = np.argmax(bits, axis=0)
+        # Only the first ``keep`` planes are populated, so a non-zero
+        # magnitude leads below ``keep``; zeros get the sentinel ``keep``.
         # rapidslint: disable-next=RPD103 -- chunks write disjoint spans of lead, vouched via allow_shared_writes
-        lead[lo:hi] = np.where(qc != 0, found, keep).astype(np.int16)
+        lead[lo:hi] = np.minimum(_leading_plane(qc, num_planes), keep)
 
     spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
     thread_map(
-        _assemble, spans, workers=workers,
-        allow_shared_writes=("q", "lead", "bits_bytes"),
+        _chunk, spans, workers=workers,
+        allow_shared_writes=("q", "lead"),
     )
     # Embedded signs: plane i carries the signs of coefficients whose
     # leading 1-bit lies in plane i, in coefficient order.  One stable
@@ -474,9 +484,7 @@ def prefix_values(dg: DecodedGroup, keep: int) -> np.ndarray:
         raise ValueError(
             f"keep must be in [0, {dg.kept}], got {keep}"
         )
-    if dg.count == 0:
-        return np.zeros(0, dtype=np.float64)
-    if dg.num_planes == 0:
+    if dg.count == 0 or dg.num_planes == 0:
         return np.zeros(dg.count, dtype=np.float64)
     if keep == dg.kept:
         q, sgn = dg.q, dg.sign

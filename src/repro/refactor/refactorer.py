@@ -9,8 +9,8 @@ These (s_j, e_j) pairs are exactly what the RAPIDS optimisation models in
 :mod:`repro.core` consume.
 
 The heavy stages run on the chunked kernels of
-:mod:`repro.refactor.kernels` and tile over threads (``workers=``, same
-convention as ``ErasureCodec``).  ``measure_errors=True`` no longer
+:mod:`repro.refactor.kernels` and tile over threads (``workers=``; left
+unset, small arrays run inline).  ``measure_errors=True`` no longer
 reconstructs every prefix from scratch: the encoder's own quantised
 magnitudes serve as the decoded state, each prefix is an O(n) bit-mask
 of them, and only the inverse transform runs per component — with the
@@ -26,7 +26,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..parallel.threads import default_workers
 from . import bitplane, components, kernels, transform
 from .error_model import relative_linf_error, theoretical_bound
 from .grid import LevelPlan, plan_levels
@@ -62,6 +61,11 @@ def reconstruct_block(
 ) -> np.ndarray:
     """Module-level reconstruct stage callable (picklable counterpart)."""
     return Refactorer(**config).reconstruct(obj, upto=upto, payloads=payloads)
+
+
+def _all_planes_kept(kept: list[int], num_planes: list[int]) -> bool:
+    """Whether a prefix holds every plane of every coefficient group."""
+    return all(n > 0 and k == n for k, n in zip(kept, num_planes))
 
 
 @dataclass
@@ -161,9 +165,9 @@ class Refactorer:
         Bitplane grouping policy, see :func:`repro.refactor.components.group_planes`.
     workers:
         Thread fan-out for the transform tiles, per-plane zlib jobs and
-        component (de)serialisation.  ``None`` means one worker per CPU
-        (like ``ErasureCodec``); every worker count produces bit-identical
-        output.
+        component (de)serialisation.  ``None`` picks it per call from
+        the array size (inline for small arrays, else one worker per
+        CPU); every worker count produces bit-identical output.
     """
 
     def __init__(
@@ -185,7 +189,7 @@ class Refactorer:
         self.correction = correction
         self.policy = policy
         self.size_ratio = size_ratio
-        self.workers = workers if workers is not None else default_workers()
+        self.workers = workers
 
     # -- forward path ---------------------------------------------------
 
@@ -203,12 +207,12 @@ class Refactorer:
         state = self._encode(data)
         obj = state["obj"]
         obj.payloads = components.components_to_bytes(
-            state["comps"], state["planesets"], workers=self.workers
+            state["comps"], state["planesets"], workers=state["workers"]
         )
         if measure_errors:
             obj.errors = self._measure_errors(
                 state["data"], obj, state["groups"], state["decoded"],
-                state["kept_after"],
+                state["kept_after"], state["workers"],
             )
         else:
             obj.errors = list(obj.bounds)
@@ -251,9 +255,10 @@ class Refactorer:
                 "values (mask or fill missing data first)"
             )
         data_max = float(np.max(np.abs(data)))
+        workers = transform.auto_workers(self.workers, data.size)
         mallat, plans = transform.decompose(
             data, max_levels=self.max_levels, correction=self.correction,
-            workers=self.workers,
+            workers=workers,
         )
         groups = transform.level_flat_indices(plans, data.shape)
         flat = mallat.reshape(-1)
@@ -269,7 +274,7 @@ class Refactorer:
             lsb_exp = None
         qgs, group_planes_blobs = kernels.encode_groups(
             flat, groups, self.num_planes, lsb_exponent=lsb_exp,
-            workers=self.workers,
+            workers=workers,
         )
         planesets = [
             bitplane.PlaneSet(qg.count, qg.exponent, qg.num_planes, blobs)
@@ -285,17 +290,15 @@ class Refactorer:
         # Per-prefix error bounds from the planes each prefix contains.
         bounds = []
         kept_after: list[list[int]] = []
-        kept = [0] * len(planesets)
         seen_planes: list[set[int]] = [set() for _ in planesets]
         for c in comps:
             for ref, _ in c.entries:
                 seen_planes[ref.group].add(ref.plane)
-            prefix = [
+            kept = [
                 self._prefix_len(s, planesets[g].num_planes)
                 for g, s in enumerate(seen_planes)
             ]
-            kept = prefix
-            kept_after.append(list(kept))
+            kept_after.append(kept)
             bounds.append(
                 theoretical_bound(planesets, kept, data_max)
                 if data_max > 0
@@ -321,6 +324,7 @@ class Refactorer:
             "planesets": planesets,
             "comps": comps,
             "kept_after": kept_after,
+            "workers": workers,
         }
 
     def _measure_errors(
@@ -330,6 +334,7 @@ class Refactorer:
         groups: list[np.ndarray],
         decoded: list[kernels.DecodedGroup],
         kept_after: list[list[int]],
+        workers: int,
     ) -> list[float]:
         """Measured per-prefix errors, incrementally.
 
@@ -340,6 +345,7 @@ class Refactorer:
         ``relative_linf_error(data, reconstruct(obj, upto=j + 1))``.
         """
         flat = np.zeros(int(np.prod(obj.shape)), dtype=np.float64)
+        num_planes = [dg.num_planes for dg in decoded]
         prev = [0] * len(groups)
         errors: list[float] = []
         for kept in kept_after:
@@ -349,7 +355,8 @@ class Refactorer:
             prev = kept
             rec = transform.recompose(
                 flat.reshape(obj.shape), obj.plans,
-                correction=obj.correction, workers=self.workers,
+                correction=obj.correction, workers=workers,
+                detect_zero_rows=not _all_planes_kept(kept, num_planes),
             )
             errors.append(
                 relative_linf_error(data, rec.astype(obj.dtype, copy=False))
@@ -387,10 +394,12 @@ class Refactorer:
             raise ValueError(
                 f"upto must be in [1, {len(payloads)}], got {upto}"
             )
+        size = int(np.prod(obj.shape))
+        workers = transform.auto_workers(self.workers, size)
         parsed = [
             entries
             for _, entries in components.components_from_bytes(
-                payloads[:upto], workers=self.workers
+                payloads[:upto], workers=workers
             )
         ]
         planesets = components.assemble_planesets(parsed)
@@ -400,7 +409,7 @@ class Refactorer:
                 bitplane.PlaneSet(0, 0, 0, [])
                 for _ in range(len(groups) - len(planesets))
             ]
-        flat = np.zeros(int(np.prod(obj.shape)), dtype=np.float64)
+        flat = np.zeros(size, dtype=np.float64)
         for idx, ps in zip(groups, planesets):
             if ps.count == 0:
                 continue
@@ -411,17 +420,17 @@ class Refactorer:
                 )
             if ps.planes:
                 flat[idx] = bitplane.decode_planes(
-                    ps, keep=len(ps.planes), workers=self.workers
+                    ps, keep=len(ps.planes), workers=workers
                 )
         mallat = flat.reshape(obj.shape)
         # With every plane of every group present the zero-detail-line
         # scan cannot pay off; skip it (output is bitwise identical).
-        dense = all(
-            ps.num_planes > 0 and len(ps.planes) == ps.num_planes
-            for ps in planesets
+        dense = _all_planes_kept(
+            [len(ps.planes) for ps in planesets],
+            [ps.num_planes for ps in planesets],
         )
         out = transform.recompose(
             mallat, obj.plans, correction=obj.correction,
-            workers=self.workers, detect_zero_rows=not dense,
+            workers=workers, detect_zero_rows=not dense,
         )
         return out.astype(obj.dtype, copy=False)

@@ -53,6 +53,7 @@ from ..parallel.threads import balanced_spans, default_workers, thread_map
 from .grid import LevelPlan, coarse_indices, detail_indices, plan_levels
 
 __all__ = [
+    "auto_workers",
     "decompose",
     "recompose",
     "decompose_axis",
@@ -69,6 +70,21 @@ _AXIS_LOCK = threading.Lock()
 #: Minimum lines per tile — below this the per-tile LAPACK/slice overhead
 #: outweighs any parallel win and the kernels run in one block.
 _MIN_TILE_ROWS = 256
+
+#: Array size below which a refactor or reconstruct whose caller left
+#: ``workers`` unset runs inline.  Creating and joining the dozen or so
+#: short-lived pools of one call costs more than two threads win back
+#: until about a million coefficients (measured on 2 CPUs: inline is
+#: 1.3-2.9x faster up to 64 Ki elements and still ahead at 880 Ki; the
+#: pool leads from 2 Mi).  Depends on the input size only.
+_MIN_POOL_ELEMENTS = 1 << 20
+
+
+def auto_workers(workers: int | None, elements: int) -> int:
+    """``workers`` if given, else a fan-out chosen from the array size."""
+    if workers is not None:
+        return workers
+    return 1 if elements < _MIN_POOL_ELEMENTS else default_workers()
 
 
 def _axis_structure(n: int) -> dict:
@@ -356,6 +372,27 @@ def recompose_axis(
     return out
 
 
+def _sweep(out: np.ndarray, levels, block_fn, workers: int | None) -> None:
+    """Run ``block_fn(src, dst, axis)`` per ``(fine_shape, axes)`` level."""
+    for fine_shape, axes in levels:
+        corner_view = out[tuple(slice(0, s) for s in fine_shape)]
+        src = corner_view
+        for i, ax in enumerate(axes):
+            # The final axis of a level writes straight back into the
+            # Mallat corner (the kernels tolerate strided outputs), so
+            # multi-axis levels need no copy-back pass.
+            if i == len(axes) - 1 and src is not corner_view:
+                dst = corner_view
+            else:
+                dst = np.empty(src.shape, dtype=np.float64)
+            _apply_axis(
+                lambda s, d, a=ax: block_fn(s, d, a), src, dst, ax, workers
+            )
+            src = dst
+        if src is not corner_view:
+            corner_view[...] = src
+
+
 def decompose(
     u: np.ndarray, plans: list[LevelPlan] | None = None, *,
     max_levels: int = 32, correction: bool = True,
@@ -372,26 +409,10 @@ def decompose(
     if plans is None:
         plans = plan_levels(u.shape, max_levels)
     out = u.astype(np.float64, copy=True)
-    for plan in plans:
-        corner = tuple(slice(0, s) for s in plan.fine_shape)
-        corner_view = out[corner]
-        axes = list(plan.coarsened_axes)
-        src = corner_view
-        for i, ax in enumerate(axes):
-            # The final axis of a level writes straight back into the
-            # Mallat corner (the kernels tolerate strided outputs), so
-            # multi-axis levels need no copy-back pass.
-            if i == len(axes) - 1 and src is not corner_view:
-                dst = corner_view
-            else:
-                dst = np.empty(src.shape, dtype=np.float64)
-            _apply_axis(
-                lambda s, d, a=ax: _decompose_block(s, d, a, correction),
-                src, dst, ax, workers,
-            )
-            src = dst
-        if src is not corner_view:
-            corner_view[...] = src
+    _sweep(
+        out, [(p.fine_shape, p.coarsened_axes) for p in plans],
+        lambda s, d, a: _decompose_block(s, d, a, correction), workers,
+    )
     return out, plans
 
 
@@ -406,25 +427,11 @@ def recompose(
     is bitwise identical either way.
     """
     out = np.array(mallat, dtype=np.float64, copy=True)
-    for plan in reversed(plans):
-        corner = tuple(slice(0, s) for s in plan.fine_shape)
-        corner_view = out[corner]
-        axes = list(reversed(plan.coarsened_axes))
-        src = corner_view
-        for i, ax in enumerate(axes):
-            if i == len(axes) - 1 and src is not corner_view:
-                dst = corner_view
-            else:
-                dst = np.empty(src.shape, dtype=np.float64)
-            _apply_axis(
-                lambda s, d, a=ax: _recompose_block(
-                    s, d, a, correction, detect_zero_rows
-                ),
-                src, dst, ax, workers,
-            )
-            src = dst
-        if src is not corner_view:
-            corner_view[...] = src
+    _sweep(
+        out, [(p.fine_shape, p.coarsened_axes[::-1]) for p in reversed(plans)],
+        lambda s, d, a: _recompose_block(s, d, a, correction, detect_zero_rows),
+        workers,
+    )
     return out
 
 

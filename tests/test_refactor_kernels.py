@@ -12,6 +12,7 @@ The overhauled pipeline promises three things this module pins down:
    matches a from-scratch reconstruction per prefix, bit for bit.
 """
 
+import hashlib
 import os
 import struct
 import zlib
@@ -21,6 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import hurricane_temperature
+from repro.parallel import threads
 from repro.parallel.threads import balanced_spans
 from repro.refactor import Refactorer, relative_linf_error
 from repro.refactor.bitplane import PlaneSet, decode_planes, encode_planes
@@ -162,6 +165,112 @@ class TestSeedEquivalence:
         assert np.array_equal(qg_small.q, qg_big.q)
 
 
+# -- the 8x8 transpose kernels vs an unpackbits bit matrix ---------------
+
+
+def _ref_extract(q, num_planes):
+    """Plane-major packbits through a (count, 64) one-byte-per-bit matrix."""
+    bits = np.unpackbits(
+        q.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1
+    )[:, 64 - num_planes :]
+    return np.packbits(bits.T, axis=1)
+
+
+def _ref_assemble(packed, count, num_planes, keep):
+    """Magnitudes from the first ``keep`` rows through a (64, count) matrix."""
+    full = np.zeros((64, count), dtype=np.uint8)
+    full[64 - num_planes : 64 - num_planes + keep] = np.unpackbits(
+        packed[:keep], axis=1, count=count
+    )
+    word_bytes = np.ascontiguousarray(np.packbits(full, axis=0).T)
+    return word_bytes.view(">u8").reshape(count).astype(np.uint64)
+
+
+class TestBitMatrixTranspose:
+    def test_transpose8_transposes_every_tile(self):
+        rng = np.random.default_rng(1)
+        tiles = rng.integers(0, 256, size=(5, 37, 8), dtype=np.uint8)
+        want = np.packbits(
+            np.unpackbits(tiles, axis=-1)
+            .reshape(5, 37, 8, 8)
+            .swapaxes(-1, -2),
+            axis=-1,
+        ).reshape(5, 37, 8)
+        got = kernels._transpose8(tiles)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert np.array_equal(kernels._transpose8(got), tiles)
+
+    def test_leading_plane_of_words_wider_than_a_mantissa(self):
+        q = np.array([2**60 - 1, 2**54 - 1, 2**53 + 1, 1, 0], dtype=np.uint64)
+        assert kernels._leading_plane(q, 60).tolist() == [0, 6, 6, 59, 60]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_planes=st.integers(1, 60),
+        count=st.integers(1, 700),
+        keep_frac=st.floats(0.0, 1.0),
+        chunk=st.integers(1, 40).map(lambda k: 8 * k),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_extract_assemble_match_unpackbits_reference(
+        self, num_planes, count, keep_frac, chunk, seed
+    ):
+        rng = np.random.default_rng(seed)
+        # A wide dynamic range populates the low planes (and, past 53
+        # planes, magnitudes a float64 mantissa cannot hold exactly).
+        c = rng.normal(size=count) * 2.0 ** rng.integers(
+            -num_planes, 1, size=count
+        )
+        c[rng.random(count) < 0.1] = 0.0
+        qg = kernels.quantise(c, num_planes, chunk=chunk)
+        assert qg.num_planes == num_planes
+        assert np.array_equal(qg.packed, _ref_extract(qg.q, num_planes))
+        assert qg.lead.tolist() == [
+            num_planes - int(v).bit_length() for v in qg.q
+        ]
+        keep = int(keep_frac * num_planes)
+        dg = kernels.decoded_state(
+            count, qg.exponent, num_planes, kernels.plane_payloads(qg),
+            keep, chunk=chunk,
+        )
+        assert np.array_equal(
+            dg.q, _ref_assemble(qg.packed, count, num_planes, keep)
+        )
+        low = (1 << (num_planes - keep)) - 1
+        assert dg.q.tolist() == [int(v) & ~low for v in qg.q]
+        assert np.array_equal(dg.sign, (c < 0) & (dg.q != 0))
+
+
+# -- golden digests recorded at the commit before the transpose kernels --
+
+
+def _sha(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
+class TestGoldenDigests:
+    PAYLOADS = [
+        "f03505d50ecbda78ba963d31b6d1d2bd6564c443f1b23ecb1ce4c7943e305b5f",
+        "a7084c876ecf50f9669c7db448823aa75acfaccc42d8aeadb4206d9e1f0c0708",
+        "4531796263c067b594730c50acf465a54e04857096c05dba37a2be22c1c9f627",
+        "fe5ac3d255438019279e4d87ba6dcd6801865ab77e087a09a5ff0348ab87c315",
+    ]
+    ERRORS = "d1e335f8f3f89b07a36f385989a66ef74be235b7fe63eccba5863467285d3c99"
+    UPTO2 = "184e35c664eb933c15efbbaadbb71a85f8876ebb45d9cceb7218e932350528d3"
+    FULL = "d1cf73a7c60ecc28ab63e797d6f65a677c4b799d5ee7fcd68948faffaf010589"
+
+    def test_payloads_errors_and_reconstructions_are_pinned(self):
+        data = hurricane_temperature((48, 48, 48), seed=5)
+        ref = Refactorer(4, num_planes=22)
+        obj = ref.refactor(data)
+        assert [_sha(p) for p in obj.payloads] == self.PAYLOADS
+        assert _sha(np.asarray(obj.errors, dtype="<f8").tobytes()) == self.ERRORS
+        upto2 = ref.reconstruct(obj, upto=2)
+        assert _sha(upto2.astype("<f4").tobytes()) == self.UPTO2
+        full = ref.reconstruct(obj)
+        assert _sha(full.astype("<f4").tobytes()) == self.FULL
+
+
 # -- bit-identity: threaded vs serial -----------------------------------
 
 
@@ -265,6 +374,64 @@ class TestIncrementalErrors:
             assert masked.tobytes() == fresh.tobytes()
 
 
+# -- fan-out chosen from the input size ----------------------------------
+
+
+class TestAutoFanout:
+    def _count_pools(self, monkeypatch):
+        made = []
+
+        class CountingPool(threads.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threads, "ThreadPoolExecutor", CountingPool)
+        return made
+
+    def test_small_input_runs_inline_unless_workers_given(self, monkeypatch):
+        monkeypatch.setattr(threads, "default_workers", lambda: 4)
+        monkeypatch.setattr(transform, "default_workers", lambda: 4)
+        made = self._count_pools(monkeypatch)
+        data = smooth_field((22, 16, 16), seed=3, dtype=np.float32)
+        auto = Refactorer(4, num_planes=22)
+        obj = auto.refactor(data)
+        rec = auto.reconstruct(obj)
+        assert made == []
+        pooled = Refactorer(4, num_planes=22, workers=4)
+        obj4 = pooled.refactor(data)
+        assert made  # an explicit count is honoured at any size
+        assert obj4.payloads == obj.payloads and obj4.errors == obj.errors
+        assert pooled.reconstruct(obj4).tobytes() == rec.tobytes()
+
+    def test_large_input_fans_out(self, monkeypatch):
+        monkeypatch.setattr(transform, "default_workers", lambda: 4)
+        monkeypatch.setattr(transform, "_MIN_POOL_ELEMENTS", 1000)
+        made = self._count_pools(monkeypatch)
+        data = smooth_field((22, 16, 16), seed=3)
+        Refactorer(4, num_planes=22).refactor(data, measure_errors=False)
+        assert made and set(made) <= {1, 2, 3, 4}
+
+
+class TestZeroRowScanSkipped:
+    def test_last_prefix_skips_the_scan_like_reconstruct(self, monkeypatch):
+        calls = []
+        real = transform.recompose
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("detect_zero_rows", True))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(transform, "recompose", spy)
+        data = smooth_field((20, 21, 22), seed=6)
+        ref = Refactorer(3, num_planes=20)
+        obj = ref.refactor(data)
+        assert calls == [True, True, False]
+        ref.reconstruct(obj)
+        ref.reconstruct(obj, upto=2)
+        assert calls[3:] == [False, True]
+
+
 # -- the fixed decode_planes validation (satellite) ----------------------
 
 
@@ -276,6 +443,16 @@ class TestDecodeValidation:
             decode_planes(ps, keep=13)
         with pytest.raises(ValueError, match=r"keep must be in \[0, 12\], got -1"):
             decode_planes(ps, keep=-1)
+
+    @pytest.mark.parametrize("nbytes", [124, 126])
+    def test_plane_of_the_wrong_length_is_rejected(self, nbytes):
+        ps = encode_planes(np.arange(1.0, 1001.0), num_planes=12)
+        bad = kernels.frame(
+            kernels.deflate(bytes(nbytes)), kernels.unframe(ps.planes[3])[1]
+        )
+        ps.planes[3] = bad
+        with pytest.raises(ValueError, match="does not hold 1000 magnitude bits"):
+            decode_planes(ps)
 
     def test_bad_keep_limited_by_present_planes(self):
         c = np.arange(1.0, 9.0)
