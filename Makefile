@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-sanitized loc lint lint-full bench-lint chaos chaos-soak scrub-smoke serve-smoke scenarios bench bench-assert bench-smoke bench-refactor bench-procpipe examples tables figures all clean
+.PHONY: install test test-sanitized fuzz loc lint lint-full bench-lint chaos chaos-soak scrub-smoke serve-smoke scenarios bench bench-assert bench-smoke bench-refactor bench-procpipe examples tables figures all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,6 +14,17 @@ test:
 # pooled thread_map callable (see repro/analysis/sanitizer.py).
 test-sanitized:
 	RAPIDS_THREAD_SANITIZER=1 $(PYTHON) -m pytest tests/
+
+# Counter-example hunt: the tests under hypothesis' `fuzz` profile
+# (tests/conftest.py) from a fresh seed, printed so that
+# `make fuzz HYPOTHESIS_SEED=<n>` replays the run.  Not a gate — Tier-1
+# runs the derandomised `tier1` profile; pin what this finds as
+# @example.
+fuzz:
+	@seed=$${HYPOTHESIS_SEED:-$$($(PYTHON) -c "import secrets; print(secrets.randbits(32))")}; \
+	echo "hypothesis seed $$seed"; \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest tests/ \
+		--hypothesis-profile=fuzz --hypothesis-seed=$$seed
 
 # Source size: non-blank, non-comment lines under src/ (docstrings
 # count).  PRs that simplify report the change in this number.

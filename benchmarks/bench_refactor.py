@@ -6,8 +6,8 @@ Measures the three wins of the pMGARD pipeline overhaul:
    transform, threaded zlib) against the seed's serial per-group loops —
    the acceptance bar is a >= 2x end-to-end speedup on a >= 64 MiB
    float64 array;
-2. ``measure_errors=True`` overhead vs the number of components — the
-   incremental masked-prefix path replaces the seed's from-scratch
+2. ``measure_errors=True`` overhead vs the number of components — one
+   dequantisation truncated per prefix replaces the seed's from-scratch
    decode+reconstruct per prefix, so the marginal cost of each extra
    component drops below half the seed's;
 3. end-to-end ``RAPIDS.prepare`` serial vs threaded+pipelined
@@ -16,7 +16,9 @@ Measures the three wins of the pMGARD pipeline overhaul:
 4. with ``--stages``, where the seconds of one single-threaded refactor
    and reconstruct go, split the way MGARD reports its pipeline:
    decompose, quantise+extract, deflate / inflate, assemble, sign
-   placement, dequantise, recompose.
+   placement, dequantise, recompose — and where the error measurement
+   of a default ``refactor`` goes on top of that: dequantise once,
+   truncate per prefix, recompose, L-infinity.
 
 The seed algorithms are reproduced inline (the ``bench_kernels.py``
 ``_seed_*`` pattern) and every mode verifies the new pipeline produces
@@ -46,6 +48,7 @@ from repro.datasets import nyx_temperature
 from repro.refactor import Refactorer
 from repro.refactor import components as _components
 from repro.refactor import kernels as _kernels
+from repro.refactor import refactorer as _refactorer
 from repro.refactor import transform as _transform
 from repro.refactor.bitplane import PlaneSet
 from repro.refactor.error_model import relative_linf_error, theoretical_bound
@@ -379,9 +382,9 @@ def measure_error_overhead(shape=(150, 150, 150), num_planes=22,
 
     The seed measured each prefix by a from-scratch decode+reconstruct,
     so its overhead grows ~linearly in ``l``; the incremental path
-    decodes nothing (the encoder's quantised state is masked per prefix)
-    and its per-prefix inverse transform skips all-zero detail rows, so
-    the overhead curve flattens.
+    decodes nothing (the encoder's quantised state is dequantised once
+    and truncated per prefix) and its per-prefix inverse transform skips
+    all-zero detail blocks, so the overhead curve flattens.
     """
     data = nyx_temperature(shape).astype(np.float64)
     out = {"shape": list(shape), "components": list(comps)}
@@ -469,13 +472,17 @@ _STAGE_CALLS = (
     ("inflate", _kernels, "_open_plane"),
     ("assemble", _kernels, "_assemble"),
     ("decoded_state", _kernels, "decoded_state"),
-    ("dequantise", _kernels, "prefix_values"),
+    ("dequantise", _kernels, "dequantise"),
+    ("truncate", _refactorer, "_truncate_to_prefix"),
     ("recompose", _transform, "recompose"),
+    ("L-infinity", _refactorer, "relative_linf_error"),
 )
 _REFACTOR_STAGES = ("decompose", "quantise+extract", "deflate")
 _RECONSTRUCT_STAGES = (
     "inflate", "assemble", "sign placement", "dequantise", "recompose",
 )
+#: What ``measure_errors=True`` adds to a refactor (``_measure_errors``).
+_MEASUREMENT_STAGES = ("dequantise", "truncate", "recompose", "L-infinity")
 
 
 def measure_stages(shape=(128, 128, 128), num_planes=22, reps=3) -> dict:
@@ -485,7 +492,9 @@ def measure_stages(shape=(128, 128, 128), num_planes=22, reps=3) -> dict:
     to wall time) with timing wrappers around the stage functions, and
     keeps each stage's best of ``reps``.  "other" is everything between
     the stages: index gathers/scatters, component (de)serialisation,
-    the dtype cast.
+    the dtype cast.  ``refactor`` is the bounds-only path;
+    ``error_measurement`` is the per-prefix measurement a default
+    ``refactor`` runs after it.
     """
     data = nyx_temperature(shape).astype(np.float64)
     ref = Refactorer(4, num_planes=num_planes, workers=1)
@@ -526,6 +535,12 @@ def measure_stages(shape=(128, 128, 128), num_planes=22, reps=3) -> dict:
                       lambda: ref.refactor(data, measure_errors=False))
             run("reconstruct", _RECONSTRUCT_STAGES,
                 lambda: ref.reconstruct(obj))
+            state = ref._encode(data)
+            run("error_measurement", _MEASUREMENT_STAGES,
+                lambda: ref._measure_errors(
+                    state["data"], state["obj"], state.pop("decoded"),
+                    state["kept_after"], state["workers"],
+                ))
     return out
 
 
@@ -544,8 +559,9 @@ def main(argv=None) -> None:
     parser.add_argument(
         "--stages",
         action="store_true",
-        help="also print and record per-stage seconds of one refactor and "
-        "one reconstruct of a 16 MiB array (smoke: reduced size)",
+        help="also print and record per-stage seconds of one refactor, one "
+        "reconstruct and one error measurement of a 16 MiB array (smoke: "
+        "reduced size)",
     )
     args = parser.parse_args(argv)
 
@@ -613,7 +629,7 @@ def main(argv=None) -> None:
     if args.stages:
         stages = measure_stages(shape=stage_shape)
         result["stages"] = stages
-        for op in ("refactor", "reconstruct"):
+        for op in ("refactor", "reconstruct", "error_measurement"):
             print_table(
                 f"{op} stages, {stages['nbytes'] / 2**20:.1f} MiB float64, "
                 f"{stages['num_planes']} planes, 1 worker",

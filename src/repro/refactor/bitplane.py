@@ -138,4 +138,4 @@ def decode_planes(
         ps.count, ps.exponent, ps.num_planes, ps.planes, keep,
         workers=workers,
     )
-    return kernels.prefix_values(dg, keep)
+    return kernels.dequantise(dg)

@@ -25,14 +25,14 @@ __all__ = ["relative_linf_error", "MGARD_CONSTANT", "theoretical_bound"]
 MGARD_CONSTANT = 1.0 + np.sqrt(3.0) / 2.0
 
 
-#: Elements per block in the chunked max reductions below; sized so the
-#: difference/abs scratch stays cache-resident instead of allocating
-#: full-array temporaries.
-_ERROR_CHUNK = 1 << 21
+#: Elements per block in the chunked max reductions below: the one
+#: difference/abs scratch block (512 KiB) stays cache-resident instead
+#: of two full-array temporaries being allocated per call.
+_ERROR_CHUNK = 1 << 16
 
 
 def _chunked_absmax(a: np.ndarray, b: np.ndarray | None = None) -> float:
-    """max|a| (or max|a - b|) without materialising full-size temps.
+    """max|a| (or max|a - b|) of float64 arrays through one scratch block.
 
     A max of per-block maxima is exactly the global max, so the blocked
     evaluation is bit-identical to the one-shot expression.
@@ -41,33 +41,38 @@ def _chunked_absmax(a: np.ndarray, b: np.ndarray | None = None) -> float:
     if a.size == 0:
         # Same zero-size ValueError the unchunked np.max raised.
         return float(np.max(np.abs(a)))
-    out = 0.0
-    if b is None:
-        for lo in range(0, a.size, _ERROR_CHUNK):
-            out = max(out, float(np.max(np.abs(a[lo : lo + _ERROR_CHUNK]))))
-    else:
+    if b is not None:
         b = b.reshape(-1)
-        for lo in range(0, a.size, _ERROR_CHUNK):
-            hi = lo + _ERROR_CHUNK
-            out = max(out, float(np.max(np.abs(a[lo:hi] - b[lo:hi]))))
+    scratch = np.empty(min(a.size, _ERROR_CHUNK))
+    out = 0.0
+    for lo in range(0, a.size, _ERROR_CHUNK):
+        blk = a[lo : lo + _ERROR_CHUNK]
+        tmp = scratch[: blk.size]
+        if b is None:
+            np.abs(blk, out=tmp)
+        else:
+            np.subtract(blk, b[lo : lo + _ERROR_CHUNK], out=tmp)
+            np.abs(tmp, out=tmp)
+        out = max(out, float(tmp.max()))
     return out
 
 
-def relative_linf_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
+def relative_linf_error(
+    original: np.ndarray, reconstructed: np.ndarray, *, data_max: float | None = None
+) -> float:
     """Relative L-infinity error of Eq. 3: max|d - d~| / max|d|.
 
     A reconstruction of all-zeros therefore scores exactly 1.0, the
     paper's penalty value e0 for "no level could be restored".
+    ``data_max`` is max|d| for callers that already hold it.
     """
-    original = np.asarray(original, dtype=np.float64)
-    reconstructed = np.asarray(reconstructed, dtype=np.float64)
-    if original.shape != reconstructed.shape:
+    if np.shape(original) != np.shape(reconstructed):
         raise ValueError(
-            f"shape mismatch: {original.shape} vs {reconstructed.shape}"
+            f"shape mismatch: {np.shape(original)} vs {np.shape(reconstructed)}"
         )
-    original = np.ascontiguousarray(original)
-    reconstructed = np.ascontiguousarray(reconstructed)
-    denom = _chunked_absmax(original)
+    original = np.ascontiguousarray(original, dtype=np.float64)
+    reconstructed = np.ascontiguousarray(reconstructed, dtype=np.float64)
+    denom = _chunked_absmax(original) if data_max is None else data_max
     if denom == 0.0:
         return 0.0 if _chunked_absmax(reconstructed) == 0.0 else np.inf
     return _chunked_absmax(original, reconstructed) / denom

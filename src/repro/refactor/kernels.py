@@ -11,10 +11,9 @@ slices of preallocated outputs, so results do not depend on ``workers``.
 * **Encode** (:func:`quantise`, :func:`plane_payloads`,
   :func:`encode_groups`): fixed-point quantisation and bitplane
   extraction, ``COEFF_CHUNK`` coefficients at a time.
-* **Decode** (:func:`decoded_state`, :func:`prefix_values`): inflate
-  the kept planes, reassemble the magnitudes chunk by chunk.
-  :class:`DecodedGroup` keeps the integers, so any *shorter* prefix is
-  an O(n) mask, not a fresh decode.
+* **Decode** (:func:`decoded_state`, :func:`dequantise`): inflate the
+  kept planes, reassemble the magnitudes chunk by chunk, scale and sign
+  them.
 
 Extraction and assembly are the two directions of one transpose of the
 (planes x coefficients) bit matrix, done in 8x8 tiles of one ``uint64``
@@ -54,11 +53,11 @@ __all__ = [
     "QuantisedGroup",
     "decoded_state",
     "deflate",
+    "dequantise",
     "encode_groups",
     "frame",
     "inflate",
     "plane_payloads",
-    "prefix_values",
     "quantise",
     "unframe",
 ]
@@ -135,15 +134,14 @@ class QuantisedGroup:
     def decoded(self) -> "DecodedGroup":
         """View this group as a fully-decoded state.
 
-        The encoder already holds the quantised magnitudes, so prefix
-        reconstruction during ``measure_errors`` needs no plane decode
-        at all.  Signs of coefficients that quantised to zero are
-        dropped (the decoder can never learn them), making
-        :func:`prefix_values` of the result bit-identical to decoding
-        the serialised planes.
+        The encoder already holds the quantised magnitudes, so
+        ``measure_errors`` needs no plane decode at all.  Signs of
+        coefficients that quantised to zero are dropped (the decoder can
+        never learn them), making :func:`dequantise` of the result
+        bit-identical to decoding the serialised planes.
         """
         return DecodedGroup(
-            self.count, self.exponent, self.num_planes, self.num_planes,
+            self.count, self.exponent, self.num_planes,
             self.q, self.sign & (self.q != 0),
         )
 
@@ -391,17 +389,15 @@ def encode_groups(
 class DecodedGroup:
     """Quantised magnitudes of one group decoded from a plane prefix.
 
-    ``q`` holds the integer magnitudes assembled from the first ``kept``
-    planes; ``sign`` is True for coefficients whose leading 1-bit (and
-    therefore embedded sign) appeared within that prefix.  Any shorter
-    prefix is recoverable in O(n) via :func:`prefix_values` — masking
-    the low planes of ``q`` reproduces a fresh shorter decode exactly.
+    ``q`` holds the integer magnitudes assembled from the planes that
+    were kept (the rest read as zero bits); ``sign`` is True for
+    negative coefficients whose leading 1-bit, and therefore embedded
+    sign, appeared within them.
     """
 
     count: int
     exponent: int
     num_planes: int
-    kept: int
     q: np.ndarray  # (count,) uint64
     sign: np.ndarray  # (count,) bool
 
@@ -427,7 +423,7 @@ def decoded_state(
     q = np.zeros(count, dtype=np.uint64)
     sign = np.zeros(count, dtype=bool)
     if count == 0 or keep == 0:
-        return DecodedGroup(count, exponent, num_planes, keep, q, sign)
+        return DecodedGroup(count, exponent, num_planes, q, sign)
     opened = thread_map(
         _open_plane, planes[:keep], workers=workers
     )
@@ -464,7 +460,7 @@ def decoded_state(
             sign[order[lo:hi]] = np.unpackbits(
                 np.frombuffer(sraw, dtype=np.uint8), count=int(hi - lo)
             ).astype(bool)
-    return DecodedGroup(count, exponent, num_planes, keep, q, sign)
+    return DecodedGroup(count, exponent, num_planes, q, sign)
 
 
 def _open_plane(blob: bytes) -> tuple[bytes, bytes]:
@@ -473,28 +469,10 @@ def _open_plane(blob: bytes) -> tuple[bytes, bytes]:
     return inflate(bits_blob), inflate(sign_blob)
 
 
-def prefix_values(dg: DecodedGroup, keep: int) -> np.ndarray:
-    """Dequantise after truncating to the first ``keep`` planes.
-
-    Clearing the low ``num_planes - keep`` bits of the decoded integers
-    reproduces exactly what decoding only ``keep`` planes would have
-    produced, so one full decode serves every prefix.
-    """
-    if not 0 <= keep <= dg.kept:
-        raise ValueError(
-            f"keep must be in [0, {dg.kept}], got {keep}"
-        )
+def dequantise(dg: DecodedGroup) -> np.ndarray:
+    """Signed coefficient values of a decoded group."""
     if dg.count == 0 or dg.num_planes == 0:
         return np.zeros(dg.count, dtype=np.float64)
-    if keep == dg.kept:
-        q, sgn = dg.q, dg.sign
-    else:
-        q = dg.q & np.uint64(~((1 << (dg.num_planes - keep)) - 1) & (2**64 - 1))
-        # A sign recorded in a now-masked plane belongs to a coefficient
-        # whose magnitude is zero at this prefix; drop it so the output
-        # is +0.0 exactly as a fresh shorter decode produces.
-        sgn = dg.sign & (q != 0)
-    lsb = 2.0 ** (dg.exponent - dg.num_planes + 1)
-    out = q.astype(np.float64) * lsb
-    np.negative(out, where=sgn, out=out)
+    out = dg.q.astype(np.float64) * 2.0 ** (dg.exponent - dg.num_planes + 1)
+    np.negative(out, where=dg.sign, out=out)
     return out

@@ -10,13 +10,12 @@ These (s_j, e_j) pairs are exactly what the RAPIDS optimisation models in
 
 The heavy stages run on the chunked kernels of
 :mod:`repro.refactor.kernels` and tile over threads (``workers=``; left
-unset, small arrays run inline).  ``measure_errors=True`` no longer
-reconstructs every prefix from scratch: the encoder's own quantised
-magnitudes serve as the decoded state, each prefix is an O(n) bit-mask
-of them, and only the inverse transform runs per component — with the
-zero-detail row skip in :mod:`repro.refactor.transform` making the early
-(mostly-zero) prefixes cheap.  The measured values are bit-identical to
-the from-scratch path.
+unset, small arrays run inline).  ``measure_errors=True`` decodes
+nothing: the encoder's own quantised magnitudes are dequantised once
+into a Mallat-layout array, each prefix is a power-of-two truncation of
+it, and only the inverse transform and one L-infinity pass run per
+component.  The measured values are bit-identical to reconstructing
+every prefix from its payloads.
 """
 
 from __future__ import annotations
@@ -63,9 +62,32 @@ def reconstruct_block(
     return Refactorer(**config).reconstruct(obj, upto=upto, payloads=payloads)
 
 
-def _all_planes_kept(kept: list[int], num_planes: list[int]) -> bool:
-    """Whether a prefix holds every plane of every coefficient group."""
-    return all(n > 0 and k == n for k, n in zip(kept, num_planes))
+def _truncate_to_prefix(
+    full: np.ndarray, out: np.ndarray, plans: list[LevelPlan],
+    exponents: list[int], kept: list[int],
+) -> None:
+    """Write ``full`` cut to the first ``kept[g]`` planes of each group.
+
+    ``full`` is Mallat-layout, every group dequantised at all its
+    planes.  Keeping ``k`` planes clears low bits of the integer
+    magnitudes: ``trunc(v / step) * step`` with ``step = 2**(exponent -
+    k + 1)``, exact because magnitudes are integer-valued doubles and
+    ``step`` a power of two.  Group ``g`` is its corner minus the next
+    coarser one, so whole corners are cut from the finest inwards.  A
+    value cut to nothing keeps its sign (``-0.0``), which no sum with a
+    non-zero term and no ``|x - x^|`` can see.
+    """
+    corners = [plans[-1].coarse_shape] + [p.fine_shape for p in reversed(plans)]
+    for g in reversed(range(len(corners))):
+        corner = tuple(slice(0, n) for n in corners[g])
+        if kept[g] == 0:
+            out[corner] = 0.0
+            continue
+        step = 2.0 ** (exponents[g] - kept[g] + 1)
+        dst = out[corner]
+        np.divide(full[corner], step, out=dst)
+        np.trunc(dst, out=dst)
+        dst *= step
 
 
 @dataclass
@@ -201,8 +223,8 @@ class Refactorer:
         ``measure_errors=False`` skips the per-prefix empirical error
         measurement and reports only the closed-form bounds; use it on
         large arrays in benchmarks.  (With measurement on, the cost is
-        one inverse transform per component over incrementally unmasked
-        magnitudes — not a from-scratch decode+reconstruct per prefix.)
+        one inverse transform per component over truncations of the
+        encoder's own magnitudes — not a decode+reconstruct per prefix.)
         """
         state = self._encode(data)
         obj = state["obj"]
@@ -211,7 +233,7 @@ class Refactorer:
         )
         if measure_errors:
             obj.errors = self._measure_errors(
-                state["data"], obj, state["groups"], state["decoded"],
+                state["data"], obj, state.pop("decoded"),
                 state["kept_after"], state["workers"],
             )
         else:
@@ -319,7 +341,6 @@ class Refactorer:
         return {
             "data": data,
             "obj": obj,
-            "groups": groups,
             "decoded": [qg.decoded() for qg in qgs],
             "planesets": planesets,
             "comps": comps,
@@ -331,35 +352,47 @@ class Refactorer:
         self,
         data: np.ndarray,
         obj: RefactoredObject,
-        groups: list[np.ndarray],
         decoded: list[kernels.DecodedGroup],
         kept_after: list[list[int]],
         workers: int,
     ) -> list[float]:
-        """Measured per-prefix errors, incrementally.
+        """Measured per-prefix errors from one dequantisation.
 
-        The quantised magnitudes were decoded (or, here, never thrown
-        away) exactly once; prefix ``j`` unmasks the planes component
-        ``j`` added — an O(n) integer mask per touched group — and runs
-        one inverse transform.  Values are bit-identical to
+        Every group is dequantised once into a Mallat-layout array — the
+        state of the last prefix; each shorter prefix is cut from it
+        (:func:`_truncate_to_prefix`) into the buffer its inverse
+        transform then runs in.  Values are bit-identical to
         ``relative_linf_error(data, reconstruct(obj, upto=j + 1))``.
         """
-        flat = np.zeros(int(np.prod(obj.shape)), dtype=np.float64)
+        full = np.zeros(obj.shape, dtype=np.float64)
+        flat = full.reshape(-1)
+        groups = transform.level_flat_indices(obj.plans, obj.shape)
+        for g, idx in enumerate(groups):
+            flat[idx] = kernels.dequantise(decoded[g])
+        exponents = [dg.exponent for dg in decoded]
         num_planes = [dg.num_planes for dg in decoded]
-        prev = [0] * len(groups)
+        # The integer magnitudes are not needed again: free them before
+        # the recomposes, where the footprint peaks.
+        decoded.clear()
+        original = np.ascontiguousarray(data, dtype=np.float64)
+        work = np.empty_like(full)
         errors: list[float] = []
         for kept in kept_after:
-            for g, (k_new, k_old) in enumerate(zip(kept, prev)):
-                if k_new != k_old:
-                    flat[groups[g]] = kernels.prefix_values(decoded[g], k_new)
-            prev = kept
+            if kept is kept_after[-1] and kept == num_planes:
+                work = full  # nothing to cut, and no later prefix needs it
+            else:
+                _truncate_to_prefix(full, work, obj.plans, exponents, kept)
+            # recompose transforms ``work`` in place; the next prefix
+            # rebuilds all of it from ``full``.
             rec = transform.recompose(
-                flat.reshape(obj.shape), obj.plans,
-                correction=obj.correction, workers=workers,
-                detect_zero_rows=not _all_planes_kept(kept, num_planes),
+                work, obj.plans, correction=obj.correction,
+                workers=workers, overwrite=True,
             )
             errors.append(
-                relative_linf_error(data, rec.astype(obj.dtype, copy=False))
+                relative_linf_error(
+                    original, rec.astype(obj.dtype, copy=False),
+                    data_max=obj.data_max,
+                )
             )
         return errors
 
@@ -422,15 +455,8 @@ class Refactorer:
                 flat[idx] = bitplane.decode_planes(
                     ps, keep=len(ps.planes), workers=workers
                 )
-        mallat = flat.reshape(obj.shape)
-        # With every plane of every group present the zero-detail-line
-        # scan cannot pay off; skip it (output is bitwise identical).
-        dense = _all_planes_kept(
-            [len(ps.planes) for ps in planesets],
-            [ps.num_planes for ps in planesets],
-        )
         out = transform.recompose(
-            mallat, obj.plans, correction=obj.correction,
-            workers=workers, detect_zero_rows=not dense,
+            flat.reshape(obj.shape), obj.plans, correction=obj.correction,
+            workers=workers, overwrite=True,
         )
         return out.astype(obj.dtype, copy=False)

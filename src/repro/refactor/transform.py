@@ -21,25 +21,33 @@ coefficients form the ring between successive corners.
 All kernels are fully vectorised and operate *in native layout*: the
 coarse/detail shuffles are strided slice assignments along the transform
 axis (no transpose copies — the last array axis stays contiguous, so the
-ufunc inner loops still stream), and only the tridiagonal mass solves
-gather their half-size right-hand side into an axis-first block for
-``scipy.linalg.solve_banded``.  Decompose and recompose apply
-bit-identical floating point operations in reverse order, so the
-transform round-trips to ~1e-12 relative accuracy (it is not bit-exact
-because the mass solve is an inexact float inverse).
+ufunc inner loops still stream), and only the L2 correction gathers its
+half-size right-hand side into an axis-first ``(nc, lines)`` block.
+
+The L2 projection solves, per line, a tridiagonal system with the mass
+matrix of the coarse hat functions, which depends on the axis length
+alone.  As in MGARD the solve is a pre-processed kernel, not a library
+call per block: :func:`_axis_structure` eliminates the matrix once per
+length, :func:`_mass_solve` replays that on a block one row of all lines
+at a time.  No pivoting is needed — the matrix is strictly diagonally
+dominant (diagonal ``(h_l + h_r) / 3``, off-diagonals ``h / 6``), so
+this Thomas recurrence is the operation sequence LAPACK ``dgtsv`` runs
+on it.  Every step acts within one line, so a zero right-hand side
+gives exact zeros and zero lines need no special case.  Decompose, the
+error-measurement recomposes and every restore share the kernel, so
+coefficients — hence payload bytes — do not depend on which LAPACK a
+SciPy build links.  Decompose and recompose apply bit-identical
+operations in reverse order: the transform round-trips to ~1e-12 (not
+bit-exact, the mass solve is an inexact float inverse).
 
 Parallelism: blocks are *tiled* along their largest non-transform axis —
 contiguous spans go through :func:`repro.parallel.threads.thread_map`
 (``workers=``), each tile writing its disjoint slice of a preallocated
-output.  Every kernel is line-independent (the banded solve treats RHS
-columns independently, bitwise), and the tiling itself never enters the
-arithmetic, so threaded output is bit-identical to serial —
-property-tested.  On the recompose path, lines whose detail block is
-exactly zero skip the correction solve (their correction is identically
-zero); the predicate is per line, so the skip set never depends on tile
-boundaries, and callers reconstructing from dense (all-planes) payloads
-can disable the scan with ``detect_zero_rows=False`` — the output is
-bitwise the same either way.
+output.  Every kernel is line-independent and the tiling itself never
+enters the arithmetic, so threaded output is bit-identical to serial —
+property-tested.  On the recompose path a block whose detail is entirely
+zero (the fine rings of an early prefix) skips the correction and the
+detail add outright; the values are what the full computation gives.
 """
 
 from __future__ import annotations
@@ -47,7 +55,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ..parallel.threads import balanced_spans, default_workers, thread_map
 from .grid import LevelPlan, coarse_indices, detail_indices, plan_levels
@@ -70,6 +77,12 @@ _AXIS_LOCK = threading.Lock()
 #: Minimum lines per tile — below this the per-tile LAPACK/slice overhead
 #: outweighs any parallel win and the kernels run in one block.
 _MIN_TILE_ROWS = 256
+
+#: Lines per block below which the mass solve steps through Python
+#: floats instead of row-wide array operations (measured crossover: a
+#: row step costs ~4.5 us however few lines it spans, a float step
+#: ~0.2 us per line).
+_MIN_VECTOR_LINES = 12
 
 #: Array size below which a refactor or reconstruct whose caller left
 #: ``workers`` unset runs inline.  Creating and joining the dozen or so
@@ -116,17 +129,57 @@ def _axis_structure(n: int) -> dict:
         nc = ci.size
         # Coarse-grid spacings (fine-grid units; uniform fine spacing 1).
         spacing = np.diff(ci).astype(np.float64)
-        # Tridiagonal mass matrix for hat functions on the coarse grid, in
-        # solve_banded's (1, 1) ab-form: row 0 = superdiag, 1 = diag,
-        # 2 = subdiag.
-        ab = np.zeros((3, nc))
-        ab[1, :-1] += spacing / 3.0
-        ab[1, 1:] += spacing / 3.0
-        ab[0, 1:] = spacing / 6.0
-        ab[2, :-1] = spacing / 6.0
-        cached = {"mass_ab": ab, "nc": nc}
+        # Tridiagonal mass matrix of the hat functions on the coarse
+        # grid: diagonal (h_left + h_right) / 3, both off-diagonals h / 6.
+        diag = np.zeros(nc)
+        diag[:-1] += spacing / 3.0
+        diag[1:] += spacing / 3.0
+        diag = diag.tolist()
+        off = (spacing / 6.0).tolist()
+        # Gaussian elimination without pivoting, once per axis length.
+        mult = []
+        for k in range(nc - 1):
+            mult.append(off[k] / diag[k])
+            diag[k + 1] = diag[k + 1] - mult[k] * off[k]
+        # (fine positions, coarse positions) of the surviving nodes:
+        # every other one, and the final node of an even-length line.
+        nodes = [(slice(0, n, 2), slice(0, nc))] if n % 2 else [
+            (slice(0, n - 1, 2), slice(0, nc - 1)),
+            (slice(n - 1, n), slice(nc - 1, nc)),
+        ]
+        cached = {"nc": nc, "mult": mult, "diag": diag, "upper": off,
+                  "nodes": nodes}
         _AXIS_CACHE[n] = cached
     return cached
+
+
+def _mass_solve(load: np.ndarray, st: dict) -> None:
+    """Solve the mass system in place for an axis-first ``(nc, lines)`` block.
+
+    Rows are views spanning all lines, so one elimination step is a few
+    array operations whatever the line count; on a few long lines the
+    same steps on Python floats cost less than that many tiny array
+    calls.  Both are IEEE double operations in one order: same bits.
+    """
+    if load.shape[1] >= _MIN_VECTOR_LINES:
+        _thomas(list(load), st)
+    else:
+        for col in load.T:
+            line = col.tolist()
+            _thomas(line, st)
+            col[:] = line
+
+
+def _thomas(rows: list, st: dict) -> None:
+    """Cached elimination on ``rows`` (arrays or floats): ``b[k+1] -=
+    mult[k]*b[k]``, then ``b[k] = (b[k] - upper[k]*b[k+1]) / d[k]``."""
+    mult, diag, upper = st["mult"], st["diag"], st["upper"]
+    for k in range(len(rows) - 1):
+        rows[k + 1] -= mult[k] * rows[k]
+    rows[-1] /= diag[-1]
+    for k in range(len(rows) - 2, -1, -1):
+        rows[k] -= upper[k] * rows[k + 1]
+        rows[k] /= diag[k]
 
 
 def _axsl(ndim: int, axis: int, sl) -> tuple:
@@ -136,39 +189,23 @@ def _axsl(ndim: int, axis: int, sl) -> tuple:
     return tuple(idx)
 
 
-def _solve_cols(detail_cols: np.ndarray, st: dict) -> np.ndarray:
-    """L2-project detail lines (axis-first columns) onto the coarse space.
-
-    ``detail_cols`` is (nd, m): one line per column.  Returns the
-    (nc, m) correction to *add* to the coarse values.  The load vector
-    uses the exact overlap integral of a fine hat with its two
-    neighbouring coarse hats, which is h/2 = 1/2 on the unit-spaced fine
-    grid.  Detail node j always sits between coarse positions j and
-    j + 1 (the coarsening rule keeps every other node plus the final
-    one), so coarse node j's load is half the sum of its (at most two)
-    neighbouring details — built directly instead of scatter-adding into
-    a zeroed buffer.
-    """
-    nd, m = detail_cols.shape
-    nc = st["nc"]
-    half = 0.5 * detail_cols
-    load = np.empty((nc, m))
-    load[0] = half[0]
-    np.add(half[1:nd], half[: nd - 1], out=load[1:nd])
-    load[nd] = half[nd - 1]
-    if nc > nd + 1:
-        load[nd + 1 :] = 0.0
-    # Mass solve, batched over lines (RHS columns).  ``mass_ab`` is the
-    # cached shared matrix and must NOT be overwritten; the RHS is our
-    # own scratch.  Columns are solved independently (bitwise), which is
-    # what makes line tiling exact.
-    return solve_banded(
-        (1, 1), st["mass_ab"], load, check_finite=False, overwrite_b=True
-    )
+def _any_nonzero(block: np.ndarray) -> bool:
+    """Whether a block has a non-zero; dense ones answer from one slab."""
+    return bool(block[0].any() or block.any())
 
 
 def _correction_nd(detail: np.ndarray, axis: int, st: dict) -> np.ndarray:
-    """Correction for an ND detail block, shaped like the coarse block."""
+    """L2-project an ND detail block onto the coarse space.
+
+    Returns the correction to *add* to the coarse block, shaped like it.
+    The load vector uses the exact overlap integral of a fine hat with
+    its two neighbouring coarse hats, which is h/2 = 1/2 on the
+    unit-spaced fine grid.  Detail node j always sits between coarse
+    positions j and j + 1 (the coarsening rule keeps every other node
+    plus the final one), so coarse node j's load is half the sum of its
+    (at most two) neighbouring details — built directly instead of
+    scatter-adding into a zeroed buffer.
+    """
     d2 = np.moveaxis(detail, axis, 0)
     rest = d2.shape[1:]
     nd = d2.shape[0]
@@ -185,10 +222,8 @@ def _correction_nd(detail: np.ndarray, axis: int, st: dict) -> np.ndarray:
     load[nd] = half[nd - 1]
     if nc > nd + 1:
         load[nd + 1 :] = 0.0
-    corr = solve_banded(
-        (1, 1), st["mass_ab"], load, check_finite=False, overwrite_b=True
-    )
-    return np.moveaxis(corr.reshape((nc,) + rest), 0, axis)
+    _mass_solve(load, st)
+    return np.moveaxis(load.reshape((nc,) + rest), 0, axis)
 
 
 def _decompose_block(
@@ -201,16 +236,8 @@ def _decompose_block(
     nd = n - nc
     ndim = src.ndim
     coarse = out[_axsl(ndim, axis, slice(0, nc))]
-    if n % 2:
-        coarse[...] = src[_axsl(ndim, axis, slice(0, n, 2))]
-    else:
-        # Even length: every other node plus the final one survives.
-        coarse[_axsl(ndim, axis, slice(0, nc - 1))] = src[
-            _axsl(ndim, axis, slice(0, n - 1, 2))
-        ]
-        coarse[_axsl(ndim, axis, slice(nc - 1, nc))] = src[
-            _axsl(ndim, axis, slice(n - 1, n))
-        ]
+    for fine, kept in st["nodes"]:
+        coarse[_axsl(ndim, axis, kept)] = src[_axsl(ndim, axis, fine)]
     if nd:
         detail = out[_axsl(ndim, axis, slice(nc, n))]
         pred = (
@@ -226,11 +253,7 @@ def _decompose_block(
 
 
 def _recompose_block(
-    src: np.ndarray,
-    out: np.ndarray,
-    axis: int,
-    correction: bool,
-    detect_zero_rows: bool,
+    src: np.ndarray, out: np.ndarray, axis: int, correction: bool
 ) -> None:
     """Exact inverse of :func:`_decompose_block` (same axis length)."""
     n = src.shape[axis]
@@ -240,48 +263,22 @@ def _recompose_block(
     ndim = src.ndim
     cin = src[_axsl(ndim, axis, slice(0, nc))]
     detail = src[_axsl(ndim, axis, slice(nc, n))] if nd else None
+    # The fine rings of an early prefix are still all zeros: their
+    # correction is exactly zero and there is nothing to add to the
+    # interpolated values, so such a block is interpolation only.
+    if nd and not _any_nonzero(detail):
+        detail = None
     corr = None
-    detail_all_zero = False
-    if correction and nd:
-        if detect_zero_rows:
-            # A line whose detail block is exactly zero has an
-            # exactly-zero correction (zero RHS solves to zero);
-            # skipping its solve keeps early-prefix reconstructions —
-            # where most rings are still all zeros — from paying
-            # full-price mass solves.  The predicate is per line, so the
-            # skip set never depends on tile boundaries.
-            d2 = np.moveaxis(detail, axis, 0)
-            active = d2.any(axis=0)
-            if not active.any():
-                detail_all_zero = True
-            elif active.all():
-                corr = _correction_nd(detail, axis, st)
-            else:
-                corr_full = np.zeros((nc,) + active.shape)
-                corr_full[:, active] = _solve_cols(d2[:, active], st)
-                corr = np.moveaxis(corr_full, 0, axis)
-        else:
-            corr = _correction_nd(detail, axis, st)
+    if correction and detail is not None:
+        corr = _correction_nd(detail, axis, st)
     # Corrected coarse values go straight to their interleaved output
-    # positions (every other node; even lengths park the last coarse
-    # value at the final position).
-    if n % 2:
-        oc = out[_axsl(ndim, axis, slice(0, n, 2))]
+    # positions.
+    for fine, kept in st["nodes"]:
+        fine, kept = _axsl(ndim, axis, fine), _axsl(ndim, axis, kept)
         if corr is None:
-            oc[...] = cin
+            out[fine] = cin[kept]
         else:
-            np.subtract(cin, corr, out=oc)
-    else:
-        oc = out[_axsl(ndim, axis, slice(0, n - 1, 2))]
-        oc_last = out[_axsl(ndim, axis, slice(n - 1, n))]
-        head = _axsl(ndim, axis, slice(0, nc - 1))
-        tail = _axsl(ndim, axis, slice(nc - 1, nc))
-        if corr is None:
-            oc[...] = cin[head]
-            oc_last[...] = cin[tail]
-        else:
-            np.subtract(cin[head], corr[head], out=oc)
-            np.subtract(cin[tail], corr[tail], out=oc_last)
+            np.subtract(cin[kept], corr[kept], out=out[fine])
     if nd:
         # Detail node j sits between coarse j and j + 1, which already
         # live at even output positions 2j and 2j + 2 (never the parked
@@ -295,9 +292,7 @@ def _recompose_block(
             out=od,
         )
         od *= 0.5
-        # Adding an all-zero detail block is skipped outright; the kept
-        # values are what a fresh shorter decode scatters there anyway.
-        if not detail_all_zero:
+        if detail is not None:
             od += detail
 
 
@@ -353,7 +348,7 @@ def decompose_axis(
 
 def recompose_axis(
     arr: np.ndarray, axis: int, n: int, *, correction: bool = True,
-    workers: int | None = None, detect_zero_rows: bool = True,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Inverse of :func:`decompose_axis` (n = original axis length)."""
     arr = np.asarray(arr)
@@ -364,9 +359,7 @@ def recompose_axis(
         )
     out = np.empty(arr.shape, dtype=np.float64)
     _apply_axis(
-        lambda s, d: _recompose_block(
-            s, d, axis, correction, detect_zero_rows
-        ),
+        lambda s, d: _recompose_block(s, d, axis, correction),
         arr, out, axis, workers,
     )
     return out
@@ -418,19 +411,19 @@ def decompose(
 
 def recompose(
     mallat: np.ndarray, plans: list[LevelPlan], *, correction: bool = True,
-    workers: int | None = None, detect_zero_rows: bool = True,
+    workers: int | None = None, overwrite: bool = False,
 ) -> np.ndarray:
     """Invert :func:`decompose` from Mallat layout back to nodal values.
 
-    ``detect_zero_rows=False`` disables the per-line zero-detail scan —
-    a pure speed hint for dense (all-planes-present) inputs; the output
-    is bitwise identical either way.
+    ``overwrite=True`` lets a caller that owns ``mallat`` (a float64
+    array it no longer needs) have it transformed in place and returned,
+    instead of paying for a copy.
     """
-    out = np.array(mallat, dtype=np.float64, copy=True)
+    # np.array copies; np.asarray only where the dtype makes it.
+    out = (np.asarray if overwrite else np.array)(mallat, dtype=np.float64)
     _sweep(
         out, [(p.fine_shape, p.coarsened_axes[::-1]) for p in reversed(plans)],
-        lambda s, d, a: _recompose_block(s, d, a, correction, detect_zero_rows),
-        workers,
+        lambda s, d, a: _recompose_block(s, d, a, correction), workers,
     )
     return out
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
@@ -176,6 +176,10 @@ class TestBitIdentity:
         dtype=st.sampled_from([np.float32, np.float64]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    # The one-tile boundary: tile_planes == planes is a single tile (no
+    # pool, ``extra == {}``), one plane more is the first tiled geometry.
+    @example(planes=8, width=4, tile_planes=8, dtype=np.float64, seed=0)
+    @example(planes=9, width=4, tile_planes=8, dtype=np.float32, seed=1)
     def test_process_matches_inline(
         self, tmp_path_factory, planes, width, tile_planes, dtype, seed
     ):
@@ -194,7 +198,7 @@ class TestBitIdentity:
         assert ri.ft_config == rp.ft_config
         assert ri.level_sizes == rp.level_sizes
         assert ri.level_errors == rp.level_errors
-        assert rp.extra["procpipe"]["arena_leaked"] == []
+        assert rp.extra.get("procpipe", {}).get("arena_leaked", []) == []
         levels = len(ri.level_sizes)
         assert stored_bytes(pipes["inline"], "obj", levels) == stored_bytes(
             pipes["proc"], "obj", levels

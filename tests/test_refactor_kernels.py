@@ -8,8 +8,9 @@ The overhauled pipeline promises three things this module pins down:
 2. *Bit-identity with the original serial algorithms* — compact
    reference implementations of the seed's per-plane loops live in this
    file and every blob/value is compared exactly.
-3. *Incremental error measurement is exact* — the masked-prefix path
-   matches a from-scratch reconstruction per prefix, bit for bit.
+3. *Incremental error measurement is exact* — truncating one
+   dequantisation per prefix matches a from-scratch reconstruction per
+   prefix, bit for bit.
 """
 
 import hashlib
@@ -362,16 +363,35 @@ class TestIncrementalErrors:
             fresh = relative_linf_error(data, rec)
             assert obj.errors[j] == fresh
 
-    def test_prefix_values_match_fresh_decode(self):
-        rng = np.random.default_rng(13)
-        c = rng.normal(size=3000)
-        ps = encode_planes(c, num_planes=28)
-        qg = kernels.quantise(c, 28)
-        dg = qg.decoded()
-        for keep in (0, 1, 9, 17, 28):
-            masked = kernels.prefix_values(dg, keep)
-            fresh = decode_planes(ps, keep=keep)
-            assert masked.tobytes() == fresh.tobytes()
+    def test_truncation_matches_fresh_decode(self):
+        """Every prefix cut from the one full dequantisation holds the
+        values a fresh decode of that many planes scatters (``==``: a
+        value cut to nothing may be -0.0 where the decode gives +0.0)."""
+        from repro.refactor.refactorer import _truncate_to_prefix
+
+        data = smooth_field((19, 20, 21), seed=13) - 0.3
+        groups = None
+        for planes in (7, 28, 60):
+            state = Refactorer(5, num_planes=planes)._encode(data)
+            plans, planesets = state["obj"].plans, state["planesets"]
+            groups = groups or transform.level_flat_indices(plans, data.shape)
+
+            def scattered(kept):
+                flat = np.zeros(data.size)
+                for idx, ps, k in zip(groups, planesets, kept):
+                    if ps.num_planes:
+                        flat[idx] = decode_planes(ps, keep=k)
+                return flat.reshape(data.shape)
+
+            full = scattered([ps.num_planes for ps in planesets])
+            exponents = [ps.exponent for ps in planesets]
+            for kept in state["kept_after"]:
+                out = np.full(data.shape, np.nan)
+                _truncate_to_prefix(full, out, plans, exponents, kept)
+                assert np.array_equal(out, scattered(kept))
+            assert any(0 < k < ps.num_planes
+                       for kept in state["kept_after"]
+                       for k, ps in zip(kept, planesets))
 
 
 # -- fan-out chosen from the input size ----------------------------------
@@ -413,23 +433,81 @@ class TestAutoFanout:
         assert made and set(made) <= {1, 2, 3, 4}
 
 
-class TestZeroRowScanSkipped:
-    def test_last_prefix_skips_the_scan_like_reconstruct(self, monkeypatch):
-        calls = []
+class TestMeasureErrors:
+    """The truncate-from-one-dequantisation loop equals reconstructing
+    every prefix from its payloads, value for value."""
+
+    @staticmethod
+    def _fresh(ref, data, obj):
+        return [
+            relative_linf_error(data, ref.reconstruct(obj, upto=j + 1))
+            for j in range(obj.num_components)
+        ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("planes", [6, 20, 58])
+    def test_matches_reconstruct_per_prefix(self, dtype, planes):
+        data = smooth_field((21, 22, 23), seed=6, dtype=dtype)
+        ref = Refactorer(4, num_planes=planes)
+        obj = ref.refactor(data)
+        assert obj.errors == self._fresh(ref, data, obj)
+
+    def test_empty_and_untouched_groups(self):
+        """Anchored groups below the quantisation floor have no planes
+        at all; early prefixes keep none of a group that has some."""
+        data = smooth_field((33, 34), seed=2)
+        ref = Refactorer(5, num_planes=6)
+        state = ref._encode(data)
+        planes = [dg.num_planes for dg in state["decoded"]]
+        assert 0 in planes
+        assert any(
+            k == 0 and n > 0 for k, n in zip(state["kept_after"][0], planes)
+        )
+        obj = ref.refactor(data)
+        assert obj.errors == self._fresh(ref, data, obj)
+
+    def test_negative_values_truncated_to_nothing(self, monkeypatch):
+        """Truncation leaves -0.0 where the payload decode gives +0.0;
+        the measured errors must not see the difference."""
+        seen = []
         real = transform.recompose
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("detect_zero_rows", True))
-            return real(*args, **kwargs)
+        def spy(mallat, *args, **kwargs):
+            seen.append(bool(np.any(np.signbit(mallat) & (mallat == 0))))
+            return real(mallat, *args, **kwargs)
 
+        data = -np.abs(smooth_field((20, 21, 22), seed=9)) - 0.5
+        ref = Refactorer(4, num_planes=18)
         monkeypatch.setattr(transform, "recompose", spy)
-        data = smooth_field((20, 21, 22), seed=6)
-        ref = Refactorer(3, num_planes=20)
         obj = ref.refactor(data)
-        assert calls == [True, True, False]
-        ref.reconstruct(obj)
-        ref.reconstruct(obj, upto=2)
-        assert calls[3:] == [False, True]
+        monkeypatch.undo()
+        assert seen[0] and len(seen) == 4
+        assert obj.errors == self._fresh(ref, data, obj)
+
+    def test_all_zero_array(self):
+        data = np.zeros((9, 10, 11))
+        obj = Refactorer(3, num_planes=16).refactor(data)
+        assert obj.errors == [0.0, 0.0, 0.0]
+
+    #: tracemalloc peak of this call at the parent of the commit that
+    #: introduced the test (same field, same warm caches).
+    PARENT_PEAK_BYTES = 18_299_842
+
+    def test_footprint_no_higher_than_before(self):
+        import tracemalloc
+
+        from repro.datasets import nyx_temperature
+
+        data = nyx_temperature((64, 64, 64), seed=3).astype(np.float64)
+        ref = Refactorer(4, num_planes=22)
+        ref.refactor(data)  # index and axis caches are not the loop's
+        tracemalloc.start()
+        try:
+            ref.refactor(data, measure_errors=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PARENT_PEAK_BYTES
 
 
 # -- the fixed decode_planes validation (satellite) ----------------------

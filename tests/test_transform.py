@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.linalg import solve_banded
 
 from repro.refactor import transform
-from repro.refactor.grid import plan_levels
+from repro.refactor.grid import coarse_indices, plan_levels
 
 
 def _roundtrip(u, correction=True, max_levels=6):
@@ -201,3 +202,128 @@ class TestAxisKernels:
         fwd = transform.decompose_axis(u, 0)
         back = transform.recompose_axis(fwd, 0, 11)
         np.testing.assert_allclose(back, u, atol=1e-12)
+
+
+# -- the cached, line-vectorised mass solve ------------------------------
+
+
+def _mass_matrix(n):
+    """(off-diagonal, diagonal) of the coarse hat-function mass matrix."""
+    h = np.diff(coarse_indices(n)).astype(np.float64)
+    d = np.zeros(h.size + 1)
+    d[:-1] += h / 3.0
+    d[1:] += h / 3.0
+    return (h / 6.0).tolist(), d.tolist()
+
+
+def _dgtsv_no_pivot(off, d, b):
+    """LAPACK dgtsv's recurrence for one right-hand side, on Python floats.
+
+    The branch dgtsv takes when ``|d[k]| >= |dl[k]|`` at every step,
+    which the assert checks; sub- and super-diagonal are both ``off``.
+    """
+    d, b = list(d), list(b)
+    n = len(d)
+    for k in range(n - 1):
+        assert abs(d[k]) >= abs(off[k])
+        fact = off[k] / d[k]
+        d[k + 1] = d[k + 1] - fact * off[k]
+        b[k + 1] = b[k + 1] - fact * b[k]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    for k in range(n - 2, -1, -1):
+        b[k] = (b[k] - off[k] * b[k + 1]) / d[k]
+    return b
+
+
+class TestMassSolve:
+    @given(
+        n=st.integers(3, 257),
+        lines=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_scalar_dgtsv_bitwise(self, n, lines, seed):
+        """Every axis length plan_levels can hand the kernel (odd and
+        even, so both spacing patterns), few lines and many."""
+        off, d = _mass_matrix(n)
+        load = np.random.default_rng(seed).standard_normal((len(d), lines))
+        load *= 10.0 ** np.random.default_rng(seed + 1).integers(-8, 9)
+        got = load.copy()
+        transform._mass_solve(got, transform._axis_structure(n))
+        want = np.array(
+            [_dgtsv_no_pivot(off, d, load[:, j]) for j in range(lines)]
+        ).T
+        assert got.tobytes() == want.tobytes()
+        # Bitwise equality with the linked LAPACK is what this build
+        # shows; only agreement to rounding is promised.
+        ab = np.zeros((3, len(d)))
+        ab[0, 1:], ab[1], ab[2, :-1] = off, d, off
+        np.testing.assert_allclose(
+            got, solve_banded((1, 1), ab, load), rtol=1e-13,
+            atol=1e-13 * np.abs(load).max(),
+        )
+
+    @pytest.mark.parametrize("n", [3, 4, 64, 129])
+    @pytest.mark.parametrize("lines", [1, 5, 12, 40])
+    def test_zero_rhs_gives_exact_zeros(self, n, lines):
+        """What makes solving every line, zero or not, exact."""
+        st_ = transform._axis_structure(n)
+        load = np.zeros((st_["nc"], lines))
+        load[:, lines // 2] = 1.0
+        transform._mass_solve(load, st_)
+        rest = np.delete(load, lines // 2, axis=1)
+        assert not rest.any() and not np.signbit(rest).any()
+        assert load[:, lines // 2].any()
+
+    def test_line_count_does_not_change_a_line(self):
+        """Few lines run on Python floats, many on array rows: same bits."""
+        st_ = transform._axis_structure(65)
+        load = np.random.default_rng(5).standard_normal((st_["nc"], 64))
+        wide = load.copy()
+        transform._mass_solve(wide, st_)
+        for lo in range(0, 64, 4):
+            few = load[:, lo : lo + 4].copy()
+            assert few.shape[1] < transform._MIN_VECTOR_LINES
+            transform._mass_solve(few, st_)
+            assert few.tobytes() == wide[:, lo : lo + 4].tobytes()
+
+
+class TestZeroBlockShortcut:
+    @pytest.mark.parametrize("shape", [(33,), (18, 17), (17, 18, 19)])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_output_identical_with_and_without(self, monkeypatch, shape, workers):
+        """A prefix whose fine rings are still zero: skipping their
+        blocks gives the bits the full computation gives."""
+        u = np.random.default_rng(11).normal(size=shape)
+        mallat, plans = transform.decompose(u)
+        groups = transform.level_flat_indices(plans, shape)
+        flat = mallat.reshape(-1)
+        for g in groups[-2:]:
+            flat[g] = 0.0
+        verdicts = []
+        real = transform._any_nonzero
+
+        def spy(block):
+            verdicts.append(real(block))
+            return verdicts[-1]
+
+        monkeypatch.setattr(transform, "_any_nonzero", spy)
+        short = transform.recompose(mallat, plans, workers=workers)
+        assert False in verdicts and True in verdicts
+        monkeypatch.setattr(transform, "_any_nonzero", lambda block: True)
+        full = transform.recompose(mallat, plans, workers=workers)
+        assert short.tobytes() == full.tobytes()
+
+    def test_overwrite_transforms_the_callers_buffer(self):
+        u = np.random.default_rng(12).normal(size=(17, 9))
+        mallat, plans = transform.decompose(u)
+        want = transform.recompose(mallat, plans)
+        keep = mallat.copy()
+        assert transform.recompose(mallat, plans) is not mallat
+        assert mallat.tobytes() == keep.tobytes()
+        out = transform.recompose(mallat, plans, overwrite=True)
+        assert out is mallat and out.tobytes() == want.tobytes()
+        # Anything that is not a float64 array is copied as before.
+        as32 = keep.astype(np.float32)
+        out32 = transform.recompose(as32, plans, overwrite=True)
+        assert out32 is not as32 and out32.dtype == np.float64
