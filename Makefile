@@ -58,11 +58,13 @@ chaos:
 		chaos --seed $${RAPIDS_CHAOS_SEED:-7} --verify-replay || test $$? -eq 2
 
 # End-to-end self-healing smoke (thread sanitizer on): prepare a
-# file-backed workspace, inflict at-rest damage plus an outage from a
+# file-backed workspace of two objects (both names are sanitised on
+# disk: ':' and '/'), inflict at-rest damage plus an outage from a
 # crafted plan (one outage + bit rot + a deletion stays inside every
 # level's parity budget m_j, so the archive is heal-able by
 # construction — a random high-intensity plan routinely exceeds the
-# deepest level's m and is unrecoverable by design), heal it
+# deepest level's m and is unrecoverable by design), tear one fragment
+# file as a power cut mid-write would, heal it
 # (rapids scrub --repair must leave the archive healthy), then prove a
 # clean follow-up scrub and a full restore.  RAPIDS_CHAOS_SEED
 # (default 7) seeds the plan's probability draws.
@@ -85,8 +87,12 @@ scrub-smoke:
 		)).save('$(SCRUB_WS)-plan.json')"
 	$(PYTHON) -m repro.cli prepare $(SCRUB_WS)-field.npy smoke:field \
 		--workspace $(SCRUB_WS)
+	$(PYTHON) -m repro.cli prepare $(SCRUB_WS)-field.npy smoke/run:2 \
+		--workspace $(SCRUB_WS)
 	$(PYTHON) -m repro.cli chaos --plan $(SCRUB_WS)-plan.json \
 		--workspace $(SCRUB_WS)
+	$(PYTHON) -c "import os; os.truncate( \
+		'$(SCRUB_WS)/cluster/system-09/smoke_run_2.l0.f09.rdc', 60)"
 	$(PYTHON) -m repro.cli scrub --workspace $(SCRUB_WS) --repair
 	$(PYTHON) -m repro.cli scrub --workspace $(SCRUB_WS) --report json
 	$(PYTHON) -m repro.cli restore smoke:field $(SCRUB_WS)-out.npy \

@@ -31,14 +31,6 @@ __all__ = ["inflict_at_rest"]
 _DAMAGE_EFFECTS = ("error", "corrupt", "truncate")
 
 
-def _inventory(system) -> list[tuple[str, int, int]]:
-    """Fragment keys resident on one system, for either cluster kind."""
-    keys = getattr(system, "fragment_keys", None)
-    if keys is not None:
-        return sorted(keys())
-    return sorted(f.key for f in system.fragments())
-
-
 def inflict_at_rest(
     plan: FaultPlan, cluster, *, site: str = "storage.read"
 ) -> list[dict]:
@@ -66,7 +58,7 @@ def inflict_at_rest(
         saved = system.injector
         system.injector = None
         try:
-            for obj, level, index in _inventory(system):
+            for obj, level, index in sorted(system.fragment_keys()):
                 ctx = {
                     "system_id": system.system_id, "object_name": obj,
                     "level": level, "index": index,

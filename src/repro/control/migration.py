@@ -295,7 +295,7 @@ class LiveMigrator:
             )
         except _IO_ERRORS:
             pass  # the next scrub's rebuild_from_catalog recreates it
-        self._retire(sname_old, j, n)
+        self._retire(sname_old, j)
         self._checkpoint(checkpoint, "retired", j)
         report.steps.append(MigrationStep(j, "migrated", old_m, new_m))
 
@@ -393,13 +393,12 @@ class LiveMigrator:
         except _IO_ERRORS:
             pass
 
-    def _retire(self, sname: str, j: int, n: int) -> None:
+    def _retire(self, sname: str, j: int) -> None:
         """Delete the previous generation's fragments and records."""
-        for system in self.cluster.systems:
-            for idx in range(n):
+        for idx, sids in self.cluster.inventory().holders(sname, j).items():
+            for sid in sids:
                 try:
-                    if system.available and system.has(sname, j, idx):
-                        system.delete(sname, j, idx)
+                    self.cluster[sid].delete(sname, j, idx)
                 except _IO_ERRORS:
                     pass
         try:

@@ -1074,15 +1074,13 @@ class RAPIDS:
         Checksum failures are tallied into ``crc_tally`` for the
         degraded report's fault counts.
         """
-        from ..formats import verify
-
         def attempt() -> np.ndarray:
             sf = self.cluster.fetch(name, j, i)
             try:
                 expected = self.catalog.get_fragment(name, j, i).checksum
             except KeyError:
                 expected = 0
-            if expected and not verify(sf.payload, expected):
+            if expected and not sf.verify(expected):
                 raise CorruptFragmentError(
                     f"fragment {i} of level {j} failed its checksum"
                 )

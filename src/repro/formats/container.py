@@ -24,9 +24,10 @@ import json
 import struct
 from pathlib import Path
 
-from .checksum import crc32, verify
+from .checksum import crc32
 
-__all__ = ["Container", "write_fragment_file", "read_fragment_file", "FormatError"]
+__all__ = ["Container", "FormatError", "write_fragment_file",
+           "read_fragment_file", "read_fragment_header"]
 
 _MAGIC = b"RDC1"
 _VERSION = 1
@@ -42,6 +43,8 @@ class Container:
     def __init__(self, attrs: dict | None = None) -> None:
         self.attrs: dict = dict(attrs or {})
         self._blocks: dict[str, bytes] = {}
+        #: Payload CRCs :meth:`from_bytes` verified, by block name.
+        self._crcs: dict[str, int] = {}
 
     def add_block(self, name: str, payload: bytes) -> None:
         if not name:
@@ -76,35 +79,29 @@ class Container:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Container":
-        if data[:4] != _MAGIC:
-            raise FormatError("not a RAPIDS container (bad magic)")
-        (version,) = struct.unpack_from("<H", data, 4)
-        if version != _VERSION:
-            raise FormatError(f"unsupported container version {version}")
-        (alen,) = struct.unpack_from("<I", data, 6)
-        off = 10
-        try:
-            attrs = json.loads(data[off : off + alen].decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"corrupt attribute document: {exc}") from exc
-        off += alen
-        (nblocks,) = struct.unpack_from("<I", data, off)
-        off += 4
+        attrs, off = _parse_header(data)
         out = cls(attrs)
-        for _ in range(nblocks):
-            (nlen,) = struct.unpack_from("<H", data, off)
-            off += 2
-            name = data[off : off + nlen].decode()
-            off += nlen
-            crc, plen = struct.unpack_from("<IQ", data, off)
-            off += 12
-            payload = data[off : off + plen]
-            if len(payload) != plen:
-                raise FormatError(f"truncated payload for block {name!r}")
-            if not verify(payload, crc):
-                raise FormatError(f"checksum mismatch in block {name!r}")
-            off += plen
-            out.add_block(name, bytes(payload))
+        try:
+            (nblocks,) = struct.unpack_from("<I", data, off)
+            off += 4
+            for _ in range(nblocks):
+                (nlen,) = struct.unpack_from("<H", data, off)
+                off += 2
+                name = data[off : off + nlen].decode()
+                off += nlen
+                crc, plen = struct.unpack_from("<IQ", data, off)
+                off += 12
+                payload = data[off : off + plen]
+                if len(payload) != plen:
+                    raise FormatError(f"truncated payload for block {name!r}")
+                if crc32(payload) != crc:
+                    raise FormatError(f"checksum mismatch in block {name!r}")
+                off += plen
+                out.add_block(name, payload)
+                out._crcs[name] = crc
+        except (struct.error, UnicodeDecodeError) as exc:
+            # A file cut inside a fixed-width field or a block name.
+            raise FormatError(f"truncated container: {exc}") from exc
         return out
 
     def write(self, path: str | Path) -> None:
@@ -141,9 +138,33 @@ def write_fragment_file(
     c.write(path)
 
 
-def read_fragment_file(path: str | Path) -> tuple[dict, bytes]:
-    """Read a fragment file; returns (attributes, payload)."""
+def _parse_header(data: bytes) -> tuple[dict, int]:
+    """The attribute document and the offset just past it."""
+    if data[:4] != _MAGIC:
+        raise FormatError("not a RAPIDS container (bad magic)")
+    try:
+        version, alen = struct.unpack_from("<HI", data, 4)
+        if version != _VERSION:
+            raise FormatError(f"unsupported container version {version}")
+        # A cut-off JSON object never parses.
+        return json.loads(data[10 : 10 + alen].decode()), 10 + alen
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"corrupt container header: {exc}") from exc
+
+
+def read_fragment_header(path: str | Path) -> dict:
+    """Attributes of a fragment file; the payload is never read."""
+    with open(path, "rb") as fh:
+        head = fh.read(10)
+        alen = int.from_bytes(head[6:], "little")
+        return _parse_header(head + fh.read(alen))[0]
+
+
+def read_fragment_file(path: str | Path, *, with_crc: bool = False) -> tuple:
+    """Read a fragment file; returns (attributes, payload) and, with
+    ``with_crc``, the payload CRC-32 that parsing just verified."""
     c = Container.read(path)
     if "fragment" not in c.block_names():
         raise FormatError("container has no 'fragment' block")
-    return c.attrs, c.block("fragment")
+    out = (c.attrs, c.block("fragment"))
+    return (*out, c._crcs["fragment"]) if with_crc else out

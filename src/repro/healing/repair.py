@@ -17,7 +17,10 @@ returns every damaged level to full n-fragment redundancy:
   not already hosting the stripe, preferring the original home;
 * every read and write runs under the :class:`RetryPolicy` and is
   charged to the WAN transfer model (one request per attempt), so
-  repair traffic shows up in the same latency accounting as restores.
+  repair traffic shows up in the same latency accounting as restores;
+* a pass plans from one :class:`~repro.storage.cluster.Inventory`
+  snapshot, re-probed one fragment on one system at a time after each
+  of its own writes and deletes (a failed write may leave a torn file).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig, ErasureCodec
 from ..formats import verify
 from ..metadata import FragmentRecord
+from ..storage.cluster import Inventory
 from ..storage.placement import (
     CapacityError,
     CapacityTracker,
@@ -139,6 +143,8 @@ class RepairEngine:
         self.retry_policy = retry_policy or RetryPolicy(max_attempts=3, base=0.0)
         self.codec = ErasureCodec(cluster.n, workers=workers)
         self._requests: list[TransferRequest] = []
+        #: The current pass's snapshot, kept true to the store.
+        self.inventory: Inventory | None = None
 
     # -- public ------------------------------------------------------------
 
@@ -153,6 +159,7 @@ class RepairEngine:
         items = damage.damage if isinstance(damage, ScrubReport) else list(damage)
         report = RepairReport(dry_run=dry_run)
         self._requests = []
+        self.inventory = self.cluster.inventory()
         for entry, damaged, stale in self._prioritised(items):
             self._repair_stripe(entry, damaged, stale, report, dry_run)
         if rebalance and self.tracker is not None and not dry_run:
@@ -203,7 +210,9 @@ class RepairEngine:
         # home lost its copy but with a CRC-valid copy elsewhere needs a
         # metadata fix, not reconstruction.
         for index, holders in sorted(stale.items()):
-            home_ok = index not in damaged and self._home_holds(entry, index)
+            home_ok = index not in damaged and (
+                entry.placement[index] in self._holders(entry, index)
+            )
             adopted = home_ok
             for sid in holders:
                 if not adopted:
@@ -263,9 +272,11 @@ class RepairEngine:
                 entry.object_name, level, entry.m - len(unrepaired)
             )
 
-    def _home_holds(self, entry: LedgerEntry, index: int) -> bool:
-        home = self.cluster[entry.placement[index]]
-        return home.available and home.has(entry.store_name, entry.level, index)
+    def _holders(self, entry: LedgerEntry, index: int) -> list[int]:
+        """Ascending ids of the available systems holding a copy."""
+        return self.inventory.holders(
+            entry.store_name, entry.level
+        ).get(index, [])
 
     def _point_at(self, entry: LedgerEntry, index: int, system_id: int) -> None:
         self.ledger.set_placement(
@@ -277,10 +288,11 @@ class RepairEngine:
     def _clear_copy(self, name: str, level: int, index: int, sid: int) -> None:
         system = self.cluster[sid]
         try:
-            if system.available:
+            if sid in self.inventory.available:
                 system.delete(name, level, index)
         except _READ_ERRORS:
             pass  # an unreachable stale copy is next sweep's problem
+        self.inventory.refresh(system, name, level, index)
 
     def _upsert_record(self, entry: LedgerEntry, index: int, sid: int) -> None:
         try:
@@ -306,8 +318,8 @@ class RepairEngine:
 
         def attempt() -> bytes:
             frag = system.get(entry.store_name, entry.level, index)
-            if frag.payload is None or not verify(
-                frag.payload, entry.checksums[index]
+            if frag.payload is None or not frag.verify(
+                entry.checksums[index]
             ):
                 raise ValueError(
                     f"fragment {index} on system {system_id} fails the "
@@ -345,15 +357,10 @@ class RepairEngine:
         return sources if len(sources) >= k else None
 
     def _holder_of(self, entry: LedgerEntry, index: int) -> int | None:
-        home = entry.placement[index]
-        if self.cluster[home].available and self.cluster[home].has(
-            entry.store_name, entry.level, index
-        ):
-            return home
-        for s in self.cluster.systems:
-            if s.available and s.has(entry.store_name, entry.level, index):
-                return s.system_id
-        return None
+        holders = self._holders(entry, index)
+        if entry.placement[index] in holders:
+            return entry.placement[index]
+        return holders[0] if holders else None
 
     # -- placement ---------------------------------------------------------
 
@@ -371,14 +378,12 @@ class RepairEngine:
                 # Any other resident copy of this index is the damaged
                 # one we just regenerated around (e.g. the corrupt copy
                 # at the old home): clear it now rather than leaving a
-                # stale-placement finding for the next sweep.
-                for s in self.cluster.systems:
-                    if s.system_id != target and s.available and s.has(
-                        entry.store_name, entry.level, index
-                    ):
+                # stale-placement finding for the next sweep.  A torn
+                # file a failed attempt left elsewhere goes the same way.
+                for sid in self._holders(entry, index):
+                    if sid != target:
                         self._clear_copy(
-                            entry.store_name, entry.level, index,
-                            s.system_id,
+                            entry.store_name, entry.level, index, sid
                         )
                 return target
         report.failures.append(
@@ -396,17 +401,21 @@ class RepairEngine:
         system — any available system that does not already hold *this*
         fragment, trading placement independence for durability.
         """
-        name, level = entry.store_name, entry.level
+        inv = self.inventory
         home = entry.placement[index]
         # Systems hosting *other* fragments of this stripe; a system
         # holding only this index's (corrupt) copy may be overwritten.
         occupied = {
             sid
-            for idx, sid in self.cluster.locate(name, level).items()
+            for idx, sid in inv.locate(entry.store_name, entry.level).items()
             if idx != index
         }
         yielded: set[int] = set()
-        if self.cluster[home].available and home not in occupied:
+
+        def least_loaded(sid: int) -> tuple[int, int]:
+            return inv.used_bytes[sid], sid
+
+        if home in inv.available and home not in occupied:
             if self.tracker is None or self.tracker.fits(home, nbytes):
                 yielded.add(home)
                 yield home
@@ -421,29 +430,17 @@ class RepairEngine:
                 fresh = []
         else:
             fresh = sorted(
-                (
-                    s.system_id
-                    for s in self.cluster.systems
-                    if s.available
-                    and s.system_id not in occupied
-                    and s.system_id not in yielded
-                ),
-                key=lambda sid: self.cluster[sid].used_bytes,
+                inv.available - occupied - yielded, key=least_loaded
             )[:1]
         for sid in fresh:
             yielded.add(sid)
             yield sid
-        fallback = sorted(
-            (
-                s.system_id
-                for s in self.cluster.systems
-                if s.available
-                and s.system_id not in yielded
-                and not s.has(name, level, index)
-            ),
-            key=lambda sid: self.cluster[sid].used_bytes,
+        # Read the snapshot only now: failed attempts above may have
+        # left torn copies of this index behind.
+        yield from sorted(
+            inv.available - yielded - set(self._holders(entry, index)),
+            key=least_loaded,
         )
-        yield from fallback
 
     def _write_fragment(
         self, entry: LedgerEntry, index: int, blob: bytes, target: int,
@@ -455,6 +452,11 @@ class RepairEngine:
         )
         out = self.retry_policy.call(
             lambda: self.cluster[target].put(frag), retry_on=_READ_ERRORS
+        )
+        # Whatever the attempts left on the target — the fragment, a
+        # torn prefix of it, the old copy — is what the pass now sees.
+        self.inventory.refresh(
+            self.cluster[target], entry.store_name, entry.level, index
         )
         for _ in range(out.attempts):
             self._requests.append(
@@ -471,7 +473,9 @@ class RepairEngine:
         """Post-repair rebalancing over the capacity tracker."""
         moves = rebalance_moves(self.tracker)
         applied = apply_moves(self.tracker, moves, catalog=self.catalog)
-        for (obj, level, index), _src, dst in moves:
+        for (obj, level, index), src, dst in moves:
+            for sid in (src, dst):
+                self.inventory.refresh(self.cluster[sid], obj, level, index)
             try:
                 if self.catalog.get_fragment(obj, level, index).system_id == dst:
                     self.ledger.set_placement(obj, level, index, dst)

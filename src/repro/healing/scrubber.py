@@ -27,7 +27,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from ..chaos.retry import RetryPolicy
-from ..formats import verify
+from ..storage.cluster import Inventory
 from ..storage.system import CorruptFragmentError, UnavailableError
 from .ledger import DurabilityLedger, LedgerEntry
 
@@ -162,13 +162,15 @@ class Scrubber:
         or the rate limit trips; the cursor is checkpointed after every
         stripe, so a crash mid-run loses at most the stripe in progress.
         Each scanned stripe's ledger headroom is refreshed to ``m`` minus
-        its damaged fragment count.
+        its damaged fragment count.  Holders come from one inventory
+        snapshot; a copy that vanishes behind it reads as ``missing``.
         """
         report = ScrubReport()
         if reset:
             self._clear_cursor()
         cursor = self._load_cursor()
         entries = self.ledger.entries()
+        inventory = self.cluster.inventory()
         start = 0
         if cursor is not None:
             report.resumed = True
@@ -188,24 +190,22 @@ class Scrubber:
                 self._save_cursor(entry.object_name, entry.level)
                 report.complete = False
                 return report
-            self._scrub_stripe(entry, report)
+            self._scrub_stripe(entry, inventory, report)
             if pos + 1 < len(entries):
                 nxt = entries[pos + 1]
                 self._save_cursor(nxt.object_name, nxt.level)
         self._clear_cursor()
         return report
 
-    def _scrub_stripe(self, entry: LedgerEntry, report: ScrubReport) -> None:
+    def _scrub_stripe(
+        self, entry: LedgerEntry, inventory: Inventory, report: ScrubReport
+    ) -> None:
         damaged_indices: set[int] = set()
+        stripe = inventory.holders(entry.store_name, entry.level)
         for index in range(entry.n):
             report.fragments_scanned += 1
             home = entry.placement[index]
-            holders = [
-                s.system_id
-                for s in self.cluster.systems
-                if s.available
-                and s.has(entry.store_name, entry.level, index)
-            ]
+            holders = stripe.get(index, [])
             if home in holders:
                 kind, detail = self._verify_at(entry, index, home, report)
                 if kind is None:
@@ -226,7 +226,7 @@ class Scrubber:
                 damaged_indices.add(index)
                 detail = (
                     "authoritative home unavailable"
-                    if not self.cluster.systems[home].available
+                    if home not in inventory.available
                     else "no copy on any available system"
                 )
                 report.damage.append(
@@ -257,8 +257,8 @@ class Scrubber:
 
         def attempt():
             frag = system.get(entry.store_name, entry.level, index)
-            if frag.payload is not None and not verify(
-                frag.payload, entry.checksums[index]
+            if frag.payload is not None and not frag.verify(
+                entry.checksums[index]
             ):
                 raise CorruptFragmentError(
                     f"fragment {index} of level {entry.level} does not "

@@ -1,6 +1,6 @@
 """Geo-distributed storage substrate: systems, clusters, failure models."""
 
-from .cluster import StorageCluster
+from .cluster import Inventory, StorageCluster
 from .failures import (
     BernoulliFailureModel,
     CorrelatedFailureModel,
@@ -26,6 +26,7 @@ __all__ = [
     "StorageCluster",
     "FileStorageCluster",
     "FileStorageSystem",
+    "Inventory",
     "CapacityTracker",
     "CapacityError",
     "plan_placement",

@@ -14,7 +14,60 @@ import numpy as np
 from ..formats import crc32
 from .system import StorageSystem, StoredFragment, UnavailableError
 
-__all__ = ["StorageCluster"]
+__all__ = ["StorageCluster", "Inventory"]
+
+
+class Inventory:
+    """Point-in-time snapshot of which system holds which fragment,
+    built from every system's names-only ``resident()`` listing.
+
+    A scrub or repair pass plans from one; the cluster lookups are views
+    over a fresh one.  Never kept across passes: at-rest fault
+    infliction, another process or a directory restored from tape change
+    the store behind any cache, and a fresh listing cannot be stale.
+    """
+
+    def __init__(self, systems, stored_name=str) -> None:
+        # Object name -> the name its fragments are stored under.
+        self._stored_name = stored_name
+        self.available = {s.system_id for s in systems if s.available}
+        #: Per system id (down ones too), what ``used_bytes`` returned.
+        self.used_bytes = {s.system_id: 0 for s in systems}
+        # (stored name, level) -> index -> {system id: bytes}
+        self._copies: dict[tuple[str, int], dict[int, dict[int, int]]] = {}
+        for s in systems:
+            for name, level, index, size in s.resident():
+                self._copy(name, level, index)[s.system_id] = size
+                self.used_bytes[s.system_id] += size
+
+    def _copy(self, stored: str, level: int, index: int) -> dict[int, int]:
+        return self._copies.setdefault((stored, level), {}).setdefault(index, {})
+
+    def holders(
+        self, object_name: str, level: int, *, available_only: bool = True
+    ) -> dict[int, list[int]]:
+        """Fragment index -> ascending ids of the systems holding a copy."""
+        stripe = self._copies.get((self._stored_name(object_name), level), {})
+        among = self.available if available_only else self.used_bytes.keys()
+        found = {i: sorted(among & copies.keys()) for i, copies in stripe.items()}
+        return {i: sids for i, sids in found.items() if sids}
+
+    def locate(
+        self, object_name: str, level: int, *, available_only: bool = True
+    ) -> dict[int, int]:
+        """Fragment index -> system id; of duplicates, the highest."""
+        holders = self.holders(object_name, level, available_only=available_only)
+        return {i: sids[-1] for i, sids in holders.items()}
+
+    def refresh(self, system, object_name: str, level: int, index: int) -> None:
+        """Re-probe one fragment on one system after a write or delete
+        there, failed ones too (a torn write leaves a partial file)."""
+        sid = system.system_id
+        copies = self._copy(self._stored_name(object_name), level, index)
+        size = system.stored_size(object_name, level, index)
+        self.used_bytes[sid] += (size or 0) - copies.pop(sid, 0)
+        if size is not None:
+            copies[sid] = size
 
 
 class StorageCluster:
@@ -43,9 +96,12 @@ class StorageCluster:
         if len(names) != len(bandwidths):
             raise ValueError("names and bandwidths must align")
         self.systems = [
-            StorageSystem(system_id=i, name=nm, bandwidth=float(bw))
+            self._new_system(i, nm, float(bw))
             for i, (nm, bw) in enumerate(zip(names, bandwidths))
         ]
+
+    def _new_system(self, system_id: int, name: str, bandwidth: float):
+        return StorageSystem(system_id=system_id, name=name, bandwidth=bandwidth)
 
     # -- basic queries --------------------------------------------------
 
@@ -131,18 +187,17 @@ class StorageCluster:
 
     # -- inventory --------------------------------------------------------
 
+    def inventory(self) -> Inventory:
+        """A point-in-time snapshot of what every system holds."""
+        return Inventory(self.systems)
+
     def locate(
         self, object_name: str, level: int, *, available_only: bool = True
     ) -> dict[int, int]:
         """Map fragment index -> system id for one object level."""
-        out: dict[int, int] = {}
-        for s in self.systems:
-            if available_only and not s.available:
-                continue
-            for frag in s._store.values():
-                if frag.object_name == object_name and frag.level == level:
-                    out[frag.index] = s.system_id
-        return out
+        return self.inventory().locate(
+            object_name, level, available_only=available_only
+        )
 
     def fetch(
         self, object_name: str, level: int, index: int

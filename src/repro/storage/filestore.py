@@ -12,21 +12,30 @@ mirrors the cluster API over a directory tree::
       ...
       cluster.json               # bandwidths + names
 
-Every fragment file is a :mod:`repro.formats` container, so each one
-carries its object name, level, index and EC parameters — a directory
-restored from tape is fully self-describing even without the metadata
-catalog.  The tree survives process restarts, which is what the CLI's
-``prepare``/``restore`` workflows rely on.
+The file name is the inventory, the header is the self-description,
+the payload is read only to be verified or used.  What is resident
+where comes from one directory listing per system (``resident()``: the
+name ``has()``/``get()`` format, parsed back; no file opened), so a torn
+file is simply resident — whoever reads it finds the damage — and cannot
+break the lookup of another object.  Every file is a :mod:`repro.formats`
+container whose header carries the object name, level, index and EC
+parameters (a directory restored from tape is self-describing without
+the catalog); ``fragment_keys()`` reads that header and nothing else,
+``get()`` alone reads a payload and hashes it once.  Nothing is cached
+between calls (see :class:`~repro.storage.cluster.Inventory`).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
-import numpy as np
-
-from ..formats import crc32, read_fragment_file, verify, write_fragment_file
+from ..formats import FormatError, crc32, read_fragment_file, write_fragment_file
+# From the module, not the package: rapidslint's call graph then ties
+# this raw read to the ``filestore.read`` consult in fragment_keys().
+from ..formats.container import read_fragment_header
+from .cluster import Inventory, StorageCluster
 from .system import CorruptFragmentError, StoredFragment, UnavailableError
 
 __all__ = ["FileStorageSystem", "FileStorageCluster"]
@@ -34,9 +43,25 @@ __all__ = ["FileStorageSystem", "FileStorageCluster"]
 _MARKER = ".unavailable"
 
 
+def _stored_name(object_name: str) -> str:
+    return object_name.replace("/", "_").replace(":", "_")
+
+
 def _fragment_filename(object_name: str, level: int, index: int) -> str:
-    safe = object_name.replace("/", "_").replace(":", "_")
-    return f"{safe}.l{level}.f{index:02d}.rdc"
+    return f"{_stored_name(object_name)}.l{level}.f{index:02d}.rdc"
+
+
+def _parse_filename(filename: str) -> tuple[str, int, int] | None:
+    """Inverse of :func:`_fragment_filename`, or ``None`` for a name
+    ``has()`` could never ask for."""
+    # Split from the right on plain strings: the stored name may itself
+    # contain ".l3" or glob metacharacters.
+    stem, _, index = filename.removesuffix(".rdc").rpartition(".f")
+    name, _, level = stem.rpartition(".l")
+    if not (level.isdecimal() and index.isdecimal()):
+        return None
+    key = (name, int(level), int(index))
+    return key if _fragment_filename(*key) == filename else None
 
 
 class FileStorageSystem:
@@ -117,25 +142,39 @@ class FileStorageSystem:
         path = self.root / _fragment_filename(object_name, level, index)
         if not path.exists():
             raise KeyError((object_name, level, index))
-        attrs, payload = read_fragment_file(path)
+        # Parsing verified the container block, so ``crc`` *is* the
+        # payload's CRC-32: one hash per read, compared three times
+        # (block, put-time attribute, the caller's ledger/catalog value).
+        attrs, payload, crc = read_fragment_file(path, with_crc=True)
         if self.injector is not None:
-            payload = self.injector.filter_payload(
+            wire = self.injector.filter_payload(
                 "filestore.read", payload, system_id=self.system_id,
                 object_name=object_name, level=level, index=index,
             )
+            if wire is not payload:
+                payload, crc = wire, crc32(wire)
         expected = attrs.get("crc32")
-        if expected is not None and not verify(payload, expected):
+        if expected is not None and crc != expected:
             raise CorruptFragmentError(
                 f"fragment ({object_name!r}, level {level}, index {index}) "
                 f"on system {self.name} failed its checksum"
             )
         return StoredFragment(
             attrs["object_name"], attrs["level"], attrs["index"],
-            len(payload), payload, checksum=expected,
+            len(payload), payload, checksum=expected, verified_crc=crc,
         )
 
     def has(self, object_name: str, level: int, index: int) -> bool:
-        return (self.root / _fragment_filename(object_name, level, index)).exists()
+        return self.stored_size(object_name, level, index) is not None
+
+    def stored_size(self, object_name: str, level: int, index: int) -> int | None:
+        """Bytes one resident fragment file occupies; ``None`` when absent."""
+        try:
+            return os.stat(
+                self.root / _fragment_filename(object_name, level, index)
+            ).st_size
+        except FileNotFoundError:
+            return None
 
     def delete(self, object_name: str, level: int, index: int) -> None:
         self._check()
@@ -144,29 +183,47 @@ class FileStorageSystem:
             raise KeyError((object_name, level, index))
         path.unlink()
 
+    def resident(self) -> list[tuple[str, int, int, int]]:
+        """``(stored name, level, index, file size)`` per resident
+        fragment from one directory listing (works while down)."""
+        with os.scandir(self.root) as entries:
+            return sorted(
+                (*key, entry.stat().st_size)
+                for entry in entries
+                if (key := _parse_filename(entry.name)) is not None
+            )
+
     def fragment_keys(self) -> list[tuple[str, int, int]]:
-        """Keys of all resident fragments (readable while down: this is
-        inventory, not data access)."""
+        """True (unsanitised) keys of the resident fragments, from each
+        file's header; a torn file whose header is gone is skipped."""
         keys = []
-        for path in sorted(self.root.glob("*.rdc")):
-            attrs, _ = read_fragment_file(path)
-            keys.append((attrs["object_name"], attrs["level"], attrs["index"]))
+        for *stored, _ in self.resident():
+            try:
+                attrs = read_fragment_header(
+                    self.root / _fragment_filename(*stored)
+                )
+            except FormatError:
+                continue
+            key = (attrs["object_name"], attrs["level"], attrs["index"])
+            if self.injector is not None:
+                # A header read is a file read: a plan can fail it at
+                # the same site (there is no payload to damage).
+                self.injector.check(
+                    "filestore.read", handled=("corrupt", "truncate", "stall"),
+                    system_id=self.system_id, object_name=key[0],
+                    level=key[1], index=key[2],
+                )
+            keys.append(key)
         return keys
 
     @property
     def used_bytes(self) -> int:
-        return sum(p.stat().st_size for p in self.root.glob("*.rdc"))
+        return sum(size for *_, size in self.resident())
 
 
-class FileStorageCluster:
-    """A persistent cluster over per-system directories.
-
-    Mirrors the parts of :class:`StorageCluster` the pipeline consumes
-    (``n``, ``bandwidths``, ``failed_ids``, ``fail``/``restore_all``,
-    ``place_level``, ``locate``, ``fetch``, ``total_stored_bytes``,
-    ``level_available``), so :class:`repro.core.pipeline.RAPIDS` runs on
-    either implementation unchanged.
-    """
+class FileStorageCluster(StorageCluster):
+    """A persistent :class:`StorageCluster` over per-system directories,
+    so :class:`repro.core.pipeline.RAPIDS` runs on either unchanged."""
 
     def __init__(
         self,
@@ -176,102 +233,30 @@ class FileStorageCluster:
     ) -> None:
         self.root = Path(root)
         config_path = self.root / "cluster.json"
-        if bandwidths is None:
+        create = bandwidths is not None
+        if not create:
             if not config_path.exists():
                 raise ValueError(
                     f"no cluster at {self.root}; pass bandwidths to create one"
                 )
             # rapidslint: disable-next=RPD115 -- cluster.json bootstrap read at attach time, before any injector can exist; data-path I/O goes through the filestore.read/write seams
             cfg = json.loads(config_path.read_text())
-            bandwidths = cfg["bandwidths"]
-            names = cfg["names"]
-        else:
-            bandwidths = [float(b) for b in bandwidths]
-            if len(bandwidths) < 2:
-                raise ValueError("a cluster needs at least 2 systems")
-            if any(b <= 0 for b in bandwidths):
-                raise ValueError("bandwidths must be positive")
-            if names is None:
-                names = [f"gcs-{i:02d}" for i in range(len(bandwidths))]
-            self.root.mkdir(parents=True, exist_ok=True)
-            config_path.write_text(
-                json.dumps({"bandwidths": bandwidths, "names": list(names)})
-            )
-        self.systems = [
-            FileStorageSystem(i, nm, bw, self.root / f"system-{i:02d}")
-            for i, (nm, bw) in enumerate(zip(names, bandwidths))
-        ]
+            bandwidths, names = cfg["bandwidths"], cfg["names"]
+        super().__init__(bandwidths, names)
+        if create:
+            config_path.write_text(json.dumps({
+                "bandwidths": [s.bandwidth for s in self.systems],
+                "names": [s.name for s in self.systems],
+            }))
 
-    @property
-    def n(self) -> int:
-        return len(self.systems)
-
-    @property
-    def bandwidths(self) -> np.ndarray:
-        return np.array([s.bandwidth for s in self.systems])
-
-    def __getitem__(self, system_id: int) -> FileStorageSystem:
-        return self.systems[system_id]
-
-    def available_ids(self) -> list[int]:
-        return [s.system_id for s in self.systems if s.available]
-
-    def failed_ids(self) -> list[int]:
-        return [s.system_id for s in self.systems if not s.available]
-
-    def attach_injector(self, injector) -> None:
-        """Attach (or clear) a chaos injector on every system."""
-        for s in self.systems:
-            s.injector = injector
-
-    def fail(self, system_ids) -> None:
-        for sid in system_ids:
-            self.systems[sid].fail()
-
-    def restore_all(self) -> None:
-        for s in self.systems:
-            s.restore()
-
-    def place_level(
-        self, object_name, level, fragments, *, system_ids=None, checksums=None
-    ):
-        if system_ids is None:
-            system_ids = list(range(len(fragments)))
-        if len(system_ids) != len(fragments):
-            raise ValueError("system_ids must align with fragments")
-        if len(fragments) > self.n:
-            raise ValueError("more fragments than systems")
-        if checksums is not None and len(checksums) != len(fragments):
-            raise ValueError("checksums must align with fragments")
-        for idx, (frag, sid) in enumerate(zip(fragments, system_ids)):
-            data = bytes(frag) if not isinstance(frag, bytes) else frag
-            crc = checksums[idx] if checksums is not None else crc32(data)
-            self.systems[sid].put(
-                StoredFragment(object_name, level, idx, len(data), data,
-                               checksum=crc)
-            )
-        return list(system_ids)
-
-    def locate(self, object_name, level, *, available_only=True):
-        out = {}
-        for s in self.systems:
-            if available_only and not s.available:
-                continue
-            for name, lvl, idx in s.fragment_keys():
-                if name == object_name and lvl == level:
-                    out[idx] = s.system_id
-        return out
-
-    def fetch(self, object_name, level, index) -> StoredFragment:
-        for s in self.systems:
-            if s.available and s.has(object_name, level, index):
-                return s.get(object_name, level, index)
-        raise KeyError(
-            f"fragment ({object_name!r}, {level}, {index}) unreachable"
+    def _new_system(self, system_id: int, name: str, bandwidth: float):
+        return FileStorageSystem(
+            system_id, name, bandwidth, self.root / f"system-{system_id:02d}"
         )
 
-    def total_stored_bytes(self) -> int:
-        return sum(s.used_bytes for s in self.systems)
+    def inventory(self) -> Inventory:
+        """A fresh names-only snapshot of every system's directory."""
+        return Inventory(self.systems, _stored_name)
 
-    def level_available(self, object_name, level, needed) -> bool:
-        return len(self.locate(object_name, level)) >= needed
+    # In this class's own namespace, where benchmark tracing patches it.
+    locate = StorageCluster.locate

@@ -13,6 +13,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from ..formats import crc32
+
 __all__ = [
     "StorageSystem",
     "StoredFragment",
@@ -34,10 +36,19 @@ class StoredFragment:
     nbytes: int
     payload: bytes | None = None
     checksum: int | None = None
+    #: CRC-32 of ``payload`` as the read that produced this fragment
+    #: computed it; ``None`` on fragments no read path has hashed.
+    verified_crc: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def key(self) -> tuple[str, int, int]:
         return (self.object_name, self.level, self.index)
+
+    def verify(self, expected: int) -> bool:
+        """True iff the payload's CRC-32 is ``expected``, hashing only
+        when the read that produced the fragment did not already."""
+        crc = self.verified_crc
+        return (crc32(self.payload) if crc is None else crc) == expected
 
 
 @dataclass
@@ -70,8 +81,8 @@ class StorageSystem:
     )
     #: Serialises store mutation against snapshot reads: the pipelined
     #: preparation path and the threaded tile helpers may place
-    #: fragments from worker threads while another thread iterates
-    #: ``fragments()`` or totals ``used_bytes``.
+    #: fragments from worker threads while another thread lists
+    #: ``resident()`` or totals ``used_bytes``.
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -119,18 +130,25 @@ class StorageSystem:
                 object_name=object_name, level=level, index=index,
             )
         if frag.payload is not None and frag.checksum is not None:
-            from ..formats import verify
-
-            if not verify(frag.payload, frag.checksum):
+            crc = crc32(frag.payload)
+            if crc != frag.checksum:
                 raise CorruptFragmentError(
                     f"fragment ({object_name!r}, level {level}, index {index}) "
                     f"on system {self.name} failed its checksum"
                 )
+            # Hashed in this very call, so never stale — even on the
+            # resident object, whose payload may rot between reads.
+            frag.verified_crc = crc
         return frag
 
     def has(self, object_name: str, level: int, index: int) -> bool:
+        return self.stored_size(object_name, level, index) is not None
+
+    def stored_size(self, object_name: str, level: int, index: int) -> int | None:
+        """Bytes one resident fragment occupies; ``None`` when absent."""
         with self._lock:
-            return (object_name, level, index) in self._store
+            frag = self._store.get((object_name, level, index))
+        return None if frag is None else frag.nbytes
 
     def delete(self, object_name: str, level: int, index: int) -> None:
         if not self.available:
@@ -138,12 +156,15 @@ class StorageSystem:
         with self._lock:
             del self._store[(object_name, level, index)]
 
-    def fragments(self) -> list[StoredFragment]:
-        """All resident fragments (available systems only)."""
-        if not self.available:
-            raise UnavailableError(f"system {self.name} is unavailable")
+    def fragment_keys(self) -> list[tuple[str, int, int]]:
+        """Keys of all resident fragments."""
+        return [row[:3] for row in self.resident()]
+
+    def resident(self) -> list[tuple[str, int, int, int]]:
+        """``(stored name, level, index, bytes)`` per resident fragment
+        (readable while down: this is inventory, not data access)."""
         with self._lock:
-            return list(self._store.values())
+            return [(*key, f.nbytes) for key, f in self._store.items()]
 
     @property
     def used_bytes(self) -> int:

@@ -7,7 +7,12 @@ from repro.cli import main
 from repro.core import RAPIDS
 from repro.metadata import MetadataCatalog
 from repro.refactor import relative_linf_error
-from repro.storage import FileStorageCluster, StoredFragment, UnavailableError
+from repro.storage import (
+    FileStorageCluster,
+    StorageCluster,
+    StoredFragment,
+    UnavailableError,
+)
 
 
 @pytest.fixture
@@ -67,6 +72,107 @@ class TestFileSystemBackend:
         assert cluster.total_stored_bytes() == 0
         cluster.place_level("obj", 0, [b"abcd"] * 3)
         assert cluster.total_stored_bytes() > 0
+
+
+class TestNamesOnlyInventory:
+    """The file name is the inventory; the header is the self-description."""
+
+    def test_a_torn_file_does_not_poison_other_lookups(self, cluster):
+        cluster.place_level("a", 0, [b"aaaa"] * 6)
+        cluster.place_level("b", 0, [b"bbbb"] * 6)
+        path = cluster[1].root / "a.l0.f01.rdc"
+        path.write_bytes(path.read_bytes()[:20])
+        assert cluster.locate("b", 0) == {i: i for i in range(6)}
+        assert cluster.level_available("b", 0, needed=6)
+        # The torn file is resident, as has() says; reading it is what
+        # finds the damage.
+        assert cluster.locate("a", 0) == {i: i for i in range(6)}
+        assert cluster[1].has("a", 0, 1)
+        with pytest.raises(ValueError):
+            cluster[1].get("a", 0, 1)
+        assert ("a", 0, 1) not in cluster[1].fragment_keys()
+        assert ("b", 0, 1) in cluster[1].fragment_keys()
+
+    def test_fragment_keys_are_the_unsanitised_names(self, cluster):
+        for name in ("__staged__/x", "x@g1", "run:7/T[0]*?.l3.f01"):
+            cluster[2].put(StoredFragment(name, 3, 104, 2, b"hi"))
+        assert sorted(cluster[2].fragment_keys()) == [
+            ("__staged__/x", 3, 104), ("run:7/T[0]*?.l3.f01", 3, 104),
+            ("x@g1", 3, 104),
+        ]
+        # Listing never opens a file; it sees the stored (sanitised) names.
+        (cluster[2].root / "notes.txt").write_text("not a fragment")
+        (cluster[2].root / "x.l1.f001.rdc").write_text("has() cannot ask")
+        sizes = {p.name: p.stat().st_size for p in cluster[2].root.glob("*.rdc")}
+        assert cluster[2].resident() == [
+            ("__staged___x", 3, 104, sizes["__staged___x.l3.f104.rdc"]),
+            ("run_7_T[0]*?.l3.f01", 3, 104,
+             sizes["run_7_T[0]*?.l3.f01.l3.f104.rdc"]),
+            ("x@g1", 3, 104, sizes["x@g1.l3.f104.rdc"]),
+        ]
+        assert cluster.locate("run:7/T[0]*?.l3.f01", 3) == {104: 2}
+        assert cluster.locate("run:7/T[0]*?", 3) == {}
+
+
+    def test_header_reads_go_through_the_read_seam(self, cluster):
+        from repro.chaos import FaultInjector, FaultPlan, FaultSpec, InjectedFault
+
+        cluster.place_level("obj", 0, [b"abcd"] * 6)
+        for effect, where in (("corrupt", {}), ("error", {"system_id": 2})):
+            cluster.attach_injector(FaultInjector(FaultPlan(seed=0, specs=(
+                FaultSpec(site="filestore.read", effect=effect, where=where),
+            ))))
+            # No payload is read, so there is nothing to corrupt ...
+            assert cluster[1].fragment_keys() == [("obj", 0, 1)]
+        # ... but a plan can fail the read itself.
+        with pytest.raises(InjectedFault):
+            cluster[2].fragment_keys()
+
+
+@pytest.mark.parametrize("on_files", [False, True], ids=["memory", "files"])
+def test_inventory_locate_and_has_agree(tmp_path, on_files):
+    """One answer to "who holds what", whichever way it is asked: with
+    a system down and a duplicate copy on a second system."""
+    bandwidths = [1e9] * 6
+    cluster = (
+        FileStorageCluster(tmp_path / "cl", bandwidths=bandwidths)
+        if on_files else StorageCluster(bandwidths)
+    )
+    cluster.place_level("obj:a", 1, [b"0123456789"] * 6)
+    cluster.place_level("other", 1, [b"xy"] * 4)
+    cluster[4].put(StoredFragment("obj:a", 1, 2, 10, b"0123456789"))
+    cluster[5].delete("obj:a", 1, 5)
+    cluster.fail([3])
+
+    inv = cluster.inventory()
+    assert inv.available == set(cluster.available_ids()) == {0, 1, 2, 4, 5}
+    assert inv.used_bytes == {s.system_id: s.used_bytes for s in cluster.systems}
+    assert sum(inv.used_bytes.values()) == cluster.total_stored_bytes()
+    for name, width in (("obj:a", 6), ("other", 4), ("ghost", 0)):
+        for everyone in (False, True):
+            holders = inv.holders(name, 1, available_only=not everyone)
+            probed = {
+                idx: [s.system_id for s in cluster.systems
+                      if (everyone or s.available) and s.has(name, 1, idx)]
+                for idx in range(6)
+            }
+            assert holders == {i: sids for i, sids in probed.items() if sids}
+            assert cluster.locate(name, 1, available_only=not everyone) == {
+                idx: sids[-1] for idx, sids in holders.items()
+            }
+        reachable = len(inv.holders(name, 1))
+        assert reachable <= width
+        assert cluster.level_available(name, 1, reachable)
+        assert not cluster.level_available(name, 1, reachable + 1)
+    assert inv.holders("obj:a", 1) == {0: [0], 1: [1], 2: [2, 4], 4: [4]}
+    assert inv.holders("obj:a", 0) == {}
+
+    # A snapshot does not follow the store; refresh() re-probes one key.
+    cluster[4].delete("obj:a", 1, 2)
+    assert inv.holders("obj:a", 1)[2] == [2, 4]
+    inv.refresh(cluster[4], "obj:a", 1, 2)
+    assert inv.holders("obj:a", 1)[2] == [2]
+    assert inv.used_bytes[4] == cluster[4].used_bytes
 
 
 class TestPipelineOnFiles:

@@ -12,6 +12,7 @@ from repro.formats import (
     verify,
     write_fragment_file,
 )
+from repro.formats.container import read_fragment_header
 
 
 class TestChecksum:
@@ -113,3 +114,31 @@ class TestFragmentFiles:
         c.write(tmp_path / "bad.rdc")
         with pytest.raises(FormatError):
             read_fragment_file(tmp_path / "bad.rdc")
+
+    def test_every_truncation_is_a_format_error(self, tmp_path):
+        """A file cut at any byte — inside a fixed-width field, a name,
+        the payload — is a FormatError, never a struct.error."""
+        path = tmp_path / "frag.rdc"
+        write_fragment_file(path, bytes(range(40)), object_name="nyx/t",
+                            level=1, index=7, k=12, m=4)
+        whole = path.read_bytes()
+        assert Container.from_bytes(whole).block("fragment") == bytes(range(40))
+        for cut in range(len(whole)):
+            with pytest.raises(FormatError):
+                Container.from_bytes(whole[:cut])
+
+    def test_header_only_read(self, tmp_path):
+        path = tmp_path / "frag.rdc"
+        write_fragment_file(path, b"x" * 64, object_name="nyx/t", level=1,
+                            index=7, k=12, m=4)
+        attrs, payload, crc = read_fragment_file(path, with_crc=True)
+        assert crc == crc32(payload)
+        assert read_fragment_header(path) == attrs
+        # The payload is never looked at: rot it, cut it off.
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-70])
+        assert read_fragment_header(path) == attrs
+        for cut in (0, 3, 7, 12, len(whole) - 100):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(FormatError):
+                read_fragment_header(path)

@@ -9,22 +9,48 @@ deterministic tests for crash-resumable scrubbing, stale-copy adoption,
 the minimal-read guarantee (exactly ``k`` source reads per damaged
 stripe, observed through the injector trace), ledger reconstruction,
 and the maintenance-schedule → fault-plan bridge.
+
+A pass plans from one inventory snapshot (ISSUE 22): a property suite
+pins that the repair engine's snapshot stays equal to the store under
+every damage shape and a failed write, with the actions, placements and
+directory trees of pinned examples recorded from the commit before the
+snapshot existed; a counting test pins what a pass may open, list,
+``stat`` and hash.
 """
 
+import builtins
+import hashlib
+import io
+import os
+import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import FaultInjector, FaultPlan, InjectedFault, inflict_at_rest
+from repro.chaos import (
+    FaultInjector,
+    FaultPlan,
+    FaultSpec,
+    InjectedFault,
+    inflict_at_rest,
+)
 from repro.core import RAPIDS
 from repro.formats import verify
 from repro.healing import DurabilityLedger, RepairEngine, Scrubber, scrub_and_repair
 from repro.metadata import MetadataCatalog
-from repro.storage import StorageCluster, StoredFragment
+from repro.refactor import Refactorer
+from repro.storage import (
+    CorruptFragmentError,
+    FileStorageCluster,
+    StorageCluster,
+    StoredFragment,
+)
+from repro.storage.filestore import _fragment_filename
 from repro.storage.failures import CorrelatedFailureModel, MaintenanceSchedule
 from repro.transfer import paper_bandwidth_profile
 
@@ -42,8 +68,12 @@ def _field(edge=33, seed=0):
     ).astype(np.float32)
 
 
-def _workspace(root, *, edge=33, seed=0):
-    cluster = StorageCluster(paper_bandwidth_profile(16))
+def _workspace(root, *, edge=33, seed=0, on_files=False):
+    bandwidths = paper_bandwidth_profile(16)
+    cluster = (
+        FileStorageCluster(Path(root) / "cl", bandwidths=bandwidths)
+        if on_files else StorageCluster(bandwidths)
+    )
     catalog = MetadataCatalog(Path(root) / "meta")
     rapids = RAPIDS(cluster, catalog, omega=0.3, ec_workers=1)
     data = _field(edge, seed)
@@ -379,3 +409,361 @@ def test_scrub_and_repair_heals_around_outage(workspace):
     assert Scrubber(rapids.cluster, rapids.ledger).run().clean
     res = rapids.restore(NAME, strategy="naive")
     assert res.degraded is None
+
+
+# -- torn files ------------------------------------------------------------------
+
+
+def _tear(cluster, sid, level, index, keep=60):
+    """Cut a fragment file short, as a power cut mid-write leaves it."""
+    path = cluster[sid].root / _fragment_filename(NAME, level, index)
+    with open(path, "ab") as fh:
+        fh.truncate(keep)
+
+
+def test_heal_with_a_torn_file_of_another_stripe(tmp_path):
+    """A torn file is resident and ``corrupt``; it does not stop the
+    repair of the stripes that come before it in risk order."""
+    rapids, _ = _workspace(tmp_path, edge=17, on_files=True)
+    try:
+        # The torn file sits in the stripe with the most headroom, so it
+        # is still on disk while every other stripe plans its targets.
+        _tear(rapids.cluster, 5, 0, 5)
+        rapids.cluster[2].delete(NAME, 3, 2)
+        _tear(rapids.cluster, 7, 2, 7, keep=0)
+        scrub, repair = scrub_and_repair(
+            rapids.cluster, rapids.catalog, ledger=rapids.ledger
+        )
+        assert {(d.level, d.index): d.kind for d in scrub.damage} == {
+            (0, 5): "corrupt", (2, 7): "corrupt", (3, 2): "missing",
+        }
+        assert not repair.failures and repair.repaired == 3
+        assert Scrubber(rapids.cluster, rapids.ledger).run().clean
+        assert rapids.restore(NAME, strategy="naive").degraded is None
+    finally:
+        rapids.catalog.close()
+
+
+# -- one snapshot per pass -------------------------------------------------------
+
+_SHAPES = ("missing", "corrupt", "truncate", "stale", "duplicate")
+
+
+def _inflict(cluster, level, index, shape, down):
+    """Plant one damage shape on fragment ``index`` (home: system ``index``)."""
+    home = cluster[index]
+    if shape == "missing":
+        home.delete(NAME, level, index)
+        return
+    frag = home.get(NAME, level, index)
+
+    def put(system, payload):
+        system.put(StoredFragment(NAME, level, index, len(payload), payload,
+                                  checksum=frag.checksum))
+
+    if shape == "corrupt":
+        rotten = bytearray(frag.payload)
+        rotten[len(rotten) // 2] ^= 0x5A
+        put(home, bytes(rotten))
+    elif shape == "truncate" and isinstance(cluster, FileStorageCluster):
+        _tear(cluster, index, level, index, keep=frag.nbytes // 2)
+    elif shape == "truncate":
+        put(home, frag.payload[: frag.nbytes // 2])
+    else:
+        # A valid copy on a second system; "stale" loses the home's.
+        other = (index + 5) % cluster.n
+        if other == down:
+            other = (index + 6) % cluster.n
+        put(cluster[other], frag.payload)
+        if shape == "stale":
+            home.delete(NAME, level, index)
+
+
+def _tree_digest(cluster) -> str:
+    """A digest of everything the cluster stores, names and bytes."""
+    h = hashlib.sha256()
+    if isinstance(cluster, FileStorageCluster):
+        for path in sorted(p for p in cluster.root.rglob("*") if p.is_file()):
+            h.update(str(path.relative_to(cluster.root)).encode())
+            h.update(path.read_bytes())
+    else:
+        for s in cluster.systems:
+            for key, frag in sorted(s._store.items()):
+                h.update(repr((s.system_id, key, frag.checksum)).encode())
+                h.update(frag.payload)
+    return h.hexdigest()[:16]
+
+
+def _damage_and_heal(root, on_files, down, damage, torn):
+    """Build the workspace, plant the drawn damage, scrub and repair.
+
+    Damage stays within every level's ``m_j``: items that would exceed
+    it, repeat a fragment or sit on the downed system are dropped.
+    ``torn = (level, index, attempts)`` deletes the home copy and makes
+    the first ``attempts`` writes of that fragment to its home tear.
+    """
+    rapids, _ = _workspace(root, edge=17, on_files=on_files)
+    cluster, ledger = rapids.cluster, rapids.ledger
+    budget = {e.level: e.m - (down is not None) for e in ledger.entries()}
+    specs = ()
+    if torn is not None and torn[1] != down:
+        level, index, attempts = torn
+        damage = (*damage, (level, index, "missing"))
+        specs = (FaultSpec(
+            site="filestore.write" if on_files else "storage.write",
+            effect="torn", magnitude=0.5, stop=attempts,
+            where={"system_id": index, "level": level, "index": index},
+        ),)
+    seen = set()
+    # Last first: the torn fragment's loss takes its place in the budget
+    # before the drawn damage does.
+    for level, index, shape in reversed(damage):
+        if index == down or (level, index) in seen or budget[level] < 1:
+            continue
+        seen.add((level, index))
+        budget[level] -= 1
+        _inflict(cluster, level, index, shape, down)
+    if down is not None:
+        cluster.fail([down])
+    cluster.attach_injector(FaultInjector(FaultPlan(seed=0, specs=specs)))
+    try:
+        scrub = Scrubber(cluster, ledger).run()
+        engine = RepairEngine(cluster, rapids.catalog, ledger, workers=1)
+        report = engine.repair(scrub)
+    finally:
+        cluster.attach_injector(None)
+    return rapids, engine, report
+
+
+_PINNED = [
+    (True, None, ((0, 2, "missing"), (1, 7, "corrupt"), (2, 4, "corrupt"),
+                  (3, 9, "stale"), (1, 3, "duplicate")), (3, 5, 3)),
+    (True, 6, ((0, 1, "corrupt"), (2, 11, "missing"), (3, 1, "duplicate")),
+     (1, 2, 1)),
+    (False, 12, ((0, 2, "missing"), (1, 7, "corrupt"), (2, 4, "truncate"),
+                 (3, 9, "stale"), (3, 3, "duplicate")), (0, 5, 3)),
+]
+
+#: What the commit before the snapshot existed did for the pinned
+#: examples: ``(level, index, kind, system, sources)`` per action, the
+#: final ledger placements per level, and the tree digest.  (No file
+#: example truncates at rest: that commit could not heal one.)
+_RECORDED = {
+    _PINNED[0]: (
+        [
+            (3, 9, 'adopted', 14, ()),
+            (3, 5, 'regenerated', 9, (0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13)),
+            (2, 4, 'regenerated', 4, (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12)),
+            (1, 3, 'cleared-stale', 8, ()),
+            (1, 7, 'regenerated', 7, (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11)),
+            (0, 2, 'regenerated', 2, (0, 1, 3, 4, 5, 6, 7, 8, 9, 10)),
+        ],
+        [
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+            [0, 1, 2, 3, 4, 9, 6, 7, 8, 14, 10, 11, 12, 13, 14, 15],
+        ],
+        '495a6027f3a4cfb5',
+    ),
+    _PINNED[1]: (
+        [
+            (2, 6, 'regenerated', 11, (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13)),
+            (2, 11, 'regenerated', 2, (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13)),
+            (3, 1, 'cleared-stale', 7, ()),
+            (3, 6, 'regenerated', 7, (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13)),
+            (1, 2, 'regenerated', 2, (0, 1, 3, 4, 5, 7, 8, 9, 10, 11, 12)),
+            (1, 6, 'regenerated', 4, (0, 1, 3, 4, 5, 7, 8, 9, 10, 11, 12)),
+            (0, 1, 'regenerated', 1, (0, 2, 3, 4, 5, 7, 8, 9, 10, 11)),
+            (0, 6, 'regenerated', 9, (0, 2, 3, 4, 5, 7, 8, 9, 10, 11)),
+        ],
+        [
+            [0, 1, 2, 3, 4, 5, 9, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+            [0, 1, 2, 3, 4, 5, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+            [0, 1, 2, 3, 4, 5, 11, 7, 8, 9, 10, 2, 12, 13, 14, 15],
+            [0, 1, 2, 3, 4, 5, 7, 7, 8, 9, 10, 11, 12, 13, 14, 15],
+        ],
+        '2065d5c9723802f9',
+    ),
+    _PINNED[2]: (
+        [
+            (2, 4, 'regenerated', 4, (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13)),
+            (2, 12, 'regenerated', 9, (0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13)),
+            (3, 3, 'cleared-stale', 8, ()),
+            (3, 9, 'adopted', 14, ()),
+            (3, 12, 'regenerated', 9, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13)),
+            (0, 2, 'regenerated', 2, (0, 1, 3, 4, 6, 7, 8, 9, 10, 11)),
+            (0, 5, 'regenerated', 0, (0, 1, 3, 4, 6, 7, 8, 9, 10, 11)),
+            (0, 12, 'regenerated', 5, (0, 1, 3, 4, 6, 7, 8, 9, 10, 11)),
+            (1, 7, 'regenerated', 7, (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11)),
+            (1, 12, 'regenerated', 1, (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11)),
+        ],
+        [
+            [0, 1, 2, 3, 4, 0, 6, 7, 8, 9, 10, 11, 5, 13, 14, 15],
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1, 13, 14, 15],
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 9, 13, 14, 15],
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 14, 10, 11, 9, 13, 14, 15],
+        ],
+        '7fb8cdc77155a4e1',
+    ),
+}
+
+
+def _outcome(rapids, report):
+    return (
+        [(a.level, a.index, a.kind, a.system_id, tuple(a.sources))
+         for a in report.actions],
+        [list(e.placement) for e in rapids.ledger.entries()],
+        _tree_digest(rapids.cluster),
+    )
+
+
+@given(
+    on_files=st.booleans(),
+    down=st.none() | st.integers(0, 15),
+    damage=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 15),
+                  st.sampled_from(_SHAPES)),
+        max_size=6,
+    ).map(tuple),
+    torn=st.none() | st.tuples(
+        st.integers(0, 3), st.integers(0, 15), st.sampled_from((1, 3))
+    ),
+)
+@example(*_PINNED[0])
+@example(*_PINNED[1])
+@example(*_PINNED[2])
+@settings(max_examples=12, deadline=None)
+def test_repair_snapshot_equals_the_store(on_files, down, damage, torn):
+    """After ``repair()`` the engine's snapshot *is* the store: same
+    holders, same used bytes, nothing torn left behind, nothing for a
+    second scrub to find — whatever was damaged and whichever write
+    failed on the way."""
+    with tempfile.TemporaryDirectory() as tmp:
+        rapids, engine, report = _damage_and_heal(
+            tmp, on_files, down, damage, torn
+        )
+        try:
+            cluster = rapids.cluster
+            assert not report.failures
+            fresh = cluster.inventory()
+            for e in rapids.ledger.entries():
+                for everyone in (False, True):
+                    assert engine.inventory.holders(
+                        e.store_name, e.level, available_only=not everyone
+                    ) == fresh.holders(
+                        e.store_name, e.level, available_only=not everyone
+                    )
+            assert engine.inventory.used_bytes == fresh.used_bytes == {
+                s.system_id: s.used_bytes for s in cluster.systems
+            }
+            for s in cluster.systems:
+                if s.available:
+                    for name, level, index, _ in s.resident():
+                        s.get(name, level, index)  # whole, CRC-clean
+            assert Scrubber(cluster, rapids.ledger).run().clean
+            recorded = _RECORDED.get((on_files, down, damage, torn))
+            if recorded is not None:
+                assert _outcome(rapids, report) == recorded
+        finally:
+            rapids.catalog.close()
+
+
+# -- counts, not clocks ----------------------------------------------------------
+
+
+class _Counts:
+    """What a pass did to the store: fragment files opened for reading,
+    directories listed, ``stat`` calls under the cluster root, and
+    payload hashes (``zlib.crc32`` calls made by ``repro.formats``)."""
+
+    def __init__(self, monkeypatch, root):
+        self.opened = self.listed = self.stats = self.hashed = 0
+        root = str(root)
+        real_open, real_scandir = builtins.open, os.scandir
+        real_stat, real_crc = os.stat, zlib.crc32
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            self.opened += str(file).endswith(".rdc") and "r" in mode
+            return real_open(file, mode, *args, **kwargs)
+
+        def counting_scandir(path="."):
+            self.listed += str(path).startswith(root)
+            return real_scandir(path)
+
+        def counting_stat(path, *args, **kwargs):
+            self.stats += str(path).startswith(root)
+            return real_stat(path, *args, **kwargs)
+
+        def counting_crc(*args):
+            caller = sys._getframe(1).f_globals["__name__"]
+            self.hashed += caller == "repro.formats.checksum"
+            return real_crc(*args)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)  # pathlib's
+        monkeypatch.setattr(os, "scandir", counting_scandir)
+        monkeypatch.setattr(os, "stat", counting_stat)
+        monkeypatch.setattr(zlib, "crc32", counting_crc)
+
+    def reset(self):
+        self.opened = self.listed = self.stats = self.hashed = 0
+
+
+def test_a_pass_reads_what_it_verifies_and_lists_once(tmp_path, monkeypatch):
+    """A heal opens exactly the fragment files it reads, lists every
+    directory once per snapshot, probes O(systems) paths per stripe and
+    hashes every fragment it reads once."""
+    n = 4
+    cluster = FileStorageCluster(
+        tmp_path / "cl", bandwidths=paper_bandwidth_profile(n)
+    )
+    with MetadataCatalog(tmp_path / "meta") as catalog:
+        rapids = RAPIDS(cluster, catalog, refactorer=Refactorer(2),
+                        omega=1.5, ec_workers=1)
+        rapids.prepare("a/x", _field(17, 0))
+        rapids.prepare("b", _field(17, 1))
+        stripes = rapids.ledger.entries()
+        assert len(stripes) == 4 and all(e.n == n for e in stripes)
+        cluster[1].delete("a/x", 0, 1)
+        frag = cluster[2].get("b", 1, 2)
+        cluster[2].put(StoredFragment("b", 1, 2, frag.nbytes,
+                                      frag.payload[::-1], checksum=frag.checksum))
+
+        counts = _Counts(monkeypatch, cluster.root)
+        scrub, repair = scrub_and_repair(cluster, catalog, ledger=rapids.ledger)
+        assert {(d.object_name, d.kind) for d in scrub.damage} == {
+            ("a/x", "missing"), ("b", "corrupt")
+        }
+        assert repair.counts() == {"regenerated": 2} and not repair.failures
+        reads = scrub.read_attempts + repair.read_attempts
+        assert counts.opened == reads
+        assert counts.listed == 2 * n  # one snapshot per scrub, one per repair
+        # Two probes per read (up? there?), a handful per write, one
+        # availability probe per system per snapshot — the per-fragment
+        # has() sweep over every system was 2 * n per fragment alone.
+        assert counts.stats <= 2 * reads + 6 * repair.repaired + 2 * n
+        assert counts.stats < 2 * n * scrub.fragments_scanned
+        # One hash per read; a regenerated fragment is hashed against
+        # the ledger and once more into its container.
+        assert counts.hashed == reads + 2 * repair.repaired
+
+        counts.reset()
+        scrub, repair = scrub_and_repair(cluster, catalog, ledger=rapids.ledger)
+        assert scrub.clean and repair is None
+        assert counts.opened == counts.hashed == scrub.read_attempts == 4 * n
+        assert counts.listed == n
+        assert counts.stats == 2 * scrub.read_attempts + n
+
+        # The injector handing back different bytes is hashed again —
+        # and caught.
+        cluster.attach_injector(FaultInjector(FaultPlan(seed=1, specs=(
+            FaultSpec(site="filestore.read", effect="corrupt",
+                      where={"system_id": 3, "level": 0}),
+        ))))
+        counts.reset()
+        with pytest.raises(CorruptFragmentError):
+            cluster[3].get("b", 0, 3)
+        assert counts.hashed == 2
+        assert cluster[0].get("b", 0, 0).verified_crc is not None
+        assert counts.hashed == 3
