@@ -7,9 +7,8 @@ fault-tolerance configuration protect the entire sequence.  This example:
 
 1. generates an advected, slowly decorrelating 4-D sequence;
 2. compares compression: 4-D refactoring vs per-snapshot refactoring;
-3. protects the sequence through the pipeline and restores a *single
-   snapshot* via region-of-interest reconstruction, touching only the
-   blocks that contain it.
+3. protects the sequence through the pipeline and restores it with
+   three systems down.
 
 Run:  python examples/timeseries_archive.py
 """
@@ -20,7 +19,6 @@ import numpy as np
 
 from repro import RAPIDS, MetadataCatalog, StorageCluster, relative_linf_error
 from repro.datasets import advected_sequence
-from repro.parallel import ParallelRefactorer
 from repro.refactor import Refactorer
 from repro.transfer import paper_bandwidth_profile
 
@@ -60,18 +58,6 @@ def main() -> None:
                 f"\npipeline: m={prep.ft_config}, 3 systems down -> "
                 f"{res.levels_used}/4 levels, error {err:.1e}"
             )
-
-    # --- single-snapshot ROI via block decomposition --------------------------
-    pr = ParallelRefactorer(processes=1, num_components=3, num_planes=22)
-    blocks = pr.refactor(seq, blocks_per_process=8)
-    t_pick = 11
-    region = pr.reconstruct_region(blocks.objects, t_pick, t_pick + 1)
-    snap_err = relative_linf_error(seq[t_pick], region.data[0])
-    print(
-        f"snapshot t={t_pick} via ROI: touched "
-        f"{region.extra['blocks_touched']}/{region.extra['blocks_total']} "
-        f"blocks, error {snap_err:.1e}"
-    )
 
 
 if __name__ == "__main__":

@@ -452,10 +452,7 @@ class ResourceLifecycleRule(Rule):
         return False
 
 
-_IO_SCOPE = (
-    "/storage/", "/metadata/", "/formats/",
-    "parallel/streaming", "parallel/procpipe",
-)
+_IO_SCOPE = ("/storage/", "/metadata/", "/formats/", "parallel/procpipe")
 
 
 @register

@@ -25,6 +25,9 @@ __all__ = ["FaultSpec", "FaultPlan", "SITES", "EFFECTS"]
 
 #: Operation sites a spec may target.  Each maps to one instrumented
 #: seam; ``pipeline.*`` are phase-boundary checks inside RAPIDS itself.
+#: ``transfer.attempt`` has no consulting seam today but stays declared:
+#: :meth:`FaultPlan.random` emits specs for it, so dropping it would
+#: reject or change every seeded random plan.
 SITES = frozenset(
     {
         "storage.read",
@@ -40,8 +43,6 @@ SITES = frozenset(
         "system.outage",
         "pipeline.prepare",
         "pipeline.restore",
-        "streaming.index",
-        "streaming.read",
         "service.admit",
         "service.dequeue",
         "service.journal",
@@ -69,8 +70,6 @@ _SITE_EFFECTS = {
     "ec.decode": {"error"},
     "pipeline.prepare": {"error"},
     "pipeline.restore": {"error"},
-    "streaming.index": {"error", "torn"},
-    "streaming.read": {"error", "stall"},
     "storage.write": {"error", "torn"},
     "filestore.write": {"error", "torn"},
     "storage.read": {"error", "corrupt", "truncate", "stall"},

@@ -978,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--systems", type=int, default=16)
     pp.add_argument("--omega", type=float, default=0.25)
     pp.add_argument("--parallelism", default="auto",
-                    choices=["auto", "process", "thread", "none"],
+                    choices=["auto", "process", "thread"],
                     help="execution mode (auto: process pool for inputs "
                          "of 32 MiB and up, threads otherwise)")
     pp.add_argument("--workers", type=int, default=None,
@@ -1002,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--solver-budget", type=float, default=1.0)
     rr.add_argument("--target-error", type=float, default=None)
     rr.add_argument("--parallelism", default="auto",
-                    choices=["auto", "process", "thread", "none"],
+                    choices=["auto", "process", "thread"],
                     help="reconstruction execution mode")
     rr.add_argument("--workers", type=int, default=None,
                     help="worker processes for --parallelism=process")

@@ -16,7 +16,7 @@ import struct
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +37,7 @@ from ..refactor import Refactorer
 from ..storage import StorageCluster
 from ..storage.system import CorruptFragmentError, StoredFragment, UnavailableError
 from ..transfer import phase_latency, pipelined_archival, refactored_distribution
+from .adaptive import BandwidthTracker, adaptive_strategy
 from .availability import expected_relative_error, refactored_storage_overhead
 from .ft_optimizer import FTProblem, FTSolution, heuristic
 from .gathering import (
@@ -296,8 +297,7 @@ class RAPIDS:
         tile (~8 MiB by default) and runs them on ``processes`` pool
         workers with shared-memory transport and bounded peak RSS —
         inline when ``processes=1`` or a chaos injector is attached;
-        ``"thread"`` keeps the object one tile with thread fan-out;
-        ``"none"`` is ``"thread"`` with every worker pool forced serial.
+        ``"thread"`` keeps the object one tile with thread fan-out.
         ``None`` (the default) means ``"process"`` from
         ``AUTO_PROCESS_THRESHOLD`` bytes up, else ``"thread"``; a
         ``transfer_service`` always means ``"thread"``.  An object that
@@ -307,15 +307,13 @@ class RAPIDS:
         timings: dict[str, float] = {}
         if self.injector is not None:
             self.injector.check("pipeline.prepare", name=name)
-        mode, source, tiles = self._cut_tiles(
+        source, tiles = self._cut_tiles(
             data, parallelism, tile_planes, transfer_service
         )
         num_tiles = len(tiles)
         processes = self._tile_processes(processes)
 
         with ExitStack() as stack:
-            if mode == "none":
-                stack.enter_context(self._serial_workers())
             t0 = time.perf_counter()
             if num_tiles == 1:
                 tile0 = np.ascontiguousarray(source)
@@ -504,19 +502,18 @@ class RAPIDS:
         )
 
     def _cut_tiles(self, data, parallelism, tile_planes, transfer_service):
-        """Resolve ``parallelism`` and cut the object: ``(mode, source, tiles)``.
+        """Resolve ``parallelism`` and cut the object: ``(source, tiles)``.
 
         Only ``"process"`` cuts more than one tile; an object it cannot
         cut (fewer than 2 planes, or ``tile_planes`` covering it) and
-        every other mode get the whole extent as tile 0, with ``source``
+        ``"thread"`` get the whole extent as tile 0, with ``source``
         loaded if it was a path — one tile is resident in the parent.
         """
         is_path = isinstance(data, (str, Path))
         nbytes = os.path.getsize(data) if is_path else int(data.nbytes)
         mode = procpipe.resolve_mode(parallelism, nbytes)
-        if mode == "process" and transfer_service is not None:
-            mode = "thread"  # the service owns distribution
-        if mode == "process":
+        # a transfer service owns distribution: one tile
+        if mode == "process" and transfer_service is None:
             # mmap: a file source only gives up its header here
             probe = np.load(data, mmap_mode="r") if is_path else np.asarray(data)
             if probe.ndim and probe.shape[0] >= 2:
@@ -524,9 +521,9 @@ class RAPIDS:
                     probe.shape, probe.dtype.itemsize, tile_planes
                 )
                 if len(tiles) > 1:
-                    return mode, data, tiles
+                    return data, tiles
         data = np.load(data) if is_path else np.asarray(data)
-        return mode, data, [(0, data.shape[0] if data.ndim else 0)]
+        return data, [(0, data.shape[0] if data.ndim else 0)]
 
     def _tile_processes(self, processes: int | None) -> int:
         """Pool width for the tiles of a multi-tile object.
@@ -540,18 +537,6 @@ class RAPIDS:
         if processes < 1:
             raise ValueError("processes must be >= 1")
         return 1 if self.injector is not None else processes
-
-    @contextmanager
-    def _serial_workers(self):
-        """Force every worker pool to width 1 (``parallelism="none"``)."""
-        saved = (self.ec_workers, self.refactor_workers, self.refactorer.workers)
-        self.ec_workers = 1
-        self.refactor_workers = 1
-        self.refactorer.workers = 1
-        try:
-            yield
-        finally:
-            self.ec_workers, self.refactor_workers, self.refactorer.workers = saved
 
     def _commit(
         self,
@@ -1034,13 +1019,10 @@ class RAPIDS:
         *, max_levels: int | None = None,
     ) -> GatheringOutcome:
         if strategy == "adaptive":
-            # use catalog EWMA estimates where history exists
-            from .adaptive import BandwidthTracker
-
-            tracker = BandwidthTracker(self.catalog, self.cluster.bandwidths)
-            bw = tracker.estimates()
-            return optimized_strategy(
-                sizes, ms, bw, failed,
+            # catalog EWMA estimates where history exists
+            return adaptive_strategy(
+                BandwidthTracker(self.catalog, self.cluster.bandwidths),
+                sizes, ms, failed,
                 time_budget=budget, charged_time=charged, seed=seed,
                 max_levels=max_levels,
             )

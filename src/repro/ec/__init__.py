@@ -6,20 +6,15 @@ path; :mod:`repro.ec.matrix` keeps the simple reference implementation
 they are verified against.
 """
 
-from .cauchy import CauchyRSCode
 from .codec import ECConfig, EncodedLevel, ErasureCodec
 from .kernels import EncodePlan, plan_for, planned_matmul
 from .reed_solomon import RSCode
-from .striping import StripedCode, StripedEncoding
 
 __all__ = [
     "ECConfig",
     "EncodedLevel",
     "ErasureCodec",
     "RSCode",
-    "CauchyRSCode",
-    "StripedCode",
-    "StripedEncoding",
     "EncodePlan",
     "plan_for",
     "planned_matmul",

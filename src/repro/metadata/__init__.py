@@ -7,7 +7,6 @@ from .catalog import (
     level_storage_name,
 )
 from .kvstore import CorruptionError, KVStore
-from .replicated import QuorumError, ReplicatedKVStore
 
 __all__ = [
     "KVStore",
@@ -16,6 +15,4 @@ __all__ = [
     "ObjectRecord",
     "FragmentRecord",
     "level_storage_name",
-    "ReplicatedKVStore",
-    "QuorumError",
 ]

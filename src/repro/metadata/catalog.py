@@ -102,8 +102,7 @@ class MetadataCatalog:
     """Typed facade over a KV store for RAPIDS metadata.
 
     Accepts a directory path (opens a local :class:`KVStore`) or any
-    already-open store exposing the KV interface — including the
-    quorum-replicated :class:`~repro.metadata.replicated.ReplicatedKVStore`.
+    already-open store exposing the KV interface.
     """
 
     def __init__(self, path: "str | Path | KVStore") -> None:

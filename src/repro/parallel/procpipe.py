@@ -40,7 +40,7 @@ Three properties the transport maintains:
   (:class:`_FragmentSpool`) so the commit stage reads back one fragment
   at a time.
 * **Bit-identical output.**  Tiling is deterministic
-  (:func:`repro.parallel.tiles.axis0_bounds`) and the refactor kernels
+  (:func:`axis0_bounds`) and the refactor kernels
   are worker-count invariant — so ``processes=N``, ``processes=1`` and
   the inline path produce the same bytes.
 """
@@ -61,13 +61,13 @@ from ..formats import crc32
 from ..refactor import Refactorer
 from ..refactor.grid import LevelPlan
 from ..refactor.refactorer import RefactoredObject, reconstruct_block, refactor_block
-from .tiles import axis0_bounds
 
 __all__ = [
     "AUTO_PROCESS_THRESHOLD",
     "DEFAULT_TILE_BYTES",
     "SharedArena",
     "TileSource",
+    "axis0_bounds",
     "payload_capacity",
     "plans_as_lists",
     "reconstruct_tiles",
@@ -101,12 +101,12 @@ def payload_capacity(tile_nbytes: int) -> int:
 
 
 def resolve_mode(parallelism: str | None, nbytes: int) -> str:
-    """Resolve a ``parallelism`` knob to ``"process"|"thread"|"none"``."""
-    if parallelism in ("process", "thread", "none"):
+    """Resolve a ``parallelism`` knob to ``"process"`` or ``"thread"``."""
+    if parallelism in ("process", "thread"):
         return parallelism
     if parallelism not in (None, "auto"):
         raise ValueError(
-            f"parallelism must be one of 'process', 'thread', 'none', "
+            f"parallelism must be one of 'process', 'thread', "
             f"'auto' or None, got {parallelism!r}"
         )
     return "process" if nbytes >= AUTO_PROCESS_THRESHOLD else "thread"
@@ -293,6 +293,21 @@ class TileSource:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def axis0_bounds(extent: int, num_tiles: int) -> list[tuple[int, int]]:
+    """Near-equal contiguous ``(lo, hi)`` spans covering ``range(extent)``.
+
+    The one cut-point function: every tile keeps >= 2 planes (the
+    refactorer's minimum) and the cuts are ``linspace`` floors.
+    """
+    if extent < 1:
+        raise ValueError("extent must be >= 1")
+    if num_tiles < 1:
+        raise ValueError("num_tiles must be >= 1")
+    num_tiles = min(num_tiles, max(1, extent // 2))
+    cuts = np.linspace(0, extent, num_tiles + 1).astype(int)
+    return [(int(cuts[i]), int(cuts[i + 1])) for i in range(num_tiles)]
 
 
 def resolve_tiles(

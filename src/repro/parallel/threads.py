@@ -4,13 +4,13 @@ The erasure-coding kernels (and most large-array NumPy ufuncs) release
 the GIL inside their inner loops, so a thread pool parallelises them
 without the pickling and process-startup costs of
 :class:`~concurrent.futures.ProcessPoolExecutor`.  This module is the
-shared "threads-first" strategy used by the EC kernel layer, the striped
-codec, and the pipeline's per-level encode/decode fan-out.
+shared "threads-first" strategy used by the EC kernel layer and the
+pipeline's per-level encode/decode fan-out.
 
 ``thread_map`` runs inline (no pool at all) when a single worker is
-requested or there is at most one item — the ``processes=1`` fast path
-of :mod:`repro.parallel.executor`, applied to threads — so tiny inputs
-and tests never pay pool overhead.
+requested or there is at most one item — the ``processes=1`` inline
+path of :mod:`repro.parallel.procpipe`, applied to threads — so tiny
+inputs and tests never pay pool overhead.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ def default_workers() -> int:
     — rather than ``os.cpu_count()``, which reports every core in the
     machine and over-subscribes pools inside containers.  This is the
     single source of truth for every pool in the project: the thread
-    fan-outs here, the process pools of :mod:`repro.parallel.executor`
-    and :mod:`repro.parallel.procpipe`.
+    fan-outs here and the process pools of
+    :mod:`repro.parallel.procpipe`.
     """
     try:
         affinity = len(os.sched_getaffinity(0))

@@ -6,7 +6,6 @@ errors decrease from top to bottom, exactly the structure RAPIDS applies
 heterogeneous erasure coding to.
 """
 
-from .analysis import QualityReport, assess
 from .error_model import MGARD_CONSTANT, relative_linf_error, theoretical_bound
 from .grid import LevelPlan, plan_levels
 from .refactorer import RefactoredObject, Refactorer
@@ -40,6 +39,4 @@ __all__ = [
     "load_archive",
     "to_archive_bytes",
     "from_archive_bytes",
-    "QualityReport",
-    "assess",
 ]

@@ -3,7 +3,6 @@ and equal-share transfer-time models."""
 
 from .globus import GlobusService, GlobusTask, TaskStatus
 from .network import DiurnalBandwidthModel, DriftingBandwidthModel
-from .tasks import TaskFailed, TransferTask, TransferTaskManager
 from .logs import (
     GB,
     MB,
@@ -32,9 +31,6 @@ __all__ = [
     "GB",
     "DriftingBandwidthModel",
     "DiurnalBandwidthModel",
-    "TransferTask",
-    "TransferTaskManager",
-    "TaskFailed",
     "GlobusService",
     "GlobusTask",
     "TaskStatus",

@@ -1,7 +1,7 @@
 """Release-acceptance test: one scenario through every major subsystem.
 
 A campaign operator's week, end to end: persistent file-backed storage,
-quorum-replicated metadata, batch ingest, integrity scrub after bit rot,
+the on-disk KV catalog, batch ingest, integrity scrub after bit rot,
 adaptive gathering after bandwidth drift, proactive staging through a
 maintenance window, fragment repair after disk loss, error-controlled
 and progressive restores — with the data provably intact at every step.
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import RAPIDS, Archive, ProactiveOperator
 from repro.core.planner import ProtectionPlanner, ProtectionRequirement
-from repro.metadata import MetadataCatalog, ReplicatedKVStore
+from repro.metadata import MetadataCatalog
 from repro.refactor import Refactorer, relative_linf_error
 from repro.storage import FileStorageCluster, MaintenanceSchedule
 from repro.transfer import paper_bandwidth_profile
@@ -24,8 +24,7 @@ def world(tmp_path_factory):
     cluster = FileStorageCluster(
         tmp / "cluster", bandwidths=paper_bandwidth_profile(16)
     )
-    rkv = ReplicatedKVStore([tmp / f"meta{i}" for i in range(3)])
-    catalog = MetadataCatalog(rkv)
+    catalog = MetadataCatalog(tmp / "meta")
     rapids = RAPIDS(
         cluster, catalog, refactorer=Refactorer(4, num_planes=22), omega=0.3
     )
@@ -41,8 +40,8 @@ def world(tmp_path_factory):
             * np.sin(2 * x + ph[2])[None, None, :]
         ).astype(np.float32)
     reports = archive.ingest(snapshots)
-    yield rapids, archive, snapshots, reports, rkv
-    rkv.close()
+    yield rapids, archive, snapshots, reports
+    catalog.close()
 
 
 def _exact(rapids, archive, snapshots, name):
@@ -54,26 +53,14 @@ def _exact(rapids, archive, snapshots, name):
 
 
 def test_01_ingest_under_budget(world):
-    rapids, archive, snapshots, reports, _ = world
+    rapids, archive, snapshots, reports = world
     assert archive.storage_overhead() <= 0.3 + 1e-9
     for name in snapshots:
         _exact(rapids, archive, snapshots, name)
 
 
-def test_02_metadata_survives_replica_loss(world):
-    rapids, archive, snapshots, reports, rkv = world
-    rkv.fail_replica(0)
-    try:
-        rec = rapids.catalog.get_object("run7:T00")
-        assert rec.n_systems == 16
-        _exact(rapids, archive, snapshots, "run7:T01")
-    finally:
-        rkv.restore_replica(0)
-        rkv.recover_replica(0)
-
-
 def test_03_scrub_heals_bit_rot(world):
-    rapids, archive, snapshots, _, _ = world
+    rapids, archive, snapshots, _ = world
     name = "run7:T00"
     sys5 = rapids.cluster[5]
     frag = sys5.get(name, 2, 5)
@@ -88,7 +75,7 @@ def test_03_scrub_heals_bit_rot(world):
 
 
 def test_04_adaptive_gathering_after_drift(world):
-    rapids, archive, snapshots, _, _ = world
+    rapids, archive, snapshots, _ = world
     # seed throughput history, then restore adaptively
     rapids.restore("run7:T01", strategy="naive")
     res = rapids.restore("run7:T01", strategy="adaptive", solver_budget=0.2)
@@ -96,7 +83,7 @@ def test_04_adaptive_gathering_after_drift(world):
 
 
 def test_05_staging_through_maintenance(world):
-    rapids, archive, snapshots, reports, _ = world
+    rapids, archive, snapshots, reports = world
     ms = reports["run7:T00"].ft_config
     n_down = ms[-1] + 1
     sched = MaintenanceSchedule()
@@ -118,7 +105,7 @@ def test_05_staging_through_maintenance(world):
 
 
 def test_06_repair_after_disk_loss(world):
-    rapids, archive, snapshots, _, _ = world
+    rapids, archive, snapshots, _ = world
     for sid in (4, 11):
         for key in rapids.cluster[sid].fragment_keys():
             if not key[0].startswith("__staged__"):
@@ -131,7 +118,7 @@ def test_06_repair_after_disk_loss(world):
 
 
 def test_07_error_controlled_and_progressive(world):
-    rapids, archive, snapshots, reports, _ = world
+    rapids, archive, snapshots, reports = world
     name = "run7:T01"
     rec = rapids.catalog.get_object(name)
     quick = rapids.restore(name, strategy="naive",
@@ -142,7 +129,7 @@ def test_07_error_controlled_and_progressive(world):
 
 
 def test_08_planner_consistent_with_deployment(world):
-    rapids, archive, snapshots, reports, _ = world
+    rapids, archive, snapshots, reports = world
     rec = rapids.catalog.get_object("run7:T02")
     planner = ProtectionPlanner(
         16, 0.01, [float(s) for s in rec.level_sizes],

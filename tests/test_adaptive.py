@@ -1,11 +1,19 @@
 """Tests for adaptive bandwidth tracking and drifting network models."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core import BandwidthTracker, adaptive_strategy, gathering_latency
+from repro.core import (
+    RAPIDS,
+    BandwidthTracker,
+    adaptive_strategy,
+    gathering_latency,
+)
 from repro.core.gathering import naive_strategy, optimized_strategy
 from repro.metadata import MetadataCatalog
+from repro.storage import StorageCluster
 from repro.transfer import (
     DiurnalBandwidthModel,
     DriftingBandwidthModel,
@@ -150,6 +158,29 @@ class TestAdaptiveStrategy:
             charged_time=0.0, seed=3,
         )
         assert np.array_equal(a.x, b.x)
+
+    def test_pipeline_adaptive_is_this_function(self, tracker, monkeypatch):
+        """``RAPIDS`` gathering with ``strategy="adaptive"`` is
+        :func:`adaptive_strategy` over the catalog's history: same seed,
+        same plan."""
+        true = tracker.prior[::-1].copy()
+        for i in range(tracker.n):
+            for _ in range(8):
+                tracker.observe(i, 1e9, 1e9 / true[i])
+        rapids = RAPIDS(StorageCluster(tracker.prior), tracker.catalog)
+        # a clock that ticks per reading makes the ACO's wall-clock
+        # budget a fixed iteration count
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            "repro.optimize.aco.time.perf_counter", lambda: next(ticks) * 0.01
+        )
+        args = dict(time_budget=0.2, charged_time=0.0, seed=5, max_levels=None)
+        plan = rapids._select("adaptive", SIZES, MS, [2], 0.2, 0.0, 5)
+        same = adaptive_strategy(tracker, SIZES, MS, [2], **args)
+        stale = optimized_strategy(SIZES, MS, tracker.prior, [2], **args)
+        assert np.array_equal(plan.x, same.x)
+        assert plan.levels_included == same.levels_included
+        assert not np.array_equal(plan.x, stale.x)
 
 
 class TestStalenessDecay:

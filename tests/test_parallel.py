@@ -1,5 +1,4 @@
-"""Tests for block partitioning, the parallel executor, scaling model,
-and the GPU batched backend."""
+"""Tests for the cluster scaling model and the GPU batched backend."""
 
 import numpy as np
 import pytest
@@ -10,108 +9,10 @@ from repro.parallel import (
     ClusterScalingModel,
     GPUDeviceModel,
     OperationRates,
-    ParallelRefactorer,
     batched_decompose,
     batched_recompose,
-    block_shape_for,
-    join_blocks,
-    split_blocks,
 )
-from repro.refactor import Refactorer, relative_linf_error, transform
-
-
-def field(n0=32, n=17, seed=0):
-    rng = np.random.default_rng(seed)
-    x = np.linspace(0, 1, n0)[:, None, None]
-    y = np.linspace(0, 1, n)[None, :, None]
-    z = np.linspace(0, 1, n)[None, None, :]
-    return (np.sin(3 * x) * np.cos(2 * y) * np.sin(4 * z)).astype(np.float32)
-
-
-class TestPartition:
-    def test_split_join_roundtrip(self):
-        data = field()
-        for nb in (1, 2, 3, 5, 8):
-            blocks = split_blocks(data, nb)
-            np.testing.assert_array_equal(join_blocks(blocks), data)
-
-    def test_split_clamps(self):
-        data = field(n0=6)
-        blocks = split_blocks(data, 100)
-        assert len(blocks) == 3  # 6 // 2
-
-    def test_block_shape_for(self):
-        assert block_shape_for((32, 17, 17), 4) == (8, 17, 17)
-        assert block_shape_for((6, 5), 100) == (2, 5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            split_blocks(field(), 0)
-        with pytest.raises(ValueError):
-            join_blocks([])
-
-
-class TestParallelRefactorer:
-    def test_serial_roundtrip(self):
-        data = field()
-        pr = ParallelRefactorer(processes=1, num_components=3)
-        res = pr.refactor(data)
-        assert res.num_blocks == 1
-        back = pr.reconstruct(res.objects)
-        assert back.data.shape == data.shape
-        assert relative_linf_error(data, back.data) < 1e-4
-
-    def test_two_process_roundtrip(self):
-        data = field()
-        pr = ParallelRefactorer(processes=2, num_components=3)
-        res = pr.refactor(data)
-        assert res.num_blocks == 2
-        back = pr.reconstruct(res.objects)
-        assert relative_linf_error(data, back.data) < 1e-4
-
-    def test_partial_reconstruct(self):
-        data = field()
-        pr = ParallelRefactorer(processes=1, num_components=3)
-        res = pr.refactor(data)
-        full = pr.reconstruct(res.objects, upto=3).data
-        partial = pr.reconstruct(res.objects, upto=1).data
-        assert relative_linf_error(data, partial) > relative_linf_error(data, full)
-
-    def test_throughput_positive(self):
-        res = ParallelRefactorer(processes=1, num_components=2).refactor(field())
-        assert res.throughput > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParallelRefactorer(processes=0)
-        with pytest.raises(ValueError):
-            ParallelRefactorer(processes=1).reconstruct([])
-
-    def test_region_reconstruction_matches_full(self):
-        data = field()
-        pr = ParallelRefactorer(processes=1, num_components=3)
-        res = pr.refactor(data, blocks_per_process=4)
-        full = pr.reconstruct(res.objects).data
-        region = pr.reconstruct_region(res.objects, 10, 22)
-        np.testing.assert_array_equal(region.data, full[10:22])
-
-    def test_region_touches_fewer_blocks(self):
-        data = field()
-        pr = ParallelRefactorer(processes=1, num_components=3)
-        res = pr.refactor(data, blocks_per_process=8)
-        region = pr.reconstruct_region(res.objects, 0, 4)
-        assert region.extra["blocks_touched"] < region.extra["blocks_total"]
-
-    def test_region_validation(self):
-        data = field()
-        pr = ParallelRefactorer(processes=1, num_components=2)
-        res = pr.refactor(data, blocks_per_process=2)
-        with pytest.raises(ValueError):
-            pr.reconstruct_region(res.objects, 5, 5)
-        with pytest.raises(ValueError):
-            pr.reconstruct_region(res.objects, 0, 999)
-        with pytest.raises(ValueError):
-            pr.reconstruct_region([], 0, 1)
+from repro.refactor import transform
 
 
 class TestScalingModel:

@@ -57,6 +57,10 @@ def make_pipeline(tmp_path, tag="p", n=N_SYSTEMS, **kwargs):
     return RAPIDS(cluster, catalog, **kwargs)
 
 
+#: ``make_pipeline`` kwargs for a pipeline whose every pool is one wide.
+SERIAL_PIPELINE = dict(ec_workers=1, refactor_workers=1)
+
+
 def field(shape, dtype, seed=0):
     rng = np.random.default_rng(seed)
     x = np.linspace(0, 1, shape[0]).reshape((-1,) + (1,) * (len(shape) - 1))
@@ -75,7 +79,7 @@ def stored_bytes(pipeline, name, levels):
 
 class TestResolveMode:
     def test_explicit_modes_pass_through(self):
-        for mode in ("process", "thread", "none"):
+        for mode in ("process", "thread"):
             assert resolve_mode(mode, 0) == mode
 
     def test_auto_threshold(self):
@@ -84,8 +88,9 @@ class TestResolveMode:
         assert resolve_mode("auto", AUTO_PROCESS_THRESHOLD) == "process"
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="parallelism"):
-            resolve_mode("fork", 100)
+        for mode in ("fork", "none"):
+            with pytest.raises(ValueError, match="parallelism"):
+                resolve_mode(mode, 100)
 
 
 class TestSharedArena:
@@ -158,11 +163,14 @@ class TestTileSource:
             TileSource(np.zeros((1, 4), dtype=np.float64))
 
     def test_resolve_tiles_covers_extent(self):
-        bounds = resolve_tiles((100, 8, 8), 8, tile_planes=16)
-        assert bounds[0][0] == 0 and bounds[-1][1] == 100
-        for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
-            assert a1 == b0
-        assert all(hi - lo >= 2 for lo, hi in bounds)
+        # (5, 2) and (6, 2): more tiles asked for than 2-plane tiles fit
+        for extent, tile_planes, count in [(100, 16, 7), (5, 2, 2), (6, 2, 3)]:
+            bounds = resolve_tiles((extent, 8, 8), 8, tile_planes=tile_planes)
+            assert len(bounds) == count
+            assert bounds[0][0] == 0 and bounds[-1][1] == extent
+            for (a0, a1), (b0, b1) in zip(bounds, bounds[1:]):
+                assert a1 == b0
+            assert all(hi - lo >= 2 for lo, hi in bounds)
 
 
 class TestBitIdentity:
@@ -210,9 +218,10 @@ class TestBitIdentity:
         assert back_p.dtype == data.dtype and back_p.shape == data.shape
 
     #: One-tile geometry (``tile_planes`` >= planes): every engine
-    #: setting must be the same prepare.
+    #: setting must be the same prepare.  ``serial`` is the thread
+    #: engine on a pipeline built with every pool one wide.
     ONE_TILE_MODES = {
-        "none": dict(parallelism="none"),
+        "serial": dict(parallelism="thread"),
         "thread-bounds": dict(parallelism="thread", measure_errors=False),
         "process-1": dict(parallelism="process", processes=1, tile_planes=32),
         "process-2": dict(parallelism="process", processes=2, tile_planes=32),
@@ -223,7 +232,8 @@ class TestBitIdentity:
         data = field((20, 6, 5), np.float32, seed=3)
         ref = make_pipeline(tmp_path, "ref")
         r_ref = ref.prepare("obj", data, parallelism="thread")
-        p = make_pipeline(tmp_path, mode)
+        serial = SERIAL_PIPELINE if mode == "serial" else {}
+        p = make_pipeline(tmp_path, mode, **serial)
         rep = p.prepare("obj", data, **self.ONE_TILE_MODES[mode])
         assert rep.extra == {}  # one tile: no pool, arena or spool to report
         assert rep.ft_config == r_ref.ft_config
@@ -304,13 +314,21 @@ class TestBitIdentity:
         files = sorted((tmp_path / "frags").glob("*.rdc"))
         assert len(files) == len(rep.level_sizes) * N_SYSTEMS
 
-    def test_none_mode_restores_workers(self, tmp_path):
+    def test_serial_pipeline_matches_pooled(self, tmp_path):
+        """Pool widths belong to the pipeline object and never change
+        bytes: a one-wide pipeline stores what the default one stores."""
         data = field((16, 5, 5), np.float64)
-        p = make_pipeline(tmp_path)
-        before = (p.ec_workers, p.refactor_workers, p.refactorer.workers)
-        p.prepare("obj", data, parallelism="none")
-        assert (p.ec_workers, p.refactor_workers, p.refactorer.workers) == before
-        assert p.restore("obj").data is not None
+        ref = make_pipeline(tmp_path, "ref")
+        r_ref = ref.prepare("obj", data)
+        p = make_pipeline(tmp_path, "serial", **SERIAL_PIPELINE)
+        rep = p.prepare("obj", data)
+        assert (p.ec_workers, p.refactor_workers, p.refactorer.workers) == (1, 1, 1)
+        levels = len(rep.level_sizes)
+        assert rep.level_sizes == r_ref.level_sizes
+        assert stored_bytes(p, "obj", levels) == stored_bytes(ref, "obj", levels)
+        np.testing.assert_array_equal(
+            p.restore("obj").data, ref.restore("obj").data
+        )
 
 
 class TestDegradedRestores:
