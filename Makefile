@@ -152,9 +152,11 @@ bench-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_procpipe.py --smoke
 
 # Full refactoring-pipeline benchmark (64 MiB array; asserts the >= 2x
-# refactor+reconstruct speedup and the sublinear measure_errors cost).
+# refactor+reconstruct speedup and the sublinear measure_errors cost)
+# with the 16 MiB per-stage split and the lossless-stage counts: what
+# the committed BENCH_refactor.json is regenerated with.
 bench-refactor:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_refactor.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_refactor.py --stages
 
 # Tiled process-pool prepare benchmark (64 MiB float64): verifies
 # pooled output bit-identical to serial, then asserts that the tiled

@@ -15,15 +15,21 @@ Measures the three wins of the pMGARD pipeline overhaul:
    erasure coder);
 4. with ``--stages``, where the seconds of one single-threaded refactor
    and reconstruct go, split the way MGARD reports its pipeline:
-   decompose, quantise+extract, deflate / inflate, assemble, sign
+   decompose, quantise+extract, lossless / inflate, assemble, sign
    placement, dequantise, recompose — and where the error measurement
    of a default ``refactor`` goes on top of that: dequantise once,
-   truncate per prefix, recompose, L-infinity.
+   truncate per prefix, recompose, L-infinity.  The lossless stage also
+   reports exact counts: blobs, ``zlib.compress`` attempts, attempts
+   that came back no smaller ("wasted"), bytes stored raw / zlib'd.
 
 The seed algorithms are reproduced inline (the ``bench_kernels.py``
 ``_seed_*`` pattern) and every mode verifies the new pipeline produces
 byte-identical payloads, errors, and reconstructions before timing
-anything.
+anything.  The seed loops are the reference for the transform, the
+quantisation, the plane bits and the sign order; whether a blob is
+stored raw or zlib'd they ask the encoder's own rule
+(``kernels.bits_compressible`` / ``signs_compressible`` / ``deflate``),
+so the comparison stays a byte comparison.
 
 Run as a script::
 
@@ -58,15 +64,10 @@ from repro.refactor.refactorer import RefactoredObject
 
 # -- the seed implementation, reproduced exactly ------------------------
 #
-# Bitplane coding: per-plane python loop over zlib'd packbits blobs.
+# Bitplane coding: per-plane python loop over packbits blobs.
 # Transform: unbatched serial line kernels (zeros+scatter load build,
 # fresh copies, one thread).  Refactorer: per-group encode loop and
 # from-scratch decode+reconstruct per prefix for error measurement.
-
-
-def _seed_deflate(payload: bytes) -> bytes:
-    z = zlib.compress(payload, level=6)
-    return b"\x01" + z if len(z) < len(payload) else b"\x00" + payload
 
 
 def _seed_inflate(blob: bytes) -> bytes:
@@ -99,9 +100,15 @@ def _seed_encode_planes(coeffs, num_planes=32, *, lsb_exponent=None) -> PlaneSet
         shift = np.uint64(num_planes - 1 - i)
         bits = ((q >> shift) & np.uint64(1)).astype(bool)
         new = bits & ~seen
+        bits_blob = _kernels.deflate(
+            np.packbits(bits).tobytes(),
+            _kernels.bits_compressible(int(seen.sum()), count),
+        )
+        sign_blob = _kernels.deflate(
+            np.packbits(sign[new]).tobytes(),
+            _kernels.signs_compressible(sign[new]),
+        )
         seen |= bits
-        bits_blob = _seed_deflate(np.packbits(bits).tobytes())
-        sign_blob = _seed_deflate(np.packbits(sign[new]).tobytes())
         planes.append(struct.pack("<I", len(bits_blob)) + bits_blob + sign_blob)
     return PlaneSet(count, exponent, num_planes, planes)
 
@@ -468,7 +475,7 @@ def measure_prepare_pipeline(shape=(128, 128, 128), num_planes=22) -> dict:
 _STAGE_CALLS = (
     ("decompose", _transform, "decompose"),
     ("quantise+extract", _kernels, "quantise"),
-    ("deflate", _kernels, "_plane_blob_job"),
+    ("lossless", _kernels, "_plane_blob_job"),
     ("inflate", _kernels, "_open_plane"),
     ("assemble", _kernels, "_assemble"),
     ("decoded_state", _kernels, "decoded_state"),
@@ -477,12 +484,64 @@ _STAGE_CALLS = (
     ("recompose", _transform, "recompose"),
     ("L-infinity", _refactorer, "relative_linf_error"),
 )
-_REFACTOR_STAGES = ("decompose", "quantise+extract", "deflate")
+_REFACTOR_STAGES = ("decompose", "quantise+extract", "lossless")
 _RECONSTRUCT_STAGES = (
     "inflate", "assemble", "sign placement", "dequantise", "recompose",
 )
 #: What ``measure_errors=True`` adds to a refactor (``_measure_errors``).
 _MEASUREMENT_STAGES = ("dequantise", "truncate", "recompose", "L-infinity")
+
+
+def count_lossless(data: np.ndarray, num_planes: int = 22) -> dict:
+    """Exact counts of the lossless stage of one single-threaded refactor.
+
+    ``blobs`` is two per plane (magnitude bits, new signs); ``attempts``
+    the ``zlib.compress`` calls made for them and ``wasted`` those that
+    came back no smaller than their input (``wasted_input_bytes`` of
+    it); ``raw_bytes`` / ``zlib_bytes`` what the blobs occupy, marker
+    included, by the representation they ended up in.
+    """
+    counts = dict.fromkeys(
+        ("blobs", "attempts", "wasted", "wasted_input_bytes",
+         "raw_bytes", "zlib_bytes"), 0,
+    )
+    real_deflate, real_compress = _kernels.deflate, zlib.compress
+
+    def deflate(payload, attempt=True):
+        blob = real_deflate(payload, attempt)
+        counts["blobs"] += 1
+        counts["raw_bytes" if blob[:1] == b"\x00" else "zlib_bytes"] += len(blob)
+        return blob
+
+    def compress(payload, *args, **kwargs):
+        z = real_compress(payload, *args, **kwargs)
+        counts["attempts"] += 1
+        if len(z) >= len(payload):
+            counts["wasted"] += 1
+            counts["wasted_input_bytes"] += len(payload)
+        return z
+
+    ref = Refactorer(4, num_planes=num_planes, workers=1)
+    with mock.patch.object(_kernels, "deflate", deflate), \
+            mock.patch.object(zlib, "compress", compress):
+        ref.refactor(data, measure_errors=False)
+    return counts
+
+
+def test_lossless_attempt_counts():
+    """The encoder predicts instead of asking zlib: the parent made one
+    attempt per blob here (228, 217 of them wasted on 338 KB of input);
+    the 7 that still come back no smaller are coarse-group planes of
+    13, 76 and 523 bytes."""
+    from repro.datasets import hurricane_temperature
+
+    counts = count_lossless(
+        hurricane_temperature((64, 64, 64)).astype(np.float64)
+    )
+    assert counts["blobs"] == 228
+    assert counts["attempts"] <= 40
+    assert counts["wasted"] <= 8
+    assert counts["wasted_input_bytes"] <= 1024
 
 
 def measure_stages(shape=(128, 128, 128), num_planes=22, reps=3) -> dict:
@@ -541,6 +600,7 @@ def measure_stages(shape=(128, 128, 128), num_planes=22, reps=3) -> dict:
                     state["data"], state["obj"], state.pop("decoded"),
                     state["kept_after"], state["workers"],
                 ))
+    out["lossless_counts"] = count_lossless(data, num_planes)
     return out
 
 
@@ -639,6 +699,9 @@ def main(argv=None) -> None:
                     for k, v in stages[op].items()
                 ],
             )
+        print("lossless stage: " + ", ".join(
+            f"{k} {v}" for k, v in stages["lossless_counts"].items()
+        ))
 
     result["mode"] = "smoke" if args.smoke else "full"
     path = write_bench_artifact("refactor", result)

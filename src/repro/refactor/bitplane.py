@@ -17,19 +17,23 @@ Encoding pipeline per coefficient group::
 
     float64 coeffs -> fixed-point magnitudes (uint64)
                    -> per-plane: packbits(magnitude bits) + packbits(signs
-                      of newly-significant coeffs), both zlib'd (planes of
-                      smooth data are mostly runs of zeros and compress
-                      hard)
+                      of newly-significant coeffs), each stored raw or
+                      zlib'd behind a one-byte marker (the top planes of
+                      a group are mostly zeros and compress hard; the
+                      refinement planes and nearly all sign bits are
+                      noise, and the encoder knows which is which
+                      without asking zlib)
 
 Decoding tolerates an arbitrary *prefix* of the planes (always the most
 significant first); missing low planes read as zero magnitude bits, which
 bounds the dequantisation error by the first missing plane's weight.
 
-The heavy lifting — chunked bit extraction, per-plane zlib jobs, the
-vectorised plane reassembly — lives in :mod:`repro.refactor.kernels`,
-which can fan the work out over threads (``workers=``).  The blob format
-is unchanged from the original serial encoder and both directions are
-bit-compatible with it.
+The heavy lifting — chunked bit extraction, the per-plane raw-or-zlib
+decision and blob jobs, the vectorised plane reassembly — lives in
+:mod:`repro.refactor.kernels`, which can fan the work out over threads
+(``workers=``).  The blob format is unchanged from the original serial
+encoder: blobs written by any earlier encoder decode bit-identically,
+and both directions produce the original's bits and signs.
 """
 
 from __future__ import annotations
@@ -59,9 +63,10 @@ class PlaneSet:
     num_planes:
         Total magnitude planes encoded.
     planes:
-        Framed blobs, MSB first.  Each blob holds the zlib'd packbits of
-        the plane's magnitude bits followed by the zlib'd packbits of the
-        signs of coefficients whose leading 1-bit lies in this plane.
+        Framed blobs, MSB first.  Each blob holds the packbits of the
+        plane's magnitude bits followed by the packbits of the signs of
+        coefficients whose leading 1-bit lies in this plane, each raw or
+        zlib'd as its marker byte says.
     """
 
     count: int
@@ -104,7 +109,7 @@ def encode_planes(
     Either way the absolute quantisation error of every coefficient is
     bounded by the LSB weight.
 
-    ``workers`` fans the chunked bit extraction and the per-plane zlib
+    ``workers`` fans the chunked bit extraction and the per-plane blob
     jobs over threads; the output is byte-identical for any value.
     """
     qg = kernels.quantise(

@@ -65,7 +65,8 @@ class Component:
 
     @property
     def nbytes(self) -> int:
-        """Payload size (plane bytes only; the header adds ~10 B/plane)."""
+        """Payload size (plane bytes only; :attr:`serialized_nbytes` adds
+        the 18-byte entry header per plane and the component header)."""
         return sum(len(blob) for _, blob in self.entries)
 
     @property

@@ -1,13 +1,17 @@
 """Chunked, thread-parallel kernels behind the refactoring pipeline.
 
 The refactor-side counterpart of :mod:`repro.ec.kernels`.  Every
-independent unit of work — coefficient chunks, per-plane zlib jobs —
+independent unit of work — coefficient chunks, per-plane blob jobs —
 can fan out over :func:`repro.parallel.threads.thread_map` (``zlib``
 and the large NumPy ufuncs release the GIL); chunks write disjoint
 slices of preallocated outputs, so results do not depend on ``workers``.
 
 * **Blob codec** (:func:`deflate` / :func:`inflate` / :func:`frame` /
-  :func:`unframe`): the framed zlib-with-raw-fallback plane format.
+  :func:`unframe`): the framed raw-or-zlib plane format.  The *encoder*
+  decides which, per blob, from statistics it already holds
+  (:func:`bits_compressible`, :func:`signs_compressible`): most blobs
+  are stored raw without asking zlib, the few that can compress get
+  one level-1 attempt.  The decoder only reads the marker byte.
 * **Encode** (:func:`quantise`, :func:`plane_payloads`,
   :func:`encode_groups`): fixed-point quantisation and bitplane
   extraction, ``COEFF_CHUNK`` coefficients at a time.
@@ -51,6 +55,7 @@ __all__ = [
     "COEFF_CHUNK",
     "DecodedGroup",
     "QuantisedGroup",
+    "bits_compressible",
     "decoded_state",
     "deflate",
     "dequantise",
@@ -59,6 +64,7 @@ __all__ = [
     "inflate",
     "plane_payloads",
     "quantise",
+    "signs_compressible",
     "unframe",
 ]
 
@@ -71,27 +77,81 @@ __all__ = [
 #: makes remain a negligible share of its run time.
 COEFF_CHUNK = 1 << 17
 
+#: Which blobs get a zlib attempt at all.  Measured on the four
+#: perfbench fields (hurricane_temperature, scale_pressure, nyx_velocity,
+#: nyx_temperature) at 128^3 float64, 22 planes, where "deflate every
+#: blob at level 6, keep it if smaller" made 260-350 attempts per
+#: refactor (0.12-0.18 s, 45-60 % of a bounds-only refactor) and threw
+#: 242-319 of them away:
+#:
+#: * A magnitude plane in which at least ``RAW_SIGNIFICANT_SHARE`` of the
+#:   coefficients were significant before it is refinement noise for
+#:   them; all such planes of an object together gave level 6 at most
+#:   0.08 % of its stored bytes.
+#: * The signs of newly significant coefficients are coin flips — all
+#:   sign blobs of an object together gave level 6 nothing — unless the
+#:   detail is one-signed (a convex ramp) or its sign changes rarely
+#:   along the array (a noise-free analytic field, where level 6 took
+#:   423-byte sign blobs to 25).  They are attempted only when the rarer
+#:   sign, or the adjacent pairs that differ, are below
+#:   ``PREDICTABLE_SIGN_SHARE`` of the blob; on the perfbench fields 42 %
+#:   or more of the pairs differ, on the analytic field at most 12 %.
+#: * zlib's shortest stream for a non-empty input is 9-11 bytes, so a
+#:   payload of ``MAX_TINY_BYTES`` or fewer can never come back smaller.
+#: * The 15-31 blobs that do compress cost 0.060-0.098 s at level 6 and
+#:   0.027-0.038 s at ``ZLIB_LEVEL`` 1, for +0.3-0.6 % of stored bytes.
+RAW_SIGNIFICANT_SHARE = 0.5
+PREDICTABLE_SIGN_SHARE = 0.25
+MAX_TINY_BYTES = 11
+ZLIB_LEVEL = 1
+
 
 # -- blob codec ---------------------------------------------------------
 
 
-def deflate(payload: bytes) -> bytes:
-    """zlib with a raw-storage fallback for incompressible payloads.
+def bits_compressible(significant: int, count: int) -> bool:
+    """Whether a magnitude plane is worth a zlib attempt.
 
-    The least-significant planes of floating-point data are effectively
-    random; compressing them wastes time and can even expand.  A 1-byte
-    marker selects the representation.
+    ``significant`` of the group's ``count`` coefficients have their
+    leading 1-bit in an earlier plane (``QuantisedGroup.sign_offsets[i]``
+    for plane ``i``), so their bits in this one are refinement noise.
     """
-    z = zlib.compress(payload, level=6)
-    if len(z) < len(payload):
-        return b"\x01" + z
+    return significant < RAW_SIGNIFICANT_SHARE * count
+
+
+def signs_compressible(signs: np.ndarray) -> bool:
+    """Whether the sign bits of one plane's newly significant
+    coefficients are worth a zlib attempt: one sign is rare, or the sign
+    rarely changes from one coefficient to the next."""
+    negatives = np.count_nonzero(signs)
+    flips = np.count_nonzero(signs[1:] != signs[:-1])
+    rarest = min(negatives, signs.size - negatives, flips)
+    return rarest < PREDICTABLE_SIGN_SHARE * signs.size
+
+
+def deflate(payload: bytes, attempt: bool = True) -> bytes:
+    """Raw storage, or zlib where ``attempt`` says it can pay.
+
+    A 1-byte marker selects the representation.  The caller predicts
+    from the plane's statistics whether compressing is worth trying
+    (:func:`bits_compressible`, :func:`signs_compressible`); an attempt
+    that does not shrink the payload still falls back to raw, so a blob
+    is never larger than its payload plus the marker.
+    """
+    if attempt and len(payload) > MAX_TINY_BYTES:
+        z = zlib.compress(payload, ZLIB_LEVEL)
+        if len(z) < len(payload):
+            return b"\x01" + z
     return b"\x00" + payload
 
 
 def inflate(blob: bytes) -> bytes:
-    if blob[:1] == b"\x01":
+    marker = blob[:1]
+    if marker == b"\x00":
+        return blob[1:]
+    if marker == b"\x01":
         return zlib.decompress(blob[1:])
-    return blob[1:]
+    raise ValueError(f"plane blob has unknown codec marker {marker!r}")
 
 
 def frame(bits_blob: bytes, sign_blob: bytes) -> bytes:
@@ -318,7 +378,8 @@ def _sign_layout(
     lead: np.ndarray, num_planes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stable order of coefficients by leading plane, plus plane offsets."""
-    order = np.argsort(lead, kind="stable")
+    # At most 61 distinct keys: one-byte keys take one radix pass, not two.
+    order = np.argsort(lead.astype(np.uint8), kind="stable")
     counts = np.bincount(lead, minlength=num_planes + 1)
     offsets = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
@@ -326,22 +387,33 @@ def _sign_layout(
 
 
 def _plane_blob_job(job: tuple[QuantisedGroup, int]) -> bytes:
-    """Frame one ``(group, plane)``: deflated bits + deflated new signs.
+    """Frame one ``(group, plane)``: magnitude bits + new signs, each
+    raw or zlib'd as the plane's own statistics predict.
+
+    ``sign_offsets[i]`` is the number of coefficients that became
+    significant before plane ``i``, so the decision costs two counts
+    over the new signs and depends on nothing but the group — never on
+    ``workers`` or on which engine runs the job.
 
     Module-level so executors of any kind — thread pools today, process
     pools in the streaming pipeline — can receive it (rapidslint RPD112
     rejects non-picklable callables at process-pool submission sites).
     """
     qg, i = job
-    lo, hi = qg.sign_offsets[i], qg.sign_offsets[i + 1]
-    new_signs = np.packbits(qg.sign[qg.sign_order[lo:hi]])
-    return frame(deflate(qg.packed[i].tobytes()), deflate(new_signs.tobytes()))
+    lo, hi = int(qg.sign_offsets[i]), int(qg.sign_offsets[i + 1])
+    new_signs = qg.sign[qg.sign_order[lo:hi]]
+    return frame(
+        deflate(qg.packed[i].tobytes(), bits_compressible(lo, qg.count)),
+        deflate(
+            np.packbits(new_signs).tobytes(), signs_compressible(new_signs)
+        ),
+    )
 
 
 def plane_payloads(
     qg: QuantisedGroup, *, workers: int | None = None
 ) -> list[bytes]:
-    """Deflate and frame every plane of one group (threaded per plane)."""
+    """Encode and frame every plane of one group (threaded per plane)."""
     return thread_map(
         _plane_blob_job,
         [(qg, i) for i in range(qg.num_planes)],
@@ -362,7 +434,7 @@ def encode_groups(
     Stage 1 quantises group by group (each internally chunk-threaded —
     the finest detail ring holds ~7/8 of all coefficients, so threading
     *within* the group is what balances the work).  Stage 2 flattens
-    every ``(group, plane)`` deflate into one job list so the thread
+    every ``(group, plane)`` blob job into one job list so the thread
     pool stays busy across group boundaries.
     """
     qgs = [
@@ -455,10 +527,16 @@ def decoded_state(
     # at once instead of ``keep`` boolean sweeps over ``lead``.
     order, offsets = _sign_layout(lead, keep)
     for i, (_braw, sraw) in enumerate(opened):
-        lo, hi = offsets[i], offsets[i + 1]
+        lo, hi = int(offsets[i]), int(offsets[i + 1])
         if hi > lo:
+            # unpackbits(count=) zero-pads: a short blob would decode as
+            # all-positive coefficients instead of failing.
+            if len(sraw) != (hi - lo + 7) // 8:
+                raise ValueError(
+                    f"sign blob of plane {i} does not hold {hi - lo} sign bits"
+                )
             sign[order[lo:hi]] = np.unpackbits(
-                np.frombuffer(sraw, dtype=np.uint8), count=int(hi - lo)
+                np.frombuffer(sraw, dtype=np.uint8), count=hi - lo
             ).astype(bool)
     return DecodedGroup(count, exponent, num_planes, q, sign)
 

@@ -186,7 +186,7 @@ class Refactorer:
     policy / size_ratio:
         Bitplane grouping policy, see :func:`repro.refactor.components.group_planes`.
     workers:
-        Thread fan-out for the transform tiles, per-plane zlib jobs and
+        Thread fan-out for the transform tiles, per-plane blob jobs and
         component (de)serialisation.  ``None`` picks it per call from
         the array size (inline for small arrays, else one worker per
         CPU); every worker count produces bit-identical output.

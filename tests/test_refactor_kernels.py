@@ -7,7 +7,9 @@ The overhauled pipeline promises three things this module pins down:
    output for any ``workers`` value.
 2. *Bit-identity with the original serial algorithms* — compact
    reference implementations of the seed's per-plane loops live in this
-   file and every blob/value is compared exactly.
+   file and every plane's bits, signs and decoded value is compared
+   exactly (the blob bytes themselves may differ: the reference
+   deflates everything at level 6, the encoder predicts raw or level 1).
 3. *Incremental error measurement is exact* — truncating one
    dequantisation per prefix matches a from-scratch reconstruction per
    prefix, bit for bit.
@@ -135,7 +137,23 @@ class TestSeedEquivalence:
         assert (ps_new.count, ps_new.exponent, ps_new.num_planes) == (
             ps_ref.count, ps_ref.exponent, ps_ref.num_planes,
         )
-        assert ps_new.planes == ps_ref.planes
+        self._assert_same_planes(ps_new, ps_ref)
+
+    @staticmethod
+    def _assert_same_planes(ps_new, ps_ref):
+        """Same bits and signs in every plane, whichever codec each side
+        chose for them, and the predicting encoder pays at most 2 % (plus
+        the zlib framing a tiny plane never recovers) for not trying
+        level 6 on everything.  A group that *is* one sparse plane has
+        no raw planes to dilute what level 1 costs on random sparse bits
+        (256 -> 272 and 575 -> 616 bytes here), hence 8 % for it."""
+        assert [kernels._open_plane(p) for p in ps_new.planes] == [
+            kernels._open_plane(p) for p in ps_ref.planes
+        ]
+        slack = 1.08 if ps_ref.num_planes == 1 else 1.02
+        assert ps_new.total_nbytes <= (
+            ps_ref.total_nbytes * slack + 2 * ps_ref.num_planes
+        )
 
     def test_encode_blobs_match_reference_anchored(self):
         rng = np.random.default_rng(3)
@@ -143,7 +161,7 @@ class TestSeedEquivalence:
         for lsb_exp in (-40, -20, -10, 0, 5):
             ps_new = encode_planes(c, lsb_exponent=lsb_exp)
             ps_ref = _ref_encode(c, lsb_exponent=lsb_exp)
-            assert ps_new.planes == ps_ref.planes
+            self._assert_same_planes(ps_new, ps_ref)
             assert ps_new.num_planes == ps_ref.num_planes
 
     @pytest.mark.parametrize("keep", [0, 1, 5, 16, 24])
@@ -242,7 +260,43 @@ class TestBitMatrixTranspose:
         assert np.array_equal(dg.sign, (c < 0) & (dg.q != 0))
 
 
-# -- golden digests recorded at the commit before the transpose kernels --
+class TestSignLayout:
+    """``_sign_layout`` sorts one-byte keys (one radix pass); the order
+    and offsets are those of a stable sort of the int16 leads."""
+
+    @pytest.mark.parametrize("num_planes", [1, 22, 60])
+    def test_matches_the_int16_stable_sort(self, num_planes):
+        rng = np.random.default_rng(num_planes)
+        c = rng.normal(size=5000) * 2.0 ** rng.integers(
+            -num_planes, 1, size=5000
+        )
+        c[rng.random(5000) < 0.1] = 0.0
+        qg = kernels.quantise(c, num_planes)
+        assert qg.lead.dtype == np.int16
+        assert set(np.unique(qg.lead)) >= {0, num_planes}
+        self._check(qg.lead, num_planes, qg.sign_order, qg.sign_offsets)
+
+    def test_all_zero_group(self):
+        qg = kernels.quantise(np.zeros(300), 22)
+        assert (qg.lead == 22).all()
+        self._check(qg.lead, 22, qg.sign_order, qg.sign_offsets)
+
+    @staticmethod
+    def _check(lead, num_planes, order, offsets):
+        assert np.array_equal(order, np.argsort(lead, kind="stable"))
+        counts = np.bincount(lead, minlength=num_planes + 1)
+        assert offsets.tolist() == [0, *np.cumsum(counts).tolist()]
+
+
+# -- golden digests ------------------------------------------------------
+#
+# FULL (and the last payload, all raw planes) date from the commit before
+# the transpose kernels.  PAYLOADS, ERRORS and UPTO2 were re-pinned once,
+# when the lossless stage went from "level 6 on every blob" to predicted
+# raw / level 1: component boundaries are cut on cumulative blob bytes,
+# and the few hundred bytes level 1 adds moved one plane from the second
+# component into the third (sizes [2813, 9113, 35686, 142369] ->
+# [2918, 9063, 36148, 142369], e_2 4.45e-3 -> 5.74e-3).
 
 
 def _sha(raw: bytes) -> str:
@@ -251,13 +305,13 @@ def _sha(raw: bytes) -> str:
 
 class TestGoldenDigests:
     PAYLOADS = [
-        "f03505d50ecbda78ba963d31b6d1d2bd6564c443f1b23ecb1ce4c7943e305b5f",
-        "a7084c876ecf50f9669c7db448823aa75acfaccc42d8aeadb4206d9e1f0c0708",
-        "4531796263c067b594730c50acf465a54e04857096c05dba37a2be22c1c9f627",
+        "bd9463f949ae7a585114caa2caefe24f4d1f69334d93f38ad1f8518fcfdadb14",
+        "53cc59b2ba7c10c88fa96f703f3955c2319c8fc032fa0f5929133203af6a2507",
+        "d04c134b9b86aaeba655994695431494732e06e6ff1cb91b3de4858cbad4d7d4",
         "fe5ac3d255438019279e4d87ba6dcd6801865ab77e087a09a5ff0348ab87c315",
     ]
-    ERRORS = "d1e335f8f3f89b07a36f385989a66ef74be235b7fe63eccba5863467285d3c99"
-    UPTO2 = "184e35c664eb933c15efbbaadbb71a85f8876ebb45d9cceb7218e932350528d3"
+    ERRORS = "6ca1344e9f5272b77f16a3c400e5af3c0d4d00dd51cb1ea8b9c7cf6f96e389ce"
+    UPTO2 = "11f54b964722b9c2a08ced32f2eb2a9070662fa5103f61befc8f210923a7ce58"
     FULL = "d1cf73a7c60ecc28ab63e797d6f65a677c4b799d5ee7fcd68948faffaf010589"
 
     def test_payloads_errors_and_reconstructions_are_pinned(self):
