@@ -9,7 +9,7 @@ Works backwards from requirements, the way a facility operator would:
    the analytic model and a year-long campaign simulation with
    persistent (Markov) outages;
 3. a whole archive of snapshots is ingested under that configuration,
-   two disks are lost, and the archive repairs itself.
+   two disks are lost, and one scrub-and-repair pass heals the archive.
 
 Run:  python examples/campaign_planning.py
 """
@@ -18,8 +18,9 @@ import tempfile
 
 import numpy as np
 
-from repro.core import RAPIDS, Archive, ProtectionPlanner, ProtectionRequirement
+from repro.core import RAPIDS, ProtectionPlanner, ProtectionRequirement
 from repro.datasets import get_object
+from repro.healing import scrub_and_repair
 from repro.metadata import MetadataCatalog
 from repro.refactor import Refactorer
 from repro.sim import CampaignConfig, run_campaign, simulate_expected_error
@@ -89,27 +90,28 @@ def main() -> None:
                 cluster, catalog, refactorer=Refactorer(4, num_planes=22),
                 omega=choice.omega,
             )
-            archive = Archive(rapids)
-            snapshots = {
-                f"scale:T.{i:03d}": obj.proxy((33, 33, 33), seed=i)
+            reports = [
+                rapids.prepare(
+                    f"scale:T.{i:03d}", obj.proxy((33, 33, 33), seed=i)
+                )
                 for i in range(4)
-            }
-            archive.ingest(snapshots)
+            ]
             print(
-                f"\ningested {len(snapshots)} snapshots, archive overhead "
-                f"{archive.storage_overhead():.3f}"
+                f"\ningested {len(reports)} snapshots, worst overhead "
+                f"{max(r.storage_overhead for r in reports):.3f}"
             )
-            # lose two disks, repair, verify health
+            # lose two disks, scrub and repair, verify with a second scrub
             for sid in (3, 11):
-                for frag in list(cluster[sid]._store.values()):
-                    cluster[sid].delete(*frag.key)
-            before = archive.health()
-            rebuilt = archive.repair()
-            after = archive.health()
+                for key in cluster[sid].fragment_keys():
+                    cluster[sid].delete(*key)
+            scrub, repair = scrub_and_repair(
+                cluster, catalog, ledger=rapids.ledger
+            )
+            again, _ = scrub_and_repair(cluster, catalog, ledger=rapids.ledger)
             print(
-                f"disk loss on 2 systems: {sum(o.fragments_lost for o in before.objects)} "
-                f"fragments lost, {rebuilt} rebuilt, "
-                f"{after.fully_healthy}/{after.total} objects fully healthy"
+                f"disk loss on 2 systems: {scrub.counts()} found, "
+                f"{repair.repaired} fragments regenerated, second scrub "
+                f"{'clean' if again.clean else 'found damage'}"
             )
 
 

@@ -1,14 +1,13 @@
-"""Repairing lost fragments onto replacement storage (§4.2's repair path).
+"""Repairing lost fragments (§4.2's repair path).
 
 When a fragment is permanently lost (disk failure rather than a
-transient outage), RAPIDS rebuilds it from the surviving fragments via
-erasure decoding and re-places it on a new system, updating the
-fragment's location in the metadata catalog.  This example:
+transient outage), RAPIDS rebuilds it from surviving fragments via
+minimal-read erasure decoding, writes it back CRC-verified and records
+the placement in the durability ledger.  This example:
 
 1. prepares an object across 16 systems;
 2. permanently destroys the fragments on two systems;
-3. repairs every lost fragment onto spare systems and relocates the
-   metadata;
+3. scrubs the cluster against the ledger and repairs what it found;
 4. proves a later restore works even after *additional* outages that
    would have exceeded the original tolerance had the repair not run.
 
@@ -17,12 +16,9 @@ Run:  python examples/fragment_repair.py
 
 import tempfile
 
-import numpy as np
-
 from repro import RAPIDS, MetadataCatalog, StorageCluster, relative_linf_error
-from repro.ec import ECConfig
 from repro.datasets import scale_pressure
-from repro.storage import StoredFragment
+from repro.healing import scrub_and_repair
 from repro.transfer import paper_bandwidth_profile
 
 
@@ -33,39 +29,21 @@ def main() -> None:
         catalog = MetadataCatalog(f"{tmp}/meta")
         rapids = RAPIDS(cluster, catalog, omega=0.3)
         prep = rapids.prepare("scale:PRES", data)
-        ms = prep.ft_config
-        print(f"prepared with m = {ms}")
+        print(f"prepared with m = {prep.ft_config}")
 
         # Two systems lose their disks: fragments gone for good.
         lost_systems = [2, 5]
         for sid in lost_systems:
-            for frag in list(cluster[sid]._store.values()):
-                cluster[sid].delete(*frag.key)
+            for key in cluster[sid].fragment_keys():
+                cluster[sid].delete(*key)
         print(f"destroyed all fragments on systems {lost_systems}")
 
-        # Repair: rebuild each lost fragment from any k survivors and
-        # re-place it on the same systems (now with fresh disks).
-        rec = catalog.get_object("scale:PRES")
-        repaired = 0
-        for level in range(rec.num_levels):
-            cfg = ECConfig(cluster.n, rec.ft_config[level])
-            available = {
-                idx: np.frombuffer(
-                    cluster.fetch("scale:PRES", level, idx).payload, np.uint8
-                )
-                for idx in sorted(cluster.locate("scale:PRES", level))[: cfg.k]
-            }
-            for sid in lost_systems:
-                rebuilt = rapids.codec.repair_fragment(cfg, available, sid)
-                cluster[sid].put(
-                    StoredFragment(
-                        "scale:PRES", level, sid, rebuilt.nbytes,
-                        rebuilt.tobytes(),
-                    )
-                )
-                catalog.relocate_fragment("scale:PRES", level, sid, sid)
-                repaired += 1
-        print(f"repaired {repaired} fragments via erasure decoding")
+        # Scrub finds the damage; repair regenerates each lost fragment
+        # from k survivors back onto its (now fresh) home system.
+        scrub, repair = scrub_and_repair(cluster, catalog, ledger=rapids.ledger)
+        print(scrub.describe())
+        print(repair.describe())
+        assert scrub_and_repair(cluster, catalog, ledger=rapids.ledger)[0].clean
 
         # Now additional outages happen.  Combined with the two lost
         # disks this would have exceeded the bottom level's tolerance —
@@ -74,11 +52,12 @@ def main() -> None:
         cluster.fail(extra)
         res = rapids.restore("scale:PRES", strategy="naive")
         err = relative_linf_error(data, res.data)
+        levels = len(prep.ft_config)
         print(
             f"after {len(extra)} further outages: {res.levels_used}/"
-            f"{rec.num_levels} levels restored, rel. error {err:.2e}"
+            f"{levels} levels restored, rel. error {err:.2e}"
         )
-        assert res.levels_used == rec.num_levels
+        assert res.levels_used == levels
         catalog.close()
 
 

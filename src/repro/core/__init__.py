@@ -12,7 +12,6 @@ from .availability import (
     refactored_storage_overhead,
 )
 from .adaptive import BandwidthTracker, adaptive_strategy
-from .archive import Archive, ArchiveHealth, ObjectHealth
 from .baselines import DuplicationMethod, MethodReport, PlainECMethod
 from .ft_optimizer import (
     FTProblem,
@@ -36,7 +35,6 @@ from .heterogeneous import (
     poisson_binomial_pmf,
     prob_more_than_k_failures_hetero,
 )
-from .operator import ProactiveOperator, StagedCopy
 from .pipeline import RAPIDS, PrepareReport, RestoreReport
 from .planner import PlanPoint, ProtectionPlanner, ProtectionRequirement
 
@@ -44,14 +42,9 @@ __all__ = [
     "RAPIDS",
     "BandwidthTracker",
     "adaptive_strategy",
-    "Archive",
-    "ArchiveHealth",
-    "ObjectHealth",
     "ProtectionPlanner",
     "ProtectionRequirement",
     "PlanPoint",
-    "ProactiveOperator",
-    "StagedCopy",
     "poisson_binomial_pmf",
     "prob_more_than_k_failures_hetero",
     "expected_relative_error_hetero",

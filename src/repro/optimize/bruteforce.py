@@ -1,8 +1,8 @@
 """Exhaustive search for the gathering model (test oracle).
 
 Only usable at toy sizes — the solution space is
-``prod_j C(#available, k_j)`` — but it certifies the ACO solver's
-solution quality in the test suite and in the solver-ablation bench.
+``prod_j C(#available, k_j)`` — but it certifies the ACO and GA solvers'
+solution quality in the tests and in ``examples/gathering_optimization.py``.
 """
 
 from __future__ import annotations

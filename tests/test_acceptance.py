@@ -2,16 +2,19 @@
 
 A campaign operator's week, end to end: persistent file-backed storage,
 the on-disk KV catalog, batch ingest, integrity scrub after bit rot,
-adaptive gathering after bandwidth drift, proactive staging through a
-maintenance window, fragment repair after disk loss, error-controlled
-and progressive restores — with the data provably intact at every step.
+adaptive gathering after bandwidth drift, parity raised by live
+migration through a maintenance window, fragment repair after disk
+loss, error-controlled and progressive restores — with the data provably
+intact at every step.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import RAPIDS, Archive, ProactiveOperator
+from repro.control import LiveMigrator
+from repro.core import RAPIDS
 from repro.core.planner import ProtectionPlanner, ProtectionRequirement
+from repro.healing import scrub_and_repair
 from repro.metadata import MetadataCatalog
 from repro.refactor import Refactorer, relative_linf_error
 from repro.storage import FileStorageCluster, MaintenanceSchedule
@@ -28,7 +31,6 @@ def world(tmp_path_factory):
     rapids = RAPIDS(
         cluster, catalog, refactorer=Refactorer(4, num_planes=22), omega=0.3
     )
-    archive = Archive(rapids)
     rng = np.random.default_rng(0)
     x = np.linspace(0, 1, 33)
     snapshots = {}
@@ -39,12 +41,12 @@ def world(tmp_path_factory):
             * np.cos(3 * x + ph[1])[None, :, None]
             * np.sin(2 * x + ph[2])[None, None, :]
         ).astype(np.float32)
-    reports = archive.ingest(snapshots)
-    yield rapids, archive, snapshots, reports
+    reports = {name: rapids.prepare(name, d) for name, d in snapshots.items()}
+    yield rapids, snapshots, reports
     catalog.close()
 
 
-def _exact(rapids, archive, snapshots, name):
+def _exact(rapids, snapshots, name):
     rec = rapids.catalog.get_object(name)
     res = rapids.restore(name, strategy="naive")
     assert res.levels_used == rec.num_levels
@@ -52,15 +54,19 @@ def _exact(rapids, archive, snapshots, name):
     assert err <= rec.level_errors[-1] + 1e-12
 
 
+def _heal(rapids):
+    return scrub_and_repair(rapids.cluster, rapids.catalog, ledger=rapids.ledger)
+
+
 def test_01_ingest_under_budget(world):
-    rapids, archive, snapshots, reports = world
-    assert archive.storage_overhead() <= 0.3 + 1e-9
+    rapids, snapshots, reports = world
+    assert all(r.storage_overhead <= 0.3 + 1e-9 for r in reports.values())
     for name in snapshots:
-        _exact(rapids, archive, snapshots, name)
+        _exact(rapids, snapshots, name)
 
 
 def test_03_scrub_heals_bit_rot(world):
-    rapids, archive, snapshots, _ = world
+    rapids, snapshots, _ = world
     name = "run7:T00"
     sys5 = rapids.cluster[5]
     frag = sys5.get(name, 2, 5)
@@ -69,13 +75,13 @@ def test_03_scrub_heals_bit_rot(world):
     from repro.storage import StoredFragment
 
     sys5.put(StoredFragment(name, 2, 5, len(rotten), bytes(rotten)))
-    report = archive.scrub()
-    assert report["corrupt"] == 1 and report["repaired"] == 1
-    _exact(rapids, archive, snapshots, name)
+    scrub, repair = _heal(rapids)
+    assert scrub.counts() == {"corrupt": 1} and repair.repaired == 1
+    _exact(rapids, snapshots, name)
 
 
 def test_04_adaptive_gathering_after_drift(world):
-    rapids, archive, snapshots, _ = world
+    rapids, snapshots, _ = world
     # seed throughput history, then restore adaptively
     rapids.restore("run7:T01", strategy="naive")
     res = rapids.restore("run7:T01", strategy="adaptive", solver_budget=0.2)
@@ -83,42 +89,55 @@ def test_04_adaptive_gathering_after_drift(world):
 
 
 def test_05_staging_through_maintenance(world):
-    rapids, archive, snapshots, reports = world
-    ms = reports["run7:T00"].ft_config
-    n_down = ms[-1] + 1
+    """The announced window takes m_l + 1 systems down: the live
+    re-encode stages a higher-parity generation of every level the
+    window would take out, restores stay exact through the window, and
+    migrating back leaves nothing parked."""
+    rapids, snapshots, reports = world
+    name = "run7:T00"
+    ms = reports[name].ft_config
     sched = MaintenanceSchedule()
-    for sid in range(n_down):
+    for sid in range(ms[-1] + 1):
         sched.add_window(sid, 50.0, 60.0)
-    op = ProactiveOperator(archive, sched)
-    op.stage_for_window(50.0, 60.0)
-    rapids.cluster.fail(range(n_down))
+    down = sched.down_at(50.0)
+    before = rapids.cluster.total_stored_bytes()
+    migrator = LiveMigrator(rapids)
+    ladder = [max(m, len(down) + len(ms) - 1 - j) for j, m in enumerate(ms)]
+    assert migrator.migrate(name, ladder).complete
+    rapids.cluster.fail(down)
     try:
-        data, levels = op.restore_with_staging("run7:T00")
-        assert levels == 4
-        rec = rapids.catalog.get_object("run7:T00")
-        assert relative_linf_error(snapshots["run7:T00"], data) <= (
-            rec.level_errors[-1] + 1e-12
-        )
+        _exact(rapids, snapshots, name)
     finally:
         rapids.cluster.restore_all()
-        op.unstage()
+    assert migrator.migrate(name, ms).complete
+    rec = rapids.catalog.get_object(name)
+    assert rec.ft_config == ms
+    scrub, repair = _heal(rapids)
+    assert scrub.clean and repair is None
+    # The only bytes added are the generation suffix ("@g2") the
+    # re-encoded levels' names now carry in each fragment file header.
+    renamed = sum(len(f"@g{g}") for g in rec.generations if g)
+    assert rapids.cluster.total_stored_bytes() == (
+        before + renamed * rapids.cluster.n
+    )
 
 
 def test_06_repair_after_disk_loss(world):
-    rapids, archive, snapshots, _ = world
+    rapids, snapshots, _ = world
     for sid in (4, 11):
         for key in rapids.cluster[sid].fragment_keys():
-            if not key[0].startswith("__staged__"):
-                rapids.cluster[sid].delete(*key)
-    rebuilt = archive.repair()
-    assert rebuilt > 0
-    health = archive.health()
-    assert all(o.fragments_lost == 0 for o in health.objects)
-    _exact(rapids, archive, snapshots, "run7:T02")
+            rapids.cluster[sid].delete(*key)
+    scrub, repair = _heal(rapids)
+    assert set(scrub.counts()) == {"missing"}
+    assert repair.repaired == len(scrub.damage) and not repair.failures
+    again, _ = _heal(rapids)
+    assert again.clean
+    for name in snapshots:
+        _exact(rapids, snapshots, name)
 
 
 def test_07_error_controlled_and_progressive(world):
-    rapids, archive, snapshots, reports = world
+    rapids, snapshots, reports = world
     name = "run7:T01"
     rec = rapids.catalog.get_object(name)
     quick = rapids.restore(name, strategy="naive",
@@ -129,7 +148,7 @@ def test_07_error_controlled_and_progressive(world):
 
 
 def test_08_planner_consistent_with_deployment(world):
-    rapids, archive, snapshots, reports = world
+    rapids, snapshots, reports = world
     rec = rapids.catalog.get_object("run7:T02")
     planner = ProtectionPlanner(
         16, 0.01, [float(s) for s in rec.level_sizes],

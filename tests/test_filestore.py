@@ -94,10 +94,10 @@ class TestNamesOnlyInventory:
         assert ("b", 0, 1) in cluster[1].fragment_keys()
 
     def test_fragment_keys_are_the_unsanitised_names(self, cluster):
-        for name in ("__staged__/x", "x@g1", "run:7/T[0]*?.l3.f01"):
+        for name in ("__tmp__/x", "x@g1", "run:7/T[0]*?.l3.f01"):
             cluster[2].put(StoredFragment(name, 3, 104, 2, b"hi"))
         assert sorted(cluster[2].fragment_keys()) == [
-            ("__staged__/x", 3, 104), ("run:7/T[0]*?.l3.f01", 3, 104),
+            ("__tmp__/x", 3, 104), ("run:7/T[0]*?.l3.f01", 3, 104),
             ("x@g1", 3, 104),
         ]
         # Listing never opens a file; it sees the stored (sanitised) names.
@@ -105,7 +105,7 @@ class TestNamesOnlyInventory:
         (cluster[2].root / "x.l1.f001.rdc").write_text("has() cannot ask")
         sizes = {p.name: p.stat().st_size for p in cluster[2].root.glob("*.rdc")}
         assert cluster[2].resident() == [
-            ("__staged___x", 3, 104, sizes["__staged___x.l3.f104.rdc"]),
+            ("__tmp___x", 3, 104, sizes["__tmp___x.l3.f104.rdc"]),
             ("run_7_T[0]*?.l3.f01", 3, 104,
              sizes["run_7_T[0]*?.l3.f01.l3.f104.rdc"]),
             ("x@g1", 3, 104, sizes["x@g1.l3.f104.rdc"]),

@@ -8,7 +8,8 @@ restore is undegraded.  Alongside the property suite there are
 deterministic tests for crash-resumable scrubbing, stale-copy adoption,
 the minimal-read guarantee (exactly ``k`` source reads per damaged
 stripe, observed through the injector trace), ledger reconstruction,
-and the maintenance-schedule → fault-plan bridge.
+healing generation-named fragments after a live migration, and the
+maintenance-schedule → fault-plan bridge.
 
 A pass plans from one inventory snapshot (ISSUE 22): a property suite
 pins that the repair engine's snapshot stays equal to the store under
@@ -39,6 +40,7 @@ from repro.chaos import (
     InjectedFault,
     inflict_at_rest,
 )
+from repro.control import LiveMigrator
 from repro.core import RAPIDS
 from repro.formats import verify
 from repro.healing import DurabilityLedger, RepairEngine, Scrubber, scrub_and_repair
@@ -409,6 +411,33 @@ def test_scrub_and_repair_heals_around_outage(workspace):
     assert Scrubber(rapids.cluster, rapids.ledger).run().clean
     res = rapids.restore(NAME, strategy="naive")
     assert res.degraded is None
+
+
+def test_heal_after_live_migration(workspace):
+    """A migrated level's fragments live under its generation name
+    (``<name>@g1``); losing every fragment on one system afterwards is
+    found and regenerated under that name, and restore is unchanged."""
+    rapids, _ = workspace
+    ms = rapids.catalog.get_object(NAME).ft_config
+    report = LiveMigrator(rapids).migrate(NAME, [m + 1 for m in ms])
+    assert report.migrated == len(ms)
+    expected = rapids.restore(NAME, strategy="naive").data
+    victim = rapids.cluster[4]
+    keys = victim.fragment_keys()
+    assert sorted(keys) == [(f"{NAME}@g1", j, 4) for j in range(len(ms))]
+    for key in keys:
+        victim.delete(*key)
+
+    scrub, repair = scrub_and_repair(
+        rapids.cluster, rapids.catalog, ledger=rapids.ledger
+    )
+    assert {(d.kind, d.index) for d in scrub.damage} == {("missing", 4)}
+    assert repair.repaired == len(keys) and not repair.failures
+    assert sorted(victim.fragment_keys()) == sorted(keys)
+    assert Scrubber(rapids.cluster, rapids.ledger).run().clean
+    res = rapids.restore(NAME, strategy="naive")
+    assert res.degraded is None
+    assert res.data.tobytes() == expected.tobytes()
 
 
 # -- torn files ------------------------------------------------------------------

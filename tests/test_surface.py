@@ -7,7 +7,7 @@ else must be a key of :data:`KEPT`, whose value is the file that
 justifies keeping it and must itself import the module (or, for the CLI,
 declare it as the entry point).  Adding a module
 nothing calls — or deleting the last caller of one — fails here with the
-module's name.
+module's name.  The examples, which users copy, reach public names only.
 """
 
 import ast
@@ -34,7 +34,6 @@ KEPT = {
     "parallel.scaling": "benchmarks/harness.py",
     "refactor.retrieval": "benchmarks/bench_compressor_baselines.py",
     # example-only: ROADMAP 9(c)'s backlog
-    "core.operator": "examples/maintenance_staging.py",
     "core.planner": "examples/campaign_planning.py",
     "datasets.timeseries": "examples/timeseries_archive.py",
     "optimize.bruteforce": "examples/gathering_optimization.py",
@@ -142,6 +141,19 @@ def test_kept_module_is_used_by_its_justification(surface, module):
     else:  # the entry-point declaration
         used = f"repro.{module}:" in path.read_text()
     assert used, f"{KEPT[module]} no longer uses repro.{module}"
+
+
+def test_examples_use_only_public_names():
+    """An example is what a user copies: it reaches no private attribute."""
+    private = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted((ROOT / "examples").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ]
+    assert not private, f"examples reach private attributes: {private}"
 
 
 @pytest.mark.parametrize(
