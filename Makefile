@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-sanitized fuzz loc lint lint-full bench-lint chaos chaos-soak scrub-smoke serve-smoke scenarios bench bench-assert bench-smoke bench-refactor bench-procpipe examples tables figures all clean
+.PHONY: install test test-sanitized fuzz loc lint chaos chaos-soak scrub-smoke serve-smoke scenarios bench bench-assert bench-smoke bench-refactor bench-procpipe examples tables figures all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -33,19 +33,9 @@ loc:
 
 # rapidslint: project-specific static analysis (rules RPD101-RPD117,
 # including the whole-program call-graph/CFG rules).  Fails on any
-# non-suppressed finding; suppressions need justifications.  `lint`
-# goes through the content-hash incremental cache
-# (.rapidslint-cache.json); `lint-full` recomputes everything.
+# non-suppressed finding; suppressions need justifications.
 lint:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.cli lint src tests benchmarks examples
-
-lint-full:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.cli lint --no-cache src tests benchmarks examples
-
-# Cache performance contract: incremental re-lint of a one-file change
-# must finish in < 25% of the cold full-tree wall time.
-bench-lint:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_lint.py
 
 # One seeded chaos round (RAPIDS_CHAOS_SEED, default 7) plus the
 # fault-injection test files, thread sanitizer on — what CI's chaos job

@@ -8,12 +8,11 @@ Three complementary layers:
   solver nondeterminism, …), per-line suppression comments that
   *require* a justification, and the ``rapids lint`` CLI entry point.
 * the whole-program engine — :mod:`repro.analysis.callgraph` (project
-  symbol table + call graph from JSON-serializable per-file summaries),
+  symbol table + call graph from per-file summaries),
   :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow`
   (per-function CFGs with exception edges and a forward dataflow
   framework), :mod:`repro.analysis.wholeprog` (the interprocedural
-  rules RPD113–RPD116), and :mod:`repro.analysis.cache` (the
-  content-hash incremental driver behind ``rapids lint --changed``).
+  rules RPD113–RPD116).
 * :mod:`repro.analysis.sanitizer` — a runtime shadow-tracker that
   instruments pooled :func:`repro.parallel.threads.thread_map` calls
   (``RAPIDS_THREAD_SANITIZER=1``) and fails tests when a worker
@@ -27,7 +26,6 @@ from pathlib import Path
 
 from . import rules as _rules  # noqa: F401 — importing registers the rules
 from . import wholeprog as _wholeprog  # noqa: F401 — registers RPD113-RPD116
-from .cache import DEFAULT_CACHE_PATH, LintCache
 from .callgraph import CallGraph, ModuleSummary, summarize_module
 from .cfg import CFG, build_cfg
 from .dataflow import ForwardAnalysis, run_forward, tainted_names
@@ -74,8 +72,6 @@ __all__ = [
     "CallGraph",
     "ModuleSummary",
     "summarize_module",
-    "LintCache",
-    "DEFAULT_CACHE_PATH",
     "SANITIZER_ENV",
     "MutationEvent",
     "SharedStateTracker",
@@ -111,8 +107,6 @@ def run_lint(
     select=None,
     output=print,
     fmt: str = "text",
-    use_cache: bool = True,
-    cache_path: str | None = None,
     changed_base: str | None = None,
 ) -> int:
     """Lint ``paths`` and report findings; returns a process exit code.
@@ -124,14 +118,13 @@ def run_lint(
     is still analyzed, so whole-program rules see every caller).
     """
     analyzer = Analyzer(select=select)
-    cache = LintCache(cache_path or DEFAULT_CACHE_PATH) if use_cache else None
     restrict = None
     if changed_base is not None:
         restrict = changed_files(changed_base)
         # Paths may be reported relative to the repo root; accept both
         # spellings so `rapids lint --changed src` works from anywhere.
         restrict |= {str(Path(p)) for p in restrict}
-    findings = analyzer.check_paths(paths, cache=cache, restrict_to=restrict)
+    findings = analyzer.check_paths(paths, restrict_to=restrict)
     if fmt == "json":
         import json
 

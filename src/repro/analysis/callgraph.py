@@ -3,18 +3,15 @@
 The whole-program rules (RPD113, RPD115, RPD116) need to answer
 reachability questions — "is this raw ``open`` reachable from a function
 that never consulted the fault injector?", "which locks can be held by
-the time we get here?" — across module boundaries.  Re-parsing the whole
-tree for every lint run would blow the incremental budget, so this
-module is split in two layers:
+the time we get here?" — across module boundaries.  This module is split
+in two layers:
 
-* :func:`summarize_module` extracts a **JSON-serializable**
-  :class:`ModuleSummary` from one parsed file: its import aliases,
+* :func:`summarize_module` extracts a :class:`ModuleSummary` from one
+  parsed file: its import aliases,
   top-level symbols, classes (with bases and methods), and per-function
   facts — call sites (with the locks held at each), lock acquisitions,
   nondeterminism sources, raw-I/O sites, fault-injector consults, and
   frozen string sets (how ``chaos/plan.py`` declares its sites).
-  Summaries are what the lint cache persists: an unchanged file
-  contributes its cached summary without being re-read.
 * :class:`CallGraph` links a set of summaries into an edge set with a
   deliberately modest resolution strategy (direct names, from-imports,
   ``self.method`` with single-inheritance walk, ``module.attr`` chains,
@@ -136,42 +133,10 @@ class FunctionSummary:
     injector_sites: list[tuple[str, int]] = field(default_factory=list)
     instantiates: dict[str, str] = field(default_factory=dict)  # var -> class chain
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "calls": [
-                [c.callee, c.lineno, list(c.held_locks), c.arg0]
-                for c in self.calls
-            ],
-            "locks": [
-                [a.lock, a.lineno, list(a.held)] for a in self.locks
-            ],
-            "nondet": [list(t) for t in self.nondet],
-            "raw_io": [list(t) for t in self.raw_io],
-            "injector_sites": [list(t) for t in self.injector_sites],
-            "instantiates": dict(self.instantiates),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "FunctionSummary":
-        out = cls(qualname=data["qualname"], lineno=data["lineno"])
-        out.calls = [
-            CallSite(c[0], c[1], tuple(c[2]), c[3]) for c in data["calls"]
-        ]
-        out.locks = [
-            LockAcquire(a[0], a[1], tuple(a[2])) for a in data["locks"]
-        ]
-        out.nondet = [(n, ln) for n, ln in data["nondet"]]
-        out.raw_io = [(n, ln) for n, ln in data["raw_io"]]
-        out.injector_sites = [(s, ln) for s, ln in data["injector_sites"]]
-        out.instantiates = dict(data["instantiates"])
-        return out
-
 
 @dataclass
 class ModuleSummary:
-    """JSON-serializable whole-program facts about one module."""
+    """Whole-program facts about one module."""
 
     path: str  # posix, repo-relative as given to the analyzer
     module: str  # dotted guess, e.g. "repro.storage.system"
@@ -180,32 +145,6 @@ class ModuleSummary:
     classes: dict[str, dict[str, Any]] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     string_sets: dict[str, list[str]] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "imports": dict(self.imports),
-            "symbols": list(self.symbols),
-            "classes": self.classes,
-            "functions": {
-                k: f.to_json() for k, f in self.functions.items()
-            },
-            "string_sets": {k: list(v) for k, v in self.string_sets.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ModuleSummary":
-        out = cls(path=data["path"], module=data["module"])
-        out.imports = dict(data["imports"])
-        out.symbols = list(data["symbols"])
-        out.classes = dict(data["classes"])
-        out.functions = {
-            k: FunctionSummary.from_json(v)
-            for k, v in data["functions"].items()
-        }
-        out.string_sets = {k: list(v) for k, v in data["string_sets"].items()}
-        return out
 
 
 def module_name_for(posix_path: str) -> str:

@@ -29,9 +29,8 @@ import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .cache import LintCache, content_hash
 from .callgraph import CallGraph, ModuleSummary, summarize_module
 
 __all__ = [
@@ -124,9 +123,7 @@ class ProjectContext:
     :class:`~repro.analysis.callgraph.ModuleSummary` plus the linked
     :class:`~repro.analysis.callgraph.CallGraph`.
 
-    Project rules see *summaries*, never ASTs — that restriction is what
-    lets the incremental driver run them from the cache without
-    re-parsing unchanged files.
+    Project rules see *summaries*, never ASTs.
     """
 
     def __init__(self, summaries: dict[str, ModuleSummary]) -> None:
@@ -289,22 +286,6 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
             yield c
 
 
-def _finding_to_json(f: Finding) -> list[Any]:
-    return [f.rule_id, int(f.severity), f.path, f.line, f.col, f.message]
-
-
-def _finding_from_json(row: Sequence[Any]) -> Finding:
-    return Finding(row[0], Severity(row[1]), row[2], row[3], row[4], row[5])
-
-
-def _suppression_to_json(s: _Suppression) -> list[Any]:
-    return [list(s.rules), s.line, s.whole_file, s.justification]
-
-
-def _suppression_from_json(row: Sequence[Any]) -> _Suppression:
-    return _Suppression(tuple(row[0]), row[1], row[2], row[3])
-
-
 @dataclass
 class _FileResult:
     """Raw (pre-selection, pre-suppression) analysis of one file."""
@@ -315,31 +296,6 @@ class _FileResult:
     suppressions: list[_Suppression]
     summary: ModuleSummary | None
 
-    def to_cache(self) -> dict[str, Any]:
-        return {
-            "meta": [_finding_to_json(f) for f in self.meta],
-            "findings": [_finding_to_json(f) for f in self.raw],
-            "suppressions": [
-                _suppression_to_json(s) for s in self.suppressions
-            ],
-            "summary": self.summary.to_json() if self.summary else None,
-        }
-
-    @classmethod
-    def from_cache(cls, path: str, data: dict[str, Any]) -> "_FileResult":
-        return cls(
-            path=path,
-            meta=[_finding_from_json(r) for r in data["meta"]],
-            raw=[_finding_from_json(r) for r in data["findings"]],
-            suppressions=[
-                _suppression_from_json(r) for r in data["suppressions"]
-            ],
-            summary=(
-                ModuleSummary.from_json(data["summary"])
-                if data["summary"] else None
-            ),
-        )
-
 
 class Analyzer:
     """Runs a set of rules over files and applies suppressions.
@@ -349,8 +305,7 @@ class Analyzer:
     :data:`META_RULE_ID` warnings) so stale disables cannot accumulate.
 
     The driver always *computes* with every registered rule and applies
-    ``select`` when combining results — that is what lets one on-disk
-    cache entry serve any rule subset.  Whole-program rules
+    ``select`` when combining results.  Whole-program rules
     (:class:`ProjectRule`) run over the linked module summaries after
     the per-file pass; their findings flow through the same per-file
     suppression machinery.
@@ -510,20 +465,17 @@ class Analyzer:
         self,
         paths: Sequence[str | Path],
         *,
-        cache: LintCache | None = None,
         restrict_to: set[str] | None = None,
     ) -> list[Finding]:
-        """Analyze files/directories, optionally through ``cache``.
+        """Analyze files/directories.
 
         ``restrict_to`` (posix paths) filters which files' findings are
         *reported*; everything is still analyzed so whole-program rules
         see the full project (``rapids lint --changed``).
         """
         results: list[_FileResult] = []
-        file_hashes: dict[str, str] = {}
         for f in iter_python_files(paths):
             path = str(f)
-            posix = f.as_posix()
             try:
                 source = Path(f).read_text(encoding="utf-8")
             except OSError as exc:
@@ -540,32 +492,8 @@ class Analyzer:
                     )
                 )
                 continue
-            h = content_hash(source)
-            file_hashes[posix] = h
-            entry = cache.lookup(posix, h) if cache is not None else None
-            if entry is not None:
-                results.append(_FileResult.from_cache(path, entry))
-            else:
-                res = self._analyze_one(source, path)
-                results.append(res)
-                if cache is not None:
-                    cache.store(posix, h, res.to_cache())
-
-        if cache is not None:
-            fp = LintCache.project_fingerprint(file_hashes)
-            cached = cache.lookup_project(fp)
-            if cached is not None:
-                project_findings = [_finding_from_json(r) for r in cached]
-            else:
-                project_findings = self._project_findings(results)
-                cache.store_project(
-                    fp, [_finding_to_json(f) for f in project_findings]
-                )
-            cache.prune(set(file_hashes))
-            cache.save()
-        else:
-            project_findings = self._project_findings(results)
-
+            results.append(self._analyze_one(source, path))
+        project_findings = self._project_findings(results)
         findings = self._combine(results, project_findings)
         if restrict_to is not None:
             findings = [

@@ -28,8 +28,7 @@ These are the rules the single-file pass structurally cannot express:
 All four run on the :class:`~repro.analysis.callgraph.ModuleSummary` /
 :class:`~repro.analysis.callgraph.CallGraph` layer (RPD114 additionally
 on per-function CFGs, which it reaches through the normal local-rule
-interface), so the incremental driver can re-run them from cached
-summaries without re-parsing unchanged files.
+interface).
 """
 
 from __future__ import annotations

@@ -240,8 +240,6 @@ def _cmd_lint(args) -> int:
         args.paths,
         select=select,
         fmt=args.format,
-        use_cache=not args.no_cache,
-        cache_path=args.cache_path,
         changed_base=args.changed,
     )
 
@@ -826,11 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "given git ref (default HEAD); the whole tree is "
                          "still analyzed so interprocedural rules see "
                          "every caller")
-    ln.add_argument("--no-cache", action="store_true",
-                    help="ignore and don't write the incremental lint cache")
-    ln.add_argument("--cache-path", default=None,
-                    help="incremental cache location "
-                         "(default: .rapidslint-cache.json)")
     ln.set_defaults(func=_cmd_lint)
 
     ch = sub.add_parser(

@@ -10,17 +10,17 @@ are reachable.  The protocol, per level:
 2. **Stage** the re-encoded fragment set under a *new generation*
    storage name (``<name>@g<gen+1>``, one fragment per system).  The
    new name collides with nothing; no reader looks at it yet.
-3. **Verify** every staged fragment at rest (read-back + CRC) and write
-   the new generation's fragment records — still shadow state.
-4. **Flip**: one atomic object-record write updates ``ft_config[j]``
-   and the level's generation together.  Readers resolve fragment
+3. **Verify** every staged fragment at rest (read-back + CRC).
+4. **Flip**: one atomic object-record write updates ``ft_config[j]``,
+   the level's generation and its fragment set (checksums, sizes,
+   placements) together.  Readers resolve fragment
    locations *through* the object record
    (:meth:`~repro.metadata.catalog.ObjectRecord.level_storage_name`),
    so before the flip they see the intact old generation and after it
    the fully redundant new one — there is no intermediate metadata
    state.
 5. **Retire** the old generation (best-effort deletes; a failure here
-   leaves garbage, never unavailability) and re-commit the ledger.
+   leaves garbage, never unavailability).
 
 Any failure before the flip defers the level: staging is cleaned up
 and the old generation remains authoritative — trivially safe.  The
@@ -42,8 +42,7 @@ import numpy as np
 from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig
 from ..formats import crc32, verify
-from ..healing.ledger import LedgerEntry
-from ..metadata import FragmentRecord, level_storage_name
+from ..metadata import level_storage_name
 from ..storage.system import StoredFragment
 from ..transfer import TransferRequest, phase_latency
 
@@ -209,7 +208,9 @@ class LiveMigrator:
             return
 
         # 1. Read k_old clean fragments of the current generation.
-        sources = self._read_sources(sname_old, j, n - old_m, report)
+        sources = self._read_sources(
+            sname_old, j, n - old_m, rec.checksums[j], report
+        )
         if sources is None:
             defer(f"fewer than k={n - old_m} clean source fragments")
             return
@@ -239,62 +240,38 @@ class LiveMigrator:
             return
         self._checkpoint(checkpoint, "staged", j)
 
-        # 3. Verify every staged fragment at rest, then write the new
-        # generation's fragment records — still invisible to readers.
+        # 3. Verify every staged fragment at rest — still invisible to
+        # readers.
         if not self._verify_staged(sname_new, j, blobs, checksums):
             self._cleanup_staged(sname_new, j, staged)
             defer("staged fragment failed read-back verification")
             return
-        try:
-            for idx, blob in enumerate(blobs):
-                self.catalog.put_fragment(
-                    FragmentRecord(
-                        sname_new, j, idx, idx, len(blob),
-                        checksum=checksums[idx],
-                    )
-                )
-        except _IO_ERRORS as exc:
-            self._cleanup_staged(sname_new, j, staged)
-            defer(f"shadow metadata write failed: {exc!r}")
-            return
 
-        # 4. Flip: one object-record write switches ft_config[j] and the
-        # generation together.  Readers go through this record, so the
-        # transition is atomic from their point of view.
+        # 4. Flip: one object-record write switches ft_config[j], the
+        # generation and the fragment set together.  Readers go through
+        # this record, so the transition is atomic from their point of
+        # view.
         gens = rec.generations
         gens[j] = gen + 1
-        rec.ft_config[j] = new_m
         rec.extra["generations"] = gens
+        rec.ft_config[j] = new_m
+        rec.checksums[j] = checksums
+        rec.fragment_sizes[j] = [len(b) for b in blobs]
+        rec.placements[j] = list(range(n))
         try:
             self.catalog.put_object(rec)
         except _IO_ERRORS as exc:
-            gens[j] = gen
-            rec.ft_config[j] = old_m
-            rec.extra["generations"] = gens
             self._cleanup_staged(sname_new, j, staged)
             defer(f"flip write failed: {exc!r}")
             return
         self._checkpoint(checkpoint, "flipped", j)
 
-        # 5. Post-flip: re-commit the ledger for the new generation,
-        # then retire the old one.  Both are best-effort — the flipped
-        # level is already fully redundant and self-describing.
+        # 5. Post-flip, best-effort: the new generation starts at full
+        # m_new headroom, and the old one is retired.
         try:
-            self.ledger.record(
-                LedgerEntry(
-                    object_name=name,
-                    level=j,
-                    n=n,
-                    m=new_m,
-                    checksums=checksums,
-                    nbytes=[len(b) for b in blobs],
-                    placement=list(range(n)),
-                    headroom=new_m,
-                    storage_name=sname_new,
-                )
-            )
+            self.ledger.clear(name, j)
         except _IO_ERRORS:
-            pass  # the next scrub's rebuild_from_catalog recreates it
+            pass  # headroom is advisory; the next scrub rewrites it
         self._retire(sname_old, j)
         self._checkpoint(checkpoint, "retired", j)
         report.steps.append(MigrationStep(j, "migrated", old_m, new_m))
@@ -307,21 +284,18 @@ class LiveMigrator:
             checkpoint(stage, level)
 
     def _read_sources(
-        self, sname: str, j: int, k: int, report
+        self, sname: str, j: int, k: int, crcs: list[int], report
     ) -> dict[int, np.ndarray] | None:
-        """``k`` CRC-verified fragments of the current generation."""
+        """``k`` fragments of the current generation, verified against
+        the record's ``crcs``."""
         sources: dict[int, np.ndarray] = {}
         for idx in sorted(self.cluster.locate(sname, j)):
             if len(sources) >= k:
                 break
-            try:
-                expected = self.catalog.get_fragment(sname, j, idx).checksum
-            except KeyError:
-                expected = 0
 
             def attempt() -> bytes:
                 sf = self.cluster.fetch(sname, j, idx)
-                if expected and not verify(sf.payload, expected):
+                if not verify(sf.payload, crcs[idx]):
                     raise ValueError(
                         f"fragment {idx} of level {j} fails its checksum"
                     )
@@ -385,29 +359,15 @@ class LiveMigrator:
                     system.delete(sname, j, idx)
             except _IO_ERRORS:
                 pass
-        try:
-            for key in self.catalog.store.keys(
-                f"frag/{sname}/{j:04d}/".encode()
-            ):
-                self.catalog.store.delete(key)
-        except _IO_ERRORS:
-            pass
 
     def _retire(self, sname: str, j: int) -> None:
-        """Delete the previous generation's fragments and records."""
+        """Delete the previous generation's fragments."""
         for idx, sids in self.cluster.inventory().holders(sname, j).items():
             for sid in sids:
                 try:
                     self.cluster[sid].delete(sname, j, idx)
                 except _IO_ERRORS:
                     pass
-        try:
-            for key in self.catalog.store.keys(
-                f"frag/{sname}/{j:04d}/".encode()
-            ):
-                self.catalog.store.delete(key)
-        except _IO_ERRORS:
-            pass
 
 
 # -- recoverability probes (used by tests and the scenario gate) -----------

@@ -28,8 +28,8 @@ from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig, ErasureCodec
 from ..ec.codec import encoded_fragment_len
 from ..formats import crc32, write_fragment_file
-from ..healing.ledger import DurabilityLedger, LedgerEntry
-from ..metadata import FragmentRecord, MetadataCatalog, ObjectRecord
+from ..healing.ledger import DurabilityLedger
+from ..metadata import MetadataCatalog, ObjectRecord
 from ..metadata.kvstore import CorruptionError
 from ..parallel import procpipe
 from ..parallel.threads import default_workers, thread_map
@@ -71,7 +71,7 @@ _DEGRADABLE = (
 #: treated as an erasure and replaced from a spare system.
 #: :class:`~repro.storage.system.CorruptFragmentError` is a
 #: RuntimeError, so checksum failures — raised by the storage read path
-#: itself or by the catalog cross-check below — are absorbed the same
+#: itself or by the record cross-check below — are absorbed the same
 #: way and additionally tallied on the degraded report.
 _FETCH_ERRORS = (KeyError, ValueError, OSError, RuntimeError)
 
@@ -256,7 +256,6 @@ class RAPIDS:
         data: np.ndarray | str | Path,
         *,
         fragment_dir: str | Path | None = None,
-        distribute: bool = True,
         transfer_service=None,
         measure_errors: bool = True,
         parallelism: str | None = None,
@@ -268,8 +267,9 @@ class RAPIDS:
         One stage sequence for every object, as a list of one or more
         axis-0 tiles: refactor tile 0 in the parent -> FT solve on its
         exact serialised sizes x the tile count -> per-(level, tile) EC
-        encode into one fragment sink -> commit (object record, fragment
-        placement + records, ledger entry) -> distribution model.
+        encode into one fragment sink -> commit (every fragment placed,
+        then one object record carrying their checksums, sizes and
+        placements) -> distribution model.
 
         ``data`` is the array itself or the path of a ``.npy`` file
         (multi-tile prepares stream file sources tile-by-tile, never
@@ -277,7 +277,7 @@ class RAPIDS:
 
         ``fragment_dir`` additionally writes every fragment to a
         self-describing file (the HDF5/ADIOS step of §4.1); fragments are
-        always placed into the cluster when ``distribute`` is true.
+        always placed into the cluster.
 
         ``transfer_service`` optionally routes the distribution through a
         :class:`repro.transfer.globus.GlobusService` (one bundled task
@@ -449,24 +449,21 @@ class RAPIDS:
                 extra={**layout, "expected_error": sol.expected_error},
             )
             t0 = time.perf_counter()
-            timings["write"] = self._commit(record, sink, fragment_dir, distribute)
+            timings["write"] = self._commit(record, sink, fragment_dir)
             timings["metadata"] = time.perf_counter() - t0 - timings["write"]
 
-        dist_latency = 0.0
-        network_bytes = 0.0
-        if distribute:
-            reqs = refactored_distribution(
-                [float(s) for s in level_sizes], ms, self.cluster.n,
-                self.cluster.bandwidths,
+        reqs = refactored_distribution(
+            [float(s) for s in level_sizes], ms, self.cluster.n,
+            self.cluster.bandwidths,
+        )
+        if transfer_service is not None:
+            dist_latency, network_bytes = self._distribute_via_service(
+                name, reqs, transfer_service
             )
-            if transfer_service is not None:
-                dist_latency, network_bytes = self._distribute_via_service(
-                    name, reqs, transfer_service
-                )
-            else:
-                res = phase_latency(reqs, self.cluster.bandwidths)
-                dist_latency = res.makespan
-                network_bytes = res.total_bytes
+        else:
+            res = phase_latency(reqs, self.cluster.bandwidths)
+            dist_latency = res.makespan
+            network_bytes = res.total_bytes
 
         extra: dict = {}
         if num_tiles > 1:
@@ -479,13 +476,12 @@ class RAPIDS:
                 "arena_leaked": arena_leaked,
                 "spooled_bytes": sink.spooled_bytes,
             }
-            if distribute:
-                # EC encode of chunk (tile t, level j) overlaps the
-                # simulated WAN shipping of earlier chunks: completion
-                # approaches max(compute, transfer) instead of their sum.
-                extra["archival"] = pipelined_archival(
-                    chunk_events, self.cluster.bandwidths
-                ).as_dict()
+            # EC encode of chunk (tile t, level j) overlaps the simulated
+            # WAN shipping of earlier chunks: completion approaches
+            # max(compute, transfer) instead of their sum.
+            extra["archival"] = pipelined_archival(
+                chunk_events, self.cluster.bandwidths
+            ).as_dict()
         return PrepareReport(
             name=name,
             ft_config=ms,
@@ -539,27 +535,26 @@ class RAPIDS:
         return 1 if self.injector is not None else processes
 
     def _commit(
-        self,
-        record: ObjectRecord,
-        sink,
-        fragment_dir: str | Path | None,
-        distribute: bool,
+        self, record: ObjectRecord, sink, fragment_dir: str | Path | None
     ) -> float:
         """Publish one prepared object; returns the fragment-file time.
 
-        Object record first, then per level: every fragment read back
-        from the sink one at a time (O(fragment) memory however large
-        the object) and placed, its fragment records, and the ledger
-        entry.
+        Every fragment is read back from the sink one at a time
+        (O(fragment) memory however large the object) and placed,
+        fragment i of every level on system i.  Only then is the object
+        record put, carrying each level's checksums, sizes and
+        placements: one metadata write, so a reader never sees an object
+        whose fragments are not all in place.  The levels start at full
+        ``m_j`` headroom: the absent ``health/`` key, so only a key left
+        by an earlier object of the same name is deleted.
         """
-        name, ms, n = record.name, record.ft_config, self.cluster.n
-        self.catalog.put_object(record)
+        name, n = record.name, self.cluster.n
         outdir = Path(fragment_dir) if fragment_dir is not None else None
         if outdir is not None:
             outdir.mkdir(parents=True, exist_ok=True)
         safe = name.replace("/", "_").replace(":", "_")
         t_write = 0.0
-        for j, m in enumerate(ms):
+        for j, m in enumerate(record.ft_config):
             checksums: list[int] = []
             frag_sizes: list[int] = []
             for i in range(n):
@@ -578,33 +573,15 @@ class RAPIDS:
                         m=m,
                     )
                     t_write += time.perf_counter() - t0
-                if distribute:
-                    # Fragment i lives on system i (the default placement).
-                    self.cluster[i].put(
-                        StoredFragment(name, j, i, len(blob), blob, checksum=crc)
-                    )
-            for i in range(n):
-                self.catalog.put_fragment(
-                    FragmentRecord(
-                        name, j, i, i, frag_sizes[i], checksum=checksums[i]
-                    )
+                self.cluster[i].put(
+                    StoredFragment(name, j, i, len(blob), blob, checksum=crc)
                 )
-            if distribute:
-                # The durability ledger commits the expected fragment
-                # set at full m_j headroom: the contract the scrubber
-                # verifies and the repair engine restores.
-                self.ledger.record(
-                    LedgerEntry(
-                        object_name=name,
-                        level=j,
-                        n=n,
-                        m=m,
-                        checksums=checksums,
-                        nbytes=frag_sizes,
-                        placement=list(range(n)),
-                        headroom=m,
-                    )
-                )
+            record.checksums.append(checksums)
+            record.fragment_sizes.append(frag_sizes)
+            record.placements.append(list(range(n)))
+        self.catalog.put_object(record)
+        for j in range(record.num_levels):
+            self.ledger.clear(name, j)
         return t_write
 
     def _distribute_via_service(self, name, reqs, service) -> tuple[float, float]:
@@ -749,7 +726,7 @@ class RAPIDS:
                 len(rec.level_errors),
             )
             levels = levels[:needed]
-        levels = self._cap_by_headroom(name, levels)
+        levels = self._cap_by_headroom(rec, levels)
         if not levels:
             return RestoreReport(
                 name=name, data=None, levels_used=0, achieved_error=1.0,
@@ -836,19 +813,21 @@ class RAPIDS:
             degraded=degraded,
         )
 
-    def _cap_by_headroom(self, name: str, levels: list[int]) -> list[int]:
+    def _cap_by_headroom(self, rec: ObjectRecord, levels: list[int]) -> list[int]:
         """Drop the level suffix the ledger knows to be unrecoverable.
 
-        A scrubbed headroom below zero means more fragments of that
-        level are damaged at rest than its ``m_j`` tolerates; gathering
-        it (and, per progressive reconstruction, anything deeper) would
-        only burn transfers before failing.  The ledger is advisory:
-        any fault reading it leaves the level list untouched.
+        A scrubbed headroom below zero (the level's ``health/`` key)
+        means more fragments of that level are damaged at rest than its
+        ``m_j`` tolerates; gathering it (and, per progressive
+        reconstruction, anything deeper) would only burn transfers
+        before failing.  So does a level the record carries no fragment
+        set for.  Headroom is advisory: any fault reading it leaves the
+        level list untouched.
         """
         try:
             for pos, j in enumerate(levels):
-                entry = self.ledger.get(name, j)
-                if entry is not None and entry.headroom < 0:
+                entry = self.ledger.entry(rec, j)
+                if entry is None or entry.headroom < 0:
                     return levels[:pos]
         except _DEGRADABLE:
             pass
@@ -1042,27 +1021,24 @@ class RAPIDS:
         raise ValueError(f"unknown gathering strategy: {strategy!r}")
 
     def _fetch_checked(
-        self, name: str, j: int, i: int, crc_tally: list[int]
+        self, name: str, j: int, i: int, expected: int, crc_tally: list[int]
     ) -> np.ndarray:
-        """Fetch fragment ``i`` of level ``j`` and verify its checksum.
+        """Fetch fragment ``i`` of level ``j`` and verify it against the
+        ``expected`` CRC the object record committed.
 
         Runs under the pipeline retry policy, so *transient* injected
         faults (occurrence windows that close) heal in place; persistent
         ones exhaust the retries and surface to the caller as erasures.
         The storage read path already verifies the store's own CRC
         (raising :class:`CorruptFragmentError` before corrupt bytes get
-        here); the catalog cross-check below additionally catches a
-        stale or swapped fragment whose store record is self-consistent.
+        here); the record cross-check below additionally catches a stale
+        or swapped fragment whose store record is self-consistent.
         Checksum failures are tallied into ``crc_tally`` for the
         degraded report's fault counts.
         """
         def attempt() -> np.ndarray:
             sf = self.cluster.fetch(name, j, i)
-            try:
-                expected = self.catalog.get_fragment(name, j, i).checksum
-            except KeyError:
-                expected = 0
-            if expected and not sf.verify(expected):
+            if not sf.verify(expected):
                 raise CorruptFragmentError(
                     f"fragment {i} of level {j} failed its checksum"
                 )
@@ -1098,12 +1074,13 @@ class RAPIDS:
         # object record points at (the atomic-flip indirection of the
         # control plane's live re-encoding).
         sname = rec.level_storage_name(j)
+        crcs = rec.checksums[j]
         frags: dict[int, np.ndarray] = {}
         lost: list[int] = []
         selected = [int(i) for i in np.nonzero(outcome.x[:, col])[0]]
         for i in selected:
             try:
-                frags[i] = self._fetch_checked(sname, j, i, crc_tally)
+                frags[i] = self._fetch_checked(sname, j, i, crcs[i], crc_tally)
             except _FETCH_ERRORS:
                 lost.append(i)
         needed = self.cluster.n - rec.ft_config[j]
@@ -1117,7 +1094,9 @@ class RAPIDS:
                 if len(frags) >= needed:
                     break
                 try:
-                    frags[idx] = self._fetch_checked(sname, j, idx, crc_tally)
+                    frags[idx] = self._fetch_checked(
+                        sname, j, idx, crcs[idx], crc_tally
+                    )
                 except _FETCH_ERRORS:
                     continue
         if len(frags) < needed:

@@ -1,15 +1,18 @@
 """The durability ledger: what fragments *should* exist, and where.
 
-The metadata catalog's ``frag/…`` records answer "where is fragment i
-right now"; the ledger answers the durability question: for each object
-level, which fragment set (with CRCs) was committed at preparation
-time, where each fragment is supposed to live, and how much redundancy
-headroom remains against the planned fault tolerance ``m_j``.  The
-scrubber verifies the store against it; the repair engine restores it.
+For each object level the ledger answers the durability question: which
+fragment set (with CRCs) was committed, where each fragment is supposed
+to live, and how much redundancy headroom remains against the planned
+fault tolerance ``m_j``.  The scrubber verifies the store against it;
+the repair engine restores it.
 
-Key layout (on the same KV store as the catalog)::
+It is a typed view, not a second copy.  A level's fragment set is the
+object record's (``obj/<name>`` carries every level's checksums, sizes
+and placements, see :class:`~repro.metadata.catalog.ObjectRecord`).  The
+only state of its own is headroom, one advisory key per level that the
+scrubber owns::
 
-    ledger/<name>/<level:04d>   -> LedgerEntry (JSON)
+    health/<name>/<level:04d>   -> headroom (JSON int); absent = m_j
 
 ``headroom`` is ``m_j`` minus the number of known unrepaired damaged
 fragments: ``headroom == m_j`` means full redundancy, ``0`` means the
@@ -19,15 +22,11 @@ next loss makes the level unrecoverable, ``< 0`` means it already is.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+
+from ..metadata import ObjectRecord, health_key
 
 __all__ = ["DurabilityLedger", "LedgerEntry"]
-
-_PREFIX = b"ledger/"
-
-
-def _key(object_name: str, level: int) -> bytes:
-    return f"ledger/{object_name}/{level:04d}".encode()
 
 
 @dataclass
@@ -43,9 +42,8 @@ class LedgerEntry:
     placement: list[int]  # fragment index -> authoritative system id
     headroom: int         # m minus known unrepaired damage
     #: Name the fragments are stored under on the cluster.  Empty means
-    #: the object name itself (generation 0 — every pre-migration
-    #: entry, so old JSON entries round-trip unchanged); live migration
-    #: re-records the entry with the new generation's storage name.
+    #: the object name itself (generation 0); after a live migration it
+    #: is the level's generation name.
     storage_name: str = ""
 
     def __post_init__(self) -> None:
@@ -78,99 +76,86 @@ class LedgerEntry:
 
 
 class DurabilityLedger:
-    """Typed ledger facade over the catalog's KV store.
+    """Typed durability view over a :class:`~repro.metadata.catalog.MetadataCatalog`.
 
-    Accepts a :class:`~repro.metadata.catalog.MetadataCatalog` (shares
-    its store — one kvstore file holds catalog and ledger, so a single
-    snapshot/restore covers both) or any object with the KV interface.
+    Entries are derived from the object records on every read; the
+    headroom keys share the catalog's store, so one kvstore file holds
+    everything and a single snapshot/restore covers it.
     """
 
-    def __init__(self, store) -> None:
-        self.store = getattr(store, "store", store)
+    def __init__(self, catalog) -> None:
+        self.catalog = catalog
+        self.store = catalog.store
 
-    # -- record / read -----------------------------------------------------
+    # -- read --------------------------------------------------------------
 
-    def record(self, entry: LedgerEntry) -> None:
-        self.store.put(
-            _key(entry.object_name, entry.level),
-            json.dumps(asdict(entry)).encode(),
-        )
+    def entry(self, rec: ObjectRecord, level: int) -> LedgerEntry | None:
+        """``level``'s entry from an already-read object record (one
+        headroom read); None if the record carries no fragment set."""
+        if level >= len(rec.checksums):
+            return None
+        raw = self.store.get(health_key(rec.name, level))
+        return _entry(rec, level, None if raw is None else json.loads(raw))
 
     def get(self, object_name: str, level: int) -> LedgerEntry | None:
-        raw = self.store.get(_key(object_name, level))
-        return LedgerEntry(**json.loads(raw)) if raw is not None else None
+        try:
+            rec = self.catalog.get_object(object_name)
+        except KeyError:
+            return None
+        return self.entry(rec, level)
 
-    def entries(self, object_name: str | None = None) -> list[LedgerEntry]:
-        """All entries (or one object's), in (object, level) key order."""
-        prefix = (
-            f"ledger/{object_name}/".encode() if object_name is not None else _PREFIX
-        )
+    def entries(self) -> list[LedgerEntry]:
+        """Every object's entries, in (object, level) order."""
+        headroom = {k: json.loads(v) for k, v in self.store.scan(b"health/")}
         return [
-            LedgerEntry(**json.loads(v)) for _, v in self.store.scan(prefix)
+            _entry(rec, j, headroom.get(health_key(rec.name, j)))
+            for rec in self.catalog.objects()
+            for j in range(len(rec.checksums))
         ]
 
     def deficits(self) -> list[LedgerEntry]:
         """Entries with known unrepaired damage (headroom < m)."""
         return [e for e in self.entries() if e.headroom < e.m]
 
-    # -- mutation ----------------------------------------------------------
+    # -- write -------------------------------------------------------------
 
-    def set_placement(
-        self, object_name: str, level: int, index: int, system_id: int
-    ) -> None:
-        """Move fragment ``index``'s authoritative home after a repair."""
-        entry = self.get(object_name, level)
-        if entry is None:
-            raise KeyError(f"no ledger entry for ({object_name!r}, {level})")
-        entry.placement[index] = int(system_id)
-        self.record(entry)
+    def record(self, entry: LedgerEntry) -> None:
+        """Commit a repaired level: its fragment set into the object
+        record, its headroom into ``health/``."""
+        rec = self.catalog.get_object(entry.object_name)
+        rec.checksums[entry.level] = list(entry.checksums)
+        rec.fragment_sizes[entry.level] = list(entry.nbytes)
+        rec.placements[entry.level] = list(entry.placement)
+        self.catalog.put_object(rec)
+        self.set_headroom(entry, entry.headroom)
 
-    def set_headroom(self, object_name: str, level: int, headroom: int) -> None:
-        entry = self.get(object_name, level)
-        if entry is None:
-            raise KeyError(f"no ledger entry for ({object_name!r}, {level})")
-        entry.headroom = int(headroom)
-        self.record(entry)
+    def set_headroom(self, entry: LedgerEntry, headroom: int) -> None:
+        """Store a level's headroom; full redundancy is the absent key."""
+        if headroom < entry.m:
+            self.store.put(
+                health_key(entry.object_name, entry.level),
+                json.dumps(int(headroom)).encode(),
+            )
+        else:
+            self.clear(entry.object_name, entry.level)
 
-    def delete_object(self, object_name: str) -> None:
-        for key in self.store.keys(f"ledger/{object_name}/".encode()):
-            self.store.delete(key)
+    def clear(self, object_name: str, level: int) -> None:
+        """Forget a level's known damage: a freshly committed fragment
+        set starts at full redundancy."""
+        self.store.delete(health_key(object_name, level))
 
-    # -- recovery ----------------------------------------------------------
 
-    def rebuild_from_catalog(self, catalog, *, only_missing: bool = True) -> int:
-        """Reconstruct ledger entries from catalog object/fragment records.
-
-        The ledger is derivable metadata: object records carry ``n`` and
-        the per-level ``m_j``, fragment records carry checksums, sizes
-        and locations.  Used to adopt workspaces prepared before the
-        ledger existed (and after a catalog restore from snapshot).
-        Returns the number of entries written.
-        """
-        written = 0
-        for name in catalog.list_objects():
-            rec = catalog.get_object(name)
-            for level, m in enumerate(rec.ft_config):
-                if only_missing and self.get(name, level) is not None:
-                    continue
-                sname = rec.level_storage_name(level)
-                frags = sorted(
-                    catalog.level_fragments(sname, level), key=lambda f: f.index
-                )
-                if len(frags) != rec.n_systems:
-                    continue  # partial records: not a durable level
-                self.record(
-                    LedgerEntry(
-                        object_name=name,
-                        level=level,
-                        n=rec.n_systems,
-                        m=int(m),
-                        checksums=[f.checksum for f in frags],
-                        nbytes=[f.nbytes for f in frags],
-                        placement=[f.system_id for f in frags],
-                        headroom=int(m),
-                        storage_name="" if sname == name else sname,
-                    )
-                )
-                written += 1
-        return written
+def _entry(rec: ObjectRecord, level: int, headroom: int | None) -> LedgerEntry:
+    m = int(rec.ft_config[level])
+    sname = rec.level_storage_name(level)
+    return LedgerEntry(
+        object_name=rec.name,
+        level=level,
+        n=rec.n_systems,
+        m=m,
+        checksums=list(rec.checksums[level]),
+        nbytes=list(rec.fragment_sizes[level]),
+        placement=list(rec.placements[level]),
+        headroom=m if headroom is None else int(headroom),
+        storage_name="" if sname == rec.name else sname,
+    )

@@ -8,6 +8,8 @@ returns every damaged level to full n-fragment redundancy:
   levels matter more to progressive reconstruction);
 * a stale copy that still matches the ledger CRC is *adopted* (metadata
   update, no data movement); redundant stale copies are cleared;
+* a stripe's new placements and headroom are committed with one
+  :meth:`~repro.healing.ledger.DurabilityLedger.record` when it is done;
 * lost fragments are regenerated over the minimal-read path: exactly
   ``k`` clean CRC-verified source fragments per stripe feed the cached
   single-row :meth:`~repro.ec.codec.ErasureCodec.repair_fragment`
@@ -32,7 +34,6 @@ import numpy as np
 from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig, ErasureCodec
 from ..formats import verify
-from ..metadata import FragmentRecord
 from ..storage.cluster import Inventory
 from ..storage.placement import (
     CapacityError,
@@ -219,7 +220,7 @@ class RepairEngine:
                     payload = self._read_verified(entry, index, sid, report)
                     if payload is not None:
                         if not dry_run:
-                            self._point_at(entry, index, sid)
+                            entry.placement[index] = sid
                         report.actions.append(
                             RepairAction(name, level, index, "adopted", sid,
                                          nbytes=entry.nbytes[index])
@@ -236,10 +237,23 @@ class RepairEngine:
 
         # 2. Regenerate what is actually lost, from exactly k clean
         # sources shared across all of the stripe's targets.
-        if not damaged:
-            if not dry_run:
-                self.ledger.set_headroom(entry.object_name, level, entry.m)
-            return
+        unrepaired = (
+            self._regenerate(entry, damaged, report, dry_run) if damaged else ()
+        )
+        if not dry_run:
+            entry.headroom = entry.m - len(unrepaired)
+            self.ledger.record(entry)
+
+    def _regenerate(
+        self,
+        entry: LedgerEntry,
+        damaged: set[int],
+        report: RepairReport,
+        dry_run: bool,
+    ) -> set[int]:
+        """Rebuild ``damaged`` from k shared sources; returns the indices
+        left unrepaired."""
+        name, level = entry.store_name, entry.level
         cfg = ECConfig(entry.n, entry.m)
         sources = self._gather_sources(entry, damaged, cfg.k, report)
         if sources is None:
@@ -247,7 +261,7 @@ class RepairEngine:
                 f"{name!r} level {level}: fewer than k={cfg.k} clean "
                 f"fragments survive — {sorted(damaged)} unrecoverable"
             )
-            return
+            return damaged
         unrepaired: set[int] = set()
         for index in sorted(damaged):
             rebuilt = self.codec.repair_fragment(cfg, sources, index)
@@ -267,23 +281,13 @@ class RepairEngine:
                 RepairAction(name, level, index, "regenerated", target,
                              sources=sorted(sources), nbytes=len(blob))
             )
-        if not dry_run:
-            self.ledger.set_headroom(
-                entry.object_name, level, entry.m - len(unrepaired)
-            )
+        return unrepaired
 
     def _holders(self, entry: LedgerEntry, index: int) -> list[int]:
         """Ascending ids of the available systems holding a copy."""
         return self.inventory.holders(
             entry.store_name, entry.level
         ).get(index, [])
-
-    def _point_at(self, entry: LedgerEntry, index: int, system_id: int) -> None:
-        self.ledger.set_placement(
-            entry.object_name, entry.level, index, system_id
-        )
-        entry.placement[index] = system_id
-        self._upsert_record(entry, index, system_id)
 
     def _clear_copy(self, name: str, level: int, index: int, sid: int) -> None:
         system = self.cluster[sid]
@@ -293,19 +297,6 @@ class RepairEngine:
         except _READ_ERRORS:
             pass  # an unreachable stale copy is next sweep's problem
         self.inventory.refresh(system, name, level, index)
-
-    def _upsert_record(self, entry: LedgerEntry, index: int, sid: int) -> None:
-        try:
-            self.catalog.relocate_fragment(
-                entry.store_name, entry.level, index, sid
-            )
-        except KeyError:
-            self.catalog.put_fragment(
-                FragmentRecord(
-                    entry.store_name, entry.level, index, sid,
-                    entry.nbytes[index], checksum=entry.checksums[index],
-                )
-            )
 
     # -- reads -------------------------------------------------------------
 
@@ -374,7 +365,7 @@ class RepairEngine:
             if dry_run:
                 return target
             if self._write_fragment(entry, index, blob, target, report):
-                self._point_at(entry, index, target)
+                entry.placement[index] = target
                 # Any other resident copy of this index is the damaged
                 # one we just regenerated around (e.g. the corrupt copy
                 # at the old home): clear it now rather than leaving a
@@ -470,17 +461,24 @@ class RepairEngine:
     # -- rebalance ---------------------------------------------------------
 
     def _rebalance(self, report: RepairReport) -> int:
-        """Post-repair rebalancing over the capacity tracker."""
+        """Post-repair rebalancing over the capacity tracker.
+
+        Moves are keyed by storage name (``<name>@g<gen>`` after a
+        migration); each stripe a move re-homed is recorded once.
+        """
         moves = rebalance_moves(self.tracker)
-        applied = apply_moves(self.tracker, moves, catalog=self.catalog)
-        for (obj, level, index), src, dst in moves:
+        applied = apply_moves(self.tracker, moves)
+        stripes = {(e.store_name, e.level): e for e in self.ledger.entries()}
+        moved: dict[tuple[str, int], LedgerEntry] = {}
+        for (sname, level, index), src, dst in moves:
             for sid in (src, dst):
-                self.inventory.refresh(self.cluster[sid], obj, level, index)
-            try:
-                if self.catalog.get_fragment(obj, level, index).system_id == dst:
-                    self.ledger.set_placement(obj, level, index, dst)
-            except KeyError:
-                continue
+                self.inventory.refresh(self.cluster[sid], sname, level, index)
+            entry = stripes.get((sname, level))
+            if entry is not None and dst in self._holders(entry, index):
+                entry.placement[index] = dst
+                moved[sname, level] = entry
+        for entry in moved.values():
+            self.ledger.record(entry)
         self.tracker.clear_commitments()
         return applied
 
@@ -499,13 +497,10 @@ def scrub_and_repair(
 ) -> tuple[ScrubReport, RepairReport | None]:
     """One anti-entropy pass: scrub, then (optionally) repair.
 
-    Ledger entries missing for already-catalogued objects are first
-    rebuilt from the catalog, so workspaces prepared before the ledger
-    existed heal like any other.  Returns the scrub report and — when
-    ``repair`` and damage was found — the repair report.
+    Returns the scrub report and — when ``repair`` and damage was found
+    — the repair report.
     """
     ledger = ledger or DurabilityLedger(catalog)
-    ledger.rebuild_from_catalog(catalog)
     scrub = Scrubber(
         cluster, ledger, retry_policy=retry_policy, max_fragments=max_fragments
     ).run()

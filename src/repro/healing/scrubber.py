@@ -243,7 +243,7 @@ class Scrubber:
         report.stripes_scanned += 1
         headroom = entry.m - len(damaged_indices)
         if headroom != entry.headroom:
-            self.ledger.set_headroom(entry.object_name, entry.level, headroom)
+            self.ledger.set_headroom(entry, headroom)
 
     def _verify_at(
         self, entry: LedgerEntry, index: int, system_id: int,

@@ -1,9 +1,9 @@
 """Metadata management: embedded KV store (RocksDB substitute) + catalog."""
 
 from .catalog import (
-    FragmentRecord,
     MetadataCatalog,
     ObjectRecord,
+    health_key,
     level_storage_name,
 )
 from .kvstore import CorruptionError, KVStore
@@ -13,6 +13,6 @@ __all__ = [
     "CorruptionError",
     "MetadataCatalog",
     "ObjectRecord",
-    "FragmentRecord",
+    "health_key",
     "level_storage_name",
 ]

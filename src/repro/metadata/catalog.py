@@ -2,17 +2,23 @@
 
 Tracks, per data object: the refactoring information needed for
 reconstruction (shape, dtype, level sizes and errors), the per-level
-fault-tolerance configuration, the location of every data/parity
-fragment, and the observed throughput history of each storage system
-(used to refresh the bandwidth parameters of the gathering optimiser, as
-described in §4.3).
+fault-tolerance configuration, the checksum, size and location of every
+data/parity fragment, and the observed throughput history of each
+storage system (used to refresh the bandwidth parameters of the
+gathering optimiser, as described in §4.3).
 
 Key layout (all UTF-8)::
 
-    obj/<name>                      -> object record (JSON)
-    frag/<sname>/<level>/<index>    -> fragment record (JSON)
-    bw/<system_id>                  -> throughput history (JSON list)
-    acc/<name>                      -> cumulative access count (JSON int)
+    obj/<name>                  -> object record (JSON), every level's
+                                   fragment checksums, sizes, placements
+    health/<name>/<level:04d>   -> redundancy headroom below m_j (JSON
+                                   int; absent = full), scrubber-owned
+    bw/<system_id>              -> throughput history (JSON list)
+    acc/<name>                  -> cumulative access count (JSON int)
+
+The object record is the one truth about an object's fragments: a
+commit places every fragment and then puts the record, so a reader
+never sees an object whose fragments are not all in place.
 
 ``<sname>`` is the *storage name* of a level: the object name itself
 for generation 0, or ``<name>@g<gen>`` after a live re-encoding
@@ -32,8 +38,8 @@ from .kvstore import KVStore
 
 __all__ = [
     "ObjectRecord",
-    "FragmentRecord",
     "MetadataCatalog",
+    "health_key",
     "level_storage_name",
 ]
 
@@ -42,15 +48,19 @@ def level_storage_name(name: str, generation: int) -> str:
     """Storage-layer name for one level of an object.
 
     Live migration re-encodes a level under a fresh *generation* so the
-    new fragment set never collides with the old one on the cluster or
-    in the fragment records; the single atomic flip is the object
-    record's per-level generation list.  Generation 0 — every object at
-    prepare time — keeps the bare name, so unmigrated workspaces are
-    untouched.
+    new fragment set never collides with the old one on the cluster;
+    the single atomic flip is the object record's per-level generation
+    list.  Generation 0 — every object at prepare time — keeps the bare
+    name, so unmigrated workspaces are untouched.
     """
     if generation < 0:
         raise ValueError("generation must be >= 0")
     return name if generation == 0 else f"{name}@g{generation}"
+
+
+def health_key(name: str, level: int) -> bytes:
+    """Key of one level's advisory headroom (see :mod:`repro.healing`)."""
+    return f"health/{name}/{level:04d}".encode()
 
 
 @dataclass
@@ -67,6 +77,11 @@ class ObjectRecord:
     data_max: float = 0.0
     correction: bool = True
     extra: dict = field(default_factory=dict)
+    #: Per level, per fragment index: the CRC-32 committed at encode
+    #: time, the payload size, and the system holding it.
+    checksums: list[list[int]] = field(default_factory=list)
+    fragment_sizes: list[list[int]] = field(default_factory=list)
+    placements: list[list[int]] = field(default_factory=list)
 
     @property
     def num_levels(self) -> int:
@@ -86,18 +101,6 @@ class ObjectRecord:
         return level_storage_name(self.name, self.generations[level])
 
 
-@dataclass
-class FragmentRecord:
-    """Location and integrity info for one fragment."""
-
-    object_name: str
-    level: int
-    index: int
-    system_id: int
-    nbytes: int
-    checksum: int = 0
-
-
 class MetadataCatalog:
     """Typed facade over a KV store for RAPIDS metadata.
 
@@ -113,6 +116,7 @@ class MetadataCatalog:
         #: each get and put atomic, not the pair, so concurrent restores
         #: would otherwise lose history entries.
         self._rmw_lock = threading.Lock()
+        self._adopt_fragment_records()
 
     def attach_injector(self, injector) -> None:
         """Forward a chaos injector to the underlying KV store (no-op
@@ -137,43 +141,65 @@ class MetadataCatalog:
     def list_objects(self) -> list[str]:
         return [k.decode()[4:] for k in self.store.keys(b"obj/")]
 
+    def objects(self) -> list[ObjectRecord]:
+        """Every object record, in name order."""
+        return [ObjectRecord(**json.loads(v)) for _, v in self.store.scan(b"obj/")]
+
     def delete_object(self, name: str) -> None:
-        """Remove an object and all its fragment records (every
-        storage generation) plus its access counter."""
+        """Remove an object's record, headroom and access counter."""
         self.store.delete(f"obj/{name}".encode())
-        for prefix in (f"frag/{name}/", f"frag/{name}@"):
-            for key in self.store.keys(prefix.encode()):
+        prefix = f"health/{name}/".encode()
+        for key in self.store.keys(prefix):
+            if b"/" not in key[len(prefix):]:  # not object "<name>/..."'s
                 self.store.delete(key)
         self.store.delete(f"acc/{name}".encode())
 
-    # -- fragments -----------------------------------------------------------
+    def _adopt_fragment_records(self) -> None:
+        """Fold a workspace that kept fragments outside the object record.
 
-    def put_fragment(self, rec: FragmentRecord) -> None:
-        key = f"frag/{rec.object_name}/{rec.level:04d}/{rec.index:04d}"
-        self.store.put(key.encode(), json.dumps(asdict(rec)).encode())
-
-    def get_fragment(self, object_name: str, level: int, index: int) -> FragmentRecord:
-        key = f"frag/{object_name}/{level:04d}/{index:04d}"
-        raw = self.store.get(key.encode())
-        if raw is None:
-            raise KeyError(
-                f"no fragment record for ({object_name!r}, {level}, {index})"
-            )
-        return FragmentRecord(**json.loads(raw))
-
-    def level_fragments(self, object_name: str, level: int) -> list[FragmentRecord]:
-        prefix = f"frag/{object_name}/{level:04d}/".encode()
-        return [
-            FragmentRecord(**json.loads(v)) for _, v in self.store.scan(prefix)
-        ]
-
-    def relocate_fragment(
-        self, object_name: str, level: int, index: int, new_system: int
-    ) -> None:
-        """Update a fragment's location after repair onto a new system (§4.2)."""
-        rec = self.get_fragment(object_name, level, index)
-        rec.system_id = new_system
-        self.put_fragment(rec)
+        Such a workspace holds one ``frag/<sname>/<level>/<index>``
+        record per fragment and one ``ledger/<name>/<level>`` entry per
+        level.  A level's fragment set comes from its ledger entry when
+        that entry is of the level's current generation, else from its
+        n fragment records; headroom below ``m_j`` moves to ``health/``.
+        An object with a level that has neither stays as it is.  The old
+        keys are deleted afterwards, so this runs once per workspace.
+        """
+        old = self.store.keys(b"frag/") + self.store.keys(b"ledger/")
+        if not old:
+            return
+        frags: dict[tuple[str, int], dict[int, dict]] = {}
+        for _, raw in self.store.scan(b"frag/"):
+            f = json.loads(raw)
+            frags.setdefault((f["object_name"], f["level"]), {})[f["index"]] = f
+        for rec in self.objects():
+            name = rec.name
+            crcs, sizes, homes = [], [], []
+            for j, m in enumerate(rec.ft_config):
+                sname = rec.level_storage_name(j)
+                raw = self.store.get(f"ledger/{name}/{j:04d}".encode())
+                entry = json.loads(raw) if raw is not None else {}
+                if entry and (entry.get("storage_name") or name) == sname:
+                    crcs.append(entry["checksums"])
+                    sizes.append(entry["nbytes"])
+                    homes.append(entry["placement"])
+                    if entry["headroom"] < m:
+                        self.store.put(health_key(name, j),
+                                       json.dumps(entry["headroom"]).encode())
+                    continue
+                level = frags.get((sname, j), {})
+                if sorted(level) != list(range(rec.n_systems)):
+                    break
+                crcs.append([level[i]["checksum"] for i in sorted(level)])
+                sizes.append([level[i]["nbytes"] for i in sorted(level)])
+                homes.append([level[i]["system_id"] for i in sorted(level)])
+            else:
+                rec.checksums, rec.fragment_sizes, rec.placements = (
+                    crcs, sizes, homes
+                )
+                self.put_object(rec)
+        for key in old:
+            self.store.delete(key)
 
     # -- access frequency -------------------------------------------------------
 

@@ -308,7 +308,7 @@ def _apply_axis(block_fn, src: np.ndarray, dst: np.ndarray, axis: int,
     ndim = src.ndim
     n = src.shape[axis]
     lines = src.size // n if n else 0
-    w = workers if workers is not None else default_workers()
+    w = auto_workers(workers, src.size)
     tile_ax = None
     best = 0
     for a in range(ndim):

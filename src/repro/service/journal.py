@@ -8,8 +8,8 @@ replayed request then observes exactly-once workspace mutation:
 * ``done``    — served straight from the journal, no pipeline run;
 * ``pending`` — a prior attempt crashed somewhere between the journal
   write and the commit; the prepare re-executes *over* the partial
-  state.  ``RAPIDS.prepare`` overwrites every fragment, catalog record
-  and ledger entry for the object deterministically, so replaying a
+  state.  ``RAPIDS.prepare`` overwrites every fragment of the object
+  deterministically and then its one object record, so replaying a
   half-done prepare converges on the same bytes a single clean run
   produces (the crash-safe-resume contract the property suite checks);
 * absent      — first time through.

@@ -241,20 +241,17 @@ def rebalance_moves(
 def apply_moves(
     tracker: CapacityTracker,
     moves: list[tuple[tuple[str, int, int], int, int]],
-    *,
-    catalog=None,
 ) -> int:
     """Execute proposed moves on the tracker's cluster.
 
     Each fragment is read from its source (through the chaos seam and
     checksum verification — corrupt bytes are never propagated), written
     to the destination, deleted at the source, and its pending
-    commitments settled.  ``catalog`` optionally keeps the metadata
-    catalog's fragment locations in sync.  Returns the number of moves
-    applied; a move whose source read fails is skipped with its
-    reservation left in place (the scrubber classifies the damage on its
-    next sweep; call ``tracker.clear_commitments()`` when the planning
-    session ends).
+    commitments settled.  Returns the number of moves applied; the
+    caller records the new homes.  A move whose source read fails is
+    skipped with its reservation left in place (the scrubber classifies
+    the damage on its next sweep; call ``tracker.clear_commitments()``
+    when the planning session ends).
     """
     cluster = tracker.cluster
     applied = 0
@@ -267,7 +264,5 @@ def apply_moves(
         cluster[src].delete(obj, level, index)
         tracker.settle(src, -frag.nbytes)
         tracker.settle(dst, frag.nbytes)
-        if catalog is not None:
-            catalog.relocate_fragment(obj, level, index, dst)
         applied += 1
     return applied

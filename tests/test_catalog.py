@@ -3,10 +3,11 @@
 import json
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
-from repro.metadata import FragmentRecord, MetadataCatalog, ObjectRecord
+from repro.metadata import MetadataCatalog, ObjectRecord, health_key
 
 
 @pytest.fixture
@@ -48,11 +49,14 @@ class TestObjects:
 
     def test_delete_cascades(self, catalog):
         catalog.put_object(_obj("a"))
-        catalog.put_fragment(FragmentRecord("a", 0, 0, 3, 100))
-        catalog.put_fragment(FragmentRecord("a", 1, 2, 4, 200))
+        catalog.put_object(_obj("a/b"))
+        catalog.store.put(health_key("a", 1), b"2")
+        catalog.store.put(health_key("a/b", 1), b"2")
+        catalog.record_access("a")
         catalog.delete_object("a")
-        assert catalog.list_objects() == []
-        assert catalog.level_fragments("a", 0) == []
+        assert catalog.list_objects() == ["a/b"]
+        assert catalog.store.keys(b"health/") == [health_key("a/b", 1)]
+        assert catalog.access_count("a") == 0
 
     def test_overwrite(self, catalog):
         catalog.put_object(_obj("a"))
@@ -62,33 +66,88 @@ class TestObjects:
         assert catalog.get_object("a").ft_config == [9, 6, 4, 2]
 
 
+def _with_fragments(rec):
+    """``rec`` with every level's fragment set: fragment i on system i."""
+    n = rec.n_systems
+    rec.checksums = [[1000 * j + i for i in range(n)] for j in range(rec.num_levels)]
+    rec.fragment_sizes = [[10 * (j + 1)] * n for j in range(rec.num_levels)]
+    rec.placements = [list(range(n)) for _ in range(rec.num_levels)]
+    return rec
+
+
+def _legacy_layout(store, rec, order):
+    """Write ``rec`` as a workspace that kept one ``frag/`` record per
+    fragment (written in index ``order``) and no fragments in the record."""
+    d = {k: v for k, v in asdict(rec).items()
+         if k not in ("checksums", "fragment_sizes", "placements")}
+    store.put(f"obj/{rec.name}".encode(), json.dumps(d).encode())
+    for j in range(rec.num_levels):
+        for i in order:
+            store.put(
+                f"frag/{rec.name}/{j:04d}/{i:04d}".encode(),
+                json.dumps({
+                    "object_name": rec.name, "level": j, "index": i,
+                    "system_id": rec.placements[j][i],
+                    "nbytes": rec.fragment_sizes[j][i],
+                    "checksum": rec.checksums[j][i],
+                }).encode(),
+            )
+
+
 class TestFragments:
+    """Each level's fragment set lives in the object record."""
+
     def test_roundtrip(self, catalog):
-        catalog.put_fragment(FragmentRecord("obj", 2, 7, 11, 4096, checksum=123))
-        rec = catalog.get_fragment("obj", 2, 7)
-        assert rec.system_id == 11
-        assert rec.nbytes == 4096
-        assert rec.checksum == 123
+        catalog.put_object(_with_fragments(_obj()))
+        rec = catalog.get_object("nyx:temperature")
+        assert rec.checksums[2][7] == 2007
+        assert rec.fragment_sizes[2][7] == 30
+        assert rec.placements[2][7] == 7
 
     def test_missing(self, catalog):
-        with pytest.raises(KeyError):
-            catalog.get_fragment("obj", 0, 0)
+        """A record written without fragment sets still loads."""
+        d = asdict(_obj())
+        for key in ("checksums", "fragment_sizes", "placements"):
+            del d[key]
+        catalog.store.put(b"obj/nyx:temperature", json.dumps(d).encode())
+        rec = catalog.get_object("nyx:temperature")
+        assert rec.checksums == rec.fragment_sizes == rec.placements == []
 
-    def test_level_fragments_sorted(self, catalog):
-        for idx in (3, 1, 2, 0):
-            catalog.put_fragment(FragmentRecord("obj", 0, idx, idx, 10))
-        recs = catalog.level_fragments("obj", 0)
-        assert [r.index for r in recs] == [0, 1, 2, 3]
+    def test_level_fragments_sorted(self, tmp_path):
+        """Opening a workspace with per-fragment records folds them into
+        the object record in index order and deletes them."""
+        rec = _with_fragments(_obj())
+        with MetadataCatalog(tmp_path / "meta") as cat:
+            _legacy_layout(cat.store, rec, order=range(15, -1, -1))
+        with MetadataCatalog(tmp_path / "meta") as cat:
+            assert cat.get_object(rec.name) == rec
+            assert cat.store.keys(b"frag/") == []
 
-    def test_level_isolation(self, catalog):
-        catalog.put_fragment(FragmentRecord("obj", 0, 0, 0, 10))
-        catalog.put_fragment(FragmentRecord("obj", 1, 0, 1, 10))
-        assert len(catalog.level_fragments("obj", 0)) == 1
+    def test_level_isolation(self, tmp_path):
+        """A level without all n fragment records leaves its object
+        unadopted; the other objects are folded."""
+        whole, partial = _with_fragments(_obj("a")), _with_fragments(_obj("b"))
+        with MetadataCatalog(tmp_path / "meta") as cat:
+            _legacy_layout(cat.store, whole, order=range(16))
+            _legacy_layout(cat.store, partial, order=range(16))
+            cat.store.delete(b"frag/b/0003/0005")
+        with MetadataCatalog(tmp_path / "meta") as cat:
+            assert cat.get_object("a") == whole
+            assert cat.get_object("b").checksums == []
+            assert cat.store.keys(b"frag/") == []
 
     def test_relocate(self, catalog):
-        catalog.put_fragment(FragmentRecord("obj", 0, 5, 2, 10))
-        catalog.relocate_fragment("obj", 0, 5, 9)
-        assert catalog.get_fragment("obj", 0, 5).system_id == 9
+        from repro.healing import DurabilityLedger
+
+        catalog.put_object(_with_fragments(_obj()))
+        ledger = DurabilityLedger(catalog)
+        entry = ledger.get("nyx:temperature", 1)
+        entry.placement[5] = 9
+        ledger.record(entry)
+        rec = catalog.get_object("nyx:temperature")
+        assert rec.placements[1][5] == 9
+        assert rec.placements[0][5] == rec.placements[2][5] == 5
+        assert catalog.store.keys(b"health/") == []
 
 
 class TestBandwidthHistory:
@@ -137,6 +196,9 @@ class _YieldingStore:
 
     def put(self, key, value):
         self.data[key] = value
+
+    def keys(self, prefix=b""):
+        return sorted(k for k in self.data if k.startswith(prefix))
 
 
 class TestConcurrentCounters:

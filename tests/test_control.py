@@ -237,12 +237,14 @@ class TestLiveMigration:
         rec = stack.catalog.get_object("obj")
         new = [int(m) + 1 for m in rec.ft_config]
         LiveMigrator(stack).migrate("obj", new)
+        rec = stack.catalog.get_object("obj")
         for j in range(len(new)):
             assert stack.cluster.locate("obj", j) == {}
-            assert stack.catalog.level_fragments("obj", j) == []
             sname = level_storage_name("obj", 1)
             assert len(stack.cluster.locate(sname, j)) == stack.cluster.n
-            assert len(stack.catalog.level_fragments(sname, j)) == stack.cluster.n
+            assert rec.placements[j] == list(range(stack.cluster.n))
+            for i, crc in enumerate(rec.checksums[j]):
+                assert stack.cluster[i].get(sname, j, i).verify(crc)
             entry = stack.ledger.get("obj", j)
             assert entry.store_name == sname
             assert entry.m == new[j] and entry.headroom == new[j]

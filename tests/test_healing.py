@@ -54,6 +54,7 @@ from repro.storage import (
 )
 from repro.storage.filestore import _fragment_filename
 from repro.storage.failures import CorrelatedFailureModel, MaintenanceSchedule
+from repro.storage.placement import CapacityTracker
 from repro.transfer import paper_bandwidth_profile
 
 NAME = "heal:obj"
@@ -257,7 +258,7 @@ def test_repair_adopts_valid_stale_copy_without_data_movement(workspace):
     assert report.counts() == {"adopted": 1}
     assert report.written_bytes == 0  # metadata fix, no regeneration
     assert ledger.get(NAME, 0).placement[2] == 9
-    assert rapids.catalog.get_fragment(NAME, 0, 2).system_id == 9
+    assert rapids.catalog.get_object(NAME).placements[0][2] == 9
     assert Scrubber(rapids.cluster, ledger).run().clean
 
 
@@ -282,15 +283,19 @@ def test_repair_clears_redundant_stale_copy(workspace):
 
 
 def test_ledger_rebuild_from_catalog(workspace):
+    """The ledger holds no copy of the fragment sets: a fresh view over
+    the object records alone rebuilds every entry, at full headroom."""
     rapids, _ = workspace
-    ledger = rapids.ledger
-    original = ledger.entries()
-    assert original
-    ledger.delete_object(NAME)
-    assert ledger.entries() == []
-    written = ledger.rebuild_from_catalog(rapids.catalog)
-    assert written == len(original)
-    assert ledger.entries() == original
+    original = rapids.ledger.entries()
+    rec = rapids.catalog.get_object(NAME)
+    assert [e.level for e in original] == list(range(rec.num_levels))
+    for e in original:
+        assert e.m == rec.ft_config[e.level] and e.headroom == e.m
+        assert e.checksums == rec.checksums[e.level]
+        assert e.nbytes == rec.fragment_sizes[e.level]
+        assert e.placement == rec.placements[e.level] == list(range(e.n))
+    assert DurabilityLedger(rapids.catalog).entries() == original
+    assert rapids.catalog.store.keys(b"health/") == []
 
 
 def test_ledger_headroom_tracks_scrub_findings(workspace):
@@ -438,6 +443,114 @@ def test_heal_after_live_migration(workspace):
     res = rapids.restore(NAME, strategy="naive")
     assert res.degraded is None
     assert res.data.tobytes() == expected.tobytes()
+
+
+def test_rebalance_after_live_migration_records_the_move(workspace):
+    """Rebalance moves are keyed by storage name (``<name>@g1``); the
+    moved fragment's new home is recorded, so the next scrub is clean."""
+    rapids, _ = workspace
+    ms = rapids.catalog.get_object(NAME).ft_config
+    assert LiveMigrator(rapids).migrate(NAME, [m + 1 for m in ms]).migrated
+    sname = f"{NAME}@g1"
+    # Fragment 2 of the widest level sits beside fragment 7 on system 7,
+    # so system 2 is the one system a fragment of that level can move to.
+    level = max(rapids.ledger.entries(), key=lambda e: e.nbytes[2]).level
+    rapids.cluster[7].put(rapids.cluster[2].get(sname, level, 2))
+    rapids.cluster[2].delete(sname, level, 2)
+    resident = max(s.used_bytes for s in rapids.cluster.systems)
+    capacities = np.full(rapids.cluster.n, 10.0 * resident)
+    capacities[7] = 1.2 * resident  # the hot spot
+    engine = RepairEngine(
+        rapids.cluster, rapids.catalog, rapids.ledger,
+        tracker=CapacityTracker(rapids.cluster, capacities),
+    )
+    scrub = Scrubber(rapids.cluster, rapids.ledger).run()
+    assert [(d.kind, d.index, d.system_id) for d in scrub.damage] == [
+        ("stale-placement", 2, 7)
+    ]
+    report = engine.repair(scrub, rebalance=True)
+    assert report.rebalance_moves == 1
+    homes = rapids.ledger.get(NAME, level).placement
+    assert 2 in homes
+    for i, sid in enumerate(homes):
+        assert rapids.cluster[sid].has(sname, level, i)
+    after = Scrubber(rapids.cluster, rapids.ledger).run()
+    assert "stale-placement" not in {d.kind for d in after.damage}
+    assert after.clean
+
+
+def _to_fragment_record_layout(catalog) -> None:
+    """Rewrite ``catalog`` the way a workspace kept fragments before the
+    object record carried them: no fragment sets in ``obj/``, one
+    ``frag/<sname>/<level>/<index>`` record per fragment and one
+    ``ledger/<name>/<level>`` entry per level, headroom included."""
+    import json
+
+    store = catalog.store
+    ledger = DurabilityLedger(catalog)
+    for rec in catalog.objects():
+        for e in ledger.entries():
+            if e.object_name != rec.name:
+                continue
+            store.put(
+                f"ledger/{rec.name}/{e.level:04d}".encode(),
+                json.dumps({
+                    "object_name": e.object_name, "level": e.level,
+                    "n": e.n, "m": e.m, "checksums": e.checksums,
+                    "nbytes": e.nbytes, "placement": e.placement,
+                    "headroom": e.headroom, "storage_name": e.storage_name,
+                }).encode(),
+            )
+            for i in range(e.n):
+                store.put(
+                    f"frag/{e.store_name}/{e.level:04d}/{i:04d}".encode(),
+                    json.dumps({
+                        "object_name": e.store_name, "level": e.level,
+                        "index": i, "system_id": e.placement[i],
+                        "nbytes": e.nbytes[i], "checksum": e.checksums[i],
+                    }).encode(),
+                )
+        raw = json.loads(store.get(f"obj/{rec.name}".encode()))
+        for key in ("checksums", "fragment_sizes", "placements"):
+            del raw[key]
+        store.put(f"obj/{rec.name}".encode(), json.dumps(raw).encode())
+    for key in store.keys(b"health/"):
+        store.delete(key)
+
+
+def test_workspace_in_the_fragment_record_layout_is_adopted(tmp_path):
+    """Opening a catalog that keeps ``frag/`` records and ``ledger/``
+    entries folds them into the object records once: restores stay
+    bit-identical, headroom carries over, and the store scrubs clean."""
+    rapids, _ = _workspace(tmp_path)
+    ms = rapids.catalog.get_object(NAME).ft_config
+    # Level 0 moves to generation 1; the rest stay at generation 0.
+    assert LiveMigrator(rapids).migrate(NAME, [ms[0] + 1, *ms[1:]]).migrated
+    expected = rapids.restore(NAME, strategy="naive")
+    degraded = rapids.restore(NAME, strategy="naive", avoid_systems=[0, 5])
+    entry = rapids.ledger.get(NAME, 2)
+    rapids.ledger.set_headroom(entry, entry.m - 1)
+    _to_fragment_record_layout(rapids.catalog)
+    rapids.catalog.close()
+
+    catalog = MetadataCatalog(tmp_path / "meta")
+    try:
+        store = catalog.store
+        assert store.keys(b"frag/") == store.keys(b"ledger/") == []
+        again = RAPIDS(rapids.cluster, catalog, omega=0.3, ec_workers=1)
+        assert again.ledger.get(NAME, 0).storage_name == f"{NAME}@g1"
+        assert again.ledger.get(NAME, 2).headroom == entry.m - 1
+        res = again.restore(NAME, strategy="naive")
+        assert res.data.tobytes() == expected.data.tobytes()
+        res = again.restore(NAME, strategy="naive", avoid_systems=[0, 5])
+        assert res.data.tobytes() == degraded.data.tobytes()
+        scrub, repair = scrub_and_repair(
+            again.cluster, catalog, ledger=again.ledger
+        )
+        assert scrub.clean and repair is None
+        assert store.keys(b"health/") == []
+    finally:
+        catalog.close()
 
 
 # -- torn files ------------------------------------------------------------------

@@ -43,12 +43,12 @@ def _corrupt(cluster, name, level, index):
 class TestChecksumsRecorded:
     def test_prepare_records_checksums(self, rapids):
         rapids.prepare("obj", smooth())
-        rec = rapids.catalog.get_fragment("obj", 0, 0)
-        assert rec.checksum != 0
+        rec = rapids.catalog.get_object("obj")
+        assert rec.checksums[0][0] != 0
         from repro.formats import verify
 
         sf = rapids.cluster[0].get("obj", 0, 0)
-        assert verify(sf.payload, rec.checksum)
+        assert verify(sf.payload, rec.checksums[0][0])
 
 
 class TestCorruptionHandling:

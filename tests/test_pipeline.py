@@ -58,8 +58,8 @@ class TestPrepare:
         rec = rapids.catalog.get_object("obj")
         assert rec.n_systems == 16
         assert len(rec.level_sizes) == 4
-        frag = rapids.catalog.get_fragment("obj", 0, 0)
-        assert frag.system_id == 0
+        assert rec.placements == [list(range(16))] * 4
+        assert [len(crcs) for crcs in rec.checksums] == [16] * 4
 
     def test_prepare_via_globus_service(self, rapids):
         from repro.transfer import GlobusService
@@ -132,6 +132,59 @@ class TestPrepare:
         attrs, payload = read_fragment_file(files[0])
         assert attrs["object_name"] == "a:b"
         assert len(payload) > 0
+
+
+def _count_puts(catalog, keys: list):
+    """Record every key ``catalog``'s store puts into ``keys``."""
+    store = catalog.store
+    put = store.put
+
+    def counting(key, value):
+        keys.append(bytes(key))
+        put(key, value)
+
+    store.put = counting
+
+
+class TestCommit:
+    """The object record is the one metadata write of a prepare."""
+
+    def test_one_put_per_prepare(self, rapids):
+        puts: list[bytes] = []
+        _count_puts(rapids.catalog, puts)
+        rapids.prepare("obj", smooth_field())
+        rec = rapids.catalog.get_object("obj")
+        assert (rec.n_systems, rec.num_levels) == (16, 4)
+        assert puts == [b"obj/obj"]
+
+    def test_no_fragment_or_ledger_key_in_a_full_cycle(self, rapids):
+        from repro.control import LiveMigrator
+        from repro.healing import scrub_and_repair
+
+        puts: list[bytes] = []
+        _count_puts(rapids.catalog, puts)
+        rapids.prepare("obj", smooth_field())
+        ms = rapids.catalog.get_object("obj").ft_config
+        assert LiveMigrator(rapids).migrate("obj", [m + 1 for m in ms]).migrated
+        rapids.cluster[3].delete("obj@g1", 1, 3)
+        scrub, repair = scrub_and_repair(
+            rapids.cluster, rapids.catalog, ledger=rapids.ledger
+        )
+        assert scrub.damage and repair.repaired == 1
+        assert puts
+        assert not [k for k in puts if k.startswith((b"frag/", b"ledger/"))]
+
+    def test_failed_last_fragment_publishes_no_record(self, rapids):
+        from repro.chaos import FaultInjector, FaultPlan, FaultSpec, InjectedFault
+
+        last = {"level": 3, "index": 15}
+        rapids.attach_injector(FaultInjector(FaultPlan(
+            specs=(FaultSpec(site="storage.write", where=last),),
+        )))
+        with pytest.raises(InjectedFault):
+            rapids.prepare("obj", smooth_field())
+        assert rapids.catalog.list_objects() == []
+        assert rapids.catalog.store.keys() == []
 
 
 class TestRestore:

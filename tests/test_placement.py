@@ -191,21 +191,3 @@ class TestApplyMoves:
         assert tracker.pending[lost_dst] == pytest.approx(150.0)
         tracker.clear_commitments()
         assert np.all(tracker.pending == 0.0)
-
-    def test_catalog_follows_moves(self, tracker, tmp_path):
-        from repro.metadata import FragmentRecord, MetadataCatalog
-
-        with MetadataCatalog(tmp_path / "meta") as catalog:
-            for lvl in range(6):
-                tracker.cluster[0].put(
-                    StoredFragment("obj", lvl, 0, 150, None)
-                )
-                catalog.put_fragment(
-                    FragmentRecord("obj", lvl, 0, 0, 150, checksum=0)
-                )
-            moves = rebalance_moves(tracker, max_moves=10)
-            assert apply_moves(tracker, moves, catalog=catalog) == len(moves)
-            for (obj, lvl, idx), _src, dst in moves:
-                assert catalog.get_fragment(obj, lvl, idx).system_id == dst
-                assert tracker.cluster[dst].has(obj, lvl, idx)
-                assert not tracker.cluster[0].has(obj, lvl, idx)

@@ -1150,78 +1150,18 @@ class TestSolverReachability:
 
 
 # ---------------------------------------------------------------------------
-# incremental cache + changed-file scoping
+# changed-file scoping
 
-
-from repro.analysis import LintCache  # noqa: E402
-from repro.analysis.cache import engine_fingerprint  # noqa: E402
 
 _DRIFTED = '__all__ = ["nope"]\n'
 
 
-class TestIncrementalCache:
-    def _tree(self, tmp_path):
-        (tmp_path / "a.py").write_text(_DRIFTED)
-        (tmp_path / "b.py").write_text("def ok():\n    return 1\n")
-        return tmp_path
-
-    def test_second_run_is_all_hits_and_identical(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cpath = tmp_path / "cache.json"
-        first = Analyzer().check_paths([tree], cache=LintCache(cpath))
-        cache = LintCache(cpath)
-        second = Analyzer().check_paths([tree], cache=cache)
-        assert cache.hits == 2 and cache.misses == 0
-        assert first == second
-        assert any(f.rule_id == "RPD106" for f in second)
-
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cpath = tmp_path / "cache.json"
-        Analyzer().check_paths([tree], cache=LintCache(cpath))
-        (tree / "b.py").write_text("def ok():\n    return 2\n")
-        cache = LintCache(cpath)
-        Analyzer().check_paths([tree], cache=cache)
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_engine_change_discards_everything(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cpath = tmp_path / "cache.json"
-        Analyzer().check_paths([tree], cache=LintCache(cpath))
-        import json
-
-        doc = json.loads(cpath.read_text())
-        assert doc["engine"] == engine_fingerprint()
-        doc["engine"] = "deadbeefdeadbeef"
-        cpath.write_text(json.dumps(doc))
-        cache = LintCache(cpath)
-        assert cache.files == {}
-
-    def test_one_cache_serves_any_select(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cpath = tmp_path / "cache.json"
-        Analyzer().check_paths([tree], cache=LintCache(cpath))
-        cache = LintCache(cpath)
-        findings = Analyzer(select=["RPD106"]).check_paths(
-            [tree], cache=cache
-        )
-        assert cache.hits == 2 and cache.misses == 0
-        assert rule_ids(findings) == ["RPD106"]
-
-    def test_deleted_file_is_pruned(self, tmp_path):
-        tree = self._tree(tmp_path)
-        cpath = tmp_path / "cache.json"
-        Analyzer().check_paths([tree], cache=LintCache(cpath))
-        (tree / "b.py").unlink()
-        Analyzer().check_paths([tree], cache=LintCache(cpath))
-        cache = LintCache(cpath)
-        assert set(cache.files) == {(tree / "a.py").as_posix()}
-
+class TestChangedFileScoping:
     def test_restrict_to_filters_reported_findings(self, tmp_path):
-        tree = self._tree(tmp_path)
-        (tree / "b.py").write_text(_DRIFTED)  # now both files have findings
-        a_posix = (tree / "a.py").as_posix()
-        findings = Analyzer().check_paths([tree], restrict_to={a_posix})
+        (tmp_path / "a.py").write_text(_DRIFTED)
+        (tmp_path / "b.py").write_text(_DRIFTED)  # both files have findings
+        a_posix = (tmp_path / "a.py").as_posix()
+        findings = Analyzer().check_paths([tmp_path], restrict_to={a_posix})
         assert findings
         assert all(Path(f.path).as_posix() == a_posix for f in findings)
 
