@@ -446,17 +446,15 @@ def measure_prepare_pipeline(shape=(128, 128, 128), num_planes=22) -> dict:
     data = nyx_temperature(shape).astype(np.float64)
     out = {"shape": list(shape), "nbytes": data.nbytes}
     with tempfile.TemporaryDirectory() as td:
-        variants = {
-            "serial": dict(ec_workers=1, refactor_workers=1),
-            "threaded": dict(ec_workers=None, refactor_workers=None),
-        }
+        variants = {"serial": 1, "threaded": None}
         reports = {}
-        for label, kw in variants.items():
+        for label, workers in variants.items():
             cluster = StorageCluster(paper_bandwidth_profile(16))
             catalog = MetadataCatalog(Path(td) / f"meta-{label}")
             rapids = RAPIDS(
                 cluster, catalog,
-                refactorer=Refactorer(4, num_planes=num_planes), **kw,
+                refactorer=Refactorer(4, num_planes=num_planes, workers=workers),
+                ec_workers=workers,
             )
             t0 = time.perf_counter()
             rep = rapids.prepare(f"bench-{label}", data, measure_errors=False)

@@ -5,10 +5,12 @@ produces pressure and temperature fields that must stay accessible
 through storage-system outages and scheduled maintenance windows.  This
 example exercises the file-backed path of the pipeline:
 
-* fragments are written as self-describing container files (the
-  HDF5/ADIOS substitute), so every fragment file carries the object
-  name, level, and EC parameters it belongs to;
-* the metadata catalog persists across "sessions" (process restarts);
+* every storage system is a directory, and every fragment placed on it
+  is a self-describing container file (the HDF5/ADIOS substitute) that
+  carries the object name, level and index it belongs to; the object
+  record in the catalog holds the level's EC parameters;
+* the storage systems and the metadata catalog persist across
+  "sessions" (process restarts);
 * a maintenance schedule takes systems down at different times and the
   restore quality is reported per window.
 
@@ -18,10 +20,10 @@ Run:  python examples/climate_archival.py
 import tempfile
 from pathlib import Path
 
-from repro import RAPIDS, MetadataCatalog, StorageCluster, relative_linf_error
+from repro import RAPIDS, MetadataCatalog, relative_linf_error
 from repro.datasets import hurricane_pressure, hurricane_temperature
 from repro.formats import read_fragment_file
-from repro.storage import MaintenanceSchedule
+from repro.storage import FileStorageCluster, MaintenanceSchedule
 from repro.transfer import paper_bandwidth_profile
 
 OBJECTS = {
@@ -34,13 +36,13 @@ def main() -> None:
     bw = paper_bandwidth_profile(16)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        cluster = StorageCluster(bw)
 
         # --- archival session -------------------------------------------
+        cluster = FileStorageCluster(tmp / "cluster", bandwidths=bw)
         with MetadataCatalog(tmp / "metadata") as catalog:
             rapids = RAPIDS(cluster, catalog, omega=0.3)
             for name, field in OBJECTS.items():
-                rep = rapids.prepare(name, field, fragment_dir=tmp / "fragments")
+                rep = rapids.prepare(name, field)
                 print(
                     f"archived {name}: m={rep.ft_config}, "
                     f"overhead {rep.storage_overhead:.3f}, "
@@ -48,15 +50,18 @@ def main() -> None:
                     f"(simulated WAN)"
                 )
 
-        # Fragment files are self-describing: any file identifies itself.
-        sample = sorted((tmp / "fragments").glob("*.rdc"))[0]
-        attrs, payload = read_fragment_file(sample)
-        print(
-            f"\nself-describing fragment {sample.name}: object="
-            f"{attrs['object_name']!r} level={attrs['level']} "
-            f"index={attrs['index']} (k={attrs['k']}, m={attrs['m']}), "
-            f"{len(payload)} bytes"
-        )
+            # Fragment files are self-describing: any file identifies
+            # itself, and its object record says how the level is coded.
+            sample = sorted((tmp / "cluster" / "system-00").glob("*.rdc"))[0]
+            attrs, payload = read_fragment_file(sample)
+            rec = catalog.get_object(attrs["object_name"])
+            m = rec.ft_config[attrs["level"]]
+            print(
+                f"\nself-describing fragment {sample.name}: object="
+                f"{attrs['object_name']!r} level={attrs['level']} "
+                f"index={attrs['index']} (k={rec.n_systems - m}, m={m}), "
+                f"{len(payload)} bytes"
+            )
 
         # --- maintenance calendar ----------------------------------------
         sched = MaintenanceSchedule()
@@ -70,7 +75,8 @@ def main() -> None:
         for sid in (3, 4, 5, 6, 8):
             sched.add_window(sid, 25.0, 29.0)
 
-        # --- analysis sessions reopen the catalog from disk ---------------
+        # --- analysis sessions reopen the systems and catalog from disk --
+        cluster = FileStorageCluster(tmp / "cluster")
         with MetadataCatalog(tmp / "metadata") as catalog:
             rapids = RAPIDS(cluster, catalog, omega=0.3)
             print("\nhour  down systems      object           levels  rel.err")

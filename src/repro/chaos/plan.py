@@ -38,7 +38,6 @@ SITES = frozenset(
         "kvstore.put",
         "kvstore.fsync",
         "transfer.attempt",
-        "globus.submit",
         "ec.decode",
         "system.outage",
         "pipeline.prepare",
@@ -66,7 +65,6 @@ _SITE_EFFECTS = {
     "kvstore.fsync": {"error"},
     "kvstore.get": {"error"},
     "transfer.attempt": {"error", "stall"},
-    "globus.submit": {"error", "stall"},
     "ec.decode": {"error"},
     "pipeline.prepare": {"error"},
     "pipeline.restore": {"error"},

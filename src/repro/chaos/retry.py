@@ -1,15 +1,12 @@
 """A shared retry policy: exponential backoff + jitter + deadline.
 
-One policy object replaces the ad-hoc retry loops that used to live in
-the transfer layer: it answers two questions — *may I try again?* and
-*how long do I wait first?* — and executes real-time retries via
-:meth:`call`.  Simulated-time callers (the transfer task manager) use
-:meth:`delay`/:meth:`should_retry` directly and add the delay to their
-own clock.
+One policy object replaces the ad-hoc retry loops of the fetch, repair,
+scrub and migration paths: it answers two questions — *may I try
+again?* (:meth:`should_retry`) and *how long do I wait first?*
+(:meth:`delay`) — and executes real-time retries via :meth:`call`.
 
 An unbounded policy (``max_attempts=None``) must carry a ``deadline``:
-without one a permanently failed endpoint would retry forever, which is
-exactly the transfer-manager bug this module exists to close.
+without one a permanently failed endpoint would retry forever.
 """
 
 from __future__ import annotations
@@ -59,8 +56,7 @@ class RetryPolicy:
         Cap on a single delay (``None`` = uncapped).
     deadline:
         Total time budget across all attempts and backoffs, in the
-        caller's clock (wall seconds for :meth:`call`, simulated
-        seconds for the transfer manager).
+        caller's clock (wall seconds for :meth:`call`).
     """
 
     max_attempts: int | None = 3
@@ -124,9 +120,13 @@ class RetryPolicy:
     ) -> RetryOutcome:
         """Execute ``fn()`` under this policy (real time).
 
-        Never raises: the outcome carries either the value or the last
-        exception plus the attempt/backoff accounting — callers that
-        want the old behaviour re-raise ``outcome.error``.
+        An exception in ``retry_on`` is retried and, once the policy is
+        spent, returned: the outcome carries either the value or the
+        last such exception plus the attempt/backoff accounting —
+        callers that want it raised re-raise ``outcome.error``.  Any
+        other exception propagates at once, unretried; that is how a
+        missing object's :class:`KeyError` reaches the caller of
+        :meth:`repro.core.RAPIDS.restore`.
         """
         start = clock()
         outcome = RetryOutcome()

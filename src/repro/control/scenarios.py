@@ -275,7 +275,7 @@ def run_scenario(
             for i, obj in enumerate(spec.objects):
                 if i == 0 or epoch % 4 == 0:
                     rep = rapids.restore(
-                        obj, strategy="naive", degrade=True, record_access=True
+                        obj, strategy="naive", record_access=True
                     )
                     served[obj] = int(rep.levels_used)
             ev = operator.step(epoch, failed)

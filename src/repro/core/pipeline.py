@@ -2,8 +2,8 @@
 
 ``prepare`` runs the data preparation phase — read, refactor (pMGARD
 substitute), fault-tolerance optimisation (Algorithm 1), erasure coding
-per level, fragment-file writes, metadata registration, and WAN
-distribution — and ``restore`` runs the restoration phase — gathering
+per level, fragment placement, metadata registration, and the WAN
+distribution model — and ``restore`` runs the restoration phase — gathering
 optimisation, fragment gathering, erasure decoding, and progressive
 reconstruction.  Every step is individually timed so the Fig. 5/6
 per-operation breakdowns fall out of the reports.
@@ -27,7 +27,7 @@ from ..chaos.injector import InjectedFault
 from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig, ErasureCodec
 from ..ec.codec import encoded_fragment_len
-from ..formats import crc32, write_fragment_file
+from ..formats import crc32
 from ..healing.ledger import DurabilityLedger
 from ..metadata import MetadataCatalog, ObjectRecord
 from ..metadata.kvstore import CorruptionError
@@ -182,15 +182,8 @@ class RAPIDS:
         Thread fan-out for erasure encode/decode across levels (and,
         through the codec, across fragment chunks).  ``None`` (the
         default) uses the machine's CPU count — the parallel path is the
-        default; pass 1 to force the inline serial path.
-    refactor_workers:
-        Thread fan-out for the refactoring stages (transform tiles,
-        per-plane zlib jobs, component (de)serialisation).  ``None``
-        leaves the choice to the refactorer (inline for small arrays,
-        one worker per CPU otherwise); every worker count produces
-        bit-identical refactored output.  When an explicit ``refactorer`` is supplied
-        its own ``workers`` setting wins unless ``refactor_workers`` is
-        also given explicitly.
+        default; pass 1 to force the inline serial path.  The
+        refactoring stages' fan-out is the refactorer's own ``workers``.
     """
 
     def __init__(
@@ -202,26 +195,17 @@ class RAPIDS:
         omega: float = 0.25,
         p: float = 0.01,
         ec_workers: int | None = None,
-        refactor_workers: int | None = None,
-        injector=None,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.cluster = cluster
         self.catalog = catalog
         self.refactorer = refactorer if refactorer is not None else Refactorer(4)
-        if refactor_workers is not None:
-            self.refactorer.workers = refactor_workers
-        self.refactor_workers = self.refactorer.workers
         self.omega = omega
         self.p = p
         self.ec_workers = ec_workers if ec_workers is not None else default_workers()
         self.codec = ErasureCodec(cluster.n)
         #: Per-fetch retry policy used by restoration; base=0 keeps the
         #: retries immediate (there is no simulated clock on this path).
-        self.retry_policy = retry_policy or RetryPolicy(max_attempts=3, base=0.0)
-        #: Retry policy for WAN distribution through a transfer service
-        #: (simulated clock; no backoff keeps the latency model pure).
-        self.distribution_retry = RetryPolicy(max_attempts=32, base=0.0)
+        self.retry_policy = RetryPolicy(max_attempts=3, base=0.0)
         #: Durability ledger (see :mod:`repro.healing`): ``prepare``
         #: records each level's expected fragment set; ``restore``
         #: consults the scrubbed headroom; the scrubber and repair
@@ -234,8 +218,6 @@ class RAPIDS:
         #: fetch closes it.
         self.fetch_observer = None
         self.injector = None
-        if injector is not None:
-            self.attach_injector(injector)
 
     def attach_injector(self, injector) -> None:
         """Attach (or clear) a chaos injector on the whole stack: the
@@ -255,8 +237,6 @@ class RAPIDS:
         name: str,
         data: np.ndarray | str | Path,
         *,
-        fragment_dir: str | Path | None = None,
-        transfer_service=None,
         measure_errors: bool = True,
         parallelism: str | None = None,
         processes: int | None = None,
@@ -273,17 +253,10 @@ class RAPIDS:
 
         ``data`` is the array itself or the path of a ``.npy`` file
         (multi-tile prepares stream file sources tile-by-tile, never
-        holding the whole object resident).
-
-        ``fragment_dir`` additionally writes every fragment to a
-        self-describing file (the HDF5/ADIOS step of §4.1); fragments are
-        always placed into the cluster.
-
-        ``transfer_service`` optionally routes the distribution through a
-        :class:`repro.transfer.globus.GlobusService` (one bundled task
-        per destination, §4.2 style) instead of the closed-form latency
-        model; failed tasks are retried until delivered and the service's
-        clock advance is reported as the distribution latency.
+        holding the whole object resident).  Fragments are placed into
+        the cluster; a :class:`~repro.storage.FileStorageCluster` keeps
+        each one as a self-describing container file (the HDF5/ADIOS
+        step of §4.1).
 
         ``measure_errors`` is honoured only for one-tile objects.
         ``False`` reports the closed-form error bounds instead of
@@ -299,17 +272,15 @@ class RAPIDS:
         inline when ``processes=1`` or a chaos injector is attached;
         ``"thread"`` keeps the object one tile with thread fan-out.
         ``None`` (the default) means ``"process"`` from
-        ``AUTO_PROCESS_THRESHOLD`` bytes up, else ``"thread"``; a
-        ``transfer_service`` always means ``"thread"``.  An object that
-        cannot be cut (fewer than 2 planes, or ``tile_planes`` covering
-        it) is one tile in every mode, stored byte-identically by all.
+        ``AUTO_PROCESS_THRESHOLD`` bytes up, else ``"thread"``.  An
+        object that cannot be cut (fewer than 2 planes, or
+        ``tile_planes`` covering it) is one tile in every mode, stored
+        byte-identically by all.
         """
         timings: dict[str, float] = {}
         if self.injector is not None:
             self.injector.check("pipeline.prepare", name=name)
-        source, tiles = self._cut_tiles(
-            data, parallelism, tile_planes, transfer_service
-        )
+        source, tiles = self._cut_tiles(data, parallelism, tile_planes)
         num_tiles = len(tiles)
         processes = self._tile_processes(processes)
 
@@ -448,22 +419,15 @@ class RAPIDS:
                 correction=obj.correction,
                 extra={**layout, "expected_error": sol.expected_error},
             )
-            t0 = time.perf_counter()
-            timings["write"] = self._commit(record, sink, fragment_dir)
-            timings["metadata"] = time.perf_counter() - t0 - timings["write"]
+            self._commit(record, sink, timings)
 
-        reqs = refactored_distribution(
-            [float(s) for s in level_sizes], ms, self.cluster.n,
+        dist = phase_latency(
+            refactored_distribution(
+                [float(s) for s in level_sizes], ms, self.cluster.n,
+                self.cluster.bandwidths,
+            ),
             self.cluster.bandwidths,
         )
-        if transfer_service is not None:
-            dist_latency, network_bytes = self._distribute_via_service(
-                name, reqs, transfer_service
-            )
-        else:
-            res = phase_latency(reqs, self.cluster.bandwidths)
-            dist_latency = res.makespan
-            network_bytes = res.total_bytes
 
         extra: dict = {}
         if num_tiles > 1:
@@ -491,13 +455,13 @@ class RAPIDS:
                 [float(s) for s in level_sizes], ms, self.cluster.n, nbytes
             ),
             expected_error=sol.expected_error,
-            distribution_latency=dist_latency,
-            network_bytes=network_bytes,
+            distribution_latency=dist.makespan,
+            network_bytes=dist.total_bytes,
             timings=timings,
             extra=extra,
         )
 
-    def _cut_tiles(self, data, parallelism, tile_planes, transfer_service):
+    def _cut_tiles(self, data, parallelism, tile_planes):
         """Resolve ``parallelism`` and cut the object: ``(source, tiles)``.
 
         Only ``"process"`` cuts more than one tile; an object it cannot
@@ -507,9 +471,7 @@ class RAPIDS:
         """
         is_path = isinstance(data, (str, Path))
         nbytes = os.path.getsize(data) if is_path else int(data.nbytes)
-        mode = procpipe.resolve_mode(parallelism, nbytes)
-        # a transfer service owns distribution: one tile
-        if mode == "process" and transfer_service is None:
+        if procpipe.resolve_mode(parallelism, nbytes) == "process":
             # mmap: a file source only gives up its header here
             probe = np.load(data, mmap_mode="r") if is_path else np.asarray(data)
             if probe.ndim and probe.shape[0] >= 2:
@@ -535,9 +497,9 @@ class RAPIDS:
         return 1 if self.injector is not None else processes
 
     def _commit(
-        self, record: ObjectRecord, sink, fragment_dir: str | Path | None
-    ) -> float:
-        """Publish one prepared object; returns the fragment-file time.
+        self, record: ObjectRecord, sink, timings: dict[str, float]
+    ) -> None:
+        """Publish one prepared object, timing ``write`` and ``metadata``.
 
         Every fragment is read back from the sink one at a time
         (O(fragment) memory however large the object) and placed,
@@ -549,64 +511,27 @@ class RAPIDS:
         by an earlier object of the same name is deleted.
         """
         name, n = record.name, self.cluster.n
-        outdir = Path(fragment_dir) if fragment_dir is not None else None
-        if outdir is not None:
-            outdir.mkdir(parents=True, exist_ok=True)
-        safe = name.replace("/", "_").replace(":", "_")
-        t_write = 0.0
-        for j, m in enumerate(record.ft_config):
+        t0 = time.perf_counter()
+        for j in range(record.num_levels):
             checksums: list[int] = []
             frag_sizes: list[int] = []
             for i in range(n):
                 blob, crc = sink.read_fragment(j, i)
                 checksums.append(crc)
                 frag_sizes.append(len(blob))
-                if outdir is not None:
-                    t0 = time.perf_counter()
-                    write_fragment_file(
-                        outdir / f"{safe}.l{j}.f{i}.rdc",
-                        blob,
-                        object_name=name,
-                        level=j,
-                        index=i,
-                        k=n - m,
-                        m=m,
-                    )
-                    t_write += time.perf_counter() - t0
                 self.cluster[i].put(
                     StoredFragment(name, j, i, len(blob), blob, checksum=crc)
                 )
             record.checksums.append(checksums)
             record.fragment_sizes.append(frag_sizes)
             record.placements.append(list(range(n)))
+        timings["write"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
         self.catalog.put_object(record)
         for j in range(record.num_levels):
             self.ledger.clear(name, j)
-        return t_write
-
-    def _distribute_via_service(self, name, reqs, service) -> tuple[float, float]:
-        """Push one bundled task per destination through a GlobusService,
-        retrying failures under the shared retry policy until everything
-        is delivered (§4.2)."""
-        from ..transfer.globus import deliver_all
-
-        # Local source endpoint: model the user site as destination 0's
-        # peer — the service only needs *a* source id; contention among
-        # these submissions models the shared uplink.
-        source = 0
-        try:
-            return deliver_all(
-                service,
-                [
-                    (source, r.system_id, r.nbytes, f"{name}->{r.system_id}")
-                    for r in reqs
-                ],
-                policy=self.distribution_retry,
-            )
-        except RuntimeError as exc:
-            raise RuntimeError(
-                f"distribution of {name!r} kept failing: {exc}"
-            ) from exc
+        timings["metadata"] = time.perf_counter() - t0
 
     def _optimize_ft(
         self, sizes: list[int], errors: list[float], original_size: int
@@ -629,10 +554,7 @@ class RAPIDS:
         *,
         strategy: str = "optimized",
         solver_budget: float = 1.0,
-        charged_solver_time: float | None = None,
-        seed: int | None = 0,
         target_error: float | None = None,
-        degrade: bool = True,
         avoid_systems=(),
         parallelism: str | None = None,
         processes: int | None = None,
@@ -656,14 +578,12 @@ class RAPIDS:
         still touch an avoided system when nothing else can serve a
         stripe (availability wins).
 
-        ``degrade`` (the default) turns fault-driven failures into
-        graceful degradation: when faults exceed a level's tolerance
-        ``m_j``, restore delivers the deepest still-recoverable level
-        prefix with its recorded error bound and attaches a structured
-        :class:`~repro.chaos.DegradedRestore` report instead of raising.
-        ``degrade=False`` restores raise-on-failure behaviour.  A missing
-        object always raises :class:`KeyError` — that is a caller error,
-        not a fault.
+        Fault-driven failures degrade gracefully: when faults exceed a
+        level's tolerance ``m_j``, restore delivers the deepest
+        still-recoverable level prefix with its recorded error bound and
+        attaches a structured :class:`~repro.chaos.DegradedRestore`
+        report instead of raising.  A missing object raises
+        :class:`KeyError` — that is a caller error, not a fault.
 
         Every object restores through one sequence over its tile table
         (:func:`_tile_table`): gather -> per-(level, tile) EC decode ->
@@ -682,8 +602,6 @@ class RAPIDS:
             if self.injector is not None:
                 self.injector.check("pipeline.restore", name=name)
         except InjectedFault as exc:
-            if not degrade:
-                raise
             failures.append(LevelFailure(-1, "pipeline", repr(exc)))
             return self._degraded_empty(name, failures, faults_before)
 
@@ -692,8 +610,6 @@ class RAPIDS:
             retry_on=(RuntimeError, OSError),
         )
         if not meta.ok:
-            if not degrade:
-                raise meta.error
             failures.append(
                 LevelFailure(-1, "metadata", repr(meta.error),
                              attempts=meta.attempts, retried=meta.retried)
@@ -708,8 +624,7 @@ class RAPIDS:
             try:
                 self.catalog.record_access(name)
             except _DEGRADABLE:
-                if not degrade:
-                    raise
+                pass
         failed = self.cluster.failed_ids()
         if avoid_systems:
             failed = sorted(set(failed) | {int(s) for s in avoid_systems})
@@ -736,8 +651,7 @@ class RAPIDS:
         sizes = [float(s) for s in rec.level_sizes]
         t0 = time.perf_counter()
         outcome = self._select(strategy, sizes, rec.ft_config, failed,
-                               solver_budget, charged_solver_time, seed,
-                               max_levels=len(levels))
+                               solver_budget, max_levels=len(levels))
         timings["gather_optimize"] = time.perf_counter() - t0
         # §4.3: record each selected transfer's (simulated) throughput so
         # future gathering optimisations adapt to bandwidth variation.
@@ -746,8 +660,7 @@ class RAPIDS:
         try:
             self._record_throughputs(outcome)
         except _DEGRADABLE:
-            if not degrade:
-                raise
+            pass
 
         t0 = time.perf_counter()
         level_ids = sorted(outcome.levels_included)
@@ -759,8 +672,6 @@ class RAPIDS:
                     j, col, outcome, rec, crc_erasures
                 )
             except _DEGRADABLE as exc:
-                if not degrade:
-                    raise
                 # Progressive reconstruction needs a contiguous level
                 # prefix: a lost level makes every deeper one useless.
                 failures.append(LevelFailure(j, "gather", repr(exc)))
@@ -772,9 +683,7 @@ class RAPIDS:
 
         t0 = time.perf_counter()
         good_ids = sorted(gathered)
-        payload_rows = self._decode_levels(
-            rec, good_ids, gathered, degrade, failures
-        )
+        payload_rows = self._decode_levels(rec, good_ids, gathered, failures)
         timings["ec_decode"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -785,7 +694,7 @@ class RAPIDS:
         data, used = self._reconstruct_tiles(
             rec, good_ids, payload_rows,
             processes=processes if mode == "process" else 1,
-            degrade=degrade, failures=failures,
+            failures=failures,
         )
         timings["reconstruct"] = time.perf_counter() - t0
 
@@ -857,7 +766,7 @@ class RAPIDS:
         return counts
 
     def _decode_levels(
-        self, rec: ObjectRecord, level_ids, gathered, degrade: bool,
+        self, rec: ObjectRecord, level_ids, gathered,
         failures: list[LevelFailure],
     ) -> list[list[bytes]]:
         """EC-decode gathered levels into per-(level, tile) payloads.
@@ -903,8 +812,7 @@ class RAPIDS:
                     for a in range(0, len(flat), num_tiles)
                 ]
             except _DEGRADABLE:
-                if not degrade:
-                    raise
+                pass
         rows: list[list[bytes]] = []
         for a, j in enumerate(level_ids):
             try:
@@ -913,16 +821,13 @@ class RAPIDS:
                     for job in jobs[a * num_tiles : (a + 1) * num_tiles]
                 ])
             except _DEGRADABLE as exc:
-                if not degrade:
-                    raise
                 failures.append(LevelFailure(j, "decode", repr(exc)))
                 break
         return rows
 
     def _reconstruct_tiles(
         self, rec: ObjectRecord, level_ids, payload_rows: list[list[bytes]],
-        *, processes: int | None, degrade: bool,
-        failures: list[LevelFailure],
+        *, processes: int | None, failures: list[LevelFailure],
     ) -> tuple[np.ndarray | None, int]:
         """Per-tile prefix reconstruction; returns ``(data, levels_used)``.
 
@@ -946,44 +851,43 @@ class RAPIDS:
                     config, processes,
                 ), upto
             except _DEGRADABLE as exc:
-                if not degrade:
-                    raise
                 failures.append(
                     LevelFailure(level_ids[upto - 1], "pipeline", repr(exc))
                 )
                 upto -= 1
         return None, 0
 
-    def restore_progressive(
-        self,
-        name: str,
-        *,
-        strategy: str = "naive",
-        solver_budget: float = 1.0,
-        seed: int | None = 0,
-    ):
+    def restore_progressive(self, name: str):
         """Generator yielding successively refined reconstructions.
 
-        Yields one :class:`RestoreReport` per recoverable level, in
-        order — the Fig. 1(b) refinement loop: the first (tiny) level
-        arrives quickly as a preview, and each further yield folds in
-        the next level's fragments.  ``gathering_latency`` on the j-th
-        yield accounts the transfers for levels 1..j only, so callers
-        can plot quality-vs-time curves.
+        Yields one :class:`RestoreReport` per level prefix the restore
+        can deliver, in order, ``levels_used`` strictly increasing — the
+        Fig. 1(b) refinement loop: the first (tiny) level arrives
+        quickly as a preview, and each further yield folds in the next
+        level's fragments.  ``gathering_latency`` on a yield accounts
+        the transfers for its prefix only, so callers can plot
+        quality-vs-time curves.  Level ``j`` is asked for by its
+        recorded error; a recorded error of 0 is exact, asked for by a
+        full restore.  A level an earlier yield already covers is not
+        asked for, and one whose restore delivers no deeper prefix than
+        the last yield (the headroom below it is lost) is not yielded.
         """
         rec = self.catalog.get_object(name)
         failed = self.cluster.failed_ids()
         total = len(
             recoverable_levels(rec.ft_config, failed, self.cluster.n)
         )
+        delivered = 0
         for j in range(1, total + 1):
-            yield self.restore(
-                name,
-                strategy=strategy,
-                solver_budget=solver_budget,
-                seed=seed,
-                target_error=rec.level_errors[j - 1],
+            if j <= delivered:
+                continue
+            report = self.restore(
+                name, strategy="naive",
+                target_error=rec.level_errors[j - 1] or None,
             )
+            if report.levels_used > delivered:
+                delivered = report.levels_used
+                yield report
 
     def _record_throughputs(self, outcome: GatheringOutcome) -> None:
         per_system = outcome.x.sum(axis=1)
@@ -994,29 +898,29 @@ class RAPIDS:
             self.catalog.record_throughput(int(i), float(bw[i]))
 
     def _select(
-        self, strategy, sizes, ms, failed, budget, charged, seed,
+        self, strategy, sizes, ms, failed, budget,
         *, max_levels: int | None = None,
     ) -> GatheringOutcome:
+        """Plan a gather; every seeded strategy draws from seed 0, and
+        the optimisers charge the solver's measured time."""
         if strategy == "adaptive":
             # catalog EWMA estimates where history exists
             return adaptive_strategy(
                 BandwidthTracker(self.catalog, self.cluster.bandwidths),
                 sizes, ms, failed,
-                time_budget=budget, charged_time=charged, seed=seed,
-                max_levels=max_levels,
+                time_budget=budget, max_levels=max_levels,
             )
         bw = self.cluster.bandwidths
         if strategy == "random":
             return random_strategy(
-                sizes, ms, bw, failed, seed=seed, max_levels=max_levels
+                sizes, ms, bw, failed, seed=0, max_levels=max_levels
             )
         if strategy == "naive":
             return naive_strategy(sizes, ms, bw, failed, max_levels=max_levels)
         if strategy == "optimized":
             return optimized_strategy(
                 sizes, ms, bw, failed,
-                time_budget=budget, charged_time=charged, seed=seed,
-                max_levels=max_levels,
+                time_budget=budget, max_levels=max_levels,
             )
         raise ValueError(f"unknown gathering strategy: {strategy!r}")
 

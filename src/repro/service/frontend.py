@@ -23,7 +23,7 @@ Robustness properties, each deterministically provable under a seeded
   result;
 * deadlines propagate — every stage boundary consults the request
   deadline, and an over-deadline restore degrades to the affordable
-  level prefix via ``restore(degrade=True)`` instead of failing;
+  level prefix via restore's graceful degradation instead of failing;
 * backend outages trip per-system circuit breakers fed by
   ``RetryPolicy`` exhaustion, steering later restores away.
 
@@ -39,7 +39,7 @@ import hashlib
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..chaos.injector import InjectedFault
 from .admission import AdmissionQueue, Bulkhead, TokenBucket
@@ -62,6 +62,15 @@ _SERVABLE_ERRORS = (
     RuntimeError,
 )
 
+#: Fraction of the remaining deadline budgeted for transfer when picking
+#: the affordable level prefix of a restore.
+_DEADLINE_SAFETY = 0.8
+#: Retry-after hint attached to shed requests, in service-clock seconds;
+#: queue pressure scales it (deeper queue → longer hint).
+_SHED_RETRY_AFTER = 0.25
+#: How long an idle worker waits on the queue per loop iteration.
+_POLL_INTERVAL = 0.05
+
 
 @dataclass
 class ServiceConfig:
@@ -73,29 +82,15 @@ class ServiceConfig:
 
     #: Global bound on queued (admitted but not yet executing) requests.
     queue_capacity: int = 64
-    #: Default per-tenant token rate (requests/second) and burst size.
+    #: Per-tenant token rate (requests/second) and burst size.
     rate: float = 50.0
     burst: float = 20.0
-    #: Per-tenant ``(rate, burst)`` overrides.
-    tenant_rates: dict = field(default_factory=dict)
-    #: Default per-tenant worker-slot quota and per-tenant overrides.
+    #: Per-tenant worker-slot quota.
     bulkhead_slots: int = 2
-    tenant_slots: dict = field(default_factory=dict)
     #: Worker threads spawned by :meth:`ArchiveService.start`.
     workers: int = 2
     #: Deadline applied to requests that carry none (``None`` = unbounded).
     default_deadline: float | None = None
-    #: Fraction of the remaining deadline budgeted for transfer when
-    #: picking the affordable level prefix of a restore.
-    deadline_safety: float = 0.8
-    #: Retry-after hint attached to shed requests, in service-clock
-    #: seconds; queue pressure scales it (deeper queue → longer hint).
-    shed_retry_after: float = 0.25
-    #: Circuit-breaker trip threshold and open→half-open decay.
-    breaker_threshold: int = 3
-    breaker_reset: float = 30.0
-    #: How long an idle worker waits on the queue per loop iteration.
-    poll_interval: float = 0.05
     #: The service clock; inject a ManualClock for deterministic runs.
     clock: object = time.monotonic
 
@@ -184,18 +179,12 @@ class ArchiveService:
         self.injector = injector
         self.queue = AdmissionQueue(self.config.queue_capacity)
         self.bulkhead = Bulkhead(
-            self.config.bulkhead_slots,
-            quotas=self.config.tenant_slots,
-            on_release=self.queue.notify,
+            self.config.bulkhead_slots, on_release=self.queue.notify,
         )
         self.journal = RequestJournal(
             rapids.catalog.store, injector=injector
         )
-        self.breakers = BreakerBoard(
-            threshold=self.config.breaker_threshold,
-            reset_after=self.config.breaker_reset,
-            clock=self.clock,
-        )
+        self.breakers = BreakerBoard(clock=self.clock)
         # Feed the breakers from the pipeline's per-fetch retry outcomes.
         rapids.fetch_observer = self._observe_fetch
         self._buckets: dict[str, TokenBucket] = {}
@@ -225,18 +214,15 @@ class ArchiveService:
         with self._lock:
             b = self._buckets.get(tenant)
             if b is None:
-                rate, burst = self.config.tenant_rates.get(
-                    tenant, (self.config.rate, self.config.burst)
-                )
                 b = self._buckets[tenant] = TokenBucket(
-                    rate, burst, clock=self.clock
+                    self.config.rate, self.config.burst, clock=self.clock
                 )
             return b
 
     def _shed_hint(self) -> float:
         depth = self.queue.depth()
         scale = 1.0 + depth / max(1, self.config.queue_capacity)
-        return self.config.shed_retry_after * scale
+        return _SHED_RETRY_AFTER * scale
 
     def _shed(self, reason: str, tenant: str, retry_after: float):
         with self._lock:
@@ -364,7 +350,7 @@ class ArchiveService:
             if self._stopping.is_set():
                 return
             req = self.queue.take(
-                self.bulkhead, timeout=self.config.poll_interval
+                self.bulkhead, timeout=_POLL_INTERVAL
             )
             if req is None:
                 if self.queue.closed and self.queue.depth() == 0:
@@ -470,7 +456,7 @@ class ArchiveService:
         """Deepest level prefix whose modeled transfer fits the budget."""
         bw = self.rapids.cluster.bandwidths
         agg = float(sum(float(b) for b in bw)) or 1.0
-        budget = remaining * self.config.deadline_safety
+        budget = remaining * _DEADLINE_SAFETY
         total = 0.0
         affordable = 0
         for size in rec.level_sizes:
@@ -504,7 +490,6 @@ class ArchiveService:
             req.name,
             strategy=req.strategy,
             target_error=target,
-            degrade=True,
             avoid_systems=avoid,
             record_access=False,
         )

@@ -1,7 +1,6 @@
 """WAN transfer substrate (Globus substitute): logs, bandwidth estimation,
 and equal-share transfer-time models."""
 
-from .globus import GlobusService, GlobusTask, TaskStatus
 from .network import DiurnalBandwidthModel, DriftingBandwidthModel
 from .logs import (
     GB,
@@ -31,9 +30,6 @@ __all__ = [
     "GB",
     "DriftingBandwidthModel",
     "DiurnalBandwidthModel",
-    "GlobusService",
-    "GlobusTask",
-    "TaskStatus",
     "TransferRecord",
     "generate_transfer_logs",
     "estimate_bandwidths",

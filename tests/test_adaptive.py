@@ -174,8 +174,8 @@ class TestAdaptiveStrategy:
         monkeypatch.setattr(
             "repro.optimize.aco.time.perf_counter", lambda: next(ticks) * 0.01
         )
-        args = dict(time_budget=0.2, charged_time=0.0, seed=5, max_levels=None)
-        plan = rapids._select("adaptive", SIZES, MS, [2], 0.2, 0.0, 5)
+        args = dict(time_budget=0.2, max_levels=None)
+        plan = rapids._select("adaptive", SIZES, MS, [2], 0.2)
         same = adaptive_strategy(tracker, SIZES, MS, [2], **args)
         stale = optimized_strategy(SIZES, MS, tracker.prior, [2], **args)
         assert np.array_equal(plan.x, same.x)

@@ -68,14 +68,14 @@ def prepared(tmp_path_factory):
     return rapids, data, prep
 
 
-def _run(rapids, plan, *, trace=False, strategy="naive", seed=0):
+def _run(rapids, plan, *, trace=False, strategy="naive"):
     """Attach a fresh injector for ``plan``, restore, detach; the cluster
     and pipeline come back clean no matter what happened."""
     injector = FaultInjector(plan, trace=trace)
     rapids.attach_injector(injector)
     injector.apply_outages(rapids.cluster)
     try:
-        res = rapids.restore(OBJ, strategy=strategy, seed=seed)
+        res = rapids.restore(OBJ, strategy=strategy)
     finally:
         rapids.attach_injector(None)
         rapids.cluster.restore_all()
@@ -95,7 +95,7 @@ def test_error_bound_under_outage_plans(prepared, n_failures, seed, strategy):
     """Pure-outage plans reproduce the analytic m_j math bit-for-bit."""
     rapids, data, prep = prepared
     plan = FaultPlan.exact_failures(N_SYSTEMS, n_failures, seed=seed)
-    res, _ = _run(rapids, plan, strategy=strategy, seed=seed)
+    res, _ = _run(rapids, plan, strategy=strategy)
 
     ms = prep.ft_config
     expected = sum(1 for m in ms if n_failures <= m)
@@ -159,7 +159,7 @@ def test_restore_never_touches_failed_systems(prepared):
     rapids, _, _ = prepared
     failed = [0, 4, 8]
     _, injector = _run(rapids, FaultPlan.outages(failed), trace=True,
-                       strategy="random", seed=5)
+                       strategy="random")
     touched = {
         ctx["system_id"]
         for site, ctx in injector.trace
@@ -196,7 +196,7 @@ def test_symmetry_in_failure_identity(prepared, seed_a, seed_b):
 )
 @settings(max_examples=25, deadline=None)
 def test_degraded_restore_never_raises(prepared, seed, intensity):
-    """Whatever the generated plan injects, restore(degrade=True) returns
+    """Whatever the generated plan injects, restore returns
     a report — the deepest recoverable prefix, never an exception."""
     rapids, data, prep = prepared
     plan = FaultPlan.random(seed, N_SYSTEMS, intensity=intensity,
@@ -427,11 +427,15 @@ class TestFaultPlan:
         injector = FaultInjector(plan)
         rapids.attach_injector(injector)
         try:
-            with pytest.raises(InjectedFault) as exc_info:
-                rapids.restore(OBJ, strategy="naive", degrade=False)
+            res = rapids.restore(OBJ, strategy="naive")
         finally:
             rapids.attach_injector(None)
-        fault = exc_info.value
+        assert res.data is None and res.degraded is not None
+        (failure,) = res.degraded.failures
+        assert failure.stage == "pipeline"
+        assert "injected error at pipeline.restore" in failure.error
+        (fault,) = injector.log
         assert fault.site == "pipeline.restore"
         assert fault.effect == "error"
         assert fault.spec_index == 0
+        assert dict(fault.ctx) == {"name": OBJ}

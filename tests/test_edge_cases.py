@@ -143,3 +143,31 @@ class TestPipelineEdges:
         reports = list(rapids.restore_progressive("obj"))
         assert len(reports) < 4
         assert reports[-1].levels_used == len(reports)
+
+    @pytest.mark.parametrize("case", ["hurricane", "constant"])
+    def test_progressive_restore_reaches_an_exact_level(self, rapids, case):
+        """A level whose recorded error is 0 is still delivered."""
+        from repro.datasets import hurricane_pressure
+
+        data = (
+            hurricane_pressure((17, 33, 33)) if case == "hurricane"
+            else np.full((17, 17, 17), 3.5, dtype=np.float32)
+        )
+        prep = rapids.prepare("obj", data)
+        assert prep.level_errors[-1] == 0.0
+        used = [r.levels_used for r in rapids.restore_progressive("obj")]
+        assert used == sorted(set(used))
+        assert used[-1] == 4
+        if case == "hurricane":
+            assert used == [1, 2, 3, 4]
+
+    def test_progressive_restore_stops_where_headroom_is_lost(self, rapids):
+        """A level the scrubber knows to be lost caps every later yield:
+        the prefix below it is yielded once, not once per level."""
+        from repro.datasets import nyx_temperature
+
+        prep = rapids.prepare("obj", nyx_temperature((32, 32, 32)))
+        assert min(prep.level_errors) > 0
+        rapids.ledger.set_headroom(rapids.ledger.get("obj", 2), -1)
+        reports = list(rapids.restore_progressive("obj"))
+        assert [r.levels_used for r in reports] == [1, 2]

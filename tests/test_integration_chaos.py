@@ -49,13 +49,13 @@ def prepared(tmp_path_factory):
     return rapids, data, prep
 
 
-def _restore_under(rapids, plan, *, trace=False, strategy="naive", seed=0):
+def _restore_under(rapids, plan, *, trace=False, strategy="naive"):
     """Apply ``plan`` through a fresh injector, restore, detach cleanly."""
     injector = FaultInjector(plan, trace=trace)
     rapids.attach_injector(injector)
     injector.apply_outages(rapids.cluster)
     try:
-        res = rapids.restore("chaos:obj", strategy=strategy, seed=seed)
+        res = rapids.restore("chaos:obj", strategy=strategy)
     finally:
         rapids.attach_injector(None)
         rapids.cluster.restore_all()
@@ -71,7 +71,7 @@ def _restore_under(rapids, plan, *, trace=False, strategy="naive", seed=0):
 def test_error_bound_invariant(prepared, n_failures, seed, strategy):
     rapids, data, prep = prepared
     plan = FaultPlan.exact_failures(16, n_failures, seed=seed)
-    res, _ = _restore_under(rapids, plan, strategy=strategy, seed=seed)
+    res, _ = _restore_under(rapids, plan, strategy=strategy)
 
     ms = prep.ft_config
     expected_levels = sum(1 for m in ms if n_failures <= m)
@@ -121,7 +121,7 @@ def test_restore_never_reads_failed_systems(prepared):
     failed = [0, 4, 8]
     _, injector = _restore_under(
         rapids, FaultPlan.outages(failed), trace=True,
-        strategy="random", seed=5,
+        strategy="random",
     )
     # every fragment read consults the storage.read seam; failed systems
     # raise UnavailableError before reaching it, so absence from the

@@ -87,14 +87,15 @@ class TestCorruptionHandling:
         # corrupt every fragment of the bottom level
         for idx in range(16):
             _corrupt(rapids.cluster, "obj", 3, idx)
-        # strict mode refuses outright
-        with pytest.raises(RuntimeError, match="lost"):
-            rapids.restore("obj", strategy="naive", degrade=False)
-        # the default degrades to the clean three-level prefix and says so
+        # restore degrades to the clean three-level prefix and says why
         res = rapids.restore("obj", strategy="naive")
         assert res.levels_used == 3
         assert res.degraded is not None
         assert res.degraded.abandoned_levels == [3]
+        (failure,) = res.degraded.failures
+        assert (failure.level, failure.stage) == (3, "gather")
+        assert "lost" in failure.error
+        assert res.degraded.corrupt_fragments == 16
         err = relative_linf_error(data, res.data)
         assert err <= prep.level_errors[2] + 1e-12
 

@@ -61,28 +61,6 @@ class TestPrepare:
         assert rec.placements == [list(range(16))] * 4
         assert [len(crcs) for crcs in rec.checksums] == [16] * 4
 
-    def test_prepare_via_globus_service(self, rapids):
-        from repro.transfer import GlobusService
-
-        svc = GlobusService(rapids.cluster.bandwidths, seed=0)
-        rep = rapids.prepare("obj", smooth_field(), transfer_service=svc)
-        assert rep.distribution_latency > 0
-        assert not svc.active_tasks()
-        assert any("SUBMIT" in e for e in svc.events)
-
-    def test_prepare_via_flaky_globus_retries(self, rapids):
-        from repro.transfer import GlobusService, TaskStatus
-
-        svc = GlobusService(
-            rapids.cluster.bandwidths, failure_prob=0.3, seed=1
-        )
-        rep = rapids.prepare("obj", smooth_field(), transfer_service=svc)
-        assert rep.network_bytes > sum(rep.level_sizes)  # retries cost bytes
-        outcomes = {t.status for t in svc.tasks.values()}
-        assert TaskStatus.FAILED in outcomes  # some attempts failed...
-        res = rapids.restore("obj", strategy="naive")  # ...yet data is whole
-        assert res.levels_used == 4
-
     def test_pipelined_prepare_matches_default_path(self, rapids, tmp_path):
         data = smooth_field()
         rep = rapids.prepare("obj", data, measure_errors=False)
@@ -105,33 +83,65 @@ class TestPrepare:
         assert a.data.tobytes() == b.data.tobytes()
         catalog2.close()
 
-    def test_refactor_workers_knob(self, tmp_path):
+    def test_refactorer_owns_its_workers(self, tmp_path):
+        """The refactoring fan-out is set on the refactorer, once."""
         cluster = StorageCluster(paper_bandwidth_profile(8))
         catalog = MetadataCatalog(tmp_path / "meta")
-        system = RAPIDS(cluster, catalog, refactor_workers=3)
-        assert system.refactorer.workers == 3
-        assert system.refactor_workers == 3
-        # an explicit refactorer keeps its own setting...
+        assert RAPIDS(cluster, catalog).refactorer.workers is None
         ref = Refactorer(4, workers=2)
-        system2 = RAPIDS(cluster, catalog, refactorer=ref)
-        assert system2.refactorer.workers == 2
-        # ...unless refactor_workers is also given explicitly
-        system3 = RAPIDS(
-            cluster, catalog, refactorer=Refactorer(4, workers=2),
-            refactor_workers=5,
-        )
-        assert system3.refactorer.workers == 5
+        assert RAPIDS(cluster, catalog, refactorer=ref).refactorer is ref
+        assert ref.workers == 2
         catalog.close()
 
-    def test_fragment_files_written(self, rapids, tmp_path):
-        rapids.prepare("a:b", smooth_field(n=17), fragment_dir=tmp_path / "frags")
-        files = list((tmp_path / "frags").glob("*.rdc"))
-        assert len(files) == 4 * 16
+    def test_fragment_files_written(self, tmp_path):
+        """A file-backed cluster keeps each placed fragment as a
+        self-describing container in its system's directory."""
         from repro.formats import read_fragment_file
+        from repro.storage import FileStorageCluster
 
+        cluster = FileStorageCluster(
+            tmp_path / "cluster", bandwidths=paper_bandwidth_profile(16)
+        )
+        catalog = MetadataCatalog(tmp_path / "meta")
+        RAPIDS(cluster, catalog, omega=0.25).prepare("a:b", smooth_field(n=17))
+        files = sorted((tmp_path / "cluster").glob("system-*/*.rdc"))
+        assert len(files) == 4 * 16
         attrs, payload = read_fragment_file(files[0])
         assert attrs["object_name"] == "a:b"
         assert len(payload) > 0
+        catalog.close()
+
+    def test_commit_timings_split_placement_from_metadata(self, rapids, monkeypatch):
+        """``write`` is the fragment placement loop and ``metadata`` the
+        record put plus the ``health/`` clears: a clock that only the
+        patched placement and put advance pins each to its stage."""
+        from types import SimpleNamespace
+
+        from repro.core import pipeline
+
+        clock = [0.0]
+        monkeypatch.setattr(
+            pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0])
+        )
+        for system in rapids.cluster.systems:
+            real_put = system.put
+
+            def put(frag, real_put=real_put):
+                clock[0] += 1.0
+                real_put(frag)
+
+            monkeypatch.setattr(system, "put", put)
+        real_put_object = rapids.catalog.put_object
+
+        def put_object(record):
+            clock[0] += 1000.0
+            real_put_object(record)
+
+        monkeypatch.setattr(rapids.catalog, "put_object", put_object)
+        rep = rapids.prepare("obj", smooth_field(n=17))
+        assert rep.timings["write"] == 4 * 16
+        assert rep.timings["metadata"] == 1000.0
+        assert sum(rep.timings.values()) == 4 * 16 + 1000.0
 
 
 def _count_puts(catalog, keys: list):
@@ -223,9 +233,7 @@ class TestRestore:
         rapids.cluster.fail([3, 7])
         outs = {}
         for strat in ("random", "naive", "optimized"):
-            rep = rapids.restore(
-                "obj", strategy=strat, solver_budget=0.2, seed=1
-            )
+            rep = rapids.restore("obj", strategy=strat, solver_budget=0.2)
             outs[strat] = rep
         ref = outs["naive"].data
         for strat, rep in outs.items():
@@ -259,14 +267,6 @@ class TestRestore:
             "gather_optimize", "gather", "ec_decode", "reconstruct",
         }
         assert rep.total_time > 0
-
-    def test_gathering_latency_includes_solver_charge(self, rapids):
-        rapids.prepare("obj", smooth_field(n=17))
-        rep = rapids.restore(
-            "obj", strategy="optimized", solver_budget=0.1,
-            charged_solver_time=60.0,
-        )
-        assert rep.gathering_latency >= 60.0
 
 
 class TestSurvivability:

@@ -57,8 +57,9 @@ def make_pipeline(tmp_path, tag="p", n=N_SYSTEMS, **kwargs):
     return RAPIDS(cluster, catalog, **kwargs)
 
 
-#: ``make_pipeline`` kwargs for a pipeline whose every pool is one wide.
-SERIAL_PIPELINE = dict(ec_workers=1, refactor_workers=1)
+def serial_pipeline() -> dict:
+    """``make_pipeline`` kwargs for a pipeline whose every pool is one wide."""
+    return dict(ec_workers=1, refactorer=Refactorer(4, num_planes=24, workers=1))
 
 
 def field(shape, dtype, seed=0):
@@ -232,7 +233,7 @@ class TestBitIdentity:
         data = field((20, 6, 5), np.float32, seed=3)
         ref = make_pipeline(tmp_path, "ref")
         r_ref = ref.prepare("obj", data, parallelism="thread")
-        serial = SERIAL_PIPELINE if mode == "serial" else {}
+        serial = serial_pipeline() if mode == "serial" else {}
         p = make_pipeline(tmp_path, mode, **serial)
         rep = p.prepare("obj", data, **self.ONE_TILE_MODES[mode])
         assert rep.extra == {}  # one tile: no pool, arena or spool to report
@@ -307,12 +308,26 @@ class TestBitIdentity:
         )
 
     def test_fragment_files_written(self, tmp_path):
+        """A multi-tile prepare leaves one container file per fragment on
+        a file-backed cluster, each naming what it holds."""
+        from repro.formats import read_fragment_file
+        from repro.storage import FileStorageCluster
+
         data = field((16, 5, 5), np.float64)
-        p = make_pipeline(tmp_path)
+        cluster = FileStorageCluster(
+            tmp_path / "cluster", bandwidths=paper_bandwidth_profile(N_SYSTEMS)
+        )
+        catalog = MetadataCatalog(tmp_path / "meta")
+        p = RAPIDS(cluster, catalog, refactorer=Refactorer(4, num_planes=24),
+                   omega=20.0)
         rep = p.prepare("obj", data, parallelism="process", processes=1,
-                        fragment_dir=tmp_path / "frags")
-        files = sorted((tmp_path / "frags").glob("*.rdc"))
+                        tile_planes=4)
+        assert rep.extra["procpipe"]["num_tiles"] == 4
+        files = sorted((tmp_path / "cluster").glob("system-*/*.rdc"))
         assert len(files) == len(rep.level_sizes) * N_SYSTEMS
+        attrs, _ = read_fragment_file(files[-1])
+        assert attrs["object_name"] == "obj"
+        catalog.close()
 
     def test_serial_pipeline_matches_pooled(self, tmp_path):
         """Pool widths belong to the pipeline object and never change
@@ -320,9 +335,9 @@ class TestBitIdentity:
         data = field((16, 5, 5), np.float64)
         ref = make_pipeline(tmp_path, "ref")
         r_ref = ref.prepare("obj", data)
-        p = make_pipeline(tmp_path, "serial", **SERIAL_PIPELINE)
+        p = make_pipeline(tmp_path, "serial", **serial_pipeline())
         rep = p.prepare("obj", data)
-        assert (p.ec_workers, p.refactor_workers, p.refactorer.workers) == (1, 1, 1)
+        assert (p.ec_workers, p.refactorer.workers) == (1, 1)
         levels = len(rep.level_sizes)
         assert rep.level_sizes == r_ref.level_sizes
         assert stored_bytes(p, "obj", levels) == stored_bytes(ref, "obj", levels)
@@ -345,7 +360,7 @@ class TestDegradedRestores:
         pipeline.attach_injector(injector)
         injector.apply_outages(pipeline.cluster)
         try:
-            return pipeline.restore("obj", degrade=True, **kwargs)
+            return pipeline.restore("obj", **kwargs)
         finally:
             pipeline.attach_injector(None)
             pipeline.cluster.restore_all()

@@ -468,7 +468,7 @@ def overload_campaign(tmp, seed: int) -> str:
     clk = ManualClock()
     svc = ArchiveService(rapids, config=ServiceConfig(
         clock=clk, queue_capacity=12, rate=10_000.0, burst=10_000.0,
-        bulkhead_slots=2, deadline_safety=0.8,
+        bulkhead_slots=2,
     ))
     # Seed objects for the restore side of the mix.
     objects = []
@@ -560,7 +560,7 @@ class TestThreadedService:
         rapids = make_stack(tmp_path)
         svc = ArchiveService(rapids, config=ServiceConfig(
             queue_capacity=32, rate=10_000.0, burst=10_000.0,
-            workers=2, poll_interval=0.01,
+            workers=2,
         ))
         prep = svc.submit(ServiceRequest(
             tenant="a", op="prepare", name="obj", data=small_field(3)

@@ -8,10 +8,16 @@ justifies keeping it and must itself import the module (or, for the CLI,
 declare it as the entry point).  Adding a module
 nothing calls — or deleting the last caller of one — fails here with the
 module's name.  The examples, which users copy, reach public names only.
+
+The same holds one level down for the options of the pipeline surface:
+every keyword of ``RAPIDS`` and its phases, and every ``ServiceConfig``
+field, is set somewhere in the product (see :data:`PRODUCT`).
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -154,6 +160,72 @@ def test_examples_use_only_public_names():
         and not node.attr.startswith("__")
     ]
     assert not private, f"examples reach private attributes: {private}"
+
+
+#: Where an option's caller may live; tests and examples do not count.
+PRODUCT = ("src", "benchmarks", "perfbench")
+
+
+def _options() -> list[tuple[str, str]]:
+    """``(owner, name)`` per option of the pipeline surface.
+
+    The options are the keyword-only parameters of ``RAPIDS`` and its
+    phases and the fields of ``ServiceConfig``; ``owner`` is the name a
+    call to the function defining the option is spelled with.
+    """
+    from repro.core import RAPIDS
+    from repro.service import ServiceConfig
+
+    out = [("ServiceConfig", f.name) for f in dataclasses.fields(ServiceConfig)]
+    for fn in (RAPIDS.__init__, RAPIDS.prepare, RAPIDS.restore,
+               RAPIDS.restore_progressive):
+        owner = "RAPIDS" if fn.__name__ == "__init__" else fn.__name__
+        out += [
+            (owner, p.name)
+            for p in inspect.signature(fn).parameters.values()
+            if p.kind is p.KEYWORD_ONLY
+        ]
+    return out
+
+
+def _set_options() -> set[tuple[str, str]]:
+    """Every ``(owner, name)`` the product sets, by name.
+
+    A call spelled ``owner(...)`` or ``x.owner(...)`` sets its
+    keywords for ``owner``; a ``dict(...)`` keyword (splatted into such
+    a call) and an attribute assignment on anything but ``self`` (the
+    CLI's ``rapids.p = args.p``) set the name for every owner.  Like the
+    import scan this is name-based: a collision hides an unused option.
+    """
+    found: set[tuple[str, str]] = set()
+    for path in (p for d in PRODUCT for p in sorted((ROOT / d).rglob("*.py"))):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = getattr(func, "id", None) or getattr(func, "attr", None)
+                found |= {(callee, kw.arg) for kw in node.keywords if kw.arg}
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                found |= {
+                    ("*", t.attr)
+                    for t in targets
+                    if isinstance(t, ast.Attribute)
+                    and not (isinstance(t.value, ast.Name) and t.value.id == "self")
+                }
+    return found
+
+
+def test_every_option_has_a_caller():
+    found = _set_options()
+    unused = [
+        f"{owner}: {name}"
+        for owner, name in _options()
+        if not {(owner, name), ("dict", name), ("*", name)} & found
+    ]
+    assert not unused, (
+        f"nothing under {', '.join(PRODUCT)} sets {unused}: give each a "
+        "caller or delete it"
+    )
 
 
 @pytest.mark.parametrize(
