@@ -143,4 +143,4 @@ def decode_planes(
         ps.count, ps.exponent, ps.num_planes, ps.planes, keep,
         workers=workers,
     )
-    return kernels.dequantise(dg)
+    return kernels.dequantise(dg, workers=workers)

@@ -282,21 +282,19 @@ class Refactorer:
             data, max_levels=self.max_levels, correction=self.correction,
             workers=workers,
         )
-        groups = transform.level_flat_indices(plans, data.shape)
-        flat = mallat.reshape(-1)
         # Anchor quantisation globally: the floor sits num_planes below
         # the largest coefficient anywhere, so low-magnitude detail
         # groups encode proportionally fewer planes (MGARD's uniform
         # quantisation — this is the main source of size reduction).
-        coeff_max = float(np.max(np.abs(flat)))
+        coeff_max = float(np.max(np.abs(mallat)))
         if coeff_max > 0 and np.isfinite(coeff_max):
             global_exp = int(np.floor(np.log2(coeff_max)))
             lsb_exp = global_exp - self.num_planes + 1
         else:
             lsb_exp = None
         qgs, group_planes_blobs = kernels.encode_groups(
-            flat, groups, self.num_planes, lsb_exponent=lsb_exp,
-            workers=workers,
+            (ring.take(mallat) for ring in transform.group_rings(plans)),
+            self.num_planes, lsb_exponent=lsb_exp, workers=workers,
         )
         planesets = [
             bitplane.PlaneSet(qg.count, qg.exponent, qg.num_planes, blobs)
@@ -365,10 +363,8 @@ class Refactorer:
         ``relative_linf_error(data, reconstruct(obj, upto=j + 1))``.
         """
         full = np.zeros(obj.shape, dtype=np.float64)
-        flat = full.reshape(-1)
-        groups = transform.level_flat_indices(obj.plans, obj.shape)
-        for g, idx in enumerate(groups):
-            flat[idx] = kernels.dequantise(decoded[g])
+        for ring, dg in zip(transform.group_rings(obj.plans), decoded):
+            ring.put(full, kernels.dequantise(dg, workers=workers))
         exponents = [dg.exponent for dg in decoded]
         num_planes = [dg.num_planes for dg in decoded]
         # The integer magnitudes are not needed again: free them before
@@ -436,27 +432,27 @@ class Refactorer:
             )
         ]
         planesets = components.assemble_planesets(parsed)
-        groups = transform.level_flat_indices(obj.plans, obj.shape)
-        if len(planesets) < len(groups):
-            planesets += [
-                bitplane.PlaneSet(0, 0, 0, [])
-                for _ in range(len(groups) - len(planesets))
-            ]
-        flat = np.zeros(size, dtype=np.float64)
-        for idx, ps in zip(groups, planesets):
+        rings = transform.group_rings(obj.plans)
+        if len(planesets) > len(rings):
+            raise ValueError(
+                f"payload names {len(planesets)} coefficient groups, "
+                f"layout has {len(rings)}"
+            )
+        mallat = np.zeros(obj.shape, dtype=np.float64)
+        for ring, ps in zip(rings, planesets):
             if ps.count == 0:
                 continue
-            if ps.count != idx.size:
+            if ps.count != ring.size:
                 raise ValueError(
                     f"coefficient count mismatch: payload has {ps.count}, "
-                    f"layout expects {idx.size}"
+                    f"layout expects {ring.size}"
                 )
             if ps.planes:
-                flat[idx] = bitplane.decode_planes(
+                ring.put(mallat, bitplane.decode_planes(
                     ps, keep=len(ps.planes), workers=workers
-                )
+                ))
         out = transform.recompose(
-            flat.reshape(obj.shape), obj.plans, correction=obj.correction,
+            mallat, obj.plans, correction=obj.correction,
             workers=workers, overwrite=True,
         )
         return out.astype(obj.dtype, copy=False)

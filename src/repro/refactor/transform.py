@@ -52,7 +52,10 @@ detail add outright; the values are what the full computation gives.
 
 from __future__ import annotations
 
+import math
 import threading
+from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +68,8 @@ __all__ = [
     "recompose",
     "decompose_axis",
     "recompose_axis",
-    "level_flat_indices",
+    "Ring",
+    "group_rings",
 ]
 
 # Cache of per-axis-length index structures; decomposition of a 3-D array
@@ -428,59 +432,78 @@ def recompose(
     return out
 
 
-# Mallat group-index lists are pure functions of (plans, shape) and cost
-# a full fancy-indexing sweep to build; reconstruction used to pay that
-# sweep on every call.  Bounded, lock-guarded cache; entries are marked
-# read-only since callers share them.
-_INDEX_CACHE: dict[tuple, list[np.ndarray]] = {}
-_INDEX_LOCK = threading.Lock()
-_INDEX_CACHE_MAX = 8
+class Ring(NamedTuple):
+    """Where one coefficient group lives in a Mallat-layout array.
+
+    ``corner`` slices the group's level corner; ``mask`` marks the group
+    inside it — the corner minus the next coarser corner — and is
+    ``None`` for group 0, the coarsest corner itself.  Both directions
+    visit a group in C order within its corner.
+    """
+
+    corner: tuple[slice, ...]
+    mask: np.ndarray | None
+    size: int
+
+    def take(self, mallat: np.ndarray) -> np.ndarray:
+        """The group's coefficients as a flat array (a view only where
+        the corner is contiguous)."""
+        block = mallat[self.corner]
+        return block.reshape(-1) if self.mask is None else block[self.mask]
+
+    def put(self, mallat: np.ndarray, values: np.ndarray) -> None:
+        """Write the group's coefficients, in :meth:`take` order."""
+        block = mallat[self.corner]
+        if self.mask is None:
+            block[...] = values.reshape(block.shape)
+        else:
+            block[self.mask] = values
 
 
-def level_flat_indices(
-    plans: list[LevelPlan], shape: tuple[int, ...]
-) -> list[np.ndarray]:
-    """Flat indices (into the Mallat array) of each group's coefficients.
+# Ring masks are pure functions of the plan chain.  An entry holds one
+# byte per coefficient of every level corner (~1.14x the element count of
+# a 3-D array).  LRU, bounded in bytes; a hit reorders the entries, so
+# hits take the lock too.  Masks are read-only since callers share them.
+_RING_CACHE: OrderedDict[tuple, tuple[list[Ring], int]] = OrderedDict()
+_RING_LOCK = threading.Lock()
+#: The service's requests are (n, 16, 16) arrays, n = 16..256: at most
+#: ~75 KB of masks a shape, so this keeps a hundred such shapes, or three
+#: 128^3 objects (2.4 MB each), resident.
+_RING_CACHE_BYTES = 8 << 20
+
+
+def group_rings(plans: list[LevelPlan]) -> list[Ring]:
+    """Where each coefficient group lives in the Mallat array of ``plans``.
 
     Group 0 is the final coarse approximation corner; group ``i`` for
     ``i >= 1`` is the detail ring added when refining from level ``L-i``
     back toward the original grid (coarse-to-fine order, matching how the
-    progressive reconstruction consumes them).  The groups partition
-    ``range(prod(shape))``.
-
-    Results are cached per ``(plans, shape)`` and returned as read-only
-    arrays (a fresh list, shared array objects) — treat them as
-    immutable.
+    progressive reconstruction consumes them).  The groups partition the
+    array.  Results are cached (a fresh list of shared, read-only masks).
     """
-    key = (tuple(plans), tuple(shape))
-    groups = _INDEX_CACHE.get(key)
-    if groups is None:
-        with _INDEX_LOCK:
-            groups = _INDEX_CACHE.get(key)
-            if groups is None:
-                groups = _build_flat_indices(list(plans), tuple(shape))
-                for g in groups:
-                    g.setflags(write=False)
-                if len(_INDEX_CACHE) >= _INDEX_CACHE_MAX:
-                    _INDEX_CACHE.pop(next(iter(_INDEX_CACHE)))
-                _INDEX_CACHE[key] = groups
-    return list(groups)
+    key = (plans[-1].coarse_shape, *(p.fine_shape for p in plans))
+    with _RING_LOCK:
+        hit = _RING_CACHE.get(key)
+        if hit is not None:
+            _RING_CACHE.move_to_end(key)
+            return list(hit[0])
+        rings = _build_rings(plans)
+        _RING_CACHE[key] = (rings, sum(r.mask.nbytes for r in rings[1:]))
+        while sum(n for _, n in _RING_CACHE.values()) > _RING_CACHE_BYTES:
+            _RING_CACHE.popitem(last=False)
+    return list(rings)
 
 
-def _build_flat_indices(
-    plans: list[LevelPlan], shape: tuple[int, ...]
-) -> list[np.ndarray]:
-    flat = np.arange(int(np.prod(shape))).reshape(shape)
-    groups: list[np.ndarray] = []
-    prev_corner = plans[-1].coarse_shape
-    groups.append(
-        flat[tuple(slice(0, s) for s in prev_corner)].reshape(-1).copy()
-    )
+def _build_rings(plans: list[LevelPlan]) -> list[Ring]:
+    inner = plans[-1].coarse_shape
+    rings = [Ring(tuple(slice(0, s) for s in inner), None, math.prod(inner))]
     for plan in reversed(plans):
-        corner = tuple(slice(0, s) for s in plan.fine_shape)
-        region = flat[corner]
         mask = np.ones(plan.fine_shape, dtype=bool)
-        mask[tuple(slice(0, s) for s in prev_corner)] = False
-        groups.append(region[mask].reshape(-1).copy())
-        prev_corner = plan.fine_shape
-    return groups
+        mask[tuple(slice(0, s) for s in inner)] = False
+        mask.setflags(write=False)
+        rings.append(Ring(
+            tuple(slice(0, s) for s in plan.fine_shape), mask,
+            math.prod(plan.fine_shape) - math.prod(inner),
+        ))
+        inner = plan.fine_shape
+    return rings

@@ -19,16 +19,17 @@ import hashlib
 import os
 import struct
 import zlib
+from collections import OrderedDict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import hurricane_temperature
 from repro.parallel import threads
 from repro.parallel.threads import balanced_spans
-from repro.refactor import Refactorer, relative_linf_error
+from repro.refactor import Refactorer, plan_levels, relative_linf_error
 from repro.refactor.bitplane import PlaneSet, decode_planes, encode_planes
 from repro.refactor import components, kernels, transform
 
@@ -180,8 +181,13 @@ class TestSeedEquivalence:
         qg_small = kernels.quantise(c, 20, workers=4, chunk=64)
         qg_big = kernels.quantise(c, 20, workers=1)
         assert qg_small.packed.tobytes() == qg_big.packed.tobytes()
-        assert np.array_equal(qg_small.lead, qg_big.lead)
         assert np.array_equal(qg_small.q, qg_big.q)
+        assert np.array_equal(qg_small.sign_offsets, qg_big.sign_offsets)
+        for i in range(20):
+            assert np.array_equal(
+                kernels._plane_signs(qg_small, i),
+                kernels._plane_signs(qg_big, i),
+            )
 
 
 # -- the 8x8 transpose kernels vs an unpackbits bit matrix ---------------
@@ -244,7 +250,7 @@ class TestBitMatrixTranspose:
         qg = kernels.quantise(c, num_planes, chunk=chunk)
         assert qg.num_planes == num_planes
         assert np.array_equal(qg.packed, _ref_extract(qg.q, num_planes))
-        assert qg.lead.tolist() == [
+        assert kernels._leading_plane(qg.q, num_planes).tolist() == [
             num_planes - int(v).bit_length() for v in qg.q
         ]
         keep = int(keep_frac * num_planes)
@@ -261,8 +267,9 @@ class TestBitMatrixTranspose:
 
 
 class TestSignLayout:
-    """``_sign_layout`` sorts one-byte keys (one radix pass); the order
-    and offsets are those of a stable sort of the int16 leads."""
+    """Each chunk sorts its one-byte leads (one radix pass); joined over
+    the chunks, plane by plane, the runs and offsets are those of one
+    stable sort of the whole group's int16 leads."""
 
     @pytest.mark.parametrize("num_planes", [1, 22, 60])
     def test_matches_the_int16_stable_sort(self, num_planes):
@@ -271,21 +278,189 @@ class TestSignLayout:
             -num_planes, 1, size=5000
         )
         c[rng.random(5000) < 0.1] = 0.0
-        qg = kernels.quantise(c, num_planes)
-        assert qg.lead.dtype == np.int16
-        assert set(np.unique(qg.lead)) >= {0, num_planes}
-        self._check(qg.lead, num_planes, qg.sign_order, qg.sign_offsets)
+        for chunk in (64, kernels.COEFF_CHUNK):
+            qg = kernels.quantise(c, num_planes, chunk=chunk)
+            assert set(np.unique(self._lead(qg))) >= {0, num_planes}
+            self._check(qg, chunk)
 
     def test_all_zero_group(self):
-        qg = kernels.quantise(np.zeros(300), 22)
-        assert (qg.lead == 22).all()
-        self._check(qg.lead, 22, qg.sign_order, qg.sign_offsets)
+        qg = kernels.quantise(np.zeros(300), 22, chunk=64)
+        assert (self._lead(qg) == 22).all()
+        self._check(qg, 64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_planes=st.integers(0, 60),
+        count=st.integers(1, 700),
+        chunk=st.integers(1, 40).map(lambda k: 8 * k),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_layout_matches_whole_group_sort(
+        self, num_planes, count, chunk, seed
+    ):
+        """Any chunk size, 0-60 planes (0: a group under the anchored
+        floor), on both sides: the encoder's runs and the decoder's sign
+        placement."""
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=count) * 2.0 ** rng.integers(-20, 1, size=count)
+        c[rng.random(count) < 0.1] = 0.0
+        amax = float(np.abs(c).max())
+        exponent = int(np.floor(np.log2(amax))) if amax else 0
+        qg = kernels.quantise(
+            c, 60, lsb_exponent=exponent - num_planes + 1, chunk=chunk,
+            workers=3,
+        )
+        assert qg.num_planes == num_planes
+        self._check(qg, chunk)
+        dg = kernels.decoded_state(
+            count, qg.exponent, num_planes, kernels.plane_payloads(qg),
+            num_planes, chunk=chunk, workers=3,
+        )
+        assert np.array_equal(dg.sign, qg.sign & (qg.q != 0))
 
     @staticmethod
-    def _check(lead, num_planes, order, offsets):
-        assert np.array_equal(order, np.argsort(lead, kind="stable"))
-        counts = np.bincount(lead, minlength=num_planes + 1)
-        assert offsets.tolist() == [0, *np.cumsum(counts).tolist()]
+    def _lead(qg):
+        lead = kernels._leading_plane(qg.q, qg.num_planes)
+        assert lead.dtype == np.int16
+        return lead
+
+    def _check(self, qg, chunk):
+        lead = self._lead(qg)
+        order = np.argsort(lead, kind="stable")
+        counts = np.bincount(lead, minlength=qg.num_planes + 1)
+        assert qg.sign_offsets.tolist() == [0, *np.cumsum(counts).tolist()]
+        if qg.num_planes:
+            assert len(qg.sign_spans) == -(-qg.count // chunk)
+        for i in range(qg.num_planes + 1):
+            lo, hi = qg.sign_offsets[i : i + 2]
+            assert np.array_equal(
+                kernels._plane_signs(qg, i), qg.sign[order[lo:hi]]
+            )
+
+
+def _ref_dequantise(dg):
+    """The masked negate the integer sign bit replaced."""
+    if dg.count == 0 or dg.num_planes == 0:
+        return np.zeros(dg.count, dtype=np.float64)
+    out = dg.q.astype(np.float64) * 2.0 ** (dg.exponent - dg.num_planes + 1)
+    np.negative(out, where=dg.sign, out=out)
+    return out
+
+
+class TestDequantise:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_planes=st.integers(0, 60),
+        count=st.integers(0, 300),
+        exponent=st.integers(-960, 960),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(num_planes=60, count=8, exponent=0, seed=0)
+    def test_matches_the_masked_negate_bitwise(
+        self, num_planes, count, exponent, seed
+    ):
+        """Signs are drawn independently of the magnitudes, so ``q == 0``
+        with the sign set (-0.0) comes up; 60 planes reach 2**60 - 1.
+        The pinned example has both."""
+        rng = np.random.default_rng(seed)
+        top = (1 << num_planes) - 1
+        q = rng.integers(0, top, size=count, dtype=np.uint64, endpoint=True)
+        q[rng.random(count) < 0.2] = 0
+        q[rng.random(count) < 0.1] = top
+        dg = kernels.DecodedGroup(
+            count, exponent, num_planes, q, rng.random(count) < 0.5
+        )
+        got = kernels.dequantise(dg)
+        assert got.dtype == np.float64 and got.size == count
+        assert got.tobytes() == _ref_dequantise(dg).tobytes()
+
+
+def _ref_flat_indices(plans, shape):
+    """The int64 flat-index lists the ring masks replaced."""
+    flat = np.arange(int(np.prod(shape))).reshape(shape)
+    inner = plans[-1].coarse_shape
+    groups = [flat[tuple(slice(0, s) for s in inner)].reshape(-1)]
+    for plan in reversed(plans):
+        mask = np.ones(plan.fine_shape, dtype=bool)
+        mask[tuple(slice(0, s) for s in inner)] = False
+        groups.append(flat[tuple(slice(0, s) for s in plan.fine_shape)][mask])
+        inner = plan.fine_shape
+    return groups
+
+
+class TestRingMasks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.lists(
+            st.sampled_from([2, 3, 4, 5, 8, 9, 16, 17]), min_size=1, max_size=4
+        ).filter(lambda s: max(s) >= 3),
+        max_levels=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gather_and_scatter_match_flat_indices(
+        self, shape, max_levels, seed
+    ):
+        """1-D to 4-D, odd, even and length-2 axes (which never coarsen)."""
+        shape = tuple(shape)
+        plans = plan_levels(shape, max_levels)
+        rings = transform.group_rings(plans)
+        ref = _ref_flat_indices(plans, shape)
+        assert [r.size for r in rings] == [idx.size for idx in ref]
+        rng = np.random.default_rng(seed)
+        mallat = rng.standard_normal(shape)
+        for ring, idx in zip(rings, ref):
+            assert np.array_equal(ring.take(mallat), mallat.reshape(-1)[idx])
+        got = np.full(shape, np.nan)
+        want = np.full(got.size, np.nan)
+        for ring, idx in zip(rings, ref):
+            values = rng.standard_normal(idx.size)
+            ring.put(got, values)
+            want[idx] = values
+        assert got.tobytes() == want.tobytes()
+        assert not np.isnan(got).any()  # the groups partition the array
+
+
+class TestRingMaskCache:
+    def test_cache_returns_equal_arrays_and_is_reused(self):
+        data = smooth_field((17, 18, 19), seed=23)
+        _, plans = transform.decompose(data)
+        a = transform.group_rings(plans)
+        b = transform.group_rings(plans)
+        assert len(a) == len(b) == len(plans) + 1
+        assert a[0].mask is None
+        for x, y in zip(a[1:], b[1:]):
+            assert x.mask is y.mask  # cached masks are shared...
+            assert not x.mask.flags.writeable  # ...and frozen
+
+    @staticmethod
+    def _fresh_cache(monkeypatch, entries):
+        """An empty cache that holds ``entries`` same-sized entries."""
+        plans = plan_levels((9, 10, 11), 6)
+        nbytes = sum(r.mask.nbytes for r in transform.group_rings(plans)[1:])
+        monkeypatch.setattr(transform, "_RING_CACHE", OrderedDict())
+        monkeypatch.setattr(transform, "_RING_CACHE_BYTES", entries * nbytes)
+
+    def test_a_hit_refreshes_recency(self, monkeypatch):
+        self._fresh_cache(monkeypatch, 2)
+        # Permuted shapes: different plans, the same mask bytes.
+        a, b, c = (plan_levels(s, 6) for s in
+                   [(9, 10, 11), (10, 11, 9), (11, 9, 10)])
+        first_a = transform.group_rings(a)
+        first_b = transform.group_rings(b)
+        assert transform.group_rings(a)[1].mask is first_a[1].mask  # hit
+        transform.group_rings(c)  # evicts b, the least recently used
+        assert transform.group_rings(a)[1].mask is first_a[1].mask
+        assert transform.group_rings(b)[1].mask is not first_b[1].mask
+
+    def test_bounded_in_bytes(self, monkeypatch):
+        self._fresh_cache(monkeypatch, 3)
+        for n in range(3, 40):
+            transform.group_rings(plan_levels((n, 16, 16), 6))
+            held = sum(nb for _, nb in transform._RING_CACHE.values())
+            assert held <= transform._RING_CACHE_BYTES
+        # An entry larger than the whole budget is not kept at all.
+        transform.group_rings(plan_levels((64, 64, 64), 6))
+        assert not transform._RING_CACHE
 
 
 # -- golden digests ------------------------------------------------------
@@ -332,8 +507,9 @@ class TestGoldenDigests:
 class TestWorkerInvariance:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_encode_decode_planes(self, dtype):
+        # More than one COEFF_CHUNK, so every chunk pass has chunks to share.
         rng = np.random.default_rng(11)
-        c = rng.normal(size=5000).astype(dtype)
+        c = rng.normal(size=kernels.COEFF_CHUNK + 5000).astype(dtype)
         ps1 = encode_planes(c, num_planes=26, workers=1)
         ps4 = encode_planes(c, num_planes=26, workers=4)
         assert ps1.planes == ps4.planes
@@ -424,18 +600,17 @@ class TestIncrementalErrors:
         from repro.refactor.refactorer import _truncate_to_prefix
 
         data = smooth_field((19, 20, 21), seed=13) - 0.3
-        groups = None
         for planes in (7, 28, 60):
             state = Refactorer(5, num_planes=planes)._encode(data)
             plans, planesets = state["obj"].plans, state["planesets"]
-            groups = groups or transform.level_flat_indices(plans, data.shape)
+            rings = transform.group_rings(plans)
 
             def scattered(kept):
-                flat = np.zeros(data.size)
-                for idx, ps, k in zip(groups, planesets, kept):
+                mallat = np.zeros(data.shape)
+                for ring, ps, k in zip(rings, planesets, kept):
                     if ps.num_planes:
-                        flat[idx] = decode_planes(ps, keep=k)
-                return flat.reshape(data.shape)
+                        ring.put(mallat, decode_planes(ps, keep=k))
+                return mallat
 
             full = scattered([ps.num_planes for ps in planesets])
             exponents = [ps.exponent for ps in planesets]
@@ -554,7 +729,7 @@ class TestMeasureErrors:
 
         data = nyx_temperature((64, 64, 64), seed=3).astype(np.float64)
         ref = Refactorer(4, num_planes=22)
-        ref.refactor(data)  # index and axis caches are not the loop's
+        ref.refactor(data)  # ring-mask and axis caches are not the loop's
         tracemalloc.start()
         try:
             ref.refactor(data, measure_errors=True)
@@ -660,15 +835,3 @@ class TestRefactorStream:
         assert stream.obj.payloads == []  # nothing serialised yet
         next(iter(stream))
         assert len(stream.obj.payloads) == 1
-
-
-class TestLevelIndexCache:
-    def test_cache_returns_equal_arrays_and_is_reused(self):
-        data = smooth_field((17, 18, 19), seed=23)
-        _, plans = transform.decompose(data)
-        a = transform.level_flat_indices(plans, data.shape)
-        b = transform.level_flat_indices(plans, data.shape)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert x is y  # cached arrays are shared...
-            assert not x.flags.writeable  # ...and frozen

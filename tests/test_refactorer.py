@@ -1,9 +1,12 @@
 """End-to-end tests for the Refactorer (the pMGARD substitute)."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.refactor import RefactoredObject, Refactorer, relative_linf_error
+from repro.refactor import components
 from repro.refactor.error_model import MGARD_CONSTANT, theoretical_bound
 from repro.refactor.bitplane import encode_planes
 
@@ -117,6 +120,27 @@ class TestRefactorBasics:
         obj = r.refactor(data)
         back = r.reconstruct(obj, payloads=obj.payloads[:2])
         assert relative_linf_error(data, back) == obj.errors[1]
+
+    def test_reconstruct_rejects_groups_the_layout_lacks(self):
+        """A payload naming a coefficient group past the object's layout
+        is an error, not a group silently left out."""
+        r = Refactorer(3)
+        obj = r.refactor(smooth_field(n=17))
+        ngroups = len(obj.plans) + 1
+        first = obj.payloads[0]
+        index, entries = components.component_from_bytes(first)
+        ref, blob, meta = entries[0]
+        # The first entry again, under the group one past the last.
+        stray = struct.pack("<HHIiHI", ngroups, ref.plane, *meta, len(blob))
+        crafted = (
+            first[:4] + struct.pack("<HI", index, len(entries) + 1)
+            + first[10:] + stray + blob
+        )
+        assert len(components.component_from_bytes(crafted)[1]) == (
+            len(entries) + 1
+        )
+        with pytest.raises(ValueError, match=f"names {ngroups + 1} coeff"):
+            r.reconstruct(obj, payloads=[crafted])
 
 
 class TestPolicies:

@@ -66,20 +66,22 @@ class TestStructure:
         mallat, plans = transform.decompose(u)
         assert mallat.shape == u.shape
 
-    def test_level_flat_indices_partition(self):
+    def test_group_rings_partition(self):
         shape = (17, 9)
         plans = plan_levels(shape, 3)
-        groups = transform.level_flat_indices(plans, shape)
-        allidx = np.sort(np.concatenate(groups))
-        assert allidx.tolist() == list(range(17 * 9))
+        rings = transform.group_rings(plans)
+        hits = np.zeros(shape, dtype=np.int64)
+        for ring in rings:
+            ring.put(hits, ring.take(hits) + 1)
+        assert (hits == 1).all()
+        assert sum(r.size for r in rings) == 17 * 9
         # group 0 is the coarsest corner
-        assert groups[0].size == int(np.prod(plans[-1].coarse_shape))
+        assert rings[0].size == int(np.prod(plans[-1].coarse_shape))
 
     def test_group_sizes_increase(self):
         shape = (65, 65)
         plans = plan_levels(shape, 4)
-        groups = transform.level_flat_indices(plans, shape)
-        sizes = [g.size for g in groups]
+        sizes = [r.size for r in transform.group_rings(plans)]
         assert sizes == sorted(sizes)
 
     def test_smooth_data_has_small_details(self):
@@ -88,24 +90,21 @@ class TestStructure:
         x = np.linspace(0, 1, 65)
         u = np.sin(2 * np.pi * np.outer(x, x))
         mallat, plans = transform.decompose(u)
-        groups = transform.level_flat_indices(plans, u.shape)
-        flat = mallat.reshape(-1)
-        coarse_mag = np.max(np.abs(flat[groups[0]]))
-        finest_mag = np.max(np.abs(flat[groups[-1]]))
+        rings = transform.group_rings(plans)
+        coarse_mag = np.max(np.abs(rings[0].take(mallat)))
+        finest_mag = np.max(np.abs(rings[-1].take(mallat)))
         assert finest_mag < coarse_mag / 10
 
     def test_correction_changes_coarse(self):
         u = np.random.default_rng(5).normal(size=33)
         with_c, plans = transform.decompose(u, correction=True)
         without_c, _ = transform.decompose(u, correction=False)
-        groups = transform.level_flat_indices(plans, u.shape)
+        rings = transform.group_rings(plans)
         # detail coefficients identical; coarse values differ
         np.testing.assert_allclose(
-            with_c.reshape(-1)[groups[-1]], without_c.reshape(-1)[groups[-1]]
+            rings[-1].take(with_c), rings[-1].take(without_c)
         )
-        assert not np.allclose(
-            with_c.reshape(-1)[groups[0]], without_c.reshape(-1)[groups[0]]
-        )
+        assert not np.allclose(rings[0].take(with_c), rings[0].take(without_c))
 
     def test_l2_correction_improves_coarse_approximation(self):
         """Dropping all detail, the corrected coarse reconstruction should
@@ -118,13 +117,9 @@ class TestStructure:
             mallat, plans = transform.decompose(
                 u, max_levels=3, correction=correction
             )
-            groups = transform.level_flat_indices(plans, u.shape)
-            flat = mallat.reshape(-1).copy()
-            for g in groups[1:]:
-                flat[g] = 0.0
-            back = transform.recompose(
-                flat.reshape(u.shape), plans, correction=correction
-            )
+            for ring in transform.group_rings(plans)[1:]:
+                ring.put(mallat, np.zeros(ring.size))
+            back = transform.recompose(mallat, plans, correction=correction)
             return float(np.sqrt(np.mean((back - u) ** 2)))
 
         assert coarse_only_error(True) < coarse_only_error(False)
@@ -174,10 +169,8 @@ class TestAlgebraicProperties:
         coefficient vanishes (partition of unity of the hat functions)."""
         u = np.full((17, 17), 3.5)
         mallat, plans = transform.decompose(u)
-        groups = transform.level_flat_indices(plans, u.shape)
-        flat = mallat.reshape(-1)
-        for g in groups[1:]:
-            np.testing.assert_allclose(flat[g], 0.0, atol=1e-12)
+        for ring in transform.group_rings(plans)[1:]:
+            np.testing.assert_allclose(ring.take(mallat), 0.0, atol=1e-12)
 
 
 class TestAxisKernels:
@@ -296,10 +289,8 @@ class TestZeroBlockShortcut:
         blocks gives the bits the full computation gives."""
         u = np.random.default_rng(11).normal(size=shape)
         mallat, plans = transform.decompose(u)
-        groups = transform.level_flat_indices(plans, shape)
-        flat = mallat.reshape(-1)
-        for g in groups[-2:]:
-            flat[g] = 0.0
+        for ring in transform.group_rings(plans)[-2:]:
+            ring.put(mallat, np.zeros(ring.size))
         verdicts = []
         real = transform._any_nonzero
 
