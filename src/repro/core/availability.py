@@ -1,16 +1,23 @@
 """Availability and expected-error models (Eqs. 1, 2, 4 and 5).
 
 All formulas assume ``n`` independently operated storage systems, each
-unavailable with probability ``p`` (i.i.d. Bernoulli outages, §2.1).
-Binomial tails are computed with scipy's regularised beta survival
-function rather than explicit binomial sums, which stays numerically
-stable for the large-n sweeps in the Fig. 2 bench.
+unavailable with probability ``p`` (i.i.d. Bernoulli outages, §2.1), so
+the failure count N is Binomial(n, p).  Every probability here is a sum
+of entries of N's pmf, which :func:`~.heterogeneous.poisson_binomial_pmf`
+computes exactly from the uniform vector ``(p, ..., p)``: O(n^2) work,
+all terms non-negative, and a band such as Eq. 4's P(m_{j+1} < N <= m_j)
+is summed directly instead of as the difference of two CDFs near 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+
+from .heterogeneous import (
+    expected_relative_error_hetero,
+    poisson_binomial_pmf,
+    prob_more_than_k_failures_hetero,
+)
 
 __all__ = [
     "prob_more_than_k_failures",
@@ -34,11 +41,7 @@ def _check_np(n: int, p: float) -> None:
 def prob_more_than_k_failures(n: int, k: int, p: float) -> float:
     """P(N > k) for N ~ Binomial(n, p)."""
     _check_np(n, p)
-    if k >= n:
-        return 0.0
-    if k < 0:
-        return 1.0
-    return float(stats.binom.sf(k, n, p))
+    return prob_more_than_k_failures_hetero(np.full(n, p), k)
 
 
 def duplication_unavailability(n: int, m: int, p: float) -> float:
@@ -71,7 +74,9 @@ def level_recovery_probability(n: int, m_j: int, m_next: int, p: float) -> float
     _check_np(n, p)
     if m_next >= m_j:
         raise ValueError(f"need m_next < m_j, got {m_next} >= {m_j}")
-    return float(stats.binom.cdf(m_j, n, p) - stats.binom.cdf(m_next, n, p))
+    pmf = poisson_binomial_pmf(np.full(n, p))
+    band = pmf[max(m_next + 1, 0) : max(m_j + 1, 0)].tolist()
+    return min(1.0, float(sum(band)))  # the pmf sums to 1 within n ulps
 
 
 def expected_relative_error(
@@ -90,20 +95,7 @@ def expected_relative_error(
         Penalty error when no level is recoverable (1.0 in the paper).
     """
     _check_np(n, p)
-    if len(ms) != len(errors):
-        raise ValueError("ms and errors must align")
-    if not ms:
-        raise ValueError("need at least one level")
-    if any(a <= b for a, b in zip(ms, ms[1:])):
-        raise ValueError(f"ms must be strictly decreasing, got {ms}")
-    if ms[0] >= n or ms[-1] < 1:
-        raise ValueError(f"need n > m_1 and m_l >= 1, got {ms} with n={n}")
-    total = e0 * prob_more_than_k_failures(n, ms[0], p)
-    # Bottom level: N <= m_l.
-    total += errors[-1] * float(stats.binom.cdf(ms[-1], n, p))
-    for j in range(len(ms) - 1):
-        total += errors[j] * level_recovery_probability(n, ms[j], ms[j + 1], p)
-    return float(total)
+    return expected_relative_error_hetero(np.full(n, p), ms, errors, e0=e0)
 
 
 # -- storage overheads (ratio of redundant bytes to original bytes) --------

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .availability import refactored_storage_overhead
+from .heterogeneous import expected_error_from_pmf, poisson_binomial_pmf
 
 __all__ = [
     "FTProblem",
@@ -91,23 +92,19 @@ class FTProblem:
             raise ValueError("omega must be positive")
         # Precompute the failure-count pmf once; the heuristic's
         # incremental error deltas are O(1) lookups into it.  A scalar p
-        # gives the paper's binomial model; a per-system probability
-        # vector gives the heterogeneous Poisson-binomial extension.
+        # (the paper's binomial model) is the uniform case of a
+        # per-system probability vector (the heterogeneous
+        # Poisson-binomial extension).
         if np.ndim(self.p) == 0:
-            from scipy import stats
-
-            pmf = stats.binom.pmf(range(self.n + 1), self.n, self.p)
+            ps = np.full(self.n, self.p)
         else:
-            from .heterogeneous import poisson_binomial_pmf
-
             ps = tuple(float(v) for v in self.p)  # normalise for hashing
             object.__setattr__(self, "p", ps)
             if len(ps) != self.n:
                 raise ValueError(
                     f"per-system probabilities must have length n={self.n}"
                 )
-            pmf = poisson_binomial_pmf(ps)
-        object.__setattr__(self, "_pmf", tuple(float(v) for v in pmf))
+        object.__setattr__(self, "_pmf", tuple(poisson_binomial_pmf(ps).tolist()))
 
     @property
     def l(self) -> int:
@@ -119,22 +116,8 @@ class FTProblem:
         )
 
     def objective(self, ms: list[int]) -> float:
-        """Expected relative error (Eq. 5) from the precomputed pmf.
-
-        Band structure: e0 = 1 for N > m_1, e_j for m_{j+1} < N <= m_j,
-        e_l for N <= m_l — identical for binomial and Poisson-binomial
-        failure-count distributions.
-        """
-        if any(a <= b for a, b in zip(ms, ms[1:])):
-            raise ValueError(f"ms must be strictly decreasing, got {ms}")
-        if ms[0] >= self.n or ms[-1] < 1:
-            raise ValueError(f"invalid configuration {ms} for n={self.n}")
-        pmf = self._pmf
-        total = sum(pmf[ms[0] + 1 :])
-        total += self.errors[-1] * sum(pmf[: ms[-1] + 1])
-        for j in range(self.l - 1):
-            total += self.errors[j] * sum(pmf[ms[j + 1] + 1 : ms[j] + 1])
-        return float(total)
+        """Expected relative error (Eq. 5, e0 = 1) from the precomputed pmf."""
+        return expected_error_from_pmf(self._pmf, ms, self.errors)
 
     def valid(self, ms: list[int]) -> bool:
         if len(ms) != self.l:

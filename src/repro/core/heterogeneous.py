@@ -1,4 +1,4 @@
-"""Heterogeneous per-system outage probabilities (Poisson-binomial Eq. 5).
+"""The failure-count pmf, and heterogeneous outage probabilities.
 
 The paper's model assumes every system fails with the same p = 0.01,
 but its own calibration data says otherwise: OLCF's Alpine was down
@@ -11,8 +11,11 @@ Reed-Solomon tolerates *any* m losses, availability depends on the
 failure-probability vector only through the distribution of the failure
 *count* N — which for independent non-identical systems is
 Poisson-binomial.  This module computes that pmf exactly (the standard
-O(n^2) dynamic program) and generalises every availability quantity;
-with a uniform vector it reproduces the binomial formulas bit-for-bit.
+O(n^2) dynamic program) and is the only source of failure-count
+probabilities: the paper's binomial model (``core.availability`` and a
+scalar-p ``FTProblem``) feeds it a uniform vector.  Every entry is
+within n * 2**-52 relative of the exact rational binomial (n <= 128,
+p in [1e-4, 0.9]); ``tests/test_heterogeneous.py`` pins it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 __all__ = [
     "poisson_binomial_pmf",
     "prob_more_than_k_failures_hetero",
+    "expected_error_from_pmf",
     "expected_relative_error_hetero",
 ]
 
@@ -30,7 +34,8 @@ def poisson_binomial_pmf(ps) -> np.ndarray:
     """pmf of N = number of failures among independent Bernoulli(p_i).
 
     Returns an array of length n + 1; entry k is P(N = k).  Exact DP:
-    fold each system into the distribution one at a time.
+    fold each system into the distribution one at a time.  Every step
+    only multiplies and adds non-negative numbers, so nothing cancels.
     """
     ps = np.asarray(ps, dtype=np.float64)
     if ps.ndim != 1 or ps.size < 1:
@@ -53,28 +58,40 @@ def prob_more_than_k_failures_hetero(ps, k: int) -> float:
         return 0.0
     if k < 0:
         return 1.0
-    return float(pmf[k + 1 :].sum())
+    # The pmf sums to 1 only within n ulps; a probability stays <= 1.
+    return min(1.0, sum(pmf[k + 1 :].tolist()))
+
+
+def expected_error_from_pmf(
+    pmf: tuple[float, ...], ms, errors, *, e0: float = 1.0
+) -> float:
+    """Eq. 5 over a failure-count pmf ``(P(N = 0), ..., P(N = n))``.
+
+    Error e0 applies when ``N > m_1``, e_j when ``m_{j+1} < N <= m_j``
+    and e_l when ``N <= m_l``; each band is a sum of pmf entries, never
+    a difference of CDFs.  Pass ``pmf`` as a tuple of Python floats: the
+    bands are Python ``sum``s over its slices, in this order, and the
+    FT solvers' numbers depend on that order.
+    """
+    n = len(pmf) - 1
+    if len(ms) != len(errors):
+        raise ValueError("ms and errors must align")
+    if not ms:
+        raise ValueError("need at least one level")
+    if any(a <= b for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"ms must be strictly decreasing, got {ms}")
+    if ms[0] >= n or ms[-1] < 1:
+        raise ValueError(f"need n > m_1 and m_l >= 1, got {ms} with n={n}")
+    total = e0 * sum(pmf[ms[0] + 1 :])
+    total += errors[-1] * sum(pmf[: ms[-1] + 1])
+    for j in range(len(ms) - 1):
+        total += errors[j] * sum(pmf[ms[j + 1] + 1 : ms[j] + 1])
+    return float(total)
 
 
 def expected_relative_error_hetero(
     ps, ms: list[int], errors: list[float], *, e0: float = 1.0
 ) -> float:
-    """Eq. 5 generalised to a per-system probability vector.
-
-    Identical band structure: error e_j applies when
-    ``m_{j+1} < N <= m_j``, e0 when ``N > m_1``, e_l when ``N <= m_l``.
-    """
-    ps = np.asarray(ps, dtype=np.float64)
-    n = ps.size
-    if len(ms) != len(errors) or not ms:
-        raise ValueError("ms and errors must align and be non-empty")
-    if any(a <= b for a, b in zip(ms, ms[1:])):
-        raise ValueError(f"ms must be strictly decreasing, got {ms}")
-    if ms[0] >= n or ms[-1] < 1:
-        raise ValueError(f"need n > m_1 and m_l >= 1, got {ms} with n={n}")
-    pmf = poisson_binomial_pmf(ps)
-    total = e0 * float(pmf[ms[0] + 1 :].sum())
-    total += errors[-1] * float(pmf[: ms[-1] + 1].sum())
-    for j in range(len(ms) - 1):
-        total += errors[j] * float(pmf[ms[j + 1] + 1 : ms[j] + 1].sum())
-    return total
+    """Eq. 5 generalised to a per-system probability vector."""
+    pmf = tuple(poisson_binomial_pmf(ps).tolist())
+    return expected_error_from_pmf(pmf, ms, errors, e0=e0)

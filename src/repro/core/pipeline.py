@@ -38,7 +38,7 @@ from ..storage import StorageCluster
 from ..storage.system import CorruptFragmentError, StoredFragment, UnavailableError
 from ..transfer import phase_latency, pipelined_archival, refactored_distribution
 from .adaptive import BandwidthTracker, adaptive_strategy
-from .availability import expected_relative_error, refactored_storage_overhead
+from .availability import refactored_storage_overhead
 from .ft_optimizer import FTProblem, FTSolution, heuristic
 from .gathering import (
     GatheringOutcome,

@@ -1,6 +1,7 @@
 """Tests for the availability / expected-error models (Eqs. 1-6)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,36 @@ from repro.core import (
 
 def binom_pmf(n, i, p):
     return math.comb(n, i) * p**i * (1 - p) ** (n - i)
+
+
+def exact_binom_pmf(n, p):
+    """P(N = i) for i = 0..n as exact rationals of the float ``p``."""
+    q = Fraction(p)
+    return [math.comb(n, i) * q**i * (1 - q) ** (n - i) for i in range(n + 1)]
+
+
+class TestBandsAgainstExactBinomial:
+    """Eq. 4 / Eq. 5 bands are pmf sums, not differences of two CDFs
+    near 1: a difference lost 0.29 % of (16, 10, 8, 0.01) and all of
+    (16, 8, 6, 0.001), which came out 0.0 instead of 1.14e-17."""
+
+    BANDS = [(16, 10, 8, 0.01), (16, 8, 6, 0.001)]
+
+    @pytest.mark.parametrize("n, mj, mnext, p", BANDS)
+    def test_level_recovery_band(self, n, mj, mnext, p):
+        exact = sum(exact_binom_pmf(n, p)[mnext + 1 : mj + 1])
+        got = level_recovery_probability(n, mj, mnext, p)
+        assert abs(Fraction(got) - exact) <= Fraction(n, 2**52) * exact
+
+    @pytest.mark.parametrize("n, mj, mnext, p", BANDS)
+    def test_expected_error_band(self, n, mj, mnext, p):
+        """Eq. 5 with e_1 = 1 and e_2 = 0 is P(N > m_next); its band
+        (m_next, m_j] is the one a CDF difference got wrong."""
+        ms, errors = [mj, mnext], [1.0, 0.0]
+        pmf = exact_binom_pmf(n, p)
+        exact = sum(pmf[mj + 1 :]) + sum(pmf[mnext + 1 : mj + 1])
+        got = expected_relative_error(n, p, ms, errors)
+        assert abs(Fraction(got) - exact) <= Fraction(n, 2**52) * exact
 
 
 class TestBasicProbabilities:

@@ -1,16 +1,21 @@
 """Tests for heterogeneous outage probabilities (Poisson-binomial)."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import expected_relative_error, prob_more_than_k_failures
+from repro.core import FTProblem, expected_relative_error, prob_more_than_k_failures
 from repro.core.heterogeneous import (
     expected_relative_error_hetero,
     poisson_binomial_pmf,
     prob_more_than_k_failures_hetero,
 )
+
+from .test_availability import exact_binom_pmf
 
 MS = [8, 5, 4, 2]
 ERRORS = [4e-3, 5e-4, 6e-5, 1e-7]
@@ -44,6 +49,29 @@ class TestPmf:
             poisson_binomial_pmf([0.5, 1.5])
         with pytest.raises(ValueError):
             poisson_binomial_pmf(np.ones((2, 2)))
+
+    @given(
+        st.integers(min_value=1, max_value=128),
+        st.floats(min_value=1e-4, max_value=0.9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_within_n_ulps_of_exact_binomial(self, n, p):
+        """The pmf the binomial model reads: every entry within n * 2**-52
+        relative of the exact rational binomial, the total within n ulps
+        of 1, and a scalar p the same array as its uniform vector."""
+        pmf = poisson_binomial_pmf(np.full(n, p))
+        # An entry below 2**(n - 1022) may have passed through subnormals
+        # on its way (C(n, k) <= 2**n); those are checked absolutely.
+        floor = Fraction(2) ** (n - 1022)
+        for got, exact in zip(pmf.tolist(), exact_binom_pmf(n, p)):
+            err = abs(Fraction(got) - exact)
+            assert err <= (Fraction(n, 2**52) * exact if exact >= floor else floor)
+        assert abs(math.fsum(pmf.tolist()) - 1.0) <= n * 2**-52
+        problem = FTProblem(n + 1, p, (1.0,), (0.1,), 10.0, 1.0)
+        assert problem._pmf == tuple(poisson_binomial_pmf([p] * (n + 1)).tolist())
+        assert prob_more_than_k_failures(n, n // 2, p) == (
+            prob_more_than_k_failures_hetero([p] * n, n // 2)
+        )
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=20))
     @settings(max_examples=50)

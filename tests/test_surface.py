@@ -228,6 +228,23 @@ def test_every_option_has_a_caller():
     )
 
 
+def test_src_never_imports_scipy():
+    """SciPy is a test and bench oracle only (``tests/test_import_floor.py``
+    checks the same at run time)."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, f"src/ imports scipy: {found}"
+
+
 @pytest.mark.parametrize(
     "package", ["parallel", "ec", "transfer", "metadata", "refactor"]
 )
