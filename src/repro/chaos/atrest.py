@@ -21,6 +21,7 @@ inventory.  Only available systems are touched — call this *before*
 
 from __future__ import annotations
 
+from ..formats import crc32
 from ..storage.system import StoredFragment
 from .injector import FaultInjector, _stable_key
 from .plan import FaultPlan
@@ -79,18 +80,19 @@ def inflict_at_rest(
                         if frag.payload is None:
                             break  # simulated fragment: nothing to rot
                         mutated = injector.mutate_payload(
-                            # rapidslint: disable-next=RPD111 -- infliction site: the payload is rotted on purpose, checksum deliberately left stale
                             spec, frag.payload, spec_index=idx,
                             key=key, occurrence=0,
                         )
                         # Keep the original checksum: real bit rot does
                         # not update integrity metadata, and that gap is
                         # exactly what read verification and the
-                        # scrubber detect.
+                        # scrubber detect.  The rotted bytes' own CRC
+                        # keeps a file container well-formed.
                         system.put(
                             StoredFragment(
                                 obj, level, index, len(mutated), mutated,
                                 checksum=frag.checksum,
+                                verified_crc=crc32(mutated),
                             )
                         )
                         inflicted.append({**ctx, "effect": spec.effect})

@@ -15,9 +15,9 @@ import os
 import struct
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,9 @@ from ..healing.ledger import DurabilityLedger
 from ..metadata import MetadataCatalog, ObjectRecord
 from ..metadata.kvstore import CorruptionError
 from ..parallel import procpipe
-from ..parallel.threads import default_workers, thread_map
+from ..parallel.threads import (
+    auto_workers, default_workers, ordered_map, thread_map,
+)
 from ..refactor import Refactorer
 from ..storage import StorageCluster
 from ..storage.system import CorruptFragmentError, StoredFragment, UnavailableError
@@ -179,11 +181,15 @@ class RAPIDS:
     p:
         Per-system outage probability (0.01 per the OLCF report).
     ec_workers:
-        Thread fan-out for erasure encode/decode across levels (and,
-        through the codec, across fragment chunks).  ``None`` (the
-        default) uses the machine's CPU count — the parallel path is the
-        default; pass 1 to force the inline serial path.  The
-        refactoring stages' fan-out is the refactorer's own ``workers``.
+        Thread fan-out for erasure encode/decode across levels.
+        ``None`` (the default) is decided by the object's size, per
+        call, by the one pool-size rule
+        (:func:`~repro.parallel.threads.auto_workers`): an object below
+        about a million elements encodes and decodes inline with no
+        thread started, a larger one fans out one worker per CPU.  An
+        explicit count is always honoured; 1 forces the inline serial
+        path.  The refactoring stages' fan-out is the refactorer's own
+        ``workers``.
     """
 
     def __init__(
@@ -201,7 +207,7 @@ class RAPIDS:
         self.refactorer = refactorer if refactorer is not None else Refactorer(4)
         self.omega = omega
         self.p = p
-        self.ec_workers = ec_workers if ec_workers is not None else default_workers()
+        self.ec_workers = ec_workers
         self.codec = ErasureCodec(cluster.n)
         #: Per-fetch retry policy used by restoration; base=0 keeps the
         #: retries immediate (there is no simulated clock on this path).
@@ -333,28 +339,25 @@ class RAPIDS:
             tile_errors: list[tuple[list[float], float]] = []
             chunk_events: list[tuple[float, float]] = []
             ec_time = 0.0
-            ec_pool = stack.enter_context(
-                ThreadPoolExecutor(max_workers=max(1, min(self.ec_workers, levels)))
-            )
+            ec_map = stack.enter_context(ordered_map(min(
+                auto_workers(self.ec_workers, int(np.prod(shape))), levels
+            )))
             pipeline_start = time.perf_counter()
+
+            def encode(payload, j: int):
+                return self.codec.encode_level(payload, ms[j], level_index=j)
 
             def consume(payloads, errors, tile_max, plans) -> None:
                 """EC-encode one tile's levels into the sink.
 
-                The GIL-releasing EC kernels encode level ``j`` on the
-                pool while this thread is still drawing level ``j + 1``
-                from ``payloads`` (the §4.1 preparation pipeline).
+                On a pool, the GIL-releasing EC kernels encode level
+                ``j`` while this thread is still drawing level ``j + 1``
+                from ``payloads`` (the §4.1 preparation pipeline); a
+                small object encodes each level inline as it is drawn.
                 """
                 nonlocal ec_time
                 t_ec = time.perf_counter()
-                futures = [
-                    ec_pool.submit(
-                        self.codec.encode_level, payload, ms[j], level_index=j
-                    )
-                    for j, payload in enumerate(payloads)
-                ]
-                for j, fut in enumerate(futures):
-                    enc = fut.result()
+                for j, enc in enumerate(ec_map(encode, payloads, count())):
                     sink.append(j, enc.fragments)
                     chunk_lens[j].append(enc.fragment_nbytes)
                     level_sizes[j] += enc.payload_size
@@ -774,11 +777,13 @@ class RAPIDS:
         Each (level, tile) chunk decodes from the matching slice of any
         k fragments.  Returns one payload row per surviving level,
         truncated at the first failed level — deeper ones are useless
-        without it.  Without an injector the chunks decode on the thread
-        pool; with one attached (or after a threaded failure, to find
-        the surviving prefix) decoding runs serially in (level, tile)
-        order, so the plan's occurrence windows see a deterministic
-        sequence and the injector is never consulted from worker threads.
+        without it.  Without an injector the chunks decode through
+        ``thread_map`` — on a pool only for an object the pool-size rule
+        deems large enough; with one attached (or after a threaded
+        failure, to find the surviving prefix) decoding runs serially in
+        (level, tile) order, so the plan's occurrence windows see a
+        deterministic sequence and the injector is never consulted from
+        worker threads.
         """
         if not level_ids:
             return []
@@ -803,10 +808,11 @@ class RAPIDS:
             )
 
         if self.injector is None:
+            workers = auto_workers(
+                self.ec_workers, int(np.prod(rec.shape, dtype=np.int64))
+            )
             try:
-                flat = thread_map(
-                    _decode, jobs, workers=min(self.ec_workers, len(jobs))
-                )
+                flat = thread_map(_decode, jobs, workers=min(workers, len(jobs)))
                 return [
                     flat[a : a + num_tiles]
                     for a in range(0, len(flat), num_tiles)
@@ -925,10 +931,16 @@ class RAPIDS:
         raise ValueError(f"unknown gathering strategy: {strategy!r}")
 
     def _fetch_checked(
-        self, name: str, j: int, i: int, expected: int, crc_tally: list[int]
+        self, name: str, j: int, i: int, expected: int, home: int,
+        crc_tally: list[int],
     ) -> np.ndarray:
-        """Fetch fragment ``i`` of level ``j`` and verify it against the
-        ``expected`` CRC the object record committed.
+        """Fetch fragment ``i`` of level ``j`` from ``home``, the system
+        the object record places it on, and verify it against the
+        ``expected`` CRC the record committed.
+
+        One ``get`` on ``home``; the cluster scans the other systems
+        for a copy only when ``home`` is down or no longer holds the
+        fragment (:meth:`~repro.storage.StorageCluster.fetch`).
 
         Runs under the pipeline retry policy, so *transient* injected
         faults (occurrence windows that close) heal in place; persistent
@@ -941,7 +953,7 @@ class RAPIDS:
         degraded report's fault counts.
         """
         def attempt() -> np.ndarray:
-            sf = self.cluster.fetch(name, j, i)
+            sf = self.cluster.fetch(name, j, i, home=home)
             if not sf.verify(expected):
                 raise CorruptFragmentError(
                     f"fragment {i} of level {j} failed its checksum"
@@ -950,7 +962,7 @@ class RAPIDS:
 
         out = self.retry_policy.call(attempt, retry_on=_FETCH_ERRORS)
         if self.fetch_observer is not None:
-            self.fetch_observer(i, out)
+            self.fetch_observer(home, out)
         if not out.ok:
             if isinstance(out.error, CorruptFragmentError):
                 crc_tally.append(i)
@@ -964,13 +976,15 @@ class RAPIDS:
     ) -> dict[int, np.ndarray]:
         """Fetch one level's selected fragments, verifying integrity.
 
-        Fragment index i lives on system i (the default placement), so
-        selecting system i for level j means fetching fragment i of j.
-        A fragment that cannot be fetched cleanly — checksum mismatch
-        (bit rot, torn write), injected read error, system that dropped
-        out after selection — is treated as an *erasure*: it is dropped
-        and replaced by a fragment from a spare available system, which
-        the EC math tolerates exactly like an outage.  Raises when fewer
+        The plan selects systems assuming the default placement
+        (fragment i on system i), so selecting system i for level j
+        means fetching fragment i of j — read from the system the
+        record places it on, which a repair may have moved.  A fragment
+        that cannot be fetched cleanly — checksum mismatch (bit rot,
+        torn write), injected read error, system that dropped out after
+        selection — is treated as an *erasure*: it is dropped and
+        replaced by a fragment from a spare available system, which the
+        EC math tolerates exactly like an outage.  Raises when fewer
         than ``k`` clean fragments remain.
         """
         # Fragments live under the level's *storage name*: the object
@@ -978,13 +992,15 @@ class RAPIDS:
         # object record points at (the atomic-flip indirection of the
         # control plane's live re-encoding).
         sname = rec.level_storage_name(j)
-        crcs = rec.checksums[j]
+        crcs, homes = rec.checksums[j], rec.placements[j]
         frags: dict[int, np.ndarray] = {}
         lost: list[int] = []
         selected = [int(i) for i in np.nonzero(outcome.x[:, col])[0]]
         for i in selected:
             try:
-                frags[i] = self._fetch_checked(sname, j, i, crcs[i], crc_tally)
+                frags[i] = self._fetch_checked(
+                    sname, j, i, crcs[i], homes[i], crc_tally
+                )
             except _FETCH_ERRORS:
                 lost.append(i)
         needed = self.cluster.n - rec.ft_config[j]
@@ -999,7 +1015,7 @@ class RAPIDS:
                     break
                 try:
                     frags[idx] = self._fetch_checked(
-                        sname, j, idx, crcs[idx], crc_tally
+                        sname, j, idx, crcs[idx], homes[idx], crc_tally
                     )
                 except _FETCH_ERRORS:
                     continue

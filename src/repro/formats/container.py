@@ -63,17 +63,9 @@ class Container:
 
     def to_bytes(self) -> bytes:
         out = io.BytesIO()
-        out.write(_MAGIC)
-        out.write(struct.pack("<H", _VERSION))
-        attrs = json.dumps(self.attrs, sort_keys=True).encode()
-        out.write(struct.pack("<I", len(attrs)))
-        out.write(attrs)
-        out.write(struct.pack("<I", len(self._blocks)))
+        out.write(_head(self.attrs, len(self._blocks)))
         for name, payload in self._blocks.items():
-            nm = name.encode()
-            out.write(struct.pack("<H", len(nm)))
-            out.write(nm)
-            out.write(struct.pack("<IQ", crc32(payload), len(payload)))
+            out.write(_block_head(name, crc32(payload), len(payload)))
             out.write(payload)
         return out.getvalue()
 
@@ -112,6 +104,18 @@ class Container:
         return cls.from_bytes(Path(path).read_bytes())
 
 
+def _head(attrs: dict, num_blocks: int) -> bytes:
+    """Magic, version, the attribute document and the block count."""
+    doc = json.dumps(attrs, sort_keys=True).encode()
+    return (_MAGIC + struct.pack("<HI", _VERSION, len(doc)) + doc
+            + struct.pack("<I", num_blocks))
+
+
+def _block_head(name: str, crc: int, size: int) -> bytes:
+    nm = name.encode()
+    return struct.pack("<H", len(nm)) + nm + struct.pack("<IQ", crc, size)
+
+
 def write_fragment_file(
     path: str | Path,
     payload: bytes,
@@ -122,20 +126,28 @@ def write_fragment_file(
     k: int,
     m: int,
     extra: dict | None = None,
+    crc: int | None = None,
 ) -> None:
-    """Write one EC fragment to a self-describing file."""
-    c = Container(
-        {
-            "object_name": object_name,
-            "level": level,
-            "index": index,
-            "k": k,
-            "m": m,
-            **(extra or {}),
-        }
-    )
-    c.add_block("fragment", payload)
-    c.write(path)
+    """Write one EC fragment to a self-describing file in one pass: the
+    header, then the payload straight from the caller's buffer.
+
+    ``crc`` is the payload's CRC-32 when the caller already holds it
+    (hashed here otherwise); the file is exactly what
+    :meth:`Container.to_bytes` gives for the same attributes and block.
+    """
+    attrs = {
+        "object_name": object_name,
+        "level": level,
+        "index": index,
+        "k": k,
+        "m": m,
+        **(extra or {}),
+    }
+    if crc is None:
+        crc = crc32(payload)
+    with open(path, "wb") as fh:
+        fh.write(_head(attrs, 1) + _block_head("fragment", crc, len(payload)))
+        fh.write(payload)
 
 
 def _parse_header(data: bytes) -> tuple[dict, int]:

@@ -4,22 +4,30 @@ The erasure-coding kernels (and most large-array NumPy ufuncs) release
 the GIL inside their inner loops, so a thread pool parallelises them
 without the pickling and process-startup costs of
 :class:`~concurrent.futures.ProcessPoolExecutor`.  This module is the
-shared "threads-first" strategy used by the EC kernel layer and the
-pipeline's per-level encode/decode fan-out.
+shared "threads-first" strategy used by the EC kernel layer, the
+refactoring transform and the pipeline's per-level encode/decode
+fan-out, and the one place a thread pool is built.
 
 ``thread_map`` runs inline (no pool at all) when a single worker is
 requested or there is at most one item — the ``processes=1`` inline
 path of :mod:`repro.parallel.procpipe`, applied to threads — so tiny
-inputs and tests never pay pool overhead.
+inputs and tests never pay pool overhead.  :func:`auto_workers` is the
+one size rule that decides, for a caller that left its width unset,
+whether a pool is worth starting at all.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
-__all__ = ["balanced_spans", "thread_map", "default_workers"]
+__all__ = [
+    "auto_workers", "balanced_spans", "default_workers", "ordered_map",
+    "thread_map",
+]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -46,6 +54,23 @@ def default_workers() -> int:
     if process_cpus is not None:
         return process_cpus() or 1
     return os.cpu_count() or 1
+
+
+#: Array size below which a caller that left its width unset runs
+#: inline.  Creating and joining short-lived pools costs more than two
+#: threads win back until about a million coefficients (measured on 2
+#: CPUs for the transform: inline is 1.3-2.9x faster up to 64 Ki
+#: elements and still ahead at 880 Ki, the pool leads from 2 Mi; the
+#: per-level EC encode and decode of a 1 Mi-element object run no
+#: slower inline than on the pool).  Depends on the input size only.
+_MIN_POOL_ELEMENTS = 1 << 20
+
+
+def auto_workers(workers: int | None, elements: int) -> int:
+    """``workers`` if given, else a fan-out chosen from the array size."""
+    if workers is not None:
+        return workers
+    return 1 if elements < _MIN_POOL_ELEMENTS else default_workers()
 
 
 def balanced_spans(n: int, parts: int) -> list[tuple[int, int]]:
@@ -111,3 +136,20 @@ def thread_map(
     if tracker is not None:
         tracker.verify()
     return results
+
+
+@contextmanager
+def ordered_map(workers: int) -> Iterator[Callable[..., Iterator]]:
+    """A ``map`` for the duration of the block.
+
+    ``workers <= 1`` gives the builtin: lazy and inline, no thread
+    started.  Otherwise one ``workers``-wide pool stays open across
+    calls, and its ``map`` submits every item up front (drawing a lazy
+    iterable to the end while earlier items already run) and yields the
+    results in order.
+    """
+    if workers <= 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map

@@ -25,6 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..parallel.threads import auto_workers
 from . import bitplane, components, kernels, transform
 from .error_model import relative_linf_error, theoretical_bound
 from .grid import LevelPlan, plan_levels
@@ -277,7 +278,7 @@ class Refactorer:
                 "values (mask or fill missing data first)"
             )
         data_max = float(np.max(np.abs(data)))
-        workers = transform.auto_workers(self.workers, data.size)
+        workers = auto_workers(self.workers, data.size)
         mallat, plans = transform.decompose(
             data, max_levels=self.max_levels, correction=self.correction,
             workers=workers,
@@ -424,7 +425,7 @@ class Refactorer:
                 f"upto must be in [1, {len(payloads)}], got {upto}"
             )
         size = int(np.prod(obj.shape))
-        workers = transform.auto_workers(self.workers, size)
+        workers = auto_workers(self.workers, size)
         parsed = [
             entries
             for _, entries in components.components_from_bytes(

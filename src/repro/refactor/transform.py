@@ -59,11 +59,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..parallel.threads import balanced_spans, default_workers, thread_map
+from ..parallel.threads import auto_workers, balanced_spans, thread_map
 from .grid import LevelPlan, coarse_indices, detail_indices, plan_levels
 
 __all__ = [
-    "auto_workers",
     "decompose",
     "recompose",
     "decompose_axis",
@@ -87,21 +86,6 @@ _MIN_TILE_ROWS = 256
 #: row step costs ~4.5 us however few lines it spans, a float step
 #: ~0.2 us per line).
 _MIN_VECTOR_LINES = 12
-
-#: Array size below which a refactor or reconstruct whose caller left
-#: ``workers`` unset runs inline.  Creating and joining the dozen or so
-#: short-lived pools of one call costs more than two threads win back
-#: until about a million coefficients (measured on 2 CPUs: inline is
-#: 1.3-2.9x faster up to 64 Ki elements and still ahead at 880 Ki; the
-#: pool leads from 2 Mi).  Depends on the input size only.
-_MIN_POOL_ELEMENTS = 1 << 20
-
-
-def auto_workers(workers: int | None, elements: int) -> int:
-    """``workers`` if given, else a fan-out chosen from the array size."""
-    if workers is not None:
-        return workers
-    return 1 if elements < _MIN_POOL_ELEMENTS else default_workers()
 
 
 def _axis_structure(n: int) -> dict:

@@ -200,11 +200,21 @@ class StorageCluster:
         )
 
     def fetch(
-        self, object_name: str, level: int, index: int
+        self, object_name: str, level: int, index: int,
+        *, home: int | None = None,
     ) -> StoredFragment:
-        """Fetch a fragment from whichever available system holds it."""
+        """Fetch a fragment with one ``get`` on ``home``, the system the
+        caller's record places it on.  Only when there is no home, or it
+        is down or no longer holds the fragment, are the other available
+        systems scanned, in id order, for a copy."""
+        if home is not None:
+            try:
+                return self.systems[home].get(object_name, level, index)
+            except (KeyError, UnavailableError):
+                pass
         for s in self.systems:
-            if s.available and s.has(object_name, level, index):
+            if (s.system_id != home and s.available
+                    and s.has(object_name, level, index)):
                 return s.get(object_name, level, index)
         raise KeyError(
             f"fragment ({object_name!r}, level {level}, index {index}) "

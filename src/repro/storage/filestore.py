@@ -31,10 +31,15 @@ import json
 import os
 from pathlib import Path
 
-from ..formats import FormatError, crc32, read_fragment_file, write_fragment_file
+from ..formats import FormatError, crc32
 # From the module, not the package: rapidslint's call graph then ties
-# this raw read to the ``filestore.read`` consult in fragment_keys().
-from ..formats.container import read_fragment_header
+# these raw reads and writes to the ``filestore.read`` / ``.write``
+# consults of get(), put() and fragment_keys().
+from ..formats.container import (
+    read_fragment_file,
+    read_fragment_header,
+    write_fragment_file,
+)
 from .cluster import Inventory, StorageCluster
 from .system import CorruptFragmentError, StoredFragment, UnavailableError
 
@@ -73,22 +78,27 @@ class FileStorageSystem:
         self.bandwidth = float(bandwidth)
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # Joined once: a file's path is this prefix plus its name, with
+        # no pathlib join per call.
+        self._dir = os.path.join(self.root, "")
+        self._marker = self._dir + _MARKER
         #: Optional chaos seam (see :mod:`repro.chaos`).
         self.injector = None
+
+    def _path(self, object_name: str, level: int, index: int) -> str:
+        return self._dir + _fragment_filename(object_name, level, index)
 
     # -- availability -----------------------------------------------------
 
     @property
     def available(self) -> bool:
-        return not (self.root / _MARKER).exists()
+        return not os.path.exists(self._marker)
 
     def fail(self) -> None:
-        (self.root / _MARKER).touch()
+        Path(self._marker).touch()
 
     def restore(self) -> None:
-        marker = self.root / _MARKER
-        if marker.exists():
-            marker.unlink()
+        Path(self._marker).unlink(missing_ok=True)
 
     def _check(self) -> None:
         if not self.available:
@@ -100,7 +110,8 @@ class FileStorageSystem:
         self._check()
         if frag.payload is None:
             raise ValueError("file-backed systems need real payloads")
-        path = self.root / _fragment_filename(*frag.key)
+        crc = frag.checksum if frag.checksum is not None else crc32(frag.payload)
+        path = self._path(*frag.key)
         spec = None
         if self.injector is not None:
             spec = self.injector.check(
@@ -118,16 +129,18 @@ class FileStorageSystem:
             m=0,
             # The payload CRC recorded at put time, not recomputed from
             # whatever lands on disk: it is what read-path verification
-            # and the scrubber compare against.
-            extra={"crc32": frag.checksum if frag.checksum is not None
-                   else crc32(frag.payload)},
+            # and the scrubber compare against.  It is the block's CRC
+            # too, unless the fragment carries the CRC a read (or an
+            # at-rest rot) computed for exactly these bytes.
+            extra={"crc32": crc},
+            crc=crc if frag.verified_crc is None else frag.verified_crc,
         )
         if spec is not None:
             # Torn write: keep only a prefix of the container file, then
             # crash the operation — what a power cut mid-write leaves.
             from ..chaos import InjectedFault
 
-            size = path.stat().st_size
+            size = os.path.getsize(path)
             keep = min(size - 1, int(size * min(spec.magnitude, 1.0)))
             with open(path, "ab") as fh:
                 fh.truncate(max(0, keep))
@@ -139,13 +152,17 @@ class FileStorageSystem:
 
     def get(self, object_name: str, level: int, index: int) -> StoredFragment:
         self._check()
-        path = self.root / _fragment_filename(object_name, level, index)
-        if not path.exists():
-            raise KeyError((object_name, level, index))
+        # The open is the existence check: a file deleted at any moment
+        # before it (a concurrent repair's stale-copy delete) is absent.
         # Parsing verified the container block, so ``crc`` *is* the
         # payload's CRC-32: one hash per read, compared three times
         # (block, put-time attribute, the caller's ledger/catalog value).
-        attrs, payload, crc = read_fragment_file(path, with_crc=True)
+        try:
+            attrs, payload, crc = read_fragment_file(
+                self._path(object_name, level, index), with_crc=True
+            )
+        except FileNotFoundError:
+            raise KeyError((object_name, level, index)) from None
         if self.injector is not None:
             wire = self.injector.filter_payload(
                 "filestore.read", payload, system_id=self.system_id,
@@ -170,18 +187,16 @@ class FileStorageSystem:
     def stored_size(self, object_name: str, level: int, index: int) -> int | None:
         """Bytes one resident fragment file occupies; ``None`` when absent."""
         try:
-            return os.stat(
-                self.root / _fragment_filename(object_name, level, index)
-            ).st_size
+            return os.stat(self._path(object_name, level, index)).st_size
         except FileNotFoundError:
             return None
 
     def delete(self, object_name: str, level: int, index: int) -> None:
         self._check()
-        path = self.root / _fragment_filename(object_name, level, index)
-        if not path.exists():
-            raise KeyError((object_name, level, index))
-        path.unlink()
+        try:
+            Path(self._path(object_name, level, index)).unlink()
+        except FileNotFoundError:
+            raise KeyError((object_name, level, index)) from None
 
     def resident(self) -> list[tuple[str, int, int, int]]:
         """``(stored name, level, index, file size)`` per resident
@@ -199,9 +214,7 @@ class FileStorageSystem:
         keys = []
         for *stored, _ in self.resident():
             try:
-                attrs = read_fragment_header(
-                    self.root / _fragment_filename(*stored)
-                )
+                attrs = read_fragment_header(self._path(*stored))
             except FormatError:
                 continue
             key = (attrs["object_name"], attrs["level"], attrs["index"])

@@ -37,7 +37,9 @@ class StoredFragment:
     payload: bytes | None = None
     checksum: int | None = None
     #: CRC-32 of ``payload`` as the read that produced this fragment
-    #: computed it; ``None`` on fragments no read path has hashed.
+    #: (or the at-rest rot that made these bytes) computed it; ``None``
+    #: on fragments nothing has hashed.  Never the recorded checksum of
+    #: other bytes.
     verified_crc: int | None = field(default=None, repr=False, compare=False)
 
     @property

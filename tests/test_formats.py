@@ -109,6 +109,32 @@ class TestFragmentFiles:
         assert attrs["k"] == 12 and attrs["m"] == 4
         assert attrs["epoch"] == 3
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        payload=st.binary(max_size=512),
+        name=st.text(max_size=12),
+        level=st.integers(0, 9),
+        index=st.integers(0, 255),
+        extra=st.dictionaries(
+            st.text(max_size=6), st.integers(-(2**40), 2**40), max_size=3
+        ),
+        pass_crc=st.booleans(),
+    )
+    def test_one_pass_write_is_the_container_bytes(
+        self, tmp_path_factory, payload, name, level, index, extra, pass_crc
+    ):
+        """The header-then-payload write stores exactly the container
+        serialisation, whether the caller hands in the CRC or not."""
+        path = tmp_path_factory.mktemp("frag") / "f.rdc"
+        write_fragment_file(
+            path, payload, object_name=name, level=level, index=index,
+            k=3, m=1, extra=extra, crc=crc32(payload) if pass_crc else None,
+        )
+        c = Container({"object_name": name, "level": level, "index": index,
+                       "k": 3, "m": 1, **extra})
+        c.add_block("fragment", payload)
+        assert path.read_bytes() == c.to_bytes()
+
     def test_missing_fragment_block(self, tmp_path):
         c = Container({"object_name": "x"})
         c.write(tmp_path / "bad.rdc")

@@ -38,6 +38,7 @@ from repro.chaos import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
+    RetryPolicy,
     inflict_at_rest,
 )
 from repro.control import LiveMigrator
@@ -856,6 +857,37 @@ class _Counts:
         self.opened = self.listed = self.stats = self.hashed = 0
 
 
+def test_a_fragment_deleted_during_its_read_is_missing(tmp_path, monkeypatch):
+    """A fragment file removed between a reader's lookup and its read (a
+    concurrent repair's stale-copy delete) is absent — ``KeyError``,
+    classified ``missing`` — never an ``OSError`` a scrub calls corrupt."""
+    from repro.storage import filestore
+
+    rapids, _ = _workspace(tmp_path, on_files=True)
+    try:
+        cluster = rapids.cluster
+        real = filestore.read_fragment_file
+        doomed = {(cluster[3].root / _fragment_filename(NAME, 0, 3)).as_posix()}
+
+        def deleted_underneath(path, **kwargs):
+            if Path(path).as_posix() in doomed:
+                os.unlink(path)
+            return real(path, **kwargs)
+
+        monkeypatch.setattr(filestore, "read_fragment_file", deleted_underneath)
+        with pytest.raises(KeyError):
+            cluster[3].get(NAME, 0, 3)
+        rapids.prepare(NAME, _field())  # put the fragment back
+        # One attempt, so the race is the read's only chance.
+        scrub = Scrubber(cluster, rapids.ledger,
+                         retry_policy=RetryPolicy(max_attempts=1, base=0.0)).run()
+        assert [(d.level, d.index, d.kind, d.detail) for d in scrub.damage] == [
+            (0, 3, "missing", "fragment vanished mid-scrub")
+        ]
+    finally:
+        rapids.catalog.close()
+
+
 def test_a_pass_reads_what_it_verifies_and_lists_once(tmp_path, monkeypatch):
     """A heal opens exactly the fragment files it reads, lists every
     directory once per snapshot, probes O(systems) paths per stripe and
@@ -885,21 +917,22 @@ def test_a_pass_reads_what_it_verifies_and_lists_once(tmp_path, monkeypatch):
         reads = scrub.read_attempts + repair.read_attempts
         assert counts.opened == reads
         assert counts.listed == 2 * n  # one snapshot per scrub, one per repair
-        # Two probes per read (up? there?), a handful per write, one
+        # One probe per read (up?; the open is the "there?"), two per
+        # write (up?, then the inventory's size probe), one
         # availability probe per system per snapshot — the per-fragment
         # has() sweep over every system was 2 * n per fragment alone.
-        assert counts.stats <= 2 * reads + 6 * repair.repaired + 2 * n
+        assert counts.stats <= reads + 2 * repair.repaired + 2 * n
         assert counts.stats < 2 * n * scrub.fragments_scanned
         # One hash per read; a regenerated fragment is hashed against
-        # the ledger and once more into its container.
-        assert counts.hashed == reads + 2 * repair.repaired
+        # the ledger, and its container is written with that CRC.
+        assert counts.hashed == reads + repair.repaired
 
         counts.reset()
         scrub, repair = scrub_and_repair(cluster, catalog, ledger=rapids.ledger)
         assert scrub.clean and repair is None
         assert counts.opened == counts.hashed == scrub.read_attempts == 4 * n
         assert counts.listed == n
-        assert counts.stats == 2 * scrub.read_attempts + n
+        assert counts.stats == scrub.read_attempts + n
 
         # The injector handing back different bytes is hashed again —
         # and caught.

@@ -1,5 +1,11 @@
 """End-to-end tests of the RAPIDS pipeline (prepare + restore)."""
 
+import builtins
+import io
+import os
+import shutil
+import threading
+
 import numpy as np
 import pytest
 
@@ -291,3 +297,201 @@ class TestSurvivability:
             err = relative_linf_error(data, rep.data)
             assert err >= 0
         assert rep.levels_used == 4
+
+
+class _Spy:
+    """What a block of pipeline work did: fragment files opened for
+    reading (by path), ``stat`` calls on fragment files, threads
+    started."""
+
+    def __init__(self, monkeypatch):
+        self.opened: list[str] = []
+        self.fragment_stats = self.threads = 0
+        real_open, real_stat = builtins.open, os.stat
+        real_start = threading.Thread.start
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if str(file).endswith(".rdc") and "r" in mode:
+                self.opened.append(str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        def counting_stat(path, *args, **kwargs):
+            self.fragment_stats += str(path).endswith(".rdc")
+            return real_stat(path, *args, **kwargs)
+
+        def counting_start(thread):
+            self.threads += 1
+            return real_start(thread)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(os, "stat", counting_stat)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+
+    def reset(self):
+        self.opened, self.fragment_stats, self.threads = [], 0, 0
+
+
+def _service_stack(root, n=8):
+    from repro.storage import FileStorageCluster
+
+    cluster = FileStorageCluster(
+        root / "cl", bandwidths=paper_bandwidth_profile(n)
+    )
+    catalog = MetadataCatalog(root / "meta")
+    return RAPIDS(cluster, catalog, refactorer=Refactorer(4), omega=0.3)
+
+
+def _service_object(seed=5):
+    from repro.service.traffic import synthetic_field
+
+    return synthetic_field(seed, 4096)
+
+
+def _stored_files(rapids) -> dict[str, bytes]:
+    root = rapids.cluster.root
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(root.rglob("*.rdc"))
+    }
+
+
+def _planned_reads(rapids, rec, report) -> int:
+    return sum(rapids.cluster.n - m for m in rec.ft_config[:report.levels_used])
+
+
+class TestPlacementReads:
+    """A restore reads each planned fragment once, from the system the
+    object record places it on; the cluster scan is only the fallback."""
+
+    @pytest.fixture
+    def stack(self, tmp_path):
+        rapids = _service_stack(tmp_path)
+        data = _service_object()
+        rapids.prepare("obj", data)
+        yield rapids, data
+        rapids.catalog.close()
+
+    def test_a_small_request_opens_each_planned_fragment_once(
+        self, stack, monkeypatch
+    ):
+        rapids, data = stack
+        rec = rapids.catalog.get_object("obj")
+        spy = _Spy(monkeypatch)
+        rep = rapids.restore("obj", strategy="naive")
+        assert rep.degraded is None and rep.levels_used == rec.num_levels
+        assert len(spy.opened) == len(set(spy.opened))
+        assert len(spy.opened) == _planned_reads(rapids, rec, rep)
+        assert spy.fragment_stats == 0
+        assert spy.threads == 0
+        spy.reset()
+        rapids.prepare("obj2", data)
+        assert spy.threads == 0
+
+    def test_a_large_object_still_fans_out_to_the_same_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.parallel import threads
+
+        data = _service_object()
+        inline = _service_stack(tmp_path / "inline")
+        inline.prepare("obj", data)
+        expected = inline.restore("obj", strategy="naive").data
+        inline.catalog.close()
+
+        # The object now sits at the pool threshold.
+        monkeypatch.setattr(threads, "_MIN_POOL_ELEMENTS", data.size)
+        monkeypatch.setattr(threads, "default_workers", lambda: 2)
+        spy = _Spy(monkeypatch)
+        pooled = _service_stack(tmp_path / "pooled")
+        pooled.prepare("obj", data)
+        assert spy.threads > 0
+        spy.reset()
+        rep = pooled.restore("obj", strategy="naive")
+        assert spy.threads > 0
+        pooled.catalog.close()
+        assert _stored_files(pooled) == _stored_files(inline)
+        assert rep.data.tobytes() == expected.tobytes()
+
+    def test_a_stale_copy_cannot_shadow_the_recorded_one(
+        self, stack, monkeypatch
+    ):
+        """A repair that re-placed a fragment and could not delete the
+        old copy leaves it behind; here every fragment i >= 1 has such a
+        self-consistent copy on system 0, below its recorded home."""
+        from repro.formats import crc32
+        from repro.storage import StoredFragment
+
+        rapids, _ = stack
+        clean = rapids.restore("obj", strategy="naive").data
+        rec = rapids.catalog.get_object("obj")
+        for j in range(rec.num_levels):
+            for i in range(1, rapids.cluster.n):
+                good = rapids.cluster[i].get("obj", j, i).payload
+                blob = bytes(b ^ 0xFF for b in good)
+                rapids.cluster[0].put(StoredFragment(
+                    "obj", j, i, len(blob), blob, checksum=crc32(blob)
+                ))
+        spy = _Spy(monkeypatch)
+        rep = rapids.restore("obj", strategy="naive")
+        assert rep.degraded is None  # no erasure, no CRC tally
+        assert rep.data.tobytes() == clean.tobytes()
+        assert len(spy.opened) == _planned_reads(rapids, rec, rep)
+
+    @staticmethod
+    def _clean_reads(rapids):
+        """A clean restore's data, the last ``(level, index)`` it read
+        and a system it read nothing from."""
+        from repro.storage.filestore import _parse_filename
+
+        with pytest.MonkeyPatch.context() as mp:
+            spy = _Spy(mp)
+            clean = rapids.restore("obj", strategy="naive").data
+        idle = [
+            s.system_id for s in rapids.cluster.systems
+            if not any(p.startswith(s._dir) for p in spy.opened)
+        ]
+        _, j, i = _parse_filename(os.path.basename(spy.opened[-1]))
+        return clean, (j, i), idle[-1]
+
+    def test_a_placement_that_lost_its_fragment_falls_back_to_a_scan(
+        self, stack, monkeypatch
+    ):
+        rapids, _ = stack
+        clean, (j, i), idle = self._clean_reads(rapids)
+        cl = rapids.cluster
+        # The fragment moved to an idle system behind the record's back.
+        os.replace(cl[i].root / _frag(j, i), cl[idle].root / _frag(j, i))
+        spy = _Spy(monkeypatch)
+        rep = rapids.restore("obj", strategy="naive")
+        assert rep.degraded is None
+        assert rep.data.tobytes() == clean.tobytes()
+        rec = rapids.catalog.get_object("obj")
+        # The open that found the home empty, then the scan's one read.
+        assert len(spy.opened) == _planned_reads(rapids, rec, rep) + 1
+        assert spy.opened[-1] == str(cl[idle].root / _frag(j, i))
+
+    def test_a_placement_on_a_down_system_falls_back_to_a_scan(
+        self, stack, monkeypatch
+    ):
+        rapids, _ = stack
+        clean, (j, i), idle = self._clean_reads(rapids)
+        cl = rapids.cluster
+        # Fragment i was re-placed on the idle system, the copy at its
+        # old home survived, and the new home is now down.
+        shutil.copy(cl[i].root / _frag(j, i), cl[idle].root / _frag(j, i))
+        rec = rapids.catalog.get_object("obj")
+        rec.placements[j][i] = idle
+        rapids.catalog.put_object(rec)
+        cl.fail([idle])
+        spy = _Spy(monkeypatch)
+        rep = rapids.restore("obj", strategy="naive")
+        assert rep.degraded is None
+        assert rep.data.tobytes() == clean.tobytes()
+        assert len(spy.opened) == _planned_reads(rapids, rec, rep)  # no spare
+
+
+def _frag(level: int, index: int) -> str:
+    from repro.storage.filestore import _fragment_filename
+
+    return _fragment_filename("obj", level, index)

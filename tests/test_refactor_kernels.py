@@ -640,7 +640,6 @@ class TestAutoFanout:
 
     def test_small_input_runs_inline_unless_workers_given(self, monkeypatch):
         monkeypatch.setattr(threads, "default_workers", lambda: 4)
-        monkeypatch.setattr(transform, "default_workers", lambda: 4)
         made = self._count_pools(monkeypatch)
         data = smooth_field((22, 16, 16), seed=3, dtype=np.float32)
         auto = Refactorer(4, num_planes=22)
@@ -654,8 +653,8 @@ class TestAutoFanout:
         assert pooled.reconstruct(obj4).tobytes() == rec.tobytes()
 
     def test_large_input_fans_out(self, monkeypatch):
-        monkeypatch.setattr(transform, "default_workers", lambda: 4)
-        monkeypatch.setattr(transform, "_MIN_POOL_ELEMENTS", 1000)
+        monkeypatch.setattr(threads, "default_workers", lambda: 4)
+        monkeypatch.setattr(threads, "_MIN_POOL_ELEMENTS", 1000)
         made = self._count_pools(monkeypatch)
         data = smooth_field((22, 16, 16), seed=3)
         Refactorer(4, num_planes=22).refactor(data, measure_errors=False)

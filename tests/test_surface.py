@@ -245,6 +245,23 @@ def test_src_never_imports_scipy():
     assert not found, f"src/ imports scipy: {found}"
 
 
+def test_pools_are_built_only_in_repro_parallel():
+    """Every thread or process pool is built under ``repro.parallel``,
+    where ``auto_workers`` decides whether one is worth starting."""
+    pools = {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.is_relative_to(SRC / "parallel"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in pools:
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, f"pool built outside src/repro/parallel/: {found}"
+
+
 @pytest.mark.parametrize(
     "package", ["parallel", "ec", "transfer", "metadata", "refactor"]
 )
