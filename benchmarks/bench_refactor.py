@@ -19,7 +19,10 @@ Measures the three wins of the pMGARD pipeline overhaul:
    assemble, leading plane, sign placement, dequantise, group scatter,
    recompose — and where the error measurement of a default
    ``refactor`` goes on top of that: dequantise once, group scatter,
-   truncate per prefix, recompose, L-infinity.  The lossless stage also
+   truncate per prefix, recompose, L-infinity — once for a 16 MiB
+   array and once (``stages["service"]``) for a 16 Ki-element
+   ``synthetic_field`` request, where per-call overhead dominates and
+   the batched prefix recompose acts.  The lossless stage also
    reports exact counts: blobs, ``zlib.compress`` attempts, attempts
    that came back no smaller ("wasted"), bytes stored raw / zlib'd.
 
@@ -61,6 +64,11 @@ from repro.refactor.bitplane import PlaneSet
 from repro.refactor.error_model import relative_linf_error, theoretical_bound
 from repro.refactor.grid import coarse_indices, detail_indices, plan_levels
 from repro.refactor.refactorer import RefactoredObject
+from repro.service.traffic import synthetic_field
+
+#: Elements of the service-sized ``--stages`` input: a 16 Ki-element
+#: (64, 16, 16) request, mid-range for ``service_small``.
+SERVICE_ELEMENTS = 1 << 14
 
 
 # -- the seed implementation, reproduced exactly ------------------------
@@ -552,22 +560,20 @@ def test_lossless_attempt_counts():
     assert counts["wasted_input_bytes"] <= 1024
 
 
-def measure_stages(shape=(128, 128, 128), num_planes=22, reps=3) -> dict:
-    """Seconds per stage of one refactor and one reconstruct.
+def measure_stages(data: np.ndarray, ref: Refactorer, reps=3) -> dict:
+    """Seconds per stage of one refactor and one reconstruct of ``data``.
 
-    Runs the real ``Refactorer`` single-threaded (so stage times add up
-    to wall time) with timing wrappers around the stage functions, and
-    keeps each stage's best of ``reps``.  "other" is everything between
-    the stages: component (de)serialisation, bounds, the dtype cast,
-    the chunk plumbing.  ``refactor`` is the bounds-only path;
-    ``error_measurement`` is the per-prefix measurement a default
+    Runs the real ``Refactorer`` (pass it ``workers=1``, so stage times
+    add up to wall time) with timing wrappers around the stage
+    functions, and keeps each stage's best of ``reps``.  "other" is
+    everything between the stages: component (de)serialisation, bounds,
+    the dtype cast, the chunk plumbing.  ``refactor`` is the bounds-only
+    path; ``error_measurement`` is the per-prefix measurement a default
     ``refactor`` runs after it.
     """
-    data = nyx_temperature(shape).astype(np.float64)
-    ref = Refactorer(4, num_planes=num_planes, workers=1)
     seconds: dict[str, float] = {}
-    out: dict = {"shape": list(shape), "nbytes": data.nbytes,
-                 "num_planes": num_planes}
+    out: dict = {"shape": list(data.shape), "nbytes": data.nbytes,
+                 "num_planes": ref.num_planes}
 
     def timed(stage, fn):
         def wrapper(*args, **kwargs):
@@ -605,7 +611,7 @@ def measure_stages(shape=(128, 128, 128), num_planes=22, reps=3) -> dict:
                     state["data"], state["obj"], state.pop("decoded"),
                     state["kept_after"], state["workers"],
                 ))
-    out["lossless_counts"] = count_lossless(data, num_planes)
+    out["lossless_counts"] = count_lossless(data, ref.num_planes)
     return out
 
 
@@ -626,7 +632,7 @@ def main(argv=None) -> None:
         action="store_true",
         help="also print and record per-stage seconds of one refactor, one "
         "reconstruct and one error measurement of a 16 MiB array (smoke: "
-        "reduced size)",
+        "reduced size) and of a 16 Ki-element service-sized request",
     )
     args = parser.parse_args(argv)
 
@@ -692,21 +698,32 @@ def main(argv=None) -> None:
     )
 
     if args.stages:
-        stages = measure_stages(shape=stage_shape)
+        stages = measure_stages(
+            nyx_temperature(stage_shape).astype(np.float64),
+            Refactorer(4, num_planes=22, workers=1),
+        )
+        # A service_small-sized request: per-call overhead, not
+        # arithmetic, is what its error measurement pays for.
+        stages["service"] = measure_stages(
+            synthetic_field(7, SERVICE_ELEMENTS), Refactorer(4, workers=1),
+            reps=5 if args.smoke else 50,
+        )
         result["stages"] = stages
-        for op in ("refactor", "reconstruct", "error_measurement"):
-            print_table(
-                f"{op} stages, {stages['nbytes'] / 2**20:.1f} MiB float64, "
-                f"{stages['num_planes']} planes, 1 worker",
-                ["stage", "seconds", "share"],
-                [
-                    [k, f"{v:.4f}", f"{v / stages[op]['total']:.0%}"]
-                    for k, v in stages[op].items()
-                ],
-            )
-        print("lossless stage: " + ", ".join(
-            f"{k} {v}" for k, v in stages["lossless_counts"].items()
-        ))
+        for label, block in (("", stages), ("service ", stages["service"])):
+            for op in ("refactor", "reconstruct", "error_measurement"):
+                print_table(
+                    f"{label}{op} stages, {block['shape']} "
+                    f"{block['nbytes'] / 2**20:.2f} MiB, "
+                    f"{block['num_planes']} planes, 1 worker",
+                    ["stage", "seconds", "share"],
+                    [
+                        [k, f"{v:.4f}", f"{v / block[op]['total']:.0%}"]
+                        for k, v in block[op].items()
+                    ],
+                )
+            print(f"{label}lossless stage: " + ", ".join(
+                f"{k} {v}" for k, v in block["lossless_counts"].items()
+            ))
 
     result["mode"] = "smoke" if args.smoke else "full"
     path = write_bench_artifact("refactor", result)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .kvstore import KVStore
@@ -101,6 +101,9 @@ class ObjectRecord:
         return level_storage_name(self.name, self.generations[level])
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(ObjectRecord))
+
+
 class MetadataCatalog:
     """Typed facade over a KV store for RAPIDS metadata.
 
@@ -128,9 +131,10 @@ class MetadataCatalog:
     # -- objects -----------------------------------------------------------
 
     def put_object(self, rec: ObjectRecord) -> None:
-        self.store.put(
-            f"obj/{rec.name}".encode(), json.dumps(asdict(rec)).encode()
-        )
+        # The record's own fields, in declaration order: the bytes
+        # ``asdict`` gives, without its deep copy of every list.
+        record = {name: getattr(rec, name) for name in _RECORD_FIELDS}
+        self.store.put(f"obj/{rec.name}".encode(), json.dumps(record).encode())
 
     def get_object(self, name: str) -> ObjectRecord:
         raw = self.store.get(f"obj/{name}".encode())

@@ -33,41 +33,25 @@ def batched_decompose(
 ):
     """Decompose a (B, n1, ..., nk) stack of equal-shape blocks at once.
 
-    The block axis rides along as a batch dimension: every 1-D line
-    kernel sees B times more lines per call, which is the same
+    The block axis rides along as the transform's batch axis: every 1-D
+    line kernel sees B times more lines per call, which is the same
     restructuring a GPU implementation performs to fill the device.
     Returns ``(mallat_stack, plans)`` where plans cover the block shape
-    (axes 1..k only — axis 0 is never coarsened).
+    (axes 1..k only), each block bit-identical to its own decomposition.
     """
     blocks = np.asarray(blocks)
     if blocks.ndim < 2:
         raise ValueError("expected a (B, ...) stack of blocks")
-    inner = blocks.shape[1:]
-    plans = plan_levels(inner, max_levels)
-    out = blocks.astype(np.float64, copy=True)
-    for plan in plans:
-        corner = (slice(None),) + tuple(slice(0, s) for s in plan.fine_shape)
-        block = out[corner]
-        for ax in plan.coarsened_axes:
-            block = transform.decompose_axis(block, ax + 1, correction=correction)
-        out[corner] = block
-    return out, plans
+    plans = plan_levels(blocks.shape[1:], max_levels)
+    return transform.decompose(blocks, plans, correction=correction)
 
 
 def batched_recompose(
     mallat_stack: np.ndarray, plans, *, correction: bool = True
 ) -> np.ndarray:
-    """Inverse of :func:`batched_decompose`."""
-    out = np.array(mallat_stack, dtype=np.float64, copy=True)
-    for plan in reversed(plans):
-        corner = (slice(None),) + tuple(slice(0, s) for s in plan.fine_shape)
-        block = out[corner]
-        for ax in reversed(plan.coarsened_axes):
-            block = transform.recompose_axis(
-                block, ax + 1, plan.fine_shape[ax], correction=correction
-            )
-        out[corner] = block
-    return out
+    """Inverse of :func:`batched_decompose`: each block equal to its own
+    recomposition, up to the sign of a zero (:func:`transform.recompose`)."""
+    return transform.recompose(mallat_stack, plans, correction=correction)
 
 
 @dataclass(frozen=True)

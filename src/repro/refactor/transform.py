@@ -18,6 +18,10 @@ full decomposition is a single array in *Mallat layout*: the coarse
 approximation occupies the low-index corner and each level's detail
 coefficients form the ring between successive corners.
 
+Plans cover an array's trailing axes; leading axes are a never-transformed
+*batch*, so a stack (measured-error prefixes, fig. 7 blocks) runs as one
+sweep whose line kernels amortise their per-call overhead over it.
+
 All kernels are fully vectorised and operate *in native layout*: the
 coarse/detail shuffles are strided slice assignments along the transform
 axis (no transpose copies — the last array axis stays contiguous, so the
@@ -65,8 +69,6 @@ from .grid import LevelPlan, coarse_indices, detail_indices, plan_levels
 __all__ = [
     "decompose",
     "recompose",
-    "decompose_axis",
-    "recompose_axis",
     "Ring",
     "group_rings",
 ]
@@ -319,44 +321,18 @@ def _apply_axis(block_fn, src: np.ndarray, dst: np.ndarray, axis: int,
     thread_map(_tile, spans, workers=w, allow_shared_writes=("dst",))
 
 
-def decompose_axis(
-    arr: np.ndarray, axis: int, *, correction: bool = True,
-    workers: int | None = None,
-) -> np.ndarray:
-    """One coarsening step along one axis; output is [coarse|detail] ordered."""
-    arr = np.asarray(arr)
-    axis = axis % arr.ndim
-    out = np.empty(arr.shape, dtype=np.float64)
-    _apply_axis(
-        lambda s, d: _decompose_block(s, d, axis, correction),
-        arr, out, axis, workers,
-    )
-    return out
-
-
-def recompose_axis(
-    arr: np.ndarray, axis: int, n: int, *, correction: bool = True,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Inverse of :func:`decompose_axis` (n = original axis length)."""
-    arr = np.asarray(arr)
-    axis = axis % arr.ndim
-    if arr.shape[axis] != n:
-        raise ValueError(
-            f"axis {axis} has length {arr.shape[axis]}, expected {n}"
-        )
-    out = np.empty(arr.shape, dtype=np.float64)
-    _apply_axis(
-        lambda s, d: _recompose_block(s, d, axis, correction),
-        arr, out, axis, workers,
-    )
-    return out
-
-
-def _sweep(out: np.ndarray, levels, block_fn, workers: int | None) -> None:
-    """Run ``block_fn(src, dst, axis)`` per ``(fine_shape, axes)`` level."""
-    for fine_shape, axes in levels:
-        corner_view = out[tuple(slice(0, s) for s in fine_shape)]
+def _sweep(out: np.ndarray, plans: list[LevelPlan], block_fn,
+           workers: int | None, *, inverse: bool) -> None:
+    """Run ``block_fn(src, dst, axis)`` per level of ``plans`` (coarse to
+    fine, axes reversed, if ``inverse``) over the trailing axes of ``out``;
+    leading axes are a batch every line kernel just sees more lines of."""
+    grid = plans[0].fine_shape
+    lead = out.ndim - len(grid)
+    if lead < 0 or out.shape[lead:] != grid:
+        raise ValueError(f"plans cover shape {grid}, array has {out.shape}")
+    for plan in reversed(plans) if inverse else plans:
+        axes = plan.coarsened_axes[::-1] if inverse else plan.coarsened_axes
+        corner_view = out[(...,) + tuple(slice(0, s) for s in plan.fine_shape)]
         src = corner_view
         for i, ax in enumerate(axes):
             # The final axis of a level writes straight back into the
@@ -367,7 +343,8 @@ def _sweep(out: np.ndarray, levels, block_fn, workers: int | None) -> None:
             else:
                 dst = np.empty(src.shape, dtype=np.float64)
             _apply_axis(
-                lambda s, d, a=ax: block_fn(s, d, a), src, dst, ax, workers
+                lambda s, d, a=ax + lead: block_fn(s, d, a), src, dst,
+                ax + lead, workers,
             )
             src = dst
         if src is not corner_view:
@@ -383,16 +360,18 @@ def decompose(
 
     Returns ``(mallat, plans)`` where ``mallat`` is float64 with the same
     shape as ``u``.  ``plans`` (fine-to-coarse) fully determines the
-    layout; pass it back to :func:`recompose`.  ``workers`` tiles the
-    line batches over threads; output is bit-identical for any value.
+    layout; pass it back to :func:`recompose`.  Axes before the ones the
+    plans cover are a batch, each member transformed exactly as alone.
+    ``workers`` tiles the line batches over threads; output is
+    bit-identical for any value.
     """
     u = np.asarray(u)
     if plans is None:
         plans = plan_levels(u.shape, max_levels)
     out = u.astype(np.float64, copy=True)
     _sweep(
-        out, [(p.fine_shape, p.coarsened_axes) for p in plans],
-        lambda s, d, a: _decompose_block(s, d, a, correction), workers,
+        out, plans, lambda s, d, a: _decompose_block(s, d, a, correction),
+        workers, inverse=False,
     )
     return out, plans
 
@@ -403,15 +382,21 @@ def recompose(
 ) -> np.ndarray:
     """Invert :func:`decompose` from Mallat layout back to nodal values.
 
-    ``overwrite=True`` lets a caller that owns ``mallat`` (a float64
-    array it no longer needs) have it transformed in place and returned,
-    instead of paying for a copy.
+    Leading axes the plans do not cover are a batch, as in
+    :func:`decompose`.  Each member comes out equal to its own
+    recompose, but the sign of a zero can differ: a detail ring that is
+    all zero is skipped (interpolation only) per call, so a member whose
+    ring is zero in a stack whose ring is not gets ``+0.0`` added, which
+    turns its ``-0.0`` values into ``+0.0``.  ``overwrite=True`` lets a
+    caller that owns ``mallat`` (a float64 array it no longer needs)
+    have it transformed in place and returned, instead of paying for a
+    copy.
     """
     # np.array copies; np.asarray only where the dtype makes it.
     out = (np.asarray if overwrite else np.array)(mallat, dtype=np.float64)
     _sweep(
-        out, [(p.fine_shape, p.coarsened_axes[::-1]) for p in reversed(plans)],
-        lambda s, d, a: _recompose_block(s, d, a, correction), workers,
+        out, plans, lambda s, d, a: _recompose_block(s, d, a, correction),
+        workers, inverse=True,
     )
     return out
 

@@ -58,6 +58,43 @@ class TestObjects:
         assert catalog.store.keys(b"health/") == [health_key("a/b", 1)]
         assert catalog.access_count("a") == 0
 
+    def test_stored_bytes_are_the_asdict_serialisation(self, tmp_path, request):
+        """put_object stores exactly ``json.dumps(asdict(rec))`` for the
+        records the pipeline writes (one tile, tiled) and for a migrated
+        one (``extra["generations"]``)."""
+        from repro.core import RAPIDS
+        from repro.refactor import Refactorer
+        from repro.service.traffic import synthetic_field
+        from repro.storage import StorageCluster
+        from repro.transfer import paper_bandwidth_profile
+
+        cat = MetadataCatalog(tmp_path / "meta")
+        request.addfinalizer(cat.close)
+        rapids = RAPIDS(
+            StorageCluster(paper_bandwidth_profile(8)), cat,
+            refactorer=Refactorer(4), omega=1.0,
+        )
+        written = []
+        real = cat.put_object
+
+        def spy(rec):
+            want = json.dumps(asdict(rec)).encode()
+            real(rec)
+            written.append(rec.name)
+            assert cat.store.get(f"obj/{rec.name}".encode()) == want
+
+        cat.put_object = spy
+        data = synthetic_field(1, 8192)
+        rapids.prepare("one", data)
+        rapids.prepare("tiled", data, parallelism="process", processes=1,
+                       tile_planes=8)
+        one, tiled = cat.get_object("one"), cat.get_object("tiled")
+        assert "procpipe" in tiled.extra and "procpipe" not in one.extra
+        one.extra["generations"] = [0, 1, 2, 1]
+        cat.put_object(one)
+        assert written == ["one", "tiled", "one"]
+        assert cat.get_object("one").generations == [0, 1, 2, 1]
+
     def test_overwrite(self, catalog):
         catalog.put_object(_obj("a"))
         updated = _obj("a")

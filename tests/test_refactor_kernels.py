@@ -20,6 +20,7 @@ import os
 import struct
 import zlib
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from repro.parallel import threads
 from repro.parallel.threads import balanced_spans
 from repro.refactor import Refactorer, plan_levels, relative_linf_error
 from repro.refactor.bitplane import PlaneSet, decode_planes, encode_planes
-from repro.refactor import components, kernels, transform
+from repro.refactor import components, kernels, refactorer, transform
 
 
 def smooth_field(shape, seed=0, dtype=np.float64):
@@ -709,8 +710,55 @@ class TestMeasureErrors:
         monkeypatch.setattr(transform, "recompose", spy)
         obj = ref.refactor(data)
         monkeypatch.undo()
-        assert seen[0] and len(seen) == 4
+        assert seen[0] and len(seen) == 1  # one sweep over a (4, ...) stack
         assert obj.errors == self._fresh(ref, data, obj)
+
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(5, 300)),
+            st.tuples(st.integers(5, 40), st.integers(5, 40)),
+            st.tuples(*[st.integers(3, 16)] * 3),
+        ),
+        components_=st.integers(2, 6),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        per=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_prefixes_match_reconstruct(
+        self, shape, components_, dtype, per, seed
+    ):
+        """Every chunking of the prefixes — all in one stack, several
+        stacks, one prefix at a time — measures what a reconstruction
+        of each prefix does.  ``per`` sets the stack budget in objects:
+        0 puts the object above it."""
+        data = smooth_field(shape, seed=seed, dtype=dtype)
+        data += np.random.default_rng(seed).normal(scale=0.05, size=shape)
+        budget = max(1, per * data.size)
+        ref = Refactorer(components_, num_planes=24)
+        with mock.patch.object(
+            refactorer, "_MEASURE_BATCH_ELEMENTS", budget
+        ):
+            obj = ref.refactor(data)
+        assert obj.errors == self._fresh(ref, data, obj)
+
+    @pytest.mark.parametrize("shape, calls", [
+        ((16, 16, 16), 1),   # 4 x 4 Ki elements: one stack
+        ((32, 32, 32), 2),   # 2 x 32 Ki per stack
+        ((48, 48, 48), 4),   # above the budget: one prefix at a time
+    ])
+    def test_one_recompose_per_chunk(self, monkeypatch, shape, calls):
+        stacks = []
+        real = transform.recompose
+
+        def spy(mallat, *args, **kwargs):
+            stacks.append(mallat.shape[0])
+            return real(mallat, *args, **kwargs)
+
+        data = smooth_field(shape, seed=4)
+        monkeypatch.setattr(transform, "recompose", spy)
+        Refactorer(4).refactor(data)
+        assert len(stacks) == calls and sum(stacks) == 4
 
     def test_all_zero_array(self):
         data = np.zeros((9, 10, 11))

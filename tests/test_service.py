@@ -22,6 +22,7 @@ along.
 
 import hashlib
 import json
+import threading
 import time
 
 import numpy as np
@@ -550,6 +551,121 @@ class TestDeterministicReplay:
         # The steady tenant keeps completing even while the hog floods.
         assert by_tenant.get("steady", {}).get("completed", 0) > 0
         assert by_tenant.get("hog", {}).get("completed", 0) > 0
+
+
+# -- the pipeline slot: GIL-bound requests run one at a time ----------------
+
+
+class _Gate:
+    """Stands in for the service's slot and counts who has asked for it,
+    so a test can wait until a worker is blocked on it (no sleeps)."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._cond = threading.Condition()
+        self.entered = 0
+
+    def wait_for(self, n: int) -> bool:
+        with self._cond:
+            return self._cond.wait_for(lambda: self.entered >= n, timeout=30)
+
+    def __enter__(self):
+        with self._cond:
+            self.entered += 1
+            self._cond.notify_all()
+        self.lock.acquire()
+
+    def __exit__(self, *exc):
+        self.lock.release()
+
+
+def _count_concurrency(rapids, inside):
+    """Wrap prepare/restore with a max-concurrency counter; ``inside()``
+    runs while the call is counted, before the real pipeline."""
+    state = {"active": 0, "max": 0}
+    lock = threading.Lock()
+
+    def wrap(real):
+        def counted(*args, **kwargs):
+            with lock:
+                state["active"] += 1
+                state["max"] = max(state["max"], state["active"])
+            try:
+                inside()
+                return real(*args, **kwargs)
+            finally:
+                with lock:
+                    state["active"] -= 1
+        return counted
+
+    rapids.prepare = wrap(rapids.prepare)
+    rapids.restore = wrap(rapids.restore)
+    return state
+
+
+class TestPipelineSlot:
+    @pytest.fixture()
+    def threaded(self, tmp_path):
+        rapids = make_stack(tmp_path)
+        rapids.prepare("obj", small_field(1))
+        svc = ArchiveService(rapids, config=ServiceConfig(
+            queue_capacity=16, rate=10_000.0, burst=10_000.0, workers=2,
+        ))
+        yield rapids, svc
+        svc.stop()
+
+    def _two_requests(self, svc):
+        return [
+            svc.submit(ServiceRequest(
+                tenant="a", op="prepare", name="new", data=small_field(2),
+            )),
+            svc.submit(ServiceRequest(tenant="b", op="restore", name="obj")),
+        ]
+
+    def test_requests_never_overlap(self, threaded):
+        """Whichever request gets the pipeline first holds it until the
+        other is waiting on the slot: the two never run at once."""
+        rapids, svc = threaded
+        gate = svc._slot = _Gate()
+        state = _count_concurrency(rapids, lambda: gate.wait_for(2))
+        tickets = self._two_requests(svc)
+        svc.start()
+        results = [t.result(timeout=60.0) for t in tickets]
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert gate.entered == 2 and state["max"] == 1
+
+    def test_deadline_lapsed_waiting_for_the_slot(self, tmp_path):
+        """Requests whose deadline runs out while another holds the slot
+        are answered ``deadline`` and never reach the pipeline."""
+        rapids = make_stack(tmp_path)
+        rapids.prepare("obj", small_field(1))
+        svc, clk = make_service(rapids, queue_capacity=16, workers=2)
+        gate = svc._slot = _Gate()
+        state = _count_concurrency(rapids, lambda: None)
+        gate.lock.acquire()  # the test holds the slot
+        tickets = [
+            svc.submit(ServiceRequest(
+                tenant="a", op="prepare", name="new", data=small_field(2),
+                deadline=Deadline(1.0, clock=clk),
+            )),
+            svc.submit(ServiceRequest(
+                tenant="a", op="restore", name="obj",
+                deadline=Deadline(1.0, clock=clk),
+            )),
+        ]
+        svc.start()
+        try:
+            assert gate.wait_for(2)  # both dequeued in time, both waiting
+            clk.advance(2.0)
+        finally:
+            gate.lock.release()
+        results = [t.result(timeout=60.0) for t in tickets]
+        svc.stop()
+        assert [r.status for r in results] == ["deadline", "deadline"]
+        assert not any(r.deadline_met for r in results)
+        assert state["max"] == 0 and gate.entered == 2
+        with pytest.raises(KeyError):
+            rapids.catalog.get_object("new")
 
 
 # -- threaded mode smoke ----------------------------------------------------

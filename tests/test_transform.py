@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.linalg import solve_banded
 
 from repro.refactor import transform
-from repro.refactor.grid import coarse_indices, plan_levels
+from repro.refactor.grid import LevelPlan, coarse_indices, plan_levels
 
 
 def _roundtrip(u, correction=True, max_levels=6):
@@ -174,9 +174,12 @@ class TestAlgebraicProperties:
 
 
 class TestAxisKernels:
+    """One coarsening step along one axis: a one-level plan, with the
+    other axes a batch (leading) or left uncoarsened by the plan."""
+
     def test_decompose_axis_reorders(self):
         u = np.arange(9, dtype=np.float64)
-        out = transform.decompose_axis(u[None, :], 1)
+        out, _ = transform.decompose(u[None, :], plan_levels((9,), 1))
         # linear data: detail coefficients are exactly zero, and with zero
         # detail the correction is zero so coarse values pass through
         np.testing.assert_allclose(out[0, :5], u[::2])
@@ -185,16 +188,57 @@ class TestAxisKernels:
     def test_recompose_axis_inverse(self):
         rng = np.random.default_rng(9)
         u = rng.normal(size=(4, 10))
-        fwd = transform.decompose_axis(u, 1)
-        back = transform.recompose_axis(fwd, 1, 10)
+        fwd, plans = transform.decompose(u, plan_levels((10,), 1))
+        back = transform.recompose(fwd, plans)
         np.testing.assert_allclose(back, u, atol=1e-12)
 
     def test_axis0(self):
         rng = np.random.default_rng(10)
         u = rng.normal(size=(11, 3))
-        fwd = transform.decompose_axis(u, 0)
-        back = transform.recompose_axis(fwd, 0, 11)
+        plans = [LevelPlan((11, 3), (6, 3), (0,))]
+        fwd, _ = transform.decompose(u, plans)
+        np.testing.assert_array_equal(fwd[:, 1], transform.decompose(
+            u[:, 1], [LevelPlan((11,), (6,), (0,))]
+        )[0])
+        back = transform.recompose(fwd, plans)
         np.testing.assert_allclose(back, u, atol=1e-12)
+
+    def test_batch_axes_are_never_transformed(self):
+        """Each member of a stack comes out bit-identical to its own
+        transform, in both directions (no member has an all-zero detail
+        ring here), and plans that do not match the trailing shape are
+        refused."""
+        rng = np.random.default_rng(11)
+        stack = rng.normal(size=(2, 3, 9, 10))
+        plans = plan_levels((9, 10), 6)
+        fwd, _ = transform.decompose(stack, plans)
+        back = transform.recompose(fwd, plans)
+        for i in range(2):
+            for j in range(3):
+                single, _ = transform.decompose(stack[i, j], plans)
+                assert np.array_equal(fwd[i, j].view(np.uint64),
+                                      single.view(np.uint64))
+                alone = transform.recompose(single, plans)
+                assert np.array_equal(back[i, j].view(np.uint64),
+                                      alone.view(np.uint64))
+        with pytest.raises(ValueError, match="plans cover"):
+            transform.recompose(fwd, plan_levels((9, 9), 6))
+
+    def test_batched_recompose_differs_only_in_zero_signs(self):
+        """A member whose detail rings are all zero (an early prefix)
+        beside one whose are not: equal to its own recompose, and only
+        zeros may change sign (``-0.0 + 0.0`` is ``+0.0``)."""
+        plans = plan_levels((9, 10), 2)
+        early = np.zeros((9, 10))
+        early[tuple(slice(0, s) for s in plans[-1].coarse_shape)] = -0.0
+        dense = np.random.default_rng(12).normal(size=(9, 10))
+        back = transform.recompose(np.stack([early, dense]), plans)
+        alone = transform.recompose(early, plans)
+        assert np.array_equal(back[0], alone)
+        moved = np.signbit(back[0]) != np.signbit(alone)
+        assert moved.any() and not back[0][moved].any()
+        assert np.array_equal(back[1].view(np.uint64),
+                              transform.recompose(dense, plans).view(np.uint64))
 
 
 # -- the cached, line-vectorised mass solve ------------------------------
