@@ -6,7 +6,9 @@ m_j < |W|.  Before the window, live-migrate each object to the
 decreasing ladder max(m_j, |W| + l - 1 - j) — the same generation-safe
 re-encode the control loop uses, tracked by the ledger and the
 scrubber; during it, restore as usual; after it, migrate back to the
-original configuration and scrub.
+original configuration and scrub.  One of the two objects is stored in
+axis-0 tiles, the layout every object of 32 MiB or more gets: it is
+re-encoded tile by tile through its record's tile table.
 
 Run:  python examples/maintenance_window.py
 """
@@ -32,13 +34,17 @@ def main() -> None:
                 "nyx:T": nyx_temperature((33, 33, 33)),
                 "scale:P": scale_pressure((33, 33, 33)),
             }
+            layouts = {
+                "scale:P": dict(parallelism="process", processes=1, tile_planes=8)
+            }
             original = {
-                name: rapids.prepare(name, data).ft_config
+                name: rapids.prepare(name, data, **layouts.get(name, {})).ft_config
                 for name, data in objects.items()
             }
+            tiles = len(catalog.get_object("scale:P").tile_table()[0])
             ms = original["nyx:T"]
             levels = len(ms)
-            print(f"archive protected with m = {ms}")
+            print(f"archive protected with m = {ms} (scale:P in {tiles} tiles)")
 
             # The facility announces: systems 0..m_l+1 down next Tuesday.
             sched = MaintenanceSchedule()

@@ -908,10 +908,11 @@ class UnlockedGlobalCacheRule(Rule):
 class UnverifiedPayloadRule(Rule):
     """Fragment payloads consumed without checksum verification in scope.
 
-    PR 5's integrity contract: corrupt bytes never reach the erasure
+    The integrity contract: corrupt bytes never reach the erasure
     decoder (or any other consumer) silently.  Every scope that *reads*
-    a fragment's ``.payload`` must either verify it (``verify(...)``),
-    be the producer stamping its checksum (``crc32(...)``), or carry a
+    a fragment's ``.payload`` must either verify it (``verify(...)``,
+    ``get_verified(...)``, ``fetch(..., crc=...)``), be the producer
+    stamping its checksum (``crc32(...)``), or carry a
     suppression explaining why verification already happened upstream —
     e.g. the payload came from :meth:`StorageSystem.get`, which raises
     :class:`~repro.storage.system.CorruptFragmentError` on mismatch.
@@ -929,7 +930,7 @@ class UnverifiedPayloadRule(Rule):
     )
     rationale = "unverified fragment bytes silently corrupt decoded data"
 
-    _BLESSING = {"verify", "crc32"}
+    _BLESSING = {"verify", "crc32", "get_verified"}
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if not module.in_package("/repro/"):
@@ -962,7 +963,10 @@ class UnverifiedPayloadRule(Rule):
                     else node.func.attr if isinstance(node.func, ast.Attribute)
                     else None
                 )
-                if fname in self._BLESSING:
+                if fname in self._BLESSING or (
+                    fname == "fetch"
+                    and any(kw.arg == "crc" for kw in node.keywords)
+                ):
                     blessed = True
             elif isinstance(node, ast.Compare):
                 # `x.payload is None` / `is not None`: presence check,

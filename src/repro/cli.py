@@ -431,9 +431,6 @@ def _cmd_reconfigure(args) -> int:
         names = [args.object] if args.object else catalog.list_objects()
         for name in names:
             rec = catalog.get_object(name)
-            if "procpipe" in rec.extra:
-                results.append({"object": name, "skipped": "procpipe"})
-                continue
             sol = operator.plan(name)
             entry = {
                 "object": name,
@@ -460,9 +457,6 @@ def _cmd_reconfigure(args) -> int:
         print(json.dumps(results, indent=2, sort_keys=True))
         return code
     for entry in results:
-        if "skipped" in entry:
-            print(f"{entry['object']!r}: skipped ({entry['skipped']})")
-            continue
         changed = entry["to"] != entry["from"]
         print(f"{entry['object']!r}: m = {entry['from']} -> {entry['to']}"
               f" [{entry['origin']} solve, {entry['evaluations']} evals]")

@@ -5,15 +5,18 @@ change, the level is re-encoded and re-placed *live*, RapidRAID-style:
 readers never see a window in which fewer than ``k_j`` clean fragments
 are reachable.  The protocol, per level:
 
-1. **Read** ``k_old`` CRC-verified fragments of the current generation
-   and decode the level payload.  The old fragment set is not touched.
+1. **Read** ``k_old`` fragments of the current generation, one
+   verified read each on the system the object record places it on,
+   and re-encode per (level, tile) of the record's tile table: decode
+   the tile's chunk, encode it at the new ``m``, append each new
+   fragment's chunk.  The old fragment set is not touched.
 2. **Stage** the re-encoded fragment set under a *new generation*
    storage name (``<name>@g<gen+1>``, one fragment per system).  The
    new name collides with nothing; no reader looks at it yet.
 3. **Verify** every staged fragment at rest (read-back + CRC).
 4. **Flip**: one atomic object-record write updates ``ft_config[j]``,
    the level's generation and its fragment set (checksums, sizes,
-   placements) together.  Readers resolve fragment
+   placements, chunk lengths) together.  Readers resolve fragment
    locations *through* the object record
    (:meth:`~repro.metadata.catalog.ObjectRecord.level_storage_name`),
    so before the flip they see the intact old generation and after it
@@ -41,9 +44,9 @@ import numpy as np
 
 from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig
-from ..formats import crc32, verify
+from ..formats import crc32
 from ..metadata import level_storage_name
-from ..storage.system import StoredFragment
+from ..storage.system import FRAGMENT_ERRORS, StoredFragment
 from ..transfer import TransferRequest, phase_latency
 
 __all__ = [
@@ -53,10 +56,6 @@ __all__ = [
     "level_recoverable",
     "safety_breaches",
 ]
-
-#: Everything a single storage/metadata operation may fail with on the
-#: migration path (mirrors the restore pipeline's fetch errors).
-_IO_ERRORS = (KeyError, ValueError, OSError, RuntimeError)
 
 #: Checkpoint stages, in order, at which a ``checkpoint(stage, level)``
 #: callback fires.  Tests hook these to inject faults mid-migration and
@@ -167,11 +166,6 @@ class LiveMigrator:
             raise ValueError(f"new_ms must be strictly decreasing, got {new_ms}")
         if new_ms[0] >= self.cluster.n or new_ms[-1] < 1:
             raise ValueError(f"invalid configuration {new_ms} for n={self.cluster.n}")
-        if "procpipe" in rec.extra:
-            raise ValueError(
-                f"{name!r} was prepared by the tiled process engine; "
-                "live re-encoding of per-tile chunk tables is not supported"
-            )
         report = MigrationReport(object_name=name)
         self._requests = []
         for j, target in enumerate(new_ms):
@@ -207,42 +201,45 @@ class LiveMigrator:
             defer(f"systems down: {self.cluster.failed_ids()}")
             return
 
-        # 1. Read k_old clean fragments of the current generation.
-        sources = self._read_sources(
-            sname_old, j, n - old_m, rec.checksums[j], report
-        )
+        # 1. Read k_old clean fragments of the current generation and
+        # re-encode the level tile by tile.
+        sources = self._read_sources(rec, j, n - old_m, report)
         if sources is None:
             defer(f"fewer than k={n - old_m} clean source fragments")
             return
+        parts: list[list[bytes]] = [[] for _ in range(n)]
+        chunks: list[int] = []
+        offset = 0
         try:
-            payload = self.codec.decode_level(
-                config=ECConfig(n, old_m), fragments=sources, level_index=j
-            )
-        except _IO_ERRORS as exc:
+            for size in rec.tile_table()[2][j]:
+                payload = self.codec.decode_chunk(
+                    ECConfig(n, old_m), sources, offset, size, level_index=j
+                )
+                offset += size
+                enc = self.codec.encode_level(payload, new_m, level_index=j)
+                for part, blob in zip(parts, enc.fragment_blobs()):
+                    part.append(blob)
+                chunks.append(enc.fragment_nbytes)
+        except FRAGMENT_ERRORS as exc:
             defer(f"decode failed: {exc!r}")
             return
         self._checkpoint(checkpoint, "decoded", j)
 
-        # 2. Re-encode and stage the new generation (shadow state).
-        enc = self.codec.encode_level(payload, new_m, level_index=j)
-        blobs = enc.fragment_blobs()
+        # 2. Stage the new generation (shadow state).
+        blobs = [b"".join(part) for part in parts]
         checksums = [crc32(blob) for blob in blobs]
         staged: list[int] = []
-        ok = True
         for idx, blob in enumerate(blobs):
             if not self._write_staged(sname_new, j, idx, blob, checksums[idx], report):
-                ok = False
-                break
+                self._cleanup_staged(sname_new, j, staged)
+                defer("staging write failed")
+                return
             staged.append(idx)
-        if not ok:
-            self._cleanup_staged(sname_new, j, staged)
-            defer("staging write failed")
-            return
         self._checkpoint(checkpoint, "staged", j)
 
         # 3. Verify every staged fragment at rest — still invisible to
         # readers.
-        if not self._verify_staged(sname_new, j, blobs, checksums):
+        if not self._verify_staged(sname_new, j, checksums):
             self._cleanup_staged(sname_new, j, staged)
             defer("staged fragment failed read-back verification")
             return
@@ -258,9 +255,10 @@ class LiveMigrator:
         rec.checksums[j] = checksums
         rec.fragment_sizes[j] = [len(b) for b in blobs]
         rec.placements[j] = list(range(n))
+        rec.set_chunks(j, chunks)
         try:
             self.catalog.put_object(rec)
-        except _IO_ERRORS as exc:
+        except FRAGMENT_ERRORS as exc:
             self._cleanup_staged(sname_new, j, staged)
             defer(f"flip write failed: {exc!r}")
             return
@@ -270,7 +268,7 @@ class LiveMigrator:
         # m_new headroom, and the old one is retired.
         try:
             self.ledger.clear(name, j)
-        except _IO_ERRORS:
+        except FRAGMENT_ERRORS:
             pass  # headroom is advisory; the next scrub rewrites it
         self._retire(sname_old, j)
         self._checkpoint(checkpoint, "retired", j)
@@ -284,24 +282,22 @@ class LiveMigrator:
             checkpoint(stage, level)
 
     def _read_sources(
-        self, sname: str, j: int, k: int, crcs: list[int], report
+        self, rec, j: int, k: int, report
     ) -> dict[int, np.ndarray] | None:
-        """``k`` fragments of the current generation, verified against
-        the record's ``crcs``."""
+        """``k`` fragments of the current generation, each one verified
+        read on the system the record places it on."""
+        sname = rec.level_storage_name(j)
         sources: dict[int, np.ndarray] = {}
         for idx in sorted(self.cluster.locate(sname, j)):
             if len(sources) >= k:
                 break
-
-            def attempt() -> bytes:
-                sf = self.cluster.fetch(sname, j, idx)
-                if not verify(sf.payload, crcs[idx]):
-                    raise ValueError(
-                        f"fragment {idx} of level {j} fails its checksum"
-                    )
-                return sf.payload
-
-            out = self.retry_policy.call(attempt, retry_on=_IO_ERRORS)
+            out = self.retry_policy.call(
+                lambda: self.cluster.fetch(
+                    sname, j, idx, home=rec.placements[j][idx],
+                    crc=rec.checksums[j][idx],
+                ).payload,
+                retry_on=FRAGMENT_ERRORS,
+            )
             if not out.ok:
                 continue
             sources[idx] = np.frombuffer(out.value, dtype=np.uint8)
@@ -317,7 +313,7 @@ class LiveMigrator:
     ) -> bool:
         frag = StoredFragment(sname, j, idx, len(blob), blob, checksum=checksum)
         out = self.retry_policy.call(
-            lambda: self.cluster[idx].put(frag), retry_on=_IO_ERRORS
+            lambda: self.cluster[idx].put(frag), retry_on=FRAGMENT_ERRORS
         )
         if out.ok:
             report.written_bytes += float(len(blob))
@@ -328,19 +324,14 @@ class LiveMigrator:
         return out.ok
 
     def _verify_staged(
-        self, sname: str, j: int, blobs: list[bytes], checksums: list[int]
+        self, sname: str, j: int, checksums: list[int]
     ) -> bool:
-        for idx in range(len(blobs)):
-            def attempt() -> bytes:
-                sf = self.cluster[idx].get(sname, j, idx)
-                if sf.payload is None or not verify(sf.payload, checksums[idx]):
-                    raise ValueError(
-                        f"staged fragment {idx} of level {j} fails read-back"
-                    )
-                return sf.payload
-
-            out = self.retry_policy.call(attempt, retry_on=_IO_ERRORS)
-            if not out.ok:
+        for idx, crc in enumerate(checksums):
+            out = self.retry_policy.call(
+                lambda: self.cluster[idx].get_verified(sname, j, idx, crc),
+                retry_on=FRAGMENT_ERRORS,
+            )
+            if not out.ok or out.value.payload is None:
                 return False
         return True
 
@@ -357,7 +348,7 @@ class LiveMigrator:
                 system = self.cluster[idx]
                 if system.available and system.has(sname, j, idx):
                     system.delete(sname, j, idx)
-            except _IO_ERRORS:
+            except FRAGMENT_ERRORS:
                 pass
 
     def _retire(self, sname: str, j: int) -> None:
@@ -366,7 +357,7 @@ class LiveMigrator:
             for sid in sids:
                 try:
                     self.cluster[sid].delete(sname, j, idx)
-                except _IO_ERRORS:
+                except FRAGMENT_ERRORS:
                     pass
 
 

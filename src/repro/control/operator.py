@@ -177,8 +177,6 @@ class ReconfigOperator:
         }
         for name in self.rapids.catalog.list_objects():
             rec = self.rapids.catalog.get_object(name)
-            if "procpipe" in rec.extra:
-                continue  # tiled objects are not live-migratable
             boost = self.policy.hot_omega_boost if name in hot else 0.0
             sol = self.plan(name, omega=self.rapids.omega + boost)
             entry = {

@@ -26,18 +26,16 @@ from ..chaos.degraded import DegradedRestore, LevelFailure
 from ..chaos.injector import InjectedFault
 from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig, ErasureCodec
-from ..ec.codec import encoded_fragment_len
 from ..formats import crc32
 from ..healing.ledger import DurabilityLedger
 from ..metadata import MetadataCatalog, ObjectRecord
-from ..metadata.kvstore import CorruptionError
 from ..parallel import procpipe
 from ..parallel.threads import (
     auto_workers, default_workers, ordered_map, thread_map,
 )
 from ..refactor import Refactorer
-from ..storage import StorageCluster
-from ..storage.system import CorruptFragmentError, StoredFragment, UnavailableError
+from ..storage import FRAGMENT_ERRORS, StorageCluster
+from ..storage.system import CorruptFragmentError, StoredFragment
 from ..transfer import phase_latency, pipelined_archival, refactored_distribution
 from .adaptive import BandwidthTracker, adaptive_strategy
 from .availability import refactored_storage_overhead
@@ -53,29 +51,12 @@ from .gathering import (
 
 __all__ = ["RAPIDS", "PrepareReport", "RestoreReport"]
 
-#: Failure classes graceful degradation may absorb per level: injected
-#: faults, outages, missing/corrupt fragments and records, and the
-#: decode/deserialisation errors a corrupt payload can surface as.
-#: Anything outside this tuple (a genuine programming error) propagates.
-_DEGRADABLE = (
-    InjectedFault,
-    UnavailableError,
-    CorruptionError,
-    KeyError,
-    ValueError,
-    OSError,
-    RuntimeError,
-    struct.error,
-    zlib.error,
-)
-
-#: Errors a single fragment fetch may fail with; each such fragment is
-#: treated as an erasure and replaced from a spare system.
-#: :class:`~repro.storage.system.CorruptFragmentError` is a
-#: RuntimeError, so checksum failures — raised by the storage read path
-#: itself or by the record cross-check below — are absorbed the same
-#: way and additionally tallied on the degraded report.
-_FETCH_ERRORS = (KeyError, ValueError, OSError, RuntimeError)
+#: Failure classes graceful degradation may absorb per level: every
+#: fragment error — injected faults, outages, missing/corrupt fragments
+#: and records are all among them — plus the decode/deserialisation
+#: errors a corrupt payload can surface as.  Anything outside this tuple
+#: (a genuine programming error) propagates.
+_DEGRADABLE = (*FRAGMENT_ERRORS, struct.error, zlib.error)
 
 
 @dataclass
@@ -140,29 +121,6 @@ class _FragmentList:
     def read_fragment(self, level: int, index: int) -> tuple[bytes, int]:
         blob = np.ascontiguousarray(self._levels[level][index]).tobytes()
         return blob, crc32(blob)
-
-
-def _tile_table(rec: ObjectRecord) -> tuple[list[tuple[int, int]], list, list]:
-    """An object's axis-0 tile table ``(tiles, plans, chunks)``.
-
-    ``tiles[t]`` are tile ``t``'s plane bounds, ``plans[t]`` its level
-    plans, and ``chunks[j][t]`` the byte length of its independently
-    encoded chunk inside every fragment of level ``j`` (fragment ``i`` of
-    a level is the concatenation over tiles of those chunks).  Multi-tile
-    prepares store the table under ``extra["procpipe"]``; a record
-    without one *is* the one-tile table — the whole extent,
-    ``extra["plans"]``, one chunk per fragment — derived here and nowhere
-    else, so every reader below sees a single layout.
-    """
-    pp = rec.extra.get("procpipe")
-    if pp is not None:
-        tiles = [(int(lo), int(hi)) for lo, hi in pp["tiles"]]
-        return tiles, pp["plans"], pp["chunks"]
-    chunks = [
-        [encoded_fragment_len(rec.n_systems - m, size)]
-        for m, size in zip(rec.ft_config, rec.level_sizes)
-    ]
-    return [(0, int(rec.shape[0]))], [rec.extra["plans"]], chunks
 
 
 class RAPIDS:
@@ -400,8 +358,8 @@ class RAPIDS:
                 for j in range(levels)
             ]
             # A one-tile record carries no table: readers derive it
-            # (see _tile_table), so the stored layout is the one every
-            # earlier workspace already has.
+            # (ObjectRecord.tile_table), so the stored layout is the one
+            # every earlier workspace already has.
             if num_tiles == 1:
                 layout = {"plans": tile_plans[0]}
             else:
@@ -589,11 +547,12 @@ class RAPIDS:
         :class:`KeyError` — that is a caller error, not a fault.
 
         Every object restores through one sequence over its tile table
-        (:func:`_tile_table`): gather -> per-(level, tile) EC decode ->
-        per-tile prefix reconstruction.  ``parallelism`` / ``processes``
-        decide, as in :meth:`prepare`, whether the tiles of a multi-tile
-        object reconstruct on a process pool into a shared output or
-        inline; a one-tile object is reconstructed in place either way.
+        (:meth:`~repro.metadata.ObjectRecord.tile_table`): gather ->
+        per-(level, tile) EC decode -> per-tile prefix reconstruction.
+        ``parallelism`` / ``processes`` decide, as in :meth:`prepare`,
+        whether the tiles of a multi-tile object reconstruct on a process
+        pool into a shared output or inline; a one-tile object is
+        reconstructed in place either way.
         """
         timings: dict[str, float] = {}
         failures: list[LevelFailure] = []
@@ -787,7 +746,7 @@ class RAPIDS:
         """
         if not level_ids:
             return []
-        chunks = _tile_table(rec)[2]
+        chunks = rec.tile_table()[2]
         jobs: list[tuple[int, int, int]] = []
         for j in level_ids:
             offset = 0
@@ -798,13 +757,9 @@ class RAPIDS:
 
         def _decode(job: tuple[int, int, int]) -> bytes:
             j, offset, size = job
-            return self.codec.decode_level(
-                config=ECConfig(self.cluster.n, rec.ft_config[j]),
-                fragments={
-                    i: arr[offset : offset + size]
-                    for i, arr in gathered[j].items()
-                },
-                level_index=j,
+            return self.codec.decode_chunk(
+                ECConfig(self.cluster.n, rec.ft_config[j]), gathered[j],
+                offset, size, level_index=j,
             )
 
         if self.injector is None:
@@ -842,7 +797,7 @@ class RAPIDS:
         retries every tile at ``u - 1`` — all tiles must agree on the
         prefix for the delivered error bound to mean anything.
         """
-        tiles, plans, _ = _tile_table(rec)
+        tiles, plans, _ = rec.tile_table()
         processes = self._tile_processes(processes)
         config = procpipe.refactorer_config(self.refactorer)
         upto = len(payload_rows)
@@ -930,45 +885,6 @@ class RAPIDS:
             )
         raise ValueError(f"unknown gathering strategy: {strategy!r}")
 
-    def _fetch_checked(
-        self, name: str, j: int, i: int, expected: int, home: int,
-        crc_tally: list[int],
-    ) -> np.ndarray:
-        """Fetch fragment ``i`` of level ``j`` from ``home``, the system
-        the object record places it on, and verify it against the
-        ``expected`` CRC the record committed.
-
-        One ``get`` on ``home``; the cluster scans the other systems
-        for a copy only when ``home`` is down or no longer holds the
-        fragment (:meth:`~repro.storage.StorageCluster.fetch`).
-
-        Runs under the pipeline retry policy, so *transient* injected
-        faults (occurrence windows that close) heal in place; persistent
-        ones exhaust the retries and surface to the caller as erasures.
-        The storage read path already verifies the store's own CRC
-        (raising :class:`CorruptFragmentError` before corrupt bytes get
-        here); the record cross-check below additionally catches a stale
-        or swapped fragment whose store record is self-consistent.
-        Checksum failures are tallied into ``crc_tally`` for the
-        degraded report's fault counts.
-        """
-        def attempt() -> np.ndarray:
-            sf = self.cluster.fetch(name, j, i, home=home)
-            if not sf.verify(expected):
-                raise CorruptFragmentError(
-                    f"fragment {i} of level {j} failed its checksum"
-                )
-            return np.frombuffer(sf.payload, dtype=np.uint8)
-
-        out = self.retry_policy.call(attempt, retry_on=_FETCH_ERRORS)
-        if self.fetch_observer is not None:
-            self.fetch_observer(home, out)
-        if not out.ok:
-            if isinstance(out.error, CorruptFragmentError):
-                crc_tally.append(i)
-            raise out.error
-        return out.value
-
     def _gather_level(
         self, j: int, col: int,
         outcome: GatheringOutcome, rec: ObjectRecord,
@@ -978,47 +894,49 @@ class RAPIDS:
 
         The plan selects systems assuming the default placement
         (fragment i on system i), so selecting system i for level j
-        means fetching fragment i of j — read from the system the
-        record places it on, which a repair may have moved.  A fragment
-        that cannot be fetched cleanly — checksum mismatch (bit rot,
-        torn write), injected read error, system that dropped out after
-        selection — is treated as an *erasure*: it is dropped and
-        replaced by a fragment from a spare available system, which the
-        EC math tolerates exactly like an outage.  Raises when fewer
-        than ``k`` clean fragments remain.
+        means fetching fragment i of j — one verified read against the
+        record's CRC, on the system the record places it on (which a
+        repair may have moved), under the pipeline retry policy:
+        *transient* injected faults heal in place.  A fragment that
+        still cannot be fetched cleanly — checksum mismatch (bit rot,
+        torn write; tallied into ``crc_tally``), injected read error,
+        system that dropped out after selection — is treated as an
+        *erasure*: it is dropped and replaced by a fragment from a spare
+        available system, which the EC math tolerates exactly like an
+        outage.  Raises when fewer than ``k`` clean fragments remain.
         """
         # Fragments live under the level's *storage name*: the object
         # name for generation 0, or the migration-bumped generation the
         # object record points at (the atomic-flip indirection of the
         # control plane's live re-encoding).
         sname = rec.level_storage_name(j)
-        crcs, homes = rec.checksums[j], rec.placements[j]
         frags: dict[int, np.ndarray] = {}
-        lost: list[int] = []
+
+        def take(i: int) -> bool:
+            home = rec.placements[j][i]
+            out = self.retry_policy.call(
+                lambda: self.cluster.fetch(
+                    sname, j, i, home=home, crc=rec.checksums[j][i]
+                ).payload,
+                retry_on=FRAGMENT_ERRORS,
+            )
+            if self.fetch_observer is not None:
+                self.fetch_observer(home, out)
+            if out.ok:
+                frags[i] = np.frombuffer(out.value, dtype=np.uint8)
+            elif isinstance(out.error, CorruptFragmentError):
+                crc_tally.append(i)
+            return out.ok
+
         selected = [int(i) for i in np.nonzero(outcome.x[:, col])[0]]
-        for i in selected:
-            try:
-                frags[i] = self._fetch_checked(
-                    sname, j, i, crcs[i], homes[i], crc_tally
-                )
-            except _FETCH_ERRORS:
-                lost.append(i)
+        lost = [i for i in selected if not take(i)]
         needed = self.cluster.n - rec.ft_config[j]
         if lost:
-            spares = [
-                idx
-                for idx in sorted(self.cluster.locate(sname, j))
-                if idx not in set(selected)
-            ]
-            for idx in spares:
+            spares = set(self.cluster.locate(sname, j)) - set(selected)
+            for idx in sorted(spares):
                 if len(frags) >= needed:
                     break
-                try:
-                    frags[idx] = self._fetch_checked(
-                        sname, j, idx, crcs[idx], homes[idx], crc_tally
-                    )
-                except _FETCH_ERRORS:
-                    continue
+                take(idx)
         if len(frags) < needed:
             raise RuntimeError(
                 f"level {j} of {rec.name!r}: {len(lost)} fragment(s) lost, "

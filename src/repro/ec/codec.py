@@ -176,6 +176,17 @@ class ErasureCodec:
         code = _code(config.k, config.m)
         return code.decode(fragments, workers=workers or self.workers)
 
+    def decode_chunk(
+        self, config: ECConfig, fragments: dict[int, np.ndarray],
+        offset: int, size: int, *, level_index: int | None = None,
+    ) -> bytes:
+        """Decode one tile: the chunk at ``[offset, offset + size)`` of
+        every fragment of a tiled level."""
+        chunks = {i: f[offset : offset + size] for i, f in fragments.items()}
+        return self.decode_level(
+            config=config, fragments=chunks, level_index=level_index
+        )
+
     def repair_fragment(
         self,
         config: ECConfig,

@@ -42,14 +42,12 @@ from ..storage.placement import (
     plan_placement,
     rebalance_moves,
 )
-from ..storage.system import StoredFragment
+from ..storage.system import FRAGMENT_ERRORS, CorruptFragmentError, StoredFragment
 from ..transfer import TransferRequest, phase_latency
 from .ledger import DurabilityLedger, LedgerEntry
 from .scrubber import Damage, ScrubReport, Scrubber
 
 __all__ = ["RepairEngine", "RepairReport", "RepairAction", "scrub_and_repair"]
-
-_READ_ERRORS = (KeyError, ValueError, OSError, RuntimeError)
 
 
 @dataclass
@@ -294,7 +292,7 @@ class RepairEngine:
         try:
             if sid in self.inventory.available:
                 system.delete(name, level, index)
-        except _READ_ERRORS:
+        except FRAGMENT_ERRORS:
             pass  # an unreachable stale copy is next sweep's problem
         self.inventory.refresh(system, name, level, index)
 
@@ -308,17 +306,16 @@ class RepairEngine:
         system = self.cluster[system_id]
 
         def attempt() -> bytes:
-            frag = system.get(entry.store_name, entry.level, index)
-            if frag.payload is None or not frag.verify(
-                entry.checksums[index]
-            ):
-                raise ValueError(
-                    f"fragment {index} on system {system_id} fails the "
-                    "ledger checksum"
+            frag = system.get_verified(
+                entry.store_name, entry.level, index, entry.checksums[index]
+            )
+            if frag.payload is None:
+                raise CorruptFragmentError(
+                    f"fragment {index} on system {system_id} has no payload"
                 )
             return frag.payload
 
-        out = self.retry_policy.call(attempt, retry_on=_READ_ERRORS)
+        out = self.retry_policy.call(attempt, retry_on=FRAGMENT_ERRORS)
         report.read_attempts += out.attempts
         report.read_bytes += float(entry.nbytes[index]) * out.attempts
         for _ in range(out.attempts):
@@ -442,7 +439,7 @@ class RepairEngine:
             len(blob), blob, checksum=entry.checksums[index],
         )
         out = self.retry_policy.call(
-            lambda: self.cluster[target].put(frag), retry_on=_READ_ERRORS
+            lambda: self.cluster[target].put(frag), retry_on=FRAGMENT_ERRORS
         )
         # Whatever the attempts left on the target — the fragment, a
         # torn prefix of it, the old copy — is what the pass now sees.

@@ -28,15 +28,12 @@ from dataclasses import asdict, dataclass, field
 
 from ..chaos.retry import RetryPolicy
 from ..storage.cluster import Inventory
-from ..storage.system import CorruptFragmentError, UnavailableError
+from ..storage.system import FRAGMENT_ERRORS, UnavailableError
 from .ledger import DurabilityLedger, LedgerEntry
 
 __all__ = ["Scrubber", "ScrubReport", "Damage"]
 
 CURSOR_KEY = b"scrub/cursor"
-
-#: Everything a single fragment read may fail with on the scrub path.
-_READ_ERRORS = (KeyError, ValueError, OSError, RuntimeError)
 
 
 @dataclass(frozen=True)
@@ -254,19 +251,12 @@ class Scrubber:
         Returns ``(None, "")`` when clean, else ``(kind, detail)``.
         """
         system = self.cluster[system_id]
-
-        def attempt():
-            frag = system.get(entry.store_name, entry.level, index)
-            if frag.payload is not None and not frag.verify(
-                entry.checksums[index]
-            ):
-                raise CorruptFragmentError(
-                    f"fragment {index} of level {entry.level} does not "
-                    "match the ledger checksum"
-                )
-            return frag
-
-        out = self.retry_policy.call(attempt, retry_on=_READ_ERRORS)
+        out = self.retry_policy.call(
+            lambda: system.get_verified(
+                entry.store_name, entry.level, index, entry.checksums[index]
+            ),
+            retry_on=FRAGMENT_ERRORS,
+        )
         report.read_attempts += out.attempts
         report.read_bytes += float(entry.nbytes[index]) * out.attempts
         if out.ok:

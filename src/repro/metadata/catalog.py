@@ -34,6 +34,7 @@ import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from ..ec.codec import encoded_fragment_len
 from .kvstore import KVStore
 
 __all__ = [
@@ -99,6 +100,34 @@ class ObjectRecord:
 
     def level_storage_name(self, level: int) -> str:
         return level_storage_name(self.name, self.generations[level])
+
+    def tile_table(self) -> tuple[list[tuple[int, int]], list, list]:
+        """The object's axis-0 tile table ``(tiles, plans, chunks)``.
+
+        ``tiles[t]`` are tile ``t``'s plane bounds, ``plans[t]`` its level
+        plans, and ``chunks[j][t]`` the byte length of its independently
+        encoded chunk inside every fragment of level ``j`` (fragment ``i``
+        of a level is the concatenation over tiles of those chunks).
+        Multi-tile prepares store the table under ``extra["procpipe"]``;
+        a record without one *is* the one-tile table — the whole extent,
+        ``extra["plans"]``, one chunk per fragment — derived here and
+        nowhere else, so every reader and re-encoder sees one layout.
+        """
+        pp = self.extra.get("procpipe")
+        if pp is not None:
+            tiles = [(int(lo), int(hi)) for lo, hi in pp["tiles"]]
+            return tiles, pp["plans"], pp["chunks"]
+        chunks = [
+            [encoded_fragment_len(self.n_systems - m, size)]
+            for m, size in zip(self.ft_config, self.level_sizes)
+        ]
+        return [(0, int(self.shape[0]))], [self.extra["plans"]], chunks
+
+    def set_chunks(self, level: int, chunks: list[int]) -> None:
+        """Store a re-encoded level's chunk lengths (derived, so not
+        stored, on a one-tile record)."""
+        if "procpipe" in self.extra:
+            self.extra["procpipe"]["chunks"][level] = list(chunks)
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(ObjectRecord))

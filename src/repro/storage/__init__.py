@@ -16,6 +16,7 @@ from .placement import (
     rebalance_moves,
 )
 from .system import (
+    FRAGMENT_ERRORS,
     CorruptFragmentError,
     StorageSystem,
     StoredFragment,
@@ -36,6 +37,7 @@ __all__ = [
     "StoredFragment",
     "UnavailableError",
     "CorruptFragmentError",
+    "FRAGMENT_ERRORS",
     "BernoulliFailureModel",
     "CorrelatedFailureModel",
     "MaintenanceSchedule",

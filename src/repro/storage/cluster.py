@@ -201,21 +201,25 @@ class StorageCluster:
 
     def fetch(
         self, object_name: str, level: int, index: int,
-        *, home: int | None = None,
+        *, home: int | None = None, crc: int | None = None,
     ) -> StoredFragment:
-        """Fetch a fragment with one ``get`` on ``home``, the system the
-        caller's record places it on.  Only when there is no home, or it
-        is down or no longer holds the fragment, are the other available
-        systems scanned, in id order, for a copy."""
+        """Fetch a fragment with one verified read
+        (:meth:`~repro.storage.system.StorageSystem.get_verified` against
+        ``crc``, the checksum the caller's record committed) on
+        ``home``, the system that record places it on.  Only when there
+        is no home, or it is down or no longer holds the fragment, are
+        the other available systems scanned, in id order, for a copy."""
         if home is not None:
             try:
-                return self.systems[home].get(object_name, level, index)
+                return self.systems[home].get_verified(
+                    object_name, level, index, crc
+                )
             except (KeyError, UnavailableError):
                 pass
         for s in self.systems:
             if (s.system_id != home and s.available
                     and s.has(object_name, level, index)):
-                return s.get(object_name, level, index)
+                return s.get_verified(object_name, level, index, crc)
         raise KeyError(
             f"fragment ({object_name!r}, level {level}, index {index}) "
             "not reachable on any available system"

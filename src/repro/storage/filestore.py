@@ -41,7 +41,9 @@ from ..formats.container import (
     write_fragment_file,
 )
 from .cluster import Inventory, StorageCluster
-from .system import CorruptFragmentError, StoredFragment, UnavailableError
+from .system import (
+    CorruptFragmentError, StorageSystem, StoredFragment, UnavailableError,
+)
 
 __all__ = ["FileStorageSystem", "FileStorageCluster"]
 
@@ -180,6 +182,8 @@ class FileStorageSystem:
             attrs["object_name"], attrs["level"], attrs["index"],
             len(payload), payload, checksum=expected, verified_crc=crc,
         )
+
+    get_verified = StorageSystem.get_verified
 
     def has(self, object_name: str, level: int, index: int) -> bool:
         return self.stored_size(object_name, level, index) is not None

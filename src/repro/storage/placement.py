@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import StorageCluster
+from .system import FRAGMENT_ERRORS
 
 __all__ = [
     "CapacityTracker",
@@ -258,7 +259,7 @@ def apply_moves(
     for (obj, level, index), src, dst in moves:
         try:
             frag = cluster[src].get(obj, level, index)
-        except (KeyError, ValueError, OSError, RuntimeError):
+        except FRAGMENT_ERRORS:
             continue
         cluster[dst].put(frag)
         cluster[src].delete(obj, level, index)

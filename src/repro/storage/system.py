@@ -16,11 +16,18 @@ from dataclasses import dataclass, field
 from ..formats import crc32
 
 __all__ = [
+    "FRAGMENT_ERRORS",
     "StorageSystem",
     "StoredFragment",
     "UnavailableError",
     "CorruptFragmentError",
 ]
+
+#: Everything one fragment read or write may fail with: absent
+#: (``KeyError``), unreadable (``ValueError``, ``OSError``), down
+#: (:class:`UnavailableError`) or corrupt (:class:`CorruptFragmentError`)
+#: — the erasure every reader retries and then routes around.
+FRAGMENT_ERRORS = (KeyError, ValueError, OSError, RuntimeError)
 
 
 @dataclass
@@ -143,6 +150,21 @@ class StorageSystem:
             frag.verified_crc = crc
         return frag
 
+    def get_verified(
+        self, object_name: str, level: int, index: int, crc: int | None,
+    ) -> StoredFragment:
+        """:meth:`get`, then :class:`CorruptFragmentError` unless the
+        payload matches ``crc``, the checksum the caller's record
+        committed (reusing the read's CRC).  Size-only fragments and
+        ``crc=None`` are returned as read."""
+        frag = self.get(object_name, level, index)
+        if crc is not None and frag.payload is not None and not frag.verify(crc):
+            raise CorruptFragmentError(
+                f"fragment ({object_name!r}, level {level}, index {index}) "
+                f"on system {self.name} does not match its recorded checksum"
+            )
+        return frag
+
     def has(self, object_name: str, level: int, index: int) -> bool:
         return self.stored_size(object_name, level, index) is not None
 
@@ -190,8 +212,8 @@ class UnavailableError(RuntimeError):
 class CorruptFragmentError(RuntimeError):
     """A fragment payload no longer matches its recorded checksum.
 
-    Subclasses :class:`RuntimeError` so the restoration pipeline's
-    erasure handling (``_FETCH_ERRORS``) absorbs it like any other
+    Subclasses :class:`RuntimeError` so every reader's erasure handling
+    (:data:`FRAGMENT_ERRORS`) absorbs it like any other
     per-fragment loss; the scrubber catches it explicitly to classify
     at-rest damage as ``corrupt``.
     """

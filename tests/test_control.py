@@ -12,11 +12,14 @@ The two load-bearing guarantees proven here:
   mid-migration — every level of the object stays recoverable.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
 from repro.control import (
     DriftPolicy,
     LiveMigrator,
@@ -24,12 +27,20 @@ from repro.control import (
     level_recoverable,
     safety_breaches,
 )
+from repro.control.migration import CHECKPOINTS
 from repro.control.observer import AvailabilityEstimator, hot_objects, p_drift
 from repro.core import RAPIDS, FTProblem, heuristic, repair_configuration, warm_start
+from repro.formats import crc32
 from repro.metadata import MetadataCatalog, level_storage_name
 from repro.refactor import Refactorer
-from repro.storage import StorageCluster
+from repro.storage import StorageCluster, StorageSystem, StoredFragment
 from repro.transfer import paper_bandwidth_profile
+
+#: Prepare keywords cutting ``smooth_field()``'s 17 planes into 4 axis-0
+#: tiles, run inline — the multi-tile layout every object of 32 MiB or
+#: more gets, at test size.
+TILED = dict(parallelism="process", processes=1, tile_planes=5)
+LAYOUTS = {"one-tile": {}, "tiled": TILED}
 
 
 def smooth_field(n=17, seed=0):
@@ -57,6 +68,12 @@ def stack(tmp_path):
     )
     yield rapids
     catalog.close()
+
+
+@pytest.fixture(params=sorted(LAYOUTS))
+def layout(request):
+    """Prepare keywords of each stored layout: one tile, four tiles."""
+    return LAYOUTS[request.param]
 
 
 # -- problem/incumbent strategies for the property suite -------------------
@@ -249,11 +266,11 @@ class TestLiveMigration:
             assert entry.store_name == sname
             assert entry.m == new[j] and entry.headroom == new[j]
 
-    def test_safety_invariant_at_every_checkpoint(self, stack):
+    def test_safety_invariant_at_every_checkpoint(self, stack, layout):
         """At each protocol step, every level tolerates up to its
         *current* m_j concurrent failures — probed by actually failing
         that many systems at the migrator's checkpoint seam."""
-        stack.prepare("obj", smooth_field())
+        stack.prepare("obj", smooth_field(), **layout)
         ref = stack.restore("obj", strategy="naive").data
         rec = stack.catalog.get_object("obj")
         new = [int(m) + 1 for m in rec.ft_config]
@@ -279,11 +296,11 @@ class TestLiveMigration:
         out = stack.restore("obj", strategy="naive")
         np.testing.assert_array_equal(out.data, ref)
 
-    def test_faults_injected_mid_migration_then_defer(self, stack):
+    def test_faults_injected_mid_migration_then_defer(self, stack, layout):
         """Failing systems *during* one level's migration leaves every
         level recoverable, and makes the next level defer (full
         placement or defer) until the systems return."""
-        stack.prepare("obj", smooth_field())
+        stack.prepare("obj", smooth_field(), **layout)
         ref = stack.restore("obj", strategy="naive").data
         rec = stack.catalog.get_object("obj")
         old = [int(m) for m in rec.ft_config]
@@ -326,14 +343,70 @@ class TestLiveMigration:
         assert [int(m) for m in rec2.ft_config] == [int(m) for m in rec.ft_config]
         assert rec2.generations == [0] * len(new)
 
-    def test_procpipe_objects_refused(self, stack):
-        stack.prepare("obj", smooth_field())
+    def test_tiled_object_migrates_up_and_back(self, stack):
+        """A 4-tile object re-encodes per (level, tile): every restore
+        taken at a checkpoint, up and back, is bit-identical to the one
+        before the migration, and migrating back to the original ladder
+        writes the original fragments again."""
+        stack.prepare("obj", smooth_field(), **TILED)
+        ref = stack.restore("obj", strategy="naive").data
         rec = stack.catalog.get_object("obj")
-        rec.extra["procpipe"] = {"tiled": True}
-        stack.catalog.put_object(rec)
-        new = [int(m) + 1 for m in rec.ft_config]
-        with pytest.raises(ValueError, match="tiled"):
-            LiveMigrator(stack).migrate("obj", new)
+        assert len(rec.tile_table()[0]) == 4
+        old = [int(m) for m in rec.ft_config]
+        seen = []
+
+        def probe(stage, level):
+            seen.append(stage)
+            out = stack.restore("obj", strategy="naive")
+            assert out.levels_used == len(old) and out.degraded is None
+            np.testing.assert_array_equal(out.data, ref)
+
+        mig = LiveMigrator(stack)
+        assert mig.migrate("obj", [m + 1 for m in old], checkpoint=probe).complete
+        up = stack.catalog.get_object("obj")
+        assert up.tile_table()[2] != rec.tile_table()[2]
+        assert mig.migrate("obj", old, checkpoint=probe).complete
+        back = stack.catalog.get_object("obj")
+        assert seen == list(CHECKPOINTS) * (2 * len(old))
+        assert back.generations == [2] * len(old)
+        assert back.tile_table() == rec.tile_table()
+        assert back.checksums == rec.checksums
+        np.testing.assert_array_equal(
+            stack.restore("obj", strategy="naive").data, ref
+        )
+
+    def test_reads_recorded_home_past_stale_copies(self, stack, monkeypatch):
+        """Sources come from the system the record places them on, one
+        ``get`` each: self-consistent copies with the wrong bytes on
+        lower-id systems (for m + 1 indices, enough to leave fewer than
+        k clean if they were read) do not hide the clean ones."""
+        stack.prepare("obj", smooth_field())
+        ref = stack.restore("obj", strategy="naive").data
+        rec = stack.catalog.get_object("obj")
+        n, m0 = stack.cluster.n, int(rec.ft_config[0])
+        for i in range(1, m0 + 2):
+            bad = bytes(rec.fragment_sizes[0][i])
+            assert crc32(bad) != rec.checksums[0][i]
+            stack.cluster[i - 1].put(
+                StoredFragment("obj", 0, i, len(bad), bad, checksum=crc32(bad))
+            )
+        gets = []
+        real_get = StorageSystem.get
+
+        def counting_get(system, name, level, index):
+            if name == "obj":
+                gets.append((system.system_id, level, index))
+            return real_get(system, name, level, index)
+
+        monkeypatch.setattr(StorageSystem, "get", counting_get)
+        new = [m0 + 1] + [int(m) for m in rec.ft_config[1:]]
+        report = LiveMigrator(stack).migrate("obj", new)
+        assert report.steps[0].action == "migrated", report.steps
+        assert gets == [(i, 0, i) for i in range(n - m0)]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            stack.restore("obj", strategy="naive").data, ref
+        )
 
     def test_invalid_targets_rejected(self, stack):
         stack.prepare("obj", smooth_field())
@@ -369,6 +442,37 @@ class TestReconfigOperator:
             op.step(epoch, [0, 1, 2, 3, 4] if epoch < 8 else [])
         reconfigs = [e for e in op.events if e["action"] == "reconfigure"]
         assert reconfigs, "drift this large must trigger a re-solve"
+
+    def test_drift_reconfigures_tiled_objects(self, stack):
+        stack.prepare("obj", smooth_field(), **TILED)
+        policy = DriftPolicy(p_abs=0.02, cooldown_epochs=0, scrub_every=0)
+        op = ReconfigOperator(stack, policy=policy)
+        for epoch in range(12):
+            op.step(epoch, [0, 1, 2, 3, 4] if epoch < 8 else [])
+        entries = [
+            entry for e in op.events if e["action"] == "reconfigure"
+            for entry in e["migrations"]
+        ]
+        assert entries and all(e["object"] == "obj" for e in entries)
+        assert safety_breaches(stack, "obj") == []
+
+    def test_cli_plans_tiled_objects(self, tmp_path, capsys):
+        np.save(tmp_path / "f.npy", smooth_field())
+        ws = str(tmp_path / "ws")
+        assert cli_main([
+            "prepare", str(tmp_path / "f.npy"), "obj", "--workspace", ws,
+            "--parallelism", "process", "--workers", "1",
+            "--tile-planes", "5",
+        ]) == 0
+        with MetadataCatalog(f"{ws}/metadata") as catalog:
+            assert len(catalog.get_object("obj").tile_table()[0]) == 4
+        capsys.readouterr()
+        assert cli_main(
+            ["reconfigure", "--workspace", ws, "--dry-run", "--json"]
+        ) == 0
+        (entry,) = json.loads(capsys.readouterr().out)
+        assert entry["object"] == "obj" and "skipped" not in entry
+        assert entry["to"] and entry["from"]
 
     def test_second_pass_plans_zero_moves(self, stack):
         """Idempotence: under unchanged parameters, re-planning returns

@@ -472,6 +472,22 @@ class TestUnverifiedPayload:
         )
         assert findings == []
 
+    def test_negative_verified_read_in_scope(self):
+        # the storage layer's verified reads check the record's CRC; a
+        # fetch without ``crc=`` does not (the positive case above)
+        findings = lint(
+            """
+            import numpy as np
+            def home_read(cluster, name, level, idx, home, crc):
+                frag = cluster.fetch(name, level, idx, home=home, crc=crc)
+                return np.frombuffer(frag.payload, dtype=np.uint8)
+            def at_rest(system, name, level, idx, crc):
+                return system.get_verified(name, level, idx, crc).payload
+            """,
+            select=["RPD111"],
+        )
+        assert findings == []
+
     def test_negative_none_comparison_only(self):
         findings = lint(
             """

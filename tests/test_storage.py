@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.formats import crc32
 from repro.storage import (
     BernoulliFailureModel,
     CorrelatedFailureModel,
+    CorruptFragmentError,
     MaintenanceSchedule,
     StorageCluster,
     StoredFragment,
@@ -105,6 +107,24 @@ class TestCluster:
         assert cluster.fetch("obj", 0, 0).payload == b"a"
         with pytest.raises(KeyError):
             cluster.fetch("obj", 0, 1)
+
+    def test_fetch_reads_home_verified(self, cluster):
+        """One verified read on the recorded home; a copy elsewhere is
+        read only when the home no longer holds the fragment."""
+        cluster.place_level("obj", 0, [b"a", b"b", b"c"])
+        stale = StoredFragment("obj", 0, 2, 1, b"z", checksum=crc32(b"z"))
+        cluster[0].put(stale)
+        assert cluster.fetch("obj", 0, 2, home=2, crc=crc32(b"c")).payload == b"c"
+        with pytest.raises(CorruptFragmentError, match="recorded checksum"):
+            cluster.fetch("obj", 0, 2, crc=crc32(b"c"))  # scans from id 0
+        cluster[2].delete("obj", 0, 2)
+        with pytest.raises(CorruptFragmentError):
+            cluster.fetch("obj", 0, 2, home=2, crc=crc32(b"c"))
+
+    def test_get_verified_size_only_returned_as_read(self, cluster):
+        cluster.place_level("sim", 0, [10, 10])
+        frag = cluster[1].get_verified("sim", 0, 1, crc32(b"x"))
+        assert frag.payload is None and frag.nbytes == 10
 
 
 class TestFailureModels:
