@@ -11,7 +11,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Tier-1 tests with the runtime thread sanitizer shadow-tracking every
-# pooled thread_map callable (see repro/analysis/sanitizer.py).
+# pooled thread_map callable (see repro/parallel/sanitizer.py).
 test-sanitized:
 	RAPIDS_THREAD_SANITIZER=1 $(PYTHON) -m pytest tests/
 
@@ -31,9 +31,9 @@ fuzz:
 loc:
 	@find src -name '*.py' -print0 | xargs -0 cat | grep -cvE '^[[:space:]]*(#|$$)'
 
-# rapidslint: project-specific static analysis (rules RPD101-RPD117,
-# including the whole-program call-graph/CFG rules).  Fails on any
-# non-suppressed finding; suppressions need justifications.
+# rapidslint: project-specific static analysis (14 per-file rules,
+# RPD101-RPD117).  Fails on any non-suppressed finding; suppressions
+# need justifications.
 lint:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.cli lint src tests benchmarks examples
 

@@ -31,15 +31,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .callgraph import CallGraph, ModuleSummary, summarize_module
-
 __all__ = [
     "Severity",
     "Finding",
     "Rule",
-    "ProjectRule",
     "ModuleContext",
-    "ProjectContext",
     "Analyzer",
     "register",
     "all_rules",
@@ -118,19 +114,6 @@ class ModuleContext:
         return any(f in self.posix_path for f in fragments)
 
 
-class ProjectContext:
-    """Everything a whole-program rule needs: every module's extracted
-    :class:`~repro.analysis.callgraph.ModuleSummary` plus the linked
-    :class:`~repro.analysis.callgraph.CallGraph`.
-
-    Project rules see *summaries*, never ASTs.
-    """
-
-    def __init__(self, summaries: dict[str, ModuleSummary]) -> None:
-        self.summaries = summaries
-        self.graph = CallGraph(summaries.values())
-
-
 class Rule:
     """Base class for rapidslint rules.
 
@@ -157,34 +140,6 @@ class Rule:
             path=module.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
-            message=message,
-        )
-
-
-class ProjectRule(Rule):
-    """Base class for whole-program rules.
-
-    Instead of :meth:`check` (which is a no-op for these), subclasses
-    implement :meth:`check_project` over a :class:`ProjectContext`.
-    Findings still carry a concrete file/line so suppressions work the
-    same way as for local rules.
-    """
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(
-        self, path: str, line: int, message: str, col: int = 0
-    ) -> Finding:
-        return Finding(
-            rule_id=self.rule_id,
-            severity=self.severity,
-            path=path,
-            line=line,
-            col=col,
             message=message,
         )
 
@@ -286,15 +241,6 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterator[Path]:
             yield c
 
 
-@dataclass
-class _FileResult:
-    """Raw (pre-selection, pre-suppression) analysis of one file."""
-
-    path: str
-    meta: list[Finding]          # RPD100 problems: syntax errors, bad disables
-    raw: list[Finding]           # every local rule's findings, unfiltered
-    suppressions: list[_Suppression]
-    summary: ModuleSummary | None
 
 
 class Analyzer:
@@ -303,12 +249,6 @@ class Analyzer:
     ``select`` restricts to the given rule ids; by default every
     registered rule runs.  Unused suppressions are reported (as
     :data:`META_RULE_ID` warnings) so stale disables cannot accumulate.
-
-    The driver always *computes* with every registered rule and applies
-    ``select`` when combining results.  Whole-program rules
-    (:class:`ProjectRule`) run over the linked module summaries after
-    the per-file pass; their findings flow through the same per-file
-    suppression machinery.
     """
 
     def __init__(
@@ -318,8 +258,7 @@ class Analyzer:
         select: Sequence[str] | None = None,
         report_unused_suppressions: bool = True,
     ) -> None:
-        self._all = list(rules) if rules is not None else all_rules()
-        self.rules = list(self._all)
+        self.rules = list(rules) if rules is not None else all_rules()
         if select is not None:
             wanted = set(select)
             unknown = wanted - {r.rule_id for r in self.rules}
@@ -328,176 +267,56 @@ class Analyzer:
             self.rules = [r for r in self.rules if r.rule_id in wanted]
         self.report_unused_suppressions = report_unused_suppressions
 
-    # -- per-file raw pass -------------------------------------------------
-
-    def _analyze_one(self, source: str, path: str) -> _FileResult:
+    def check_source(
+        self, source: str, path: str | Path = "<string>"
+    ) -> list[Finding]:
+        """Analyze one source string (the unit-test entry point)."""
+        path = str(path)
         try:
             tree = ast.parse(source)
         except SyntaxError as exc:
-            return _FileResult(
-                path=path,
-                meta=[
-                    Finding(
-                        META_RULE_ID,
-                        Severity.ERROR,
-                        path,
-                        exc.lineno or 1,
-                        exc.offset or 0,
-                        f"syntax error: {exc.msg}",
-                    )
-                ],
-                raw=[],
-                suppressions=[],
-                summary=None,
-            )
-        module = ModuleContext(path, source, tree)
-        suppressions, problems = _parse_suppressions(module)
-        raw: list[Finding] = []
-        for rule in self._all:
-            if isinstance(rule, ProjectRule):
-                continue
-            raw.extend(rule.check(module))
-        return _FileResult(
-            path=path,
-            meta=problems,
-            raw=raw,
-            suppressions=suppressions,
-            summary=summarize_module(module.posix_path, tree),
-        )
-
-    def _project_findings(
-        self, results: Sequence[_FileResult]
-    ) -> list[Finding]:
-        project_rules = [r for r in self._all if isinstance(r, ProjectRule)]
-        if not project_rules:
-            return []
-        summaries = {
-            r.summary.path: r.summary for r in results if r.summary is not None
-        }
-        if not summaries:
-            return []
-        project = ProjectContext(summaries)
-        findings: list[Finding] = []
-        for rule in project_rules:
-            findings.extend(rule.check_project(project))
-        return findings
-
-    # -- combining ---------------------------------------------------------
-
-    def _combine(
-        self,
-        results: Sequence[_FileResult],
-        project_findings: Sequence[Finding],
-    ) -> list[Finding]:
-        active = {r.rule_id for r in self.rules}
-        by_path: dict[str, list[Finding]] = {}
-        for f in project_findings:
-            if f.rule_id in active:
-                by_path.setdefault(f.path, []).append(f)
-        out: list[Finding] = []
-        known_paths = set()
-        for res in results:
-            known_paths.add(res.path)
-            if res.summary is not None:
-                known_paths.add(res.summary.path)
-            findings = list(res.meta)
-            candidates = [f for f in res.raw if f.rule_id in active]
-            candidates += by_path.get(res.path, [])
-            if res.summary is not None and res.summary.path != res.path:
-                candidates += by_path.get(res.summary.path, [])
-            for f in candidates:
-                hit = next(
-                    (s for s in res.suppressions if s.matches(f)), None
+            return [
+                Finding(
+                    META_RULE_ID, Severity.ERROR, path,
+                    exc.lineno or 1, exc.offset or 0,
+                    f"syntax error: {exc.msg}",
                 )
+            ]
+        module = ModuleContext(path, source, tree)
+        suppressions, findings = _parse_suppressions(module)
+        for rule in self.rules:
+            for f in rule.check(module):
+                hit = next((s for s in suppressions if s.matches(f)), None)
                 if hit is not None:
                     hit.used = True
                 else:
                     findings.append(f)
-            if self.report_unused_suppressions:
-                for s in res.suppressions:
-                    if not s.used and set(s.rules) & active:
-                        findings.append(
-                            Finding(
-                                META_RULE_ID,
-                                Severity.WARNING,
-                                res.path,
-                                s.line,
-                                0,
-                                "unused suppression for "
-                                + ", ".join(s.rules)
-                                + " — remove it",
-                            )
-                        )
-            findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-            out.extend(findings)
-        # A project rule may (rarely) blame a path outside the analyzed
-        # set, e.g. a missing declaration file; don't drop those.
-        for f in project_findings:
-            if f.rule_id in active and f.path not in known_paths:
-                out.append(f)
-        return out
-
-    # -- public entry points -----------------------------------------------
-
-    def check_source(
-        self, source: str, path: str | Path = "<string>"
-    ) -> list[Finding]:
-        """Analyze one source string (the unit-test entry point).
-
-        Whole-program rules run too, over a single-module project — so a
-        fixture exercising RPD113-RPD116 works through the same helper
-        as the local rules.
-        """
-        return self.check_sources({str(path): source})
-
-    def check_sources(self, sources: dict[str, str]) -> list[Finding]:
-        """Analyze a dict of ``path -> source`` as one project."""
-        results = [
-            self._analyze_one(src, path) for path, src in sources.items()
-        ]
-        return self._combine(results, self._project_findings(results))
+        if self.report_unused_suppressions:
+            active = {r.rule_id for r in self.rules}
+            findings += [
+                Finding(
+                    META_RULE_ID, Severity.WARNING, path, s.line, 0,
+                    "unused suppression for " + ", ".join(s.rules)
+                    + " — remove it",
+                )
+                for s in suppressions
+                if not s.used and set(s.rules) & active
+            ]
+        findings.sort(key=lambda f: (f.line, f.col, f.rule_id))
+        return findings
 
     def check_file(self, path: str | Path) -> list[Finding]:
-        source = Path(path).read_text(encoding="utf-8")
-        return self.check_source(source, str(path))
-
-    def check_paths(
-        self,
-        paths: Sequence[str | Path],
-        *,
-        restrict_to: set[str] | None = None,
-    ) -> list[Finding]:
-        """Analyze files/directories.
-
-        ``restrict_to`` (posix paths) filters which files' findings are
-        *reported*; everything is still analyzed so whole-program rules
-        see the full project (``rapids lint --changed``).
-        """
-        results: list[_FileResult] = []
-        for f in iter_python_files(paths):
-            path = str(f)
-            try:
-                source = Path(f).read_text(encoding="utf-8")
-            except OSError as exc:
-                results.append(
-                    _FileResult(
-                        path=path,
-                        meta=[
-                            Finding(
-                                META_RULE_ID, Severity.ERROR, path, 1, 0,
-                                f"cannot read file: {exc}",
-                            )
-                        ],
-                        raw=[], suppressions=[], summary=None,
-                    )
+        try:
+            source = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            return [
+                Finding(
+                    META_RULE_ID, Severity.ERROR, str(path), 1, 0,
+                    f"cannot read file: {exc}",
                 )
-                continue
-            results.append(self._analyze_one(source, path))
-        project_findings = self._project_findings(results)
-        findings = self._combine(results, project_findings)
-        if restrict_to is not None:
-            findings = [
-                f for f in findings
-                if Path(f.path).as_posix() in restrict_to
             ]
-        return findings
+        return self.check_source(source, path)
+
+    def check_paths(self, paths: Sequence[str | Path]) -> list[Finding]:
+        """Analyze files/directories, one file at a time."""
+        return [f for p in iter_python_files(paths) for f in self.check_file(p)]

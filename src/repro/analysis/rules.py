@@ -16,7 +16,8 @@ RPD102    ec-astype-copy           ``.astype`` on an EC path without an
 RPD103    threadmap-shared-state   worker callables mutating closure /
                                    global / ``self`` state without a lock
 RPD104    solver-nondeterminism    ``time.time`` / unseeded or legacy RNG
-                                   inside solver & optimizer modules
+                                   inside solver, optimizer & placement
+                                   modules
 RPD105    broad-except             bare ``except`` or ``except Exception``
                                    that swallows instead of re-raising
 RPD106    all-drift                ``__all__`` out of sync with public defs
@@ -33,6 +34,10 @@ RPD112    procpool-callable        lambdas / nested functions / bound
                                    methods submitted to a
                                    ``ProcessPoolExecutor`` (not picklable
                                    by reference; break under ``spawn``)
+RPD115    chaos-site-coverage      raw I/O in a ``storage/`` / ``metadata/``
+                                   function that never consults the
+                                   ``FaultInjector``; consults of sites
+                                   missing from ``chaos.plan.SITES``
 RPD117    service-blocking-no-     unbounded blocking calls (queue get,
           deadline                 ``.wait()``, future ``.result()``,
                                    lock ``.acquire()``, fsync) inside
@@ -47,9 +52,9 @@ suppression comments.)
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
-from .dataflow import tainted_names
+from ..chaos.plan import SITES
 from .framework import Finding, ModuleContext, Rule, Severity, register
 
 __all__ = [
@@ -65,6 +70,7 @@ __all__ = [
     "UnlockedGlobalCacheRule",
     "UnverifiedPayloadRule",
     "ProcessPoolCallableRule",
+    "ChaosSeamRule",
     "ServiceBlockingNoDeadlineRule",
 ]
 
@@ -112,6 +118,53 @@ def _walk_scope(root: ast.AST) -> Iterator[ast.AST]:
         yield node
         if not isinstance(node, _SCOPES):
             stack.extend(ast.iter_child_nodes(node))
+
+
+def _tainted_names(
+    nodes: Iterable[ast.AST],
+    seeds: Callable[[ast.expr], bool],
+    *,
+    propagate: Callable[[ast.expr], bool] | None = None,
+    sanitizers: Callable[[ast.expr], bool] | None = None,
+) -> set[str]:
+    """Flow-insensitive taint fixpoint over the assignments in ``nodes``.
+
+    A name becomes tainted when it is assigned from an expression for
+    which ``seeds`` returns True, or which mentions an already-tainted
+    name.  ``propagate`` restricts which value-expression shapes carry
+    taint onward (default: any expression mentioning a tainted name);
+    ``sanitizers`` marks value expressions through which taint never
+    flows (e.g. ``x = bytes(x)`` laundering a field element back to raw
+    bytes).  Sanitized assignments simply add nothing, so the transfer
+    is monotone and the fixpoint terminates; taint flows through chains
+    regardless of statement order.
+    """
+    flows = [
+        (n.value, {t.id for tgt in n.targets for t in ast.walk(tgt)
+                   if isinstance(t, ast.Name)})
+        for n in nodes
+        if isinstance(n, ast.Assign)
+        and not (sanitizers is not None and sanitizers(n.value))
+    ]
+    tainted: set[str] = set()
+
+    def expr_tainted(expr: ast.expr) -> bool:
+        if seeds(expr):
+            return True
+        if propagate is not None and not propagate(expr):
+            return False
+        return any(
+            isinstance(n, ast.Name) and n.id in tainted for n in ast.walk(expr)
+        )
+
+    changed = True
+    while changed:
+        changed = False
+        for value, names in flows:
+            if not names <= tainted and expr_tainted(value):
+                tainted |= names
+                changed = True
+    return tainted
 
 
 @register
@@ -206,8 +259,7 @@ class GFRawArithRule(Rule):
     ) -> set[str]:
         """Names assigned (anywhere in the scope) from gf256 API calls,
         propagated to any fixpoint through names/subscripts of tainted
-        names — the generic :func:`repro.analysis.dataflow.tainted_names`
-        engine with gf256 calls as seeds."""
+        names — :func:`_tainted_names` with gf256 calls as seeds."""
         assigns = [
             n
             for n in _walk_scope(scope)
@@ -215,11 +267,10 @@ class GFRawArithRule(Rule):
             and len(n.targets) == 1
             and isinstance(n.targets[0], ast.Name)
         ]
-        return tainted_names(
-            scope,
+        return _tainted_names(
+            assigns,
             seeds=lambda v: self._is_gf_call(v, mods, fns),
             propagate=lambda v: isinstance(v, (ast.Subscript, ast.Name)),
-            stmts=assigns,
         )
 
 
@@ -482,7 +533,10 @@ class SolverNondeterminismRule(Rule):
     description = "time.time / unseeded or legacy RNG in solver code"
     rationale = "solver results must be replayable for debugging and benches"
 
-    _SCOPED = ("/optimize/", "core/ft_optimizer", "core/gathering")
+    _SCOPED = (
+        "/optimize/", "core/ft_optimizer", "core/gathering",
+        "storage/placement",
+    )
     _LEGACY_NP = {
         "rand", "randn", "randint", "random", "choice", "shuffle",
         "permutation", "seed", "uniform", "normal", "random_sample",
@@ -1110,6 +1164,97 @@ class ProcessPoolCallableRule(Rule):
             root = _root_name(target)
             if root == "self":
                 return f"bound method 'self.{target.attr}'"
+        return None
+
+
+@register
+class ChaosSeamRule(Rule):
+    """Raw I/O in the storage seams without a fault-injection consult.
+
+    The degraded-restore guarantees are tested only through the
+    :class:`~repro.chaos.injector.FaultInjector` seams, so every
+    function under ``storage/`` or ``metadata/`` that does raw file I/O
+    must consult the injector (``.check`` / ``.filter_payload`` /
+    ``.latency`` with a dotted site literal) in its own body; otherwise
+    the chaos suite can never fail that I/O.  Raw I/O is ``open``, the
+    ``os`` file calls, ``Path.read_*`` / ``write_*`` and the
+    ``formats.container`` fragment-file helpers.  Separately, a consult
+    anywhere for a site missing from :data:`repro.chaos.plan.SITES` can
+    never be scheduled by a plan.
+    """
+
+    rule_id = "RPD115"
+    name = "chaos-site-coverage"
+    severity = Severity.WARNING
+    description = "raw I/O in a storage seam without a FaultInjector consult"
+    rationale = "I/O outside injection seams escapes the chaos suite"
+
+    _SCOPED = ("/storage/", "/metadata/")
+    _OS_CALLS = {
+        "os.replace", "os.remove", "os.rename", "os.unlink", "os.fsync",
+    }
+    _LEAF_CALLS = {
+        "read_bytes", "write_bytes", "read_text", "write_text",
+        "read_fragment_header", "read_fragment_file", "write_fragment_file",
+    }
+    _CONSULTS = {"check", "filter_payload", "latency"}
+
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
+        scoped = module.in_package(*self._SCOPED)
+        for fn in ast.walk(module.tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            raw: list[tuple[ast.Call, str]] = []
+            consulted = False
+            for node in _walk_scope(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                site = self._site(node)
+                if site is not None:
+                    consulted = True
+                    if site not in SITES:
+                        yield self.finding(
+                            module, node,
+                            f"fault-injector consult for site {site!r} "
+                            "which is not declared in chaos/plan.py SITES — "
+                            "no chaos plan can ever schedule it",
+                        )
+                elif scoped and (io := self._raw_io(node)) is not None:
+                    raw.append((node, io))
+            if raw and not consulted:
+                node, io = min(
+                    raw, key=lambda r: (r[0].lineno, r[0].col_offset)
+                )
+                yield self.finding(
+                    module, node,
+                    f"raw I/O ({io}) in {fn.name!r} without a FaultInjector "
+                    "consult in the same function — route it through a "
+                    "site declared in chaos/plan.py so the chaos suite can "
+                    "exercise this seam",
+                )
+
+    def _site(self, call: ast.Call) -> str | None:
+        """The site literal of an injector consult, if ``call`` is one."""
+        if (
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr in self._CONSULTS
+            and call.args
+            and isinstance(call.args[0], ast.Constant)
+            and isinstance(call.args[0].value, str)
+            and "." in call.args[0].value
+        ):
+            return call.args[0].value
+        return None
+
+    def _raw_io(self, call: ast.Call) -> str | None:
+        func = call.func
+        if isinstance(func, ast.Name):
+            if func.id == "open" or func.id in self._LEAF_CALLS:
+                return func.id
+        elif isinstance(func, ast.Attribute):
+            chain = _attr_chain(func)
+            if chain in self._OS_CALLS or func.attr in self._LEAF_CALLS:
+                return chain or f".{func.attr}"
         return None
 
 

@@ -814,10 +814,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the rule registry and exit")
     ln.add_argument("--changed", nargs="?", const="HEAD", default=None,
                     metavar="BASE",
-                    help="only report findings for files changed vs the "
-                         "given git ref (default HEAD); the whole tree is "
-                         "still analyzed so interprocedural rules see "
-                         "every caller")
+                    help="lint only the files under the given paths "
+                         "that changed vs the given git ref (default HEAD)")
     ln.set_defaults(func=_cmd_lint)
 
     ch = sub.add_parser(

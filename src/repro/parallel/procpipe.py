@@ -464,11 +464,20 @@ class _FragmentSpool:
 
     def __init__(self, levels: int, n: int) -> None:
         self.dir = Path(tempfile.mkdtemp(prefix="procpipe-prepare-"))
-        self._files = [
-            # rapidslint: disable-next=RPD108 -- appended to across the whole run; closed in finish_writes/close
-            [open(self.dir / f"l{j}.f{i:03d}.chunk", "wb") for i in range(n)]
-            for j in range(levels)
-        ]
+        self._files: list[list] = []
+        try:
+            for j in range(levels):
+                self._files.append([])
+                for i in range(n):
+                    self._files[j].append(
+                        # rapidslint: disable-next=RPD108 -- appended to across the whole run; closed in finish_writes/close
+                        open(self.dir / f"l{j}.f{i:03d}.chunk", "wb")
+                    )
+        except BaseException:
+            # A failed open (out of descriptors, disk full) discards the
+            # half-built spool: nothing else would close what did open.
+            self.close()
+            raise
         self.crcs = [[0] * n for _ in range(levels)]
         self.spooled_bytes = 0
 

@@ -24,6 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
+from .sanitizer import SharedStateTracker, sanitizer_mode
+
 __all__ = [
     "auto_workers", "balanced_spans", "default_workers", "ordered_map",
     "thread_map",
@@ -108,10 +110,10 @@ def thread_map(
 
     When the ``RAPIDS_THREAD_SANITIZER`` environment variable is set,
     pooled maps run under the runtime thread sanitizer
-    (:mod:`repro.analysis.sanitizer`): the shared state reachable from
+    (:mod:`repro.parallel.sanitizer`): the shared state reachable from
     ``fn`` is shadow-tracked and any unsynchronized write observed
     during the map raises
-    :class:`~repro.analysis.sanitizer.ThreadSanitizerError`.
+    :class:`~repro.parallel.sanitizer.ThreadSanitizerError`.
     ``allow_shared_writes`` names objects (by closure/global/``self``
     name) the caller certifies are written at provably disjoint
     locations — e.g. disjoint row spans of a preallocated output array —
@@ -123,12 +125,8 @@ def thread_map(
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     tracker = None
-    from ..analysis.sanitizer import sanitizer_mode
-
     mode = sanitizer_mode()
     if mode is not None:
-        from ..analysis.sanitizer import SharedStateTracker
-
         tracker = SharedStateTracker(fn, allow=allow_shared_writes, mode=mode)
         fn = tracker.wrap()
     with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:

@@ -32,9 +32,6 @@ import os
 from pathlib import Path
 
 from ..formats import FormatError, crc32
-# From the module, not the package: rapidslint's call graph then ties
-# these raw reads and writes to the ``filestore.read`` / ``.write``
-# consults of get(), put() and fragment_keys().
 from ..formats.container import (
     read_fragment_file,
     read_fragment_header,

@@ -1,11 +1,13 @@
-"""Import floor: the runtime never loads SciPy.
+"""Import floor: the runtime never loads SciPy or the linter.
 
 Every availability number comes from one failure-count pmf
 (``core.heterogeneous.poisson_binomial_pmf``), so nothing the product
 runs needs SciPy, whose ``stats`` package alone is ~70 MiB resident and
-~1 s of import in every process.  The guard counts loaded modules in a
-fresh interpreter after the product's entry points have been imported
-and exercised once; it never reads the clock.
+~1 s of import in every process.  Nor does it need ``repro.analysis``
+(rapidslint), which only ``rapids lint`` imports.  The guard counts
+loaded modules in a fresh interpreter after the product's entry points
+have been imported and exercised once, a pooled ``thread_map``
+included; it never reads the clock.
 """
 
 import os
@@ -29,6 +31,7 @@ _DRIVE = textwrap.dedent(
     import repro.service
     from repro.core import RAPIDS, ProtectionPlanner, ProtectionRequirement
     from repro.metadata import MetadataCatalog
+    from repro.parallel import thread_map
     from repro.refactor import Refactorer
     from repro.storage import StorageCluster
     from repro.transfer import paper_bandwidth_profile
@@ -45,7 +48,9 @@ _DRIVE = textwrap.dedent(
         16, 0.01, rep.level_sizes, rep.level_errors, data.nbytes
     )
     planner.recommend(ProtectionRequirement(max_expected_error=1.0))
+    thread_map(abs, [-1, -2], workers=2)
     print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    print(sorted(m for m in sys.modules if m.startswith("repro.analysis")))
     """
 )
 
@@ -60,4 +65,8 @@ def test_product_never_loads_scipy(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]", f"SciPy loaded: {proc.stdout}"
+    scipy, linter = proc.stdout.splitlines()
+    assert scipy == "[]", f"SciPy loaded: {scipy}"
+    # The linter is a development tool: a pooled thread_map (whose
+    # sanitizer hook lives in repro.parallel) must not import it.
+    assert linter == "[]", f"linter loaded at runtime: {linter}"

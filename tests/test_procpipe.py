@@ -14,7 +14,10 @@ The engine's contract has three legs, each covered here:
    pipelined archival schedule respects its analytic bounds.
 """
 
+import contextlib
+import gc
 import os
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
 from pathlib import Path
@@ -76,6 +79,19 @@ def stored_bytes(pipeline, name, levels):
             frag = pipeline.cluster[i].get(name, j, i)
             out.append((j, i, frag.payload, frag.checksum))
     return out
+
+
+@contextlib.contextmanager
+def _no_unclosed_files():
+    """Fail if a file object opened in the block is garbage-collected
+    while still open (CPython reports that as a ``ResourceWarning``)."""
+    gc.collect()  # earlier garbage must not be blamed on the block
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
 
 
 class TestResolveMode:
@@ -156,8 +172,10 @@ class TestTileSource:
     def test_fortran_order_rejected(self, tmp_path):
         data = np.asfortranarray(field((8, 4, 4), np.float64))
         np.save(tmp_path / "f.npy", data)
-        with pytest.raises(ValueError, match="[Ff]ortran"):
-            TileSource(tmp_path / "f.npy")
+        # The rejected source must not leak the handle it opened.
+        with _no_unclosed_files():
+            with pytest.raises(ValueError, match="[Ff]ortran"):
+                TileSource(tmp_path / "f.npy")
 
     def test_too_few_planes_rejected(self):
         with pytest.raises(ValueError, match="planes"):
@@ -501,6 +519,20 @@ class TestArenaHygiene:
         with pytest.raises(OSError, match="running CRC"):
             p.prepare("obj", data, parallelism="process", processes=1,
                       tile_planes=4)
+
+    def test_spool_closes_opened_files_when_an_open_fails(
+        self, tmp_path, monkeypatch
+    ):
+        spool_dir = tmp_path / "spool"
+        # A directory where the third chunk file goes fails that open.
+        (spool_dir / "l0.f002.chunk").mkdir(parents=True)
+        monkeypatch.setattr(
+            procpipe.tempfile, "mkdtemp", lambda **kw: str(spool_dir)
+        )
+        with _no_unclosed_files():
+            with pytest.raises(OSError):
+                procpipe._FragmentSpool(2, 4)
+        assert not spool_dir.exists()
 
 
 class TestTiledLayout:

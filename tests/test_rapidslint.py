@@ -6,6 +6,7 @@ are analyzed as strings with a fake path, since several rules are
 path-scoped (EC / solver modules).
 """
 
+import ast
 import subprocess
 import sys
 import textwrap
@@ -13,10 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import META_RULE_ID, Analyzer, Severity, all_rules, get_rule
+from repro.analysis import (
+    META_RULE_ID,
+    Analyzer,
+    Severity,
+    all_rules,
+    get_rule,
+    run_lint,
+)
+from repro.analysis.rules import _tainted_names
 
 EC_PATH = "src/repro/ec/somemod.py"
 SOLVER_PATH = "src/repro/optimize/somesolver.py"
+PLACEMENT_PATH = "src/repro/storage/placement.py"
 
 
 def lint(source, *, path="src/repro/mod.py", select=None):
@@ -32,9 +42,11 @@ class TestRegistry:
     def test_at_least_eight_rules_registered(self):
         assert len(all_rules()) >= 8
 
-    def test_whole_program_rules_registered(self):
+    def test_registered_rule_ids(self):
         ids = {r.rule_id for r in all_rules()}
-        assert {"RPD113", "RPD114", "RPD115", "RPD116"} <= ids
+        assert ids == {f"RPD{n}" for n in range(101, 113)} | {
+            "RPD115", "RPD117"
+        }
 
     def test_rules_have_metadata(self):
         for rule in all_rules():
@@ -221,6 +233,24 @@ class TestSolverNondeterminism:
         findings = lint(
             "import time\ndef now():\n    return time.time()\n",
             path="src/repro/transfer/x.py",
+            select=["RPD104"],
+        )
+        assert findings == []
+
+    def test_positive_unseeded_rng_in_placement(self):
+        findings = lint(
+            "import numpy as np\ndef place(systems):\n"
+            "    return np.random.default_rng().permutation(systems)\n",
+            path=PLACEMENT_PATH,
+            select=["RPD104"],
+        )
+        assert rule_ids(findings) == ["RPD104"]
+
+    def test_negative_seeded_rng_in_placement(self):
+        findings = lint(
+            "import numpy as np\ndef place(systems, seed):\n"
+            "    return np.random.default_rng(seed).permutation(systems)\n",
+            path=PLACEMENT_PATH,
             select=["RPD104"],
         )
         assert findings == []
@@ -740,429 +770,150 @@ class TestProcessPoolCallable:
         assert lint(source, select=["RPD112"]) == []
 
 
-# ---------------------------------------------------------------------------
-# whole-program rules (RPD113-RPD116)
-
-
-def lint_project(sources, *, select=None):
-    """Analyze a dict of path -> source as one project."""
-    analyzer = Analyzer(select=select)
-    return analyzer.check_sources(
-        {p: textwrap.dedent(s) for p, s in sources.items()}
-    )
-
-
-class TestLockOrder:
-    def test_positive_direct_inversion(self):
-        findings = lint(
-            """
-            import threading
-
-            a_lock = threading.Lock()
-            b_lock = threading.Lock()
-
-            def one():
-                with a_lock:
-                    with b_lock:
-                        pass
-
-            def two():
-                with b_lock:
-                    with a_lock:
-                        pass
-            """,
-            select=["RPD113"],
-        )
-        assert rule_ids(findings) == ["RPD113"]
-        assert "inversion" in findings[0].message
-
-    def test_positive_transitive_self_deadlock(self):
-        findings = lint(
-            """
-            import threading
-
-            io_lock = threading.Lock()
-
-            def flush():
-                with io_lock:
-                    pass
-
-            def outer_op():
-                with io_lock:
-                    flush()
-            """,
-            select=["RPD113"],
-        )
-        assert rule_ids(findings) == ["RPD113"]
-        assert "self-deadlock" in findings[0].message
-
-    def test_positive_inversion_through_calls(self):
-        findings = lint(
-            """
-            import threading
-
-            a_lock = threading.Lock()
-            b_lock = threading.Lock()
-
-            def take_a():
-                with a_lock:
-                    pass
-
-            def take_b():
-                with b_lock:
-                    pass
-
-            def a_then_b():
-                with a_lock:
-                    take_b()
-
-            def b_then_a():
-                with b_lock:
-                    take_a()
-            """,
-            select=["RPD113"],
-        )
-        assert rule_ids(findings) == ["RPD113"]
-        assert "opposite order" in findings[0].message
-
-    def test_negative_consistent_order(self):
-        findings = lint(
-            """
-            import threading
-
-            a_lock = threading.Lock()
-            b_lock = threading.Lock()
-
-            def one():
-                with a_lock:
-                    with b_lock:
-                        pass
-
-            def two():
-                with a_lock:
-                    with b_lock:
-                        pass
-            """,
-            select=["RPD113"],
-        )
-        assert findings == []
-
-    def test_negative_disjoint_pairs(self):
-        findings = lint(
-            """
-            import threading
-
-            a_lock = threading.Lock()
-            b_lock = threading.Lock()
-            c_lock = threading.Lock()
-
-            def one():
-                with a_lock:
-                    with b_lock:
-                        pass
-
-            def two():
-                with c_lock:
-                    with a_lock:
-                        pass
-            """,
-            select=["RPD113"],
-        )
-        assert findings == []
-
-
-class TestResourceLifecycle:
-    def test_positive_lease_leaks_on_exception_path(self):
-        findings = lint(
-            """
-            def fill(arena, n):
-                buf = arena.lease(n)
-                buf.view()[0] = 1
-                arena.release(buf)
-            """,
-            select=["RPD114"],
-        )
-        assert rule_ids(findings) == ["RPD114"]
-        assert "exception path" in findings[0].message
-
-    def test_positive_shm_never_closed(self):
-        findings = lint(
-            """
-            from multiprocessing import shared_memory
-
-            def copy_out(name, sink):
-                shm = shared_memory.SharedMemory(name=name)
-                sink.write(shm.buf[:4])
-            """,
-            select=["RPD114"],
-        )
-        assert rule_ids(findings) == ["RPD114"]
-        assert "any path" in findings[0].message
-
-    def test_positive_init_handle_leaks_if_later_raise(self):
-        findings = lint(
-            """
-            class Reader:
-                def __init__(self, path):
-                    self._fh = open(path, "rb")
-                    self._magic = self._fh.read(4)
-            """,
-            select=["RPD114"],
-        )
-        assert rule_ids(findings) == ["RPD114"]
-        assert "__init__" in findings[0].message
-
-    def test_negative_released_in_finally(self):
-        findings = lint(
-            """
-            from multiprocessing import shared_memory
-
-            def read_one(name, sink):
-                shm = shared_memory.SharedMemory(name=name)
-                try:
-                    sink.write(shm.buf[:4])
-                finally:
-                    shm.close()
-            """,
-            select=["RPD114"],
-        )
-        assert findings == []
-
-    def test_negative_closure_lease_owned_by_enclosing_arena(self):
-        # A lease from a closure-captured arena is cleaned up by the
-        # enclosing function's with-block, not inside the closure.
-        findings = lint(
-            """
-            def make_filler(arena):
-                def fill(n):
-                    buf = arena.lease(n)
-                    buf.view()[0] = n
-                return fill
-            """,
-            select=["RPD114"],
-        )
-        assert findings == []
-
-    def test_negative_guarded_init_cleanup(self):
-        findings = lint(
-            """
-            class Reader:
-                def __init__(self, path):
-                    self._fh = open(path, "rb")
-                    try:
-                        self._magic = self._fh.read(4)
-                    except BaseException:
-                        self.close()
-                        raise
-
-                def close(self):
-                    self._fh.close()
-            """,
-            select=["RPD114"],
-        )
-        assert findings == []
-
-
-_PLAN_SRC = """
-SITES = frozenset({"storage.read", "storage.write"})
-"""
-
-
 class TestChaosCoverage:
-    PLAN = "src/repro/chaos/plan.py"
+    STORAGE = "src/repro/storage/blob.py"
 
-    def test_positive_unguarded_raw_io_in_storage_scope(self):
-        findings = lint_project(
-            {
-                self.PLAN: _PLAN_SRC,
-                "src/repro/storage/blob.py": """
-                def read_blob(path):
-                    with open(path, "rb") as fh:
-                        return fh.read()
-                """,
-            },
+    def test_positive_fragment_helper_without_consult(self):
+        # The shape of the one true positive the rule has found: a
+        # header read in a storage method that never consults the
+        # injector, so no chaos plan can fail it.
+        findings = lint(
+            """
+            from repro.formats.container import read_fragment_header
+
+            class FileSystem:
+                def fragment_keys(self):
+                    return [read_fragment_header(p) for p in self.paths()]
+            """,
+            path=self.STORAGE,
             select=["RPD115"],
         )
         assert rule_ids(findings) == ["RPD115"]
-        assert "raw I/O" in findings[0].message
-        assert findings[0].path == "src/repro/storage/blob.py"
+        assert "read_fragment_header" in findings[0].message
+        assert "'fragment_keys'" in findings[0].message
+
+    def test_positive_unguarded_raw_io_in_storage_scope(self):
+        findings = lint(
+            """
+            def read_blob(path):
+                with open(path, "rb") as fh:
+                    return fh.read()
+            """,
+            path="src/repro/metadata/blob.py",
+            select=["RPD115"],
+        )
+        assert rule_ids(findings) == ["RPD115"]
+        assert "raw I/O (open)" in findings[0].message
 
     def test_positive_undeclared_site_string(self):
-        findings = lint_project(
-            {
-                self.PLAN: _PLAN_SRC,
-                "src/repro/storage/blob.py": """
-                def write_blob(injector, path, data):
-                    injector.check("storage.flush", path=str(path))
-                    path.write_bytes(data)
-                """,
-            },
+        findings = lint(
+            """
+            def write_blob(injector, path, data):
+                injector.check("storage.flush", path=str(path))
+                path.write_bytes(data)
+            """,
+            path=self.STORAGE,
             select=["RPD115"],
         )
         assert rule_ids(findings) == ["RPD115"]
         assert "storage.flush" in findings[0].message
         assert "not declared" in findings[0].message
 
-    def test_negative_guarded_io(self):
-        findings = lint_project(
-            {
-                self.PLAN: _PLAN_SRC,
-                "src/repro/storage/blob.py": """
-                def read_blob(injector, path):
-                    injector.check("storage.read", path=str(path))
-                    with open(path, "rb") as fh:
-                        return fh.read()
-                """,
-            },
+    def test_positive_consult_only_in_a_helper(self):
+        # The consult must sit in the function that does the I/O: a
+        # helper's consult does not cover its caller's open.
+        findings = lint(
+            """
+            def _consult(injector, path):
+                injector.check("storage.read", path=str(path))
+
+            def read_blob(injector, path):
+                _consult(injector, path)
+                with open(path, "rb") as fh:
+                    return fh.read()
+            """,
+            path=self.STORAGE,
             select=["RPD115"],
         )
-        assert findings == []
+        assert rule_ids(findings) == ["RPD115"]
+        assert "'read_blob'" in findings[0].message
 
-    def test_negative_guard_in_direct_callee(self):
-        findings = lint_project(
-            {
-                self.PLAN: _PLAN_SRC,
-                "src/repro/storage/blob.py": """
-                def _consult(injector, path):
-                    injector.check("storage.read", path=str(path))
+    def test_negative_guarded_io(self):
+        findings = lint(
+            """
+            import os
 
-                def read_blob(injector, path):
-                    _consult(injector, path)
-                    with open(path, "rb") as fh:
-                        return fh.read()
-                """,
-            },
+            def replace_blob(injector, tmp, path):
+                injector.check("storage.write", path=str(path))
+                os.replace(tmp, path)
+            """,
+            path=self.STORAGE,
             select=["RPD115"],
         )
         assert findings == []
 
     def test_negative_io_outside_storage_seams(self):
-        findings = lint_project(
-            {
-                self.PLAN: _PLAN_SRC,
-                "src/repro/core/report.py": """
-                def dump(path, text):
-                    with open(path, "w") as fh:
-                        fh.write(text)
-                """,
-            },
-            select=["RPD115"],
-        )
-        assert findings == []
+        findings = lint(
+            """
+            from repro.formats.container import read_fragment_header
 
-    def test_negative_without_a_plan_module(self):
-        findings = lint_project(
-            {
-                "src/repro/storage/blob.py": """
-                def read_blob(path):
-                    with open(path, "rb") as fh:
-                        return fh.read()
-                """,
-            },
+            def dump(path, text):
+                with open(path, "w") as fh:
+                    fh.write(text)
+                return read_fragment_header(path)
+            """,
+            path="src/repro/core/report.py",
             select=["RPD115"],
         )
         assert findings == []
 
 
-class TestSolverReachability:
-    SOLVER = "src/repro/optimize/solver.py"
-
-    def test_positive_one_hop_wall_clock(self):
-        findings = lint_project(
-            {
-                "src/repro/core/timing.py": """
-                import time
-
-                def now_ms():
-                    return time.time() * 1000.0
-                """,
-                self.SOLVER: """
-                from repro.core.timing import now_ms
-
-                def solve(x):
-                    return now_ms() + x
-                """,
-            },
-            select=["RPD116"],
+class TestTaintedNames:
+    @staticmethod
+    def calls(name):
+        return lambda v: (
+            isinstance(v, ast.Call)
+            and isinstance(v.func, ast.Name)
+            and v.func.id == name
         )
-        assert rule_ids(findings) == ["RPD116"]
-        assert findings[0].path == self.SOLVER
-        assert "time.time" in findings[0].message
 
-    def test_positive_two_hop_unseeded_rng(self):
-        findings = lint_project(
-            {
-                "src/repro/core/noise.py": """
-                import numpy as np
-
-                def jitter(n):
-                    return np.random.rand(n)
-
-                def widen(n):
-                    return jitter(n)
-                """,
-                self.SOLVER: """
-                from repro.core.noise import widen
-
-                def place(n):
-                    return widen(n)
-                """,
-            },
-            select=["RPD116"],
+    def test_chain_propagates_regardless_of_order(self):
+        # y is assigned from x BEFORE x becomes tainted: the fixpoint
+        # must still catch it.
+        scope = ast.parse(
+            textwrap.dedent(
+                """
+                def f():
+                    y = x
+                    x = seed()
+                    z = y
+                """
+            )
         )
-        assert rule_ids(findings) == ["RPD116"]
-        assert "np.random.rand" in findings[0].message
-        assert "->" in findings[0].message  # rendered call chain
+        names = _tainted_names(ast.walk(scope), seeds=self.calls("seed"))
+        assert {"x", "y", "z"} <= names
 
-    def test_negative_direct_call_is_rpd104_territory(self):
-        findings = lint_project(
-            {
-                self.SOLVER: """
-                import time
-
-                def solve(x):
-                    return time.time() + x
-                """,
-            },
-            select=["RPD116"],
+    def test_sanitizer_blocks_flow_and_terminates(self):
+        # x = clean(x) must not keep x tainted forever (monotone
+        # transfer: sanitized assignments just add nothing).
+        scope = ast.parse(
+            textwrap.dedent(
+                """
+                def f():
+                    x = seed()
+                    y = clean(x)
+                    z = y
+                """
+            )
         )
-        assert findings == []
-
-    def test_negative_deterministic_helper(self):
-        findings = lint_project(
-            {
-                "src/repro/core/mathy.py": """
-                def scale(x):
-                    return x * 2.0
-                """,
-                self.SOLVER: """
-                from repro.core.mathy import scale
-
-                def solve(x):
-                    return scale(x)
-                """,
-            },
-            select=["RPD116"],
+        names = _tainted_names(
+            ast.walk(scope),
+            seeds=self.calls("seed"),
+            sanitizers=self.calls("clean"),
         )
-        assert findings == []
-
-    def test_negative_nondet_not_reachable_from_solver(self):
-        findings = lint_project(
-            {
-                "src/repro/core/timing.py": """
-                import time
-
-                def now_ms():
-                    return time.time() * 1000.0
-                """,
-                self.SOLVER: """
-                def solve(x):
-                    return x + 1
-                """,
-            },
-            select=["RPD116"],
-        )
-        assert findings == []
+        assert "x" in names
+        assert "y" not in names
+        assert "z" not in names
 
 
 # ---------------------------------------------------------------------------
@@ -1173,13 +924,34 @@ _DRIFTED = '__all__ = ["nope"]\n'
 
 
 class TestChangedFileScoping:
-    def test_restrict_to_filters_reported_findings(self, tmp_path):
+    def test_changed_base_lints_only_changed_files(
+        self, tmp_path, monkeypatch
+    ):
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        for name in ("a.py", "b.py"):
+            (tmp_path / name).write_text("X = 1\n")
+        git("init", "-q")
+        git("add", ".")
+        git("commit", "-q", "-m", "base")
+        # All three files have findings, but b.py's is committed: only
+        # a.py (modified) and new.py (untracked) differ from HEAD.
+        (tmp_path / "b.py").write_text(_DRIFTED)
+        git("commit", "-q", "-am", "drift b")
         (tmp_path / "a.py").write_text(_DRIFTED)
-        (tmp_path / "b.py").write_text(_DRIFTED)  # both files have findings
-        a_posix = (tmp_path / "a.py").as_posix()
-        findings = Analyzer().check_paths([tmp_path], restrict_to={a_posix})
-        assert findings
-        assert all(Path(f.path).as_posix() == a_posix for f in findings)
+        (tmp_path / "new.py").write_text(_DRIFTED)  # untracked counts
+        monkeypatch.chdir(tmp_path)
+        out = []
+        assert run_lint(["."], output=out.append, changed_base="HEAD") == 1
+        reported = {line.split(":")[0] for line in out[:-1]}
+        assert reported == {"a.py", "new.py"}
+        out.clear()
+        assert run_lint(["b.py"], output=out.append, changed_base="HEAD") == 0
+        assert out == []
 
 
 class TestServiceBlockingNoDeadline:

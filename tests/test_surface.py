@@ -30,7 +30,6 @@ KEPT = {
     # entry point / registered by import
     "cli": "pyproject.toml",
     "analysis.rules": "src/repro/analysis/__init__.py",
-    "analysis.wholeprog": "src/repro/analysis/__init__.py",
     # paper models, reproduced by their bench
     "core.baselines": "benchmarks/bench_table4_preparation.py",
     "core.related": "benchmarks/bench_related_zebra.py",

@@ -1,5 +1,5 @@
 """Tests for ``thread_map`` edge semantics and the runtime thread
-sanitizer (``repro.analysis.sanitizer``).
+sanitizer (``repro.parallel.sanitizer``).
 
 The edge-semantics section pins down the contract the EC pipeline
 relies on: order preservation, exception propagation identical to the
@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis.sanitizer import (
+from repro.parallel.sanitizer import (
     SANITIZER_ENV,
     ThreadSanitizerError,
     sanitizer_mode,
