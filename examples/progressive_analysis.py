@@ -20,7 +20,7 @@ import tempfile
 
 from repro import RAPIDS, MetadataCatalog, StorageCluster, relative_linf_error
 from repro.datasets import nyx_velocity
-from repro.refactor import Refactorer, RetrievalPlan, components_for_error
+from repro.refactor import Refactorer, RetrievalPlan
 from repro.transfer import paper_bandwidth_profile
 
 
@@ -36,7 +36,7 @@ def main() -> None:
 
     for target in (1e-1, 1e-2, 1e-3):
         try:
-            j = components_for_error(obj, target)
+            j = plan.components_needed(target)
         except ValueError:
             print(f"target {target:.0e}: unreachable at this plane budget")
             continue

@@ -16,7 +16,8 @@ import numpy as np
 from ..optimize import ACOSolver, GatheringModel
 
 __all__ = ["GatheringOutcome", "recoverable_levels", "random_strategy",
-           "naive_strategy", "optimized_strategy", "gathering_latency"]
+           "naive_strategy", "optimized_strategy", "gathering_latency",
+           "plan_retrieval"]
 
 
 @dataclass
@@ -27,6 +28,13 @@ class GatheringOutcome:
     levels_included: list[int]
     solver_time: float = 0.0
     objective_value: float = float("nan")
+
+    def prefix(self, count: int) -> "GatheringOutcome":
+        """The selection's first ``count`` levels (for Naive, whose
+        columns are independent, the plan it makes for ``count``)."""
+        return GatheringOutcome(
+            self.x[:, :count], self.levels_included[:count], self.solver_time
+        )
 
 
 def recoverable_levels(ms: list[int], failed: list[int], n: int) -> list[int]:
@@ -51,13 +59,13 @@ def _build_model(
     *,
     objective: str = "average",
     max_levels: int | None = None,
-) -> tuple[GatheringModel | None, list[int]]:
+) -> tuple[GatheringModel, list[int]]:
     n = len(bandwidths)
     levels = recoverable_levels(ms, failed, n)
     if max_levels is not None:
         levels = levels[:max_levels]
     if not levels:
-        return None, []
+        raise ValueError("no level is recoverable under these failures")
     available = np.ones(n, dtype=bool)
     available[list(set(failed))] = False
     model = GatheringModel(
@@ -83,8 +91,6 @@ def random_strategy(
     model, levels = _build_model(
         sizes, ms, bandwidths, failed or [], max_levels=max_levels
     )
-    if model is None:
-        raise ValueError("no level is recoverable under these failures")
     x = model.random_solution(np.random.default_rng(seed))
     return GatheringOutcome(x, levels, 0.0, model.evaluate(x))
 
@@ -101,8 +107,6 @@ def naive_strategy(
     model, levels = _build_model(
         sizes, ms, bandwidths, failed or [], max_levels=max_levels
     )
-    if model is None:
-        raise ValueError("no level is recoverable under these failures")
     x = model.naive_solution()
     return GatheringOutcome(x, levels, 0.0, model.evaluate(x))
 
@@ -131,8 +135,6 @@ def optimized_strategy(
         sizes, ms, bandwidths, failed or [], objective=objective,
         max_levels=max_levels,
     )
-    if model is None:
-        raise ValueError("no level is recoverable under these failures")
     warm = model.naive_solution()
     res = ACOSolver(seed=seed).solve(
         model, warm_start=warm, time_budget=time_budget,
@@ -163,3 +165,33 @@ def gathering_latency(
                 t = frag * per_system[i] / bandwidths[i]
                 worst = max(worst, t)
     return worst + outcome.solver_time
+
+
+def plan_retrieval(rec, failed, bandwidths: np.ndarray, *,
+                   target_error: float | None = None,
+                   seconds: float | None = None) -> int:
+    """How many leading levels of ``rec`` (an ``ObjectRecord``) a restore
+    gathers: the levels recoverable with ``failed`` down, cut at the
+    shortest prefix whose recorded error meets ``target_error`` (all of
+    them when none does; NaN or a target <= 0 raises ``ValueError``),
+    then at the deepest prefix whose §3.3 latency fits ``seconds`` —
+    :func:`gathering_latency` of one Naive plan, sliced per prefix.
+    """
+    # Imported here: repro.refactor imports repro.parallel, whose tile
+    # engine imports repro.refactor, so core must not import it first.
+    from ..refactor.retrieval import error_prefix
+
+    failed = sorted(set(failed))
+    count = len(recoverable_levels(rec.ft_config, failed, len(bandwidths)))
+    if target_error is not None:
+        count = min(count, error_prefix(rec.level_errors, target_error) or count)
+    if seconds is not None and count:
+        sizes = [float(s) for s in rec.level_sizes]
+        plan = naive_strategy(
+            sizes, rec.ft_config, bandwidths, failed, max_levels=count
+        )
+        while count and gathering_latency(
+            plan.prefix(count), sizes, rec.ft_config, bandwidths
+        ) > seconds:
+            count -= 1
+    return count

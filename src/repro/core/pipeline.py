@@ -15,7 +15,7 @@ import os
 import struct
 import time
 import zlib
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from itertools import count
 from pathlib import Path
@@ -33,7 +33,7 @@ from ..parallel import procpipe
 from ..parallel.threads import (
     auto_workers, default_workers, ordered_map, thread_map,
 )
-from ..refactor import Refactorer
+from ..refactor import Refactorer, error_prefix
 from ..storage import FRAGMENT_ERRORS, StorageCluster
 from ..storage.system import CorruptFragmentError, StoredFragment
 from ..transfer import phase_latency, pipelined_archival, refactored_distribution
@@ -45,8 +45,8 @@ from .gathering import (
     gathering_latency,
     naive_strategy,
     optimized_strategy,
+    plan_retrieval,
     random_strategy,
-    recoverable_levels,
 )
 
 __all__ = ["RAPIDS", "PrepareReport", "RestoreReport"]
@@ -121,6 +121,26 @@ class _FragmentList:
     def read_fragment(self, level: int, index: int) -> tuple[bytes, int]:
         blob = np.ascontiguousarray(self._levels[level][index]).tobytes()
         return blob, crc32(blob)
+
+
+@dataclass
+class _RestoreRun:
+    """One restore's state through its plan -> gather -> decode ->
+    reconstruct steps; ``outcome`` selects the planned level prefix."""
+
+    name: str
+    rec: ObjectRecord
+    outcome: GatheringOutcome
+    faults_before: int
+    failures: list[LevelFailure] = field(default_factory=list)
+    crc_erasures: list[int] = field(default_factory=list)
+    timings: dict[str, float] = field(default_factory=dict)
+
+    @contextmanager
+    def timed(self, stage: str):
+        t0 = time.perf_counter()
+        yield
+        self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - t0
 
 
 class RAPIDS:
@@ -523,21 +543,20 @@ class RAPIDS:
     ) -> RestoreReport:
         """Run the restoration phase against the cluster's current failures.
 
-        ``strategy`` is one of ``random`` / ``naive`` / ``optimized``.
-        Restores as many levels as the surviving systems allow and
-        reconstructs the best available approximation.
-
-        ``target_error`` enables error-controlled retrieval: only the
-        level prefix whose recorded error meets the target is gathered,
-        saving the (dominant) lower-level transfer bytes when the
-        analysis tolerates a looser accuracy.
+        plan -> gather -> per-(level, tile) EC decode -> per-tile prefix
+        reconstruction, over the record's tile table.  The level prefix is
+        :func:`~repro.core.gathering.plan_retrieval`'s — the recoverable
+        levels cut at the shortest prefix whose recorded error meets
+        ``target_error`` (all of them when none does; NaN or a target
+        <= 0 raises :class:`ValueError`) — less any suffix the durability
+        ledger knows to be lost; ``strategy`` (``random`` / ``naive`` /
+        ``optimized`` / ``adaptive``) picks the systems serving it.
 
         ``avoid_systems`` treats the listed system ids as failed for
-        gathering purposes — the archive service passes its open
-        circuit breakers here so restores stop rediscovering a down
-        backend.  Advisory, not a fence: the spare-fragment path may
-        still touch an avoided system when nothing else can serve a
-        stripe (availability wins).
+        planning — the archive service passes its open circuit breakers
+        here so restores stop rediscovering a down backend.  Advisory,
+        not a fence: the spare-fragment path may still touch an avoided
+        system when nothing else can serve a stripe (availability wins).
 
         Fault-driven failures degrade gracefully: when faults exceed a
         level's tolerance ``m_j``, restore delivers the deepest
@@ -545,38 +564,76 @@ class RAPIDS:
         attaches a structured :class:`~repro.chaos.DegradedRestore`
         report instead of raising.  A missing object raises
         :class:`KeyError` — that is a caller error, not a fault.
-
-        Every object restores through one sequence over its tile table
-        (:meth:`~repro.metadata.ObjectRecord.tile_table`): gather ->
-        per-(level, tile) EC decode -> per-tile prefix reconstruction.
         ``parallelism`` / ``processes`` decide, as in :meth:`prepare`,
         whether the tiles of a multi-tile object reconstruct on a process
-        pool into a shared output or inline; a one-tile object is
-        reconstructed in place either way.
+        pool into a shared output or inline.
         """
-        timings: dict[str, float] = {}
-        failures: list[LevelFailure] = []
-        faults_before = len(self.injector.log) if self.injector is not None else 0
-        if target_error is not None and target_error <= 0:
-            raise ValueError("target_error must be positive")
+        run = self._plan_restore(
+            name, strategy, solver_budget, target_error=target_error,
+            avoid_systems=avoid_systems, record_access=record_access,
+        )
+        if isinstance(run, RestoreReport):
+            return run
+        rows = self._fetch(run, run.outcome.levels_included)
+        data, used = self._reconstruct(run, rows, parallelism, processes)
+        return self._report(run, run.outcome, data, used)
 
+    def restore_progressive(self, name: str):
+        """Generator yielding successively refined reconstructions.
+
+        The Fig. 1(b) refinement loop over one Naive plan of
+        :meth:`restore`'s full prefix: each level is gathered and
+        EC-decoded once, in order, and each yield reconstructs the prefix
+        so far, so a full pass reads the fragments of one full restore.
+        The yield for ``j`` levels is bit-identical to ``restore(name,
+        strategy="naive", target_error=level_errors[j - 1])``,
+        ``gathering_latency`` (the plan's first ``j`` columns) included;
+        ``levels_used`` strictly increases.  A prefix that restore answers
+        with a shorter one (an earlier level meets the same error) is not
+        yielded, and an exact level (error 0, which no positive target
+        asks for) comes with the full prefix.  ``timings`` hold the work
+        done since the previous yield.
+        """
+        run = self._plan_restore(name)
+        if isinstance(run, RestoreReport):
+            return
+        errors, levels = run.rec.level_errors, run.outcome.levels_included
+        rows: list[list[bytes]] = []
+        for j in levels:
+            rows += self._fetch(run, [j])
+            if len(rows) <= j:
+                return
+            wanted = error_prefix(errors, errors[j]) if errors[j] > 0 else len(levels)
+            if wanted == j + 1:
+                data, used = self._reconstruct(run, rows, None, None)
+                if used == wanted:
+                    yield self._report(run, run.outcome.prefix(used), data, used)
+
+    def _plan_restore(
+        self, name: str, strategy: str = "naive", budget: float = 0.0, *,
+        target_error: float | None = None, avoid_systems=(),
+        record_access: bool = False,
+    ) -> _RestoreRun | RestoreReport:
+        """The plan step: load the record, decide the level prefix and
+        pick the systems serving it.  Returns the finished report instead
+        when an object-wide fault stops the restore or no level is to be
+        gathered."""
+        faults_before = len(self.injector.log) if self.injector is not None else 0
         try:
             if self.injector is not None:
                 self.injector.check("pipeline.restore", name=name)
         except InjectedFault as exc:
-            failures.append(LevelFailure(-1, "pipeline", repr(exc)))
-            return self._degraded_empty(name, failures, faults_before)
+            failure = LevelFailure(-1, "pipeline", repr(exc))
+            return self._degraded_empty(name, [failure], faults_before)
 
         meta = self.retry_policy.call(
             lambda: self.catalog.get_object(name),
             retry_on=(RuntimeError, OSError),
         )
         if not meta.ok:
-            failures.append(
-                LevelFailure(-1, "metadata", repr(meta.error),
-                             attempts=meta.attempts, retried=meta.retried)
-            )
-            return self._degraded_empty(name, failures, faults_before)
+            failure = LevelFailure(-1, "metadata", repr(meta.error),
+                                   attempts=meta.attempts, retried=meta.retried)
+            return self._degraded_empty(name, [failure], faults_before)
         rec = meta.value
         if record_access:
             # Advisory access-frequency telemetry for the control
@@ -590,31 +647,21 @@ class RAPIDS:
         failed = self.cluster.failed_ids()
         if avoid_systems:
             failed = sorted(set(failed) | {int(s) for s in avoid_systems})
-        n = self.cluster.n
-
-        levels = recoverable_levels(rec.ft_config, failed, n)
-        if target_error is not None and levels:
-            needed = next(
-                (
-                    j + 1
-                    for j, e in enumerate(rec.level_errors)
-                    if e <= target_error
-                ),
-                len(rec.level_errors),
-            )
-            levels = levels[:needed]
-        levels = self._cap_by_headroom(rec, levels)
+        planned = plan_retrieval(
+            rec, failed, self.cluster.bandwidths, target_error=target_error
+        )
+        levels = self._cap_by_headroom(rec, list(range(planned)))
         if not levels:
             return RestoreReport(
                 name=name, data=None, levels_used=0, achieved_error=1.0,
                 gathering_latency=0.0, timings={"gather_optimize": 0.0},
             )
-
-        sizes = [float(s) for s in rec.level_sizes]
         t0 = time.perf_counter()
-        outcome = self._select(strategy, sizes, rec.ft_config, failed,
-                               solver_budget, max_levels=len(levels))
-        timings["gather_optimize"] = time.perf_counter() - t0
+        outcome = self._select(strategy, [float(s) for s in rec.level_sizes],
+                               rec.ft_config, failed, budget,
+                               max_levels=len(levels))
+        run = _RestoreRun(name, rec, outcome, faults_before)
+        run.timings["gather_optimize"] = time.perf_counter() - t0
         # §4.3: record each selected transfer's (simulated) throughput so
         # future gathering optimisations adapt to bandwidth variation.
         # The telemetry is advisory — a metadata fault while recording it
@@ -623,59 +670,53 @@ class RAPIDS:
             self._record_throughputs(outcome)
         except _DEGRADABLE:
             pass
+        return run
 
-        t0 = time.perf_counter()
-        level_ids = sorted(outcome.levels_included)
+    def _fetch(self, run: _RestoreRun, levels) -> list[list[bytes]]:
+        """Gather, then EC-decode, ``levels`` in order: one payload row
+        per level, ending at the first level lost."""
         gathered: dict[int, dict[int, np.ndarray]] = {}
-        crc_erasures: list[int] = []
-        for col, j in enumerate(level_ids):
-            try:
-                gathered[j] = self._gather_level(
-                    j, col, outcome, rec, crc_erasures
-                )
-            except _DEGRADABLE as exc:
-                # Progressive reconstruction needs a contiguous level
-                # prefix: a lost level makes every deeper one useless.
-                failures.append(LevelFailure(j, "gather", repr(exc)))
-                break
-        timings["gather"] = time.perf_counter() - t0
+        with run.timed("gather"):
+            for j in levels:
+                try:
+                    gathered[j] = self._gather_level(j, run)
+                except _DEGRADABLE as exc:
+                    # Progressive reconstruction needs a contiguous level
+                    # prefix: a lost level makes every deeper one useless.
+                    run.failures.append(LevelFailure(j, "gather", repr(exc)))
+                    break
+        with run.timed("ec_decode"):
+            return self._decode_levels(
+                run.rec, sorted(gathered), gathered, run.failures
+            )
+
+    def _report(
+        self, run: _RestoreRun, outcome: GatheringOutcome,
+        data: np.ndarray | None, used: int,
+    ) -> RestoreReport:
+        """``outcome``'s report, with the timings since the last one."""
+        rec = run.rec
         latency = gathering_latency(
-            outcome, sizes, rec.ft_config, self.cluster.bandwidths
+            outcome, [float(s) for s in rec.level_sizes], rec.ft_config,
+            self.cluster.bandwidths,
         )
-
-        t0 = time.perf_counter()
-        good_ids = sorted(gathered)
-        payload_rows = self._decode_levels(rec, good_ids, gathered, failures)
-        timings["ec_decode"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        nbytes = int(
-            np.prod(rec.shape, dtype=np.int64) * np.dtype(rec.dtype).itemsize
-        )
-        mode = procpipe.resolve_mode(parallelism, nbytes)
-        data, used = self._reconstruct_tiles(
-            rec, good_ids, payload_rows,
-            processes=processes if mode == "process" else 1,
-            failures=failures,
-        )
-        timings["reconstruct"] = time.perf_counter() - t0
-
         achieved = rec.level_errors[used - 1] if used else 1.0
         degraded = None
-        if failures:
-            recovered = good_ids[:used]
+        if run.failures:
+            requested = list(outcome.levels_included)
             degraded = DegradedRestore(
-                name=name,
-                requested_levels=level_ids,
-                recovered_levels=recovered,
-                abandoned_levels=[j for j in level_ids if j not in recovered],
-                failures=failures,
+                name=run.name,
+                requested_levels=requested,
+                recovered_levels=requested[:used],
+                abandoned_levels=requested[used:],
+                failures=list(run.failures),
                 error_bound=achieved if used else None,
-                injected_faults=self._injected_since(faults_before),
-                corrupt_fragments=len(crc_erasures),
+                injected_faults=self._injected_since(run.faults_before),
+                corrupt_fragments=len(run.crc_erasures),
             )
+        timings, run.timings = run.timings, {}
         return RestoreReport(
-            name=name,
+            name=run.name,
             data=data,
             levels_used=used,
             achieved_error=achieved,
@@ -786,69 +827,44 @@ class RAPIDS:
                 break
         return rows
 
-    def _reconstruct_tiles(
-        self, rec: ObjectRecord, level_ids, payload_rows: list[list[bytes]],
-        *, processes: int | None, failures: list[LevelFailure],
+    def _reconstruct(
+        self, run: _RestoreRun, payload_rows: list[list[bytes]],
+        parallelism: str | None, processes: int | None,
     ) -> tuple[np.ndarray | None, int]:
         """Per-tile prefix reconstruction; returns ``(data, levels_used)``.
 
-        ``payload_rows[a][t]`` is tile ``t``'s payload of level
-        ``level_ids[a]``.  A degradable failure at prefix length ``u``
-        retries every tile at ``u - 1`` — all tiles must agree on the
-        prefix for the delivered error bound to mean anything.
+        ``payload_rows[j][t]`` is tile ``t``'s payload of level ``j``.  A
+        degradable failure at prefix length ``u`` retries every tile at
+        ``u - 1`` — all tiles must agree on the prefix for the delivered
+        error bound to mean anything.
         """
-        tiles, plans, _ = rec.tile_table()
-        processes = self._tile_processes(processes)
-        config = procpipe.refactorer_config(self.refactorer)
-        upto = len(payload_rows)
-        while upto >= 1:
-            jobs = [
-                (lo, hi, plans[t], [row[t] for row in payload_rows[:upto]])
-                for t, (lo, hi) in enumerate(tiles)
-            ]
-            try:
-                return procpipe.reconstruct_tiles(
-                    rec.shape, rec.dtype, jobs, rec.data_max, rec.correction,
-                    config, processes,
-                ), upto
-            except _DEGRADABLE as exc:
-                failures.append(
-                    LevelFailure(level_ids[upto - 1], "pipeline", repr(exc))
-                )
-                upto -= 1
-        return None, 0
-
-    def restore_progressive(self, name: str):
-        """Generator yielding successively refined reconstructions.
-
-        Yields one :class:`RestoreReport` per level prefix the restore
-        can deliver, in order, ``levels_used`` strictly increasing — the
-        Fig. 1(b) refinement loop: the first (tiny) level arrives
-        quickly as a preview, and each further yield folds in the next
-        level's fragments.  ``gathering_latency`` on a yield accounts
-        the transfers for its prefix only, so callers can plot
-        quality-vs-time curves.  Level ``j`` is asked for by its
-        recorded error; a recorded error of 0 is exact, asked for by a
-        full restore.  A level an earlier yield already covers is not
-        asked for, and one whose restore delivers no deeper prefix than
-        the last yield (the headroom below it is lost) is not yielded.
-        """
-        rec = self.catalog.get_object(name)
-        failed = self.cluster.failed_ids()
-        total = len(
-            recoverable_levels(rec.ft_config, failed, self.cluster.n)
-        )
-        delivered = 0
-        for j in range(1, total + 1):
-            if j <= delivered:
-                continue
-            report = self.restore(
-                name, strategy="naive",
-                target_error=rec.level_errors[j - 1] or None,
+        rec = run.rec
+        with run.timed("reconstruct"):
+            nbytes = int(
+                np.prod(rec.shape, dtype=np.int64) * np.dtype(rec.dtype).itemsize
             )
-            if report.levels_used > delivered:
-                delivered = report.levels_used
-                yield report
+            if procpipe.resolve_mode(parallelism, nbytes) != "process":
+                processes = 1
+            tiles, plans, _ = rec.tile_table()
+            processes = self._tile_processes(processes)
+            config = procpipe.refactorer_config(self.refactorer)
+            upto = len(payload_rows)
+            while upto >= 1:
+                jobs = [
+                    (lo, hi, plans[t], [row[t] for row in payload_rows[:upto]])
+                    for t, (lo, hi) in enumerate(tiles)
+                ]
+                try:
+                    return procpipe.reconstruct_tiles(
+                        rec.shape, rec.dtype, jobs, rec.data_max,
+                        rec.correction, config, processes,
+                    ), upto
+                except _DEGRADABLE as exc:
+                    run.failures.append(
+                        LevelFailure(upto - 1, "pipeline", repr(exc))
+                    )
+                    upto -= 1
+            return None, 0
 
     def _record_throughputs(self, outcome: GatheringOutcome) -> None:
         per_system = outcome.x.sum(axis=1)
@@ -885,21 +901,18 @@ class RAPIDS:
             )
         raise ValueError(f"unknown gathering strategy: {strategy!r}")
 
-    def _gather_level(
-        self, j: int, col: int,
-        outcome: GatheringOutcome, rec: ObjectRecord,
-        crc_tally: list[int],
-    ) -> dict[int, np.ndarray]:
+    def _gather_level(self, j: int, run: _RestoreRun) -> dict[int, np.ndarray]:
         """Fetch one level's selected fragments, verifying integrity.
 
-        The plan selects systems assuming the default placement
-        (fragment i on system i), so selecting system i for level j
-        means fetching fragment i of j — one verified read against the
+        Column ``j`` of the plan is level ``j`` (the planned levels are
+        a prefix).  The plan selects systems assuming the default
+        placement (fragment i on system i), so selecting system i for
+        level j means fetching fragment i of j — one verified read against the
         record's CRC, on the system the record places it on (which a
         repair may have moved), under the pipeline retry policy:
         *transient* injected faults heal in place.  A fragment that
         still cannot be fetched cleanly — checksum mismatch (bit rot,
-        torn write; tallied into ``crc_tally``), injected read error,
+        torn write; tallied into ``run.crc_erasures``), injected read error,
         system that dropped out after selection — is treated as an
         *erasure*: it is dropped and replaced by a fragment from a spare
         available system, which the EC math tolerates exactly like an
@@ -909,6 +922,7 @@ class RAPIDS:
         # name for generation 0, or the migration-bumped generation the
         # object record points at (the atomic-flip indirection of the
         # control plane's live re-encoding).
+        rec = run.rec
         sname = rec.level_storage_name(j)
         frags: dict[int, np.ndarray] = {}
 
@@ -925,10 +939,10 @@ class RAPIDS:
             if out.ok:
                 frags[i] = np.frombuffer(out.value, dtype=np.uint8)
             elif isinstance(out.error, CorruptFragmentError):
-                crc_tally.append(i)
+                run.crc_erasures.append(i)
             return out.ok
 
-        selected = [int(i) for i in np.nonzero(outcome.x[:, col])[0]]
+        selected = [int(i) for i in np.nonzero(run.outcome.x[:, j])[0]]
         lost = [i for i in selected if not take(i)]
         needed = self.cluster.n - rec.ft_config[j]
         if lost:

@@ -9,15 +9,8 @@ heterogeneous erasure coding to.
 from .error_model import MGARD_CONSTANT, relative_linf_error, theoretical_bound
 from .grid import LevelPlan, plan_levels
 from .refactorer import RefactoredObject, Refactorer
-from .retrieval import RetrievalPlan, bytes_for_error, components_for_error
-from .serialization import (
-    from_archive_bytes,
-    load_archive,
-    load_directory,
-    save_archive,
-    save_directory,
-    to_archive_bytes,
-)
+from .retrieval import RetrievalPlan, error_prefix
+from .serialization import load_directory, save_directory
 from .transform import decompose, recompose
 
 __all__ = [
@@ -31,12 +24,7 @@ __all__ = [
     "theoretical_bound",
     "MGARD_CONSTANT",
     "RetrievalPlan",
-    "components_for_error",
-    "bytes_for_error",
+    "error_prefix",
     "save_directory",
     "load_directory",
-    "save_archive",
-    "load_archive",
-    "to_archive_bytes",
-    "from_archive_bytes",
 ]

@@ -8,66 +8,42 @@ representation that achieves it.  RAPIDS inherits this — during
 restoration there is no reason to gather level 4's huge fragments when
 level 2's accuracy suffices.
 
-This module answers the planning questions:
-
-* :func:`components_for_error` — the shortest component prefix whose
-  recorded (or bound) error meets a target;
-* :func:`bytes_for_error` — the corresponding retrieval cost;
-* :class:`RetrievalPlan` — the full error-vs-bytes frontier of an object,
-  with lookups in both directions.
+:func:`error_prefix` is the one place a level error is compared with a
+target: every "how many levels does this error need?" answer — this
+module's :class:`RetrievalPlan` (the error-vs-bytes frontier of a
+refactored object) and :func:`repro.core.gathering.plan_retrieval` (the
+level prefix a restore gathers) — goes through it.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .refactorer import RefactoredObject
 
-__all__ = ["components_for_error", "bytes_for_error", "RetrievalPlan"]
+__all__ = ["error_prefix", "RetrievalPlan"]
 
 
-def _error_profile(obj: RefactoredObject, *, use_bounds: bool) -> list[float]:
-    profile = obj.bounds if use_bounds else obj.errors
-    if not profile:
-        profile = obj.bounds or obj.errors
-    if not profile:
-        raise ValueError("object has neither measured errors nor bounds")
-    if len(profile) != obj.num_components:
-        raise ValueError(
-            f"error profile length {len(profile)} does not match "
-            f"{obj.num_components} components"
-        )
-    return list(profile)
+def error_prefix(errors: Sequence[float], target_error: float) -> int | None:
+    """Length of the shortest prefix whose error meets ``target_error``.
 
-
-def components_for_error(
-    obj: RefactoredObject, target_error: float, *, use_bounds: bool = False
-) -> int:
-    """Smallest number of leading components meeting ``target_error``.
-
-    With ``use_bounds`` the decision uses the closed-form error bounds
-    (guaranteed, conservative); otherwise the measured errors.  Raises
-    :class:`ValueError` if even the full representation cannot meet the
-    target (the quantisation floor is the hard limit).
+    ``errors[j]`` is the error after the first ``j + 1`` levels.  Returns
+    ``None`` when no prefix does (the target is below the quantisation
+    floor).  The target must be a positive number; ``inf`` is valid and
+    asks for one level.  NaN, zero and negative targets raise
+    :class:`ValueError`.
     """
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
-    profile = _error_profile(obj, use_bounds=use_bounds)
-    for j, err in enumerate(profile, start=1):
+    if math.isnan(target_error) or target_error <= 0:
+        raise ValueError(
+            f"target_error must be a positive number, got {target_error!r}"
+        )
+    for j, err in enumerate(errors, start=1):
         if err <= target_error:
             return j
-    raise ValueError(
-        f"target error {target_error:g} is below the full-representation "
-        f"error {profile[-1]:g}; re-refactor with more bitplanes"
-    )
-
-
-def bytes_for_error(
-    obj: RefactoredObject, target_error: float, *, use_bounds: bool = False
-) -> int:
-    """Bytes that must be retrieved to reach ``target_error``."""
-    j = components_for_error(obj, target_error, use_bounds=use_bounds)
-    return sum(obj.sizes[:j])
+    return None
 
 
 @dataclass(frozen=True)
@@ -75,7 +51,9 @@ class RetrievalPlan:
     """The error-vs-bytes frontier of one refactored object.
 
     ``points[j]`` is ``(cumulative_bytes, error)`` after retrieving the
-    first ``j + 1`` components.
+    first ``j + 1`` components.  With ``use_bounds`` the frontier uses
+    the closed-form error bounds (guaranteed, conservative); otherwise
+    the measured errors.
     """
 
     points: tuple[tuple[int, float], ...]
@@ -84,13 +62,15 @@ class RetrievalPlan:
     def for_object(
         cls, obj: RefactoredObject, *, use_bounds: bool = False
     ) -> "RetrievalPlan":
-        profile = _error_profile(obj, use_bounds=use_bounds)
-        acc = 0
-        pts = []
-        for size, err in zip(obj.sizes, profile):
-            acc += size
-            pts.append((acc, float(err)))
-        return cls(tuple(pts))
+        profile = (obj.bounds if use_bounds else obj.errors) or obj.bounds or obj.errors
+        if not profile:
+            raise ValueError("object has neither measured errors nor bounds")
+        if len(profile) != obj.num_components:
+            raise ValueError(
+                f"error profile length {len(profile)} does not match "
+                f"{obj.num_components} components"
+            )
+        return cls(tuple(zip(accumulate(obj.sizes), map(float, profile))))
 
     @property
     def total_bytes(self) -> int:
@@ -112,14 +92,23 @@ class RetrievalPlan:
                 best = err
         return best
 
+    def components_needed(self, target_error: float) -> int:
+        """Smallest number of leading components meeting ``target_error``.
+
+        Raises :class:`ValueError` if even the full representation cannot
+        meet the target (the quantisation floor is the hard limit).
+        """
+        j = error_prefix([err for _, err in self.points], target_error)
+        if j is None:
+            raise ValueError(
+                f"target {target_error:g} below the floor "
+                f"{self.floor_error:g}; re-refactor with more bitplanes"
+            )
+        return j
+
     def budget_for_error(self, target_error: float) -> int:
         """Bytes needed for ``target_error`` (ValueError if unreachable)."""
-        for nbytes, err in self.points:
-            if err <= target_error:
-                return nbytes
-        raise ValueError(
-            f"target {target_error:g} below the floor {self.floor_error:g}"
-        )
+        return self.points[self.components_needed(target_error) - 1][0]
 
     def savings_vs_full(self, target_error: float) -> float:
         """Fraction of retrieval bytes saved by stopping at the target."""

@@ -1,11 +1,9 @@
 """Serialisation of refactored objects.
 
-A :class:`~repro.refactor.refactorer.RefactoredObject` round-trips
-either to a directory (one file per component + a manifest — the layout
-fragments ship in, so a partially gathered directory still loads) or to
-a single archive byte string / file (convenient for embedding in other
-stores).  Both use the self-describing container format, so every
-artifact identifies itself.
+A :class:`~repro.refactor.refactorer.RefactoredObject` round-trips to a
+directory: one file per component plus a manifest — the layout fragments
+ship in, so a partially gathered directory still loads.  The manifest is
+a self-describing container, so the artifact identifies itself.
 """
 
 from __future__ import annotations
@@ -19,10 +17,6 @@ from .refactorer import RefactoredObject
 __all__ = [
     "save_directory",
     "load_directory",
-    "to_archive_bytes",
-    "from_archive_bytes",
-    "save_archive",
-    "load_archive",
 ]
 
 
@@ -91,39 +85,3 @@ def load_directory(
         raise FileNotFoundError(f"no components found under {indir}")
     return _object_from_attrs(manifest.attrs, payloads)
 
-
-# -- single-file archive ------------------------------------------------------
-
-
-def to_archive_bytes(obj: RefactoredObject) -> bytes:
-    """Pack manifest + all components into one container byte string."""
-    c = Container(_manifest_attrs(obj))
-    for j, payload in enumerate(obj.payloads):
-        c.add_block(f"component-{j:02d}", payload)
-    return c.to_bytes()
-
-
-def from_archive_bytes(
-    data: bytes, *, upto: int | None = None
-) -> RefactoredObject:
-    """Inverse of :func:`to_archive_bytes`; ``upto`` takes a prefix."""
-    c = Container.from_bytes(data)
-    total = c.attrs["num_components"]
-    limit = total if upto is None else min(upto, total)
-    payloads = []
-    for j in range(limit):
-        name = f"component-{j:02d}"
-        if name not in c.block_names():
-            break
-        payloads.append(c.block(name))
-    if not payloads:
-        raise ValueError("archive contains no components")
-    return _object_from_attrs(c.attrs, payloads)
-
-
-def save_archive(obj: RefactoredObject, path: str | Path) -> None:
-    Path(path).write_bytes(to_archive_bytes(obj))
-
-
-def load_archive(path: str | Path, *, upto: int | None = None) -> RefactoredObject:
-    return from_archive_bytes(Path(path).read_bytes(), upto=upto)

@@ -24,7 +24,8 @@ Robustness properties, each deterministically provable under a seeded
   result;
 * deadlines propagate — every stage boundary consults the request
   deadline, and an over-deadline restore degrades to the affordable
-  level prefix via restore's graceful degradation instead of failing;
+  level prefix (the deepest whose §3.3 gathering latency fits, per
+  :func:`~repro.core.gathering.plan_retrieval`) instead of failing;
 * backend outages trip per-system circuit breakers fed by
   ``RetryPolicy`` exhaustion, steering later restores away.
 
@@ -42,8 +43,10 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from ..chaos.injector import InjectedFault
+from ..core.gathering import plan_retrieval
 from .admission import AdmissionQueue, Bulkhead, TokenBucket
 from .breaker import BreakerBoard
 from .journal import IdempotencyConflict, RequestJournal, request_fingerprint
@@ -475,45 +478,37 @@ class ArchiveService:
                 )
         return result
 
-    def _affordable_levels(self, rec, remaining: float) -> int:
-        """Deepest level prefix whose modeled transfer fits the budget."""
-        bw = self.rapids.cluster.bandwidths
-        agg = float(sum(float(b) for b in bw)) or 1.0
-        budget = remaining * _DEADLINE_SAFETY
-        total = 0.0
-        affordable = 0
-        for size in rec.level_sizes:
-            total += float(size)
-            if total / agg > budget:
-                break
-            affordable += 1
-        return affordable
-
     def _run_restore(self, req: ServiceRequest, base: dict) -> ServiceResult:
-        rec = self.rapids.catalog.get_object(req.name)
-        n_levels = len(rec.level_errors)
+        rapids = self.rapids
+        rec = rapids.catalog.get_object(req.name)
+        bandwidths = rapids.cluster.bandwidths
         target = req.target_error
-        wanted = n_levels
-        if target is not None:
-            wanted = next(
-                (j + 1 for j, e in enumerate(rec.level_errors) if e <= target),
-                n_levels,
-            )
+        # What the request asks for, whatever is down: a restore that
+        # delivers less is degraded.
+        wanted = plan_retrieval(rec, (), bandwidths, target_error=target)
         with self._pipeline_stage(req) as lapsed:
             if lapsed:
                 return ServiceResult(status="deadline", **base)
+            avoid = self.breakers.avoid()
             deadline_limited = False
             if req.deadline is not None:
-                remaining = req.deadline.remaining()
-                affordable = self._affordable_levels(rec, remaining)
-                if affordable < wanted:
+                # The prefix the restore would gather against the systems
+                # it treats as down, and the deepest one whose §3.3
+                # gathering latency fits the remaining budget.
+                plan = partial(
+                    plan_retrieval, rec, [*rapids.cluster.failed_ids(), *avoid],
+                    bandwidths, target_error=target,
+                )
+                affordable = plan(
+                    seconds=req.deadline.remaining() * _DEADLINE_SAFETY
+                )
+                if affordable < plan():
                     # Degrade to the affordable prefix instead of blowing
                     # the deadline: ask for the error the prefix delivers.
                     deadline_limited = True
                     wanted = max(affordable, 1)
                     target = rec.level_errors[wanted - 1]
-            avoid = self.breakers.avoid()
-            report = self.rapids.restore(
+            report = rapids.restore(
                 req.name,
                 strategy=req.strategy,
                 target_error=target,

@@ -14,7 +14,6 @@ from .pipelined import ArchivalSchedule, pipelined_archival
 from .scheduler import (
     duplication_distribution,
     ec_distribution,
-    gathering_requests,
     phase_latency,
     refactored_distribution,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "duplication_distribution",
     "ec_distribution",
     "refactored_distribution",
-    "gathering_requests",
     "phase_latency",
     "ArchivalSchedule",
     "pipelined_archival",

@@ -1,10 +1,10 @@
-"""Building transfer request batches for distribution and gathering.
+"""Building transfer request batches for the distribution phase.
 
-The distribution phase pushes fragments out to the remote systems; the
-gathering phase pulls a selected subset back.  Both phases launch all
-transfers in parallel, so the phase latency is the slowest transfer
-(paper §5.2.2), computed under the equal-share model of
-:mod:`repro.transfer.simulator`.
+The distribution phase pushes fragments out to the remote systems and
+launches all transfers in parallel, so the phase latency is the slowest
+transfer (paper §5.2.2), computed under the equal-share model of
+:mod:`repro.transfer.simulator`.  The gathering phase's latency is
+:func:`repro.core.gathering.gathering_latency` of the selection.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "duplication_distribution",
     "ec_distribution",
     "refactored_distribution",
-    "gathering_requests",
     "phase_latency",
 ]
 
@@ -85,30 +84,6 @@ def refactored_distribution(
         reqs.extend(
             TransferRequest(i, frag, tag=("level", j, i)) for i in range(n)
         )
-    return reqs
-
-
-def gathering_requests(
-    x: np.ndarray, level_sizes: list[float], ms: list[int]
-) -> list[TransferRequest]:
-    """Turn a gathering selection x[i, j] into transfer requests.
-
-    ``x`` is the paper's binary matrix: x[i, j] = 1 iff a fragment of
-    level j is pulled from system i; fragment size is s_j / (n - m_j).
-    """
-    x = np.asarray(x)
-    n, levels = x.shape
-    if levels != len(level_sizes) or levels != len(ms):
-        raise ValueError("x shape must be (n, num_levels)")
-    reqs = []
-    for i in range(n):
-        for j in range(levels):
-            if x[i, j]:
-                reqs.append(
-                    TransferRequest(
-                        i, level_sizes[j] / (n - ms[j]), tag=("gather", j, i)
-                    )
-                )
     return reqs
 
 

@@ -1,17 +1,13 @@
-"""Tests for refactored-object serialization (directory + archive)."""
+"""Tests for refactored-object serialization (directory layout)."""
 
 import numpy as np
 import pytest
 
 from repro.refactor import (
     Refactorer,
-    from_archive_bytes,
-    load_archive,
     load_directory,
     relative_linf_error,
-    save_archive,
     save_directory,
-    to_archive_bytes,
 )
 
 
@@ -61,46 +57,3 @@ class TestDirectory:
         with pytest.raises(FileNotFoundError):
             load_directory(tmp_path / "e")
 
-
-class TestArchive:
-    def test_bytes_roundtrip(self, obj_and_data):
-        obj, _ = obj_and_data
-        blob = to_archive_bytes(obj)
-        back = from_archive_bytes(blob)
-        assert back.payloads == obj.payloads
-        assert back.plans == obj.plans
-        assert back.data_max == obj.data_max
-
-    def test_file_roundtrip(self, tmp_path, obj_and_data):
-        obj, data = obj_and_data
-        save_archive(obj, tmp_path / "obj.rdc")
-        back = load_archive(tmp_path / "obj.rdc")
-        r = Refactorer(3)
-        np.testing.assert_array_equal(
-            r.reconstruct(back), r.reconstruct(obj)
-        )
-
-    def test_prefix_load(self, tmp_path, obj_and_data):
-        obj, _ = obj_and_data
-        save_archive(obj, tmp_path / "a.rdc")
-        back = load_archive(tmp_path / "a.rdc", upto=2)
-        assert len(back.payloads) == 2
-        assert back.errors == obj.errors[:2]
-
-    def test_corrupt_archive_detected(self, tmp_path, obj_and_data):
-        from repro.formats import FormatError
-
-        obj, _ = obj_and_data
-        blob = bytearray(to_archive_bytes(obj))
-        blob[-20] ^= 0xFF
-        with pytest.raises(FormatError):
-            from_archive_bytes(bytes(blob))
-
-    def test_empty_archive_raises(self):
-        from repro.formats import Container
-
-        c = Container({"num_components": 0, "shape": [2], "dtype": "float32",
-                       "plans": [], "errors": [], "bounds": [],
-                       "data_max": 1.0, "correction": True})
-        with pytest.raises(ValueError):
-            from_archive_bytes(c.to_bytes())

@@ -51,6 +51,7 @@ from repro.service import (
     drive_open_loop,
     make_schedule,
 )
+from repro.service.frontend import _DEADLINE_SAFETY
 from repro.storage import StorageCluster
 from repro.transfer import paper_bandwidth_profile
 
@@ -457,6 +458,45 @@ class TestDeadlines:
         assert res.status == "degraded"
         assert res.extra.get("deadline_limited")
         assert 1 <= res.levels_used < n_levels
+
+    def test_deadline_is_planned_with_the_gathering_latency(self, prepared):
+        """A deadline between the old aggregate-bandwidth estimate
+        (cumulative bytes over the summed bandwidth of every system, down
+        or not) and §3.3's gathering latency of the full prefix: the
+        full restore would miss it, so the service degrades up front."""
+        rapids, svc, clk = prepared
+        rapids.cluster.fail([0])
+        rec = rapids.catalog.get_object("obj")
+        full = rapids.restore("obj", strategy="naive")
+        assert full.levels_used == len(rec.level_sizes) == 4
+        aggregate = sum(rec.level_sizes) / float(sum(rapids.cluster.bandwidths))
+        assert aggregate < full.gathering_latency
+        budget = (aggregate + full.gathering_latency) / 2
+        t = svc.submit(ServiceRequest(
+            tenant="a", op="restore", name="obj",
+            deadline=Deadline(budget / _DEADLINE_SAFETY, clock=clk),
+        ))
+        svc.pump()
+        res = t.result(timeout=0)
+        assert res.status == "degraded"
+        assert res.extra.get("deadline_limited")
+        assert 1 <= res.levels_used < 4
+        served = rapids.restore(
+            "obj", strategy="naive",
+            target_error=rec.level_errors[res.levels_used - 1],
+        )
+        assert served.gathering_latency <= budget
+
+    @pytest.mark.parametrize("target", [float("nan"), -1.0, 0.0])
+    def test_invalid_target_error_fails_typed(self, prepared, target):
+        rapids, svc, clk = prepared
+        t = svc.submit(ServiceRequest(
+            tenant="a", op="restore", name="obj", target_error=target,
+        ))
+        svc.pump()
+        res = t.result(timeout=0)
+        assert res.status == "failed"
+        assert "ValueError" in res.error
 
 
 # -- invariant 4: deterministic overload campaign ---------------------------

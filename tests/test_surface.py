@@ -37,7 +37,6 @@ KEPT = {
     "optimize.genetic": "benchmarks/bench_ablation_solvers.py",
     "parallel.gpu": "benchmarks/bench_fig7_gpu.py",
     "parallel.scaling": "benchmarks/harness.py",
-    "refactor.retrieval": "benchmarks/bench_compressor_baselines.py",
     # example-only: ROADMAP 9(c)'s backlog
     "core.planner": "examples/campaign_planning.py",
     "datasets.timeseries": "examples/timeseries_archive.py",

@@ -11,7 +11,6 @@ from repro.transfer import (
     duplication_distribution,
     ec_distribution,
     estimate_bandwidths,
-    gathering_requests,
     generate_transfer_logs,
     paper_bandwidth_profile,
     phase_latency,
@@ -174,17 +173,6 @@ class TestSchedulers:
             refactored_distribution([1.0], [0, 1], 4, self.bw)
         with pytest.raises(ValueError):
             refactored_distribution([1.0], [4], 4, self.bw)
-
-    def test_gathering_requests(self):
-        x = np.zeros((4, 2), dtype=int)
-        x[0, 0] = x[1, 0] = x[2, 0] = 1
-        x[0, 1] = x[3, 1] = 1
-        reqs = gathering_requests(x, [30.0, 40.0], [1, 2])
-        assert len(reqs) == 5
-        lvl0 = [r for r in reqs if r.tag[1] == 0]
-        assert all(r.nbytes == 10.0 for r in lvl0)
-        with pytest.raises(ValueError):
-            gathering_requests(x, [30.0], [1])
 
     def test_phase_latency_models_agree_on_singletons(self):
         reqs = [TransferRequest(i, 100.0) for i in range(4)]
