@@ -24,7 +24,6 @@ from .framework import (
     Rule,
     Severity,
     all_rules,
-    get_rule,
     iter_python_files,
     register,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Rule",
     "Severity",
     "all_rules",
-    "get_rule",
     "iter_python_files",
     "register",
     "run_lint",

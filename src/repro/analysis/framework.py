@@ -39,7 +39,6 @@ __all__ = [
     "Analyzer",
     "register",
     "all_rules",
-    "get_rule",
     "iter_python_files",
     "META_RULE_ID",
 ]
@@ -163,11 +162,6 @@ def all_rules() -> list[Rule]:
     return [_REGISTRY[k] for k in sorted(_REGISTRY)]
 
 
-def get_rule(rule_id: str) -> Rule:
-    """Look up one registered rule by id (KeyError if unknown)."""
-    return _REGISTRY[rule_id]
-
-
 def _known_rule_ids() -> set[str]:
     return set(_REGISTRY) | {META_RULE_ID}
 
@@ -251,21 +245,14 @@ class Analyzer:
     :data:`META_RULE_ID` warnings) so stale disables cannot accumulate.
     """
 
-    def __init__(
-        self,
-        rules: Sequence[Rule] | None = None,
-        *,
-        select: Sequence[str] | None = None,
-        report_unused_suppressions: bool = True,
-    ) -> None:
-        self.rules = list(rules) if rules is not None else all_rules()
+    def __init__(self, *, select: Sequence[str] | None = None) -> None:
+        self.rules = all_rules()
         if select is not None:
             wanted = set(select)
             unknown = wanted - {r.rule_id for r in self.rules}
             if unknown:
                 raise ValueError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
             self.rules = [r for r in self.rules if r.rule_id in wanted]
-        self.report_unused_suppressions = report_unused_suppressions
 
     def check_source(
         self, source: str, path: str | Path = "<string>"
@@ -291,17 +278,16 @@ class Analyzer:
                     hit.used = True
                 else:
                     findings.append(f)
-        if self.report_unused_suppressions:
-            active = {r.rule_id for r in self.rules}
-            findings += [
-                Finding(
-                    META_RULE_ID, Severity.WARNING, path, s.line, 0,
-                    "unused suppression for " + ", ".join(s.rules)
-                    + " — remove it",
-                )
-                for s in suppressions
-                if not s.used and set(s.rules) & active
-            ]
+        active = {r.rule_id for r in self.rules}
+        findings += [
+            Finding(
+                META_RULE_ID, Severity.WARNING, path, s.line, 0,
+                "unused suppression for " + ", ".join(s.rules)
+                + " — remove it",
+            )
+            for s in suppressions
+            if not s.used and set(s.rules) & active
+        ]
         findings.sort(key=lambda f: (f.line, f.col, f.rule_id))
         return findings
 

@@ -16,8 +16,7 @@ RPD102    ec-astype-copy           ``.astype`` on an EC path without an
 RPD103    threadmap-shared-state   worker callables mutating closure /
                                    global / ``self`` state without a lock
 RPD104    solver-nondeterminism    ``time.time`` / unseeded or legacy RNG
-                                   inside solver, optimizer & placement
-                                   modules
+                                   inside solver & optimizer modules
 RPD105    broad-except             bare ``except`` or ``except Exception``
                                    that swallows instead of re-raising
 RPD106    all-drift                ``__all__`` out of sync with public defs
@@ -76,8 +75,7 @@ __all__ = [
 
 #: Public callables of :mod:`repro.ec.gf256` that return field elements.
 _GF_API = {
-    "add", "sub", "mul", "div", "inv", "pow_",
-    "mul_table_row", "full_mul_table", "pair_mul_table",
+    "add", "mul", "div", "inv", "full_mul_table", "pair_mul_table",
 }
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -533,10 +531,7 @@ class SolverNondeterminismRule(Rule):
     description = "time.time / unseeded or legacy RNG in solver code"
     rationale = "solver results must be replayable for debugging and benches"
 
-    _SCOPED = (
-        "/optimize/", "core/ft_optimizer", "core/gathering",
-        "storage/placement",
-    )
+    _SCOPED = ("/optimize/", "core/ft_optimizer", "core/gathering")
     _LEGACY_NP = {
         "rand", "randn", "randint", "random", "choice", "shuffle",
         "permutation", "seed", "uniform", "normal", "random_sample",

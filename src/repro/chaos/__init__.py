@@ -4,7 +4,7 @@ FoundationDB-style simulation testing for the RAPIDS stack: a seedable
 :class:`FaultPlan` schedules faults (fragment corruption, read/write
 errors, kvstore crashes, transfer stalls, outages), a
 :class:`FaultInjector` surfaces them at every instrumented I/O seam,
-:class:`RetryPolicy` is the shared backoff/deadline policy, and
+:class:`RetryPolicy` is the shared backoff policy, and
 :class:`DegradedRestore` is the structured report ``RAPIDS.restore``
 returns instead of raising when faults exceed a level's tolerance.
 

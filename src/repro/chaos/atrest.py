@@ -32,10 +32,8 @@ __all__ = ["inflict_at_rest"]
 _DAMAGE_EFFECTS = ("error", "corrupt", "truncate")
 
 
-def inflict_at_rest(
-    plan: FaultPlan, cluster, *, site: str = "storage.read"
-) -> list[dict]:
-    """Apply ``plan``'s damage specs at ``site`` to resident fragments.
+def inflict_at_rest(plan: FaultPlan, cluster) -> list[dict]:
+    """Apply ``plan``'s ``storage.read`` damage specs to resident fragments.
 
     Every resident fragment on every available system is tested against
     the plan's damage specs (``where`` filters and ``probability`` are
@@ -49,7 +47,7 @@ def inflict_at_rest(
     damage_specs = [
         (idx, spec)
         for idx, spec in enumerate(plan.specs)
-        if spec.site == site and spec.effect in _DAMAGE_EFFECTS
+        if spec.site == "storage.read" and spec.effect in _DAMAGE_EFFECTS
     ]
     if not damage_specs:
         return inflicted

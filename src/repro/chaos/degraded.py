@@ -56,10 +56,6 @@ class DegradedRestore:
     def degraded(self) -> bool:
         return bool(self.failures) or bool(self.abandoned_levels)
 
-    @property
-    def total_attempts(self) -> int:
-        return sum(f.attempts for f in self.failures)
-
     def to_dict(self) -> dict:
         return asdict(self)
 

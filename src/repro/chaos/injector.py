@@ -101,18 +101,13 @@ class FaultInjector:
             counter += 1
         return out[:n]
 
-    def fault_at(self, site: str, **ctx) -> FaultSpec | None:
-        """Decide whether a fault fires at this operation.
-
-        Returns the first firing spec (plan order) or ``None``.  Fires
-        are logged; occurrence counters advance for every *matching*
-        spec whether or not it fires, so occurrence windows (``start``/
-        ``stop``) see the true attempt sequence.
-        """
-        fired = self._fault_at(site, ctx)
-        return fired[1] if fired is not None else None
-
     def _fault_at(self, site: str, ctx: dict) -> tuple[int, FaultSpec, str, int] | None:
+        """The first firing spec (plan order) at this operation, or None.
+
+        Occurrence counters advance for every *matching* spec whether or
+        not it fires, so occurrence windows (``start``/``stop``) see the
+        true attempt sequence.
+        """
         if self.trace is not None:
             with self._lock:
                 self.trace.append((site, dict(ctx)))

@@ -189,19 +189,19 @@ class FaultPlan:
         return cls(seed=seed, specs=specs)
 
     @classmethod
-    def exact_failures(cls, n: int, k: int, *, seed: int = 0, extra=()) -> "FaultPlan":
+    def exact_failures(cls, n: int, k: int, *, seed: int = 0) -> "FaultPlan":
         """Exactly ``k`` of ``n`` systems down, drawn deterministically
         from ``seed`` (the Fig. 1 'N concurrent failures' scenarios)."""
         from ..storage.failures import exact_k_failures
 
-        return cls.outages(exact_k_failures(n, k, seed=seed), seed=seed, extra=extra)
+        return cls.outages(exact_k_failures(n, k, seed=seed), seed=seed)
 
     @classmethod
-    def from_failure_model(cls, model, n: int, *, seed: int = 0, extra=()) -> "FaultPlan":
+    def from_failure_model(cls, model, n: int, *, seed: int = 0) -> "FaultPlan":
         """Outages sampled once from a failure model (Bernoulli,
         correlated/region-shared-fate, or any object with
         ``sample_failed_ids(n)``)."""
-        return cls.outages(model.sample_failed_ids(n), seed=seed, extra=extra)
+        return cls.outages(model.sample_failed_ids(n), seed=seed)
 
     @classmethod
     def from_schedule(
@@ -211,7 +211,6 @@ class FaultPlan:
         ops_per_unit: int = 1,
         sites: tuple = ("storage.read", "storage.write"),
         seed: int = 0,
-        extra=(),
     ) -> "FaultPlan":
         """Bridge a :class:`~repro.storage.failures.MaintenanceSchedule`
         onto occurrence windows.
@@ -249,7 +248,7 @@ class FaultPlan:
                             scope="site",
                         )
                     )
-        return cls(seed=seed, specs=tuple(specs) + tuple(extra))
+        return cls(seed=seed, specs=tuple(specs))
 
     @classmethod
     def random(
@@ -258,7 +257,6 @@ class FaultPlan:
         n_systems: int,
         *,
         intensity: float = 0.15,
-        transfer_faults: bool = True,
         metadata_faults: bool = False,
     ) -> "FaultPlan":
         """A randomised but fully reproducible plan.
@@ -317,7 +315,7 @@ class FaultPlan:
                     where={"level": int(rng.integers(0, 4))},
                 )
             )
-        if transfer_faults and rng.random() < 2 * intensity:
+        if rng.random() < 2 * intensity:
             specs.append(
                 FaultSpec(
                     site="transfer.attempt",

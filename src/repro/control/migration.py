@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig
 from ..formats import crc32
 from ..metadata import level_storage_name
@@ -124,17 +123,15 @@ class LiveMigrator:
     rapids:
         The :class:`~repro.core.pipeline.RAPIDS` stack whose cluster,
         catalog, codec and ledger the migration runs against.
-    retry_policy:
-        Per-operation retry policy (defaults to the stack's).
     """
 
-    def __init__(self, rapids, *, retry_policy: RetryPolicy | None = None) -> None:
+    def __init__(self, rapids) -> None:
         self.rapids = rapids
         self.cluster = rapids.cluster
         self.catalog = rapids.catalog
         self.ledger = rapids.ledger
         self.codec = rapids.codec
-        self.retry_policy = retry_policy or rapids.retry_policy
+        self.retry_policy = rapids.retry_policy
         self._requests: list[TransferRequest] = []
 
     # -- public ------------------------------------------------------------
@@ -182,7 +179,9 @@ class LiveMigrator:
 
     # -- per-level protocol ------------------------------------------------
 
-    def _migrate_level(self, rec, j: int, new_m: int, report, checkpoint) -> None:
+    def _migrate_level(
+        self, rec, j: int, new_m: int, report: MigrationReport, checkpoint
+    ) -> None:
         name = rec.name
         old_m = int(rec.ft_config[j])
         gen = rec.generations[j]
@@ -282,7 +281,7 @@ class LiveMigrator:
             checkpoint(stage, level)
 
     def _read_sources(
-        self, rec, j: int, k: int, report
+        self, rec, j: int, k: int, report: MigrationReport
     ) -> dict[int, np.ndarray] | None:
         """``k`` fragments of the current generation, each one verified
         read on the system the record places it on."""
@@ -309,7 +308,8 @@ class LiveMigrator:
         return sources if len(sources) >= k else None
 
     def _write_staged(
-        self, sname: str, j: int, idx: int, blob: bytes, checksum: int, report
+        self, sname: str, j: int, idx: int, blob: bytes, checksum: int,
+        report: MigrationReport,
     ) -> bool:
         frag = StoredFragment(sname, j, idx, len(blob), blob, checksum=checksum)
         out = self.retry_policy.call(

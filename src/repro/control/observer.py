@@ -56,8 +56,6 @@ class DriftPolicy:
     budget_evals:
         Solve-time budget, in model evaluations, handed to
         :func:`~repro.core.ft_optimizer.warm_start` (``None`` = no cap).
-    estimator_alpha:
-        EWMA smoothing factor for :class:`AvailabilityEstimator`.
     """
 
     p_rel: float = 0.5
@@ -68,7 +66,6 @@ class DriftPolicy:
     cooldown_epochs: int = 5
     scrub_every: int = 0
     budget_evals: int | None = None
-    estimator_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         if self.p_rel < 0 or self.p_abs < 0:
@@ -77,50 +74,37 @@ class DriftPolicy:
             raise ValueError("hot-object parameters must be positive")
         if self.cooldown_epochs < 0 or self.scrub_every < 0:
             raise ValueError("cooldown_epochs/scrub_every must be >= 0")
-        if not 0.0 < self.estimator_alpha <= 1.0:
-            raise ValueError("estimator_alpha must be in (0, 1]")
 
 
 class AvailabilityEstimator:
     """Per-system outage-probability estimate from epoch observations.
 
     Each epoch contributes a 0/1 outage indicator per system; the
-    estimate is an EWMA seeded at ``prior`` (the design-time ``p``), so
-    a system that never fails decays toward — but never *below* — a
-    small floor, and a region in trouble climbs within a few epochs.
-    Estimates are clamped to ``[floor, ceil]`` to keep the
-    Poisson-binomial re-solve well-conditioned.
+    estimate is an EWMA (weight ``alpha`` on each epoch) seeded at
+    ``prior`` (the design-time ``p``), so a system that never fails
+    decays toward — but never *below* — a small floor, and a region in
+    trouble climbs within a few epochs.  Estimates are clamped to
+    ``[floor, ceil]`` to keep the Poisson-binomial re-solve
+    well-conditioned.
     """
 
-    def __init__(
-        self,
-        n: int,
-        *,
-        prior: float = 0.01,
-        alpha: float = 0.2,
-        floor: float = 1e-4,
-        ceil: float = 0.9,
-    ) -> None:
+    alpha = 0.2
+    floor = 1e-4
+    ceil = 0.9
+
+    def __init__(self, n: int, *, prior: float = 0.01) -> None:
         if n < 1:
             raise ValueError("need at least one system")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if not 0.0 < floor <= ceil < 1.0:
-            raise ValueError("need 0 < floor <= ceil < 1")
         self.n = n
-        self.alpha = alpha
-        self.floor = floor
-        self.ceil = ceil
-        self._p = [min(max(float(prior), floor), ceil)] * n
+        self._p = [min(max(float(prior), self.floor), self.ceil)] * n
         self.epochs_observed = 0
 
     def observe(self, failed_ids) -> None:
         """Fold one epoch's outage outcome into the estimates."""
         down = set(int(i) for i in failed_ids)
-        a = self.alpha
         for i in range(self.n):
             x = 1.0 if i in down else 0.0
-            p = self._p[i] + a * (x - self._p[i])
+            p = self._p[i] + self.alpha * (x - self._p[i])
             self._p[i] = min(max(p, self.floor), self.ceil)
         self.epochs_observed += 1
 

@@ -58,9 +58,7 @@ class ReconfigOperator:
         self.tracker = tracker
         self.migrator = LiveMigrator(rapids)
         prior = float(np.mean(rapids.p))
-        self.estimator = AvailabilityEstimator(
-            rapids.cluster.n, prior=prior, alpha=self.policy.estimator_alpha
-        )
+        self.estimator = AvailabilityEstimator(rapids.cluster.n, prior=prior)
         #: Mean estimated p at the last solve (drift is measured from here).
         self._baseline_p = prior
         #: Per-object access counts at the last solve.

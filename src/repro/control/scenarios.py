@@ -61,6 +61,11 @@ __all__ = ["ScenarioSpec", "SCENARIOS", "run_scenario", "scenario_json"]
 _NEVER = 10**9
 
 
+#: Every campaign runs on 8 systems with these two objects.
+_N_SYSTEMS = 8
+_OBJECTS = ("primary", "cold")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A named, fully parameterised chaos campaign."""
@@ -70,8 +75,6 @@ class ScenarioSpec:
     description: str
     epochs: int
     policy: DriftPolicy
-    n: int = 8
-    objects: tuple[str, ...] = ("primary", "cold")
     #: Staleness horizon for the scenario's bandwidth tracker (epochs).
     tracker_horizon: float | None = None
 
@@ -204,11 +207,11 @@ def _env_step(spec: ScenarioSpec, epoch: int, rapids, tracker, base_bw) -> None:
                 tracker.observe(sid, bw, 1.0)
     elif spec.name == "flash-crowd":
         if 8 <= epoch < 32:
-            rapids.catalog.record_access(spec.objects[0], 4)
+            rapids.catalog.record_access(_OBJECTS[0], 4)
     elif spec.name == "region-loss" and epoch == 28:
         # Plant at-rest damage (a vanished fragment) for the next
         # periodic anti-entropy pass to find and heal.
-        rec = rapids.catalog.get_object(spec.objects[0])
+        rec = rapids.catalog.get_object(_OBJECTS[0])
         sname = rec.level_storage_name(0)
         loc = cluster.locate(sname, 0)
         if loc:
@@ -234,32 +237,32 @@ def run_scenario(
     spec = SCENARIOS[scenario] if isinstance(scenario, str) else scenario
     epochs = spec.epochs if epochs is None else int(epochs)
     with tempfile.TemporaryDirectory() as td:
-        base_bw = paper_bandwidth_profile(spec.n)
+        base_bw = paper_bandwidth_profile(_N_SYSTEMS)
         cluster = StorageCluster(base_bw.copy())
         catalog = MetadataCatalog(Path(td) / "meta")
         rapids = RAPIDS(
             cluster, catalog, refactorer=Refactorer(4, workers=1),
             omega=0.25, ec_workers=1,
         )
-        for obj in spec.objects:
+        for obj in _OBJECTS:
             rapids.prepare(obj, _field(obj, seed))
         total_original = sum(
             int(np.prod(catalog.get_object(o).shape))
             * np.dtype(catalog.get_object(o).dtype).itemsize
-            for o in spec.objects
+            for o in _OBJECTS
         )
         tracker = BandwidthTracker(
             catalog, base_bw.copy(), staleness_horizon=spec.tracker_horizon
         )
         operator = ReconfigOperator(rapids, policy=spec.policy, tracker=tracker)
-        primary = spec.objects[0]
+        primary = _OBJECTS[0]
         initial_ms = {
             obj: [int(m) for m in catalog.get_object(obj).ft_config]
-            for obj in spec.objects
+            for obj in _OBJECTS
         }
         rec0 = catalog.get_object(primary)
         config = CampaignConfig(
-            n=spec.n, p_fail=0.05, p_repair=0.5,
+            n=_N_SYSTEMS, p_fail=0.05, p_repair=0.5,
             ms=tuple(int(m) for m in rec0.ft_config),
             errors=tuple(float(e) for e in rec0.level_errors),
             epochs=epochs, requests_per_epoch=1,
@@ -272,7 +275,7 @@ def run_scenario(
             cluster.fail(failed)
             _env_step(spec, epoch, rapids, tracker, base_bw)
             served: dict[str, int] = {}
-            for i, obj in enumerate(spec.objects):
+            for i, obj in enumerate(_OBJECTS):
                 if i == 0 or epoch % 4 == 0:
                     rep = rapids.restore(
                         obj, strategy="naive", record_access=True
@@ -281,7 +284,7 @@ def run_scenario(
             ev = operator.step(epoch, failed)
             breaches = {
                 obj: b
-                for obj in spec.objects
+                for obj in _OBJECTS
                 if (b := safety_breaches(rapids, obj))
             }
             if breaches:
@@ -294,7 +297,7 @@ def run_scenario(
                 "migrations": len(ev["migrations"]),
                 "ms": {
                     obj: [int(m) for m in catalog.get_object(obj).ft_config]
-                    for obj in spec.objects
+                    for obj in _OBJECTS
                 },
                 "served_levels": served,
                 "overhead": float(
@@ -323,7 +326,7 @@ def run_scenario(
                     float(e) for e in catalog.get_object(obj).level_errors
                 ],
             }
-            for obj in spec.objects
+            for obj in _OBJECTS
         }
         catalog.close()
     longest = _longest_run(breach_at)
@@ -332,7 +335,7 @@ def run_scenario(
         "title": spec.title,
         "seed": int(seed),
         "epochs": int(epochs),
-        "n": int(spec.n),
+        "n": int(_N_SYSTEMS),
         "objects": objects,
         "campaign": {
             "requests": int(stats.requests),

@@ -7,7 +7,6 @@ from .availability import (
     ec_storage_overhead,
     ec_unavailability,
     expected_relative_error,
-    level_recovery_probability,
     prob_more_than_k_failures,
     refactored_storage_overhead,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "expected_relative_error",
     "duplication_unavailability",
     "ec_unavailability",
-    "level_recovery_probability",
     "prob_more_than_k_failures",
     "duplication_storage_overhead",
     "ec_storage_overhead",

@@ -71,11 +71,9 @@ class BandwidthTracker:
         self.catalog.record_throughput(system_id, nbytes / seconds)
         self._last_seen[system_id] = self._clock
 
-    def tick(self, steps: float = 1.0) -> None:
+    def tick(self) -> None:
         """Advance the staleness clock (one call per epoch/round)."""
-        if steps < 0:
-            raise ValueError("cannot tick backwards")
-        self._clock += steps
+        self._clock += 1.0
 
     def age(self, system_id: int) -> float:
         """Ticks since the last observation of ``system_id`` (0 when the

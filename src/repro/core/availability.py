@@ -5,8 +5,8 @@ unavailable with probability ``p`` (i.i.d. Bernoulli outages, §2.1), so
 the failure count N is Binomial(n, p).  Every probability here is a sum
 of entries of N's pmf, which :func:`~.heterogeneous.poisson_binomial_pmf`
 computes exactly from the uniform vector ``(p, ..., p)``: O(n^2) work,
-all terms non-negative, and a band such as Eq. 4's P(m_{j+1} < N <= m_j)
-is summed directly instead of as the difference of two CDFs near 1.
+all terms non-negative, and Eq. 5's Eq. 4 bands P(m_{j+1} < N <= m_j)
+are summed directly instead of as the difference of two CDFs near 1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .heterogeneous import (
     expected_relative_error_hetero,
-    poisson_binomial_pmf,
     prob_more_than_k_failures_hetero,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "prob_more_than_k_failures",
     "duplication_unavailability",
     "ec_unavailability",
-    "level_recovery_probability",
     "expected_relative_error",
     "duplication_storage_overhead",
     "ec_storage_overhead",
@@ -65,22 +63,8 @@ def ec_unavailability(n: int, m: int, p: float) -> float:
     return prob_more_than_k_failures(n, m, p)
 
 
-def level_recovery_probability(n: int, m_j: int, m_next: int, p: float) -> float:
-    """Eq. 4: P(m_next < N <= m_j) — the data reconstructs with error e_j.
-
-    ``m_next`` is m_{j+1}; pass -1 for the bottom level so the band
-    includes N = 0.
-    """
-    _check_np(n, p)
-    if m_next >= m_j:
-        raise ValueError(f"need m_next < m_j, got {m_next} >= {m_j}")
-    pmf = poisson_binomial_pmf(np.full(n, p))
-    band = pmf[max(m_next + 1, 0) : max(m_j + 1, 0)].tolist()
-    return min(1.0, float(sum(band)))  # the pmf sums to 1 within n ulps
-
-
 def expected_relative_error(
-    n: int, p: float, ms: list[int], errors: list[float], *, e0: float = 1.0
+    n: int, p: float, ms: list[int], errors: list[float]
 ) -> float:
     """Eq. 5: expectation of the relative L-infinity error.
 
@@ -91,11 +75,11 @@ def expected_relative_error(
         decreasing, with n > m_1 and m_l >= 1.
     errors:
         [e_1, ..., e_l]: error when reconstructing with levels 1..j.
-    e0:
-        Penalty error when no level is recoverable (1.0 in the paper).
+
+    The error is 1 (the paper's e0) when no level is recoverable.
     """
     _check_np(n, p)
-    return expected_relative_error_hetero(np.full(n, p), ms, errors, e0=e0)
+    return expected_relative_error_hetero(np.full(n, p), ms, errors)
 
 
 # -- storage overheads (ratio of redundant bytes to original bytes) --------

@@ -7,7 +7,7 @@ RAPIDS pipeline so every bench can sweep the three methods uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ class MethodReport:
     distribution_latency: float = 0.0
     gathering_latency: float = 0.0
     expected_error: float = float("nan")
-    timings: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
 
 
 class DuplicationMethod:
@@ -62,11 +60,9 @@ class DuplicationMethod:
         data_bytes: float,
         bandwidths: np.ndarray,
         *,
-        n: int | None = None,
         p: float = 0.01,
     ) -> MethodReport:
         """Distribute the extra copies; returns overhead/latency accounting."""
-        n = n if n is not None else len(bandwidths)
         reqs = duplication_distribution(data_bytes, self.replicas - 1, bandwidths)
         res = phase_latency(reqs, bandwidths)
         return MethodReport(
@@ -74,24 +70,12 @@ class DuplicationMethod:
             storage_overhead=duplication_storage_overhead(self.replicas),
             network_bytes=res.total_bytes,
             distribution_latency=res.makespan,
-            expected_error=self.expected_error(n, p),
+            expected_error=self.expected_error(len(bandwidths), p),
         )
 
-    def restore(
-        self,
-        data_bytes: float,
-        bandwidths: np.ndarray,
-        *,
-        failed: list[int] | None = None,
-    ) -> MethodReport:
-        """Pull one replica from the fastest surviving replica holder."""
-        failed = set(failed or [])
-        order = np.argsort(bandwidths)[::-1]
-        holders = [int(i) for i in order[: self.replicas - 1]]
-        alive = [i for i in holders if i not in failed]
-        if not alive:
-            raise RuntimeError("all replica holders are unavailable")
-        src = alive[0]
+    def restore(self, data_bytes: float, bandwidths: np.ndarray) -> MethodReport:
+        """Pull one replica from the fastest replica holder."""
+        src = int(np.argsort(bandwidths)[::-1][0])
         res = phase_latency([TransferRequest(src, data_bytes)], bandwidths)
         return MethodReport(
             method=self.name,
@@ -126,10 +110,8 @@ class PlainECMethod:
         data_bytes: float,
         bandwidths: np.ndarray,
         *,
-        n: int | None = None,
         p: float = 0.01,
     ) -> MethodReport:
-        n = n if n is not None else len(bandwidths)
         reqs = ec_distribution(data_bytes, self.k, self.m, bandwidths)
         res = phase_latency(reqs, bandwidths)
         return MethodReport(
@@ -137,24 +119,14 @@ class PlainECMethod:
             storage_overhead=ec_storage_overhead(self.k, self.m),
             network_bytes=res.total_bytes,
             distribution_latency=res.makespan,
-            expected_error=self.expected_error(n, p),
+            expected_error=self.expected_error(len(bandwidths), p),
         )
 
-    def restore(
-        self,
-        data_bytes: float,
-        bandwidths: np.ndarray,
-        *,
-        failed: list[int] | None = None,
-    ) -> MethodReport:
-        """Gather k fragments from the fastest surviving systems."""
-        failed = set(failed or [])
-        alive = [i for i in range(self.n_fragments) if i not in failed]
-        if len(alive) < self.k:
-            raise RuntimeError(
-                f"only {len(alive)} fragments reachable, need {self.k}"
-            )
-        order = sorted(alive, key=lambda i: -bandwidths[i])[: self.k]
+    def restore(self, data_bytes: float, bandwidths: np.ndarray) -> MethodReport:
+        """Gather k fragments from the fastest systems."""
+        order = sorted(
+            range(self.n_fragments), key=lambda i: -bandwidths[i]
+        )[: self.k]
         frag = data_bytes / self.k
         res = phase_latency(
             [TransferRequest(i, frag) for i in order], bandwidths

@@ -217,17 +217,6 @@ def initial_configuration(problem: FTProblem) -> list[int]:
     return best
 
 
-def _increment_feasible(problem: FTProblem, ms: list[int], x: int) -> bool:
-    """Can level x take one more parity fragment without breaking the
-    ordering or the budget?"""
-    upper = problem.n - 1 if x == 0 else ms[x - 1] - 1
-    if ms[x] + 1 > upper:
-        return False
-    cand = list(ms)
-    cand[x] += 1
-    return problem.overhead(cand) <= problem.omega + 1e-12
-
-
 def heuristic(
     problem: FTProblem, *, initial: list[int] | None = None
 ) -> FTSolution:

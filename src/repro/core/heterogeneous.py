@@ -62,13 +62,11 @@ def prob_more_than_k_failures_hetero(ps, k: int) -> float:
     return min(1.0, sum(pmf[k + 1 :].tolist()))
 
 
-def expected_error_from_pmf(
-    pmf: tuple[float, ...], ms, errors, *, e0: float = 1.0
-) -> float:
+def expected_error_from_pmf(pmf: tuple[float, ...], ms, errors) -> float:
     """Eq. 5 over a failure-count pmf ``(P(N = 0), ..., P(N = n))``.
 
-    Error e0 applies when ``N > m_1``, e_j when ``m_{j+1} < N <= m_j``
-    and e_l when ``N <= m_l``; each band is a sum of pmf entries, never
+    Error e0 = 1 (nothing recoverable) applies when ``N > m_1``, e_j
+    when ``m_{j+1} < N <= m_j`` and e_l when ``N <= m_l``; each band is a sum of pmf entries, never
     a difference of CDFs.  Pass ``pmf`` as a tuple of Python floats: the
     bands are Python ``sum``s over its slices, in this order, and the
     FT solvers' numbers depend on that order.
@@ -82,7 +80,7 @@ def expected_error_from_pmf(
         raise ValueError(f"ms must be strictly decreasing, got {ms}")
     if ms[0] >= n or ms[-1] < 1:
         raise ValueError(f"need n > m_1 and m_l >= 1, got {ms} with n={n}")
-    total = e0 * sum(pmf[ms[0] + 1 :])
+    total = sum(pmf[ms[0] + 1 :])  # times e0 = 1
     total += errors[-1] * sum(pmf[: ms[-1] + 1])
     for j in range(len(ms) - 1):
         total += errors[j] * sum(pmf[ms[j + 1] + 1 : ms[j] + 1])
@@ -90,8 +88,8 @@ def expected_error_from_pmf(
 
 
 def expected_relative_error_hetero(
-    ps, ms: list[int], errors: list[float], *, e0: float = 1.0
+    ps, ms: list[int], errors: list[float]
 ) -> float:
     """Eq. 5 generalised to a per-system probability vector."""
     pmf = tuple(poisson_binomial_pmf(ps).tolist())
-    return expected_error_from_pmf(pmf, ms, errors, e0=e0)
+    return expected_error_from_pmf(pmf, ms, errors)

@@ -70,20 +70,15 @@ class ProtectionPlanner:
         self.errors = tuple(float(e) for e in errors)
         self.original_size = float(original_size)
 
-    def frontier(
-        self, *, omegas: list[float] | None = None
-    ) -> list[PlanPoint]:
-        """Solve the FT problem across a sweep of overhead budgets.
+    def frontier(self) -> list[PlanPoint]:
+        """Solve the FT problem across overhead budgets 0.02 .. 1.28
+        (doubling).
 
         Infeasible budgets are skipped.  Points are returned in
         ascending omega order.
         """
-        if omegas is None:
-            omegas = [0.02 * 2**i for i in range(7)]  # 0.02 .. 1.28
         points = []
-        for omega in sorted(omegas):
-            if omega <= 0:
-                raise ValueError("omega values must be positive")
+        for omega in [0.02 * 2**i for i in range(7)]:
             problem = FTProblem(
                 n=self.n, p=self.p, sizes=self.sizes, errors=self.errors,
                 original_size=self.original_size, omega=omega,
@@ -96,28 +91,23 @@ class ProtectionPlanner:
             points.append(PlanPoint(omega, sol, blackout))
         return points
 
-    def recommend(
-        self,
-        requirement: ProtectionRequirement,
-        *,
-        omegas: list[float] | None = None,
-    ) -> PlanPoint:
+    def recommend(self, requirement: ProtectionRequirement) -> PlanPoint:
         """Cheapest frontier point meeting the requirement.
 
         "Cheapest" means lowest achieved overhead (not budget).  Raises
         :class:`ValueError` when nothing on the frontier qualifies —
-        callers should then raise the budget sweep or refactor with more
+        callers should then relax the targets or refactor with more
         accuracy headroom.
         """
         candidates = [
             pt
-            for pt in self.frontier(omegas=omegas)
+            for pt in self.frontier()
             if pt.solution.expected_error <= requirement.max_expected_error
             and pt.blackout_probability <= requirement.max_blackout_probability
         ]
         if not candidates:
             raise ValueError(
                 "no configuration meets the requirement within the sweep; "
-                "widen the omega range or relax the targets"
+                "relax the targets"
             )
         return min(candidates, key=lambda pt: pt.solution.overhead)

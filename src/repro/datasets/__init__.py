@@ -10,7 +10,7 @@ from .synthetic import (
     scale_pressure,
     scale_temperature,
 )
-from .timeseries import advected_sequence, decaying_turbulence, snapshot_stack
+from .timeseries import advected_sequence
 
 __all__ = [
     "TABLE2",
@@ -25,6 +25,4 @@ __all__ = [
     "hurricane_pressure",
     "hurricane_temperature",
     "advected_sequence",
-    "decaying_turbulence",
-    "snapshot_stack",
 ]

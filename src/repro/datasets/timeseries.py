@@ -3,15 +3,10 @@
 Campaigns store *sequences* of snapshots, and the refactorer handles 4-D
 (t, z, y, x) arrays exactly like 3-D ones — the time axis is just
 another coarsenable dimension, and temporal smoothness compresses the
-same way spatial smoothness does.  These generators produce physically
-flavoured evolution so time-correlation is realistic:
-
-* :func:`advected_sequence` — a base field advected along a constant
-  velocity with gradual decorrelation (frozen-turbulence flavour);
-* :func:`decaying_turbulence` — energy decays while small scales fade
-  first (Kolmogorov-ish spin-down);
-* :func:`snapshot_stack` — stack any per-seed generator into (T, ...)
-  with per-step perturbations.
+same way spatial smoothness does.  :func:`advected_sequence` produces
+physically flavoured evolution so time-correlation is realistic: a base
+field advected along a constant velocity with gradual decorrelation
+(frozen-turbulence flavour).
 """
 
 from __future__ import annotations
@@ -20,35 +15,30 @@ import numpy as np
 
 from .synthetic import gaussian_random_field
 
-__all__ = ["advected_sequence", "decaying_turbulence", "snapshot_stack"]
+__all__ = ["advected_sequence"]
 
 
 def advected_sequence(
     steps: int,
     shape: tuple[int, ...] = (33, 33, 33),
     *,
-    velocity: tuple[float, ...] | None = None,
     decorrelation: float = 0.02,
-    slope: float = 4.0,
     seed: int = 0,
 ) -> np.ndarray:
     """A field advected by a uniform velocity, slowly decorrelating.
 
-    Returns a float32 array of shape ``(steps, *shape)``.  ``velocity``
-    is in grid cells per step (defaults to ~1 cell/step along the first
-    axis); ``decorrelation`` is the fraction of field variance replaced
-    by fresh noise each step.
+    Returns a float32 array of shape ``(steps, *shape)``.  The field
+    moves one grid cell per step along the first axis;
+    ``decorrelation`` is the fraction of field variance replaced by
+    fresh noise each step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not 0.0 <= decorrelation < 1.0:
         raise ValueError("decorrelation must be in [0, 1)")
-    if velocity is None:
-        velocity = (1.0,) + (0.0,) * (len(shape) - 1)
-    if len(velocity) != len(shape):
-        raise ValueError("velocity must match the field dimensionality")
+    velocity = (1.0,) + (0.0,) * (len(shape) - 1)
     rng = np.random.default_rng(seed)
-    field = gaussian_random_field(shape, slope=slope, seed=seed, dtype=np.float64)
+    field = gaussian_random_field(shape, slope=4.0, seed=seed, dtype=np.float64)
     out = np.empty((steps,) + tuple(shape), dtype=np.float32)
     offset = np.zeros(len(shape))
     for t in range(steps):
@@ -59,7 +49,7 @@ def advected_sequence(
         offset -= np.round(offset)
         if decorrelation > 0:
             fresh = gaussian_random_field(
-                shape, slope=slope, seed=seed + 1000 + t, dtype=np.float64
+                shape, slope=4.0, seed=seed + 1000 + t, dtype=np.float64
             )
             advected = (
                 np.sqrt(1 - decorrelation) * advected
@@ -67,54 +57,3 @@ def advected_sequence(
             )
         field = advected
     return out
-
-
-def decaying_turbulence(
-    steps: int,
-    shape: tuple[int, ...] = (33, 33, 33),
-    *,
-    decay_rate: float = 0.1,
-    small_scale_bias: float = 2.0,
-    seed: int = 0,
-) -> np.ndarray:
-    """Turbulence spin-down: total energy decays, small scales fastest.
-
-    Implemented in spectral space: mode amplitudes are damped by
-    ``exp(-decay_rate * (1 + bias * k / k_max) * t)``.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if decay_rate < 0 or small_scale_bias < 0:
-        raise ValueError("decay_rate and small_scale_bias must be >= 0")
-    base = gaussian_random_field(shape, slope=3.0, seed=seed, dtype=np.float64)
-    spec0 = np.fft.rfftn(base)
-    grids = np.meshgrid(
-        *[np.fft.fftfreq(n) for n in shape[:-1]],
-        np.fft.rfftfreq(shape[-1]),
-        indexing="ij",
-    )
-    k = np.sqrt(sum(g**2 for g in grids))
-    k_max = float(k.max()) or 1.0
-    out = np.empty((steps,) + tuple(shape), dtype=np.float32)
-    axes = tuple(range(len(shape)))
-    for t in range(steps):
-        damp = np.exp(-decay_rate * (1.0 + small_scale_bias * k / k_max) * t)
-        out[t] = np.fft.irfftn(spec0 * damp, s=shape, axes=axes).astype(
-            np.float32
-        )
-    return out
-
-
-def snapshot_stack(
-    generator,
-    steps: int,
-    shape: tuple[int, ...] = (33, 33, 33),
-    *,
-    base_seed: int = 0,
-) -> np.ndarray:
-    """Stack per-seed snapshots of any named generator into (T, ...)."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    return np.stack(
-        [generator(shape, seed=base_seed + t) for t in range(steps)]
-    )

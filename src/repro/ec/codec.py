@@ -85,7 +85,6 @@ class EncodedLevel:
     fragments: list[np.ndarray]
     payload_size: int
     level_index: int = 0
-    meta: dict = field(default_factory=dict)
     _blobs: list[bytes] | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -109,19 +108,16 @@ class EncodedLevel:
 class ErasureCodec:
     """Encode/decode refactored levels with per-level FT configurations.
 
-    ``workers`` sets the default thread fan-out the planned kernels use
-    across fragment chunks (``None`` or 1 runs inline); per-call
-    overrides are accepted by every method.
+    The planned kernels run inline; callers fan whole levels out over
+    threads.
     """
 
-    def __init__(self, n: int, *, workers: int | None = None) -> None:
+    def __init__(self, n: int) -> None:
         if not 2 <= n <= 256:
             raise ValueError(f"n must be in [2, 256], got {n}")
         self.n = n
-        self.workers = workers
         #: Optional chaos seam (see :mod:`repro.chaos`): consulted at
-        #: the top of every decode.  Keep decodes serial (workers=1)
-        #: when injecting here so occurrence windows see a stable order.
+        #: the top of every decode.
         self.injector = None
 
     def attach_injector(self, injector) -> None:
@@ -134,7 +130,6 @@ class ErasureCodec:
         m: int,
         *,
         level_index: int = 0,
-        workers: int | None = None,
     ) -> EncodedLevel:
         """Erasure-code one level payload with ``m`` parity fragments."""
         cfg = ECConfig(self.n, m)
@@ -144,37 +139,29 @@ class ErasureCodec:
         )
         return EncodedLevel(
             config=cfg,
-            fragments=code.encode(payload, workers=workers or self.workers),
+            fragments=code.encode(payload),
             payload_size=int(nbytes),
             level_index=level_index,
         )
 
     def decode_level(
-        self, encoded: EncodedLevel | None = None, *,
-        config: ECConfig | None = None,
-        fragments: dict[int, np.ndarray] | None = None,
-        workers: int | None = None,
+        self, *,
+        config: ECConfig,
+        fragments: dict[int, np.ndarray],
         level_index: int | None = None,
     ) -> bytes:
-        """Decode a level from an :class:`EncodedLevel` or a raw fragment map.
+        """Decode a level from a fragment map (index -> fragment).
 
         Raises :class:`ValueError` if fewer than ``k`` fragments are
         supplied — the caller (the restoration component) treats that as
         "this level is unavailable".
         """
-        if encoded is not None:
-            config = encoded.config
-            fragments = {i: f for i, f in enumerate(encoded.fragments)}
-            if level_index is None:
-                level_index = encoded.level_index
-        if config is None or fragments is None:
-            raise ValueError("provide either an EncodedLevel or (config, fragments)")
         if self.injector is not None:
             self.injector.check(
                 "ec.decode", level=level_index, k=config.k, m=config.m,
             )
         code = _code(config.k, config.m)
-        return code.decode(fragments, workers=workers or self.workers)
+        return code.decode(fragments)
 
     def decode_chunk(
         self, config: ECConfig, fragments: dict[int, np.ndarray],
@@ -192,11 +179,7 @@ class ErasureCodec:
         config: ECConfig,
         fragments: dict[int, np.ndarray],
         target: int,
-        *,
-        workers: int | None = None,
     ) -> np.ndarray:
         """Rebuild a lost fragment for re-placement on a new storage system."""
         code = _code(config.k, config.m)
-        return code.reconstruct_fragment(
-            fragments, target, workers=workers or self.workers
-        )
+        return code.reconstruct_fragment(fragments, target)

@@ -21,27 +21,20 @@ import threading
 import numpy as np
 
 __all__ = [
-    "FIELD_SIZE",
     "PRIMITIVE_POLY",
-    "GENERATOR",
     "add",
-    "sub",
     "mul",
     "div",
     "inv",
-    "pow_",
-    "mul_table_row",
     "full_mul_table",
     "pair_mul_table",
     "EXP_TABLE",
     "LOG_TABLE",
 ]
 
-FIELD_SIZE = 256
-#: AES field polynomial x^8 + x^4 + x^3 + x + 1.
+#: AES field polynomial x^8 + x^4 + x^3 + x + 1; 3 generates its
+#: multiplicative group.
 PRIMITIVE_POLY = 0x11B
-#: 3 is a primitive element (multiplicative generator) of this field.
-GENERATOR = 3
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -74,11 +67,6 @@ EXP_TABLE, LOG_TABLE = _build_tables()
 
 def add(a, b):
     """Field addition (XOR). Accepts scalars or uint8 arrays."""
-    return np.bitwise_xor(a, b)
-
-
-def sub(a, b):
-    """Field subtraction — identical to addition in characteristic 2."""
     return np.bitwise_xor(a, b)
 
 
@@ -120,32 +108,6 @@ def div(a, b):
 def inv(a):
     """Multiplicative inverse. Raises on zero."""
     return div(np.uint8(1), a)
-
-
-def pow_(a, n: int):
-    """Raise field element(s) ``a`` to the integer power ``n`` (n >= 0)."""
-    a = np.asarray(a, dtype=np.uint8)
-    if n == 0:
-        return np.ones_like(a)
-    la = LOG_TABLE[a].astype(np.int64, copy=False)
-    out = EXP_TABLE[(la * n) % 255]
-    zero = a == 0
-    if zero.ndim == 0:
-        return np.uint8(0) if zero else out[()]
-    return np.where(zero, np.uint8(0), out)
-
-
-def mul_table_row(c: int) -> np.ndarray:
-    """Return the 256-entry lookup table for multiplication by constant ``c``.
-
-    ``mul_table_row(c)[x] == mul(c, x)`` for every byte ``x``.  Encoding a
-    large buffer by a constant then becomes a single fancy-index gather,
-    which is the dominant kernel of Reed-Solomon encode/decode.
-    """
-    if not 0 <= c < 256:
-        raise ValueError(f"field element out of range: {c}")
-    xs = np.arange(256, dtype=np.uint8)
-    return mul(np.uint8(c), xs)
 
 
 # Full 256x256 multiplication table built lazily; ~64 KiB, used by the

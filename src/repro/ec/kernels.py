@@ -17,11 +17,8 @@ instead follow the layout liberasurecode's tuned backends use:
 * **Cache blocking.**  The fragment length is processed in chunks sized
   to stay L2-resident (64 KiB by default); all accumulation happens in
   preallocated, aligned scratch buffers with in-place
-  ``np.bitwise_xor`` — zero allocations per chunk.
-* **Threads, optionally.**  Chunks are independent, and NumPy's gather
-  and XOR inner loops release the GIL, so ``apply(..., workers=w)``
-  fans chunks out over :func:`repro.parallel.threads.thread_map`
-  (inline when ``workers`` is ``None`` or 1).
+  ``np.bitwise_xor`` — zero allocations per chunk.  A plan runs inline;
+  the pipeline fans whole levels out over threads instead.
 
 The kernels are bit-exact with the ``matrix.matmul`` reference path —
 the property tests in ``tests/test_kernels.py`` assert byte-identical
@@ -30,7 +27,6 @@ fragments across codes, payload sizes, and erasure patterns.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -138,13 +134,7 @@ class EncodePlan:
                 accbuf[:w] = 0
             out[i, lo:hi] = accbuf[:w]
 
-    def apply(
-        self,
-        rows,
-        out: np.ndarray | None = None,
-        *,
-        workers: int | None = None,
-    ) -> np.ndarray:
+    def apply(self, rows, out: np.ndarray | None = None) -> np.ndarray:
         """Apply the plan to ``k`` byte rows, returning ``(r, L)`` output.
 
         ``rows`` is a ``(k, L)`` uint8 array **or** a sequence of ``k``
@@ -152,7 +142,6 @@ class EncodePlan:
         ``np.stack`` copy the unplanned decode path paid per call.
         ``out`` optionally supplies a preallocated ``(r, L)`` uint8
         destination (rows need not be contiguous with each other).
-        ``workers`` > 1 fans independent column chunks out over threads.
         """
         if isinstance(rows, np.ndarray) and rows.ndim == 2:
             srcs = [rows[j] for j in range(rows.shape[0])]
@@ -172,44 +161,10 @@ class EncodePlan:
             )
         if L == 0:
             return out
-        spans = [(lo, min(lo + self.chunk, L)) for lo in range(0, L, self.chunk)]
-        if workers is None or workers <= 1 or len(spans) <= 1:
-            bufs = self._make_buffers()
-            for lo, hi in spans:
-                self._apply_span(srcs, out, lo, hi, bufs)
-        else:
-            # One buffer set per worker; spans are dealt round-robin so
-            # uneven tail chunks spread across threads.
-            nw = min(workers, len(spans))
-            groups = [spans[g::nw] for g in range(nw)]
-
-            def _work(group):
-                bufs = self._make_buffers()
-                for lo, hi in group:
-                    self._apply_span(srcs, out, lo, hi, bufs)
-
-            # Span groups write disjoint column ranges of `out`, so the
-            # thread sanitizer is told these writes are safe by design.
-            _lazy_thread_map()(
-                _work, groups, workers=nw, allow_shared_writes=("out",)
-            )
+        bufs = self._make_buffers()
+        for lo in range(0, L, self.chunk):
+            self._apply_span(srcs, out, lo, min(lo + self.chunk, L), bufs)
         return out
-
-
-_thread_map = None
-_thread_map_lock = threading.Lock()
-
-
-def _lazy_thread_map():
-    """Import ``thread_map`` on first use to keep ``repro.ec`` import-light."""
-    global _thread_map
-    if _thread_map is None:
-        with _thread_map_lock:
-            if _thread_map is None:
-                from ..parallel.threads import thread_map
-
-                _thread_map = thread_map
-    return _thread_map
 
 
 @lru_cache(maxsize=256)
@@ -218,7 +173,7 @@ def _plan_from_bytes(buf: bytes, r: int, k: int, chunk: int) -> EncodePlan:
     return EncodePlan(coeffs, chunk=chunk)
 
 
-def plan_for(coeffs: np.ndarray, *, chunk: int = DEFAULT_CHUNK) -> EncodePlan:
+def plan_for(coeffs: np.ndarray) -> EncodePlan:
     """Return the cached :class:`EncodePlan` for a coefficient matrix.
 
     Keyed by the matrix bytes, so every ``(k, m)`` code — and every
@@ -228,15 +183,14 @@ def plan_for(coeffs: np.ndarray, *, chunk: int = DEFAULT_CHUNK) -> EncodePlan:
     coeffs = np.ascontiguousarray(coeffs, dtype=np.uint8)
     if coeffs.ndim != 2:
         raise ValueError("plan_for expects a 2-D coefficient matrix")
-    return _plan_from_bytes(coeffs.tobytes(), coeffs.shape[0], coeffs.shape[1], chunk)
+    return _plan_from_bytes(
+        coeffs.tobytes(), coeffs.shape[0], coeffs.shape[1], DEFAULT_CHUNK
+    )
 
 
 def planned_matmul(
     a: np.ndarray,
     b,
-    out: np.ndarray | None = None,
-    *,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Drop-in planned/chunked replacement for :func:`matrix.matmul`.
 
@@ -244,4 +198,4 @@ def planned_matmul(
     (or a sequence of ``k`` rows) with large ``L``.  Bit-exact with the
     reference implementation.
     """
-    return plan_for(np.asarray(a, dtype=np.uint8)).apply(b, out, workers=workers)
+    return plan_for(np.asarray(a, dtype=np.uint8)).apply(b)

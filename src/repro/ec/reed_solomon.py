@@ -97,27 +97,22 @@ class RSCode:
 
     # -- encoding -----------------------------------------------------
 
-    def encode(
-        self, data: bytes | np.ndarray, *, workers: int | None = None
-    ) -> list[np.ndarray]:
+    def encode(self, data: bytes | np.ndarray) -> list[np.ndarray]:
         """Encode a payload into ``n`` fragments.
 
         The payload is padded to a multiple of ``k`` (see
         :func:`pad_to_fragments`); each returned fragment is a uint8 array
         of identical length ``ceil((len(data)+8)/k)`` rounded for padding.
         Fragment ``i`` for ``i < k`` is a verbatim slice of the padded
-        payload; fragments ``k..n-1`` are parity.  ``workers`` > 1
-        parallelises the parity kernel across fragment chunks.
+        payload; fragments ``k..n-1`` are parity.
         """
         shards = pad_to_fragments(data, self.k)
         if self.m == 0:
             return [shards[i] for i in range(self.k)]
-        parity = self._parity_plan.apply(shards, workers=workers)
+        parity = self._parity_plan.apply(shards)
         return [shards[i] for i in range(self.k)] + [parity[i] for i in range(self.m)]
 
-    def encode_shards(
-        self, shards: np.ndarray, *, workers: int | None = None
-    ) -> np.ndarray:
+    def encode_shards(self, shards: np.ndarray) -> np.ndarray:
         """Encode pre-split data: ``shards`` is (k, L) uint8, returns (n, L)."""
         shards = np.asarray(shards, dtype=np.uint8)
         if shards.shape[0] != self.k:
@@ -125,18 +120,12 @@ class RSCode:
         out = np.empty((self.n, shards.shape[1]), dtype=np.uint8)
         out[: self.k] = shards
         if self.m:
-            self._parity_plan.apply(shards, out=out[self.k :], workers=workers)
+            self._parity_plan.apply(shards, out=out[self.k :])
         return out
 
     # -- decoding -----------------------------------------------------
 
-    def decode(
-        self,
-        fragments: dict[int, np.ndarray],
-        *,
-        payload_len: int | None = None,
-        workers: int | None = None,
-    ) -> bytes:
+    def decode(self, fragments: dict[int, np.ndarray]) -> bytes:
         """Recover the original payload from any ``k`` fragments.
 
         Parameters
@@ -144,13 +133,9 @@ class RSCode:
         fragments:
             Mapping from fragment index (0-based, data fragments first)
             to the fragment bytes.  At least ``k`` entries are required.
-        payload_len:
-            If given, overrides the length header (for raw shard decode).
-        workers:
-            Optional thread fan-out across fragment chunks.
         """
-        shards = self.decode_shards(fragments, workers=workers)
-        return unpad(shards, payload_len=payload_len)
+        shards = self.decode_shards(fragments)
+        return unpad(shards)
 
     def _gather_rows(
         self, fragments: dict[int, np.ndarray]
@@ -194,22 +179,18 @@ class RSCode:
             self._decode_plans[idx] = plan
         return plan
 
-    def decode_shards(
-        self, fragments: dict[int, np.ndarray], *, workers: int | None = None
-    ) -> np.ndarray:
+    def decode_shards(self, fragments: dict[int, np.ndarray]) -> np.ndarray:
         """Recover the (k, L) data-shard matrix from any k fragments."""
         idx, rows = self._gather_rows(fragments)
         # Fast path: all k data fragments present, no algebra needed.
         if idx == list(range(self.k)):
             return np.stack(rows)
-        return self._decode_plan(tuple(idx)).apply(rows, workers=workers)
+        return self._decode_plan(tuple(idx)).apply(rows)
 
     def reconstruct_fragment(
         self,
         fragments: dict[int, np.ndarray],
         target: int,
-        *,
-        workers: int | None = None,
     ) -> np.ndarray:
         """Rebuild a single lost fragment (data or parity) from any k others.
 
@@ -231,7 +212,7 @@ class RSCode:
             if len(self._decode_plans) >= _PLAN_CACHE_LIMIT:
                 self._decode_plans.clear()
             self._decode_plans[key] = plan
-        return plan.apply(rows, workers=workers)[0]
+        return plan.apply(rows)[0]
 
 
 def pad_to_fragments(data: bytes | np.ndarray, k: int) -> np.ndarray:
@@ -250,11 +231,10 @@ def pad_to_fragments(data: bytes | np.ndarray, k: int) -> np.ndarray:
     return padded.reshape(k, frag_len)
 
 
-def unpad(shards: np.ndarray, *, payload_len: int | None = None) -> bytes:
+def unpad(shards: np.ndarray) -> bytes:
     """Inverse of :func:`pad_to_fragments`: flatten and strip padding."""
     flat = np.ascontiguousarray(shards).reshape(-1)
-    if payload_len is None:
-        payload_len = int(np.frombuffer(flat[:8].tobytes(), dtype=np.uint64)[0])
+    payload_len = int(np.frombuffer(flat[:8].tobytes(), dtype=np.uint64)[0])
     if payload_len > flat.size - 8:
         raise ValueError(
             f"corrupt length header: {payload_len} > {flat.size - 8} available"

@@ -14,9 +14,8 @@ returns every damaged level to full n-fragment redundancy:
   ``k`` clean CRC-verified source fragments per stripe feed the cached
   single-row :meth:`~repro.ec.codec.ErasureCodec.repair_fragment`
   plans, however many targets the stripe needs;
-* regenerated fragments are re-placed capacity-aware
-  (:func:`~repro.storage.placement.plan_placement`) on healthy systems
-  not already hosting the stripe, preferring the original home;
+* regenerated fragments are re-placed on the least-loaded healthy
+  system not already hosting the stripe, preferring the original home;
 * every read and write runs under the :class:`RetryPolicy` and is
   charged to the WAN transfer model (one request per attempt), so
   repair traffic shows up in the same latency accounting as restores;
@@ -35,13 +34,6 @@ from ..chaos.retry import RetryPolicy
 from ..ec import ECConfig, ErasureCodec
 from ..formats import verify
 from ..storage.cluster import Inventory
-from ..storage.placement import (
-    CapacityError,
-    CapacityTracker,
-    apply_moves,
-    plan_placement,
-    rebalance_moves,
-)
 from ..storage.system import FRAGMENT_ERRORS, CorruptFragmentError, StoredFragment
 from ..transfer import TransferRequest, phase_latency
 from .ledger import DurabilityLedger, LedgerEntry
@@ -74,7 +66,6 @@ class RepairReport:
     written_bytes: float = 0.0
     read_attempts: int = 0
     transfer_latency: float = 0.0
-    rebalance_moves: int = 0
 
     @property
     def repaired(self) -> int:
@@ -114,33 +105,17 @@ class RepairEngine:
     ----------
     cluster, catalog, ledger:
         The storage/metadata stack being healed.
-    tracker:
-        Optional :class:`CapacityTracker`; when given, re-placement is
-        capacity-aware and ``rebalance=True`` runs a post-repair
-        rebalancing pass.  Without one, targets are chosen least-loaded.
-    retry_policy:
-        Policy for every repair read/write (default: three immediate
-        attempts, matching restore).
-    workers:
-        Thread fan-out for fragment reconstruction kernels.
+
+    Every repair read and write gets three immediate attempts, matching
+    restore.
     """
 
-    def __init__(
-        self,
-        cluster,
-        catalog,
-        ledger: DurabilityLedger,
-        *,
-        tracker: CapacityTracker | None = None,
-        retry_policy: RetryPolicy | None = None,
-        workers: int | None = None,
-    ) -> None:
+    def __init__(self, cluster, catalog, ledger: DurabilityLedger) -> None:
         self.cluster = cluster
         self.catalog = catalog
         self.ledger = ledger
-        self.tracker = tracker
-        self.retry_policy = retry_policy or RetryPolicy(max_attempts=3, base=0.0)
-        self.codec = ErasureCodec(cluster.n, workers=workers)
+        self.retry_policy = RetryPolicy(max_attempts=3, base=0.0)
+        self.codec = ErasureCodec(cluster.n)
         self._requests: list[TransferRequest] = []
         #: The current pass's snapshot, kept true to the store.
         self.inventory: Inventory | None = None
@@ -152,7 +127,6 @@ class RepairEngine:
         damage: "ScrubReport | list[Damage]",
         *,
         dry_run: bool = False,
-        rebalance: bool = False,
     ) -> RepairReport:
         """Heal the damage a scrub found, riskiest stripes first."""
         items = damage.damage if isinstance(damage, ScrubReport) else list(damage)
@@ -161,8 +135,6 @@ class RepairEngine:
         self.inventory = self.cluster.inventory()
         for entry, damaged, stale in self._prioritised(items):
             self._repair_stripe(entry, damaged, stale, report, dry_run)
-        if rebalance and self.tracker is not None and not dry_run:
-            report.rebalance_moves = self._rebalance(report)
         if self._requests:
             res = phase_latency(self._requests, self.cluster.bandwidths)
             report.transfer_latency = float(res.makespan)
@@ -357,8 +329,7 @@ class RepairEngine:
         dry_run: bool, report: RepairReport,
     ) -> int | None:
         """Write one regenerated fragment; returns the system it landed on."""
-        nbytes = entry.nbytes[index]
-        for target in self._target_candidates(entry, index, nbytes):
+        for target in self._target_candidates(entry, index):
             if dry_run:
                 return target
             if self._write_fragment(entry, index, blob, target, report):
@@ -380,13 +351,12 @@ class RepairEngine:
         )
         return None
 
-    def _target_candidates(self, entry: LedgerEntry, index: int, nbytes: int):
+    def _target_candidates(self, entry: LedgerEntry, index: int):
         """Target systems in preference order.
 
-        Home first; then systems hosting nothing of this stripe
-        (capacity-aware when a tracker is attached); as a last resort —
-        a stripe as wide as the cluster with outages leaves no empty
-        system — any available system that does not already hold *this*
+        Home first; then the least-loaded system hosting nothing of this
+        stripe; as a last resort — a stripe as wide as the cluster with
+        outages leaves no empty system — any available system that does not already hold *this*
         fragment, trading placement independence for durability.
         """
         inv = self.inventory
@@ -404,23 +374,11 @@ class RepairEngine:
             return inv.used_bytes[sid], sid
 
         if home in inv.available and home not in occupied:
-            if self.tracker is None or self.tracker.fits(home, nbytes):
-                yielded.add(home)
-                yield home
-        fresh: list[int] = []
-        if self.tracker is not None:
-            try:
-                fresh = plan_placement(
-                    self.tracker, float(nbytes), 1,
-                    exclude=occupied | yielded, commit=True,
-                )
-            except CapacityError:
-                fresh = []
-        else:
-            fresh = sorted(
-                inv.available - occupied - yielded, key=least_loaded
-            )[:1]
-        for sid in fresh:
+            yielded.add(home)
+            yield home
+        for sid in sorted(
+            inv.available - occupied - yielded, key=least_loaded
+        )[:1]:
             yielded.add(sid)
             yield sid
         # Read the snapshot only now: failed attempts above may have
@@ -455,42 +413,15 @@ class RepairEngine:
             report.written_bytes += float(entry.nbytes[index])
         return out.ok
 
-    # -- rebalance ---------------------------------------------------------
-
-    def _rebalance(self, report: RepairReport) -> int:
-        """Post-repair rebalancing over the capacity tracker.
-
-        Moves are keyed by storage name (``<name>@g<gen>`` after a
-        migration); each stripe a move re-homed is recorded once.
-        """
-        moves = rebalance_moves(self.tracker)
-        applied = apply_moves(self.tracker, moves)
-        stripes = {(e.store_name, e.level): e for e in self.ledger.entries()}
-        moved: dict[tuple[str, int], LedgerEntry] = {}
-        for (sname, level, index), src, dst in moves:
-            for sid in (src, dst):
-                self.inventory.refresh(self.cluster[sid], sname, level, index)
-            entry = stripes.get((sname, level))
-            if entry is not None and dst in self._holders(entry, index):
-                entry.placement[index] = dst
-                moved[sname, level] = entry
-        for entry in moved.values():
-            self.ledger.record(entry)
-        self.tracker.clear_commitments()
-        return applied
-
 
 def scrub_and_repair(
     cluster,
     catalog,
     *,
     ledger: DurabilityLedger | None = None,
-    tracker: CapacityTracker | None = None,
-    retry_policy: RetryPolicy | None = None,
     max_fragments: int | None = None,
     repair: bool = True,
     dry_run: bool = False,
-    rebalance: bool = False,
 ) -> tuple[ScrubReport, RepairReport | None]:
     """One anti-entropy pass: scrub, then (optionally) repair.
 
@@ -498,14 +429,9 @@ def scrub_and_repair(
     — the repair report.
     """
     ledger = ledger or DurabilityLedger(catalog)
-    scrub = Scrubber(
-        cluster, ledger, retry_policy=retry_policy, max_fragments=max_fragments
-    ).run()
+    scrub = Scrubber(cluster, ledger, max_fragments=max_fragments).run()
     rep = None
     if repair and scrub.damage:
-        engine = RepairEngine(
-            cluster, catalog, ledger,
-            tracker=tracker, retry_policy=retry_policy,
-        )
-        rep = engine.repair(scrub, dry_run=dry_run, rebalance=rebalance)
+        engine = RepairEngine(cluster, catalog, ledger)
+        rep = engine.repair(scrub, dry_run=dry_run)
     return scrub, rep

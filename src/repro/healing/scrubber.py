@@ -107,9 +107,6 @@ class Scrubber:
         The storage cluster to sweep (in-memory or file-backed).
     ledger:
         The :class:`DurabilityLedger` holding the expected state.
-    retry_policy:
-        Per-read retry policy; defaults to three immediate attempts
-        (matching the restore pipeline).
     max_fragments:
         Rate limit — stop after roughly this many fragments per
         :meth:`run` (the stripe in progress is always finished).
@@ -121,14 +118,14 @@ class Scrubber:
         cluster,
         ledger: DurabilityLedger,
         *,
-        retry_policy: RetryPolicy | None = None,
         max_fragments: int | None = None,
     ) -> None:
         if max_fragments is not None and max_fragments < 1:
             raise ValueError("max_fragments must be >= 1")
         self.cluster = cluster
         self.ledger = ledger
-        self.retry_policy = retry_policy or RetryPolicy(max_attempts=3, base=0.0)
+        #: Three immediate attempts per read, matching the restore pipeline.
+        self.retry_policy = RetryPolicy(max_attempts=3, base=0.0)
         self.max_fragments = max_fragments
 
     # -- cursor ------------------------------------------------------------
@@ -152,7 +149,7 @@ class Scrubber:
 
     # -- sweep -------------------------------------------------------------
 
-    def run(self, *, reset: bool = False) -> ScrubReport:
+    def run(self) -> ScrubReport:
         """Scrub from the persisted cursor (or the start) onward.
 
         Scans ledger stripes in key order until the ledger is exhausted
@@ -163,8 +160,6 @@ class Scrubber:
         snapshot; a copy that vanishes behind it reads as ``missing``.
         """
         report = ScrubReport()
-        if reset:
-            self._clear_cursor()
         cursor = self._load_cursor()
         entries = self.ledger.entries()
         inventory = self.cluster.inventory()

@@ -262,8 +262,9 @@ class MetadataCatalog:
 
     # -- bandwidth history ------------------------------------------------------
 
-    def record_throughput(self, system_id: int, bytes_per_sec: float, *, keep: int = 64) -> None:
-        """Append an observed transfer throughput for a system."""
+    def record_throughput(self, system_id: int, bytes_per_sec: float) -> None:
+        """Append an observed transfer throughput for a system (the
+        newest 64 are kept)."""
         if bytes_per_sec <= 0:
             raise ValueError("throughput must be positive")
         key = f"bw/{system_id:04d}".encode()
@@ -271,17 +272,18 @@ class MetadataCatalog:
             raw = self.store.get(key)
             hist = json.loads(raw) if raw else []
             hist.append(float(bytes_per_sec))
-            self.store.put(key, json.dumps(hist[-keep:]).encode())
+            self.store.put(key, json.dumps(hist[-64:]).encode())
 
-    def bandwidth_estimate(self, system_id: int, *, alpha: float = 0.3) -> float | None:
-        """EWMA bandwidth estimate from the recorded history (newest-weighted)."""
+    def bandwidth_estimate(self, system_id: int) -> float | None:
+        """EWMA bandwidth estimate (weight 0.3 on each newer observation)
+        from the recorded history."""
         raw = self.store.get(f"bw/{system_id:04d}".encode())
         if raw is None:
             return None
         hist = json.loads(raw)
         est = hist[0]
         for obs in hist[1:]:
-            est = (1 - alpha) * est + alpha * obs
+            est = (1 - 0.3) * est + 0.3 * obs
         return float(est)
 
     def close(self) -> None:

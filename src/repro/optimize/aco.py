@@ -41,14 +41,12 @@ class ACOResult:
 class ACOSolver:
     """MMAS-style ant colony solver for :class:`GatheringModel`.
 
+    A colony of 16 ants per iteration picks systems with probability
+    proportional to tau^alpha * eta^beta (alpha 1, beta 2); pheromone
+    evaporates at rate rho = 0.15 per iteration.
+
     Parameters
     ----------
-    ants:
-        Colony size per iteration.
-    alpha / beta:
-        Pheromone vs heuristic exponents.
-    rho:
-        Evaporation rate per iteration.
     local_search:
         Polish each iteration's best ant with swap moves.
     seed:
@@ -56,24 +54,14 @@ class ACOSolver:
         wall-clock budget introduces scheduling nondeterminism).
     """
 
+    ants = 16
+    alpha = 1.0
+    beta = 2.0
+    rho = 0.15
+
     def __init__(
-        self,
-        *,
-        ants: int = 16,
-        alpha: float = 1.0,
-        beta: float = 2.0,
-        rho: float = 0.15,
-        local_search: bool = True,
-        seed: int | None = None,
+        self, *, local_search: bool = True, seed: int | None = None
     ) -> None:
-        if ants < 1:
-            raise ValueError("need at least one ant")
-        if not 0.0 < rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
-        self.ants = ants
-        self.alpha = alpha
-        self.beta = beta
-        self.rho = rho
         self.local_search = local_search
         self.seed = seed
 

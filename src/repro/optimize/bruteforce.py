@@ -16,7 +16,7 @@ from .minlp import GatheringModel
 __all__ = ["exhaustive_gathering", "solution_space_size"]
 
 
-def solution_space_size(model: GatheringModel, *, exact_counts: bool = True) -> int:
+def solution_space_size(model: GatheringModel) -> int:
     """Number of candidate selections with exactly k_j fragments/level."""
     from math import comb
 

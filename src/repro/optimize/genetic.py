@@ -40,44 +40,26 @@ class GAResult:
 
 
 class GASolver:
-    """Elitist genetic algorithm over exact-count gathering selections."""
+    """Elitist genetic algorithm over exact-count gathering selections.
 
-    def __init__(
-        self,
-        *,
-        population: int = 32,
-        elite: int = 2,
-        tournament: int = 3,
-        mutation_rate: float = 0.15,
-        seed: int | None = None,
-    ) -> None:
-        if population < 4:
-            raise ValueError("population must be >= 4")
-        if not 0 < elite < population:
-            raise ValueError("elite must be in (0, population)")
-        if tournament < 2:
-            raise ValueError("tournament must be >= 2")
-        if not 0.0 <= mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        self.population = population
-        self.elite = elite
-        self.tournament = tournament
-        self.mutation_rate = mutation_rate
+    A population of 32 keeps its 2 best each generation, picks parents
+    by 3-way tournament and mutates each level with probability 0.15.
+    """
+
+    population = 32
+    elite = 2
+    tournament = 3
+    mutation_rate = 0.15
+
+    def __init__(self, *, seed: int | None = None) -> None:
         self.seed = seed
 
     def solve(
-        self,
-        model: GatheringModel,
-        *,
-        warm_start: np.ndarray | None = None,
-        time_budget: float | None = None,
-        max_generations: int = 100,
+        self, model: GatheringModel, *, max_generations: int = 100
     ) -> GAResult:
         rng = np.random.default_rng(self.seed)
         start = time.perf_counter()
         pop = [model.random_solution(rng) for _ in range(self.population)]
-        if warm_start is not None:
-            pop[0] = model.repair(warm_start, rng)
         fitness = [model.evaluate(x) for x in pop]
         evaluations = len(pop)
         order = np.argsort(fitness)
@@ -86,11 +68,6 @@ class GASolver:
 
         gen = 0
         while gen < max_generations:
-            if (
-                time_budget is not None
-                and time.perf_counter() - start >= time_budget
-            ):
-                break
             gen += 1
             nxt = [pop[i].copy() for i in order[: self.elite]]
             # Random immigrants guard against premature convergence.

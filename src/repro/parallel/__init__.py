@@ -17,7 +17,6 @@ from .scaling import (
     ClusterScalingModel,
     OperationRates,
     andes_calibrated_rates,
-    measure_rate,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "default_workers",
     "ClusterScalingModel",
     "OperationRates",
-    "measure_rate",
     "andes_calibrated_rates",
     "ALPINE_FS",
     "batched_decompose",

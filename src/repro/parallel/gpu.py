@@ -28,30 +28,27 @@ from ..refactor.grid import plan_levels
 __all__ = ["batched_decompose", "batched_recompose", "GPUDeviceModel", "K80_MODEL"]
 
 
-def batched_decompose(
-    blocks: np.ndarray, *, max_levels: int = 6, correction: bool = True
-):
+def batched_decompose(blocks: np.ndarray):
     """Decompose a (B, n1, ..., nk) stack of equal-shape blocks at once.
 
     The block axis rides along as the transform's batch axis: every 1-D
     line kernel sees B times more lines per call, which is the same
     restructuring a GPU implementation performs to fill the device.
     Returns ``(mallat_stack, plans)`` where plans cover the block shape
-    (axes 1..k only), each block bit-identical to its own decomposition.
+    (axes 1..k only, at most 6 levels), each block bit-identical to its
+    own decomposition.
     """
     blocks = np.asarray(blocks)
     if blocks.ndim < 2:
         raise ValueError("expected a (B, ...) stack of blocks")
-    plans = plan_levels(blocks.shape[1:], max_levels)
-    return transform.decompose(blocks, plans, correction=correction)
+    plans = plan_levels(blocks.shape[1:], 6)
+    return transform.decompose(blocks, plans)
 
 
-def batched_recompose(
-    mallat_stack: np.ndarray, plans, *, correction: bool = True
-) -> np.ndarray:
+def batched_recompose(mallat_stack: np.ndarray, plans) -> np.ndarray:
     """Inverse of :func:`batched_decompose`: each block equal to its own
     recomposition, up to the sign of a zero (:func:`transform.recompose`)."""
-    return transform.recompose(mallat_stack, plans, correction=correction)
+    return transform.recompose(mallat_stack, plans)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ and each method's genuinely different byte counts.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "FilesystemModel",
     "OperationRates",
     "andes_calibrated_rates",
-    "measure_rate",
     "ALPINE_FS",
 ]
 
@@ -100,18 +99,6 @@ class OperationRates:
             raise KeyError(f"unknown compute operation: {op!r}") from None
 
 
-def measure_rate(fn, nbytes: int, *, repeats: int = 1) -> float:
-    """Time ``fn()`` and return the implied throughput in bytes/s."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    if best <= 0:
-        raise RuntimeError("operation completed too fast to time")
-    return nbytes / best
-
-
 @dataclass
 class ClusterScalingModel:
     """Extrapolate operation times to an Andes-like cluster.
@@ -120,20 +107,14 @@ class ClusterScalingModel:
     ----------
     rates:
         Measured single-core compute throughputs.
-    filesystem:
-        The parallel filesystem model for read/write.
-    efficiency_exponent:
-        Weak-scaling efficiency: time on c cores =
-        serial_time / c**efficiency_exponent.  1.0 = perfect.
+
+    Weak scaling is 97 % efficient: time on c cores is
+    ``serial_time / c**efficiency_exponent`` (1.0 would be perfect).
     """
 
-    rates: OperationRates
-    filesystem: FilesystemModel = ALPINE_FS
-    efficiency_exponent: float = 0.97
+    efficiency_exponent: ClassVar[float] = 0.97
 
-    def __post_init__(self) -> None:
-        if not 0.5 <= self.efficiency_exponent <= 1.0:
-            raise ValueError("efficiency_exponent must be in [0.5, 1.0]")
+    rates: OperationRates
 
     def compute_time(self, op: str, nbytes: float, cores: int) -> float:
         """Wall time of a compute op on ``nbytes`` with ``cores`` cores."""
@@ -143,7 +124,7 @@ class ClusterScalingModel:
         return serial / cores**self.efficiency_exponent
 
     def io_time(self, nbytes: float, cores: int) -> float:
-        return self.filesystem.io_time(nbytes, cores)
+        return ALPINE_FS.io_time(nbytes, cores)
 
     # -- whole-phase models -------------------------------------------------
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import kernels
 
-__all__ = ["PlaneSet", "encode_planes", "decode_planes", "plane_weight"]
+__all__ = ["PlaneSet", "encode_planes", "decode_planes"]
 
 #: Default number of magnitude bitplanes retained.
 DEFAULT_PLANES = 32
@@ -85,37 +85,21 @@ class PlaneSet:
         return sum(len(p) for p in self.planes)
 
 
-def plane_weight(ps: PlaneSet, plane_index: int) -> float:
-    """Magnitude contribution of one bit in the given plane (2**(exp-i))."""
-    return float(2.0 ** (ps.exponent - plane_index))
-
-
 def encode_planes(
     coeffs: np.ndarray,
     num_planes: int = DEFAULT_PLANES,
-    *,
-    lsb_exponent: int | None = None,
-    workers: int | None = None,
 ) -> PlaneSet:
     """Encode a flat coefficient array into embedded-sign bitplanes.
 
-    By default the quantisation step is chosen from the group's maximum
-    magnitude so that the most significant retained plane is plane 0.
-    Passing ``lsb_exponent`` anchors the quantisation floor at
-    ``2**lsb_exponent`` absolutely — the refactorer uses one global
-    anchor across all coefficient groups (MGARD's uniform quantisation),
-    so groups of small-magnitude detail coefficients encode *fewer*
-    planes, which is where most of the size reduction comes from.
-    Either way the absolute quantisation error of every coefficient is
-    bounded by the LSB weight.
-
-    ``workers`` fans the chunked bit extraction and the per-plane blob
-    jobs over threads; the output is byte-identical for any value.
+    The quantisation step is chosen from the group's maximum magnitude
+    so that the most significant retained plane is plane 0 (the
+    refactorer instead anchors every group at one global floor through
+    :func:`~repro.refactor.kernels.quantise`'s ``lsb_exponent``).  The
+    absolute quantisation error of every coefficient is bounded by the
+    LSB weight.
     """
-    qg = kernels.quantise(
-        coeffs, num_planes, lsb_exponent=lsb_exponent, workers=workers
-    )
-    planes = kernels.plane_payloads(qg, workers=workers)
+    qg = kernels.quantise(coeffs, num_planes)
+    planes = kernels.plane_payloads(qg)
     return PlaneSet(qg.count, qg.exponent, qg.num_planes, planes)
 
 

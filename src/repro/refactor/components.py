@@ -61,7 +61,9 @@ class Component:
     """One refactored level: an ordered bundle of encoded planes."""
 
     index: int
-    entries: list[tuple[PlaneRef, bytes]] = field(default_factory=list)
+    entries: list[tuple[PlaneRef, bytes]] = field(
+        default_factory=list, init=False
+    )
 
     @property
     def nbytes(self) -> int:

@@ -306,14 +306,12 @@ def quantise(
     *,
     lsb_exponent: int | None = None,
     workers: int | None = None,
-    chunk: int = COEFF_CHUNK,
 ) -> QuantisedGroup:
     """Quantise a flat coefficient array and extract its bitplanes.
 
-    The work is chunked and, with ``workers > 1``, thread-parallel.
+    The work is chunked (:data:`COEFF_CHUNK`) and, with ``workers > 1``,
+    thread-parallel.
     """
-    if chunk % 8:
-        raise ValueError(f"chunk must be a multiple of 8, got {chunk}")
     coeffs = np.ascontiguousarray(coeffs, dtype=np.float64).reshape(-1)
     count = coeffs.size
     if count == 0:
@@ -348,7 +346,7 @@ def quantise(
     maxq = np.uint64(2**num_planes - 1)
     q = np.empty(count, dtype=np.uint64)
     packed = np.empty((num_planes, (count + 7) // 8), dtype=np.uint8)
-    spans = _chunk_spans(count, chunk)
+    spans = _chunk_spans(count, COEFF_CHUNK)
 
     def _chunk(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = span
@@ -440,15 +438,9 @@ def _plane_blob_job(job: tuple[QuantisedGroup, int]) -> bytes:
     )
 
 
-def plane_payloads(
-    qg: QuantisedGroup, *, workers: int | None = None
-) -> list[bytes]:
+def plane_payloads(qg: QuantisedGroup) -> list[bytes]:
     """Encode and frame every plane of one group (threaded per plane)."""
-    return thread_map(
-        _plane_blob_job,
-        [(qg, i) for i in range(qg.num_planes)],
-        workers=workers,
-    )
+    return thread_map(_plane_blob_job, [(qg, i) for i in range(qg.num_planes)])
 
 
 def encode_groups(
@@ -511,7 +503,6 @@ def decoded_state(
     keep: int,
     *,
     workers: int | None = None,
-    chunk: int = COEFF_CHUNK,
 ) -> DecodedGroup:
     """Decode the first ``keep`` planes into quantised magnitudes.
 
@@ -519,8 +510,6 @@ def decoded_state(
     integers in ``q`` and the identical sign-assignment order (plane by
     plane, coefficients in array order within each plane).
     """
-    if chunk % 8:
-        raise ValueError(f"chunk must be a multiple of 8, got {chunk}")
     q = np.zeros(count, dtype=np.uint64)
     if count == 0 or keep == 0:
         return DecodedGroup(
@@ -532,7 +521,7 @@ def decoded_state(
     rows = [np.frombuffer(braw, dtype=np.uint8) for braw, _sraw in opened]
     if any(row.size != (count + 7) // 8 for row in rows):
         raise ValueError(f"plane blob does not hold {count} magnitude bits")
-    spans = _chunk_spans(count, chunk)
+    spans = _chunk_spans(count, COEFF_CHUNK)
 
     def _chunk(span: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = span

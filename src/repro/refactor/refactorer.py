@@ -52,15 +52,9 @@ def refactor_block(
     return Refactorer(**config).refactor(block, measure_errors=measure_errors)
 
 
-def reconstruct_block(
-    obj: "RefactoredObject",
-    config: dict,
-    *,
-    upto: int | None = None,
-    payloads: list[bytes] | None = None,
-) -> np.ndarray:
+def reconstruct_block(obj: "RefactoredObject", config: dict) -> np.ndarray:
     """Module-level reconstruct stage callable (picklable counterpart)."""
-    return Refactorer(**config).reconstruct(obj, upto=upto, payloads=payloads)
+    return Refactorer(**config).reconstruct(obj)
 
 
 #: Elements one error-measurement recompose may stack.  A small

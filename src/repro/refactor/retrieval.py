@@ -51,18 +51,16 @@ class RetrievalPlan:
     """The error-vs-bytes frontier of one refactored object.
 
     ``points[j]`` is ``(cumulative_bytes, error)`` after retrieving the
-    first ``j + 1`` components.  With ``use_bounds`` the frontier uses
-    the closed-form error bounds (guaranteed, conservative); otherwise
-    the measured errors.
+    first ``j + 1`` components: the measured errors, or the closed-form
+    error bounds (guaranteed, conservative) of an object measured
+    without them.
     """
 
     points: tuple[tuple[int, float], ...]
 
     @classmethod
-    def for_object(
-        cls, obj: RefactoredObject, *, use_bounds: bool = False
-    ) -> "RetrievalPlan":
-        profile = (obj.bounds if use_bounds else obj.errors) or obj.bounds or obj.errors
+    def for_object(cls, obj: RefactoredObject) -> "RetrievalPlan":
+        profile = obj.errors or obj.bounds
         if not profile:
             raise ValueError("object has neither measured errors nor bounds")
         if len(profile) != obj.num_components:

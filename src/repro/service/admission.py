@@ -57,21 +57,20 @@ class TokenBucket:
             )
         self._stamp = now
 
-    def try_acquire(self, n: float = 1.0) -> float:
-        """Take ``n`` tokens if available; else seconds until they are."""
+    def try_acquire(self) -> float:
+        """Take one token if available; else seconds until it is."""
         with self._lock:
             self._refill()
-            if self._tokens >= n:
-                self._tokens -= n
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
                 return 0.0
-            return (n - self._tokens) / self.rate
+            return (1.0 - self._tokens) / self.rate
 
 
 class Bulkhead:
     """Per-tenant worker-slot quotas over the shared execution pool.
 
-    ``default_slots`` bounds every tenant; ``quotas`` overrides specific
-    tenants.  Acquisition is non-blocking (the dispatcher simply skips
+    ``default_slots`` bounds every tenant.  Acquisition is non-blocking (the dispatcher simply skips
     tenants at quota and serves someone else — that *is* the isolation);
     ``on_release`` lets the admission queue wake waiting workers when a
     slot frees up.
@@ -81,31 +80,19 @@ class Bulkhead:
         self,
         default_slots: int = 2,
         *,
-        quotas: dict[str, int] | None = None,
         on_release=None,
     ):
         if default_slots < 1:
             raise ValueError("default_slots must be >= 1")
         self.default_slots = int(default_slots)
-        self.quotas = dict(quotas or {})
-        for tenant, q in self.quotas.items():
-            if q < 1:
-                raise ValueError(f"quota for tenant {tenant!r} must be >= 1")
         self.on_release = on_release
         self._lock = threading.Lock()
         self._inflight: dict[str, int] = {}
 
-    def quota(self, tenant: str) -> int:
-        return self.quotas.get(tenant, self.default_slots)
-
-    def inflight(self, tenant: str) -> int:
-        with self._lock:
-            return self._inflight.get(tenant, 0)
-
     def try_acquire(self, tenant: str) -> bool:
         with self._lock:
             used = self._inflight.get(tenant, 0)
-            if used >= self.quota(tenant):
+            if used >= self.default_slots:
                 return False
             self._inflight[tenant] = used + 1
             return True
@@ -147,11 +134,9 @@ class AdmissionQueue:
 
     # -- producer side -----------------------------------------------------
 
-    def depth(self, tenant: str | None = None) -> int:
+    def depth(self) -> int:
         with self._lock:
-            if tenant is None:
-                return self._depth
-            return len(self._queues.get(tenant, ()))
+            return self._depth
 
     def offer(self, req: ServiceRequest, *, retry_after: float) -> None:
         """Enqueue or shed.  Raises :class:`ServiceRejected` when the

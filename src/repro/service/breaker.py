@@ -3,11 +3,11 @@
 The service watches the pipeline's retry layer: every time a
 :class:`~repro.chaos.RetryPolicy` exhausts its attempts against a
 backend system, the system's breaker records a failure.  After
-``threshold`` consecutive exhaustions the breaker *opens* — the service
+``threshold`` (3) consecutive exhaustions the breaker *opens* — the service
 stops routing reads at that system (it is merged into the ``avoid``
 set handed to :meth:`repro.core.RAPIDS.restore`) instead of burning
 every request's deadline rediscovering the same outage.  After
-``reset_after`` seconds the breaker moves to *half-open* and lets one
+``reset_after`` (30) seconds the breaker moves to *half-open* and lets one
 probe through; a success closes it, a failure re-opens it.
 
 The breaker is advisory placement pressure, not a hard fence: restore's
@@ -31,19 +31,10 @@ HALF_OPEN = "half-open"
 class CircuitBreaker:
     """One backend system's failure gate (closed / open / half-open)."""
 
-    def __init__(
-        self,
-        *,
-        threshold: int = 3,
-        reset_after: float = 30.0,
-        clock=time.monotonic,
-    ):
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if reset_after <= 0:
-            raise ValueError("reset_after must be positive")
-        self.threshold = int(threshold)
-        self.reset_after = float(reset_after)
+    threshold = 3
+    reset_after = 30.0
+
+    def __init__(self, *, clock=time.monotonic):
         self._clock = clock
         self._lock = threading.Lock()
         self._failures = 0
@@ -97,12 +88,8 @@ class BreakerBoard:
     def __init__(
         self,
         *,
-        threshold: int = 3,
-        reset_after: float = 30.0,
         clock=time.monotonic,
     ):
-        self.threshold = threshold
-        self.reset_after = reset_after
         self._clock = clock
         self._lock = threading.Lock()
         self._breakers: dict[int, CircuitBreaker] = {}
@@ -112,9 +99,7 @@ class BreakerBoard:
             br = self._breakers.get(system_id)
             if br is None:
                 br = self._breakers[system_id] = CircuitBreaker(
-                    threshold=self.threshold,
-                    reset_after=self.reset_after,
-                    clock=self._clock,
+                    clock=self._clock
                 )
             return br
 

@@ -174,25 +174,18 @@ class ArchiveService:
         hosts the request journal).
     config:
         A :class:`ServiceConfig`; defaults are test-sized.
-    injector:
-        Optional chaos injector consulted at the service's own seams
-        (``service.admit`` / ``service.dequeue`` / ``service.journal``)
-        in addition to whatever is attached to the pipeline beneath.
     """
 
-    def __init__(self, rapids, *, config: ServiceConfig | None = None,
-                 injector=None):
+    def __init__(self, rapids, *, config: ServiceConfig | None = None):
         self.rapids = rapids
         self.config = config or ServiceConfig()
         self.clock = self.config.clock
-        self.injector = injector
+        self.injector = None
         self.queue = AdmissionQueue(self.config.queue_capacity)
         self.bulkhead = Bulkhead(
             self.config.bulkhead_slots, on_release=self.queue.notify,
         )
-        self.journal = RequestJournal(
-            rapids.catalog.store, injector=injector
-        )
+        self.journal = RequestJournal(rapids.catalog.store)
         self.breakers = BreakerBoard(clock=self.clock)
         # Feed the breakers from the pipeline's per-fetch retry outcomes.
         rapids.fetch_observer = self._observe_fetch
@@ -321,13 +314,12 @@ class ArchiveService:
             done += 1
         return done
 
-    def start(self, workers: int | None = None) -> None:
+    def start(self) -> None:
         """Spawn the worker threads (idempotent)."""
         if self._threads:
             return
         self._stopping.clear()
-        n = workers if workers is not None else self.config.workers
-        for i in range(n):
+        for i in range(self.config.workers):
             t = threading.Thread(
                 target=self._worker_loop, name=f"archive-worker-{i}",
                 daemon=True,
@@ -482,10 +474,10 @@ class ArchiveService:
         rapids = self.rapids
         rec = rapids.catalog.get_object(req.name)
         bandwidths = rapids.cluster.bandwidths
-        target = req.target_error
-        # What the request asks for, whatever is down: a restore that
-        # delivers less is degraded.
-        wanted = plan_retrieval(rec, (), bandwidths, target_error=target)
+        target = None
+        # What the request asks for (every level), whatever is down: a
+        # restore that delivers less is degraded.
+        wanted = plan_retrieval(rec, (), bandwidths)
         with self._pipeline_stage(req) as lapsed:
             if lapsed:
                 return ServiceResult(status="deadline", **base)
@@ -497,7 +489,7 @@ class ArchiveService:
                 # gathering latency fits the remaining budget.
                 plan = partial(
                     plan_retrieval, rec, [*rapids.cluster.failed_ids(), *avoid],
-                    bandwidths, target_error=target,
+                    bandwidths,
                 )
                 affordable = plan(
                     seconds=req.deadline.remaining() * _DEADLINE_SAFETY
@@ -510,7 +502,7 @@ class ArchiveService:
                     target = rec.level_errors[wanted - 1]
             report = rapids.restore(
                 req.name,
-                strategy=req.strategy,
+                strategy="naive",
                 target_error=target,
                 avoid_systems=avoid,
                 record_access=False,

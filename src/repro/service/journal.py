@@ -85,14 +85,15 @@ class RequestJournal:
 
     ``store`` needs ``get``/``put`` over ``bytes`` — the embedded
     :class:`~repro.metadata.kvstore.KVStore` or its replicated variant.
-    The optional injector is consulted at the declared chaos site
-    ``service.journal`` on every journal write, so seeded campaigns can
-    fail or stall the journal independently of the store beneath it.
+    An injector attached with :meth:`attach_injector` is consulted at the
+    declared chaos site ``service.journal`` on every journal write, so
+    seeded campaigns can fail or stall the journal independently of the
+    store beneath it.
     """
 
-    def __init__(self, store, *, injector=None):
+    def __init__(self, store):
         self.store = store
-        self.injector = injector
+        self.injector = None
 
     def attach_injector(self, injector) -> None:
         self.injector = injector

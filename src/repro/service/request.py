@@ -39,8 +39,8 @@ class ManualClock:
 
     __slots__ = ("t",)
 
-    def __init__(self, t: float = 0.0) -> None:
-        self.t = float(t)
+    def __init__(self) -> None:
+        self.t = 0.0
 
     def __call__(self) -> float:
         return self.t
@@ -64,19 +64,11 @@ class Deadline:
 
     __slots__ = ("at", "_clock")
 
-    def __init__(
-        self,
-        seconds: float | None = None,
-        *,
-        clock=time.monotonic,
-        at: float | None = None,
-    ) -> None:
-        if (seconds is None) == (at is None):
-            raise ValueError("pass exactly one of seconds= or at=")
-        if seconds is not None and seconds <= 0:
+    def __init__(self, seconds: float, *, clock=time.monotonic) -> None:
+        if seconds <= 0:
             raise ValueError("deadline must be positive")
         self._clock = clock
-        self.at = float(at) if at is not None else clock() + float(seconds)
+        self.at = clock() + float(seconds)
 
     def remaining(self) -> float:
         """Seconds left before the deadline (clamped at 0)."""
@@ -96,8 +88,9 @@ class ServiceRequest:
 
     ``op`` is ``"prepare"`` or ``"restore"``.  For prepares, ``data``
     holds the array (or a ``.npy`` path) and ``idempotency_key`` makes
-    retried submissions safe; for restores, ``target_error`` and
-    ``strategy`` pass straight through to :meth:`repro.core.RAPIDS.restore`.
+    retried submissions safe.  A restore asks for every level, gathered
+    with the Naive strategy; a deadline it cannot meet degrades it to the
+    deepest affordable prefix.
     """
 
     tenant: str
@@ -106,8 +99,6 @@ class ServiceRequest:
     data: object | None = None
     idempotency_key: str | None = None
     deadline: Deadline | None = None
-    target_error: float | None = None
-    strategy: str = "naive"
     request_id: str = ""
     submitted_at: float = 0.0
 

@@ -80,16 +80,18 @@ class TrafficMix:
     restore_fraction: float = 0.75
     #: Mean open-loop interarrival gap, in service-clock seconds.
     mean_interarrival: float = 0.02
-    #: Bounded-Pareto shape/bounds for prepare object *element* counts.
-    size_alpha: float = 1.3
-    size_lo: int = 1 << 10
-    size_hi: int = 1 << 14
-    #: Deadline attached to each request (None = no deadline).
-    deadline: float | None = 5.0
-    #: Fraction of prepares that carry an idempotency key drawn from a
-    #: small pool — so duplicates actually occur and coalesce/replay.
-    keyed_fraction: float = 0.5
-    key_pool: int = 8
+
+
+#: Deadline attached to each request, in service-clock seconds.
+_DEADLINE = 5.0
+#: Bounded-Pareto shape/bounds for prepare object *element* counts.
+_SIZE_ALPHA = 1.3
+_SIZE_LO = 1 << 10
+_SIZE_HI = 1 << 14
+#: Fraction of prepares that carry an idempotency key drawn from a small
+#: pool of ``_KEY_POOL`` — so duplicates actually occur and coalesce/replay.
+_KEYED_FRACTION = 0.5
+_KEY_POOL = 8
 
 
 #: The named mixes ``rapids serve --drive`` and the service benchmark
@@ -125,7 +127,6 @@ class ScheduledRequest:
     data_seed: int = 0
     idempotency_key: str | None = None
     deadline: float | None = None
-    target_error: float | None = None
 
     def build(self, clock) -> ServiceRequest:
         data = None
@@ -143,7 +144,6 @@ class ScheduledRequest:
             data=data,
             idempotency_key=self.idempotency_key,
             deadline=dl,
-            target_error=self.target_error,
         )
 
 
@@ -176,19 +176,19 @@ def make_schedule(
             schedule.append(
                 ScheduledRequest(
                     at=t, tenant=tenant, op="restore", name=name,
-                    deadline=mix.deadline,
+                    deadline=_DEADLINE,
                 )
             )
         else:
             size = int(
                 bounded_pareto(
-                    float(rng.random()), mix.size_alpha,
-                    float(mix.size_lo), float(mix.size_hi),
+                    float(rng.random()), _SIZE_ALPHA,
+                    float(_SIZE_LO), float(_SIZE_HI),
                 )
             )
             key = None
-            if rng.random() < mix.keyed_fraction:
-                key = f"{mix.name}-k{int(rng.integers(mix.key_pool)):02d}"
+            if rng.random() < _KEYED_FRACTION:
+                key = f"{mix.name}-k{int(rng.integers(_KEY_POOL)):02d}"
             # Keyed prepares reuse the key's object name so duplicates
             # are true duplicates (same name, same bytes).
             tag = key if key is not None else f"i{i:05d}"
@@ -199,7 +199,7 @@ def make_schedule(
                     size=size,
                     data_seed=seed ^ _hash_tag(f"{mix.name}|{tenant}|{tag}"),
                     idempotency_key=key,
-                    deadline=mix.deadline,
+                    deadline=_DEADLINE,
                 )
             )
     return schedule
@@ -289,15 +289,14 @@ def drive_open_loop(
     mix_name: str = "",
     seed: int = 0,
     pump_interval: int = 1,
-    pump_batch: int = 1,
     service_tick: float = 0.005,
 ) -> TrafficReport:
     """Drive a schedule in simulated time (deterministic replay mode).
 
     Arrivals advance the :class:`~repro.service.request.ManualClock` to
     their timestamps and submit without waiting.  After every
-    ``pump_interval`` arrivals the service executes up to ``pump_batch``
-    queued requests inline, advancing the clock ``service_tick`` seconds
+    ``pump_interval`` arrivals the service executes one queued request
+    inline, advancing the clock ``service_tick`` seconds
     per execution — so a pump budget below the arrival rate *is* the
     overload, and queue growth, shedding, deadline expiry and bulkhead
     contention all follow deterministically from the seed.
@@ -325,7 +324,7 @@ def drive_open_loop(
         except ServiceRejected as exc:
             report.sheds.append((req.tenant, exc.reason, exc.retry_after))
         if (i + 1) % pump_interval == 0:
-            pump(pump_batch)
+            pump(1)
     pump(None)  # drain the backlog
     report.duration = max(clock() - start, 1e-9)
     seen = set()
@@ -344,13 +343,13 @@ def drive_threaded(
     mix_name: str = "",
     seed: int = 0,
     time_scale: float = 1.0,
-    result_timeout: float = 60.0,
 ) -> TrafficReport:
     """Drive a schedule in wall-clock time against a *started* service.
 
     Open loop: a submitter thread fires arrivals on schedule (scaled by
     ``time_scale``) regardless of completions; sheds are recorded and
-    dropped.  Returns once every admitted ticket resolves.
+    dropped.  Returns once every admitted ticket resolves (each gets 60
+    seconds).
     """
     import time as _time
 
@@ -385,6 +384,6 @@ def drive_threaded(
         if id(t) in seen:
             continue
         seen.add(id(t))
-        report.results.append(t.result(timeout=result_timeout))
+        report.results.append(t.result(timeout=60.0))
     report.duration = max(_time.monotonic() - start, 1e-9)
     return report

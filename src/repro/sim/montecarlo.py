@@ -74,15 +74,14 @@ def simulate_expected_error(
     *,
     trials: int = 200_000,
     seed: int = 0,
-    e0: float = 1.0,
     correlated: CorrelatedFailureModel | None = None,
 ) -> MonteCarloResult:
     """Empirical E[relative error] vs the Eq. 5 closed form.
 
     Each trial samples an outage vector, determines the deepest
     recoverable level (N <= m_j for a prefix because m is strictly
-    decreasing), and scores that level's error (or ``e0`` if even level
-    1 is lost).  Passing ``correlated`` replaces the i.i.d. sampler with
+    decreasing), and scores that level's error (or 1.0 if even level 1
+    is lost).  Passing ``correlated`` replaces the i.i.d. sampler with
     region-shared-fate failures; the analytic value is still the Eq. 5
     i.i.d. prediction, so the result quantifies the model violation.
     """
@@ -105,9 +104,9 @@ def simulate_expected_error(
     # whose m_j >= N.
     recoverable = (counts[:, None] <= ms_arr[None, :]).sum(axis=1)
     scores = np.where(
-        recoverable == 0, e0, err_arr[np.maximum(recoverable - 1, 0)]
+        recoverable == 0, 1.0, err_arr[np.maximum(recoverable - 1, 0)]
     )
     emp = float(scores.mean())
     se = float(scores.std(ddof=1) / np.sqrt(trials))
-    analytic = expected_relative_error(n, p, list(ms), list(errors), e0=e0)
+    analytic = expected_relative_error(n, p, list(ms), list(errors))
     return MonteCarloResult(emp, se, analytic, trials)

@@ -8,13 +8,6 @@ from .failures import (
     exact_k_failures,
 )
 from .filestore import FileStorageCluster, FileStorageSystem
-from .placement import (
-    CapacityError,
-    CapacityTracker,
-    apply_moves,
-    plan_placement,
-    rebalance_moves,
-)
 from .system import (
     FRAGMENT_ERRORS,
     CorruptFragmentError,
@@ -28,11 +21,6 @@ __all__ = [
     "FileStorageCluster",
     "FileStorageSystem",
     "Inventory",
-    "CapacityTracker",
-    "CapacityError",
-    "plan_placement",
-    "rebalance_moves",
-    "apply_moves",
     "StorageSystem",
     "StoredFragment",
     "UnavailableError",

@@ -43,20 +43,18 @@ class Inventory:
     def _copy(self, stored: str, level: int, index: int) -> dict[int, int]:
         return self._copies.setdefault((stored, level), {}).setdefault(index, {})
 
-    def holders(
-        self, object_name: str, level: int, *, available_only: bool = True
-    ) -> dict[int, list[int]]:
-        """Fragment index -> ascending ids of the systems holding a copy."""
+    def holders(self, object_name: str, level: int) -> dict[int, list[int]]:
+        """Fragment index -> ascending ids of the available systems
+        holding a copy."""
         stripe = self._copies.get((self._stored_name(object_name), level), {})
-        among = self.available if available_only else self.used_bytes.keys()
-        found = {i: sorted(among & copies.keys()) for i, copies in stripe.items()}
+        found = {
+            i: sorted(self.available & copies.keys()) for i, copies in stripe.items()
+        }
         return {i: sids for i, sids in found.items() if sids}
 
-    def locate(
-        self, object_name: str, level: int, *, available_only: bool = True
-    ) -> dict[int, int]:
+    def locate(self, object_name: str, level: int) -> dict[int, int]:
         """Fragment index -> system id; of duplicates, the highest."""
-        holders = self.holders(object_name, level, available_only=available_only)
+        holders = self.holders(object_name, level)
         return {i: sids[-1] for i, sids in holders.items()}
 
     def refresh(self, system, object_name: str, level: int, index: int) -> None:
@@ -145,45 +143,31 @@ class StorageCluster:
         object_name: str,
         level: int,
         fragments: Sequence[bytes | np.ndarray | int],
-        *,
-        system_ids: Sequence[int] | None = None,
-        checksums: Sequence[int] | None = None,
     ) -> list[int]:
-        """Place one level's fragments, one per storage system.
+        """Place one level's fragments: fragment i on system i, the
+        paper's one-EC-fragment-per-system layout.
 
         ``fragments`` entries may be payload bytes/arrays or plain byte
-        counts (simulated fragments).  Default placement is fragment i on
-        system i, matching the paper's one-EC-fragment-per-system layout;
-        a custom ``system_ids`` permutation may be supplied.  Real
-        payloads are stored with a CRC-32 (``checksums`` passes
-        already-computed values so the pipeline hashes each blob once);
-        reads verify it, so at-rest damage surfaces as a typed
+        counts (simulated fragments).  Real payloads are stored with a
+        CRC-32; reads verify it, so at-rest damage surfaces as a typed
         :class:`~repro.storage.system.CorruptFragmentError`.  Returns the
         placement (fragment index -> system id).
         """
-        if system_ids is None:
-            system_ids = list(range(len(fragments)))
-        if len(system_ids) != len(fragments):
-            raise ValueError("system_ids must align with fragments")
-        if len(set(system_ids)) != len(system_ids):
-            raise ValueError("one fragment per system: duplicate placement")
         if len(fragments) > self.n:
             raise ValueError(
                 f"{len(fragments)} fragments exceed cluster size {self.n}"
             )
-        if checksums is not None and len(checksums) != len(fragments):
-            raise ValueError("checksums must align with fragments")
-        for idx, (frag, sid) in enumerate(zip(fragments, system_ids)):
+        for idx, frag in enumerate(fragments):
             if isinstance(frag, (int, np.integer)):
                 sf = StoredFragment(object_name, level, idx, int(frag), None)
             else:
                 data = bytes(frag) if not isinstance(frag, bytes) else frag
-                crc = checksums[idx] if checksums is not None else crc32(data)
                 sf = StoredFragment(
-                    object_name, level, idx, len(data), data, checksum=crc
+                    object_name, level, idx, len(data), data,
+                    checksum=crc32(data),
                 )
-            self.systems[sid].put(sf)
-        return list(system_ids)
+            self.systems[idx].put(sf)
+        return list(range(len(fragments)))
 
     # -- inventory --------------------------------------------------------
 
@@ -191,13 +175,9 @@ class StorageCluster:
         """A point-in-time snapshot of what every system holds."""
         return Inventory(self.systems)
 
-    def locate(
-        self, object_name: str, level: int, *, available_only: bool = True
-    ) -> dict[int, int]:
+    def locate(self, object_name: str, level: int) -> dict[int, int]:
         """Map fragment index -> system id for one object level."""
-        return self.inventory().locate(
-            object_name, level, available_only=available_only
-        )
+        return self.inventory().locate(object_name, level)
 
     def fetch(
         self, object_name: str, level: int, index: int,

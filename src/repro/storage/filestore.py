@@ -243,11 +243,11 @@ class FileStorageCluster(StorageCluster):
         self,
         root: str | Path,
         bandwidths=None,
-        names=None,
     ) -> None:
         self.root = Path(root)
         config_path = self.root / "cluster.json"
         create = bandwidths is not None
+        names = None
         if not create:
             if not config_path.exists():
                 raise ValueError(

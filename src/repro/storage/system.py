@@ -84,7 +84,9 @@ class StorageSystem:
     available: bool = True
     #: Optional chaos seam (see :mod:`repro.chaos`): consulted at every
     #: fragment read/write when set; ``None`` costs one identity check.
-    injector: object | None = field(default=None, repr=False, compare=False)
+    injector: object | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _store: dict[tuple[str, int, int], StoredFragment] = field(
         default_factory=dict, repr=False
     )

@@ -58,16 +58,16 @@ def generate_transfer_logs(
     transfers_per_endpoint: int = 200,
     *,
     seed: int = 2014,
-    sigma: float = 0.35,
 ) -> tuple[list[TransferRecord], dict[str, float]]:
     """Generate synthetic GCS-to-GCS transfer logs.
 
     Returns ``(records, true_means)`` where ``true_means`` holds each
     endpoint's latent mean throughput so tests can check the estimator.
-    ``sigma`` is the lognormal scatter of individual transfers.
+    Individual transfers scatter lognormally (sigma 0.35).
     """
     if num_endpoints < 1 or transfers_per_endpoint < 1:
         raise ValueError("need at least one endpoint and one transfer")
+    sigma = 0.35
     rng = np.random.default_rng(seed)
     # Log-uniform latent means over the observed range, sorted descending
     # so endpoint ids are stable across runs.
@@ -105,13 +105,13 @@ def estimate_bandwidths(records: list[TransferRecord]) -> dict[str, float]:
     return {ep: sums[ep] / counts[ep] for ep in sums}
 
 
-def paper_bandwidth_profile(n: int = 16, *, seed: int = 2014) -> np.ndarray:
+def paper_bandwidth_profile(n: int = 16) -> np.ndarray:
     """Estimated bandwidths for ``n`` remote systems, bytes/s, id order.
 
     This is the full §5.1.2 pipeline: synthesize logs, run the estimator,
-    return the estimates as an array indexed by system id.  Deterministic
-    for a given seed; used by every transfer-latency bench.
+    return the estimates as an array indexed by system id.  Deterministic;
+    used by every transfer-latency bench.
     """
-    records, _ = generate_transfer_logs(num_endpoints=n, seed=seed)
+    records, _ = generate_transfer_logs(num_endpoints=n)
     est = estimate_bandwidths(records)
     return np.array([est[f"gcs-{i:02d}"] for i in range(n)])

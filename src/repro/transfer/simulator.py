@@ -43,10 +43,6 @@ class TransferResult:
     makespan: float
     total_bytes: float
 
-    @property
-    def mean_time(self) -> float:
-        return float(np.mean(self.finish_times)) if self.finish_times else 0.0
-
 
 def static_transfer_times(
     requests: list[TransferRequest], bandwidths: np.ndarray
@@ -77,26 +73,15 @@ class FairShareSimulator:
     events every rate is constant, so the next completion time is exact
     (no time-stepping error).  Complexity O(R^2) in the number of
     requests per endpoint — trivially fast for the n<=32, l<=8 scales the
-    paper evaluates.
-
-    An optional ``client_bandwidth`` models the user site's ingress cap:
-    when the sum of endpoint shares exceeds it, all rates are scaled
-    proportionally (the paper ignores this; the default keeps it off).
+    paper evaluates.  Like the paper, it puts no cap on the user site's
+    ingress.
     """
 
-    def __init__(
-        self,
-        bandwidths: np.ndarray,
-        *,
-        client_bandwidth: float | None = None,
-    ) -> None:
+    def __init__(self, bandwidths: np.ndarray) -> None:
         bandwidths = np.asarray(bandwidths, dtype=np.float64)
         if np.any(bandwidths <= 0):
             raise ValueError("bandwidths must be positive")
-        if client_bandwidth is not None and client_bandwidth <= 0:
-            raise ValueError("client_bandwidth must be positive")
         self.bandwidths = bandwidths
-        self.client_bandwidth = client_bandwidth
 
     def run(self, requests: list[TransferRequest]) -> TransferResult:
         """Simulate all requests starting at t=0; returns completion times
@@ -136,8 +121,4 @@ class FairShareSimulator:
         for i, (r, a) in enumerate(zip(requests, active)):
             if a:
                 rates[i] = self.bandwidths[r.system_id] / counts[r.system_id]
-        if self.client_bandwidth is not None:
-            total = rates[active].sum()
-            if total > self.client_bandwidth:
-                rates *= self.client_bandwidth / total
         return rates

@@ -14,7 +14,6 @@ from repro.core import (
     ec_storage_overhead,
     ec_unavailability,
     expected_relative_error,
-    level_recovery_probability,
     prob_more_than_k_failures,
     refactored_storage_overhead,
 )
@@ -36,12 +35,6 @@ class TestBandsAgainstExactBinomial:
     (16, 8, 6, 0.001), which came out 0.0 instead of 1.14e-17."""
 
     BANDS = [(16, 10, 8, 0.01), (16, 8, 6, 0.001)]
-
-    @pytest.mark.parametrize("n, mj, mnext, p", BANDS)
-    def test_level_recovery_band(self, n, mj, mnext, p):
-        exact = sum(exact_binom_pmf(n, p)[mnext + 1 : mj + 1])
-        got = level_recovery_probability(n, mj, mnext, p)
-        assert abs(Fraction(got) - exact) <= Fraction(n, 2**52) * exact
 
     @pytest.mark.parametrize("n, mj, mnext, p", BANDS)
     def test_expected_error_band(self, n, mj, mnext, p):
@@ -78,14 +71,6 @@ class TestBasicProbabilities:
         eq2 = sum(binom_pmf(n, i, p) for i in range(m + 1, n + 1))
         assert ec_unavailability(n, m, p) == pytest.approx(eq2, rel=1e-10)
 
-    def test_level_recovery_matches_eq4(self):
-        n, p = 16, 0.01
-        mj, mnext = 4, 2
-        eq4 = sum(binom_pmf(n, i, p) for i in range(mnext + 1, mj + 1))
-        assert level_recovery_probability(n, mj, mnext, p) == pytest.approx(
-            eq4, rel=1e-10
-        )
-
     def test_validation(self):
         with pytest.raises(ValueError):
             prob_more_than_k_failures(0, 1, 0.1)
@@ -95,8 +80,6 @@ class TestBasicProbabilities:
             duplication_unavailability(4, 5, 0.5)
         with pytest.raises(ValueError):
             ec_unavailability(4, 4, 0.5)
-        with pytest.raises(ValueError):
-            level_recovery_probability(8, 2, 3, 0.1)
 
     @given(
         st.integers(min_value=2, max_value=32),
@@ -119,8 +102,9 @@ class TestExpectedError:
         n, p = 16, 0.01
         ms = [4, 3, 2, 1]
         total = prob_more_than_k_failures(n, ms[0], p)
-        total += sum(
-            level_recovery_probability(n, ms[j], ms[j + 1], p)
+        total += sum(  # Eq. 4: P(m_{j+1} < N <= m_j)
+            prob_more_than_k_failures(n, ms[j + 1], p)
+            - prob_more_than_k_failures(n, ms[j], p)
             for j in range(len(ms) - 1)
         )
         total += 1 - prob_more_than_k_failures(n, ms[-1], p)

@@ -33,19 +33,6 @@ class TestDuplication:
         fastest = BW.max()
         assert rep.gathering_latency == pytest.approx(1e12 / fastest)
 
-    def test_restore_with_failed_holder(self):
-        dp = DuplicationMethod(3)
-        order = np.argsort(BW)[::-1]
-        rep = dp.restore(1e12, BW, failed=[int(order[0])])
-        assert rep.gathering_latency == pytest.approx(1e12 / BW[order[1]])
-
-    def test_restore_all_holders_down(self):
-        dp = DuplicationMethod(2)
-        order = np.argsort(BW)[::-1]
-        with pytest.raises(RuntimeError):
-            dp.restore(1e12, BW, failed=[int(order[0])])
-
-
 class TestPlainEC:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,13 +43,6 @@ class TestPlainEC:
         rep = ec.prepare(12e12, BW)
         assert rep.storage_overhead == pytest.approx(1 / 3)
         assert rep.network_bytes == pytest.approx(16e12)
-
-    def test_restore_needs_k_fragments(self):
-        ec = PlainECMethod(12, 4)
-        with pytest.raises(RuntimeError):
-            ec.restore(1e12, BW, failed=[0, 1, 2, 3, 4])
-        rep = ec.restore(1e12, BW, failed=[0, 1, 2, 3])
-        assert rep.gathering_latency > 0
 
     def test_overhead_beats_duplication(self):
         assert PlainECMethod(12, 4).prepare(1e12, BW).storage_overhead < (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.refactor.bitplane import decode_planes, encode_planes, plane_weight
+from repro.refactor.bitplane import decode_planes, encode_planes
 
 
 def test_roundtrip_full_precision():
@@ -80,9 +80,9 @@ def test_invalid_keep():
 
 def test_plane_weight():
     ps = encode_planes(np.array([8.0]), num_planes=8)
-    assert ps.exponent == 3
-    assert plane_weight(ps, 0) == 8.0
-    assert plane_weight(ps, 3) == 1.0
+    assert ps.exponent == 3  # plane i weighs 2 ** (exponent - i)
+    assert 2.0 ** (ps.exponent - 0) == 8.0
+    assert 2.0 ** (ps.exponent - 3) == 1.0
 
 
 def test_msb_planes_compress_better_on_smooth_data():

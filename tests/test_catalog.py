@@ -205,9 +205,9 @@ class TestBandwidthHistory:
 
     def test_history_bounded(self, catalog):
         for i in range(200):
-            catalog.record_throughput(2, 1e9 + i, keep=16)
+            catalog.record_throughput(2, 1e9 + i)
         raw = catalog.store.get(b"bw/0002")
-        assert len(json.loads(raw)) == 16
+        assert json.loads(raw) == [1e9 + i for i in range(136, 200)]
 
     def test_validation(self, catalog):
         with pytest.raises(ValueError):

@@ -307,22 +307,12 @@ class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="deadline"):
-            RetryPolicy(max_attempts=None)
-        RetryPolicy(max_attempts=None, deadline=10.0)  # ok
-        with pytest.raises(ValueError, match="factor"):
-            RetryPolicy(factor=0.5)
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
+        with pytest.raises(ValueError, match="base"):
+            RetryPolicy(base=-1.0)
 
     def test_delay_schedule(self):
-        p = RetryPolicy(base=0.5, factor=2.0, max_delay=3.0)
-        assert [p.delay(i) for i in range(4)] == [0.5, 1.0, 2.0, 3.0]
-
-    def test_jitter_is_deterministic_given_draw(self):
-        p = RetryPolicy(base=1.0, jitter=0.5)
-        assert p.delay(0, u=0.0) == 1.0
-        assert p.delay(0, u=1.0) == pytest.approx(0.5)
+        p = RetryPolicy(base=0.5)
+        assert [p.delay(i) for i in range(4)] == [0.5, 1.0, 2.0, 4.0]
 
     def test_call_retries_then_succeeds(self):
         calls = {"n": 0}
@@ -352,25 +342,6 @@ class TestRetryPolicy:
 
         with pytest.raises(KeyError):
             RetryPolicy(base=0.0).call(boom, retry_on=(RuntimeError,))
-
-    def test_deadline_stops_unbounded_retries(self):
-        clock = {"t": 0.0}
-
-        def tick():
-            return clock["t"]
-
-        def sleep(d):
-            clock["t"] += d
-
-        def failing():
-            clock["t"] += 1.0
-            raise RuntimeError("down")
-
-        p = RetryPolicy(max_attempts=None, base=1.0, factor=1.0, deadline=10.0)
-        out = p.call(failing, sleep=sleep, clock=tick)
-        assert not out.ok
-        assert out.elapsed <= 10.0 + 2.0
-        assert out.attempts < 100  # bounded by the deadline, not luck
 
 
 # -- unit coverage: FaultSpec / FaultPlan ----------------------------------
@@ -412,7 +383,8 @@ class TestFaultPlan:
         assert probabilistic.outage_ids() == probabilistic.outage_ids()
 
     def test_describe_mentions_every_spec(self):
-        plan = FaultPlan.exact_failures(N_SYSTEMS, 3, seed=1, extra=(
+        outages = FaultPlan.exact_failures(N_SYSTEMS, 3, seed=1)
+        plan = FaultPlan(seed=1, specs=outages.specs + (
             FaultSpec(site="ec.decode", effect="error", probability=0.5),
         ))
         text = plan.describe()

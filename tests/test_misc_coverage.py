@@ -1,37 +1,12 @@
 """Direct tests for small public utilities exercised only indirectly
-elsewhere: timing helpers, corruption-detection on read, log records."""
+elsewhere: corruption-detection on read, log records, field constants."""
 
 import numpy as np
 import pytest
 
 from repro.ec import gf256
 from repro.metadata import CorruptionError, KVStore
-from repro.parallel import measure_rate
 from repro.transfer.logs import TransferRecord
-
-
-class TestMeasureRate:
-    def test_measures_throughput(self):
-        calls = []
-
-        def work():
-            calls.append(1)
-            sum(range(50_000))
-
-        rate = measure_rate(work, nbytes=10_000, repeats=3)
-        assert rate > 0
-        assert len(calls) == 3
-
-    def test_repeats_take_best(self):
-        import time
-
-        durations = iter([0.02, 0.001])
-
-        def work():
-            time.sleep(next(durations))
-
-        fast = measure_rate(work, nbytes=1000, repeats=2)
-        assert fast > 1000 / 0.05  # the best (second) run dominates
 
 
 class TestCorruptionErrorOnRead:
@@ -64,8 +39,6 @@ class TestTransferRecord:
 
 class TestGF256Constants:
     def test_field_constants(self):
-        assert gf256.FIELD_SIZE == 256
         assert gf256.PRIMITIVE_POLY == 0x11B
-        assert gf256.GENERATOR == 3
         assert len(gf256.EXP_TABLE) == 510
         assert len(gf256.LOG_TABLE) == 256

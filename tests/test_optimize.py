@@ -161,12 +161,6 @@ class TestOracle:
 
 
 class TestACO:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ACOSolver(ants=0)
-        with pytest.raises(ValueError):
-            ACOSolver(rho=1.5)
-
     def test_finds_optimum_on_small_instance(self):
         m = small_model()
         _, opt = exhaustive_gathering(m)

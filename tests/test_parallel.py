@@ -33,15 +33,11 @@ class TestScalingModel:
         assert t1024 < t64 / 10
 
     def test_efficiency_below_perfect(self):
-        m = ClusterScalingModel(self.rates, efficiency_exponent=0.9)
-        perfect = ClusterScalingModel(self.rates, efficiency_exponent=1.0)
-        assert m.compute_time("refactor", 1e12, 256) > perfect.compute_time(
-            "refactor", 1e12, 256
-        )
+        m = ClusterScalingModel(self.rates)
+        perfect = m.compute_time("refactor", 1e12, 1) / 256
+        assert m.compute_time("refactor", 1e12, 256) > perfect
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ClusterScalingModel(self.rates, efficiency_exponent=0.3)
         m = ClusterScalingModel(self.rates)
         with pytest.raises(KeyError):
             m.compute_time("warp", 1.0, 1)
@@ -105,9 +101,9 @@ class TestGPU:
         (the same transform, with the block axis as its batch)."""
         rng = np.random.default_rng(0)
         blocks = rng.normal(size=(4, 17, 9)).astype(np.float64)
-        stacked, plans = batched_decompose(blocks, max_levels=2)
+        stacked, plans = batched_decompose(blocks)
         for b in range(4):
-            single, plans_s = transform.decompose(blocks[b], max_levels=2)
+            single, plans_s = transform.decompose(blocks[b], max_levels=6)
             assert [p.fine_shape for p in plans] == [p.fine_shape for p in plans_s]
             assert np.array_equal(stacked[b].view(np.uint64), single.view(np.uint64))
 

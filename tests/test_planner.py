@@ -43,13 +43,8 @@ class TestFrontier:
         assert blackout[-1] <= blackout[0]
 
     def test_infeasible_budgets_skipped(self, planner):
-        pts = planner.frontier(omegas=[1e-9, 0.5])
-        assert len(pts) == 1
-        assert pts[0].omega == 0.5
-
-    def test_bad_omega(self, planner):
-        with pytest.raises(ValueError):
-            planner.frontier(omegas=[-0.1])
+        pts = planner.frontier()  # 0.02 cannot hold the m=[4..1] ladder
+        assert [p.omega for p in pts] == [0.02 * 2**i for i in range(1, 7)]
 
 
 class TestRecommend:

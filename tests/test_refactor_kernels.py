@@ -91,6 +91,13 @@ def _ref_encode(coeffs, num_planes=32, *, lsb_exponent=None):
     return PlaneSet(count, exponent, num_planes, planes)
 
 
+def _encode(c, num_planes=32, *, lsb_exponent=None, workers=None):
+    """``encode_planes`` through the kernels, with the refactorer's
+    anchored floor and chunk-threaded quantisation."""
+    qg = kernels.quantise(c, num_planes, lsb_exponent=lsb_exponent, workers=workers)
+    return PlaneSet(qg.count, qg.exponent, qg.num_planes, kernels.plane_payloads(qg))
+
+
 def _ref_decode(ps, keep=None):
     """The original serial plane-at-a-time decoder, verbatim math."""
     if ps.count == 0:
@@ -161,7 +168,7 @@ class TestSeedEquivalence:
         rng = np.random.default_rng(3)
         c = rng.normal(size=3000) * 1e-4
         for lsb_exp in (-40, -20, -10, 0, 5):
-            ps_new = encode_planes(c, lsb_exponent=lsb_exp)
+            ps_new = _encode(c, lsb_exponent=lsb_exp)
             ps_ref = _ref_encode(c, lsb_exponent=lsb_exp)
             self._assert_same_planes(ps_new, ps_ref)
             assert ps_new.num_planes == ps_ref.num_planes
@@ -179,7 +186,8 @@ class TestSeedEquivalence:
         # Force many tiny chunks so span stitching is exercised.
         rng = np.random.default_rng(7)
         c = rng.normal(size=1000)
-        qg_small = kernels.quantise(c, 20, workers=4, chunk=64)
+        with mock.patch.object(kernels, "COEFF_CHUNK", 64):
+            qg_small = kernels.quantise(c, 20, workers=4)
         qg_big = kernels.quantise(c, 20, workers=1)
         assert qg_small.packed.tobytes() == qg_big.packed.tobytes()
         assert np.array_equal(qg_small.q, qg_big.q)
@@ -248,17 +256,18 @@ class TestBitMatrixTranspose:
             -num_planes, 1, size=count
         )
         c[rng.random(count) < 0.1] = 0.0
-        qg = kernels.quantise(c, num_planes, chunk=chunk)
+        keep = int(keep_frac * num_planes)
+        with mock.patch.object(kernels, "COEFF_CHUNK", chunk):
+            qg = kernels.quantise(c, num_planes)
+            dg = kernels.decoded_state(
+                count, qg.exponent, num_planes, kernels.plane_payloads(qg),
+                keep,
+            )
         assert qg.num_planes == num_planes
         assert np.array_equal(qg.packed, _ref_extract(qg.q, num_planes))
         assert kernels._leading_plane(qg.q, num_planes).tolist() == [
             num_planes - int(v).bit_length() for v in qg.q
         ]
-        keep = int(keep_frac * num_planes)
-        dg = kernels.decoded_state(
-            count, qg.exponent, num_planes, kernels.plane_payloads(qg),
-            keep, chunk=chunk,
-        )
         assert np.array_equal(
             dg.q, _ref_assemble(qg.packed, count, num_planes, keep)
         )
@@ -280,12 +289,14 @@ class TestSignLayout:
         )
         c[rng.random(5000) < 0.1] = 0.0
         for chunk in (64, kernels.COEFF_CHUNK):
-            qg = kernels.quantise(c, num_planes, chunk=chunk)
+            with mock.patch.object(kernels, "COEFF_CHUNK", chunk):
+                qg = kernels.quantise(c, num_planes)
             assert set(np.unique(self._lead(qg))) >= {0, num_planes}
             self._check(qg, chunk)
 
     def test_all_zero_group(self):
-        qg = kernels.quantise(np.zeros(300), 22, chunk=64)
+        with mock.patch.object(kernels, "COEFF_CHUNK", 64):
+            qg = kernels.quantise(np.zeros(300), 22)
         assert (self._lead(qg) == 22).all()
         self._check(qg, 64)
 
@@ -307,16 +318,16 @@ class TestSignLayout:
         c[rng.random(count) < 0.1] = 0.0
         amax = float(np.abs(c).max())
         exponent = int(np.floor(np.log2(amax))) if amax else 0
-        qg = kernels.quantise(
-            c, 60, lsb_exponent=exponent - num_planes + 1, chunk=chunk,
-            workers=3,
-        )
+        with mock.patch.object(kernels, "COEFF_CHUNK", chunk):
+            qg = kernels.quantise(
+                c, 60, lsb_exponent=exponent - num_planes + 1, workers=3
+            )
+            dg = kernels.decoded_state(
+                count, qg.exponent, num_planes, kernels.plane_payloads(qg),
+                num_planes, workers=3,
+            )
         assert qg.num_planes == num_planes
         self._check(qg, chunk)
-        dg = kernels.decoded_state(
-            count, qg.exponent, num_planes, kernels.plane_payloads(qg),
-            num_planes, chunk=chunk, workers=3,
-        )
         assert np.array_equal(dg.sign, qg.sign & (qg.q != 0))
 
     @staticmethod
@@ -511,8 +522,8 @@ class TestWorkerInvariance:
         # More than one COEFF_CHUNK, so every chunk pass has chunks to share.
         rng = np.random.default_rng(11)
         c = rng.normal(size=kernels.COEFF_CHUNK + 5000).astype(dtype)
-        ps1 = encode_planes(c, num_planes=26, workers=1)
-        ps4 = encode_planes(c, num_planes=26, workers=4)
+        ps1 = _encode(c, 26, workers=1)
+        ps4 = _encode(c, 26, workers=4)
         assert ps1.planes == ps4.planes
         for keep in (0, 3, 13, 26):
             a = decode_planes(ps1, keep=keep, workers=1)
@@ -565,8 +576,8 @@ class TestWorkerInvariance:
     )
     def test_roundtrip_property_any_workers(self, values, planes, workers):
         c = np.array(values)
-        ps_s = encode_planes(c, num_planes=planes, workers=1)
-        ps_p = encode_planes(c, num_planes=planes, workers=workers)
+        ps_s = _encode(c, planes, workers=1)
+        ps_p = _encode(c, planes, workers=workers)
         assert ps_s.planes == ps_p.planes
         a = decode_planes(ps_s, workers=1)
         b = decode_planes(ps_p, workers=workers)

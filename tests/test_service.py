@@ -120,9 +120,9 @@ class TestClockAndDeadline:
 
     def test_deadline_validation(self):
         with pytest.raises(ValueError):
-            Deadline()  # neither seconds nor at
+            Deadline(0.0)
         with pytest.raises(ValueError):
-            Deadline(2.0, at=5.0)  # both
+            Deadline(-1.0)
 
 
 class TestTokenBucket:
@@ -154,17 +154,18 @@ class TestTokenBucket:
 class TestCircuitBreaker:
     def test_trip_halfopen_close_cycle(self):
         clk = ManualClock()
-        br = CircuitBreaker(threshold=2, reset_after=10.0, clock=clk)
+        br = CircuitBreaker(clock=clk)
         assert br.allow()
-        br.record_failure()
+        for _ in range(br.threshold - 1):
+            br.record_failure()
         assert br.state == "closed"
         br.record_failure()
         assert br.state == "open" and not br.allow()
-        clk.advance(10.0)
+        clk.advance(br.reset_after)
         assert br.state == "half-open" and br.allow()
         br.record_failure()  # probe fails: straight back to open
         assert br.state == "open"
-        clk.advance(10.0)
+        clk.advance(br.reset_after)
         br.record_success()
         assert br.state == "closed"
 
@@ -487,17 +488,6 @@ class TestDeadlines:
         )
         assert served.gathering_latency <= budget
 
-    @pytest.mark.parametrize("target", [float("nan"), -1.0, 0.0])
-    def test_invalid_target_error_fails_typed(self, prepared, target):
-        rapids, svc, clk = prepared
-        t = svc.submit(ServiceRequest(
-            tenant="a", op="restore", name="obj", target_error=target,
-        ))
-        svc.pump()
-        res = t.result(timeout=0)
-        assert res.status == "failed"
-        assert "ValueError" in res.error
-
 
 # -- invariant 4: deterministic overload campaign ---------------------------
 
@@ -544,12 +534,11 @@ def overload_campaign(tmp, seed: int) -> str:
         tenants={"hog": 4.0, "steady": 1.0},
         restore_fraction=0.7,
         mean_interarrival=0.01,
-        deadline=2.0,
     )
     schedule = make_schedule(mix, objects=objects, count=40, seed=seed)
     report = drive_open_loop(
         svc, clk, schedule, mix_name=mix.name, seed=seed,
-        pump_interval=3, pump_batch=1, service_tick=0.05,
+        pump_interval=3, service_tick=0.05,
     )
 
     # Acceptance: every admitted request resolved with a typed status,

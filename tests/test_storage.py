@@ -74,14 +74,6 @@ class TestCluster:
         cluster.place_level("big", 2, [10**12] * 8)
         assert cluster.total_stored_bytes() == 8 * 10**12
 
-    def test_place_custom_permutation(self, cluster):
-        cluster.place_level("obj", 0, [b"a", b"b"], system_ids=[5, 2])
-        assert cluster.locate("obj", 0) == {0: 5, 1: 2}
-
-    def test_place_duplicate_system_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            cluster.place_level("obj", 0, [b"a", b"b"], system_ids=[1, 1])
-
     def test_place_too_many(self, cluster):
         with pytest.raises(ValueError):
             cluster.place_level("obj", 0, [b"x"] * 9)

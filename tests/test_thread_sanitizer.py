@@ -179,20 +179,3 @@ class TestSanitizerStaysQuiet:
     def test_disabled_env_is_zero_overhead_path(self, monkeypatch):
         monkeypatch.delenv(SANITIZER_ENV, raising=False)
         assert racy_map(list(range(16))) == list(range(16))
-
-
-class TestKernelsUnderSanitizer:
-    def test_threaded_encode_plan_is_sanitizer_clean(self, monkeypatch):
-        """The EC kernels' disjoint-span output writes are vouched for
-        via allow_shared_writes — a threaded apply() must pass."""
-        monkeypatch.setenv(SANITIZER_ENV, "1")
-        from repro.ec import kernels, matrix
-
-        coeffs = matrix.vandermonde(6, 4)[2:]
-        rng = np.random.default_rng(7)
-        rows = rng.integers(0, 256, size=(4, 4 * kernels.DEFAULT_CHUNK),
-                            dtype=np.uint8)
-        plan = kernels.plan_for(coeffs)
-        threaded = plan.apply(rows, workers=4)
-        serial = plan.apply(rows)
-        np.testing.assert_array_equal(threaded, serial)

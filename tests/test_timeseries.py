@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import scale_temperature
-from repro.datasets.timeseries import (
-    advected_sequence,
-    decaying_turbulence,
-    snapshot_stack,
-)
+from repro.datasets.timeseries import advected_sequence
 from repro.refactor import Refactorer, relative_linf_error
 
 
@@ -25,20 +20,21 @@ class TestAdvection:
 
     def test_temporal_correlation_decays(self):
         seq = advected_sequence(
-            12, (17, 17, 17), decorrelation=0.1, velocity=(0, 0, 0), seed=0
+            12, (17, 17, 17), decorrelation=0.1, seed=0
         ).astype(np.float64)
 
-        def corr(a, b):
-            return float(np.corrcoef(a.reshape(-1), b.reshape(-1))[0, 1])
+        def corr(t):  # in the frame moving one cell per step with the field
+            a = np.roll(seq[0], t, axis=0)
+            return float(np.corrcoef(a.reshape(-1), seq[t].reshape(-1))[0, 1])
 
-        c1 = corr(seq[0], seq[1])
-        c10 = corr(seq[0], seq[11])
+        c1 = corr(1)
+        c10 = corr(11)
         assert c1 > 0.8
         assert c10 < c1
 
     def test_pure_advection_preserves_values(self):
         seq = advected_sequence(
-            3, (8, 8), velocity=(1.0, 0.0), decorrelation=0.0, seed=1
+            3, (8, 8), decorrelation=0.0, seed=1
         )
         np.testing.assert_allclose(
             np.sort(seq[0].reshape(-1)), np.sort(seq[2].reshape(-1)), atol=1e-6
@@ -49,42 +45,6 @@ class TestAdvection:
             advected_sequence(0, (8, 8))
         with pytest.raises(ValueError):
             advected_sequence(2, (8, 8), decorrelation=1.0)
-        with pytest.raises(ValueError):
-            advected_sequence(2, (8, 8), velocity=(1.0,))
-
-
-class TestDecay:
-    def test_energy_decays(self):
-        seq = decaying_turbulence(8, (17, 17, 17), decay_rate=0.2)
-        energy = [float(np.var(seq[t])) for t in range(8)]
-        assert all(a >= b for a, b in zip(energy, energy[1:]))
-
-    def test_small_scales_fade_first(self):
-        seq = decaying_turbulence(
-            6, (33, 33), decay_rate=0.3, small_scale_bias=4.0
-        ).astype(np.float64)
-
-        def roughness(f):
-            return float(np.mean(np.diff(f, axis=0) ** 2)) / max(
-                float(np.var(f)), 1e-30
-            )
-
-        assert roughness(seq[5]) < roughness(seq[0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            decaying_turbulence(0)
-        with pytest.raises(ValueError):
-            decaying_turbulence(2, decay_rate=-1)
-
-
-class TestStack:
-    def test_stack(self):
-        seq = snapshot_stack(scale_temperature, 3, (9, 9, 9))
-        assert seq.shape == (3, 9, 9, 9)
-        assert not np.allclose(seq[0], seq[1])
-        with pytest.raises(ValueError):
-            snapshot_stack(scale_temperature, 0)
 
 
 class Test4DRefactoring:
@@ -105,9 +65,9 @@ class Test4DRefactoring:
         coherent = advected_sequence(
             8, (17, 17, 17), decorrelation=0.01, seed=0
         )
-        independent = snapshot_stack(
-            lambda shape, seed: advected_sequence(1, shape, seed=seed)[0],
-            8, (17, 17, 17), base_seed=100,
+        independent = np.stack(
+            [advected_sequence(1, (17, 17, 17), seed=100 + t)[0]
+             for t in range(8)]
         )
         r = Refactorer(4, num_planes=20)
         cr_coherent = r.refactor(coherent, measure_errors=False).compression_ratio

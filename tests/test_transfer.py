@@ -111,14 +111,6 @@ class TestFairShareSimulator:
         res = sim.run(reqs)
         np.testing.assert_allclose(res.makespan, sum(r.nbytes for r in reqs) / 7.0)
 
-    def test_client_cap(self):
-        reqs = [TransferRequest(0, 100.0), TransferRequest(1, 100.0)]
-        capped = FairShareSimulator(
-            np.array([10.0, 10.0]), client_bandwidth=10.0
-        ).run(reqs)
-        uncapped = FairShareSimulator(np.array([10.0, 10.0])).run(reqs)
-        assert capped.makespan == pytest.approx(2 * uncapped.makespan)
-
     def test_zero_byte_request(self):
         res = FairShareSimulator(np.array([1.0])).run([TransferRequest(0, 0.0)])
         assert res.finish_times == [0.0]
