@@ -37,15 +37,18 @@ loc:
 lint:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.cli lint src tests benchmarks examples
 
-# One seeded chaos round (RAPIDS_CHAOS_SEED, default 7) plus the
-# fault-injection test files, thread sanitizer on — what CI's chaos job
-# runs per seed.
+# One seeded chaos round (RAPIDS_CHAOS_SEED, default 7) with naive and
+# with optimized (exact-planner) gathering, plus the fault-injection
+# test files, thread sanitizer on — what CI's chaos job runs per seed.
 chaos:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} RAPIDS_THREAD_SANITIZER=1 \
 		$(PYTHON) -m pytest tests/test_chaos.py \
 		tests/test_kvstore_stateful.py tests/test_integration_chaos.py
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.cli \
 		chaos --seed $${RAPIDS_CHAOS_SEED:-7} --verify-replay || test $$? -eq 2
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.cli \
+		chaos --seed $${RAPIDS_CHAOS_SEED:-7} --strategy optimized \
+		--verify-replay || test $$? -eq 2
 
 # End-to-end self-healing smoke (thread sanitizer on): prepare a
 # file-backed workspace of two objects (both names are sanitised on

@@ -164,7 +164,6 @@ def _cmd_restore(args) -> int:
         res = rapids.restore(
             args.name,
             strategy=args.strategy,
-            solver_budget=args.solver_budget,
             target_error=args.target_error,
             parallelism=(None if args.parallelism == "auto"
                          else args.parallelism),
@@ -983,8 +982,9 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--failed", default="",
                     help="comma-separated failed system ids")
     rr.add_argument("--strategy", default="naive",
-                    choices=["random", "naive", "optimized"])
-    rr.add_argument("--solver-budget", type=float, default=1.0)
+                    choices=["random", "naive", "optimized"],
+                    help="which systems serve each level: fastest-first "
+                    "(naive) or the exact §3.3 plan (optimized)")
     rr.add_argument("--target-error", type=float, default=None)
     rr.add_argument("--parallelism", default="auto",
                     choices=["auto", "process", "thread"],

@@ -23,6 +23,7 @@ from .ft_optimizer import (
 )
 from .gathering import (
     GatheringOutcome,
+    exact_strategy,
     gathering_latency,
     naive_strategy,
     optimized_strategy,
@@ -59,6 +60,7 @@ __all__ = [
     "GatheringOutcome",
     "random_strategy",
     "naive_strategy",
+    "exact_strategy",
     "optimized_strategy",
     "gathering_latency",
     "recoverable_levels",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..metadata import MetadataCatalog
-from .gathering import GatheringOutcome, optimized_strategy
+from .gathering import GatheringOutcome, exact_strategy
 
 __all__ = ["BandwidthTracker", "adaptive_strategy"]
 
@@ -80,28 +80,6 @@ class BandwidthTracker:
         history predates this tracker instance: trust it until idle)."""
         return self._clock - self._last_seen.get(system_id, self._clock)
 
-    def observe_outcome(
-        self,
-        outcome: GatheringOutcome,
-        sizes: list[float],
-        ms: list[int],
-        true_bandwidths: np.ndarray,
-    ) -> None:
-        """Record the throughputs a gathering run would have observed
-        under ``true_bandwidths`` (used by simulations: the tracker only
-        ever sees per-transfer observations, never the ground truth)."""
-        per_system = outcome.x.sum(axis=1)
-        for col, j in enumerate(outcome.levels_included):
-            frag = sizes[j] / (self.n - ms[j])
-            for i in np.nonzero(outcome.x[:, col])[0]:
-                # Equal-share model: the request saw B_i / c_i.  The
-                # gathering component launched those c_i requests itself,
-                # so it de-contends the observation and records the
-                # inferred endpoint bandwidth B_i, not the share.
-                share = true_bandwidths[i] / per_system[i]
-                seconds = frag / share
-                self.observe(int(i), frag * per_system[i], seconds)
-
     def estimates(self) -> np.ndarray:
         """Current per-system estimates: EWMA where history exists
         (decayed toward the prior by staleness), otherwise the prior."""
@@ -128,9 +106,10 @@ def adaptive_strategy(
     sizes: list[float],
     ms: list[int],
     failed: list[int] | None = None,
-    **kwargs,
+    *,
+    max_levels: int | None = None,
 ) -> GatheringOutcome:
-    """The Optimized strategy running on the tracker's live estimates."""
-    return optimized_strategy(
-        sizes, ms, tracker.estimates(), failed, **kwargs
+    """The exact strategy running on the tracker's live estimates."""
+    return exact_strategy(
+        sizes, ms, tracker.estimates(), failed or [], max_levels=max_levels
     )

@@ -42,9 +42,9 @@ from .availability import refactored_storage_overhead
 from .ft_optimizer import FTProblem, FTSolution, heuristic
 from .gathering import (
     GatheringOutcome,
+    exact_strategy,
     gathering_latency,
     naive_strategy,
-    optimized_strategy,
     plan_retrieval,
     random_strategy,
 )
@@ -534,7 +534,6 @@ class RAPIDS:
         name: str,
         *,
         strategy: str = "optimized",
-        solver_budget: float = 1.0,
         target_error: float | None = None,
         avoid_systems=(),
         parallelism: str | None = None,
@@ -550,7 +549,9 @@ class RAPIDS:
         ``target_error`` (all of them when none does; NaN or a target
         <= 0 raises :class:`ValueError`) — less any suffix the durability
         ledger knows to be lost; ``strategy`` (``random`` / ``naive`` /
-        ``optimized`` / ``adaptive``) picks the systems serving it.
+        ``optimized`` / ``adaptive``) picks the systems serving it —
+        ``optimized`` is the exact §3.3 plan on the cluster's bandwidths,
+        ``adaptive`` the same on the catalog's throughput history.
 
         ``avoid_systems`` treats the listed system ids as failed for
         planning — the archive service passes its open circuit breakers
@@ -569,7 +570,7 @@ class RAPIDS:
         pool into a shared output or inline.
         """
         run = self._plan_restore(
-            name, strategy, solver_budget, target_error=target_error,
+            name, strategy, target_error=target_error,
             avoid_systems=avoid_systems, record_access=record_access,
         )
         if isinstance(run, RestoreReport):
@@ -610,7 +611,7 @@ class RAPIDS:
                     yield self._report(run, run.outcome.prefix(used), data, used)
 
     def _plan_restore(
-        self, name: str, strategy: str = "naive", budget: float = 0.0, *,
+        self, name: str, strategy: str = "naive", *,
         target_error: float | None = None, avoid_systems=(),
         record_access: bool = False,
     ) -> _RestoreRun | RestoreReport:
@@ -658,8 +659,7 @@ class RAPIDS:
             )
         t0 = time.perf_counter()
         outcome = self._select(strategy, [float(s) for s in rec.level_sizes],
-                               rec.ft_config, failed, budget,
-                               max_levels=len(levels))
+                               rec.ft_config, failed, max_levels=len(levels))
         run = _RestoreRun(name, rec, outcome, faults_before)
         run.timings["gather_optimize"] = time.perf_counter() - t0
         # §4.3: record each selected transfer's (simulated) throughput so
@@ -875,17 +875,16 @@ class RAPIDS:
             self.catalog.record_throughput(int(i), float(bw[i]))
 
     def _select(
-        self, strategy, sizes, ms, failed, budget,
+        self, strategy, sizes, ms, failed,
         *, max_levels: int | None = None,
     ) -> GatheringOutcome:
-        """Plan a gather; every seeded strategy draws from seed 0, and
-        the optimisers charge the solver's measured time."""
+        """Plan a gather with fixed work: ``random`` draws from seed 0,
+        and no strategy charges solver time."""
         if strategy == "adaptive":
             # catalog EWMA estimates where history exists
             return adaptive_strategy(
                 BandwidthTracker(self.catalog, self.cluster.bandwidths),
-                sizes, ms, failed,
-                time_budget=budget, max_levels=max_levels,
+                sizes, ms, failed, max_levels=max_levels,
             )
         bw = self.cluster.bandwidths
         if strategy == "random":
@@ -895,10 +894,7 @@ class RAPIDS:
         if strategy == "naive":
             return naive_strategy(sizes, ms, bw, failed, max_levels=max_levels)
         if strategy == "optimized":
-            return optimized_strategy(
-                sizes, ms, bw, failed,
-                time_budget=budget, max_levels=max_levels,
-            )
+            return exact_strategy(sizes, ms, bw, failed, max_levels=max_levels)
         raise ValueError(f"unknown gathering strategy: {strategy!r}")
 
     def _gather_level(self, j: int, run: _RestoreRun) -> dict[int, np.ndarray]:

@@ -58,24 +58,6 @@ class ECConfig:
         """Number of data fragments (n - m)."""
         return self.n - self.m
 
-    @property
-    def storage_expansion(self) -> float:
-        """Bytes stored per payload byte: n / k."""
-        return self.n / self.k
-
-    def fragment_size(self, payload_size: float) -> float:
-        """Size of each fragment for a payload of ``payload_size`` bytes.
-
-        Matches the paper's s_j / (n - m_j) accounting (the +8-byte length
-        header is negligible at scientific-data scales and is ignored by
-        the analytic models, but is physically present in encoded bytes).
-        """
-        return payload_size / self.k
-
-    def parity_overhead(self, payload_size: float) -> float:
-        """Total parity bytes: m / (n - m) * payload (paper Eq. 6 numerator)."""
-        return self.m / self.k * payload_size
-
 
 @dataclass
 class EncodedLevel:

@@ -1,8 +1,8 @@
 """Exhaustive search for the gathering model (test oracle).
 
 Only usable at toy sizes — the solution space is
-``prod_j C(#available, k_j)`` — but it certifies the ACO and GA solvers'
-solution quality in the tests and in ``examples/gathering_optimization.py``.
+``prod_j C(#available, k_j)`` — but it certifies the exact DP and the
+ACO solver in the tests and in ``examples/gathering_optimization.py``.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ def exhaustive_gathering(
     """Enumerate every exactly-k_j selection; returns (best_x, best_value).
 
     Raises :class:`ValueError` if the space exceeds ``limit`` candidates.
-    Restricting to exact counts is safe for both objectives: adding a
-    request to any system never decreases that system's per-request
-    times, so some optimal solution uses exactly k_j fragments per level.
+    Exact counts are the model's constraint
+    (:meth:`~repro.optimize.minlp.GatheringModel.feasible`), so this is
+    the whole feasible set.
     """
     size = solution_space_size(model)
     if size > limit:

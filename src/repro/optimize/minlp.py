@@ -7,8 +7,10 @@ equal-share bandwidth model,
     sum_ij ( x_ij * frag_j * c_i / B_i ) / sum_ij x_ij,
     c_i = sum_j x_ij  (concurrent requests to system i)
 
-Constraints: at least ``k_j = n - m_j`` fragments per recoverable level;
-nothing from unavailable systems.  The model also exposes a ``makespan``
+Constraints: exactly ``k_j = n - m_j`` fragments per recoverable level
+(an extra request to an idle system can lower the average without
+helping the restore, so "at least k_j" would reward padding); nothing
+from unavailable systems.  The model also exposes a ``makespan``
 objective (slowest transfer), which is what the end-to-end latency
 actually measures — the ablation bench compares the two.
 """
@@ -84,7 +86,7 @@ class GatheringModel:
             return False
         if np.any(x[~self.available, :]):
             return False
-        return bool(np.all(x.sum(axis=0) >= self.needed))
+        return bool(np.all(x.sum(axis=0) == self.needed))
 
     def transfer_times(self, x: np.ndarray) -> np.ndarray:
         """Per-selected-fragment transfer times (0 where x == 0)."""
@@ -131,20 +133,22 @@ class GatheringModel:
 
     def repair(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Make a selection feasible: zero unavailable rows, then add the
-        least-loaded fast systems to under-provisioned levels."""
+        least-loaded fast systems to under-provisioned levels and drop
+        the most-loaded slow ones from over-provisioned levels."""
         x = np.array(x, dtype=np.int8)
         x[~self.available, :] = 0
         for j in range(self.levels):
-            have = int(x[:, j].sum())
-            deficit = int(self.needed[j]) - have
-            if deficit <= 0:
+            surplus = int(x[:, j].sum()) - int(self.needed[j])
+            if surplus == 0:
                 continue
-            candidates = np.nonzero(self.available & (x[:, j] == 0))[0]
-            # Prefer systems that are fast and not yet busy.
+            candidates = np.nonzero(self.available & (x[:, j] == (surplus > 0)))[0]
+            # Keep systems that are fast and not yet busy.
             load = x[candidates].sum(axis=1)
-            score = self.bandwidths[candidates] / (1.0 + load)
-            pick = candidates[np.argsort(score)[::-1][:deficit]]
-            x[pick, j] = 1
+            order = np.argsort(self.bandwidths[candidates] / (1.0 + load))
+            if surplus > 0:
+                x[candidates[order[:surplus]], j] = 0
+            else:
+                x[candidates[order[::-1][:-surplus]], j] = 1
         return x
 
     def local_search(self, x: np.ndarray, *, max_rounds: int = 20) -> np.ndarray:

@@ -116,48 +116,39 @@ def resolve_mode(parallelism: str | None, nbytes: int) -> str:
 
 
 class SharedArena:
-    """Parent-owned pool of ref-counted shared-memory segments.
+    """Parent-owned pool of shared-memory segments.
 
     The parent process is the single owner: it creates (leases) every
-    segment and unlinks it when its refcount drops to zero.  Workers
-    only ever attach by name, so a worker crash can never leak a segment
-    — :meth:`close` (run by the context manager even on error paths)
-    unlinks everything still live.  ``created``/``peak_bytes`` feed the
+    segment and unlinks it on :meth:`release`.  Workers only ever attach
+    by name, so a worker crash can never leak a segment — :meth:`close`
+    (run by the context manager even on error paths) unlinks everything
+    still live.  ``created``/``peak_bytes`` feed the
     leak assertions in the tests and the RSS accounting in the bench.
     """
 
     def __init__(self) -> None:
-        self._live: dict[str, list] = {}  # name -> [shm, refcount]
+        self._live: dict[str, shared_memory.SharedMemory] = {}
         self.created = 0
         self.active_bytes = 0
         self.peak_bytes = 0
 
     def lease(self, nbytes: int) -> shared_memory.SharedMemory:
-        """Create a segment with refcount 1 and return it."""
+        """Create a segment and return it."""
         shm = shared_memory.SharedMemory(create=True, size=max(1, int(nbytes)))
-        self._live[shm.name] = [shm, 1]
+        self._live[shm.name] = shm
         self.created += 1
         self.active_bytes += shm.size
         self.peak_bytes = max(self.peak_bytes, self.active_bytes)
         return shm
 
     def get(self, name: str) -> shared_memory.SharedMemory:
-        return self._live[name][0]
-
-    def retain(self, name: str) -> None:
-        self._live[name][1] += 1
+        return self._live[name]
 
     def release(self, name: str) -> None:
-        """Drop one reference; unlink the segment at zero."""
-        entry = self._live.get(name)
-        if entry is None:
+        """Unlink the segment (a no-op when it is already gone)."""
+        shm = self._live.pop(name, None)
+        if shm is None:
             return
-        entry[1] -= 1
-        if entry[1] <= 0:
-            self._unlink(name)
-
-    def _unlink(self, name: str) -> None:
-        shm, _ = self._live.pop(name)
         self.active_bytes -= shm.size
         try:
             shm.close()
@@ -172,7 +163,7 @@ class SharedArena:
     def close(self) -> None:
         """Unlink every remaining segment (crash-safe teardown)."""
         for name in list(self._live):
-            self._unlink(name)
+            self.release(name)
 
     def __enter__(self) -> "SharedArena":
         return self

@@ -207,9 +207,3 @@ class StorageCluster:
 
     def total_stored_bytes(self) -> int:
         return sum(s.used_bytes for s in self.systems)
-
-    def level_available(
-        self, object_name: str, level: int, needed: int
-    ) -> bool:
-        """Can ``needed`` (= k = n - m) fragments of this level be reached?"""
-        return len(self.locate(object_name, level)) >= needed

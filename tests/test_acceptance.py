@@ -84,7 +84,7 @@ def test_04_adaptive_gathering_after_drift(world):
     rapids, snapshots, _ = world
     # seed throughput history, then restore adaptively
     rapids.restore("run7:T01", strategy="naive")
-    res = rapids.restore("run7:T01", strategy="adaptive", solver_budget=0.2)
+    res = rapids.restore("run7:T01", strategy="adaptive")
     assert res.levels_used == 4
 
 

@@ -1,7 +1,5 @@
 """Tests for adaptive bandwidth tracking and drifting network models."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from repro.core import (
     adaptive_strategy,
     gathering_latency,
 )
-from repro.core.gathering import naive_strategy, optimized_strategy
+from repro.core.gathering import exact_strategy
 from repro.metadata import MetadataCatalog
 from repro.storage import StorageCluster
 from repro.transfer import (
@@ -113,10 +111,6 @@ class TestTracker:
         rng = np.random.default_rng(0)
         true = tracker.prior * rng.uniform(0.4, 2.5, size=tracker.n)
         for _ in range(12):
-            out = naive_strategy(SIZES, MS, tracker.estimates())
-            tracker.observe_outcome(out, SIZES, MS, true)
-            # also observe the systems naive ignores, as background
-            # traffic would
             for i in range(tracker.n):
                 tracker.observe(i, 1e9, 1e9 / true[i])
         err_prior = float(np.mean(np.abs(tracker.prior - true) / true))
@@ -135,49 +129,28 @@ class TestAdaptiveStrategy:
             for _ in range(8):
                 tracker.observe(i, 1e9, 1e9 / true[i])
 
-        stale = optimized_strategy(
-            SIZES, MS, tracker.prior, time_budget=0.3, charged_time=0.0,
-            seed=0, objective="makespan",
-        )
-        adaptive = adaptive_strategy(
-            tracker, SIZES, MS, time_budget=0.3, charged_time=0.0,
-            seed=0, objective="makespan",
-        )
+        stale = exact_strategy(SIZES, MS, tracker.prior, [])
+        adaptive = adaptive_strategy(tracker, SIZES, MS)
         t_stale = gathering_latency(stale, SIZES, MS, true)
         t_adaptive = gathering_latency(adaptive, SIZES, MS, true)
         assert t_adaptive < t_stale
 
     def test_adaptive_equals_optimized_without_observations(self, tracker):
-        # iteration budgets keep the ACO runs deterministic
-        a = adaptive_strategy(
-            tracker, SIZES, MS, time_budget=None, max_iterations=25,
-            charged_time=0.0, seed=3,
-        )
-        b = optimized_strategy(
-            SIZES, MS, tracker.prior, time_budget=None, max_iterations=25,
-            charged_time=0.0, seed=3,
-        )
+        a = adaptive_strategy(tracker, SIZES, MS)
+        b = exact_strategy(SIZES, MS, tracker.prior, [])
         assert np.array_equal(a.x, b.x)
 
-    def test_pipeline_adaptive_is_this_function(self, tracker, monkeypatch):
+    def test_pipeline_adaptive_is_this_function(self, tracker):
         """``RAPIDS`` gathering with ``strategy="adaptive"`` is
-        :func:`adaptive_strategy` over the catalog's history: same seed,
-        same plan."""
+        :func:`adaptive_strategy` over the catalog's history."""
         true = tracker.prior[::-1].copy()
         for i in range(tracker.n):
             for _ in range(8):
                 tracker.observe(i, 1e9, 1e9 / true[i])
         rapids = RAPIDS(StorageCluster(tracker.prior), tracker.catalog)
-        # a clock that ticks per reading makes the ACO's wall-clock
-        # budget a fixed iteration count
-        ticks = itertools.count()
-        monkeypatch.setattr(
-            "repro.optimize.aco.time.perf_counter", lambda: next(ticks) * 0.01
-        )
-        args = dict(time_budget=0.2, max_levels=None)
-        plan = rapids._select("adaptive", SIZES, MS, [2], 0.2)
-        same = adaptive_strategy(tracker, SIZES, MS, [2], **args)
-        stale = optimized_strategy(SIZES, MS, tracker.prior, [2], **args)
+        plan = rapids._select("adaptive", SIZES, MS, [2])
+        same = adaptive_strategy(tracker, SIZES, MS, [2])
+        stale = exact_strategy(SIZES, MS, tracker.prior, [2])
         assert np.array_equal(plan.x, same.x)
         assert plan.levels_included == same.levels_included
         assert not np.array_equal(plan.x, stale.x)

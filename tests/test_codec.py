@@ -16,9 +16,6 @@ class TestECConfig:
     def test_derived_quantities(self):
         cfg = ECConfig(16, 4)
         assert cfg.k == 12
-        assert cfg.storage_expansion == pytest.approx(16 / 12)
-        assert cfg.fragment_size(1200.0) == pytest.approx(100.0)
-        assert cfg.parity_overhead(1200.0) == pytest.approx(400.0)
 
 
 class TestErasureCodec:

@@ -61,12 +61,11 @@ class TestFileSystemBackend:
         with pytest.raises(ValueError):
             FileStorageCluster(tmp_path / "nope")
 
-    def test_locate_and_level_available(self, cluster):
+    def test_locate_skips_failed_systems(self, cluster):
         cluster.place_level("obj", 2, [b"x"] * 6)
         assert cluster.locate("obj", 2) == {i: i for i in range(6)}
         cluster.fail([0, 1])
-        assert cluster.level_available("obj", 2, needed=4)
-        assert not cluster.level_available("obj", 2, needed=5)
+        assert cluster.locate("obj", 2) == {i: i for i in range(2, 6)}
 
     def test_used_bytes(self, cluster):
         assert cluster.total_stored_bytes() == 0
@@ -83,7 +82,6 @@ class TestNamesOnlyInventory:
         path = cluster[1].root / "a.l0.f01.rdc"
         path.write_bytes(path.read_bytes()[:20])
         assert cluster.locate("b", 0) == {i: i for i in range(6)}
-        assert cluster.level_available("b", 0, needed=6)
         # The torn file is resident, as has() says; reading it is what
         # finds the damage.
         assert cluster.locate("a", 0) == {i: i for i in range(6)}
@@ -159,10 +157,7 @@ def test_inventory_locate_and_has_agree(tmp_path, on_files):
         assert cluster.locate(name, 1) == {
             idx: sids[-1] for idx, sids in holders.items()
         }
-        reachable = len(inv.holders(name, 1))
-        assert reachable <= width
-        assert cluster.level_available(name, 1, reachable)
-        assert not cluster.level_available(name, 1, reachable + 1)
+        assert len(inv.holders(name, 1)) <= width
     assert inv.holders("obj:a", 1) == {0: [0], 1: [1], 2: [2, 4], 4: [4]}
     assert inv.holders("obj:a", 0) == {}
 

@@ -63,6 +63,22 @@ class TestModel:
         assert not m.feasible(x2)
         assert m.evaluate(x2) == float("inf")
 
+    def test_padding_is_infeasible(self):
+        """Eq. 10 asks for exactly k_j fragments per level.  A second
+        copy of level 1 from the idle third system would pull the
+        average down from 50.5 to 34.0 without helping the restore."""
+        m = GatheringModel(
+            np.array([100.0, 1.0]), np.array([1, 1]), np.ones(3),
+            np.ones(3, dtype=bool),
+        )
+        exact = np.array([[1, 0], [0, 1], [0, 0]])
+        padded = np.array([[1, 0], [0, 1], [0, 1]])
+        assert m.evaluate(exact) == pytest.approx(50.5)
+        assert m.transfer_times(padded).sum() / 3 == pytest.approx(34.0)
+        assert not m.feasible(padded)
+        assert m.evaluate(padded) == float("inf")
+        assert exhaustive_gathering(m)[1] == pytest.approx(50.5)
+
     def test_feasible_rejects_unavailable(self):
         avail = np.ones(6, dtype=bool)
         avail[0] = False

@@ -239,7 +239,7 @@ class TestRestore:
         rapids.cluster.fail([3, 7])
         outs = {}
         for strat in ("random", "naive", "optimized"):
-            rep = rapids.restore("obj", strategy=strat, solver_budget=0.2)
+            rep = rapids.restore("obj", strategy=strat)
             outs[strat] = rep
         ref = outs["naive"].data
         for strat, rep in outs.items():
@@ -256,7 +256,7 @@ class TestRestore:
         # first restore seeds the throughput history (§4.3)
         rapids.restore("obj", strategy="naive")
         assert rapids.catalog.bandwidth_estimate(0) is not None
-        res = rapids.restore("obj", strategy="adaptive", solver_budget=0.2)
+        res = rapids.restore("obj", strategy="adaptive")
         assert res.levels_used == 4
         np.testing.assert_array_equal(
             res.data, rapids.restore("obj", strategy="naive").data

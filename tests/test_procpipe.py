@@ -121,15 +121,6 @@ class TestSharedArena:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
-    def test_refcount_keeps_segment_alive(self):
-        with SharedArena() as arena:
-            shm = arena.lease(64)
-            arena.retain(shm.name)
-            arena.release(shm.name)
-            assert arena.live_names == [shm.name]  # one reference left
-            arena.release(shm.name)
-            assert arena.live_names == []
-
     def test_close_unlinks_everything(self):
         arena = SharedArena()
         names = [arena.lease(64).name for _ in range(3)]

@@ -87,11 +87,10 @@ class TestCluster:
         cluster.restore_all()
         assert len(cluster.locate("obj", 0)) == 8
 
-    def test_level_available(self, cluster):
+    def test_locate_counts_reachable_fragments(self, cluster):
         cluster.place_level("obj", 1, [b"x"] * 8)
         cluster.fail([0, 1, 2])
-        assert cluster.level_available("obj", 1, needed=5)
-        assert not cluster.level_available("obj", 1, needed=6)
+        assert len(cluster.locate("obj", 1)) == 5
 
     def test_fetch_prefers_any_available(self, cluster):
         cluster.place_level("obj", 0, [b"a", b"b", b"c"])
