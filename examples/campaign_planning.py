@@ -2,10 +2,10 @@
 
 Works backwards from requirements, the way a facility operator would:
 
-1. "analyses need expected error <= 1e-5 and blackout probability <=
-   1e-9" — the planner sweeps overhead budgets and returns the cheapest
-   fault-tolerance configuration meeting both;
-2. the chosen configuration is stress-tested with a Monte Carlo check of
+1. the FT optimiser picks the fault-tolerance configuration with the
+   lowest expected error under a 16 % storage-overhead budget, and the
+   probability that every level is lost (a blackout) is read off it;
+2. that configuration is stress-tested with a Monte Carlo check of
    the analytic model and a year-long campaign simulation with
    persistent (Markov) outages;
 3. a whole archive of snapshots is ingested under that configuration,
@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from repro.core import RAPIDS, ProtectionPlanner, ProtectionRequirement
+from repro.core import RAPIDS, FTProblem, heuristic, prob_more_than_k_failures
 from repro.datasets import get_object
 from repro.healing import scrub_and_repair
 from repro.metadata import MetadataCatalog
@@ -27,40 +27,29 @@ from repro.sim import CampaignConfig, run_campaign, simulate_expected_error
 from repro.storage import StorageCluster
 from repro.transfer import paper_bandwidth_profile
 
-N, P = 16, 0.01
+N, P, OMEGA = 16, 0.01, 0.16
 
 
 def main() -> None:
-    # --- profile the data, then plan ------------------------------------
+    # --- profile the data, then configure ----------------------------------
     obj = get_object("SCALE:T")
     proxy = obj.proxy((49, 49, 49))
     refactored = Refactorer(4, num_planes=22).refactor(proxy)
     sizes = [s / proxy.nbytes * obj.paper_bytes for s in refactored.sizes]
 
-    planner = ProtectionPlanner(N, P, sizes, refactored.errors, obj.paper_bytes)
-    print("overhead-vs-quality frontier:")
-    for pt in planner.frontier():
-        print(
-            f"  omega<={pt.omega:.2f}: m={pt.solution.ms} "
-            f"E[err]={pt.solution.expected_error:.2e} "
-            f"P[blackout]={pt.blackout_probability:.1e} "
-            f"overhead={pt.solution.overhead:.3f}"
-        )
-
-    req = ProtectionRequirement(
-        max_expected_error=1e-5, max_blackout_probability=1e-9
-    )
-    choice = planner.recommend(req)
+    choice = heuristic(FTProblem(
+        n=N, p=P, sizes=tuple(sizes), errors=tuple(refactored.errors),
+        original_size=obj.paper_bytes, omega=OMEGA,
+    ))
+    blackout = prob_more_than_k_failures(N, choice.ms[0], P)
     print(
-        f"\nrecommended: m = {choice.solution.ms} at overhead "
-        f"{choice.solution.overhead:.3f} "
-        f"(E[err] {choice.solution.expected_error:.2e}, "
-        f"P[blackout] {choice.blackout_probability:.1e})"
+        f"configuration: m = {choice.ms} at overhead {choice.overhead:.3f} "
+        f"(E[err] {choice.expected_error:.2e}, P[blackout] {blackout:.1e})"
     )
 
     # --- validate the analytic model behind the choice ---------------------
     mc = simulate_expected_error(
-        N, 0.05, choice.solution.ms, list(refactored.errors),
+        N, 0.05, choice.ms, list(refactored.errors),
         trials=100_000, seed=1,
     )
     print(
@@ -71,7 +60,7 @@ def main() -> None:
     # --- campaign simulation with persistent outages -------------------------
     cfg = CampaignConfig(
         n=N, p_fail=0.001, p_repair=0.099,  # steady state p = 0.01
-        ms=tuple(choice.solution.ms), errors=tuple(refactored.errors),
+        ms=tuple(choice.ms), errors=tuple(refactored.errors),
         epochs=50_000, requests_per_epoch=1,
     )
     stats = run_campaign(cfg, seed=2)
@@ -88,7 +77,7 @@ def main() -> None:
         with MetadataCatalog(f"{tmp}/meta") as catalog:
             rapids = RAPIDS(
                 cluster, catalog, refactorer=Refactorer(4, num_planes=22),
-                omega=choice.omega,
+                omega=OMEGA,
             )
             reports = [
                 rapids.prepare(

@@ -21,7 +21,7 @@ from repro.datasets import nyx_temperature, scale_pressure
 from repro.healing import scrub_and_repair
 from repro.metadata import MetadataCatalog
 from repro.refactor import relative_linf_error
-from repro.storage import MaintenanceSchedule, StorageCluster
+from repro.storage import StorageCluster
 from repro.transfer import paper_bandwidth_profile
 
 
@@ -47,10 +47,7 @@ def main() -> None:
             print(f"archive protected with m = {ms} (scale:P in {tiles} tiles)")
 
             # The facility announces: systems 0..m_l+1 down next Tuesday.
-            sched = MaintenanceSchedule()
-            for sid in range(ms[-1] + 2):
-                sched.add_window(sid, 100.0, 200.0)
-            down = sched.down_at(100.0)
+            down = list(range(ms[-1] + 2))
             kept = recoverable_levels(ms, down, cluster.n)
             print(f"window takes {len(down)} systems down -> only "
                   f"{len(kept)}/{levels} levels would stay recoverable")

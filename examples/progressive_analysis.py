@@ -10,8 +10,9 @@ This example:
 1. refactors a cosmology field and prints its retrieval frontier
    (bytes vs error);
 2. answers "how many bytes does a 1% analysis need?" vs full accuracy;
-3. runs both restores through the pipeline with ``target_error`` and
-   compares gathered bytes and simulated WAN latency.
+3. stores it and refines one restore level by level
+   (``restore_progressive``, the Fig. 1(b) loop): each step reads one
+   more level, and its error and simulated WAN latency are printed.
 
 Run:  python examples/progressive_analysis.py
 """
@@ -40,11 +41,10 @@ def main() -> None:
         except ValueError:
             print(f"target {target:.0e}: unreachable at this plane budget")
             continue
-        saved = plan.savings_vs_full(target)
+        nbytes = plan.budget_for_error(target)
         print(
-            f"target {target:.0e}: {j} component(s), "
-            f"{plan.budget_for_error(target)} B "
-            f"({saved:.0%} of retrieval bytes saved)"
+            f"target {target:.0e}: {j} component(s), {nbytes} B "
+            f"({1 - nbytes / plan.total_bytes:.0%} of retrieval bytes saved)"
         )
 
     # End to end through the pipeline.
@@ -52,26 +52,15 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         with MetadataCatalog(f"{tmp}/meta") as catalog:
             rapids = RAPIDS(cluster, catalog, refactorer=refactorer, omega=0.3)
-            prep = rapids.prepare("nyx:velocity_x", data)
+            rapids.prepare("nyx:velocity_x", data)
 
-            quick = rapids.restore(
-                "nyx:velocity_x", strategy="naive", target_error=1e-1
-            )
-            full = rapids.restore("nyx:velocity_x", strategy="naive")
-            err_quick = relative_linf_error(data, quick.data)
-            err_full = relative_linf_error(data, full.data)
-            print(
-                f"\nquick-look restore: {quick.levels_used}/4 levels, "
-                f"error {err_quick:.2e}, "
-                f"simulated gather {quick.gathering_latency * 1e3:.2f} ms"
-            )
-            print(
-                f"full restore:       {full.levels_used}/4 levels, "
-                f"error {err_full:.2e}, "
-                f"simulated gather {full.gathering_latency * 1e3:.2f} ms"
-            )
-            speedup = full.gathering_latency / max(quick.gathering_latency, 1e-12)
-            print(f"quick-look gathers {speedup:.0f}x faster")
+            print("\nprogressive restore (each step gathers one more level):")
+            for step in rapids.restore_progressive("nyx:velocity_x"):
+                print(
+                    f"  {step.levels_used}/4 levels: "
+                    f"error {relative_linf_error(data, step.data):.2e}, "
+                    f"simulated gather {step.gathering_latency * 1e6:.1f} us"
+                )
 
 
 if __name__ == "__main__":

@@ -631,6 +631,11 @@ class AllDriftRule(Rule):
     Checked both ways: every ``__all__`` entry must resolve to a
     top-level definition, and every public top-level ``def``/``class``
     must appear in ``__all__`` (or be renamed ``_private``).
+
+    Export hygiene only (star-imports, API docs): the surface gate
+    (``tests/test_surface.py``) enumerates public top-level functions,
+    constants and classes from the AST, so no reach check depends on
+    ``__all__`` or on this rule.
     """
 
     rule_id = "RPD106"

@@ -189,21 +189,6 @@ class FaultPlan:
         return cls(seed=seed, specs=specs)
 
     @classmethod
-    def exact_failures(cls, n: int, k: int, *, seed: int = 0) -> "FaultPlan":
-        """Exactly ``k`` of ``n`` systems down, drawn deterministically
-        from ``seed`` (the Fig. 1 'N concurrent failures' scenarios)."""
-        from ..storage.failures import exact_k_failures
-
-        return cls.outages(exact_k_failures(n, k, seed=seed), seed=seed)
-
-    @classmethod
-    def from_failure_model(cls, model, n: int, *, seed: int = 0) -> "FaultPlan":
-        """Outages sampled once from a failure model (Bernoulli,
-        correlated/region-shared-fate, or any object with
-        ``sample_failed_ids(n)``)."""
-        return cls.outages(model.sample_failed_ids(n), seed=seed)
-
-    @classmethod
     def from_schedule(
         cls,
         schedule,
@@ -334,13 +319,6 @@ class FaultPlan:
         return cls(seed=seed, specs=tuple(specs))
 
     # -- queries -----------------------------------------------------------
-
-    def outage_ids(self) -> list[int]:
-        """System ids taken down by ``system.outage`` specs (the
-        deterministic, probability-1 ones plus seeded draws for the rest)."""
-        from .injector import FaultInjector
-
-        return FaultInjector(self).outage_ids()
 
     def with_seed(self, seed: int) -> "FaultPlan":
         return replace(self, seed=seed)

@@ -56,11 +56,6 @@ __all__ = [
     "safety_breaches",
 ]
 
-#: Checkpoint stages, in order, at which a ``checkpoint(stage, level)``
-#: callback fires.  Tests hook these to inject faults mid-migration and
-#: probe the safety invariant between protocol steps.
-CHECKPOINTS = ("decoded", "staged", "flipped", "retired")
-
 
 @dataclass
 class MigrationStep:
@@ -151,8 +146,9 @@ class LiveMigrator:
         A level that cannot currently be migrated safely is *deferred*,
         not forced: the report says so and a later pass retries.
 
-        ``checkpoint(stage, level)`` fires at each :data:`CHECKPOINTS`
-        boundary — the seam fault-injection tests use to perturb and
+        ``checkpoint(stage, level)`` fires after each protocol step —
+        ``"decoded"``, ``"staged"``, ``"flipped"``, ``"retired"``, in that
+        order — the seam fault-injection tests use to perturb and
         probe mid-migration state.
         """
         rec = self.catalog.get_object(name)

@@ -36,15 +36,11 @@ from .heterogeneous import (
     prob_more_than_k_failures_hetero,
 )
 from .pipeline import RAPIDS, PrepareReport, RestoreReport
-from .planner import PlanPoint, ProtectionPlanner, ProtectionRequirement
 
 __all__ = [
     "RAPIDS",
     "BandwidthTracker",
     "adaptive_strategy",
-    "ProtectionPlanner",
-    "ProtectionRequirement",
-    "PlanPoint",
     "poisson_binomial_pmf",
     "prob_more_than_k_failures_hetero",
     "expected_relative_error_hetero",

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ec import ErasureCodec
-from ..storage import StorageCluster
 from ..transfer import (
     TransferRequest,
     duplication_distribution,
@@ -95,7 +93,6 @@ class PlainECMethod:
             raise ValueError(f"invalid EC parameters k={k}, m={m}")
         self.k = k
         self.m = m
-        self.codec = ErasureCodec(k + m)
 
     @property
     def n_fragments(self) -> int:
@@ -136,25 +133,4 @@ class PlainECMethod:
             storage_overhead=ec_storage_overhead(self.k, self.m),
             network_bytes=frag * self.k,
             gathering_latency=res.makespan,
-        )
-
-    # -- physical encode/decode (used by the end-to-end tests) ------------
-
-    def encode_to_cluster(
-        self, name: str, payload: bytes, cluster: StorageCluster
-    ) -> None:
-        enc = self.codec.encode_level(payload, self.m, level_index=0)
-        cluster.place_level(name, 0, [f.tobytes() for f in enc.fragments])
-
-    def decode_from_cluster(self, name: str, cluster: StorageCluster) -> bytes:
-        loc = cluster.locate(name, 0)
-        frags: dict[int, np.ndarray] = {}
-        for idx in sorted(loc)[: self.k]:
-            sf = cluster.fetch(name, 0, idx)
-            # rapidslint: disable-next=RPD111 -- fetch() verifies the stored CRC in StorageSystem.get before returning
-            frags[idx] = np.frombuffer(sf.payload, dtype=np.uint8)
-        from ..ec import ECConfig
-
-        return self.codec.decode_level(
-            config=ECConfig(self.n_fragments, self.m), fragments=frags
         )

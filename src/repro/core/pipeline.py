@@ -76,10 +76,6 @@ class PrepareReport:
     #: stats; ``"archival"``: the pipelined schedule); empty for one tile.
     extra: dict = field(default_factory=dict)
 
-    @property
-    def total_time(self) -> float:
-        return sum(self.timings.values())
-
 
 @dataclass
 class RestoreReport:
@@ -97,10 +93,6 @@ class RestoreReport:
     gathering_latency: float
     timings: dict[str, float] = field(default_factory=dict)
     degraded: DegradedRestore | None = None
-
-    @property
-    def total_time(self) -> float:
-        return sum(self.timings.values())
 
 
 class _FragmentList:

@@ -10,7 +10,6 @@ from .synthetic import (
     scale_pressure,
     scale_temperature,
 )
-from .timeseries import advected_sequence
 
 __all__ = [
     "TABLE2",
@@ -24,5 +23,4 @@ __all__ = [
     "scale_temperature",
     "hurricane_pressure",
     "hurricane_temperature",
-    "advected_sequence",
 ]

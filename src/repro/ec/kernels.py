@@ -134,14 +134,12 @@ class EncodePlan:
                 accbuf[:w] = 0
             out[i, lo:hi] = accbuf[:w]
 
-    def apply(self, rows, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, rows) -> np.ndarray:
         """Apply the plan to ``k`` byte rows, returning ``(r, L)`` output.
 
         ``rows`` is a ``(k, L)`` uint8 array **or** a sequence of ``k``
         equal-length 1-D uint8 arrays — the latter avoids the
         ``np.stack`` copy the unplanned decode path paid per call.
-        ``out`` optionally supplies a preallocated ``(r, L)`` uint8
-        destination (rows need not be contiguous with each other).
         """
         if isinstance(rows, np.ndarray) and rows.ndim == 2:
             srcs = [rows[j] for j in range(rows.shape[0])]
@@ -152,13 +150,7 @@ class EncodePlan:
         L = srcs[0].size
         if any(s.size != L for s in srcs):
             raise ValueError("input rows must have equal lengths")
-        if out is None:
-            out = np.empty((self.r, L), dtype=np.uint8)
-        elif out.shape != (self.r, L) or out.dtype != np.uint8:
-            raise ValueError(
-                f"out must be uint8 of shape {(self.r, L)}, got "
-                f"{out.dtype} {out.shape}"
-            )
+        out = np.empty((self.r, L), dtype=np.uint8)
         if L == 0:
             return out
         bufs = self._make_buffers()

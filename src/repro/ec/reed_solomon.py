@@ -112,17 +112,6 @@ class RSCode:
         parity = self._parity_plan.apply(shards)
         return [shards[i] for i in range(self.k)] + [parity[i] for i in range(self.m)]
 
-    def encode_shards(self, shards: np.ndarray) -> np.ndarray:
-        """Encode pre-split data: ``shards`` is (k, L) uint8, returns (n, L)."""
-        shards = np.asarray(shards, dtype=np.uint8)
-        if shards.shape[0] != self.k:
-            raise ValueError(f"expected {self.k} data shards, got {shards.shape[0]}")
-        out = np.empty((self.n, shards.shape[1]), dtype=np.uint8)
-        out[: self.k] = shards
-        if self.m:
-            self._parity_plan.apply(shards, out=out[self.k :])
-        return out
-
     # -- decoding -----------------------------------------------------
 
     def decode(self, fragments: dict[int, np.ndarray]) -> bytes:

@@ -60,11 +60,6 @@ class LedgerEntry:
         """Cluster-side name of this level's fragment set."""
         return self.storage_name or self.object_name
 
-    @property
-    def deficit(self) -> int:
-        """Known damaged-and-unrepaired fragment count (m - headroom)."""
-        return self.m - self.headroom
-
     def describe(self) -> str:
         state = "full" if self.headroom == self.m else (
             "LOST" if self.headroom < 0 else f"headroom {self.headroom}/{self.m}"

@@ -178,15 +178,6 @@ class MetadataCatalog:
         """Every object record, in name order."""
         return [ObjectRecord(**json.loads(v)) for _, v in self.store.scan(b"obj/")]
 
-    def delete_object(self, name: str) -> None:
-        """Remove an object's record, headroom and access counter."""
-        self.store.delete(f"obj/{name}".encode())
-        prefix = f"health/{name}/".encode()
-        for key in self.store.keys(prefix):
-            if b"/" not in key[len(prefix):]:  # not object "<name>/..."'s
-                self.store.delete(key)
-        self.store.delete(f"acc/{name}".encode())
-
     def _adopt_fragment_records(self) -> None:
         """Fold a workspace that kept fragments outside the object record.
 
@@ -248,10 +239,6 @@ class MetadataCatalog:
             total = (int(json.loads(raw)) if raw else 0) + int(count)
             self.store.put(key, json.dumps(total).encode())
         return total
-
-    def access_count(self, name: str) -> int:
-        raw = self.store.get(f"acc/{name}".encode())
-        return int(json.loads(raw)) if raw else 0
 
     def access_counts(self) -> dict[str, int]:
         """Cumulative access counts for every tracked object."""

@@ -9,8 +9,7 @@ underlies RocksDB's WAL path:
 * Reads are one seek into the owning segment.
 * Deletes append a tombstone.
 * When the active segment exceeds ``segment_bytes``, it is sealed and a
-  new one starts; :meth:`compact` rewrites only the live records into a
-  fresh segment chain and drops the old files.
+  new one starts.
 * On open, segments are replayed oldest-to-newest to rebuild the index.
   A torn final record (crash mid-append) is detected via its CRC/length
   and the file is truncated back to the last valid record.
@@ -65,9 +64,9 @@ class KVStore:
         self.injector = None
         self._crashed = False
         # Serialises appends/reads across threads (the archive service
-        # runs concurrent pipeline executions over one catalog).  Batch
-        # readers (scan/compact/snapshot) use _get_locked inside one
-        # acquisition; the lock is never taken re-entrantly.
+        # runs concurrent pipeline executions over one catalog).  scan
+        # reads its batch with _get_locked inside one acquisition; the
+        # lock is never taken re-entrantly.
         self._lock = threading.Lock()
         self._recover()
 
@@ -225,8 +224,8 @@ class KVStore:
             return self._get_locked(key, default)
 
     def _get_locked(self, key: bytes, default: bytes | None) -> bytes | None:
-        # Lock held by the caller (scan/compact/snapshot read batches
-        # under one acquisition).
+        # Lock held by the caller (scan reads its batch under one
+        # acquisition).
         self._check_key(key)
         self._check_live()
         if self.injector is not None:
@@ -271,72 +270,6 @@ class KVStore:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    def compact(self) -> int:
-        """Rewrite live records into fresh segments; returns bytes reclaimed."""
-        with self._lock:
-            return self._compact_locked()
-
-    def _compact_locked(self) -> int:
-        before = sum(
-            self._segment_path(i).stat().st_size for i in self._segment_ids()
-        )
-        live = [(k, self._get_locked(k, None)) for k in sorted(self._index)]
-        old_ids = self._segment_ids()
-        new_start = (old_ids[-1] + 1) if old_ids else 0
-        # Write the live set into a new segment chain first, then drop old.
-        self._active.close()
-        for fh in self._handles.values():
-            fh.close()
-        self._handles.clear()
-        self._index.clear()
-        self._open_active(new_start)
-        try:
-            for k, v in live:
-                self._index[k] = self._append(k, v, False)
-        except RuntimeError:
-            # Injected crash mid-compaction: the old segment chain is
-            # still on disk (we unlink only after a full rewrite), so a
-            # reopen replays old-then-partial-new and loses nothing.
-            if not self._crashed:
-                self._crash()
-            raise
-        for seg_id in old_ids:
-            if seg_id != self._active_id:
-                self._segment_path(seg_id).unlink()
-        after = sum(
-            self._segment_path(i).stat().st_size for i in self._segment_ids()
-        )
-        return before - after
-
-    def snapshot(self, dest: str | os.PathLike) -> int:
-        """Write a consistent point-in-time snapshot to ``dest``.
-
-        The snapshot is a fresh single-segment store holding exactly the
-        live records; it opens as a normal :class:`KVStore` (the
-        metadata-backup path a production deployment would cron).
-        Returns the number of records written.
-        """
-        dest = Path(dest)
-        if dest.exists() and any(dest.iterdir()):
-            raise FileExistsError(f"snapshot destination not empty: {dest}")
-        with self._lock:
-            live = [(k, self._get_locked(k, None)) for k in sorted(self._index)]
-        total = sum(len(k) + len(v) for k, v in live) + 64 * len(live) + 1024
-        with KVStore(dest, segment_bytes=max(total, 4096)) as snap:
-            for k, v in live:
-                snap.put(k, v)
-        return len(live)
-
-    def restore_from_snapshot(self, src: str | os.PathLike) -> int:
-        """Load every record from a snapshot into this store (overwrites
-        matching keys; does not delete others).  Returns records loaded."""
-        count = 0
-        with KVStore(src) as snap:
-            for k, v in snap.scan():
-                self.put(k, v)
-                count += 1
-        return count
 
     def close(self) -> None:
         with self._lock:

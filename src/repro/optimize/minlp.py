@@ -114,10 +114,11 @@ class GatheringModel:
 
     def naive_solution(self) -> np.ndarray:
         """The paper's greedy baseline: per level, take the k_j fastest
-        available systems (ignoring contention)."""
+        available systems (ignoring contention); equal bandwidths go to
+        the lowest id, a data fragment before parity."""
         x = np.zeros((self.n, self.levels), dtype=np.int8)
         avail = np.nonzero(self.available)[0]
-        order = avail[np.argsort(self.bandwidths[avail])[::-1]]
+        order = avail[np.argsort(-self.bandwidths[avail], kind="stable")]
         for j in range(self.levels):
             x[order[: self.needed[j]], j] = 1
         return x

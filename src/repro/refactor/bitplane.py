@@ -74,16 +74,6 @@ class PlaneSet:
     num_planes: int
     planes: list[bytes] = field(default_factory=list)
 
-    @property
-    def plane_nbytes(self) -> list[int]:
-        """Encoded size of each plane (magnitude bits + new signs)."""
-        return [len(p) for p in self.planes]
-
-    @property
-    def total_nbytes(self) -> int:
-        """Total encoded size of all planes."""
-        return sum(len(p) for p in self.planes)
-
 
 def encode_planes(
     coeffs: np.ndarray,

@@ -59,13 +59,6 @@ class LevelPlan:
     coarse_shape: tuple[int, ...]
     coarsened_axes: tuple[int, ...]
 
-    @property
-    def detail_count(self) -> int:
-        """Number of multilevel coefficients produced at this level."""
-        fine = int(np.prod(self.fine_shape))
-        coarse = int(np.prod(self.coarse_shape))
-        return fine - coarse
-
 
 def plan_levels(shape: tuple[int, ...], max_levels: int) -> list[LevelPlan]:
     """Plan up to ``max_levels`` coarsening steps for an array shape.

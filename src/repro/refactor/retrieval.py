@@ -78,18 +78,6 @@ class RetrievalPlan:
     def floor_error(self) -> float:
         return self.points[-1][1]
 
-    def error_at_budget(self, byte_budget: float) -> float:
-        """Best error achievable with at most ``byte_budget`` bytes.
-
-        Returns 1.0 (the nothing-retrieved penalty, e0) if even the
-        first component does not fit.
-        """
-        best = 1.0
-        for nbytes, err in self.points:
-            if nbytes <= byte_budget:
-                best = err
-        return best
-
     def components_needed(self, target_error: float) -> int:
         """Smallest number of leading components meeting ``target_error``.
 
@@ -107,7 +95,3 @@ class RetrievalPlan:
     def budget_for_error(self, target_error: float) -> int:
         """Bytes needed for ``target_error`` (ValueError if unreachable)."""
         return self.points[self.components_needed(target_error) - 1][0]
-
-    def savings_vs_full(self, target_error: float) -> float:
-        """Fraction of retrieval bytes saved by stopping at the target."""
-        return 1.0 - self.budget_for_error(target_error) / self.total_bytes

@@ -150,16 +150,3 @@ class RequestJournal:
             tenant, key,
             JournalEntry("done", fingerprint, op, name, result=result),
         )
-
-    def pending(self) -> list[tuple[str, str]]:
-        """(tenant, key) pairs whose execution never committed — the
-        crash-recovery worklist an operator can inspect."""
-        out: list[tuple[str, str]] = []
-        for k in self.store.keys(b"svc/req/"):
-            raw = self.store.get(k)
-            if raw is None:
-                continue
-            if JournalEntry.from_json(raw).state == "pending":
-                _, _, tenant, key = k.decode().split("/", 3)
-                out.append((tenant, key))
-        return out

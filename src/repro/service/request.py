@@ -111,18 +111,6 @@ class ServiceRequest:
             raise ValueError("prepare requests need data")
 
 
-#: Terminal request statuses.
-#:
-#: * ``ok``        — executed cleanly;
-#: * ``degraded``  — executed, but the restore delivered a shorter level
-#:   prefix (faults or deadline pressure); carries the degraded report;
-#: * ``cached``    — idempotent replay served from the request journal,
-#:   no pipeline execution;
-#: * ``deadline``  — the deadline expired before useful work could start;
-#: * ``failed``    — the handler raised (the error string says why).
-STATUSES = ("ok", "degraded", "cached", "deadline", "failed")
-
-
 @dataclass
 class ServiceResult:
     """What one admitted request produced, plus latency accounting."""
@@ -131,6 +119,17 @@ class ServiceResult:
     tenant: str
     op: str
     name: str
+    #: The terminal status:
+    #:
+    #: * ``ok``        — executed cleanly;
+    #: * ``degraded``  — executed, but the restore delivered a shorter
+    #:   level prefix (faults or deadline pressure); carries the degraded
+    #:   report;
+    #: * ``cached``    — idempotent replay served from the request
+    #:   journal, no pipeline execution;
+    #: * ``deadline``  — the deadline expired before useful work could
+    #:   start;
+    #: * ``failed``    — the handler raised (the error string says why).
     status: str
     levels_used: int = 0
     achieved_error: float | None = None

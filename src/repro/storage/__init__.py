@@ -5,7 +5,6 @@ from .failures import (
     BernoulliFailureModel,
     CorrelatedFailureModel,
     MaintenanceSchedule,
-    exact_k_failures,
 )
 from .filestore import FileStorageCluster, FileStorageSystem
 from .system import (
@@ -29,5 +28,4 @@ __all__ = [
     "BernoulliFailureModel",
     "CorrelatedFailureModel",
     "MaintenanceSchedule",
-    "exact_k_failures",
 ]

@@ -11,7 +11,6 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from ..formats import crc32
 from .system import StorageSystem, StoredFragment, UnavailableError
 
 __all__ = ["StorageCluster", "Inventory"]
@@ -135,39 +134,6 @@ class StorageCluster:
     def restore_all(self) -> None:
         for s in self.systems:
             s.restore()
-
-    # -- placement --------------------------------------------------------
-
-    def place_level(
-        self,
-        object_name: str,
-        level: int,
-        fragments: Sequence[bytes | np.ndarray | int],
-    ) -> list[int]:
-        """Place one level's fragments: fragment i on system i, the
-        paper's one-EC-fragment-per-system layout.
-
-        ``fragments`` entries may be payload bytes/arrays or plain byte
-        counts (simulated fragments).  Real payloads are stored with a
-        CRC-32; reads verify it, so at-rest damage surfaces as a typed
-        :class:`~repro.storage.system.CorruptFragmentError`.  Returns the
-        placement (fragment index -> system id).
-        """
-        if len(fragments) > self.n:
-            raise ValueError(
-                f"{len(fragments)} fragments exceed cluster size {self.n}"
-            )
-        for idx, frag in enumerate(fragments):
-            if isinstance(frag, (int, np.integer)):
-                sf = StoredFragment(object_name, level, idx, int(frag), None)
-            else:
-                data = bytes(frag) if not isinstance(frag, bytes) else frag
-                sf = StoredFragment(
-                    object_name, level, idx, len(data), data,
-                    checksum=crc32(data),
-                )
-            self.systems[idx].put(sf)
-        return list(range(len(fragments)))
 
     # -- inventory --------------------------------------------------------
 

@@ -18,7 +18,6 @@ __all__ = [
     "BernoulliFailureModel",
     "MaintenanceSchedule",
     "CorrelatedFailureModel",
-    "exact_k_failures",
 ]
 
 
@@ -45,15 +44,6 @@ class BernoulliFailureModel:
         return np.nonzero(self.sample(n))[0].tolist()
 
 
-def exact_k_failures(n: int, k: int, seed: int | None = None) -> list[int]:
-    """Draw exactly ``k`` distinct failed systems out of ``n`` (for the
-    'N concurrent failures' scenarios in Fig. 1 and the restoration
-    experiments)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
-    rng = np.random.default_rng(seed)
-    return sorted(rng.choice(n, size=k, replace=False).tolist())
-
 
 @dataclass
 class MaintenanceSchedule:
@@ -69,14 +59,6 @@ class MaintenanceSchedule:
         if end <= start:
             raise ValueError("maintenance window must have end > start")
         self.windows.setdefault(system_id, []).append((start, end))
-
-    def down_at(self, t: float) -> list[int]:
-        """Systems unavailable at time t."""
-        return sorted(
-            sid
-            for sid, ws in self.windows.items()
-            if any(s <= t < e for s, e in ws)
-        )
 
 
 @dataclass

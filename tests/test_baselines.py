@@ -1,10 +1,8 @@
 """Tests for the DP and plain-EC baseline methods."""
 
-import numpy as np
 import pytest
 
 from repro.core import DuplicationMethod, PlainECMethod
-from repro.storage import StorageCluster
 from repro.transfer import paper_bandwidth_profile
 
 BW = paper_bandwidth_profile(16)
@@ -48,22 +46,6 @@ class TestPlainEC:
         assert PlainECMethod(12, 4).prepare(1e12, BW).storage_overhead < (
             DuplicationMethod(3).prepare(1e12, BW).storage_overhead
         )
-
-    def test_physical_roundtrip(self):
-        ec = PlainECMethod(4, 2)
-        cluster = StorageCluster([1e9] * 6)
-        payload = np.random.default_rng(0).bytes(1000)
-        ec.encode_to_cluster("obj", payload, cluster)
-        cluster.fail([1, 4])
-        assert ec.decode_from_cluster("obj", cluster) == payload
-
-    def test_physical_roundtrip_too_many_failures(self):
-        ec = PlainECMethod(4, 2)
-        cluster = StorageCluster([1e9] * 6)
-        ec.encode_to_cluster("obj", b"payload" * 100, cluster)
-        cluster.fail([0, 1, 5])
-        with pytest.raises(ValueError):
-            ec.decode_from_cluster("obj", cluster)
 
     def test_comparable_error_configs(self):
         """Table 4's fairness setup: DP(3 replicas) and EC(12+4) reach

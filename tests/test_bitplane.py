@@ -90,7 +90,7 @@ def test_msb_planes_compress_better_on_smooth_data():
     x = np.linspace(0, 1, 4097)
     c = 1e-3 * np.sin(40 * x) + 1.0 * (x > 0.999)  # one large spike
     ps = encode_planes(c, num_planes=32)
-    sizes = ps.plane_nbytes
+    sizes = [len(p) for p in ps.planes]
     assert sizes[0] < sizes[-1]
 
 

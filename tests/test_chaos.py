@@ -42,11 +42,21 @@ from repro.chaos import (
 from repro.core import RAPIDS
 from repro.metadata import MetadataCatalog
 from repro.refactor import Refactorer, relative_linf_error
-from repro.storage import StorageCluster, exact_k_failures
+from repro.storage import StorageCluster
 from repro.transfer import paper_bandwidth_profile
 
 N_SYSTEMS = 16
 OBJ = "chaos:prop"
+
+
+def exact_k_failures(n: int, k: int, seed: int) -> list[int]:
+    """Exactly ``k`` distinct systems of ``n``, drawn from ``seed``."""
+    return sorted(np.random.default_rng(seed).choice(n, size=k, replace=False).tolist())
+
+
+def exact_failures(n: int, k: int, seed: int) -> FaultPlan:
+    """A plan with exactly ``k`` of ``n`` systems down."""
+    return FaultPlan.outages(exact_k_failures(n, k, seed), seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +104,7 @@ def _run(rapids, plan, *, trace=False, strategy="naive"):
 def test_error_bound_under_outage_plans(prepared, n_failures, seed, strategy):
     """Pure-outage plans reproduce the analytic m_j math bit-for-bit."""
     rapids, data, prep = prepared
-    plan = FaultPlan.exact_failures(N_SYSTEMS, n_failures, seed=seed)
+    plan = exact_failures(N_SYSTEMS, n_failures, seed)
     res, _ = _run(rapids, plan, strategy=strategy)
 
     ms = prep.ft_config
@@ -125,7 +135,7 @@ def test_mj_recoverability_with_op_faults(prepared, n_out, n_bad, n_flaky, seed)
     the pipeline retry policy and cost nothing.
     """
     rapids, data, prep = prepared
-    ids = [int(i) for i in exact_k_failures(N_SYSTEMS, n_out + n_bad + n_flaky, seed=seed)]
+    ids = [int(i) for i in exact_k_failures(N_SYSTEMS, n_out + n_bad + n_flaky, seed)]
     out_ids = ids[:n_out]
     bad_ids = ids[n_out:n_out + n_bad]
     flaky_ids = ids[n_out + n_bad:]
@@ -180,7 +190,7 @@ def test_symmetry_in_failure_identity(prepared, seed_a, seed_b):
     rapids, _, _ = prepared
     results = []
     for seed in (seed_a, seed_b):
-        plan = FaultPlan.exact_failures(N_SYSTEMS, 4, seed=seed)
+        plan = exact_failures(N_SYSTEMS, 4, seed)
         res, _ = _run(rapids, plan)
         results.append(res)
     assert results[0].levels_used == results[1].levels_used
@@ -375,15 +385,16 @@ class TestFaultPlan:
 
     def test_outage_ids_resolve_deterministically(self):
         plan = FaultPlan.outages([3, 1, 1, 7])
-        assert plan.outage_ids() == [1, 3, 7]
+        assert FaultInjector(plan).outage_ids() == [1, 3, 7]
         probabilistic = FaultPlan(seed=5, specs=(
             FaultSpec(site="system.outage", effect="outage",
                       probability=0.5, where={"system_id": 2}),
         ))
-        assert probabilistic.outage_ids() == probabilistic.outage_ids()
+        assert (FaultInjector(probabilistic).outage_ids()
+                == FaultInjector(probabilistic).outage_ids())
 
     def test_describe_mentions_every_spec(self):
-        outages = FaultPlan.exact_failures(N_SYSTEMS, 3, seed=1)
+        outages = exact_failures(N_SYSTEMS, 3, 1)
         plan = FaultPlan(seed=1, specs=outages.specs + (
             FaultSpec(site="ec.decode", effect="error", probability=0.5),
         ))

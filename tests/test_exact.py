@@ -84,14 +84,14 @@ def test_no_worse_than_aco_at_paper_scale():
 
 
 def test_ties_prefer_data_fragments():
-    """Equal bandwidths: every choice ties, and the plan reads the
-    lowest ids — the data fragments — where Naive reads parity."""
+    """Equal bandwidths: every choice ties, and both the plan and Naive
+    read the lowest ids — the data fragments."""
     model = GatheringModel(
         np.array([10.0]), np.array([3]), np.ones(8), np.ones(8, dtype=bool)
     )
     x, _ = exact_gathering(model)
     assert np.nonzero(x[:, 0])[0].tolist() == [0, 1, 2]
-    assert np.nonzero(model.naive_solution()[:, 0])[0].tolist() == [5, 6, 7]
+    assert np.nonzero(model.naive_solution()[:, 0])[0].tolist() == [0, 1, 2]
 
 
 def test_reads_no_clock(monkeypatch):

@@ -14,6 +14,8 @@ from repro.storage import (
     UnavailableError,
 )
 
+from .test_storage import place
+
 
 @pytest.fixture
 def cluster(tmp_path):
@@ -49,7 +51,7 @@ class TestFileSystemBackend:
 
     def test_persistence_across_reopen(self, tmp_path):
         c1 = FileStorageCluster(tmp_path / "p", bandwidths=[1e9, 2e9])
-        c1.place_level("obj", 0, [b"a", b"b"])
+        place(c1, "obj", 0, [b"a", b"b"])
         c1.fail([0])
         c2 = FileStorageCluster(tmp_path / "p")  # reopen from cluster.json
         assert c2.n == 2
@@ -62,14 +64,14 @@ class TestFileSystemBackend:
             FileStorageCluster(tmp_path / "nope")
 
     def test_locate_skips_failed_systems(self, cluster):
-        cluster.place_level("obj", 2, [b"x"] * 6)
+        place(cluster, "obj", 2, [b"x"] * 6)
         assert cluster.locate("obj", 2) == {i: i for i in range(6)}
         cluster.fail([0, 1])
         assert cluster.locate("obj", 2) == {i: i for i in range(2, 6)}
 
     def test_used_bytes(self, cluster):
         assert cluster.total_stored_bytes() == 0
-        cluster.place_level("obj", 0, [b"abcd"] * 3)
+        place(cluster, "obj", 0, [b"abcd"] * 3)
         assert cluster.total_stored_bytes() > 0
 
 
@@ -77,8 +79,8 @@ class TestNamesOnlyInventory:
     """The file name is the inventory; the header is the self-description."""
 
     def test_a_torn_file_does_not_poison_other_lookups(self, cluster):
-        cluster.place_level("a", 0, [b"aaaa"] * 6)
-        cluster.place_level("b", 0, [b"bbbb"] * 6)
+        place(cluster, "a", 0, [b"aaaa"] * 6)
+        place(cluster, "b", 0, [b"bbbb"] * 6)
         path = cluster[1].root / "a.l0.f01.rdc"
         path.write_bytes(path.read_bytes()[:20])
         assert cluster.locate("b", 0) == {i: i for i in range(6)}
@@ -115,7 +117,7 @@ class TestNamesOnlyInventory:
     def test_header_reads_go_through_the_read_seam(self, cluster):
         from repro.chaos import FaultInjector, FaultPlan, FaultSpec, InjectedFault
 
-        cluster.place_level("obj", 0, [b"abcd"] * 6)
+        place(cluster, "obj", 0, [b"abcd"] * 6)
         for effect, where in (("corrupt", {}), ("error", {"system_id": 2})):
             cluster.attach_injector(FaultInjector(FaultPlan(seed=0, specs=(
                 FaultSpec(site="filestore.read", effect=effect, where=where),
@@ -136,8 +138,8 @@ def test_inventory_locate_and_has_agree(tmp_path, on_files):
         FileStorageCluster(tmp_path / "cl", bandwidths=bandwidths)
         if on_files else StorageCluster(bandwidths)
     )
-    cluster.place_level("obj:a", 1, [b"0123456789"] * 6)
-    cluster.place_level("other", 1, [b"xy"] * 4)
+    place(cluster, "obj:a", 1, [b"0123456789"] * 6)
+    place(cluster, "other", 1, [b"xy"] * 4)
     cluster[4].put(StoredFragment("obj:a", 1, 2, 10, b"0123456789"))
     cluster[5].delete("obj:a", 1, 5)
     cluster.fail([3])

@@ -85,7 +85,3 @@ def test_plan_levels_rejects_tiny():
     with pytest.raises(ValueError):
         plan_levels((2, 2), 2)  # nothing coarsenable
 
-
-def test_detail_count():
-    plans = plan_levels((9, 9), 1)
-    assert plans[0].detail_count == 81 - 25

@@ -29,7 +29,7 @@ _DRIVE = textwrap.dedent(
     import repro.cli
     import repro.healing
     import repro.service
-    from repro.core import RAPIDS, ProtectionPlanner, ProtectionRequirement
+    from repro.core import RAPIDS, FTProblem, heuristic
     from repro.metadata import MetadataCatalog
     from repro.parallel import thread_map
     from repro.refactor import Refactorer
@@ -44,10 +44,10 @@ _DRIVE = textwrap.dedent(
         )
         rep = rapids.prepare("obj", data)
         rapids.restore("obj")
-    planner = ProtectionPlanner(
-        16, 0.01, rep.level_sizes, rep.level_errors, data.nbytes
-    )
-    planner.recommend(ProtectionRequirement(max_expected_error=1.0))
+    heuristic(FTProblem(
+        n=16, p=0.01, sizes=tuple(rep.level_sizes),
+        errors=tuple(rep.level_errors), original_size=data.nbytes, omega=0.5,
+    ))
     thread_map(abs, [-1, -2], workers=2)
     print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     print(sorted(m for m in sys.modules if m.startswith("repro.analysis")))

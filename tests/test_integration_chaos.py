@@ -29,6 +29,8 @@ from repro.refactor import Refactorer, relative_linf_error
 from repro.storage import StorageCluster
 from repro.transfer import paper_bandwidth_profile
 
+from .test_chaos import exact_failures
+
 
 @pytest.fixture(scope="module")
 def prepared(tmp_path_factory):
@@ -70,7 +72,7 @@ def _restore_under(rapids, plan, *, trace=False, strategy="naive"):
 @settings(max_examples=25, deadline=None)
 def test_error_bound_invariant(prepared, n_failures, seed, strategy):
     rapids, data, prep = prepared
-    plan = FaultPlan.exact_failures(16, n_failures, seed=seed)
+    plan = exact_failures(16, n_failures, seed)
     res, _ = _restore_under(rapids, plan, strategy=strategy)
 
     ms = prep.ft_config
@@ -95,7 +97,7 @@ def test_symmetry_in_failure_identity(prepared, seed_a, seed_b):
     rapids, data, prep = prepared
     results = []
     for seed in (seed_a, seed_b):
-        plan = FaultPlan.exact_failures(16, 4, seed=seed)
+        plan = exact_failures(16, 4, seed)
         res, _ = _restore_under(rapids, plan)
         results.append(res)
     assert results[0].levels_used == results[1].levels_used
@@ -108,7 +110,7 @@ def test_fail_restore_fail_cycles(prepared):
     rng = np.random.default_rng(42)
     for _ in range(8):
         k = int(rng.integers(0, 10))
-        plan = FaultPlan.exact_failures(16, k, seed=int(rng.integers(1e6)))
+        plan = exact_failures(16, k, int(rng.integers(1e6)))
         res, _ = _restore_under(rapids, plan)
         if res.data is not None:
             assert np.all(np.isfinite(res.data))

@@ -122,76 +122,6 @@ class TestDurability:
                 assert kv.get(f"k{i}".encode()) == str(i).encode() * 20
 
 
-class TestCompaction:
-    def test_compact_reclaims_space(self, tmp_path):
-        with KVStore(tmp_path / "db", segment_bytes=2048) as kv:
-            for _ in range(50):
-                kv.put(b"hot", b"y" * 100)
-            reclaimed = kv.compact()
-            assert reclaimed > 0
-            assert kv.get(b"hot") == b"y" * 100
-
-    def test_compact_preserves_all_live(self, tmp_path):
-        with KVStore(tmp_path / "db", segment_bytes=1024) as kv:
-            for i in range(30):
-                kv.put(f"k{i}".encode(), f"v{i}".encode())
-            kv.delete(b"k0")
-            kv.compact()
-            assert kv.get(b"k0") is None
-            for i in range(1, 30):
-                assert kv.get(f"k{i}".encode()) == f"v{i}".encode()
-
-    def test_compact_then_reopen(self, tmp_path):
-        with KVStore(tmp_path / "db") as kv:
-            kv.put(b"a", b"1")
-            kv.put(b"a", b"2")
-            kv.compact()
-        with KVStore(tmp_path / "db") as kv:
-            assert kv.get(b"a") == b"2"
-
-
-class TestSnapshot:
-    def test_snapshot_roundtrip(self, tmp_path):
-        with KVStore(tmp_path / "db") as kv:
-            for i in range(25):
-                kv.put(f"k{i}".encode(), f"v{i}".encode())
-            kv.delete(b"k0")
-            count = kv.snapshot(tmp_path / "snap")
-            assert count == 24
-        with KVStore(tmp_path / "snap") as snap:
-            assert snap.get(b"k0") is None
-            assert snap.get(b"k7") == b"v7"
-            assert len(snap) == 24
-
-    def test_snapshot_is_point_in_time(self, tmp_path):
-        with KVStore(tmp_path / "db") as kv:
-            kv.put(b"a", b"old")
-            kv.snapshot(tmp_path / "snap")
-            kv.put(b"a", b"new")
-        with KVStore(tmp_path / "snap") as snap:
-            assert snap.get(b"a") == b"old"
-
-    def test_snapshot_refuses_nonempty_dest(self, tmp_path):
-        with KVStore(tmp_path / "db") as kv:
-            kv.put(b"a", b"1")
-            kv.snapshot(tmp_path / "snap")
-            with pytest.raises(FileExistsError):
-                kv.snapshot(tmp_path / "snap")
-
-    def test_restore_from_snapshot(self, tmp_path):
-        with KVStore(tmp_path / "db") as kv:
-            kv.put(b"a", b"1")
-            kv.put(b"b", b"2")
-            kv.snapshot(tmp_path / "snap")
-        # a "disaster": fresh store, recover from backup
-        with KVStore(tmp_path / "db2") as kv2:
-            kv2.put(b"c", b"3")
-            loaded = kv2.restore_from_snapshot(tmp_path / "snap")
-            assert loaded == 2
-            assert kv2.get(b"a") == b"1"
-            assert kv2.get(b"c") == b"3"  # pre-existing keys survive
-
-
 @given(
     st.lists(
         st.tuples(

@@ -1,12 +1,13 @@
 """Hypothesis stateful (model-based) testing of the KV store.
 
-Drives random interleavings of put/get/delete/compact/reopen against a
-dict model — the strongest correctness evidence for the storage engine,
-because compaction and recovery interact with every other operation.
+Drives random interleavings of put/get/delete/reopen against a dict
+model — the strongest correctness evidence for the storage engine,
+because segment rollover and recovery interact with every other
+operation.
 
 The chaos rules interleave *injected* crashes with the normal workload:
-torn appends (power cut mid-write), fsync failures (write durable but
-un-acked), and mid-compaction crashes.  The invariants stay the same —
+torn appends (power cut mid-write) and fsync failures (write durable but
+un-acked).  The invariants stay the same —
 committed keys must survive every one of them.
 """
 
@@ -61,10 +62,6 @@ class KVStoreMachine(RuleBasedStateMachine):
         self.model.pop(key, None)
 
     @rule()
-    def compact(self):
-        self.store.compact()
-
-    @rule()
     def reopen(self):
         """Simulate a clean process restart."""
         self.store.close()
@@ -115,20 +112,6 @@ class KVStoreMachine(RuleBasedStateMachine):
         self.reopen()
         assert self.store.get(key) == value
         self.model[key] = value
-
-    @rule()
-    def compaction_crash_replays_cleanly(self):
-        """A crash mid-compaction loses nothing: old segments are only
-        unlinked after the full rewrite, so replay sees old + partial new."""
-        if not self.model:
-            return
-        self.store.attach_injector(self._one_shot("kvstore.put", "error"))
-        try:
-            with pytest.raises(RuntimeError):
-                self.store.compact()
-        finally:
-            self.store.attach_injector(None)
-        self.reopen()
 
     @invariant()
     def length_matches(self):

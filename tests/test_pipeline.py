@@ -272,7 +272,7 @@ class TestRestore:
         assert set(rep.timings) == {
             "gather_optimize", "gather", "ec_decode", "reconstruct",
         }
-        assert rep.total_time > 0
+        assert sum(rep.timings.values()) > 0
 
 
 class TestSurvivability:

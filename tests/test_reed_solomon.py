@@ -191,12 +191,3 @@ class TestRSCode:
         code = RSCode(3, 2)
         with pytest.raises(ValueError):
             code.generator[0, 0] = 1
-
-    def test_encode_shards(self):
-        code = RSCode(3, 2)
-        shards = np.arange(30, dtype=np.uint8).reshape(3, 10)
-        out = code.encode_shards(shards)
-        assert out.shape == (5, 10)
-        assert np.array_equal(out[:3], shards)
-        with pytest.raises(ValueError):
-            code.encode_shards(np.zeros((4, 10), np.uint8))

@@ -102,27 +102,12 @@ class TestRetrievalPlan:
         assert nbytes == sorted(nbytes)
         assert errs == sorted(errs, reverse=True)
 
-    def test_budget_lookups(self, obj):
-        o, _ = obj
-        plan = RetrievalPlan.for_object(o)
-        assert plan.error_at_budget(0) == 1.0
-        assert plan.error_at_budget(plan.total_bytes) == plan.floor_error
-        mid_budget = plan.points[1][0]
-        assert plan.error_at_budget(mid_budget) == plan.points[1][1]
-
     def test_budget_for_error(self, obj):
         o, _ = obj
         plan = RetrievalPlan.for_object(o)
         assert plan.budget_for_error(1.0) == plan.points[0][0]
         with pytest.raises(ValueError):
             plan.budget_for_error(plan.floor_error / 1e6 if plan.floor_error else 1e-300)
-
-    def test_savings(self, obj):
-        o, _ = obj
-        plan = RetrievalPlan.for_object(o)
-        loose = plan.savings_vs_full(plan.points[0][1])
-        assert 0.5 < loose < 1.0  # first component is a tiny fraction
-        assert plan.savings_vs_full(plan.floor_error) == 0.0
 
     def test_bytes_for_error_consistency(self, obj):
         o, _ = obj

@@ -185,7 +185,8 @@ class TestJournal:
         j.begin("t", "k2", op="prepare", name="b", fingerprint="f2")
         j.commit("t", "k2", fingerprint="f2", op="prepare", name="b",
                  result={})
-        assert j.pending() == [("t", "k1")]
+        assert j.lookup("t", "k1").state == "pending"
+        assert j.lookup("t", "k2").state == "done"
 
 
 # -- invariant 1: exactly-once keyed prepare --------------------------------

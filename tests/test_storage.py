@@ -12,8 +12,18 @@ from repro.storage import (
     StorageCluster,
     StoredFragment,
     UnavailableError,
-    exact_k_failures,
 )
+
+
+def place(cluster, name: str, level: int, fragments) -> None:
+    """Fragment i on system i (the layout a prepare writes); a plain int
+    is a simulated fragment of that many bytes."""
+    for i, frag in enumerate(fragments):
+        if isinstance(frag, int):
+            cluster[i].put(StoredFragment(name, level, i, frag, None))
+        else:
+            cluster[i].put(StoredFragment(name, level, i, len(frag), frag,
+                                          checksum=crc32(frag)))
 
 
 @pytest.fixture
@@ -64,22 +74,16 @@ class TestCluster:
             StorageCluster([1e9, 1e9], names=["only-one"])
 
     def test_place_and_locate(self, cluster):
-        frags = [b"frag%d" % i for i in range(6)]
-        placement = cluster.place_level("obj", 0, frags)
-        assert placement == list(range(6))
+        place(cluster, "obj", 0, [b"frag%d" % i for i in range(6)])
         loc = cluster.locate("obj", 0)
         assert loc == {i: i for i in range(6)}
 
     def test_place_simulated_sizes(self, cluster):
-        cluster.place_level("big", 2, [10**12] * 8)
+        place(cluster, "big", 2, [10**12] * 8)
         assert cluster.total_stored_bytes() == 8 * 10**12
 
-    def test_place_too_many(self, cluster):
-        with pytest.raises(ValueError):
-            cluster.place_level("obj", 0, [b"x"] * 9)
-
     def test_locate_respects_failures(self, cluster):
-        cluster.place_level("obj", 0, [b"x"] * 8)
+        place(cluster, "obj", 0, [b"x"] * 8)
         cluster.fail([0, 3])
         loc = cluster.locate("obj", 0)
         assert set(loc.values()) == set(range(8)) - {0, 3}
@@ -88,12 +92,12 @@ class TestCluster:
         assert len(cluster.locate("obj", 0)) == 8
 
     def test_locate_counts_reachable_fragments(self, cluster):
-        cluster.place_level("obj", 1, [b"x"] * 8)
+        place(cluster, "obj", 1, [b"x"] * 8)
         cluster.fail([0, 1, 2])
         assert len(cluster.locate("obj", 1)) == 5
 
     def test_fetch_prefers_any_available(self, cluster):
-        cluster.place_level("obj", 0, [b"a", b"b", b"c"])
+        place(cluster, "obj", 0, [b"a", b"b", b"c"])
         cluster.fail([1])
         assert cluster.fetch("obj", 0, 0).payload == b"a"
         with pytest.raises(KeyError):
@@ -102,7 +106,7 @@ class TestCluster:
     def test_fetch_reads_home_verified(self, cluster):
         """One verified read on the recorded home; a copy elsewhere is
         read only when the home no longer holds the fragment."""
-        cluster.place_level("obj", 0, [b"a", b"b", b"c"])
+        place(cluster, "obj", 0, [b"a", b"b", b"c"])
         stale = StoredFragment("obj", 0, 2, 1, b"z", checksum=crc32(b"z"))
         cluster[0].put(stale)
         assert cluster.fetch("obj", 0, 2, home=2, crc=crc32(b"c")).payload == b"c"
@@ -113,7 +117,7 @@ class TestCluster:
             cluster.fetch("obj", 0, 2, home=2, crc=crc32(b"c"))
 
     def test_get_verified_size_only_returned_as_read(self, cluster):
-        cluster.place_level("sim", 0, [10, 10])
+        place(cluster, "sim", 0, [10, 10])
         frag = cluster[1].get_verified("sim", 0, 1, crc32(b"x"))
         assert frag.payload is None and frag.nbytes == 10
 
@@ -133,22 +137,11 @@ class TestFailureModels:
         b = BernoulliFailureModel(0.5, seed=7).sample_failed_ids(20)
         assert a == b
 
-    def test_exact_k(self):
-        ids = exact_k_failures(16, 4, seed=1)
-        assert len(ids) == 4
-        assert len(set(ids)) == 4
-        assert all(0 <= i < 16 for i in ids)
-        with pytest.raises(ValueError):
-            exact_k_failures(4, 5)
-
     def test_maintenance_schedule(self):
         sched = MaintenanceSchedule()
         sched.add_window(2, 10.0, 20.0)
         sched.add_window(5, 15.0, 25.0)
-        assert sched.down_at(5.0) == []
-        assert sched.down_at(12.0) == [2]
-        assert sched.down_at(18.0) == [2, 5]
-        assert sched.down_at(20.0) == [5]
+        assert sched.windows == {2: [(10.0, 20.0)], 5: [(15.0, 25.0)]}
         with pytest.raises(ValueError):
             sched.add_window(0, 5.0, 5.0)
 

@@ -1,4 +1,4 @@
-"""Surface gate: every module, public name and option has a caller.
+"""Surface gate: every module, public name, member and option has a caller.
 
 One per-file resolver (:class:`_Resolver`) reads every file of the
 product — ``src/``, ``benchmarks/`` and ``perfbench/`` (:data:`PRODUCT`);
@@ -6,11 +6,18 @@ tests and examples do not count — and resolves each name a file uses
 to the definition it reaches: through imports, package ``__init__``
 re-exports and attribute chains, and through the class of ``self``, of
 an annotated parameter, of an assigned local or instance attribute, and
-of a call's annotated or constructed return value.  Three gates run on
+of a call's annotated or constructed return value.  Four gates run on
 what it finds:
 
 * every module under ``src/repro`` is reached from another file;
-* every function or constant in a module's ``__all__`` is reached;
+* every public top-level function or constant is reached (they are read
+  from the AST, not from ``__all__``);
+* every public class, and every public method, property, classmethod
+  and staticmethod of one, is reached: a class by being named
+  (constructed, subclassed, annotated, caught) or handed to a product
+  decorator (``@register``); a member as an attribute of a receiver
+  typed to its class or to a subclass that inherits it, or because it
+  overrides a reached method;
 * every defaulted parameter of a public function, method or
   constructor (a dataclass field with a default counts) is set: by
   keyword or position at a call that resolves to it, by an attribute
@@ -18,8 +25,10 @@ what it finds:
   whose keys are known sets those keys, an opaque one every parameter
   of the one call it feeds.
 
-Where a receiver's class cannot be resolved, ``x.m(k=...)`` sets ``k``
-for every method named ``m``: the one name-based fallback left.
+Where a receiver's class cannot be resolved (or does not define the
+attribute), ``x.m`` reaches every member named ``m`` and ``x.m(k=...)``
+sets ``k`` for every method named ``m``: the one name-based fallback.
+Dunder methods are exempt.
 
 Anything unreached is deleted together with what only it reaches, or
 has a :data:`KEPT` row naming one of four reasons and the file that
@@ -29,6 +38,7 @@ which users copy, reach public names only.
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -49,7 +59,8 @@ REFERENCE = "reference implementation a test compares against"
 ENTRY = "entry point"
 
 #: subject -> (reason, the file that shows it).  A subject is a module
-#: (``core.planner``), a public name (``module.name``) or an option
+#: (``optimize.bruteforce``), a public name (``module.name``), a class or
+#: member (``module.Class.method``) or an option
 #: (``module.Owner.method(name=)``; a constructor's owner is its class).
 #: The file must reach the subject (set the option); for an unseen reach
 #: it must name it.
@@ -63,14 +74,8 @@ KEPT = {
     "datasets.catalog.DataObject.proxy(seed=)": (ENTRY, "examples/campaign_planning.py"),
     "datasets.synthetic.hurricane_pressure(shape=)": (ENTRY, "examples/climate_archival.py"),
     "datasets.synthetic.scale_pressure(shape=)": (ENTRY, "examples/fragment_repair.py"),
-    # example-only: ROADMAP 9(c)'s backlog
-    "core.planner": (ENTRY, "examples/campaign_planning.py"),
-    "core.planner.ProtectionRequirement(max_blackout_probability=)": (ENTRY, "examples/campaign_planning.py"),
-    "datasets.timeseries": (ENTRY, "examples/timeseries_archive.py"),
-    "datasets.timeseries.advected_sequence": (ENTRY, "examples/timeseries_archive.py"),
-    "datasets.timeseries.advected_sequence(decorrelation=)": (ENTRY, "examples/timeseries_archive.py"),
-    "datasets.timeseries.advected_sequence(seed=)": (ENTRY, "examples/timeseries_archive.py"),
-    "datasets.timeseries.advected_sequence(shape=)": (ENTRY, "examples/timeseries_archive.py"),
+    # the paper's Fig. 1(b) refinement loop
+    "core.pipeline.RAPIDS.restore_progressive": (ENTRY, "examples/progressive_analysis.py"),
     # registered by import, reached through the rule registry
     "analysis.rules": (UNSEEN, "src/repro/analysis/__init__.py"),
     # RPD101 names it as the remedy for raw arithmetic on field elements
@@ -87,6 +92,9 @@ KEPT = {
     "optimize.bruteforce.exhaustive_gathering(limit=)": (REFERENCE, "tests/test_optimize.py"),
     # ground truth the adaptive tests drift against
     "transfer.network": (REFERENCE, "tests/test_adaptive.py"),
+    "transfer.network.DiurnalBandwidthModel": (REFERENCE, "tests/test_adaptive.py"),
+    "transfer.network.DriftingBandwidthModel": (REFERENCE, "tests/test_adaptive.py"),
+    "transfer.network.DriftingBandwidthModel.step": (REFERENCE, "tests/test_adaptive.py"),
     "transfer.network.DiurnalBandwidthModel(amplitude=)": (REFERENCE, "tests/test_adaptive.py"),
     "transfer.network.DiurnalBandwidthModel(period=)": (REFERENCE, "tests/test_adaptive.py"),
     "transfer.network.DiurnalBandwidthModel(seed=)": (REFERENCE, "tests/test_adaptive.py"),
@@ -97,14 +105,13 @@ KEPT = {
     "transfer.network.DriftingBandwidthModel.observe(noise=)": (REFERENCE, "tests/test_adaptive.py"),
     # synthetic logs with known means: what the estimator test recovers
     "transfer.logs.generate_transfer_logs(transfers_per_endpoint=)": (REFERENCE, "tests/test_transfer.py"),
-    # fakes: seeded plans, scripted faults, spies, crafted payloads
+    # fakes: seeded plans, scripted faults, spies, crafted payloads, tiny segments
     "chaos.injector.FaultInjector(trace=)": (SEAM, "tests/test_chaos.py"),
-    "chaos.plan.FaultPlan.exact_failures(seed=)": (SEAM, "tests/test_chaos.py"),
-    "chaos.plan.FaultPlan.from_failure_model(seed=)": (SEAM, "tests/test_healing.py"),
     "chaos.plan.FaultPlan.from_schedule(ops_per_unit=)": (SEAM, "tests/test_healing.py"),
     "chaos.plan.FaultPlan.outages(extra=)": (SEAM, "tests/test_chaos.py"),
     "chaos.plan.FaultPlan.random(metadata_faults=)": (SEAM, "tests/test_chaos.py"),
     "control.migration.LiveMigrator.migrate(checkpoint=)": (SEAM, "tests/test_control.py"),
+    "metadata.kvstore.KVStore(segment_bytes=)": (SEAM, "tests/test_kvstore.py"),
     "refactor.refactorer.Refactorer.reconstruct(payloads=)": (SEAM, "tests/test_lossless_codec.py"),
     "sim.campaign.run_campaign(record_trajectory=)": (SEAM, "tests/test_scenarios.py"),
 }
@@ -157,9 +164,9 @@ _MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault"}
 
 
 class _Module:
-    def __init__(self, mid: str, path: Path) -> None:
+    def __init__(self, mid: str, path: Path, source: str | None = None) -> None:
         self.id, self.path = mid, path
-        self.tree = ast.parse(path.read_text())
+        self.tree = ast.parse(path.read_text() if source is None else source)
         self.package = path.name == "__init__.py"
         self.in_src = SRC in path.parents
         #: top-level name -> value (see :meth:`_Resolver.ev`)
@@ -167,7 +174,6 @@ class _Module:
         #: bound name -> (module id, attribute or None); every import in
         #: the file counts, function-local ones too.
         self.imports: dict[str, tuple[str, str | None]] = {}
-        self.all: list[str] = []
 
 
 class _Class:
@@ -221,7 +227,9 @@ class _Resolver:
     ``("const", id, qual)`` and ``("super", id, qual)``.
     """
 
-    def __init__(self, dirs=PRODUCT) -> None:
+    def __init__(self, dirs=PRODUCT, sources=None) -> None:
+        """Read every file under ``dirs``, plus ``sources`` (path -> text,
+        files that need not exist)."""
         self.mods: dict[str, _Module] = {}
         for d in dirs:
             for path in sorted((ROOT / d).rglob("*.py")):
@@ -229,7 +237,12 @@ class _Resolver:
                     continue  # perfbench's own tests are tests
                 m = _Module(_module_id(path), path)
                 self.mods[m.id] = m
+        for path, text in (sources or {}).items():
+            m = _Module(_module_id(path), path, text)
+            self.mods[m.id] = m
         self.classes: dict[tuple, _Class] = {}
+        #: classes defined at a module's top level or in such a class
+        self.declared: set[tuple] = set()
         self.nodes: dict[tuple, ast.AST] = {}
         for m in self.mods.values():
             self._index(m)
@@ -242,6 +255,9 @@ class _Resolver:
         self.mod_reached: dict[str, set[str]] = {}
         #: (owner key, parameter) -> ids of the files that set it
         self.set: dict[tuple, set[str]] = {}
+        #: attribute -> ids of the files that use it on a receiver whose
+        #: class they cannot resolve (it reaches every member so named)
+        self.named: dict[str, set[str]] = {}
         for m in self.mods.values():
             self.visit_file(m)
         self._close_overrides()
@@ -260,17 +276,13 @@ class _Resolver:
                     m.defs[node.name] = ("fn", m.id, node.name, False)
                     self.nodes[m.id, node.name] = node
                 elif isinstance(node, ast.ClassDef):
-                    self._index_class(m, node, node.name)
+                    self._index_class(m, node, node.name, declared=True)
                 elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                     targets = getattr(node, "targets", None) or [node.target]
                     for t in targets:
                         if isinstance(t, ast.Name):
                             m.defs.setdefault(t.id, ("const", m.id, t.id))
                             self.nodes.setdefault((m.id, t.id), node)
-                            if t.id == "__all__" and isinstance(
-                                    node.value, (ast.List, ast.Tuple)):
-                                m.all = [e.value for e in node.value.elts
-                                         if isinstance(e, ast.Constant)]
 
         walk_top(m.tree.body)
         package = m.id if m.package else m.id.rpartition(".")[0]
@@ -305,17 +317,20 @@ class _Resolver:
                 return _module_id(sibling)
         return "<ext>." + name
 
-    def _index_class(self, m: _Module, node: ast.ClassDef, qual: str) -> None:
+    def _index_class(self, m: _Module, node: ast.ClassDef, qual: str,
+                     declared: bool = False) -> None:
         key = (m.id, qual)
         self.classes[key] = _Class(key, node, m)
         self.nodes[key] = node
+        if declared:
+            self.declared.add(key)
         if "." not in qual:
             m.defs.setdefault(qual, ("cls", m.id, qual))
         for child in node.body:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.nodes[m.id, f"{qual}.{child.name}"] = child
             elif isinstance(child, ast.ClassDef):
-                self._index_class(m, child, f"{qual}.{child.name}")
+                self._index_class(m, child, f"{qual}.{child.name}", declared)
 
     # -- resolution ------------------------------------------------------------
 
@@ -439,6 +454,20 @@ class _Resolver:
     def _owner(self, mid: str, qual: str):
         owner = (mid, qual.rpartition(".")[0])
         return owner if owner in self.classes else None
+
+    def defining(self, base, attr: str):
+        """The key of the method or nested class ``attr`` of ``base`` (a
+        class, instance or ``super()``); ``"data"`` for a field or an
+        instance attribute; None when its classes do not define it."""
+        keys = self.mro(base[1:3])
+        for key in keys[1:] if base[0] == "super" else keys:
+            cls = self.classes[key]
+            member = (key[0], f"{key[1]}.{attr}")
+            if attr in cls.methods or member in self.classes:
+                return member
+            if attr in cls.fields or attr in cls.attrs:
+                return "data"
+        return None
 
     def ann(self, node, scope):
         """The instance an annotation describes (its first class)."""
@@ -605,6 +634,13 @@ class _Resolver:
                 self.visit(d, scope, None, current)
             if current is None and not isinstance(node, ast.Lambda):
                 current = (scope.module.id, f"{cls[1]}.{node.name}" if cls else node.name)
+            args = node.args
+            for a in args.posonlyargs + args.args + args.kwonlyargs + [
+                    args.vararg, args.kwarg]:
+                if a is not None and a.annotation is not None:
+                    self.visit_ann(a.annotation, scope, current)
+            if getattr(node, "returns", None) is not None:
+                self.visit_ann(node.returns, scope, current)
             parent = scope if scope is not self.module_scope(scope.module) else None
             inner = self.fn_scope(node, scope.module, cls, parent)
             body = node.body if isinstance(node.body, list) else [node.body]
@@ -618,18 +654,29 @@ class _Resolver:
                 self._index_class(scope.module, node, qual)
             for b in node.bases + node.decorator_list:
                 self.visit(b, scope, None, current)
+            for d in node.decorator_list:
+                deco = self.ev(d.func if isinstance(d, ast.Call) else d, scope)
+                if deco and deco[0] == "fn":  # a registry is handed the class
+                    self.reach(("cls",) + key, None)
             for child in node.body:
                 self.visit(child, scope, key, current or key)
             return
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
             self.reach(self.ev(node, scope), current)
+            if isinstance(node, ast.Attribute):
+                self.reach_member(node.value, node.attr, scope, current)
         elif isinstance(node, ast.Call):
             self.call(node, scope)
+            if (_spelled(node.func) in ("getattr", "hasattr") and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                self.reach_member(node.args[0], node.args[1].value, scope, current)
             func = node.func
             if (isinstance(func, ast.Attribute) and func.attr in _MUTATORS
                     and isinstance(func.value, ast.Attribute)):
                 self.assign(func.value, scope, fields_only=True)
         elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            if isinstance(node, ast.AnnAssign):
+                self.visit_ann(node.annotation, scope, current)
             targets = getattr(node, "targets", None) or [node.target]
             for t in targets:
                 if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute):
@@ -638,6 +685,37 @@ class _Resolver:
                     self.assign(t, scope)
         for child in ast.iter_child_nodes(node):
             self.visit(child, scope, cls, current)
+
+    def visit_ann(self, node, scope: _Scope, current) -> None:
+        """An annotation names the classes in it, quoted ones too."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                node = ast.parse(node.value, mode="eval").body
+            except SyntaxError:
+                return
+        for n in ast.walk(node):
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+                self.reach(self.ev(n, scope), current)
+            elif isinstance(n, ast.Constant) and n is not node:
+                self.visit_ann(n, scope, current)
+
+    def reach_member(self, receiver, attr: str, scope: _Scope, current) -> None:
+        """``receiver.attr`` reaches the member its class defines or
+        inherits; on a receiver whose class is unknown, or whose classes
+        do not define it, every member named ``attr``."""
+        if not isinstance(attr, str) or attr.startswith("__"):
+            return
+        base = self.ev(receiver, scope)
+        if base and base[0] == "mod":
+            return
+        if base and base[0] in ("cls", "inst", "super"):
+            member = self.defining(base, attr)
+            if member == "data":
+                return
+            if member is not None:
+                self.reach(("fn",) + member, current)
+                return
+        self.named.setdefault(attr, set()).add(self._file)
 
     def reach(self, v, current) -> None:
         if v is None:
@@ -812,11 +890,21 @@ class _Resolver:
         self.set.setdefault((owner, name), set()).add(self._file)
 
     def _close_overrides(self) -> None:
-        """A parameter set on a method is set on its overrides too."""
+        """A parameter set on a method is set on its overrides too, and a
+        method reached is reached on its overrides."""
         subclasses: dict[tuple, list] = {}
         for key in self.classes:
             for base in self.mro(key)[1:]:
                 subclasses.setdefault(base, []).append(key)
+        for (mid, qual), files in list(self.reached.items()):
+            cls_key = self._owner(mid, qual)
+            meth = qual.rpartition(".")[2]
+            if cls_key is None or meth not in self.classes[cls_key].methods:
+                continue
+            for sub in subclasses.get(cls_key, ()):
+                if meth in self.classes[sub].methods:
+                    self.reached.setdefault(
+                        (sub[0], f"{sub[1]}.{meth}"), set()).update(files)
         for (owner, name), files in list(self.set.items()):
             if owner not in self.nodes or owner in self.classes:
                 continue
@@ -834,6 +922,29 @@ class _Resolver:
 
     def src_modules(self) -> dict[str, _Module]:
         return {mid: m for mid, m in self.mods.items() if m.in_src and not m.package}
+
+    def members(self) -> dict[str, tuple]:
+        """Every public class under ``src/`` and every public method,
+        property, classmethod and staticmethod of one, as ``subject ->
+        key``."""
+        out = {}
+        for key in self.declared:
+            mid, qual = key
+            if not self.mods[mid].in_src or any(p.startswith("_") for p in qual.split(".")):
+                continue
+            out[f"{mid}.{qual}"] = key
+            for name in self.classes[key].methods:
+                if not name.startswith("_"):
+                    out[f"{mid}.{qual}.{name}"] = (mid, f"{qual}.{name}")
+        return out
+
+    def member_reached(self, key: tuple) -> set[str]:
+        """The files that reach a class or member: by its key, or (a
+        member) through a receiver the resolver could not type."""
+        files = set(self.reached.get(key, ()))
+        if "." in key[1]:
+            files |= self.named.get(key[1].rpartition(".")[2], set())
+        return files
 
     def options(self) -> dict[str, tuple]:
         """Every defaulted parameter of a public callable under ``src/``,
@@ -886,8 +997,8 @@ def _unreached(surface) -> dict[str, set[str]]:
     names = {
         f"{mid}.{name}"
         for mid, m in modules.items()
-        for name in m.all
-        if m.defs.get(name, ("",))[0] in ("fn", "const")
+        for name, v in m.defs.items()
+        if v[0] in ("fn", "const") and not name.startswith("_")
         and not surface.reached.get((mid, name))
     }
     return {
@@ -900,13 +1011,34 @@ def _unreached(surface) -> dict[str, set[str]]:
             subject for subject, opt in surface.options().items()
             if opt not in surface.set
         },
+        "member": {
+            subject for subject, key in surface.members().items()
+            if not surface.member_reached(key)
+        },
     }
+
+
+def _split(subject: str) -> tuple[str, str]:
+    """``core.gathering.GatheringModel.cost`` -> (``core.gathering``,
+    ``GatheringModel.cost``)."""
+    parts = subject.split("(")[0].split(".")
+    for i in range(len(parts) - 1, 0, -1):
+        path = SRC.joinpath(*parts[:i])
+        if path.with_suffix(".py").is_file() or (path / "__init__.py").is_file():
+            return ".".join(parts[:i]), ".".join(parts[i:])
+    raise ValueError(f"no module under src/repro holds {subject}")
 
 
 def _kind(subject: str) -> str:
     if "(" in subject:
         return "option"
-    return "module" if (SRC / (subject.replace(".", "/") + ".py")).is_file() else "name"
+    if (SRC / (subject.replace(".", "/") + ".py")).is_file():
+        return "module"
+    mid, qual = _split(subject)
+    path = SRC.joinpath(*mid.split("."))
+    path = path.with_suffix(".py") if path.with_suffix(".py").is_file() else path / "__init__.py"
+    classes = {n.name for n in ast.parse(path.read_text()).body if isinstance(n, ast.ClassDef)}
+    return "member" if "." in qual or qual in classes else "name"
 
 
 def _gate(surface, kind: str) -> None:
@@ -931,6 +1063,98 @@ def test_every_public_name_has_a_caller(surface):
 
 def test_every_option_has_a_caller(surface):
     _gate(surface, "option")
+
+
+def test_every_public_member_has_a_caller(surface):
+    _gate(surface, "member")
+
+
+#: A two-file product: what the member gate reports and what it reaches.
+_TOY = {
+    SRC / "toy" / "shapes.py": """
+from .registry import register
+
+
+class Shape:
+    def area(self) -> float:
+        return 0.0
+
+    def unused(self) -> None:
+        pass
+
+
+class Square(Shape):
+    def area(self) -> float:
+        return self.side() ** 2
+
+    def side(self) -> float:
+        return 1.0
+
+
+class Orphan:
+    pass
+
+
+@register
+class Registered:
+    pass
+
+
+class Built:
+    def made(self) -> int:
+        return 1
+
+
+class Loose:
+    def loose(self) -> int:
+        return 2
+""",
+    SRC / "toy" / "registry.py": """
+from .shapes import Built, Loose, Shape, Square
+
+
+def register(cls):
+    return cls
+
+
+def total(shape: Shape) -> float:
+    return shape.area()
+
+
+def square() -> Shape:
+    return Square()
+
+
+def build() -> int:
+    b = Built()
+    return b.made()
+
+
+def anything(x) -> int:
+    return x.loose() if x else Loose()
+""",
+}
+
+
+def test_member_gate_on_a_toy_product():
+    """An unused method and an unused class are reported; members reached
+    through ``self``, an annotated parameter, a constructed local, a
+    subclass override, an untyped receiver and a registering decorator
+    are not."""
+    toy = _Resolver(dirs=(), sources=_TOY)
+    assert _unreached(toy)["member"] == {"toy.shapes.Shape.unused", "toy.shapes.Orphan"}
+    assert len(toy.members()) == 12
+
+
+def test_traced_methods_stay_on_their_classes():
+    """``perfbench/trace.py`` wraps ``owner.__dict__[attr]``: each of its
+    pairs must stay defined on that exact class, not inherited."""
+    spec = importlib.util.spec_from_file_location("trace", ROOT / "perfbench" / "trace.py")
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    moved = [f"{owner.__name__}.{attr}" for owner, attr, *_ in trace._targets()
+             if attr not in owner.__dict__]
+    assert not moved, f"perfbench/trace.py wraps {moved}, no longer defined there"
 
 
 def _shown_by(surface, everything, subject: str) -> None:
@@ -960,6 +1184,8 @@ def _shown_by(surface, everything, subject: str) -> None:
             fid for target, attr in everything.mods[fid].imports.values()
             if everything.imported(target, attr) == ("mod", subject)
         }
+    elif kind == "member":
+        files = everything.member_reached(_split(subject))
     else:
         files = everything.reached.get(tuple(subject.rsplit(".", 1)), set())
     assert fid in files, f"{where} no longer reaches {subject}"

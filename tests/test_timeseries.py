@@ -1,50 +1,28 @@
-"""Tests for time-evolving datasets and 4-D refactoring."""
+"""4-D refactoring: a snapshot sequence is one (t, z, y, x) array, and
+the time axis coarsens like any other."""
 
 import numpy as np
-import pytest
 
-from repro.datasets.timeseries import advected_sequence
+from repro.datasets import gaussian_random_field
 from repro.refactor import Refactorer, relative_linf_error
 
 
-class TestAdvection:
-    def test_shape_and_dtype(self):
-        seq = advected_sequence(5, (9, 9, 9))
-        assert seq.shape == (5, 9, 9, 9)
-        assert seq.dtype == np.float32
-
-    def test_deterministic(self):
-        a = advected_sequence(4, (9, 9), seed=3)
-        b = advected_sequence(4, (9, 9), seed=3)
-        np.testing.assert_array_equal(a, b)
-
-    def test_temporal_correlation_decays(self):
-        seq = advected_sequence(
-            12, (17, 17, 17), decorrelation=0.1, seed=0
-        ).astype(np.float64)
-
-        def corr(t):  # in the frame moving one cell per step with the field
-            a = np.roll(seq[0], t, axis=0)
-            return float(np.corrcoef(a.reshape(-1), seq[t].reshape(-1))[0, 1])
-
-        c1 = corr(1)
-        c10 = corr(11)
-        assert c1 > 0.8
-        assert c10 < c1
-
-    def test_pure_advection_preserves_values(self):
-        seq = advected_sequence(
-            3, (8, 8), decorrelation=0.0, seed=1
+def advected_sequence(steps, shape, *, decorrelation=0.02, seed=0):
+    """``steps`` float32 snapshots of a smooth field moving one cell per
+    step along its first axis, each step replacing ``decorrelation`` of
+    its variance with fresh noise."""
+    field = gaussian_random_field(shape, slope=4.0, seed=seed, dtype=np.float64)
+    out = np.empty((steps,) + tuple(shape), dtype=np.float32)
+    for t in range(steps):
+        out[t] = field
+        fresh = gaussian_random_field(
+            shape, slope=4.0, seed=seed + 1000 + t, dtype=np.float64
         )
-        np.testing.assert_allclose(
-            np.sort(seq[0].reshape(-1)), np.sort(seq[2].reshape(-1)), atol=1e-6
-        )
+        field = (np.sqrt(1 - decorrelation) * np.roll(field, 1, axis=0)
+                 + np.sqrt(decorrelation) * fresh)
+    return out
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            advected_sequence(0, (8, 8))
-        with pytest.raises(ValueError):
-            advected_sequence(2, (8, 8), decorrelation=1.0)
+
 
 
 class Test4DRefactoring:
