@@ -18,7 +18,7 @@ from harness import (
     print_table,
     scaling_model,
 )
-from repro.core import heuristic
+from repro.core import brute_force
 from repro.transfer import phase_latency, refactored_distribution
 
 CORE_COUNTS = [32, 64, 128, 256, 512, 1024]
@@ -28,7 +28,7 @@ def fig5_breakdown(profile, cores: int) -> dict[str, float]:
     model = scaling_model()
     bw = bandwidths(N_SYSTEMS)
     ms = profile.optimal_ms()
-    sol = heuristic(profile.ft_problem())
+    sol = brute_force(profile.ft_problem())
     dist = phase_latency(
         refactored_distribution(profile.level_sizes, ms, N_SYSTEMS, bw), bw
     ).makespan

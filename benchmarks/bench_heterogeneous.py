@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from harness import N_SYSTEMS, object_profiles, print_table
-from repro.core import brute_force, heuristic
+from repro.core import brute_force
 from repro.core.heterogeneous import expected_relative_error_hetero
 
 ALPINE_P = 0.0107
@@ -32,7 +32,7 @@ LEAN_MS = [4, 3, 2, 1]
 
 def rows(ms=None):
     prof = object_profiles()[0]
-    ms = ms if ms is not None else heuristic(prof.ft_problem(omega=0.3)).ms
+    ms = ms if ms is not None else brute_force(prof.ft_problem(omega=0.3)).ms
     out = []
     for theta_count in (0, 4, 8, 12, 16):
         ps = fleet(theta_count)
@@ -83,7 +83,7 @@ def test_optimizer_under_true_model():
         val = expected_relative_error_hetero(ps, msc, list(prof.errors))
         if val < best_val:
             best_ms, best_val = msc, val
-    conservative = heuristic(
+    conservative = brute_force(
         prof.ft_problem(omega=0.3)
     )  # solved at p = 0.01 uniform
     cons_val = expected_relative_error_hetero(

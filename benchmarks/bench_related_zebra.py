@@ -17,7 +17,7 @@ points on an archive of equal-size objects at a shared overhead budget:
 import pytest
 
 from harness import N_SYSTEMS, P_FAIL, object_profiles, print_table
-from repro.core import expected_relative_error, heuristic
+from repro.core import brute_force, expected_relative_error
 from repro.core.related import DemandAwareTiering
 
 OMEGA = 0.25
@@ -37,7 +37,7 @@ def rapids_weighted_error(demands) -> float:
     profiles = object_profiles()
     errors = []
     for prof in profiles:
-        sol = heuristic(prof.ft_problem(omega=OMEGA))
+        sol = brute_force(prof.ft_problem(omega=OMEGA))
         errors.append(sol.expected_error)
     total = sum(demands)
     return sum(d * e for d, e in zip(demands, errors)) / total

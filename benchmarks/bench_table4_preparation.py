@@ -17,7 +17,7 @@ from harness import (
     print_table,
     scaling_model,
 )
-from repro.core import DuplicationMethod, PlainECMethod, heuristic
+from repro.core import DuplicationMethod, PlainECMethod, brute_force
 from repro.transfer import phase_latency, refactored_distribution
 
 CORES = [64, 256, 1024]
@@ -34,7 +34,7 @@ def table4_times():
     for prof in object_profiles():
         S = prof.paper_bytes
         ms = prof.optimal_ms()
-        sol = heuristic(prof.ft_problem())
+        sol = brute_force(prof.ft_problem())
         dp_dist = dp.prepare(S, bw).distribution_latency
         ec_dist = ec.prepare(S, bw).distribution_latency
         rf_dist = phase_latency(

@@ -9,7 +9,7 @@ mode under correlated outages.
 import pytest
 
 from harness import N_SYSTEMS, object_profiles, print_table
-from repro.core import heuristic
+from repro.core import brute_force
 from repro.sim import simulate_expected_error, simulate_unavailability
 from repro.storage import CorrelatedFailureModel
 
@@ -21,7 +21,7 @@ TRIALS = 200_000
 def validation_rows():
     rows = []
     for prof in object_profiles()[:3]:
-        ms = heuristic(prof.ft_problem()).ms
+        ms = brute_force(prof.ft_problem()).ms
         res = simulate_expected_error(
             N_SYSTEMS, P_MC, ms, list(prof.errors), trials=TRIALS, seed=17
         )
@@ -48,7 +48,7 @@ def test_correlated_outages_quantified():
         seed=0,
     )
     prof = object_profiles()[0]
-    ms = heuristic(prof.ft_problem()).ms
+    ms = brute_force(prof.ft_problem()).ms
     res = simulate_expected_error(
         N_SYSTEMS, P_MC, ms, list(prof.errors), trials=50_000, seed=3,
         correlated=corr,
@@ -59,7 +59,7 @@ def test_correlated_outages_quantified():
 
 def test_bench_monte_carlo(benchmark):
     prof = object_profiles()[0]
-    ms = heuristic(prof.ft_problem()).ms
+    ms = brute_force(prof.ft_problem()).ms
 
     def run():
         return simulate_expected_error(

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import FTProblem, heuristic
+from repro.core import FTProblem, brute_force
 from repro.datasets import TABLE2, DataObject
 from repro.ec import ErasureCodec
 from repro.parallel import ClusterScalingModel, OperationRates
@@ -82,7 +82,7 @@ class ObjectProfile:
         )
 
     def optimal_ms(self, *, n: int = N_SYSTEMS, omega: float = OMEGA) -> list[int]:
-        return heuristic(self.ft_problem(n=n, omega=omega)).ms
+        return brute_force(self.ft_problem(n=n, omega=omega)).ms
 
 
 @lru_cache(maxsize=4)

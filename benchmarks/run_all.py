@@ -54,6 +54,9 @@ def main(argv: list[str]) -> int:
             continue
         t0 = time.perf_counter()
         buf = StringIO()
+        # Each script parses its own command line (bench_kernels has
+        # flags), so it must not see this script's [outfile] argument.
+        sys.argv = [str(path)]
         with redirect_stdout(buf):
             runpy.run_path(str(path), run_name="__main__")
         elapsed = time.perf_counter() - t0

@@ -16,9 +16,7 @@ Run:  python examples/campaign_planning.py
 
 import tempfile
 
-import numpy as np
-
-from repro.core import RAPIDS, FTProblem, heuristic, prob_more_than_k_failures
+from repro.core import RAPIDS, FTProblem, brute_force, prob_more_than_k_failures
 from repro.datasets import get_object
 from repro.healing import scrub_and_repair
 from repro.metadata import MetadataCatalog
@@ -37,7 +35,7 @@ def main() -> None:
     refactored = Refactorer(4, num_planes=22).refactor(proxy)
     sizes = [s / proxy.nbytes * obj.paper_bytes for s in refactored.sizes]
 
-    choice = heuristic(FTProblem(
+    choice = brute_force(FTProblem(
         n=N, p=P, sizes=tuple(sizes), errors=tuple(refactored.errors),
         original_size=obj.paper_bytes, omega=OMEGA,
     ))

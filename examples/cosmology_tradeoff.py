@@ -10,12 +10,7 @@ Run:  python examples/cosmology_tradeoff.py
 
 import numpy as np
 
-from repro.core import (
-    DuplicationMethod,
-    FTProblem,
-    PlainECMethod,
-    heuristic,
-)
+from repro.core import DuplicationMethod, FTProblem, PlainECMethod, brute_force
 from repro.datasets import get_object
 from repro.refactor import Refactorer
 
@@ -42,7 +37,7 @@ def main() -> None:
             original_size=obj.paper_bytes, omega=omega,
         )
         try:
-            sol = heuristic(problem)
+            sol = brute_force(problem)
         except ValueError:
             print(f"{omega:.2f}   infeasible (budget below the minimal "
                   f"m=[{len(sizes)}..1] ladder)")

@@ -10,7 +10,7 @@ Subcommands::
     rapids lint [paths...]                  run the rapidslint static analyzer
     rapids chaos                            replay a fault plan end to end
     rapids scrub                            verify a workspace at rest; repair
-    rapids reconfigure                      warm re-solve + live migration
+    rapids reconfigure                      exact re-solve + live migration
     rapids scenarios                        run the chaos-campaign scenario suite
     rapids serve                            multi-tenant archive service / driver
 
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import FTProblem, brute_force, heuristic
+from .core import FTProblem, brute_force
 from .refactor import Refactorer
 from .refactor.serialization import load_directory, save_directory
 from .transfer import GB, estimate_bandwidths, generate_transfer_logs
@@ -93,8 +93,7 @@ def _cmd_optimize_ft(args) -> int:
         n=args.systems, p=args.p, sizes=sizes, errors=errors,
         original_size=args.original_size, omega=args.omega,
     )
-    solver = brute_force if args.brute_force else heuristic
-    sol = solver(problem)
+    sol = brute_force(problem)
     print(f"optimal m_j = {sol.ms}")
     print(f"expected relative error = {sol.expected_error:.4e}")
     print(f"storage overhead = {sol.overhead:.4f} (budget {args.omega})")
@@ -254,7 +253,7 @@ def _chaos_round(
     the replay-verification contract.
 
     ``reconfigure`` runs one control-loop step between outage and
-    restore: the operator observes the outage set, re-solves warm, and
+    restore: the operator observes the outage set, re-solves, and
     migrates if it can do so safely (with systems down, migrations
     defer — which the outcome records).  Off by default so existing
     plans' replay digests are unperturbed.
@@ -414,7 +413,7 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_reconfigure(args) -> int:
-    from .control import DriftPolicy, ReconfigOperator
+    from .control import ReconfigOperator
 
     rapids, catalog = _open_workspace(args.workspace)
     code = 0
@@ -424,16 +423,13 @@ def _cmd_reconfigure(args) -> int:
             rapids.omega = args.omega
         if args.p is not None:
             rapids.p = args.p
-        operator = ReconfigOperator(
-            rapids, policy=DriftPolicy(budget_evals=args.budget_evals)
-        )
+        operator = ReconfigOperator(rapids)
         names = [args.object] if args.object else catalog.list_objects()
         for name in names:
             rec = catalog.get_object(name)
             sol = operator.plan(name)
             entry = {
                 "object": name,
-                "origin": sol.origin,
                 "evaluations": sol.evaluations,
                 "from": [int(m) for m in rec.ft_config],
                 "to": [int(m) for m in sol.ms],
@@ -458,7 +454,7 @@ def _cmd_reconfigure(args) -> int:
     for entry in results:
         changed = entry["to"] != entry["from"]
         print(f"{entry['object']!r}: m = {entry['from']} -> {entry['to']}"
-              f" [{entry['origin']} solve, {entry['evaluations']} evals]")
+              f" [{entry['evaluations']} evals]")
         if not changed:
             print("  already optimal under the given parameters")
         elif args.dry_run:
@@ -797,7 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated level errors")
     o.add_argument("--original-size", type=float, required=True)
     o.add_argument("--omega", type=float, default=0.25)
-    o.add_argument("--brute-force", action="store_true")
     o.set_defaults(func=_cmd_optimize_ft)
 
     ln = sub.add_parser(
@@ -837,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--verify-replay", action="store_true",
                     help="run the round twice and require identical outcomes")
     ch.add_argument("--reconfigure", action="store_true",
-                    help="run one control-loop step (observe -> warm "
+                    help="run one control-loop step (observe -> "
                          "re-solve -> live migrate) between outage and "
                          "restore; the outcome records what it did")
     ch.add_argument("--json", action="store_true",
@@ -867,8 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rc = sub.add_parser(
         "reconfigure",
-        help="re-solve a workspace's FT configurations (warm-started "
-             "from the incumbents) and migrate changed objects live",
+        help="re-solve a workspace's FT configurations exactly and "
+             "migrate changed objects live",
     )
     rc.add_argument("--workspace", default="rapids-ws")
     rc.add_argument("--object", default=None,
@@ -877,8 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="new storage-overhead budget (default: keep)")
     rc.add_argument("--p", type=float, default=None,
                     help="new per-system outage probability (default: keep)")
-    rc.add_argument("--budget-evals", type=int, default=None,
-                    help="solve-time budget in model evaluations")
     rc.add_argument("--dry-run", action="store_true",
                     help="plan only; do not migrate")
     rc.add_argument("--json", action="store_true")

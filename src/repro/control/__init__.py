@@ -4,7 +4,7 @@ RAPIDS solves its fault-tolerance MINLP once, at preparation time; this
 package closes the loop afterwards.  :mod:`~repro.control.observer`
 turns epoch-by-epoch telemetry (outage outcomes, WAN throughput, access
 counters) into drift decisions; :mod:`~repro.control.operator` re-runs
-the optimiser warm-started from the incumbent configuration; and
+the exact FT solver under the estimated parameters; and
 :mod:`~repro.control.migration` applies the new configuration to live
 data without ever dropping a level below its design recoverability.
 :mod:`~repro.control.scenarios` proves the loop end to end with a

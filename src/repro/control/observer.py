@@ -53,9 +53,6 @@ class DriftPolicy:
         Run a full anti-entropy pass (scrub + repair) every this many
         epochs, in addition to the deficit-triggered heals.  ``0`` (the
         default) disables the periodic pass.
-    budget_evals:
-        Solve-time budget, in model evaluations, handed to
-        :func:`~repro.core.ft_optimizer.warm_start` (``None`` = no cap).
     """
 
     p_rel: float = 0.5
@@ -65,7 +62,6 @@ class DriftPolicy:
     hot_omega_boost: float = 0.5
     cooldown_epochs: int = 5
     scrub_every: int = 0
-    budget_evals: int | None = None
 
     def __post_init__(self) -> None:
         if self.p_rel < 0 or self.p_abs < 0:

@@ -11,10 +11,9 @@ parameters it solved under drift.  Each epoch the operator
 2. **decides** — compares the estimates against the baseline captured
    at the last solve, under the :class:`~repro.control.observer.DriftPolicy`
    thresholds (with a cooldown so migrations cannot thrash);
-3. **re-solves** — :func:`~repro.core.ft_optimizer.warm_start` seeded
-   from each object's incumbent ``ft_config``, under an
-   evaluation-count budget (never worse than the repaired incumbent —
-   the property ``tests/test_control.py`` proves);
+3. **re-solves** — :func:`~repro.core.ft_optimizer.brute_force`, the
+   exact solver prepare uses, under the estimator's per-system
+   probabilities (so never worse than any feasible incumbent);
 4. **acts** — changed levels migrate live through
    :class:`~repro.control.migration.LiveMigrator` (deferred levels are
    retried every epoch until they land), and known durability deficits
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.ft_optimizer import FTProblem, FTSolution, warm_start
+from ..core.ft_optimizer import FTProblem, FTSolution, brute_force
 from ..healing.repair import scrub_and_repair
 from .migration import LiveMigrator
 from .observer import AvailabilityEstimator, DriftPolicy, hot_objects, p_drift
@@ -44,7 +43,8 @@ class ReconfigOperator:
     rapids:
         The :class:`~repro.core.pipeline.RAPIDS` stack to operate.
     policy:
-        Drift thresholds and budgets (default :class:`DriftPolicy`).
+        Drift thresholds, cooldown and hot-object budget boost (default
+        :class:`DriftPolicy`).
     tracker:
         Optional :class:`~repro.core.adaptive.BandwidthTracker`; the
         operator advances its staleness clock once per epoch so idle
@@ -99,11 +99,11 @@ class ReconfigOperator:
     # -- planning ----------------------------------------------------------
 
     def plan(self, name: str, *, omega: float | None = None) -> FTSolution:
-        """Warm-started re-solve of one object's FT configuration.
+        """Exact re-solve of one object's FT configuration.
 
-        Seeds from the incumbent ``ft_config``; uses the estimator's
-        per-system probability vector (the heterogeneous
-        Poisson-binomial model) and the policy's evaluation budget.
+        Uses the estimator's per-system probability vector (the
+        heterogeneous Poisson-binomial model) with the object's recorded
+        level sizes and errors.
         """
         rec = self.rapids.catalog.get_object(name)
         original = float(
@@ -117,9 +117,7 @@ class ReconfigOperator:
             original_size=original,
             omega=self.rapids.omega if omega is None else omega,
         )
-        return warm_start(
-            problem, rec.ft_config, budget_evals=self.policy.budget_evals
-        )
+        return brute_force(problem)
 
     # -- the control loop --------------------------------------------------
 
@@ -179,7 +177,6 @@ class ReconfigOperator:
             sol = self.plan(name, omega=self.rapids.omega + boost)
             entry = {
                 "object": name,
-                "origin": sol.origin,
                 "evaluations": sol.evaluations,
                 "from": list(rec.ft_config),
                 "to": list(sol.ms),
@@ -210,7 +207,6 @@ class ReconfigOperator:
             report = self.migrator.migrate(name, target)
             event["migrations"].append({
                 "object": name,
-                "origin": "pending",
                 "from": list(rec.ft_config),
                 "to": list(target),
                 "migrated": report.migrated,

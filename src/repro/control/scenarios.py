@@ -88,12 +88,12 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             description=(
                 "Systems 0-2 (one region) are down for epochs 12-23; "
                 "at-rest damage is planted at epoch 28; periodic scrubs "
-                "heal it.  Availability drift triggers a warm re-solve."
+                "heal it.  Availability drift triggers a re-solve."
             ),
             epochs=48,
             policy=DriftPolicy(
                 p_rel=1.0, p_abs=0.05, hot_min_accesses=_NEVER,
-                cooldown_epochs=8, scrub_every=12, budget_evals=4000,
+                cooldown_epochs=8, scrub_every=12,
             ),
         ),
         ScenarioSpec(
@@ -107,7 +107,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             epochs=48,
             policy=DriftPolicy(
                 p_rel=1.0, p_abs=0.5, hot_min_accesses=_NEVER,
-                cooldown_epochs=8, budget_evals=4000,
+                cooldown_epochs=8,
             ),
             tracker_horizon=8.0,
         ),
@@ -124,7 +124,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             policy=DriftPolicy(
                 p_rel=1.0, p_abs=0.5, hot_factor=4.0,
                 hot_min_accesses=25, hot_omega_boost=0.35,
-                cooldown_epochs=8, budget_evals=4000,
+                cooldown_epochs=8,
             ),
         ),
         ScenarioSpec(
@@ -139,7 +139,7 @@ SCENARIOS: dict[str, ScenarioSpec] = {
             epochs=48,
             policy=DriftPolicy(
                 p_rel=1.0, p_abs=0.03, hot_min_accesses=_NEVER,
-                cooldown_epochs=8, scrub_every=16, budget_evals=4000,
+                cooldown_epochs=8, scrub_every=16,
             ),
         ),
     )

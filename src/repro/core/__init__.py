@@ -18,8 +18,6 @@ from .ft_optimizer import (
     brute_force,
     heuristic,
     initial_configuration,
-    repair_configuration,
-    warm_start,
 )
 from .gathering import (
     GatheringOutcome,
@@ -51,8 +49,6 @@ __all__ = [
     "brute_force",
     "heuristic",
     "initial_configuration",
-    "repair_configuration",
-    "warm_start",
     "GatheringOutcome",
     "random_strategy",
     "naive_strategy",

@@ -39,7 +39,7 @@ from ..storage.system import CorruptFragmentError, StoredFragment
 from ..transfer import phase_latency, pipelined_archival, refactored_distribution
 from .adaptive import BandwidthTracker, adaptive_strategy
 from .availability import refactored_storage_overhead
-from .ft_optimizer import FTProblem, FTSolution, heuristic
+from .ft_optimizer import FTProblem, FTSolution, brute_force
 from .gathering import (
     GatheringOutcome,
     exact_strategy,
@@ -517,7 +517,7 @@ class RAPIDS:
             original_size=float(original_size),
             omega=self.omega,
         )
-        return heuristic(problem)
+        return brute_force(problem)
 
     # -- restoration phase ---------------------------------------------------
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf256, kernels, matrix
+from . import kernels, matrix
 
 __all__ = ["RSCode", "pad_to_fragments", "unpad"]
 

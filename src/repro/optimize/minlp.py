@@ -17,7 +17,7 @@ actually measures — the ablation bench compares the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -36,7 +36,6 @@ from repro.chaos import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    InjectedFault,
     RetryPolicy,
 )
 from repro.core import RAPIDS

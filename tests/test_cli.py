@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import FTProblem, brute_force
 
 
 @pytest.fixture
@@ -77,16 +78,17 @@ class TestOptimizeFT:
         assert "optimal m_j" in out
 
     def test_brute_force_agrees(self, capsys):
-        args = [
+        main([
             "optimize-ft", "--sizes", "1e9,5e9,2.5e10,1.25e11",
             "--errors", "4e-3,5e-4,6e-5,1e-7",
             "--original-size", "6e11", "--omega", "0.25",
-        ]
-        main(args)
-        heur = capsys.readouterr().out.splitlines()[0]
-        main(args + ["--brute-force"])
-        brute = capsys.readouterr().out.splitlines()[0]
-        assert heur == brute
+        ])
+        first = capsys.readouterr().out.splitlines()[0]
+        sol = brute_force(FTProblem(
+            n=16, p=0.01, sizes=(1e9, 5e9, 2.5e10, 1.25e11),
+            errors=(4e-3, 5e-4, 6e-5, 1e-7), original_size=6e11, omega=0.25,
+        ))
+        assert first == f"optimal m_j = {sol.ms}"
 
     def test_infeasible(self, capsys):
         rc = main([

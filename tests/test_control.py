@@ -1,11 +1,10 @@
-"""Control-plane tests: warm starts, drift detection, live migration.
+"""Control-plane tests: exact re-solves, drift detection, live migration.
 
 The two load-bearing guarantees proven here:
 
-* **Warm-start dominance** (property-based): re-solving the FT MINLP
-  seeded from an incumbent configuration is never worse than the
-  (repaired) incumbent under the drifted parameters, and never worse
-  than a cold solve when the evaluation budget allows both.
+* **Re-solve dominance** (property-based): the operator's re-solve of
+  the FT MINLP under drifted parameters is valid and never worse than
+  any feasible incumbent, nor than Algorithm 1's answer.
 * **Migration safety**: at every intermediate step of a live
   re-encoding migration — probed via the migrator's checkpoint seam,
   including with up to ``m_j`` concurrent system failures injected
@@ -28,7 +27,7 @@ from repro.control import (
     safety_breaches,
 )
 from repro.control.observer import AvailabilityEstimator, hot_objects, p_drift
-from repro.core import RAPIDS, FTProblem, heuristic, repair_configuration, warm_start
+from repro.core import RAPIDS, FTProblem, brute_force, heuristic
 from repro.formats import crc32
 from repro.metadata import MetadataCatalog, level_storage_name
 from repro.refactor import Refactorer
@@ -106,85 +105,29 @@ def problems(draw):
 
 @st.composite
 def incumbents(draw, n=16, l=4):
-    """An arbitrary (possibly infeasible) parity ladder."""
-    return [draw(st.integers(1, n + 2)) for _ in range(l)]
+    """A strictly decreasing parity ladder (it may bust the budget)."""
+    ms = draw(st.lists(st.integers(1, n - 1), min_size=l, max_size=l,
+                       unique=True))
+    return sorted(ms, reverse=True)
 
 
-class TestRepairConfiguration:
+class TestPlanDominance:
     @given(problems(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_repair_is_feasible_or_none(self, problem, data):
-        ms = data.draw(incumbents(n=problem.n, l=problem.l))
-        out = repair_configuration(problem, ms)
-        if out is not None:
-            assert problem.valid(out)
-
-    @given(problems())
-    @settings(max_examples=60, deadline=None)
-    def test_feasible_incumbent_unchanged(self, problem):
-        """An already-feasible incumbent survives repair untouched."""
-        try:
-            inc = heuristic(problem).ms
-        except ValueError:
-            assume(False)
-        assert repair_configuration(problem, inc) == inc
-
-    def test_wrong_level_count_rejected(self):
-        problem = FTProblem(
-            n=8, p=0.01, sizes=(1e3, 1e4), errors=(1e-2, 1e-4),
-            original_size=2e4, omega=1.0,
-        )
-        assert repair_configuration(problem, [3, 2, 1]) is None
-
-
-class TestWarmStartDominance:
-    @given(problems(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_never_worse_than_repaired_incumbent(self, problem, data):
+    def test_never_worse_than_any_feasible_incumbent(self, problem, data):
         """The reconfiguration loop's core guarantee: under drifted
-        parameters, the warm solution is never worse than the repaired
-        incumbent it started from."""
-        inc = data.draw(incumbents(n=problem.n, l=problem.l))
-        seed = repair_configuration(problem, inc)
-        assume(seed is not None)
-        warm = warm_start(problem, inc, budget_evals=1)
-        assert warm.origin == "warm"
-        assert warm.expected_error <= problem.objective(seed) * (1 + 1e-6)
-        assert problem.valid(warm.ms)
-
-    @given(problems(), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_never_worse_than_cold_solve(self, problem, data):
-        """With budget to spare, warm_start takes the better of warm and
-        cold — so it can never lose to a cold solve."""
-        inc = data.draw(incumbents(n=problem.n, l=problem.l))
+        parameters, the solve ``ReconfigOperator.plan`` runs is valid and
+        never worse in expected error than a feasible incumbent, nor
+        than Algorithm 1's ladder."""
         try:
-            cold = heuristic(problem)
+            sol = brute_force(problem)
         except ValueError:
             assume(False)
-        best = warm_start(problem, inc)
-        assert best.expected_error <= cold.expected_error * (1 + 1e-9)
-
-    def test_unrepairable_incumbent_falls_back_cold(self):
-        problem = FTProblem(
-            n=8, p=0.01, sizes=(1e3, 1e4), errors=(1e-2, 1e-4),
-            original_size=2e4, omega=1.0,
-        )
-        sol = warm_start(problem, [1, 2, 3])  # wrong level count
-        assert sol.origin == "cold"
         assert problem.valid(sol.ms)
-
-    def test_budget_counts_evaluations_not_wallclock(self):
-        problem = FTProblem(
-            n=12, p=0.02, sizes=(1e3, 1e4, 1e5), errors=(1e-2, 1e-4, 1e-6),
-            original_size=2e5, omega=1.0,
-        )
-        inc = heuristic(problem).ms
-        tight = warm_start(problem, inc, budget_evals=1)
-        loose = warm_start(problem, inc, budget_evals=10**9)
-        # A tight budget skips the cold comparison solve entirely.
-        assert tight.evaluations < loose.evaluations
-        assert tight.ms == loose.ms  # fixpoint incumbent: same answer
+        inc = data.draw(incumbents(n=problem.n, l=problem.l))
+        for ms in (inc, heuristic(problem).ms):
+            if problem.valid(ms):
+                assert sol.expected_error <= problem.objective(ms) * (1 + 1e-6)
 
 
 class TestDriftObserver:
@@ -483,7 +426,6 @@ class TestReconfigOperator:
             assert op.migrator.migrate("obj", list(first.ms)).complete
         second = op.plan("obj")
         assert list(second.ms) == list(first.ms)
-        assert second.origin == "warm"
         report = op.migrator.migrate("obj", list(second.ms))
         assert report.migrated == 0 and report.deferred == 0
 

@@ -1,9 +1,12 @@
 """Tests for the fault-tolerance configuration optimiser (§3.2, Alg. 1)."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core import FTProblem, brute_force, heuristic, initial_configuration
+from repro.core.ft_optimizer import _better
 
 
 def make_problem(n=16, omega=0.25, l=4, ratio=5.0, p=0.01):
@@ -208,3 +211,85 @@ class TestHeterogeneousProblem:
             assert prob.objective(cand) - prob.objective(ms) == pytest.approx(
                 delta, rel=1e-9, abs=1e-18
             )
+
+
+def reference_brute_force(problem):
+    """The one-candidate-at-a-time enumeration: the reference
+    implementation ``brute_force``'s vectorised pass must match float for
+    float.  Returns ``(ms, expected_error, overhead, evaluations)``."""
+    best_ms, best_val, best_ovh = None, float("inf"), float("inf")
+    evals = 0
+    for combo in itertools.combinations(range(problem.n - 1, 0, -1), problem.l):
+        ms = list(combo)
+        ovh = problem.overhead(ms)
+        if ovh > problem.omega + 1e-12:
+            continue
+        val = problem.objective(ms)
+        evals += 1
+        if best_ms is None or _better(val, ovh, best_val, best_ovh):
+            best_ms, best_val, best_ovh = ms, val, ovh
+    if best_ms is None:
+        raise ValueError("no feasible configuration")
+    return best_ms, best_val, best_ovh, evals
+
+
+def sweep(count=240, seed=41):
+    """Seeded random problems: n in {8, 12, 16}, l = 2-5, p up to 0.2
+    (scalar or per-system), level sizes growing and errors falling at
+    random rates, any budget."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        n = int(rng.choice([8, 12, 16]))
+        l = int(rng.integers(2, 6))
+        s0, growth = 10 ** rng.uniform(3, 9), rng.uniform(1.5, 10)
+        sizes = tuple(float(s0 * growth**j) for j in range(l))
+        e0 = 10 ** rng.uniform(-4, -1)
+        errors = tuple(
+            float(e0 * 10 ** (-rng.uniform(0.3, 2) * j)) for j in range(l)
+        )
+        if rng.random() < 0.5:
+            p = float(rng.uniform(0.001, 0.2))
+        else:
+            p = tuple(float(v) for v in rng.uniform(0.001, 0.2, n))
+        out.append(FTProblem(
+            n=n, p=p, sizes=sizes, errors=errors,
+            original_size=float(sum(sizes) * rng.uniform(1, 5)),
+            omega=float(rng.uniform(0.05, 1.0)),
+        ))
+    return out
+
+
+class TestExactSolver:
+    def test_matches_reference_loop_bit_for_bit(self):
+        problems = sweep()
+        assert {p.n for p in problems} == {8, 12, 16}
+        assert {p.l for p in problems} == {2, 3, 4, 5}
+        assert {isinstance(p.p, tuple) for p in problems} == {True, False}
+        solved = 0
+        for prob in problems:
+            try:
+                ref = reference_brute_force(prob)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    brute_force(prob)
+                continue
+            sol = brute_force(prob)
+            got = (sol.ms, sol.expected_error, sol.overhead, sol.evaluations)
+            assert got == ref, prob
+            solved += 1
+        assert solved >= 200
+
+    def test_heuristic_misses_the_optimum_at_elevated_p(self):
+        """Algorithm 1 is not exact in general: at p = 0.1 its grow phase
+        cannot reach the optimum's low m_l, and its ladder's expected
+        error is ~830x the optimum's."""
+        sizes = tuple(1e6 * 4.0**j for j in range(4))
+        prob = FTProblem(
+            n=12, p=0.1, sizes=sizes,
+            errors=tuple(1e-2 * 10.0 ** (-3 * j) for j in range(4)),
+            original_size=sum(sizes), omega=0.4,
+        )
+        h, bf = heuristic(prob), brute_force(prob)
+        assert h.ms == [7, 5, 4, 3] and bf.ms == [10, 8, 5, 1]
+        assert h.expected_error > 800 * bf.expected_error

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.refactor.grid import (
-    MIN_AXIS,
-    coarse_indices,
-    detail_indices,
-    plan_levels,
-)
+from repro.refactor.grid import coarse_indices, detail_indices, plan_levels
 
 
 def test_coarse_indices_odd():

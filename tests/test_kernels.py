@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.ec import (
-    ECConfig,
     ErasureCodec,
     RSCode,
     kernels,

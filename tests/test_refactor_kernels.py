@@ -16,7 +16,6 @@ The overhauled pipeline promises three things this module pins down:
 """
 
 import hashlib
-import os
 import struct
 import zlib
 from collections import OrderedDict
