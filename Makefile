@@ -31,8 +31,8 @@ fuzz:
 loc:
 	@find src -name '*.py' -print0 | xargs -0 cat | grep -cvE '^[[:space:]]*(#|$$)'
 
-# rapidslint: project-specific static analysis (14 per-file rules,
-# RPD101-RPD117).  Fails on any non-suppressed finding; suppressions
+# rapidslint: project-specific static analysis (15 per-file rules,
+# RPD101-RPD118).  Fails on any non-suppressed finding; suppressions
 # need justifications.
 lint:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.cli lint src tests benchmarks examples

@@ -11,7 +11,6 @@ Two modelling choices behind Figs. 3/4:
 """
 
 import numpy as np
-import pytest
 
 from harness import N_SYSTEMS, bandwidths, object_profiles, print_table
 from repro.transfer import (

@@ -7,7 +7,6 @@ than shipping decomposition levels whole.  This bench measures the
 error-per-byte frontier of both policies.
 """
 
-import pytest
 
 from harness import print_table
 from repro.datasets import scale_temperature

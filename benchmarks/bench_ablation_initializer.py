@@ -10,7 +10,6 @@ import pytest
 
 from harness import object_profiles, print_table
 from repro.core import heuristic, initial_configuration
-from repro.core.ft_optimizer import FTProblem
 
 
 def _problem(prof, omega=0.35):

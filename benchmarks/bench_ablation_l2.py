@@ -7,7 +7,6 @@ coarse-only prefixes, at what transform-speed cost.
 """
 
 import numpy as np
-import pytest
 
 from harness import print_table
 from repro.datasets import nyx_velocity

@@ -10,7 +10,6 @@ latency actually measures.
 """
 
 import numpy as np
-import pytest
 
 from harness import N_SYSTEMS, bandwidths, object_profiles, print_table
 from repro.core.gathering import _build_model

@@ -15,9 +15,8 @@ refactorer against both families on the six Table 2 proxies:
 import zlib
 
 import numpy as np
-import pytest
 
-from harness import object_profiles, print_table
+from harness import print_table
 from repro.datasets import TABLE2
 from repro.refactor import Refactorer, RetrievalPlan, relative_linf_error
 

@@ -7,7 +7,6 @@ paper's two claims: RF+EC reaches a *better* expected error at *much*
 lower storage overhead (headline: up to 7.5x less storage than EC).
 """
 
-import pytest
 
 from harness import N_SYSTEMS, P_FAIL, object_profiles, print_table
 from repro.core import (

@@ -8,7 +8,6 @@ Latency is the slowest transfer under the §3.3 equal-share model,
 computed at the paper's true byte sizes (2.98-16.82 TB per object).
 """
 
-import pytest
 
 from harness import bandwidths, object_profiles, print_table
 from repro.transfer import (

@@ -11,7 +11,6 @@ problem size).
 """
 
 import numpy as np
-import pytest
 
 from harness import N_SYSTEMS, bandwidths, object_profiles, print_table
 from repro.core import (

@@ -9,7 +9,6 @@ proxy scale extend to paper scale.
 
 import time
 
-import numpy as np
 import pytest
 
 from harness import print_table

@@ -20,7 +20,6 @@ artifact via :func:`harness.write_bench_artifact`.
 import time
 
 import numpy as np
-import pytest
 
 from repro.datasets import nyx_temperature
 from repro.ec import RSCode, matrix, planned_matmul

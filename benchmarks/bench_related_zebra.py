@@ -14,10 +14,9 @@ points on an archive of equal-size objects at a shared overhead budget:
   request before and after the drift.
 """
 
-import pytest
 
 from harness import N_SYSTEMS, P_FAIL, object_profiles, print_table
-from repro.core import brute_force, expected_relative_error
+from repro.core import brute_force
 from repro.core.related import DemandAwareTiering
 
 OMEGA = 0.25

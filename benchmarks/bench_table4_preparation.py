@@ -8,7 +8,6 @@ model.  Shape claims: EC wins at 64 cores; RF+EC overtakes it by ~2x at
 1,024 cores and beats DP by ~4x.
 """
 
-import pytest
 
 from harness import (
     N_SYSTEMS,

@@ -6,7 +6,6 @@ wins at 64 cores; RF+EC overtakes from 256 cores and wins clearly at
 1,024, especially on the large objects.
 """
 
-import pytest
 
 from harness import (
     N_SYSTEMS,

@@ -6,7 +6,6 @@ correctly, plus a quantified look at the i.i.d. assumption's failure
 mode under correlated outages.
 """
 
-import pytest
 
 from harness import N_SYSTEMS, object_profiles, print_table
 from repro.core import brute_force

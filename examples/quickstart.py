@@ -14,8 +14,6 @@ Run:  python examples/quickstart.py
 
 import tempfile
 
-import numpy as np
-
 from repro import RAPIDS, MetadataCatalog, StorageCluster, relative_linf_error
 from repro.datasets import nyx_temperature
 from repro.transfer import paper_bandwidth_profile

@@ -42,6 +42,9 @@ RPD117    service-blocking-no-     unbounded blocking calls (queue get,
                                    lock ``.acquire()``, fsync) inside
                                    ``repro.service`` handlers that never
                                    consult the request deadline
+RPD118    unused-import            a module-level import whose name the
+                                   module never uses (``__init__.py``
+                                   and ``__future__`` exempt)
 ========  =======================  ========================================
 
 (``RPD100`` is reserved by the framework for malformed / unused
@@ -71,6 +74,7 @@ __all__ = [
     "ProcessPoolCallableRule",
     "ChaosSeamRule",
     "ServiceBlockingNoDeadlineRule",
+    "UnusedImportRule",
 ]
 
 #: Public callables of :mod:`repro.ec.gf256` that return field elements.
@@ -1343,3 +1347,76 @@ class ServiceBlockingNoDeadlineRule(Rule):
                 if "deadline" in node.id.lower():
                     return True
         return False
+
+
+@register
+class UnusedImportRule(Rule):
+    """A module-level import whose name the module never uses.
+
+    A name counts as used when it is read anywhere in the module, named
+    in a string annotation (``"Path | None"``) or listed in ``__all__``.
+    Package ``__init__.py`` files re-export by importing, so they are
+    not checked; an import kept for its side effect needs a suppression
+    that says which.
+    """
+
+    rule_id = "RPD118"
+    name = "unused-import"
+    severity = Severity.WARNING
+    description = "module-level import whose name is never used"
+    rationale = (
+        "a dead import hides what a module depends on and keeps a "
+        "deleted name looking alive"
+    )
+
+    def check(self, module: ModuleContext) -> Iterator[Finding]:
+        if module.posix_path.endswith("__init__.py"):
+            return
+        tree = module.tree
+        used = set(AllDriftRule._find_all(tree)[1])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)):
+                used |= self._string_names(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                used |= self._string_names(node.returns)
+        for alias in self._imports(tree.body):
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                yield self.finding(
+                    module, alias, f"{bound!r} is imported but never used"
+                )
+
+    def _imports(self, stmts) -> Iterator[ast.alias]:
+        """Module-level import aliases, including those under a
+        top-level ``if`` / ``try``."""
+        for node in stmts:
+            if isinstance(node, ast.Import):
+                yield from node.names
+            elif isinstance(node, ast.ImportFrom):
+                if node.module != "__future__":
+                    yield from (a for a in node.names if a.name != "*")
+            elif isinstance(node, (ast.If, ast.Try)):
+                for sub in (node.body, node.orelse,
+                            getattr(node, "finalbody", [])):
+                    yield from self._imports(sub)
+                for h in getattr(node, "handlers", []):
+                    yield from self._imports(h.body)
+
+    @staticmethod
+    def _string_names(annotation: ast.AST | None) -> set[str]:
+        """Names read inside the string constants of an annotation."""
+        names: set[str] = set()
+        if annotation is None:
+            return names
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(
+                    n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+                )
+        return names

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .plan import FaultPlan, FaultSpec
 

@@ -277,9 +277,8 @@ def run_scenario(
             served: dict[str, int] = {}
             for i, obj in enumerate(_OBJECTS):
                 if i == 0 or epoch % 4 == 0:
-                    rep = rapids.restore(
-                        obj, strategy="naive", record_access=True
-                    )
+                    rep = rapids.restore(obj, strategy="naive")
+                    rapids.catalog.record_access(obj)
                     served[obj] = int(rep.levels_used)
             ev = operator.step(epoch, failed)
             breaches = {

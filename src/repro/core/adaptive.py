@@ -1,11 +1,11 @@
 """Adaptive bandwidth estimation for the gathering optimiser (§4.3).
 
-The metadata component records the throughput of every transfer; those
-observations refresh the ``B_i`` parameters of the Eq. 10 model, so the
-optimiser adapts when WAN bandwidth drifts away from the historical
-Globus-log averages.  :class:`BandwidthTracker` is that loop: it blends
-the static prior with the catalog's EWMA history and feeds the result
-into any gathering strategy.
+Observed transfer throughputs refresh the ``B_i`` parameters of the
+Eq. 10 model, so the optimiser adapts when WAN bandwidth drifts away
+from the historical Globus-log averages.  :class:`BandwidthTracker` is
+that loop: its ``observe`` is the only writer of the catalog's EWMA, and
+it blends the static prior with that EWMA (the prior alone until
+something is observed) for any gathering strategy.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class BandwidthTracker:
     Parameters
     ----------
     catalog:
-        The metadata catalog whose throughput history backs the EWMA.
+        The metadata catalog that keeps the observed EWMA.
     prior:
         Static per-system estimates used until observations arrive
         (the §5.1.2 log-derived profile).
@@ -48,8 +48,8 @@ class BandwidthTracker:
         staleness_horizon: float | None = None,
     ) -> None:
         prior = np.asarray(prior, dtype=np.float64)
-        if np.any(prior <= 0):
-            raise ValueError("prior bandwidths must be positive")
+        if not np.all(np.isfinite(prior) & (prior > 0)):
+            raise ValueError("prior bandwidths must be finite and positive")
         if staleness_horizon is not None and staleness_horizon <= 0:
             raise ValueError("staleness_horizon must be positive")
         self.catalog = catalog
@@ -68,6 +68,7 @@ class BandwidthTracker:
             raise ValueError(f"unknown system {system_id}")
         if nbytes <= 0 or seconds <= 0:
             raise ValueError("need positive bytes and duration")
+        # the catalog rejects the non-finite rate a NaN or inf makes
         self.catalog.record_throughput(system_id, nbytes / seconds)
         self._last_seen[system_id] = self._clock
 

@@ -530,7 +530,6 @@ class RAPIDS:
         avoid_systems=(),
         parallelism: str | None = None,
         processes: int | None = None,
-        record_access: bool = False,
     ) -> RestoreReport:
         """Run the restoration phase against the cluster's current failures.
 
@@ -543,7 +542,9 @@ class RAPIDS:
         ledger knows to be lost; ``strategy`` (``random`` / ``naive`` /
         ``optimized`` / ``adaptive``) picks the systems serving it —
         ``optimized`` is the exact §3.3 plan on the cluster's bandwidths,
-        ``adaptive`` the same on the catalog's throughput history.
+        ``adaptive`` the same on the observed EWMA where there is one
+        (so ``optimized`` until something is observed).  A restore
+        writes nothing to the catalog.
 
         ``avoid_systems`` treats the listed system ids as failed for
         planning — the archive service passes its open circuit breakers
@@ -561,10 +562,8 @@ class RAPIDS:
         whether the tiles of a multi-tile object reconstruct on a process
         pool into a shared output or inline.
         """
-        run = self._plan_restore(
-            name, strategy, target_error=target_error,
-            avoid_systems=avoid_systems, record_access=record_access,
-        )
+        run = self._plan_restore(name, strategy, target_error=target_error,
+                                 avoid_systems=avoid_systems)
         if isinstance(run, RestoreReport):
             return run
         rows = self._fetch(run, run.outcome.levels_included)
@@ -605,7 +604,6 @@ class RAPIDS:
     def _plan_restore(
         self, name: str, strategy: str = "naive", *,
         target_error: float | None = None, avoid_systems=(),
-        record_access: bool = False,
     ) -> _RestoreRun | RestoreReport:
         """The plan step: load the record, decide the level prefix and
         pick the systems serving it.  Returns the finished report instead
@@ -628,15 +626,6 @@ class RAPIDS:
                                    attempts=meta.attempts, retried=meta.retried)
             return self._degraded_empty(name, [failure], faults_before)
         rec = meta.value
-        if record_access:
-            # Advisory access-frequency telemetry for the control
-            # plane's flash-crowd detection.  Off by default so replay
-            # digests of existing chaos plans are unperturbed (every
-            # extra kvstore put shifts site-scoped occurrence counters).
-            try:
-                self.catalog.record_access(name)
-            except _DEGRADABLE:
-                pass
         failed = self.cluster.failed_ids()
         if avoid_systems:
             failed = sorted(set(failed) | {int(s) for s in avoid_systems})
@@ -654,14 +643,6 @@ class RAPIDS:
                                rec.ft_config, failed, max_levels=len(levels))
         run = _RestoreRun(name, rec, outcome, faults_before)
         run.timings["gather_optimize"] = time.perf_counter() - t0
-        # §4.3: record each selected transfer's (simulated) throughput so
-        # future gathering optimisations adapt to bandwidth variation.
-        # The telemetry is advisory — a metadata fault while recording it
-        # must not take down the data path.
-        try:
-            self._record_throughputs(outcome)
-        except _DEGRADABLE:
-            pass
         return run
 
     def _fetch(self, run: _RestoreRun, levels) -> list[list[bytes]]:
@@ -858,14 +839,6 @@ class RAPIDS:
                     upto -= 1
             return None, 0
 
-    def _record_throughputs(self, outcome: GatheringOutcome) -> None:
-        per_system = outcome.x.sum(axis=1)
-        bw = self.cluster.bandwidths
-        for i in np.nonzero(per_system)[0]:
-            # equal-share model: each of the c_i requests saw B_i / c_i,
-            # and the component de-contends to the endpoint bandwidth.
-            self.catalog.record_throughput(int(i), float(bw[i]))
-
     def _select(
         self, strategy, sizes, ms, failed,
         *, max_levels: int | None = None,
@@ -873,7 +846,7 @@ class RAPIDS:
         """Plan a gather with fixed work: ``random`` draws from seed 0,
         and no strategy charges solver time."""
         if strategy == "adaptive":
-            # catalog EWMA estimates where history exists
+            # the catalog's observed EWMA where there is one
             return adaptive_strategy(
                 BandwidthTracker(self.catalog, self.cluster.bandwidths),
                 sizes, ms, failed, max_levels=max_levels,

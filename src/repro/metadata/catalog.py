@@ -3,9 +3,10 @@
 Tracks, per data object: the refactoring information needed for
 reconstruction (shape, dtype, level sizes and errors), the per-level
 fault-tolerance configuration, the checksum, size and location of every
-data/parity fragment, and the observed throughput history of each
-storage system (used to refresh the bandwidth parameters of the
-gathering optimiser, as described in §4.3).
+data/parity fragment, and the observed throughput of each storage
+system as a running EWMA (used to refresh the bandwidth parameters of
+the gathering optimiser, as described in §4.3).  Only observations
+are recorded: a restore reads the catalog and writes nothing to it.
 
 Key layout (all UTF-8)::
 
@@ -13,7 +14,8 @@ Key layout (all UTF-8)::
                                    fragment checksums, sizes, placements
     health/<name>/<level:04d>   -> redundancy headroom below m_j (JSON
                                    int; absent = full), scrubber-owned
-    bw/<system_id>              -> throughput history (JSON list)
+    bw/<system_id:04d>          -> throughput EWMA state (JSON
+                                   ``{"ewma": v, "count": c}``)
     acc/<name>                  -> cumulative access count (JSON int)
 
 The object record is the one truth about an object's fragments: a
@@ -30,6 +32,7 @@ names must not contain it.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -143,10 +146,10 @@ class MetadataCatalog:
     def __init__(self, path: "str | Path | KVStore") -> None:
         self._own_store = not hasattr(path, "get")
         self.store = KVStore(path) if self._own_store else path
-        #: Serialises the read-modify-write counters below
+        #: Serialises the read-modify-write records below
         #: (``record_access`` / ``record_throughput``): the store makes
-        #: each get and put atomic, not the pair, so concurrent restores
-        #: would otherwise lose history entries.
+        #: each get and put atomic, not the pair, so concurrent callers
+        #: would otherwise lose updates.  Restores write neither record.
         self._rmw_lock = threading.Lock()
         self._adopt_fragment_records()
 
@@ -247,31 +250,35 @@ class MetadataCatalog:
             for k, v in self.store.scan(b"acc/")
         }
 
-    # -- bandwidth history ------------------------------------------------------
+    # -- bandwidth estimate -----------------------------------------------------
 
     def record_throughput(self, system_id: int, bytes_per_sec: float) -> None:
-        """Append an observed transfer throughput for a system (the
-        newest 64 are kept)."""
-        if bytes_per_sec <= 0:
-            raise ValueError("throughput must be positive")
+        """Fold one observed transfer throughput into the system's EWMA
+        (weight 0.3 on the newer observation)."""
+        est = float(bytes_per_sec)
+        if not (math.isfinite(est) and est > 0):
+            raise ValueError("throughput must be finite and positive")
         key = f"bw/{system_id:04d}".encode()
         with self._rmw_lock:
-            raw = self.store.get(key)
-            hist = json.loads(raw) if raw else []
-            hist.append(float(bytes_per_sec))
-            self.store.put(key, json.dumps(hist[-64:]).encode())
+            old = self._bw_state(key)
+            if old is not None:
+                est = (1 - 0.3) * old["ewma"] + 0.3 * est
+            count = 1 if old is None else old["count"] + 1
+            self.store.put(key, json.dumps({"ewma": est, "count": count}).encode())
 
     def bandwidth_estimate(self, system_id: int) -> float | None:
-        """EWMA bandwidth estimate (weight 0.3 on each newer observation)
-        from the recorded history."""
-        raw = self.store.get(f"bw/{system_id:04d}".encode())
-        if raw is None:
-            return None
-        hist = json.loads(raw)
-        est = hist[0]
-        for obs in hist[1:]:
-            est = (1 - 0.3) * est + 0.3 * obs
-        return float(est)
+        """The system's observed throughput EWMA (``None`` before its
+        first observation)."""
+        state = self._bw_state(f"bw/{system_id:04d}".encode())
+        return None if state is None else float(state["ewma"])
+
+    def _bw_state(self, key: bytes) -> dict | None:
+        """A ``bw/`` record.  The JSON list an older workspace keeps there
+        holds what its restores wrote, the configured bandwidths, and no
+        observation, so it reads as none."""
+        raw = self.store.get(key)
+        state = json.loads(raw) if raw is not None else None
+        return state if isinstance(state, dict) else None
 
     def close(self) -> None:
         if self._own_store:

@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-import numpy as np
-
 __all__ = [
     "ClusterScalingModel",
     "FilesystemModel",

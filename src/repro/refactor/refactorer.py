@@ -28,7 +28,7 @@ import numpy as np
 from ..parallel.threads import auto_workers
 from . import bitplane, components, kernels, transform
 from .error_model import relative_linf_error, theoretical_bound
-from .grid import LevelPlan, plan_levels
+from .grid import LevelPlan
 
 __all__ = [
     "Refactorer",

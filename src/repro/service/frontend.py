@@ -505,7 +505,6 @@ class ArchiveService:
                 strategy="naive",
                 target_error=target,
                 avoid_systems=avoid,
-                record_access=False,
             )
         status = "ok"
         if (

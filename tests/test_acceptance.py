@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.control import LiveMigrator
-from repro.core import RAPIDS
+from repro.core import RAPIDS, BandwidthTracker
 from repro.healing import scrub_and_repair
 from repro.metadata import MetadataCatalog
 from repro.refactor import Refactorer, relative_linf_error
@@ -81,10 +81,14 @@ def test_03_scrub_heals_bit_rot(world):
 
 def test_04_adaptive_gathering_after_drift(world):
     rapids, snapshots, _ = world
-    # seed throughput history, then restore adaptively
-    rapids.restore("run7:T01", strategy="naive")
+    # a tracker sees system 0 drift to a thousandth of its bandwidth
+    tracker = BandwidthTracker(rapids.catalog, rapids.cluster.bandwidths)
+    tracker.observe(0, rapids.cluster.bandwidths[0] / 1000, 1.0)
     res = rapids.restore("run7:T01", strategy="adaptive")
     assert res.levels_used == 4
+    np.testing.assert_array_equal(
+        res.data, rapids.restore("run7:T01", strategy="naive").data
+    )
 
 
 def test_05_staging_through_maintenance(world):

@@ -105,6 +105,25 @@ class TestTracker:
             with pytest.raises(ValueError):
                 BandwidthTracker(cat, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prior_rejected(self, tmp_path, bad):
+        with MetadataCatalog(tmp_path / "m2") as cat:
+            with pytest.raises(ValueError):
+                BandwidthTracker(cat, np.array([1.0, bad]))
+
+    @pytest.mark.parametrize(
+        "nbytes, seconds",
+        [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)],
+    )
+    def test_non_finite_observation_rejected(self, tracker, nbytes, seconds):
+        """A NaN or infinite rate never reaches the running EWMA, where
+        it would stay for good."""
+        tracker.observe(0, 2e9, 1.0)
+        with pytest.raises(ValueError):
+            tracker.observe(0, nbytes, seconds)
+        tracker.observe(0, 1e9, 1.0)
+        assert tracker.estimates()[0] == (1 - 0.3) * 2e9 + 0.3 * 1e9
+
     def test_tracker_converges_under_drift(self, tracker):
         """After a few observe/estimate rounds the tracker's error
         against the drifted truth beats the stale prior's error."""

@@ -1,6 +1,7 @@
 """Tests for the metadata catalog schema."""
 
 import json
+import math
 import threading
 import time
 from dataclasses import asdict
@@ -193,14 +194,41 @@ class TestBandwidthHistory:
         assert est > 1.9e9
 
     def test_history_bounded(self, catalog):
+        """One ``{"ewma", "count"}`` record per system, not a window
+        (the same value as the 64-entry window's up to 64 observations)."""
+        est = None
         for i in range(200):
-            catalog.record_throughput(2, 1e9 + i)
+            obs = 1e9 + i
+            catalog.record_throughput(2, obs)
+            est = obs if est is None else (1 - 0.3) * est + 0.3 * obs
         raw = catalog.store.get(b"bw/0002")
-        assert json.loads(raw) == [1e9 + i for i in range(136, 200)]
+        assert json.loads(raw) == {"ewma": est, "count": 200}
+        assert catalog.bandwidth_estimate(2) == est
+
+    def test_record_size_does_not_grow(self, catalog):
+        """After 1,000 observations the record is as long as after 2,
+        but for the count's extra digits."""
+        sizes = []
+        for _ in range(1000):
+            catalog.record_throughput(4, 1e9)
+            sizes.append(len(catalog.store.get(b"bw/0004")))
+        assert sizes[999] - sizes[1] == len("1000") - len("2")
+
+    def test_an_older_window_reads_as_no_observation(self, catalog):
+        """The list an older workspace keeps under ``bw/`` holds what its
+        restores wrote (configured bandwidths), so it is not an estimate
+        and the next observation starts the EWMA afresh."""
+        catalog.store.put(b"bw/0006", json.dumps([1e9, 2e9]).encode())
+        assert catalog.bandwidth_estimate(6) is None
+        catalog.record_throughput(6, 3e9)
+        state = json.loads(catalog.store.get(b"bw/0006"))
+        assert state == {"ewma": 3e9, "count": 1}
 
     def test_validation(self, catalog):
-        with pytest.raises(ValueError):
-            catalog.record_throughput(0, 0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                catalog.record_throughput(0, bad)
+        assert catalog.bandwidth_estimate(0) is None
 
 
 class _YieldingStore:
@@ -246,8 +274,8 @@ class TestConcurrentCounters:
     def test_record_throughput_loses_nothing(self):
         cat = MetadataCatalog(_YieldingStore())
         self._hammer(lambda: cat.record_throughput(3, 1e9))
-        hist = json.loads(cat.store.data[b"bw/0003"])
-        assert len(hist) == self.THREADS * self.CALLS
+        state = json.loads(cat.store.data[b"bw/0003"])
+        assert state["count"] == self.THREADS * self.CALLS
 
     def test_record_access_loses_nothing(self):
         cat = MetadataCatalog(_YieldingStore())

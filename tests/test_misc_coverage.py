@@ -1,7 +1,6 @@
 """Direct tests for small public utilities exercised only indirectly
 elsewhere: corruption-detection on read, log records, field constants."""
 
-import numpy as np
 import pytest
 
 from repro.ec import gf256

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import RAPIDS
+from repro.core import RAPIDS, BandwidthTracker
 from repro.metadata import MetadataCatalog
 from repro.refactor import Refactorer, relative_linf_error
 from repro.storage import StorageCluster
@@ -190,6 +190,29 @@ class TestCommit:
         assert puts
         assert not [k for k in puts if k.startswith((b"frag/", b"ledger/"))]
 
+    def test_restores_write_nothing(self, tmp_path, monkeypatch):
+        """A restore of any strategy, and a progressive pass, leave the
+        catalog's segments byte for byte as they were."""
+        from repro.metadata.kvstore import KVStore
+
+        rapids = _service_stack(tmp_path)
+        data = smooth_field(n=64)[:, :16, :16].copy()
+        rapids.prepare("obj", data)
+        segments = sorted((tmp_path / "meta").glob("*.log"))
+        before = [p.read_bytes() for p in segments]
+        writes: list[str] = []
+        for name in ("put", "delete"):
+            monkeypatch.setattr(
+                KVStore, name, lambda *a, _n=name: writes.append(_n)
+            )
+        for strategy in ("naive", "optimized", "adaptive", "random"):
+            assert rapids.restore("obj", strategy=strategy).levels_used == 4
+        assert [r.levels_used for r in rapids.restore_progressive("obj")]
+        assert writes == []
+        assert sorted((tmp_path / "meta").glob("*.log")) == segments
+        assert [p.read_bytes() for p in segments] == before
+        rapids.catalog.close()
+
     def test_failed_last_fragment_publishes_no_record(self, rapids):
         from repro.chaos import FaultInjector, FaultPlan, FaultSpec, InjectedFault
 
@@ -251,16 +274,29 @@ class TestRestore:
             rapids.restore("obj", strategy="psychic")
 
     def test_adaptive_strategy(self, rapids):
-        data = smooth_field()
-        rapids.prepare("obj", data)
-        # first restore seeds the throughput history (§4.3)
-        rapids.restore("obj", strategy="naive")
-        assert rapids.catalog.bandwidth_estimate(0) is not None
-        res = rapids.restore("obj", strategy="adaptive")
+        rapids.prepare("obj", smooth_field())
+        homes: list[int] = []
+        rapids.fetch_observer = lambda home, out: homes.append(home)
+
+        def restore(strategy):
+            homes.clear()
+            return rapids.restore("obj", strategy=strategy), sorted(homes)
+
+        # Nothing observed: the estimates are the configured profile,
+        # so adaptive is the optimized plan and data.
+        opt, opt_homes = restore("optimized")
+        res, res_homes = restore("adaptive")
         assert res.levels_used == 4
-        np.testing.assert_array_equal(
-            res.data, rapids.restore("obj", strategy="naive").data
-        )
+        assert res_homes == opt_homes and 0 in opt_homes
+        assert res.gathering_latency == opt.gathering_latency
+        np.testing.assert_array_equal(res.data, opt.data)
+        # §4.3: once a tracker observes system 0 as slow, adaptive stops
+        # reading from it.
+        tracker = BandwidthTracker(rapids.catalog, rapids.cluster.bandwidths)
+        tracker.observe(0, 1.0, 1.0)
+        res, res_homes = restore("adaptive")
+        assert 0 not in res_homes
+        np.testing.assert_array_equal(res.data, opt.data)
 
     def test_restore_unknown_object(self, rapids):
         with pytest.raises(KeyError):

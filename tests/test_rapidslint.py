@@ -43,7 +43,7 @@ class TestRegistry:
     def test_registered_rule_ids(self):
         ids = {r.rule_id for r in all_rules()}
         assert ids == {f"RPD{n}" for n in range(101, 113)} | {
-            "RPD115", "RPD117"
+            "RPD115", "RPD117", "RPD118"
         }
 
     def test_rules_have_metadata(self):
@@ -1026,3 +1026,56 @@ class TestServiceBlockingNoDeadline:
         for path in sorted(service_dir.glob("*.py")):
             findings = analyzer.check_source(path.read_text(), str(path))
             assert findings == [], f"{path}: {findings}"
+
+
+class TestUnusedImport:
+    def lint(self, source, path="src/repro/mod.py"):
+        return lint(source, path=path, select=["RPD118"])
+
+    def test_positive_unused_module(self):
+        findings = self.lint("import numpy as np\nimport os\n\nos.getcwd()\n")
+        assert rule_ids(findings) == ["RPD118"]
+        assert "'np'" in findings[0].message and findings[0].line == 1
+
+    def test_positive_one_name_of_a_from_import(self):
+        findings = self.lint(
+            "from dataclasses import (\n    dataclass,\n    field,\n)\n\n"
+            "@dataclass\nclass A:\n    x: int = 0\n"
+        )
+        assert rule_ids(findings) == ["RPD118"]
+        assert "'field'" in findings[0].message and findings[0].line == 3
+
+    def test_positive_under_top_level_try(self):
+        source = "try:\n    import json\nexcept ImportError:\n    pass\n"
+        assert rule_ids(self.lint(source)) == ["RPD118"]
+
+    def test_negative_used_attribute_root(self):
+        assert self.lint("import os.path\n\nos.path.join('a')\n") == []
+
+    def test_negative_string_annotation(self):
+        source = (
+            "from pathlib import Path\nfrom typing import Iterator\n\n"
+            "def f(p: \"str | Path\") -> \"Iterator[int]\":\n    yield 1\n"
+        )
+        assert self.lint(source) == []
+
+    def test_negative_listed_in_all(self):
+        source = "from os import getcwd\n\n__all__ = [\"getcwd\"]\n"
+        assert self.lint(source) == []
+
+    def test_negative_future_and_package_init(self):
+        assert self.lint("from __future__ import annotations\n") == []
+        source = "from .mod import thing\n"
+        assert self.lint(source, path="src/repro/pkg/__init__.py") == []
+
+    def test_negative_function_level_import_not_checked(self):
+        assert self.lint("def f():\n    import os\n") == []
+
+    def test_side_effect_import_needs_a_justified_suppression(self):
+        bare = "import readline\n"
+        justified = (
+            "import readline  # rapidslint: disable=RPD118 -- "
+            "importing it enables line editing in input()\n"
+        )
+        assert rule_ids(self.lint(bare)) == ["RPD118"]
+        assert self.lint(justified) == []

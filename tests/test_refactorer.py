@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.refactor import RefactoredObject, Refactorer, relative_linf_error
+from repro.refactor import Refactorer, relative_linf_error
 from repro.refactor import components
 from repro.refactor.error_model import MGARD_CONSTANT, theoretical_bound
 from repro.refactor.bitplane import encode_planes

@@ -1,6 +1,5 @@
 """Tests for the demand-aware tiering baseline (Zebra-like)."""
 
-import numpy as np
 import pytest
 
 from repro.core.related import DemandAwareTiering, TierAssignment

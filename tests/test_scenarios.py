@@ -2,6 +2,7 @@
 campaign's failure-model / step-hook protocols."""
 
 import json
+import math
 
 import pytest
 
@@ -139,6 +140,17 @@ class TestScenarioSuite:
     def test_region_loss_heals(self):
         res = run_scenario("region-loss", seed=7)
         assert sum(e.get("healed", 0) for e in res["operator_events"]) >= 1
+
+    def test_drift_recovers_by_staleness_decay_alone(self):
+        """Once the probes stop (epoch 32), nothing feeds the tracker:
+        each idle epoch shrinks its error by exactly exp(-1/horizon)."""
+        spec = SCENARIOS["bandwidth-drift"]
+        res = run_scenario(spec.name, seed=7, epochs=48)
+        err = [row["tracker_error"] for row in res["trajectory"]]
+        decay = math.exp(-1 / spec.tracker_horizon)
+        assert err[32] > 0
+        for epoch in range(33, 48):
+            assert err[epoch] == pytest.approx(err[epoch - 1] * decay, rel=1e-9)
 
     def test_artifact_is_json_safe(self):
         res = run_scenario("bandwidth-drift", seed=7, epochs=12)

@@ -1,6 +1,5 @@
 """Tests for the Monte Carlo validators and the campaign simulator."""
 
-import numpy as np
 import pytest
 
 from repro.sim import (
