@@ -81,8 +81,7 @@ def main() -> None:
             rapids = RAPIDS(cluster, catalog, omega=0.3)
             print("\nhour  down systems      object           levels  rel.err")
             for hour in (12.0, 26.0, 66.0):
-                down = sorted(sid for sid, windows in sched.windows.items()
-                              if any(s <= hour < e for s, e in windows))
+                down = sched.down_at(hour)
                 cluster.restore_all()
                 cluster.fail(down)
                 for name, field in OBJECTS.items():

@@ -127,7 +127,6 @@ def _tainted_names(
     seeds: Callable[[ast.expr], bool],
     *,
     propagate: Callable[[ast.expr], bool] | None = None,
-    sanitizers: Callable[[ast.expr], bool] | None = None,
 ) -> set[str]:
     """Flow-insensitive taint fixpoint over the assignments in ``nodes``.
 
@@ -135,18 +134,15 @@ def _tainted_names(
     which ``seeds`` returns True, or which mentions an already-tainted
     name.  ``propagate`` restricts which value-expression shapes carry
     taint onward (default: any expression mentioning a tainted name);
-    ``sanitizers`` marks value expressions through which taint never
-    flows (e.g. ``x = bytes(x)`` laundering a field element back to raw
-    bytes).  Sanitized assignments simply add nothing, so the transfer
-    is monotone and the fixpoint terminates; taint flows through chains
-    regardless of statement order.
+    a sanitizer such as ``bytes(x)`` is a ``propagate`` that rejects it.
+    The transfer is monotone, so the fixpoint terminates; taint flows
+    through chains regardless of statement order.
     """
     flows = [
         (n.value, {t.id for tgt in n.targets for t in ast.walk(tgt)
                    if isinstance(t, ast.Name)})
         for n in nodes
         if isinstance(n, ast.Assign)
-        and not (sanitizers is not None and sanitizers(n.value))
     ]
     tainted: set[str] = set()
 

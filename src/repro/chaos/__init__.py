@@ -2,7 +2,7 @@
 
 FoundationDB-style simulation testing for the RAPIDS stack: a seedable
 :class:`FaultPlan` schedules faults (fragment corruption, read/write
-errors, kvstore crashes, transfer stalls, outages), a
+errors, kvstore crashes, outages), a
 :class:`FaultInjector` surfaces them at every instrumented I/O seam,
 :class:`RetryPolicy` is the shared backoff policy, and
 :class:`DegradedRestore` is the structured report ``RAPIDS.restore``

@@ -28,9 +28,6 @@ from .plan import FaultPlan
 
 __all__ = ["inflict_at_rest"]
 
-#: Effects that translate to at-rest damage (stall has no resting state).
-_DAMAGE_EFFECTS = ("error", "corrupt", "truncate")
-
 
 def inflict_at_rest(plan: FaultPlan, cluster) -> list[dict]:
     """Apply ``plan``'s ``storage.read`` damage specs to resident fragments.
@@ -47,7 +44,7 @@ def inflict_at_rest(plan: FaultPlan, cluster) -> list[dict]:
     damage_specs = [
         (idx, spec)
         for idx, spec in enumerate(plan.specs)
-        if spec.site == "storage.read" and spec.effect in _DAMAGE_EFFECTS
+        if spec.site == "storage.read"
     ]
     if not damage_specs:
         return inflicted

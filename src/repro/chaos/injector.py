@@ -1,7 +1,7 @@
 """The runtime half of fault injection: :class:`FaultInjector`.
 
 Every instrumented seam (storage systems, the file store, the KV store,
-the transfer layer, the erasure codec, the RAPIDS pipeline) holds an
+the erasure codec, the RAPIDS pipeline, the archive service) holds an
 optional ``injector`` and consults it at each operation.  With no
 injector attached the seams cost one ``is None`` check — production
 paths are untouched.
@@ -158,15 +158,12 @@ class FaultInjector:
         """Read-path helper: pass ``payload`` through the plan.
 
         ``corrupt``/``truncate`` return a deterministically mutated
-        copy (the original buffer is never touched); ``error`` raises;
-        ``stall`` is a no-op here (there is no clock on direct reads).
+        copy (the original buffer is never touched); ``error`` raises.
         """
         fired = self._fault_at(site, ctx)
         if fired is None:
             return payload
         idx, spec, key, occurrence = fired
-        if spec.effect == "stall":
-            return payload
         if spec.effect in ("corrupt", "truncate"):
             return self.mutate_payload(spec, payload, spec_index=idx,
                                        key=key, occurrence=occurrence)

@@ -25,9 +25,6 @@ __all__ = ["FaultSpec", "FaultPlan", "SITES", "EFFECTS"]
 
 #: Operation sites a spec may target.  Each maps to one instrumented
 #: seam; ``pipeline.*`` are phase-boundary checks inside RAPIDS itself.
-#: ``transfer.attempt`` has no consulting seam today but stays declared:
-#: :meth:`FaultPlan.random` emits specs for it, so dropping it would
-#: reject or change every seeded random plan.
 SITES = frozenset(
     {
         "storage.read",
@@ -37,7 +34,6 @@ SITES = frozenset(
         "kvstore.get",
         "kvstore.put",
         "kvstore.fsync",
-        "transfer.attempt",
         "ec.decode",
         "system.outage",
         "pipeline.prepare",
@@ -53,10 +49,9 @@ SITES = frozenset(
 #: * ``error``    — the operation raises :class:`InjectedFault`;
 #: * ``corrupt``  — payload bytes are flipped (bit rot);
 #: * ``truncate`` — the payload loses its tail (partial read/transfer);
-#: * ``stall``    — simulated time is added (``magnitude`` seconds);
 #: * ``torn``     — a write persists only a prefix, then crashes;
 #: * ``outage``   — the targeted storage system is down from the start.
-EFFECTS = frozenset({"error", "corrupt", "truncate", "stall", "torn", "outage"})
+EFFECTS = frozenset({"error", "corrupt", "truncate", "torn", "outage"})
 
 #: Effects that only make sense for a given site family.
 _SITE_EFFECTS = {
@@ -64,14 +59,13 @@ _SITE_EFFECTS = {
     "kvstore.put": {"error", "torn"},
     "kvstore.fsync": {"error"},
     "kvstore.get": {"error"},
-    "transfer.attempt": {"error", "stall"},
     "ec.decode": {"error"},
     "pipeline.prepare": {"error"},
     "pipeline.restore": {"error"},
     "storage.write": {"error", "torn"},
     "filestore.write": {"error", "torn"},
-    "storage.read": {"error", "corrupt", "truncate", "stall"},
-    "filestore.read": {"error", "corrupt", "truncate", "stall"},
+    "storage.read": {"error", "corrupt", "truncate"},
+    "filestore.read": {"error", "corrupt", "truncate"},
     # Archive-service seams: admission shedding, dispatcher failures,
     # and journal-write faults (the crash between journal and commit).
     "service.admit": {"error"},
@@ -102,11 +96,13 @@ class FaultSpec:
         With ``scope="key"`` occurrences count per distinct op key
         (e.g. retries of one fragment heal after ``stop`` attempts);
         with ``scope="site"`` they count across the whole site.
+        A ``system.outage`` spec takes no window: outages are resolved
+        once, before the run.
     max_fires:
         Total firing cap across the run (``None`` = unlimited).
     magnitude:
-        Effect-specific knob: stall seconds, number of corrupted bytes,
-        or the fraction kept by ``truncate``/``torn``.
+        Effect-specific knob: the number of corrupted bytes, or the
+        fraction kept by ``truncate``/``torn``.
     scope:
         Occurrence-counter granularity, ``"key"`` or ``"site"``.
     """
@@ -138,6 +134,11 @@ class FaultSpec:
             raise ValueError("start must be >= 0")
         if self.stop is not None and self.stop <= self.start:
             raise ValueError("stop must be > start")
+        if self.site == "system.outage" and (self.start or self.stop is not None):
+            raise ValueError(
+                "a system.outage spec takes no start/stop window: "
+                "outages are resolved once, before the run"
+            )
         if self.max_fires is not None and self.max_fires < 1:
             raise ValueError("max_fires must be >= 1")
         if self.magnitude < 0:
@@ -189,53 +190,6 @@ class FaultPlan:
         return cls(seed=seed, specs=specs)
 
     @classmethod
-    def from_schedule(
-        cls,
-        schedule,
-        *,
-        ops_per_unit: int = 1,
-        sites: tuple = ("storage.read", "storage.write"),
-        seed: int = 0,
-    ) -> "FaultPlan":
-        """Bridge a :class:`~repro.storage.failures.MaintenanceSchedule`
-        onto occurrence windows.
-
-        The injector has no wall clock; its time axis is the per-site
-        operation count.  Each maintenance window ``(start, end)`` for a
-        system becomes one ``scope="site"`` spec per target site that
-        errors operations on that system while the site-wide occurrence
-        counter is inside ``[start * ops_per_unit, end * ops_per_unit)``
-        — so ``ops_per_unit`` calibrates "operations per simulated time
-        unit" and the same schedule drives the same injector as any
-        random plan.  Windows already closed (or of zero length after
-        rounding) are dropped.
-
-        Passing ``sites=("system.outage",)`` instead emits windowed
-        outage specs, which campaign simulations
-        (:func:`repro.sim.run_campaign`) read as *epoch* windows — the
-        bridge from a maintenance schedule to a region-loss campaign.
-        """
-        specs: list[FaultSpec] = []
-        for sid in sorted(schedule.windows):
-            for start, end in sorted(schedule.windows[sid]):
-                lo = max(0, int(start * ops_per_unit))
-                hi = int(end * ops_per_unit)
-                if hi <= lo:
-                    continue
-                for site in sites:
-                    specs.append(
-                        FaultSpec(
-                            site=site,
-                            effect="outage" if site == "system.outage" else "error",
-                            where={"system_id": int(sid)},
-                            start=lo,
-                            stop=hi,
-                            scope="site",
-                        )
-                    )
-        return cls(seed=seed, specs=tuple(specs))
-
-    @classmethod
     def random(
         cls,
         seed: int,
@@ -249,9 +203,8 @@ class FaultPlan:
         Outages come from the existing
         :class:`~repro.storage.failures.BernoulliFailureModel` (with a
         correlated region thrown in at higher intensities); op-level
-        read faults, decode faults and transfer stalls are sprinkled
-        with probability ``intensity``.  Same ``(seed, n_systems,
-        intensity)`` ⇒ same plan.
+        read faults and decode faults are sprinkled with probability
+        ``intensity``.  Same ``(seed, n_systems, intensity)`` ⇒ same plan.
         """
         import numpy as np
 
@@ -298,16 +251,6 @@ class FaultPlan:
                     effect="error",
                     probability=float(np.round(rng.uniform(0.2, 0.8), 3)),
                     where={"level": int(rng.integers(0, 4))},
-                )
-            )
-        if rng.random() < 2 * intensity:
-            specs.append(
-                FaultSpec(
-                    site="transfer.attempt",
-                    effect=str(rng.choice(["error", "stall"])),
-                    probability=float(np.round(rng.uniform(0.2, 0.7), 3)),
-                    stop=3,
-                    magnitude=float(np.round(rng.uniform(0.5, 5.0), 2)),
                 )
             )
         if metadata_faults and rng.random() < intensity:

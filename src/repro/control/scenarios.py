@@ -12,10 +12,9 @@ migration safety invariant.
 The catalog:
 
 * ``region-loss`` — a three-system region goes dark for twelve epochs
-  (a :class:`~repro.storage.failures.MaintenanceSchedule` bridged
-  through :meth:`~repro.chaos.FaultPlan.from_schedule`); at-rest damage
-  is planted after the region returns so the periodic anti-entropy
-  pass has something to heal.
+  (a :class:`~repro.storage.failures.MaintenanceSchedule` read at each
+  epoch); at-rest damage is planted after the region returns so the
+  periodic anti-entropy pass has something to heal.
 * ``bandwidth-drift`` — no outages; three systems' WAN bandwidth
   collapses to a quarter for a sustained window, then the system goes
   idle, exercising the tracker's staleness decay back toward the prior.
@@ -42,7 +41,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..chaos.plan import FaultPlan
 from ..core.adaptive import BandwidthTracker
 from ..core.pipeline import RAPIDS
 from ..metadata import MetadataCatalog
@@ -169,22 +167,20 @@ def _field(name: str, seed: int, n: int = 17) -> np.ndarray:
 
 
 def _failure_model(spec: ScenarioSpec, seed: int):
-    """The scenario's deterministic epoch-outage source."""
+    """The scenario's deterministic epoch-outage source, ``(epoch, n) -> ids``."""
     if spec.name == "region-loss":
         schedule = MaintenanceSchedule()
         for sid in (0, 1, 2):
             schedule.add_window(sid, 12, 24)
-        return FaultPlan.from_schedule(
-            schedule, sites=("system.outage",),
-            seed=_derive(seed, "region-loss"),
-        )
+        return lambda epoch, n: schedule.down_at(epoch)
     if spec.name == "correlated":
-        return CorrelatedFailureModel(
+        model = CorrelatedFailureModel(
             regions=[[0, 1], [2, 3], [4, 5], [6, 7]],
             p_region=0.05,
             p_single=0.02,
             seed=_derive(seed, "correlated"),
         )
+        return lambda epoch, n: model.sample_failed_ids(n)
     return lambda epoch, n: []  # bandwidth-drift / flash-crowd: no outages
 
 

@@ -87,7 +87,7 @@ class RequestJournal:
     :class:`~repro.metadata.kvstore.KVStore` or its replicated variant.
     An injector attached with :meth:`attach_injector` is consulted at the
     declared chaos site ``service.journal`` on every journal write, so
-    seeded campaigns can fail or stall the journal independently of the
+    seeded campaigns can fail the journal independently of the
     store beneath it.
     """
 

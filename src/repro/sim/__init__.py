@@ -1,12 +1,7 @@
 """Monte Carlo and campaign simulation: empirical validation of the
 availability / expected-error models."""
 
-from .campaign import (
-    CampaignConfig,
-    CampaignStats,
-    plan_outages_at_epoch,
-    run_campaign,
-)
+from .campaign import CampaignConfig, CampaignStats, run_campaign
 from .montecarlo import (
     MonteCarloResult,
     simulate_expected_error,
@@ -19,6 +14,5 @@ __all__ = [
     "simulate_unavailability",
     "CampaignConfig",
     "CampaignStats",
-    "plan_outages_at_epoch",
     "run_campaign",
 ]

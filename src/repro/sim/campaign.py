@@ -10,18 +10,17 @@ target should predict — including regimes the analytic model does not
 cover (repair backlogs, correlated outages).
 
 Beyond the default independent per-epoch Markov chains, a campaign can
-draw its outages from a *failure model* — anything with
-``sample_failed_ids(n)`` (e.g. :class:`~repro.storage.failures.
-CorrelatedFailureModel`), an epoch-indexed callable, or a
-:class:`~repro.chaos.FaultPlan` whose ``system.outage`` occurrence
-windows are interpreted as epoch windows — and a *step hook* can
-reconfigure the object's fault tolerance mid-campaign (the control
-plane's reconfiguration loop plugs in here).
+draw its outages from a *failure model* — a function ``(epoch, n)`` that
+returns the ids of the systems down in that epoch (e.g. a
+:class:`~repro.storage.failures.MaintenanceSchedule`'s ``down_at`` or a
+:class:`~repro.storage.failures.CorrelatedFailureModel`'s
+``sample_failed_ids``) — and a *step hook* can reconfigure the object's
+fault tolerance mid-campaign (the control plane's reconfiguration loop
+plugs in here).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignStats",
     "run_campaign",
-    "plan_outages_at_epoch",
 ]
 
 
@@ -121,63 +119,6 @@ class CampaignStats:
         return self.full_accuracy / self.requests if self.requests else 0.0
 
 
-def plan_outages_at_epoch(plan, epoch: int, n: int) -> list[int]:
-    """Which systems a :class:`~repro.chaos.FaultPlan` takes down at
-    ``epoch``.
-
-    The injector has no wall clock, so a campaign reinterprets each
-    ``system.outage`` spec's occurrence window ``[start, stop)`` as an
-    *epoch* window.  Probabilistic specs draw per (plan seed, spec,
-    system, epoch) via the same hash-derived scheme as the injector —
-    never from shared-RNG call order — so an identical plan replays an
-    identical outage sequence regardless of what else the caller does.
-    """
-    down: set[int] = set()
-    for pos, spec in enumerate(plan.specs):
-        if spec.site != "system.outage":
-            continue
-        if epoch < spec.start:
-            continue
-        if spec.stop is not None and epoch >= spec.stop:
-            continue
-        sids = (
-            [int(spec.where["system_id"])]
-            if "system_id" in spec.where
-            else list(range(n))
-        )
-        for sid in sids:
-            if not 0 <= sid < n:
-                continue
-            if spec.probability >= 1.0:
-                down.add(sid)
-                continue
-            digest = hashlib.sha256(
-                f"{plan.seed}|outage|{pos}|{sid}|{epoch}".encode()
-            ).digest()
-            draw = int.from_bytes(digest[:8], "big") / float(2**64)
-            if draw < spec.probability:
-                down.add(sid)
-    return sorted(down)
-
-
-def _failures_for_epoch(failure_model, epoch: int, n: int) -> list[int]:
-    """Resolve one epoch's outage set from whatever model was given."""
-    failed_at = getattr(failure_model, "failed_at", None)
-    if failed_at is not None:
-        return sorted(set(int(i) for i in failed_at(epoch, n)))
-    if hasattr(failure_model, "specs"):  # a FaultPlan
-        return plan_outages_at_epoch(failure_model, epoch, n)
-    if callable(failure_model):
-        return sorted(set(int(i) for i in failure_model(epoch, n)))
-    sample = getattr(failure_model, "sample_failed_ids", None)
-    if sample is not None:
-        return sorted(set(int(i) for i in sample(n)))
-    raise TypeError(
-        "failure_model must be a FaultPlan, expose sample_failed_ids(n) "
-        "or failed_at(epoch, n), or be callable(epoch, n)"
-    )
-
-
 def run_campaign(
     config: CampaignConfig,
     *,
@@ -195,12 +136,9 @@ def run_campaign(
     maintenance, so request outcomes cluster in time even though
     long-run rates match the analytic model.
 
-    ``failure_model`` replaces the Markov chain: a
-    :class:`~repro.chaos.FaultPlan` (``system.outage`` windows read as
-    epoch windows), any object with ``sample_failed_ids(n)`` (drawn
-    fresh each epoch — e.g. :class:`~repro.storage.failures.
-    CorrelatedFailureModel` for region-shared-fate outages) or
-    ``failed_at(epoch, n)``, or a plain ``callable(epoch, n)``.
+    ``failure_model(epoch, n)`` replaces the Markov chain: it returns the
+    ids of the systems down in ``epoch`` (duplicates are dropped and the
+    ids sorted).
 
     ``step_hook(epoch, failed, ms)`` is called once per epoch after the
     outage draw and before requests are served; returning a new
@@ -224,7 +162,7 @@ def run_campaign(
             up = (up & ~go_down) | come_up
             failed = np.nonzero(~up)[0].tolist()
         else:
-            failed = _failures_for_epoch(failure_model, epoch, config.n)
+            failed = sorted(set(int(i) for i in failure_model(epoch, config.n)))
         stats.max_concurrent_failures = max(
             stats.max_concurrent_failures, len(failed)
         )

@@ -60,6 +60,14 @@ class MaintenanceSchedule:
             raise ValueError("maintenance window must have end > start")
         self.windows.setdefault(system_id, []).append((start, end))
 
+    def down_at(self, t: float) -> list[int]:
+        """Systems unavailable at time ``t`` (windows are ``[start, end)``)."""
+        return sorted(
+            sid
+            for sid, ws in self.windows.items()
+            if any(s <= t < e for s, e in ws)
+        )
+
 
 @dataclass
 class CorrelatedFailureModel:

@@ -223,7 +223,7 @@ class FileStorageSystem:
                 # A header read is a file read: a plan can fail it at
                 # the same site (there is no payload to damage).
                 self.injector.check(
-                    "filestore.read", handled=("corrupt", "truncate", "stall"),
+                    "filestore.read", handled=("corrupt", "truncate"),
                     system_id=self.system_id, object_name=key[0],
                     level=key[1], index=key[2],
                 )

@@ -102,8 +102,7 @@ def test_05_staging_through_maintenance(world):
     sched = MaintenanceSchedule()
     for sid in range(ms[-1] + 1):
         sched.add_window(sid, 50.0, 60.0)
-    down = sorted(sid for sid, ws in sched.windows.items()
-                  if any(s <= 50.0 < e for s, e in ws))
+    down = sched.down_at(50.0)
     before = rapids.cluster.total_stored_bytes()
     migrator = LiveMigrator(rapids)
     ladder = [max(m, len(down) + len(ms) - 1 - j) for j, m in enumerate(ms)]

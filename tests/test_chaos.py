@@ -370,6 +370,20 @@ class TestFaultPlan:
             FaultSpec(site="storage.read", start=3, stop=3)
         with pytest.raises(ValueError, match="scope"):
             FaultSpec(site="storage.read", scope="galaxy")
+        # Outages are resolved once, before the run: a window would be
+        # silently read as "down for the whole run".
+        with pytest.raises(ValueError, match="window"):
+            FaultSpec(site="system.outage", effect="outage", start=2)
+        with pytest.raises(ValueError, match="window"):
+            FaultSpec(site="system.outage", effect="outage", stop=5)
+        # No seam consults these, so a saved plan naming them is refused
+        # at load rather than replayed as a no-op.
+        with pytest.raises(ValueError, match="site"):
+            FaultPlan.from_dict({"specs": [{"site": "transfer.attempt"}]})
+        with pytest.raises(ValueError, match="effect"):
+            FaultPlan.from_dict(
+                {"specs": [{"site": "storage.read", "effect": "stall"}]}
+            )
 
     def test_json_round_trip(self):
         plan = FaultPlan.random(99, N_SYSTEMS, intensity=0.5,

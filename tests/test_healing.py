@@ -9,7 +9,7 @@ deterministic tests for crash-resumable scrubbing, stale-copy adoption,
 the minimal-read guarantee (exactly ``k`` source reads per damaged
 stripe, observed through the injector trace), ledger reconstruction,
 healing generation-named fragments after a live migration, and the
-maintenance-schedule → fault-plan bridge.
+correlated-failure-model → fault-plan bridge.
 
 A pass plans from one inventory snapshot (ISSUE 22): a property suite
 pins that the repair engine's snapshot stays equal to the store under
@@ -37,7 +37,6 @@ from repro.chaos import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    InjectedFault,
     inflict_at_rest,
 )
 from repro.control import LiveMigrator
@@ -53,7 +52,7 @@ from repro.storage import (
     StoredFragment,
 )
 from repro.storage.filestore import _fragment_filename
-from repro.storage.failures import CorrelatedFailureModel, MaintenanceSchedule
+from repro.storage.failures import CorrelatedFailureModel
 from repro.transfer import paper_bandwidth_profile
 
 NAME = "heal:obj"
@@ -340,45 +339,7 @@ def test_inflict_at_rest_is_deterministic_and_detected(workspace):
         assert (rec["object_name"], rec["level"], rec["index"]) in found
 
 
-# -- maintenance-schedule bridge -----------------------------------------------
-
-
-def test_fault_plan_from_schedule_roundtrip():
-    sched = MaintenanceSchedule()
-    sched.add_window(3, 1.0, 2.0)
-    sched.add_window(5, 0.0, 1.5)
-    plan = FaultPlan.from_schedule(sched, ops_per_unit=10, seed=42)
-    assert FaultPlan.from_json(plan.to_json()) == plan
-
-    read_specs = {
-        s.where["system_id"]: s
-        for s in plan.specs
-        if s.site == "storage.read"
-    }
-    assert read_specs[3].start == 10 and read_specs[3].stop == 20
-    assert read_specs[5].start == 0 and read_specs[5].stop == 15
-    assert all(s.scope == "site" and s.effect == "error"
-               for s in plan.specs)
-
-    # Behavioural round-trip: replaying reads against system 3 fails
-    # exactly while the schedule says it is down.
-    injector = FaultInjector(plan)
-    observed = []
-    for occ in range(25):
-        try:
-            injector.check("storage.read", system_id=3)
-            observed.append(False)
-        except InjectedFault:
-            observed.append(True)
-    expected = [any(s <= occ / 10 < e for s, e in sched.windows[3]) for occ in range(25)]
-    assert observed == expected
-
-
-def test_fault_plan_from_schedule_drops_empty_windows():
-    sched = MaintenanceSchedule()
-    sched.add_window(0, 0.0, 0.04)  # rounds to an empty occurrence window
-    plan = FaultPlan.from_schedule(sched, ops_per_unit=10)
-    assert plan.specs == ()
+# -- failure-model bridge ------------------------------------------------------
 
 
 def test_fault_plan_from_correlated_model():

@@ -6,11 +6,10 @@ import math
 
 import pytest
 
-from repro.chaos import FaultPlan
 from repro.cli import main
 from repro.control import SCENARIOS, run_scenario, scenario_json
-from repro.control.scenarios import _longest_run
-from repro.sim import CampaignConfig, plan_outages_at_epoch, run_campaign
+from repro.control.scenarios import _failure_model, _longest_run
+from repro.sim import CampaignConfig, run_campaign
 from repro.storage.failures import CorrelatedFailureModel, MaintenanceSchedule
 
 
@@ -33,23 +32,29 @@ class TestCampaignProtocols:
         )
         assert len(b.trajectory) == 50 and not a.trajectory
 
-    def test_fault_plan_windows_become_epoch_windows(self):
+    def test_schedule_windows_become_epoch_windows(self):
         sched = MaintenanceSchedule()
         sched.add_window(2, 10, 20)
         sched.add_window(5, 15, 25)
-        plan = FaultPlan.from_schedule(sched, sites=("system.outage",), seed=3)
-        assert plan_outages_at_epoch(plan, 5, 8) == []
-        assert plan_outages_at_epoch(plan, 12, 8) == [2]
-        assert plan_outages_at_epoch(plan, 17, 8) == [2, 5]
-        assert plan_outages_at_epoch(plan, 22, 8) == [5]
-        stats = run_campaign(config(epochs=30), failure_model=plan)
+        assert sched.down_at(5) == []
+        assert sched.down_at(12) == [2]
+        assert sched.down_at(17) == [2, 5]
+        assert sched.down_at(20) == [5]  # windows are half-open
+        assert sched.down_at(22) == [5]
+        stats = run_campaign(
+            config(epochs=30),
+            failure_model=lambda epoch, n: sched.down_at(epoch),
+        )
         assert stats.max_concurrent_failures == 2
 
     def test_correlated_model_draws_fresh_each_epoch(self):
-        mk = lambda: CorrelatedFailureModel(
-            [[0, 1], [2, 3], [4, 5], [6, 7]],
-            p_region=0.2, p_single=0.05, seed=9,
-        )
+        def mk():
+            model = CorrelatedFailureModel(
+                [[0, 1], [2, 3], [4, 5], [6, 7]],
+                p_region=0.2, p_single=0.05, seed=9,
+            )
+            return lambda epoch, n: model.sample_failed_ids(n)
+
         a = run_campaign(config(), failure_model=mk(), record_trajectory=True)
         b = run_campaign(config(), failure_model=mk(), record_trajectory=True)
         assert a.trajectory == b.trajectory
@@ -63,6 +68,15 @@ class TestCampaignProtocols:
         )
         assert [r["failed"] for r in stats.trajectory].count(2) == 1
         assert stats.max_concurrent_failures == 2
+
+    def test_ids_are_deduplicated_and_sorted(self):
+        seen = []
+        run_campaign(
+            config(epochs=1),
+            failure_model=lambda epoch, n: [5, 1.0, 5, 3],
+            step_hook=lambda e, failed, ms: seen.append(failed),
+        )
+        assert seen == [[1, 3, 5]]
 
     def test_step_hook_reconfigures_mid_campaign(self):
         def hook(epoch, failed, ms):
@@ -89,6 +103,40 @@ class TestCampaignProtocols:
                 failure_model=lambda e, n: [],
                 step_hook=lambda e, f, ms: (4, 3, 2),
             )
+
+
+#: Each scenario's down systems by epoch at seed 7, 48 epochs (epochs
+#: not listed have none).
+_PINNED_OUTAGES = {
+    "region-loss": {e: [0, 1, 2] for e in range(12, 24)},
+    "bandwidth-drift": {},
+    "flash-crowd": {},
+    "correlated": {
+        8: [4, 5], 10: [1, 6, 7], 12: [3, 6, 7], 14: [4, 5], 17: [0, 1],
+        20: [6, 7], 23: [6, 7], 27: [4], 30: [2, 5, 7], 36: [5], 37: [6],
+        44: [2, 3],
+    },
+}
+
+
+def _campaign_outages(name: str, seed: int, epochs: int) -> list[list[int]]:
+    """The ``failed`` list each epoch of ``name``'s campaign hands its hook."""
+    seen: list[list[int]] = []
+    run_campaign(
+        config(epochs=epochs),
+        seed=seed,
+        failure_model=_failure_model(SCENARIOS[name], seed),
+        step_hook=lambda epoch, failed, ms: seen.append(failed),
+    )
+    return seen
+
+
+class TestScenarioOutages:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_outages_are_pinned(self, name):
+        pinned = _PINNED_OUTAGES[name]
+        expected = [pinned.get(epoch, []) for epoch in range(48)]
+        assert _campaign_outages(name, 7, 48) == expected
 
 
 class TestLongestRun:
@@ -139,6 +187,9 @@ class TestScenarioSuite:
 
     def test_region_loss_heals(self):
         res = run_scenario("region-loss", seed=7)
+        assert [row["failed"] for row in res["trajectory"]] == (
+            _campaign_outages("region-loss", 7, 48)
+        )
         assert sum(e.get("healed", 0) for e in res["operator_events"]) >= 1
 
     def test_drift_recovers_by_staleness_decay_alone(self):

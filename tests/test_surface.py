@@ -107,7 +107,6 @@ KEPT = {
     "transfer.logs.generate_transfer_logs(transfers_per_endpoint=)": (REFERENCE, "tests/test_transfer.py"),
     # fakes: seeded plans, scripted faults, spies, crafted payloads, tiny segments
     "chaos.injector.FaultInjector(trace=)": (SEAM, "tests/test_chaos.py"),
-    "chaos.plan.FaultPlan.from_schedule(ops_per_unit=)": (SEAM, "tests/test_healing.py"),
     "chaos.plan.FaultPlan.outages(extra=)": (SEAM, "tests/test_chaos.py"),
     "chaos.plan.FaultPlan.random(metadata_faults=)": (SEAM, "tests/test_chaos.py"),
     "control.migration.LiveMigrator.migrate(checkpoint=)": (SEAM, "tests/test_control.py"),
