@@ -197,9 +197,7 @@ class FaultInjector:
         for idx, spec in enumerate(self.plan.specs):
             if spec.site != "system.outage":
                 continue
-            sid = spec.where.get("system_id")
-            if sid is None:
-                continue
+            sid = spec.where["system_id"]
             if spec.probability >= 1.0 or (
                 self._uniform(idx, f"system_id={sid!r}", 0) < spec.probability
             ):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 
 __all__ = ["FaultSpec", "FaultPlan", "SITES", "EFFECTS"]
@@ -97,7 +98,8 @@ class FaultSpec:
         (e.g. retries of one fragment heal after ``stop`` attempts);
         with ``scope="site"`` they count across the whole site.
         A ``system.outage`` spec takes no window: outages are resolved
-        once, before the run.
+        once, before the run.  Its ``where`` names the system it takes
+        down (``system_id``, an int >= 0).
     max_fires:
         Total firing cap across the run (``None`` = unlimited).
     magnitude:
@@ -139,6 +141,13 @@ class FaultSpec:
                 "a system.outage spec takes no start/stop window: "
                 "outages are resolved once, before the run"
             )
+        if self.site == "system.outage":
+            sid = self.where.get("system_id")
+            if isinstance(sid, bool) or not isinstance(sid, Integral) or sid < 0:
+                raise ValueError(
+                    "a system.outage spec names one system: where.system_id "
+                    f"must be an int >= 0, got {sid!r}"
+                )
         if self.max_fires is not None and self.max_fires < 1:
             raise ValueError("max_fires must be >= 1")
         if self.magnitude < 0:

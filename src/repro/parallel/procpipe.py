@@ -27,18 +27,26 @@ Three properties the transport maintains:
   component payloads, and reconstructed tile outputs travel through
   ``multiprocessing.shared_memory`` segments managed by a small
   ref-counted :class:`SharedArena` (parent-owned: the parent creates and
-  unlinks every segment; workers only attach).  Only scalar metadata
-  (sizes, bounds, level plans) crosses the pool as pickles, with a rare
-  fallback when a tile's payloads exceed their pre-sized segment.
+  unlinks every segment; workers only attach).  Workers write
+  reconstructed tiles into one object-sized output segment, and the
+  restored array *is* that segment, not a copy of it: it is mapped a
+  second time before its name is unlinked (:func:`_keep_mapped`), so
+  no ``/dev/shm`` name outlives the call and the pages live as long as
+  the result does.
+  Only scalar metadata (sizes, bounds, level plans) crosses the pool as
+  pickles, with a rare fallback when a tile's payloads exceed their
+  pre-sized segment.
 * **Bounded peak RSS.**  A sliding window of at most
   ``max(2, 2 * processes)`` tiles is outstanding at any moment
   (:func:`_windowed`) — the bounded inter-stage queue that provides
-  backpressure — so peak memory is O(window x tile), not O(dataset).
-  Inputs can stream from a ``.npy`` file via :class:`TileSource` (seek +
-  ``readinto``, no mmap of the whole object), and encoded fragments
-  spool to disk per (level, fragment) with a running CRC
-  (:class:`_FragmentSpool`) so the commit stage reads back one fragment
-  at a time.
+  backpressure — so a prepare's peak memory is O(window x tile), not
+  O(dataset).  Inputs can stream from a ``.npy`` file via
+  :class:`TileSource` (seek + ``readinto``, no mmap of the whole
+  object), and encoded fragments spool to disk per (level, fragment)
+  with a running CRC (:class:`_FragmentSpool`) so the commit stage
+  reads back one fragment at a time.  A restore's output is one
+  object, held once: in shared memory, so ``/dev/shm`` must fit one
+  object-sized segment for as long as a multi-tile result is alive.
 * **Bit-identical output.**  Tiling is deterministic
   (:func:`axis0_bounds`) and the refactor kernels
   are worker-count invariant — so ``processes=N``, ``processes=1`` and
@@ -47,6 +55,8 @@ Three properties the transport maintains:
 
 from __future__ import annotations
 
+import mmap
+import os
 import shutil
 import tempfile
 import zlib
@@ -61,6 +71,11 @@ from ..formats import crc32
 from ..refactor import Refactorer
 from ..refactor.grid import LevelPlan
 from ..refactor.refactorer import RefactoredObject, reconstruct_block, refactor_block
+
+try:  # how ``multiprocessing.shared_memory`` opens POSIX segments
+    import _posixshmem
+except ImportError:  # Windows: no POSIX segments to map a second time
+    _posixshmem = None
 
 __all__ = [
     "AUTO_PROCESS_THRESHOLD",
@@ -78,14 +93,17 @@ __all__ = [
 ]
 
 #: Objects at least this large default to process parallelism when the
-#: caller passes ``parallelism=None``; below it the thread path wins
-#: (pool startup + shared-memory transport cost more than they save).
+#: caller passes ``parallelism=None``.  The size is a proxy, not a
+#: measured crossover: on a 2-vCPU host, a 64 MiB float64 object with
+#: bounds-only errors took as long on two pool processes as on a
+#: two-thread one-tile pipeline (prepare 876 vs 879 ms, restore 502 vs
+#: 534 ms, medians of 6 alternating rounds).
 AUTO_PROCESS_THRESHOLD = 32 * 2**20
 
-#: Target tile size when ``tile_planes`` is not given.  Around 8 MiB the
-#: per-tile transform/quantise working set stays cache-resident, which
-#: is where the tiled pipeline's speedup comes from even before the
-#: process overlap.
+#: Target tile size when ``tile_planes`` is not given.  On the same host
+#: and object, 8 MiB tiles refactored inline on one thread took 1101 ms
+#: against 1480 ms for the whole object as one tile (restore 717 vs
+#: 922 ms); why was not measured.
 DEFAULT_TILE_BYTES = 8 * 2**20
 
 
@@ -185,6 +203,28 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     :class:`SharedArena`, the sole owner.
     """
     return shared_memory.SharedMemory(name=name)
+
+
+def _keep_mapped(
+    shm: shared_memory.SharedMemory, dtype: np.dtype, shape: tuple
+) -> np.ndarray:
+    """An array over segment ``shm`` that outlives the segment's name.
+
+    Opens the segment a second time and maps it without registering it
+    anywhere, so the arena can still unlink the name (no ``/dev/shm``
+    entry outlives the call) while the pages stay mapped until the last
+    view of the returned array is dropped.  Without POSIX segments the
+    contents are copied out instead.
+    """
+    count = int(np.prod(shape, dtype=np.int64))
+    if _posixshmem is None:
+        return np.frombuffer(shm.buf, dtype, count).reshape(shape).copy()
+    fd = _posixshmem.shm_open("/" + shm.name, os.O_RDWR)
+    try:
+        mapped = mmap.mmap(fd, count * dtype.itemsize)
+    finally:
+        os.close(fd)
+    return np.frombuffer(mapped, dtype, count).reshape(shape)
 
 
 # -- tile IO -------------------------------------------------------------
@@ -601,7 +641,11 @@ def reconstruct_tiles(
     bounds, level plans and payload prefix.  A one-tile object *is* its
     tile, handed back without an object-sized copy; more tiles fill one
     output array, in the caller when ``processes <= 1`` and through a
-    shared segment filled by pool workers otherwise.
+    shared segment filled by pool workers otherwise.  The pooled result
+    is an ordinary writable array over that segment, not a copy of it:
+    the segment's name is gone when this returns, but its object-sized
+    pages stay in ``/dev/shm`` until the last view of the result is
+    dropped.
     """
     shape = tuple(shape)
     dtype = np.dtype(dtype_str)
@@ -647,4 +691,4 @@ def reconstruct_tiles(
 
             for _ in _windowed(len(jobs), processes, submit, collect):
                 pass
-        return np.frombuffer(out_shm.buf, dtype=dtype).reshape(shape).copy()
+        return _keep_mapped(out_shm, dtype, shape)

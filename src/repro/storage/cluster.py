@@ -128,6 +128,18 @@ class StorageCluster:
             s.injector = injector
 
     def fail(self, system_ids: Iterable[int]) -> None:
+        """Take ``system_ids`` down.
+
+        Raises ``ValueError``, taking none down, if an id is outside
+        ``range(n)``.
+        """
+        system_ids = list(system_ids)
+        for sid in system_ids:
+            if not 0 <= sid < self.n:
+                raise ValueError(
+                    f"system id {sid} is out of range for a cluster of "
+                    f"n={self.n} systems"
+                )
         for sid in system_ids:
             self.systems[sid].fail()
 

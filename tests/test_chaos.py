@@ -376,6 +376,16 @@ class TestFaultPlan:
             FaultSpec(site="system.outage", effect="outage", start=2)
         with pytest.raises(ValueError, match="window"):
             FaultSpec(site="system.outage", effect="outage", stop=5)
+        # An outage names one real system: without an id the plan would
+        # take nothing down.
+        for where in ({}, {"system_id": -1}, {"system_id": "3"},
+                      {"system_id": 1.0}, {"system_id": True}):
+            with pytest.raises(ValueError, match="system_id"):
+                FaultSpec(site="system.outage", effect="outage", where=where)
+        with pytest.raises(ValueError, match="system_id"):
+            FaultPlan.from_dict(
+                {"specs": [{"site": "system.outage", "effect": "outage"}]}
+            )
         # No seam consults these, so a saved plan naming them is refused
         # at load rather than replayed as a no-op.
         with pytest.raises(ValueError, match="site"):

@@ -125,3 +125,17 @@ class TestValidate:
 
     def test_bad_config(self, capsys):
         assert main(["validate", "--ms", "1,2"]) == 1
+
+
+class TestChaosPlan:
+    @pytest.mark.parametrize("where", [{}, {"system_id": 99}],
+                             ids=["no-id", "out-of-range"])
+    def test_outage_of_no_real_system_is_an_error(self, tmp_path, capsys,
+                                                   where):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 0, "specs": [
+            {"site": "system.outage", "effect": "outage", "where": where},
+        ]}))
+        assert main(["chaos", "--plan", str(plan), "--systems", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "system" in err

@@ -222,7 +222,9 @@ class TestBitIdentity:
             pipes["proc"], "obj", levels
         )
         back_i = pipes["inline"].restore("obj").data
-        back_p = pipes["proc"].restore("obj", processes=2).data
+        back_p = pipes["proc"].restore(
+            "obj", parallelism="process", processes=2
+        ).data
         assert back_i is not None and back_p is not None
         np.testing.assert_array_equal(back_i, back_p)
         assert back_p.dtype == data.dtype and back_p.shape == data.shape
@@ -281,7 +283,7 @@ class TestBitIdentity:
         p = make_pipeline(tmp_path)
         rep = p.prepare("obj", data, parallelism="process", processes=2,
                         tile_planes=6)
-        res = p.restore("obj", processes=2)
+        res = p.restore("obj", parallelism="process", processes=2)
         achieved = float(
             np.abs(res.data - data).max() / np.abs(data).max()
         )
@@ -353,6 +355,54 @@ class TestBitIdentity:
         np.testing.assert_array_equal(
             p.restore("obj").data, ref.restore("obj").data
         )
+
+
+class TestPooledHandOver:
+    """A pooled multi-tile restore returns the segment its workers filled."""
+
+    @pytest.fixture()
+    def prepared(self, tmp_path):
+        from repro.datasets import nyx_temperature
+
+        data = nyx_temperature((128, 64, 64)).astype(np.float64)
+        p = make_pipeline(tmp_path)
+        rep = p.prepare("obj", data, parallelism="process", processes=2,
+                        tile_planes=32)
+        assert rep.extra["procpipe"]["num_tiles"] == 4
+        return p, data
+
+    def pooled(self, p):
+        return p.restore("obj", parallelism="process", processes=2).data
+
+    def test_result_is_an_ordinary_array(self, prepared):
+        p, data = prepared
+        inline = p.restore("obj", processes=1).data
+        back = self.pooled(p)
+        assert back.dtype == data.dtype and back.shape == data.shape
+        assert back.flags.writeable and back.flags.c_contiguous
+        np.testing.assert_array_equal(back, inline)
+        gc.collect()
+        np.testing.assert_array_equal(back, inline)
+        again = self.pooled(p)  # a second arena must not reuse the pages
+        np.testing.assert_array_equal(back, inline)
+        np.testing.assert_array_equal(again, inline)
+        back[0, 0, 0] += 1.0  # writes land in this result only
+        np.testing.assert_array_equal(again, inline)
+
+    def test_no_object_sized_allocation(self, prepared):
+        """The output lives in the workers' segment: nothing the parent
+        allocates during the restore is as large as the object."""
+        import tracemalloc
+
+        p, data = prepared
+        tracemalloc.start()
+        try:
+            back = self.pooled(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.nbytes == data.nbytes
+        assert peak < data.nbytes, peak / data.nbytes
 
 
 class TestDegradedRestores:
@@ -454,11 +504,16 @@ class TestArenaHygiene:
         p = make_pipeline(tmp_path)
         rep = p.prepare("obj", data, parallelism="process", processes=2,
                         tile_planes=6)
-        assert p.restore("obj", processes=2).data is not None
-        assert created, "process path should have used the arena"
+        before = len(created)
+        back = p.restore("obj", parallelism="process", processes=2).data
+        assert back is not None
+        assert len(created) > before, "the restore should have used the pool"
         assert rep.extra["procpipe"]["arena_segments"] > 0
+        # The restored array maps the output segment, but no name of it
+        # (or of any other segment) outlives the call.
         for name in created:
             assert not (Path("/dev/shm") / name).exists(), name
+        assert back.shape == data.shape  # alive while the names were checked
 
     def test_worker_crash_unlinks_all_segments(self, tmp_path, monkeypatch):
         """A worker dying mid-task (BrokenProcessPool) must not leak."""

@@ -91,6 +91,13 @@ class TestCluster:
         cluster.restore_all()
         assert len(cluster.locate("obj", 0)) == 8
 
+    @pytest.mark.parametrize("bad", [8, 99, -1])
+    def test_fail_rejects_ids_outside_range(self, cluster, bad):
+        # -1 would otherwise take system 7 down by negative indexing.
+        with pytest.raises(ValueError, match=rf"{bad}.*n=8"):
+            cluster.fail([2, bad])
+        assert cluster.failed_ids() == []  # checked before any goes down
+
     def test_locate_counts_reachable_fragments(self, cluster):
         place(cluster, "obj", 1, [b"x"] * 8)
         cluster.fail([0, 1, 2])
