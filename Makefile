@@ -96,15 +96,20 @@ scrub-smoke:
 
 # Archive-service smoke: a seeded hog-vs-steady drive round with one
 # backend outage (exit 4 = cross-tenant starvation, 5 = unclean
-# shutdown), one threaded round against the started worker pool, then
-# the service benchmark in smoke mode (replay-verified per mix; writes
-# BENCH_service.json).  RAPIDS_CHAOS_SEED (default 7) seeds the round.
+# shutdown), then threaded rounds against the started service thread
+# (balanced, and hog with the outage: tenant isolation rests on the
+# round-robin queue alone, so both gates run on the real thread too),
+# then the service benchmark in smoke mode (replay-verified per mix;
+# writes BENCH_service.json).  RAPIDS_CHAOS_SEED (default 7) seeds the
+# rounds.
 serve-smoke: export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 serve-smoke:
 	$(PYTHON) -m repro.cli serve --drive --mix hog --outage 1 \
 		--requests 60 --seed $${RAPIDS_CHAOS_SEED:-7} \
 		--emit-report serve-smoke-report.json
 	$(PYTHON) -m repro.cli serve --drive --threaded --mix balanced \
+		--requests 40 --seed $${RAPIDS_CHAOS_SEED:-7}
+	$(PYTHON) -m repro.cli serve --drive --threaded --mix hog --outage 1 \
 		--requests 40 --seed $${RAPIDS_CHAOS_SEED:-7}
 	$(PYTHON) benchmarks/bench_service.py --smoke \
 		--seed $${RAPIDS_CHAOS_SEED:-7}

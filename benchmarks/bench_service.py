@@ -6,7 +6,7 @@ injected backend outage, for at least two tenant mixes:
 
 * **balanced** — three equal-weight tenants at a moderate arrival rate;
 * **hog** — one tenant submitting 8x the traffic of another at twice
-  the rate: the bulkhead/admission stress case.
+  the rate: the admission and round-robin fairness stress case.
 
 Each mix runs twice in deterministic simulated time (ManualClock +
 inline pump) and the two transcripts — every result, shed, metric and
@@ -20,7 +20,7 @@ chaos suite builds on.  Three invariants gate the run:
   never a silent success (exit 5).
 
 A wall-clock threaded run per mix reports *sustained* ops/s against the
-started worker pool (informational; shared runners are too noisy to
+started service thread (informational; shared runners are too noisy to
 gate on).
 
 Usage::
@@ -70,8 +70,6 @@ def build_service(td: Path, label: str, *, threaded: bool = False):
         queue_capacity=24,
         rate=10_000.0,
         burst=10_000.0,
-        bulkhead_slots=2,
-        workers=2,
         clock=time.monotonic if threaded else clk,
     )
     return rapids, ArchiveService(rapids, config=cfg), clk
@@ -154,7 +152,7 @@ def run_mix_deterministic(
 def run_mix_threaded(
     td: Path, mix_name: str, *, requests: int, seed: int
 ) -> dict:
-    """Wall-clock sustained throughput against the started worker pool."""
+    """Wall-clock sustained throughput against the started service thread."""
     mix = STANDARD_MIXES[mix_name]
     rapids, svc, _clk = build_service(td, f"{mix_name}-wall", threaded=True)
     objects = seed_objects(svc, seed)
@@ -235,7 +233,7 @@ def main(argv=None) -> None:
         rows,
     )
     hog_bt = result["mixes"]["hog"]["summary"]["by_tenant"]
-    print(f"bulkhead: hog p99 {hog_bt['hog']['p99_s'] * 1e3:.1f} ms vs "
+    print(f"fairness: hog p99 {hog_bt['hog']['p99_s'] * 1e3:.1f} ms vs "
           f"steady p99 {hog_bt['steady']['p99_s'] * 1e3:.1f} ms")
     print("replay: byte-identical transcripts for every mix")
 

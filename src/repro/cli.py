@@ -607,7 +607,6 @@ def _serve_build_stack(td: Path, args):
         queue_capacity=args.queue_capacity,
         rate=args.rate,
         burst=args.rate,
-        workers=args.workers,
         clock=_time.monotonic if args.threaded else clk,
     )
     return rapids, ArchiveService(rapids, config=cfg), clk
@@ -665,10 +664,10 @@ def _cmd_serve(args) -> int:
             injector.apply_outages(rapids.cluster)
 
         if not args.drive:
-            # Long-lived mode: threaded workers until interrupted.
+            # Long-lived mode: the service thread until interrupted.
             svc.start()
-            print(f"serving (workers={svc.config.workers}, "
-                  f"queue={svc.config.queue_capacity}); Ctrl-C to stop")
+            print(f"serving (queue={svc.config.queue_capacity}); "
+                  "Ctrl-C to stop")
             try:
                 while True:
                     import time as _time
@@ -922,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inject an outage of this backend system id "
                          "(repeatable)")
     sv.add_argument("--threaded", action="store_true",
-                    help="drive the started worker threads on the wall "
+                    help="drive the started service thread on the wall "
                          "clock instead of the deterministic inline pump")
     sv.add_argument("--time-scale", type=float, default=0.1,
                     help="threaded mode: scale scheduled arrival times")
@@ -932,7 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--queue-capacity", type=int, default=32)
     sv.add_argument("--rate", type=float, default=10_000.0,
                     help="per-tenant token-bucket rate (and burst)")
-    sv.add_argument("--workers", type=int, default=2)
     sv.add_argument("--emit-report", default=None,
                     help="write the drive report JSON to this file")
     sv.add_argument("--json", action="store_true",

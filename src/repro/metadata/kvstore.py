@@ -45,7 +45,7 @@ class KVStore:
     Keys and values are ``bytes``.  A single RAPIDS metadata service owns
     the directory, as in the paper (metadata is "only maintained on one
     system"); within that process an internal lock serialises operations,
-    so the archive service's worker threads may share one store.
+    so the archive service's thread and pool threads may share one store.
     """
 
     def __init__(self, path: str | os.PathLike, *, segment_bytes: int = 4 * 2**20):

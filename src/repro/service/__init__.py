@@ -1,15 +1,15 @@
 """``repro.service`` — the archive-as-a-service front end.
 
 The robustness layer over :class:`repro.core.RAPIDS`: bounded admission
-with load shedding, per-tenant token buckets and bulkheads, a durable
-idempotency journal in the metadata KV store, end-to-end deadline
-propagation with degrade-under-pressure restores, and per-backend
-circuit breakers — all clock-injectable and chaos-instrumented so every
-invariant is provable under a seeded
+with load shedding, per-tenant token buckets, a round-robin queue that
+keeps tenants fair, a durable idempotency journal in the metadata KV
+store, end-to-end deadline propagation with degrade-under-pressure
+restores, and per-backend circuit breakers — all clock-injectable and
+chaos-instrumented so every invariant is provable under a seeded
 :class:`~repro.chaos.FaultPlan`.
 """
 
-from .admission import AdmissionQueue, Bulkhead, TokenBucket
+from .admission import AdmissionQueue, TokenBucket
 from .breaker import BreakerBoard, CircuitBreaker
 from .frontend import ArchiveService, ServiceConfig, Ticket
 from .journal import IdempotencyConflict, JournalEntry, RequestJournal
@@ -36,7 +36,6 @@ __all__ = [
     "AdmissionQueue",
     "ArchiveService",
     "BreakerBoard",
-    "Bulkhead",
     "CircuitBreaker",
     "Deadline",
     "IdempotencyConflict",

@@ -1,16 +1,16 @@
-"""Admission control: token buckets, bulkheads, and the bounded queue.
+"""Admission control: token buckets and the bounded round-robin queue.
 
-Three robustness patterns compose here:
+Two robustness patterns compose here:
 
 * **Throttling / rate limiting** — a :class:`TokenBucket` per tenant
   caps sustained request rate while allowing bursts;
-* **Bulkhead isolation** — a :class:`Bulkhead` grants each tenant a
-  bounded number of worker slots, so one tenant saturating its quota
-  cannot occupy the whole pool and starve the rest;
 * **Queue-based load leveling with shedding** — the
   :class:`AdmissionQueue` is *bounded*: an offer beyond capacity is
   rejected immediately (:class:`~repro.service.request.ServiceRejected`
-  with a retry-after hint), never buffered without bound.
+  with a retry-after hint), never buffered without bound.  It serves
+  tenants round-robin, which is the service's tenant isolation: the
+  service runs one request at a time, so a flooding tenant can hold
+  the front of the line for one request, never for its whole backlog.
 
 Everything takes an injectable clock so admission decisions replay
 deterministically under a :class:`~repro.service.request.ManualClock`.
@@ -24,7 +24,7 @@ from collections import deque
 
 from .request import ServiceRejected, ServiceRequest
 
-__all__ = ["TokenBucket", "Bulkhead", "AdmissionQueue"]
+__all__ = ["TokenBucket", "AdmissionQueue"]
 
 
 class TokenBucket:
@@ -67,58 +67,14 @@ class TokenBucket:
             return (1.0 - self._tokens) / self.rate
 
 
-class Bulkhead:
-    """Per-tenant worker-slot quotas over the shared execution pool.
-
-    ``default_slots`` bounds every tenant.  Acquisition is non-blocking (the dispatcher simply skips
-    tenants at quota and serves someone else — that *is* the isolation);
-    ``on_release`` lets the admission queue wake waiting workers when a
-    slot frees up.
-    """
-
-    def __init__(
-        self,
-        default_slots: int = 2,
-        *,
-        on_release=None,
-    ):
-        if default_slots < 1:
-            raise ValueError("default_slots must be >= 1")
-        self.default_slots = int(default_slots)
-        self.on_release = on_release
-        self._lock = threading.Lock()
-        self._inflight: dict[str, int] = {}
-
-    def try_acquire(self, tenant: str) -> bool:
-        with self._lock:
-            used = self._inflight.get(tenant, 0)
-            if used >= self.default_slots:
-                return False
-            self._inflight[tenant] = used + 1
-            return True
-
-    def release(self, tenant: str) -> None:
-        with self._lock:
-            used = self._inflight.get(tenant, 0)
-            if used <= 0:
-                raise RuntimeError(f"release without acquire for {tenant!r}")
-            if used == 1:
-                del self._inflight[tenant]
-            else:
-                self._inflight[tenant] = used - 1
-        if self.on_release is not None:
-            self.on_release()
-
-
 class AdmissionQueue:
-    """Bounded multi-tenant FIFO with round-robin, bulkhead-aware take.
+    """Bounded multi-tenant FIFO with a round-robin take.
 
     One deque per tenant plus a global bound: :meth:`offer` rejects
     (never blocks, never buffers unboundedly) once ``capacity`` requests
     are queued across all tenants.  :meth:`take` serves tenants
-    round-robin, skipping any whose bulkhead is at quota — the scheduling
-    half of the isolation story: a deep queue for tenant A never delays
-    tenant B's next request as long as B has slot headroom.
+    round-robin, so a deep queue for tenant A delays tenant B's next
+    request by at most one of A's.
     """
 
     def __init__(self, capacity: int = 64):
@@ -160,7 +116,7 @@ class AdmissionQueue:
             self._ready.notify()
 
     def close(self) -> None:
-        """Stop accepting offers and wake every waiting worker."""
+        """Stop accepting offers and wake every waiting consumer."""
         with self._lock:
             self._closed = True
             self._ready.notify_all()
@@ -170,44 +126,32 @@ class AdmissionQueue:
         with self._lock:
             return self._closed
 
-    def notify(self) -> None:
-        """Wake waiting workers (bulkhead release / external event)."""
-        with self._lock:
-            self._ready.notify_all()
-
     # -- consumer side -----------------------------------------------------
 
-    def _pop_eligible(self, bulkhead: Bulkhead) -> ServiceRequest | None:
-        """Round-robin over tenants; pop the first whose bulkhead has a
-        free slot (slot acquired atomically with the pop)."""
+    def _pop_next(self) -> ServiceRequest | None:
+        """Round-robin over tenants; pop the next one's oldest request."""
         for _ in range(len(self._order)):
             tenant = self._order[0]
             self._order.rotate(-1)
             q = self._queues.get(tenant)
-            if not q:
-                continue
-            if not bulkhead.try_acquire(tenant):
-                continue
-            req = q.popleft()
-            self._depth -= 1
-            return req
+            if q:
+                self._depth -= 1
+                return q.popleft()
         return None
 
-    def take(
-        self, bulkhead: Bulkhead, *, timeout: float
-    ) -> ServiceRequest | None:
-        """Next eligible request (its bulkhead slot already held), or
-        ``None`` after ``timeout`` seconds with nothing eligible.
+    def take(self, *, timeout: float) -> ServiceRequest | None:
+        """Next request in round-robin order, or ``None`` after
+        ``timeout`` seconds with the queue empty.
 
-        The timeout bounds the wait unconditionally (workers re-check
-        their shutdown flag between takes), so a worker never blocks
-        forever on an empty or fully-quota'd queue.
+        The timeout bounds the wait unconditionally (the service thread
+        re-checks its shutdown flag between takes), so a consumer never
+        blocks forever on an empty queue.
         """
         with self._lock:
-            req = self._pop_eligible(bulkhead)
+            req = self._pop_next()
             if req is not None:
                 return req
             if self._closed and self._depth == 0:
                 return None
             self._ready.wait(timeout=timeout)
-            return self._pop_eligible(bulkhead)
+            return self._pop_next()

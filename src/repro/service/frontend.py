@@ -4,11 +4,14 @@
 request server.  A request's path::
 
     submit ──► admission (token bucket → bounded queue, shed on overflow)
-           ──► dequeue   (round-robin across tenants, bulkhead slots)
+           ──► dequeue   (round-robin across tenants, deadline check)
            ──► journal   (idempotency begin, cached replay short-circuit)
-           ──► slot      (one request in the pipeline at a time)
            ──► pipeline  (RAPIDS.prepare / RAPIDS.restore, breaker-aware)
            ──► journal commit ──► ticket resolution
+
+One request runs at a time, start to finish, on the thread that
+dequeued it: the dequeue is the only stage boundary, and a request
+never waits for another mid-path.
 
 Robustness properties, each deterministically provable under a seeded
 :class:`~repro.chaos.FaultPlan` (sites ``service.admit`` /
@@ -17,22 +20,27 @@ Robustness properties, each deterministically provable under a seeded
 * overload sheds — :meth:`submit` raises
   :class:`~repro.service.request.ServiceRejected` with a retry-after
   hint rather than buffering without bound;
-* bulkheads isolate — a tenant saturating its worker-slot quota never
-  blocks another tenant's admitted requests;
+* tenants share fairly — the queue serves tenants round-robin, so a
+  tenant's next request waits behind at most one queued request of
+  each other tenant, however deep their backlogs;
 * keyed prepares are exactly-once — the durable journal plus in-flight
   coalescing mean duplicates mutate the workspace once and observe one
   result;
-* deadlines propagate — every stage boundary consults the request
-  deadline, and an over-deadline restore degrades to the affordable
-  level prefix (the deepest whose §3.3 gathering latency fits, per
+* deadlines propagate — a request whose deadline lapsed in the queue is
+  answered ``deadline`` at dequeue, and an over-deadline restore
+  degrades to the affordable level prefix (the deepest whose §3.3
+  gathering latency fits, per
   :func:`~repro.core.gathering.plan_retrieval`) instead of failing;
 * backend outages trip per-system circuit breakers fed by
-  ``RetryPolicy`` exhaustion, steering later restores away.
+  ``RetryPolicy`` exhaustion, steering later restores away;
+* a bug does not stop the service — an exception outside the servable
+  set resolves its request ``failed`` with the error's ``repr``.
 
-The service runs in two modes: :meth:`start` spawns real worker threads
-(the benchmark / ``rapids serve`` mode) while :meth:`pump` executes
-queued requests inline on the caller's thread — the deterministic mode
-chaos campaigns and property tests replay byte-for-byte.
+The service runs in two modes with one loop: :meth:`start` spawns one
+thread that serves the queue (the benchmark / ``rapids serve`` mode),
+while :meth:`pump` serves it inline on the caller's thread — the
+deterministic mode chaos campaigns and property tests replay
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -41,23 +49,24 @@ import hashlib
 import itertools
 import threading
 import time
-from contextlib import contextmanager
+import traceback
+import warnings
 from dataclasses import dataclass
 from functools import partial
 
 from ..chaos.injector import InjectedFault
 from ..core.gathering import plan_retrieval
-from .admission import AdmissionQueue, Bulkhead, TokenBucket
+from .admission import AdmissionQueue, TokenBucket
 from .breaker import BreakerBoard
 from .journal import IdempotencyConflict, RequestJournal, request_fingerprint
 from .request import ServiceRejected, ServiceRequest, ServiceResult
 
 __all__ = ["ServiceConfig", "Ticket", "ArchiveService"]
 
-#: Failure classes the executor converts into a typed ``failed`` result
-#: instead of letting them kill a worker.  Mirrors the pipeline's
-#: degradable set; anything outside it is a programming error and
-#: propagates.
+#: Failure classes the handler converts into a typed ``failed`` result.
+#: Mirrors the pipeline's degradable set; anything outside it is a
+#: programming error: its request still resolves ``failed``, and
+#: :meth:`ArchiveService.pump` re-raises it.
 _SERVABLE_ERRORS = (
     InjectedFault,
     IdempotencyConflict,
@@ -73,7 +82,7 @@ _DEADLINE_SAFETY = 0.8
 #: Retry-after hint attached to shed requests, in service-clock seconds;
 #: queue pressure scales it (deeper queue → longer hint).
 _SHED_RETRY_AFTER = 0.25
-#: How long an idle worker waits on the queue per loop iteration.
+#: How long the idle service thread waits on the queue per loop iteration.
 _POLL_INTERVAL = 0.05
 
 
@@ -82,7 +91,9 @@ class ServiceConfig:
     """Tuning knobs for one :class:`ArchiveService`.
 
     Defaults suit tests and the smoke benchmark; ``rapids serve`` maps
-    its flags straight onto these fields.
+    its flags straight onto these fields.  There is no concurrency knob:
+    :meth:`ArchiveService.start` runs one thread, which runs each request
+    whole.
     """
 
     #: Global bound on queued (admitted but not yet executing) requests.
@@ -90,18 +101,28 @@ class ServiceConfig:
     #: Per-tenant token rate (requests/second) and burst size.
     rate: float = 50.0
     burst: float = 20.0
-    #: Per-tenant worker-slot quota.
-    bulkhead_slots: int = 2
-    #: Worker threads spawned by :meth:`ArchiveService.start`.  Requests
-    #: still run their pipeline stage one at a time (the service's
-    #: slot); extra workers overlap only the stages outside it
-    #: (dequeue, journal begin and cached replays, catalog read,
-    #: resolution).
-    workers: int = 2
+    #: Deprecated and inert (the per-tenant worker-slot quota): with one
+    #: request running at a time no quota can bind.  Any value but
+    #: ``None`` warns; the field goes once no caller sets it.
+    bulkhead_slots: int | None = None
+    #: Deprecated and inert (the worker-thread count): :meth:`start`
+    #: always runs one thread.  Any value but ``None`` warns.
+    workers: int | None = None
     #: Deadline applied to requests that carry none (``None`` = unbounded).
     default_deadline: float | None = None
     #: The service clock; inject a ManualClock for deterministic runs.
     clock: object = time.monotonic
+
+    def __post_init__(self) -> None:
+        inert = [f for f in ("workers", "bulkhead_slots")
+                 if getattr(self, f) is not None]
+        if inert:
+            warnings.warn(
+                f"ServiceConfig {', '.join(inert)}: inert and deprecated, "
+                "the service runs one request at a time on one thread "
+                "(ROADMAP item 16 says when the fields are deleted)",
+                DeprecationWarning, stacklevel=3,
+            )
 
 
 class Ticket:
@@ -132,9 +153,9 @@ class Ticket:
     def result(self, timeout: float | None = None) -> ServiceResult:
         """The request's result; blocks up to ``timeout`` seconds.
 
-        In :meth:`ArchiveService.pump` mode tickets resolve before
-        :meth:`~ArchiveService.submit` returns control, so ``timeout=0``
-        suffices; threaded callers size the timeout off their deadline.
+        In :meth:`ArchiveService.pump` mode a ticket resolves before the
+        pump that ran its request returns, so ``timeout=0`` suffices
+        after it; threaded callers size the timeout off their deadline.
         """
         if not self._event.wait(timeout=timeout):
             raise TimeoutError(
@@ -182,9 +203,6 @@ class ArchiveService:
         self.clock = self.config.clock
         self.injector = None
         self.queue = AdmissionQueue(self.config.queue_capacity)
-        self.bulkhead = Bulkhead(
-            self.config.bulkhead_slots, on_release=self.queue.notify,
-        )
         self.journal = RequestJournal(rapids.catalog.store)
         self.breakers = BreakerBoard(clock=self.clock)
         # Feed the breakers from the pipeline's per-fetch retry outcomes.
@@ -195,10 +213,8 @@ class ArchiveService:
         self._tickets: dict[str, Ticket] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._threads: list[threading.Thread] = []
+        self._thread: threading.Thread | None = None
         self._stopping = threading.Event()
-        #: Held by a request for its pipeline stage (:meth:`_pipeline_stage`).
-        self._slot = threading.Lock()
         self.metrics: dict[str, object] = {
             "submitted": 0,
             "completed": 0,
@@ -279,19 +295,22 @@ class ArchiveService:
                     self.metrics["coalesced"] += 1
                     return live
 
+        # The ticket is registered before the offer: once offered, the
+        # service thread may run and resolve the request before
+        # ``offer`` returns here.
         ticket = Ticket(request)
-        if key is not None:
-            with self._lock:
+        with self._lock:
+            self._tickets[request.request_id] = ticket
+            if key is not None:
                 self._inflight[(request.tenant, key)] = ticket
         try:
             self.queue.offer(request, retry_after=self._shed_hint())
         except ServiceRejected as exc:
-            if key is not None:
-                with self._lock:
+            with self._lock:
+                self._tickets.pop(request.request_id, None)
+                if key is not None:
                     self._inflight.pop((request.tenant, key), None)
             raise self._shed(exc.reason, request.tenant, exc.retry_after)
-        with self._lock:
-            self._tickets[request.request_id] = ticket
         return ticket
 
     # -- execution ----------------------------------------------------------
@@ -299,70 +318,64 @@ class ArchiveService:
     def pump(self, max_requests: int | None = None) -> int:
         """Execute queued requests inline until the queue drains (or
         ``max_requests`` ran); returns how many executed.  This is the
-        deterministic single-threaded mode: the submit order plus the
-        round-robin dequeue fully determine the execution sequence.
+        deterministic mode: the submit order plus the round-robin
+        dequeue fully determine the execution sequence.  An error
+        outside the servable set resolves its request ``failed`` and
+        is then re-raised here.
         """
         done = 0
         while max_requests is None or done < max_requests:
-            req = self.queue.take(self.bulkhead, timeout=0.0)
+            req = self.queue.take(timeout=0.0)
             if req is None:
                 break
-            try:
-                self._run_one(req)
-            finally:
-                self.bulkhead.release(req.tenant)
             done += 1
+            self._run_one(req)
         return done
 
     def start(self) -> None:
-        """Spawn the worker threads (idempotent)."""
-        if self._threads:
+        """Spawn the service thread (idempotent).  It runs :meth:`pump`'s
+        loop: take a request, run all of it, repeat; it waits on the
+        queue only when the queue is empty."""
+        if self._thread is not None:
             return
         self._stopping.clear()
-        for i in range(self.config.workers):
-            t = threading.Thread(
-                target=self._worker_loop, name=f"archive-worker-{i}",
-                daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
+        self._thread = threading.Thread(
+            target=self._serve, name="archive-service", daemon=True,
+        )
+        self._thread.start()
 
     def stop(self, *, drain: bool = True) -> None:
-        """Shut down: close admission, optionally drain, join workers."""
+        """Shut down: close admission, optionally drain, join the thread."""
         self.queue.close()
         if not drain:
             self._stopping.set()
-        for t in self._threads:
-            t.join()
-        self._threads.clear()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
         self._stopping.set()
         # Anything still queued after a no-drain stop resolves as shed.
         while True:
-            req = self.queue.take(self.bulkhead, timeout=0.0)
+            req = self.queue.take(timeout=0.0)
             if req is None:
                 break
-            self.bulkhead.release(req.tenant)
             self._resolve(req, ServiceResult(
                 request_id=req.request_id, tenant=req.tenant, op=req.op,
                 name=req.name, status="failed", error="service stopped",
                 deadline_met=False,
             ))
 
-    def _worker_loop(self) -> None:
-        while True:
-            if self._stopping.is_set():
-                return
-            req = self.queue.take(
-                self.bulkhead, timeout=_POLL_INTERVAL
-            )
+    def _serve(self) -> None:
+        while not self._stopping.is_set():
+            req = self.queue.take(timeout=_POLL_INTERVAL)
             if req is None:
                 if self.queue.closed and self.queue.depth() == 0:
                     return
                 continue
             try:
                 self._run_one(req)
-            finally:
-                self.bulkhead.release(req.tenant)
+            # rapidslint: disable-next=RPD105 -- the request already resolved failed with this error; the one service thread must outlive it
+            except Exception:
+                traceback.print_exc()
 
     # -- the handler --------------------------------------------------------
 
@@ -379,17 +392,18 @@ class ArchiveService:
         if ticket is not None:
             ticket.resolve(result)
 
-    def _run_one(self, req: ServiceRequest) -> ServiceResult:
+    def _run_one(self, req: ServiceRequest) -> None:
+        """Run one dequeued request to resolution.  An error outside the
+        servable set resolves it ``failed`` and is then re-raised."""
         started = self.clock()
         queue_wait = max(0.0, started - req.submitted_at)
 
-        def finish(result: ServiceResult) -> ServiceResult:
+        def finish(result: ServiceResult) -> None:
             result.queue_wait = queue_wait
             result.service_time = max(0.0, self.clock() - started)
             if req.deadline is not None and req.deadline.expired:
                 result.deadline_met = False
             self._resolve(req, result)
-            return result
 
         base = dict(request_id=req.request_id, tenant=req.tenant,
                     op=req.op, name=req.name)
@@ -399,30 +413,22 @@ class ArchiveService:
                     "service.dequeue", tenant=req.tenant, op=req.op
                 )
             except InjectedFault as exc:
-                return finish(ServiceResult(
-                    status="failed", error=repr(exc), **base
-                ))
-        # Stage boundary: a request whose deadline lapsed in the queue is
-        # answered typed, without burning a pipeline run.
+                finish(ServiceResult(status="failed", error=repr(exc), **base))
+                return
+        # The stage boundary: a request whose deadline lapsed in the
+        # queue is answered typed, without burning a pipeline run.
         if req.deadline is not None and req.deadline.expired:
-            return finish(ServiceResult(status="deadline", **base))
+            finish(ServiceResult(status="deadline", **base))
+            return
+        run = self._run_prepare if req.op == "prepare" else self._run_restore
         try:
-            if req.op == "prepare":
-                return finish(self._run_prepare(req, base))
-            return finish(self._run_restore(req, base))
+            result = run(req, base)
         except _SERVABLE_ERRORS as exc:
-            return finish(ServiceResult(
-                status="failed", error=repr(exc), **base
-            ))
-
-    @contextmanager
-    def _pipeline_stage(self, req: ServiceRequest):
-        """Hold the slot for the request's pipeline stage: beside a small,
-        GIL-bound request a second worker adds GIL handoffs, not CPU.
-        Yields whether the deadline lapsed while waiting (a stage
-        boundary: the caller answers typed, never runs the pipeline)."""
-        with self._slot:
-            yield req.deadline is not None and req.deadline.expired
+            result = ServiceResult(status="failed", error=repr(exc), **base)
+        except Exception as exc:
+            finish(ServiceResult(status="failed", error=repr(exc), **base))
+            raise
+        finish(result)
 
     def _run_prepare(self, req: ServiceRequest, base: dict) -> ServiceResult:
         key = req.idempotency_key
@@ -444,30 +450,24 @@ class ArchiveService:
                     achieved_error=prior.result.get("achieved_error"),
                     extra=dict(prior.result), **base,
                 )
-        with self._pipeline_stage(req) as lapsed:
-            if lapsed:
-                return ServiceResult(status="deadline", **base)
-            report = self.rapids.prepare(req.name, req.data)
-            # The commit stays in the slot: beside the next request's
-            # pipeline it contends for the KV store's lock and the GIL
-            # (outside it, service_small's write p50 measured ~17 % higher).
-            result = ServiceResult(
-                status="ok",
-                levels_used=len(report.ft_config),
-                achieved_error=report.expected_error,
-                extra={"ft_config": list(report.ft_config)},
-                **base,
+        report = self.rapids.prepare(req.name, req.data)
+        result = ServiceResult(
+            status="ok",
+            levels_used=len(report.ft_config),
+            achieved_error=report.expected_error,
+            extra={"ft_config": list(report.ft_config)},
+            **base,
+        )
+        if key is not None:
+            self.journal.commit(
+                req.tenant, key, fingerprint=fingerprint, op=req.op,
+                name=req.name,
+                result={
+                    "levels_used": result.levels_used,
+                    "achieved_error": result.achieved_error,
+                    "ft_config": list(report.ft_config),
+                },
             )
-            if key is not None:
-                self.journal.commit(
-                    req.tenant, key, fingerprint=fingerprint, op=req.op,
-                    name=req.name,
-                    result={
-                        "levels_used": result.levels_used,
-                        "achieved_error": result.achieved_error,
-                        "ft_config": list(report.ft_config),
-                    },
-                )
         return result
 
     def _run_restore(self, req: ServiceRequest, base: dict) -> ServiceResult:
@@ -478,34 +478,31 @@ class ArchiveService:
         # What the request asks for (every level), whatever is down: a
         # restore that delivers less is degraded.
         wanted = plan_retrieval(rec, (), bandwidths)
-        with self._pipeline_stage(req) as lapsed:
-            if lapsed:
-                return ServiceResult(status="deadline", **base)
-            avoid = self.breakers.avoid()
-            deadline_limited = False
-            if req.deadline is not None:
-                # The prefix the restore would gather against the systems
-                # it treats as down, and the deepest one whose §3.3
-                # gathering latency fits the remaining budget.
-                plan = partial(
-                    plan_retrieval, rec, [*rapids.cluster.failed_ids(), *avoid],
-                    bandwidths,
-                )
-                affordable = plan(
-                    seconds=req.deadline.remaining() * _DEADLINE_SAFETY
-                )
-                if affordable < plan():
-                    # Degrade to the affordable prefix instead of blowing
-                    # the deadline: ask for the error the prefix delivers.
-                    deadline_limited = True
-                    wanted = max(affordable, 1)
-                    target = rec.level_errors[wanted - 1]
-            report = rapids.restore(
-                req.name,
-                strategy="naive",
-                target_error=target,
-                avoid_systems=avoid,
+        avoid = self.breakers.avoid()
+        deadline_limited = False
+        if req.deadline is not None:
+            # The prefix the restore would gather against the systems it
+            # treats as down, and the deepest one whose §3.3 gathering
+            # latency fits the remaining budget.
+            plan = partial(
+                plan_retrieval, rec, [*rapids.cluster.failed_ids(), *avoid],
+                bandwidths,
             )
+            affordable = plan(
+                seconds=req.deadline.remaining() * _DEADLINE_SAFETY
+            )
+            if affordable < plan():
+                # Degrade to the affordable prefix instead of blowing the
+                # deadline: ask for the error the prefix delivers.
+                deadline_limited = True
+                wanted = max(affordable, 1)
+                target = rec.level_errors[wanted - 1]
+        report = rapids.restore(
+            req.name,
+            strategy="naive",
+            target_error=target,
+            avoid_systems=avoid,
+        )
         status = "ok"
         if (
             deadline_limited

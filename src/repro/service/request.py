@@ -2,12 +2,12 @@
 
 The service front end speaks in :class:`ServiceRequest` /
 :class:`ServiceResult` values.  A request carries everything robustness
-needs end to end: the *tenant* it bills against (bulkheads, rate
-limits), an optional *idempotency key* (exactly-once prepare), and an
-optional :class:`Deadline` that every stage boundary consults — the
-admission check, the dequeue, the journal write, and the pipeline call
-itself, where an over-deadline restore degrades to the affordable level
-prefix instead of failing.
+needs end to end: the *tenant* it bills against (rate limits,
+round-robin fairness), an optional *idempotency key* (exactly-once
+prepare), and an optional :class:`Deadline` that the dequeue consults (a
+request that lapsed in the queue is answered ``deadline``) and a restore
+plans against, degrading to the affordable level prefix instead of
+failing.
 
 Time never comes from ``time.monotonic`` directly: every component takes
 an injectable ``clock`` callable so chaos campaigns and property tests

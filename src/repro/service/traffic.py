@@ -96,7 +96,7 @@ _KEY_POOL = 8
 
 #: The named mixes ``rapids serve --drive`` and the service benchmark
 #: share.  ``balanced`` is three equal-weight tenants at a moderate
-#: rate; ``hog`` is the bulkhead stress — one tenant submitting 8x the
+#: rate; ``hog`` is the fairness stress — one tenant submitting 8x the
 #: traffic of the other, at twice the arrival rate.
 STANDARD_MIXES = {
     "balanced": TrafficMix(
@@ -298,8 +298,8 @@ def drive_open_loop(
     ``pump_interval`` arrivals the service executes one queued request
     inline, advancing the clock ``service_tick`` seconds
     per execution — so a pump budget below the arrival rate *is* the
-    overload, and queue growth, shedding, deadline expiry and bulkhead
-    contention all follow deterministically from the seed.
+    overload, and queue growth, shedding, deadline expiry and tenant
+    interleaving all follow deterministically from the seed.
     """
     report = TrafficReport(mix=mix_name, seed=seed)
     start = clock()

@@ -6,9 +6,9 @@ The four invariants ISSUE 10 names, each checked deterministically:
    idempotency key mutate the workspace once and replay the recorded
    result, including after a crash between the journal write and the
    commit (the replayed workspace is byte-identical to a clean run's).
-2. **Bulkhead isolation** — a tenant saturating its worker-slot quota
-   never blocks another tenant's admitted requests; the round-robin
-   dequeue serves whoever has slot headroom.
+2. **Round-robin fairness** — a flooding tenant never holds another
+   tenant's admitted requests behind its whole backlog; the dequeue
+   interleaves tenants, one request at a time.
 3. **Shed-never-hangs** — a request the service cannot admit is
    rejected promptly with a typed reason and retry-after hint; nothing
    buffers without bound.
@@ -23,6 +23,7 @@ along.
 import hashlib
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from repro.refactor import Refactorer
 from repro.service import (
     AdmissionQueue,
     ArchiveService,
-    Bulkhead,
     CircuitBreaker,
     Deadline,
     IdempotencyConflict,
@@ -316,41 +316,10 @@ class TestCrashReplay:
         assert workspace_digest(rapids, "obj") == want
 
 
-# -- invariant 2: bulkhead isolation ----------------------------------------
+# -- invariant 2: round-robin fairness --------------------------------------
 
 
-class TestBulkhead:
-    @given(
-        counts=st.dictionaries(
-            st.sampled_from(["a", "b", "c"]), st.integers(1, 5), min_size=2
-        ),
-        quota=st.integers(1, 3),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_saturated_tenant_never_blocks_others(self, counts, quota):
-        q = AdmissionQueue(capacity=100)
-        bh = Bulkhead(quota)
-        for tenant in sorted(counts):
-            for _ in range(counts[tenant]):
-                q.offer(
-                    ServiceRequest(tenant=tenant, op="restore", name="x"),
-                    retry_after=0.1,
-                )
-        hog = sorted(counts)[0]
-        for _ in range(quota):  # saturate the hog's slots out-of-band
-            assert bh.try_acquire(hog)
-        others = sum(n for t, n in counts.items() if t != hog)
-        for _ in range(others):
-            req = q.take(bh, timeout=0)
-            assert req is not None, "a tenant with free slots was starved"
-            assert req.tenant != hog
-            bh.release(req.tenant)
-        # Only the hog remains queued and it is at quota: the take must
-        # return promptly with nothing rather than block.
-        assert q.take(bh, timeout=0) is None
-        bh.release(hog)  # headroom appears -> the hog is served again
-        assert q.take(bh, timeout=0).tenant == hog
-
+class TestTenantFairness:
     def test_round_robin_interleaves_tenants(self, tmp_path):
         rapids = make_stack(tmp_path)
         svc, _ = make_service(rapids, queue_capacity=32)
@@ -500,14 +469,15 @@ class TestDeadlines:
 # -- invariant 4: deterministic overload campaign ---------------------------
 
 
-def overload_campaign(tmp, seed: int) -> str:
+def overload_campaign(tmp, seed: int, **config) -> str:
     """One seeded overload-plus-outage run; returns its full transcript
-    as canonical JSON (results, sheds, metrics, fault log)."""
+    as canonical JSON (results, sheds, metrics, fault log).  ``config``
+    adds :class:`ServiceConfig` fields."""
     rapids = make_stack(tmp)
     clk = ManualClock()
     svc = ArchiveService(rapids, config=ServiceConfig(
         clock=clk, queue_capacity=12, rate=10_000.0, burst=10_000.0,
-        bulkhead_slots=2,
+        **config,
     ))
     # Seed objects for the restore side of the mix.
     objects = []
@@ -590,42 +560,20 @@ class TestDeterministicReplay:
         assert by_tenant.get("hog", {}).get("completed", 0) > 0
 
 
-# -- the pipeline slot: GIL-bound requests run one at a time ----------------
-
-
-class _Gate:
-    """Stands in for the service's slot and counts who has asked for it,
-    so a test can wait until a worker is blocked on it (no sleeps)."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self._cond = threading.Condition()
-        self.entered = 0
-
-    def wait_for(self, n: int) -> bool:
-        with self._cond:
-            return self._cond.wait_for(lambda: self.entered >= n, timeout=30)
-
-    def __enter__(self):
-        with self._cond:
-            self.entered += 1
-            self._cond.notify_all()
-        self.lock.acquire()
-
-    def __exit__(self, *exc):
-        self.lock.release()
+# -- one thread: each request runs whole, one at a time ---------------------
 
 
 def _count_concurrency(rapids, inside):
     """Wrap prepare/restore with a max-concurrency counter; ``inside()``
     runs while the call is counted, before the real pipeline."""
-    state = {"active": 0, "max": 0}
+    state = {"active": 0, "max": 0, "calls": 0}
     lock = threading.Lock()
 
     def wrap(real):
         def counted(*args, **kwargs):
             with lock:
                 state["active"] += 1
+                state["calls"] += 1
                 state["max"] = max(state["max"], state["active"])
             try:
                 inside()
@@ -640,49 +588,66 @@ def _count_concurrency(rapids, inside):
     return state
 
 
-class TestPipelineSlot:
+class TestOneThread:
     @pytest.fixture()
-    def threaded(self, tmp_path):
+    def prepared(self, tmp_path):
         rapids = make_stack(tmp_path)
         rapids.prepare("obj", small_field(1))
-        svc = ArchiveService(rapids, config=ServiceConfig(
-            queue_capacity=16, rate=10_000.0, burst=10_000.0, workers=2,
-        ))
-        yield rapids, svc
+        svc, clk = make_service(rapids, queue_capacity=16)
+        yield rapids, svc, clk
         svc.stop()
 
-    def _two_requests(self, svc):
-        return [
-            svc.submit(ServiceRequest(
-                tenant="a", op="prepare", name="new", data=small_field(2),
-            )),
-            svc.submit(ServiceRequest(tenant="b", op="restore", name="obj")),
-        ]
+    def test_start_spawns_exactly_one_thread(self, prepared):
+        _, svc, _ = prepared
+        before = set(threading.enumerate())
+        svc.start()
+        svc.start()  # idempotent
+        spawned = [t for t in threading.enumerate() if t not in before]
+        assert [t.name for t in spawned] == ["archive-service"]
+        svc.stop()
+        assert not spawned[0].is_alive()
 
-    def test_requests_never_overlap(self, threaded):
-        """Whichever request gets the pipeline first holds it until the
-        other is waiting on the slot: the two never run at once."""
-        rapids, svc = threaded
-        gate = svc._slot = _Gate()
-        state = _count_concurrency(rapids, lambda: gate.wait_for(2))
-        tickets = self._two_requests(svc)
+    def test_pipeline_calls_never_overlap(self, prepared):
+        """Two tenants, four requests each: every pipeline call runs
+        alone.  Each call lingers so that a second thread running
+        requests would be caught inside at the same time."""
+        rapids, svc, _ = prepared
+        state = _count_concurrency(rapids, lambda: time.sleep(0.02))
+        tickets = [
+            svc.submit(ServiceRequest(tenant=t, op="restore", name="obj"))
+            for t in ("a", "b") * 3
+        ] + [
+            svc.submit(ServiceRequest(
+                tenant=t, op="prepare", name=f"new-{t}",
+                data=small_field(2),
+            ))
+            for t in ("a", "b")
+        ]
         svc.start()
         results = [t.result(timeout=60.0) for t in tickets]
-        assert [r.status for r in results] == ["ok", "ok"]
-        assert gate.entered == 2 and state["max"] == 1
+        assert all(r.status == "ok" for r in results)
+        assert state["calls"] == 8 and state["max"] == 1
 
-    def test_deadline_lapsed_waiting_for_the_slot(self, tmp_path):
-        """Requests whose deadline runs out while another holds the slot
-        are answered ``deadline`` and never reach the pipeline."""
-        rapids = make_stack(tmp_path)
-        rapids.prepare("obj", small_field(1))
-        svc, clk = make_service(rapids, queue_capacity=16, workers=2)
-        gate = svc._slot = _Gate()
-        state = _count_concurrency(rapids, lambda: None)
-        gate.lock.acquire()  # the test holds the slot
-        tickets = [
+    def test_deadline_lapsed_in_queue_behind_a_running_request(
+        self, prepared
+    ):
+        """Requests whose deadline runs out while they wait behind the
+        running one are answered ``deadline`` at dequeue and never reach
+        the pipeline."""
+        rapids, svc, clk = prepared
+        entered, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            entered.set()
+            assert release.wait(timeout=30)
+
+        state = _count_concurrency(rapids, hold)
+        svc.start()
+        first = svc.submit(ServiceRequest(tenant="a", op="restore", name="obj"))
+        assert entered.wait(timeout=30)
+        queued = [
             svc.submit(ServiceRequest(
-                tenant="a", op="prepare", name="new", data=small_field(2),
+                tenant="b", op="prepare", name="new", data=small_field(2),
                 deadline=Deadline(1.0, clock=clk),
             )),
             svc.submit(ServiceRequest(
@@ -690,19 +655,98 @@ class TestPipelineSlot:
                 deadline=Deadline(1.0, clock=clk),
             )),
         ]
-        svc.start()
-        try:
-            assert gate.wait_for(2)  # both dequeued in time, both waiting
-            clk.advance(2.0)
-        finally:
-            gate.lock.release()
-        results = [t.result(timeout=60.0) for t in tickets]
-        svc.stop()
+        clk.advance(2.0)
+        release.set()
+        assert first.result(timeout=60.0).status == "ok"
+        results = [t.result(timeout=60.0) for t in queued]
         assert [r.status for r in results] == ["deadline", "deadline"]
         assert not any(r.deadline_met for r in results)
-        assert state["max"] == 0 and gate.entered == 2
+        assert state["calls"] == 1
         with pytest.raises(KeyError):
             rapids.catalog.get_object("new")
+
+    def test_unservable_error_fails_its_request_only(self, prepared):
+        """An exception outside the servable set resolves its request
+        ``failed`` and the thread keeps serving the next one."""
+        rapids, svc, _ = prepared
+        real = rapids.restore
+        raised = []
+
+        def flaky(*args, **kwargs):
+            if len(raised) < 2:
+                raised.append(1)
+                return 1 / 0
+            return real(*args, **kwargs)
+
+        rapids.restore = flaky
+        svc.start()
+        tickets = [
+            svc.submit(ServiceRequest(tenant="a", op="restore", name="obj"))
+            for _ in range(3)
+        ]
+        results = [t.result(timeout=60.0) for t in tickets]
+        assert [r.status for r in results] == ["failed", "failed", "ok"]
+        assert "ZeroDivisionError" in results[0].error
+        assert svc._thread.is_alive()
+        assert svc._tickets == {}
+
+    def test_pump_reraises_an_unservable_error_after_resolving(
+        self, prepared
+    ):
+        rapids, svc, _ = prepared
+        rapids.restore = lambda *a, **k: 1 / 0
+        t = svc.submit(ServiceRequest(tenant="a", op="restore", name="obj"))
+        with pytest.raises(ZeroDivisionError):
+            svc.pump()
+        assert t.result(timeout=0).status == "failed"
+        assert svc.snapshot()["completed"] == 1
+
+    def test_request_resolved_before_submit_returns_keeps_its_ticket(
+        self, prepared
+    ):
+        """The service may finish a request before ``offer`` returns to
+        ``submit``; its ticket must already be registered."""
+        _, svc, _ = prepared
+        offer = svc.queue.offer
+
+        def offer_then_run(req, *, retry_after):
+            offer(req, retry_after=retry_after)
+            svc.pump()
+
+        svc.queue.offer = offer_then_run
+        t = svc.submit(ServiceRequest(tenant="a", op="restore", name="obj"))
+        assert t.result(timeout=0.1).status == "ok"
+        assert svc.metrics["completed"] == 1
+        assert svc._tickets == {}
+
+    def test_shed_request_leaves_no_ticket(self, prepared):
+        _, svc, _ = prepared
+        svc.queue.close()
+        with pytest.raises(ServiceRejected):
+            svc.submit(ServiceRequest(
+                tenant="a", op="prepare", name="x", data=small_field(2),
+                idempotency_key="k",
+            ))
+        assert svc._tickets == {} and svc._inflight == {}
+
+    def test_inert_concurrency_fields_warn_and_change_nothing(
+        self, tmp_path
+    ):
+        with pytest.warns(DeprecationWarning, match="workers, bulkhead_slots"):
+            inert = overload_campaign(
+                tmp_path / "inert", 7, workers=2, bulkhead_slots=2
+            )
+        assert inert == overload_campaign(tmp_path / "plain", 7)
+        with pytest.warns(DeprecationWarning):
+            cfg = ServiceConfig(workers=4)
+        svc = ArchiveService(make_stack(tmp_path / "t"), config=cfg)
+        before = set(threading.enumerate())
+        svc.start()
+        try:
+            spawned = [t for t in threading.enumerate() if t not in before]
+            assert len(spawned) == 1
+        finally:
+            svc.stop()
 
 
 # -- threaded mode smoke ----------------------------------------------------
@@ -713,7 +757,6 @@ class TestThreadedService:
         rapids = make_stack(tmp_path)
         svc = ArchiveService(rapids, config=ServiceConfig(
             queue_capacity=32, rate=10_000.0, burst=10_000.0,
-            workers=2,
         ))
         prep = svc.submit(ServiceRequest(
             tenant="a", op="prepare", name="obj", data=small_field(3)
